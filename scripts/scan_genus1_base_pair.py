@@ -17,15 +17,15 @@ circle and from the others, and at least 0.02 from zeta = 0.
 import numpy as np
 
 from whitham.errors import WhithamError
-from whitham.flow import (
-    _pair_poly,
-    _projector,
-    _times_matrix,
-    gauss_newton,
-    numerator_space,
-)
+from whitham.flow import _projector, _times_matrix, gauss_newton, numerator_space
 from whitham.polyring import Polynomial, real_section_scale, roots_flat
-from whitham.spectral import PsiFrame, SpectralTriple, pack_section, unpack_section
+from whitham.spectral import (
+    PsiFrame,
+    SpectralTriple,
+    pack_section,
+    product_form,
+    unpack_section,
+)
 
 G_WEIGHT = 2
 STARTS = 16
@@ -34,7 +34,7 @@ MAX_ITER = 120
 
 
 def _space(alphas):
-    P = _pair_poly(*alphas)
+    P = product_form(alphas)
     one = Polynomial.one()
     frame = PsiFrame.build(SpectralTriple(1, P, one, one), quad_order=32)
     return numerator_space(P, 1, frame)[0]

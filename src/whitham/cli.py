@@ -5,6 +5,9 @@ conditions), ``classify`` (case label from the gcd tower), ``tangent``
 (the two-dimensional tangent basis), ``flow`` (trace a deformation path),
 ``oracle`` (randomized cross-checks of the polynomial solvers against
 independent dense solves), ``plot`` (SVG of branch points and roots).
+Each subcommand takes only the options its handler reads; ``validate`` on
+a directory grades every ``*.json`` in it, one file after another, and a
+file that fails to parse gets its own ``input-error`` row.
 
 Exit codes: 0 success/pass, 1 validated-false (condition failures or a
 non-deformable case), 2 usage/parse error, 3 numerical failure.  Reports
@@ -17,21 +20,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .deformation import classify, r_kernel, r_value, tangent_basis
+from .deformation import classify, r_value, tangent_basis
 from .errors import NotDeformableError, WhithamError
 from .flow import FlowConfig, trace
 from .polyring import Polynomial, random_real_section, roots
-from .spectral import (
-    SpectralTriple,
-    ToleranceProfile,
-    psi,
-    validate,
-)
+from .spectral import SpectralTriple, ToleranceProfile, product_form, validate
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -49,7 +46,7 @@ def _np_scalar(x):
 
 def _dump(obj, args):
     text = json.dumps(obj, indent=2, default=_np_scalar)
-    if getattr(args, "out", None):
+    if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         sys.stdout.write(text + "\n")
@@ -65,10 +62,7 @@ def _tolerances(args):
     return ToleranceProfile(
         alg=args.tol_alg if args.tol_alg is not None else base.alg,
         integral=args.tol_int if args.tol_int is not None else base.integral,
-        circle=base.circle,
         cluster=args.cluster_radius if args.cluster_radius is not None else base.cluster,
-        p8=base.p8,
-        equation=base.equation,
     )
 
 
@@ -87,27 +81,25 @@ def cmd_validate(args):
     return EXIT_PASS if report.verdict else EXIT_FAIL
 
 
+_BATCH_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "input-error": EXIT_USAGE,
+               "numerical-failure": EXIT_NUMERICAL}
+
+
+def _validate_one(f, tol, quad_order):
+    try:
+        rep = validate(_load_triple(f), tol=tol, quad_order=quad_order)
+        return f.name, ("pass" if rep.verdict else "fail"), rep.failed()
+    except WhithamError as exc:
+        return f.name, "numerical-failure", [str(exc)]
+    except (ValueError, OSError) as exc:  # ValueError includes JSONDecodeError
+        return f.name, "input-error", [str(exc)]
+
+
 def _validate_batch(path, args):
-    files = sorted(path.glob("*.json"))
     tol = _tolerances(args)
-
-    def one(f):
-        try:
-            rep = validate(_load_triple(f), tol=tol, quad_order=args.quad_order)
-            return f.name, ("pass" if rep.verdict else "fail"), rep.failed()
-        except WhithamError as exc:
-            return f.name, "numerical-failure", [str(exc)]
-
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        rows = list(pool.map(one, files))
+    rows = [_validate_one(f, tol, args.quad_order) for f in sorted(path.glob("*.json"))]
     _dump({"results": [{"file": n, "verdict": v, "failed": fl} for n, v, fl in rows]}, args)
-    worst = EXIT_PASS
-    for _, v, _ in rows:
-        if v == "numerical-failure":
-            worst = max(worst, EXIT_NUMERICAL)
-        elif v == "fail":
-            worst = max(worst, EXIT_FAIL)
-    return worst
+    return max((_BATCH_EXIT[v] for _, v, _ in rows), default=EXIT_PASS)
 
 
 def cmd_classify(args):
@@ -222,9 +214,7 @@ def _oracle_r_reality(rng, count):
     for _ in range(count):
         g = int(rng.integers(0, 3))
         alphas = 0.25 + 0.5 * rng.random(g + 1) * np.exp(2j * np.pi * rng.random(g + 1))
-        P = Polynomial.one()
-        for a in alphas:
-            P = P * Polynomial([-a, 1.0]) * Polynomial([1.0, -np.conj(a)])
+        P = product_form(alphas)
         t = SpectralTriple(
             g, P, random_real_section(rng, g + 3), random_real_section(rng, g + 3)
         )
@@ -250,10 +240,7 @@ def _oracle_kernel(rng, count):
     for _ in range(count):
         g = int(rng.integers(0, 6))
         alphas = 0.2 + 0.55 * rng.random(g + 1) * np.exp(2j * np.pi * rng.random(g + 1))
-        P = Polynomial.one()
-        for a in alphas:
-            P = P * Polynomial([-a, 1.0]) * Polynomial([1.0, -np.conj(a)])
-        M = empdi_operator_matrix(P, g)
+        M = empdi_operator_matrix(product_form(alphas), g)
         rn = np.linalg.norm(M, axis=1)
         Ms = M[rn > 0] / rn[rn > 0, None]
         worst_min = min(worst_min, float(np.linalg.svd(Ms, compute_uv=False)[-1]))
@@ -347,44 +334,38 @@ def build_parser():
     )
     sub = p.add_subparsers(dest="command")
 
-    def common(sp, needs_input=True):
+    def command(name, fn, summary, needs_input=True):
+        sp = sub.add_parser(name, help=summary)
         if needs_input:
             sp.add_argument("input", help="triple JSON file (or directory for validate)")
         sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--tol-alg", type=float, default=None, dest="tol_alg")
-        sp.add_argument("--tol-int", type=float, default=None, dest="tol_int")
-        sp.add_argument("--cluster-radius", type=float, default=None, dest="cluster_radius")
-        sp.add_argument("--quad-order", type=int, default=32, dest="quad_order")
-        sp.add_argument("--format", default="json", choices=("json", "csv", "svg"))
+        sp.set_defaults(fn=fn)
+        return sp
 
-    sp = sub.add_parser("validate", help="grade a triple against the conditions")
-    common(sp)
-    sp.set_defaults(fn=cmd_validate)
+    sp = command("validate", cmd_validate, "grade a triple against the conditions")
+    sp.add_argument("--tol-alg", type=float)
+    sp.add_argument("--tol-int", type=float)
+    sp.add_argument("--cluster-radius", type=float)
+    sp.add_argument("--quad-order", type=int, default=32)
 
-    sp = sub.add_parser("classify", help="case label (a)-(f) from the gcd tower")
-    common(sp)
-    sp.set_defaults(fn=cmd_classify)
+    sp = command("classify", cmd_classify, "case label (a)-(f) from the gcd tower")
+    sp.add_argument("--cluster-radius", type=float)
 
-    sp = sub.add_parser("tangent", help="two-dimensional tangent basis")
-    common(sp)
-    sp.set_defaults(fn=cmd_tangent)
+    command("tangent", cmd_tangent, "two-dimensional tangent basis")
 
-    sp = sub.add_parser("flow", help="trace a deformation path")
-    common(sp)
+    sp = command("flow", cmd_flow, "trace a deformation path")
+    sp.add_argument("--tol-int", type=float)
+    sp.add_argument("--quad-order", type=int, default=32)
+    sp.add_argument("--format", default="json", choices=("json", "csv"))
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--dt", type=float, default=1e-2)
-    sp.add_argument("--rule", default="basis0")
-    sp.set_defaults(fn=cmd_flow)
+    sp.add_argument("--rule", default="basis0", choices=("basis0", "basis1"))
 
-    sp = sub.add_parser("oracle", help="randomized solver cross-checks")
-    common(sp, needs_input=False)
+    sp = command("oracle", cmd_oracle, "randomized solver cross-checks", needs_input=False)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--count", type=int, default=100)
-    sp.set_defaults(fn=cmd_oracle)
 
-    sp = sub.add_parser("plot", help="SVG of branch points and differential roots")
-    common(sp)
-    sp.set_defaults(fn=cmd_plot)
+    command("plot", cmd_plot, "SVG of branch points and differential roots")
     return p
 
 
@@ -399,7 +380,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return args.fn(args)
-    except (json.JSONDecodeError, KeyError, FileNotFoundError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ValueError includes JSONDecodeError
         sys.stderr.write(f"input error: {exc}\n")
         return EXIT_USAGE
     except WhithamError as exc:

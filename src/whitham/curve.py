@@ -127,15 +127,6 @@ class PathOnCurve:
     def flipped(self):
         return PathOnCurve(self.segments, -self.start_sheet, self.closed, self.label)
 
-    def to_polyline(self, per_segment=24):
-        """Sampled zeta-plane points, for JSON export and plotting."""
-        pts = []
-        for seg in self.segments:
-            for t in np.linspace(0.0, 1.0, per_segment, endpoint=False):
-                pts.append(seg.point(t))
-        pts.append(self.segments[-1].point(1.0))
-        return [[float(z.real), float(z.imag)] for z in pts]
-
 
 def _check_continuity(segments):
     for s0, s1 in zip(segments[:-1], segments[1:]):
@@ -163,18 +154,6 @@ class HyperellipticCurve:
             if p is not None:
                 pts.append(p)
         return pts
-
-    def marked_points(self):
-        """Branch points plus the pole location 0 and the base points +1/-1."""
-        pts = list(self.finite_branch_points)
-        for w in (0.0, 1.0, -1.0):
-            if all(abs(w - p) > 1e-12 for p in pts):
-                pts.append(complex(w))
-        return pts
-
-    def eta_ref(self, z):
-        """Principal-branch reference value of sqrt(P); sheets are signs of this."""
-        return np.sqrt(self.P(z))
 
 
 @dataclass(frozen=True)

@@ -53,10 +53,7 @@ from .polyring import (
     real_section_scale,
     symmetrize,
 )
-from .spectral import pack_section, product_form, unpack_section
-
-EQUATION_RTOL = 1e-9
-CONFORMAL_RTOL = 1e-9
+from .spectral import is_conformal, product_form, unpack_section
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +165,6 @@ class TangentVector:
 # ---------------------------------------------------------------------------
 # Classification
 # ---------------------------------------------------------------------------
-
-
-def is_conformal(triple, rel=CONFORMAL_RTOL):
-    return abs(triple.P.coeff(0)) <= rel * max(triple.P.norm(), 1e-300)
 
 
 def classify(triple, cluster_radius=1e-8):
@@ -494,20 +487,13 @@ def _scaling_shift(triple, P_dot):
     -P_dot(alpha_k)/P'(alpha_k), and the reference index is the largest
     product-form coefficient (stable across the conformal locus).
     """
-    cur = build_curve(triple.P)
-    Pi = product_form(cur)
+    alphas = [a for a, _ in build_curve(triple.P).branch_pairs]
+    Pi = product_form(alphas)
     dP = triple.P.derivative()
     terms = Polynomial.zero()
-    for k, (a, partner) in enumerate(cur.branch_pairs):
+    for k, a in enumerate(alphas):
         a_dot = -P_dot(a) / dP(a)
-        rest = Polynomial.one()
-        for j, (a2, p2) in enumerate(cur.branch_pairs):
-            if j == k:
-                continue
-            if p2 is None or abs(a2) < 1e-13:
-                rest = rest * Polynomial.zeta()
-            else:
-                rest = rest * Polynomial([-a2, 1.0]) * Polynomial([1.0, -np.conj(a2)])
+        rest = product_form(alphas[:k] + alphas[k + 1 :])
         dpair = Polynomial([-a_dot, 0.0]) * Polynomial([1.0, -np.conj(a)]) + Polynomial(
             [-a, 1.0]
         ) * Polynomial([0.0, -np.conj(a_dot)])

@@ -40,13 +40,21 @@ from .spectral import (
     conformal_type,
     pack_section,
     pack_triple,
+    product_form,
     psi,
     unpack_section,
     unpack_triple,
     validate,
 )
 
+# Gauss-Newton: central-difference step (relative to max(1, |x_j|)), the
+# relative singular-value cutoff of the rank-truncated solve, and the
+# initial trust radius
 FD_STEP = 1e-6
+SVD_CUTOFF = 1e-8
+TRUST_RADIUS = 0.1
+# flow steps halve on failure down to this size
+H_MIN = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -62,8 +70,7 @@ class GNResult:
     status: str  # converged | maxiter | stalled
 
 
-def gauss_newton(residual, x0, tol=1e-10, max_iter=25, fd_step=FD_STEP,
-                 svd_cutoff=1e-8, verbose=False, trust=0.1):
+def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
     """Trust-region Gauss-Newton with a rank-truncated inner solve.
 
     ``residual`` maps a real vector to a real vector and may raise
@@ -77,13 +84,13 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25, fd_step=FD_STEP,
     x = np.asarray(x0, dtype=float).copy()
     r = residual(x)
     trace = [float(np.linalg.norm(r))]
-    delta = trust
+    delta = TRUST_RADIUS
     for _ in range(max_iter):
         if trace[-1] <= tol:
             return GNResult(x, trace[-1], trace, "converged")
         J = np.empty((r.size, x.size))
         for j in range(x.size):
-            dx = fd_step * max(1.0, abs(x[j]))
+            dx = FD_STEP * max(1.0, abs(x[j]))
             xp = x.copy()
             xp[j] += dx
             xm = x.copy()
@@ -100,7 +107,7 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25, fd_step=FD_STEP,
                         J[:, j] = 0.0
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         smax = s[0] if s.size else 1.0
-        keep = s > svd_cutoff * smax
+        keep = s > SVD_CUTOFF * smax
         coeff = np.where(keep, (U.T @ r) / np.where(keep, s, 1.0), 0.0)
         gn_full = -(Vt.T @ coeff)
         full_len = float(np.linalg.norm(gn_full))
@@ -127,8 +134,6 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25, fd_step=FD_STEP,
             delta *= 0.3
             if delta < 1e-13:
                 break
-        if verbose:
-            print(f"gn: |r| = {trace[-1]:.3e} (delta = {delta:.2e})")
         if not accepted:
             return GNResult(x, trace[-1], trace, "stalled")
     status = "converged" if trace[-1] <= tol else "maxiter"
@@ -192,7 +197,7 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
         def residual(xv):
             return psi(unpack_triple(xv, g), frame=frame).flatten(integers)
 
-        res = gauss_newton(residual, x, tol=tol, max_iter=6, fd_step=FD_STEP)
+        res = gauss_newton(residual, x, tol=tol, max_iter=6)
         x = res.x
         prev = total_trace[-1]
         total_trace.extend(res.trace[1:])
@@ -228,16 +233,6 @@ def differential_family_genus0(alpha, y):
     return Polynomial([y, x * y, np.conj(x * y), np.conj(y)], bound=3)
 
 
-def _pair_poly(*alphas):
-    out = Polynomial.one()
-    for a in alphas:
-        if a == 0:
-            out = out * Polynomial.zeta()
-        else:
-            out = out * Polynomial([-a, 1.0]) * Polynomial([1.0, -np.conj(a)])
-    return out
-
-
 def seed_conformal_genus0(k_plus=1, k_minus=1):
     """Exact conformal genus-0 point: P = zeta and b^i = zeta*(m0 +
     conj(m0) zeta) with m0 = pi(-k_- + i k_+)/4; the two differentials get
@@ -251,35 +246,11 @@ def seed_conformal_genus0(k_plus=1, k_minus=1):
     return SpectralTriple(0, z, numerator(k_plus, 0), numerator(0, k_minus))
 
 
-def _linear_b_fit(P, g, weight, target_flat, components, basis_transform=None):
-    """Least-squares fit of a real-section numerator to linear conditions.
-
-    ``components(b)`` returns the complex condition values for a numerator
-    b; they must be R-linear in b.  ``basis_transform`` optionally maps the
-    section before evaluation (e.g. multiplication by a forced factor).
-    """
-    dim = weight + 1
-    elems = []
-    for j in range(dim):
-        x = np.zeros(dim)
-        x[j] = 1.0
-        e = unpack_section(x, weight)
-        elems.append(basis_transform(e) if basis_transform is not None else e)
-    cols = [
-        np.concatenate([[v.real, v.imag] for v in vals])
-        for vals in components(elems)
-    ]
-    M = np.column_stack(cols)
-    sol, *_ = np.linalg.lstsq(M, target_flat, rcond=None)
-    b = unpack_section(sol, weight)
-    return basis_transform(b) if basis_transform is not None else b
-
-
 def seed_genus0(alpha=0.42 + 0.18j, m_plus=(1, 0), m_minus=(0, 1),
                 quad_order=40, tol=1e-11):
     """Nonconformal genus-0 point: residue-exact family, closings fit to
     the requested integers, then full projection."""
-    P = _pair_poly(alpha)
+    P = product_form([alpha])
     from .curve import build_curve, homology_basis, integrate, Differential
 
     cur = build_curve(P)
@@ -322,7 +293,7 @@ def _psi_components_for_b(triple_P, g, frame, quad_order):
     """Closure evaluating (periods..., closings..., residue) for numerators
     over the fixed curve of triple_P.  The returned callable accepts one
     polynomial or a list (the eta-walk along each path is shared)."""
-    from .curve import build_curve, integrate_batch
+    from .curve import build_curve, integrate_batch, residue_condition
 
     cur = build_curve(triple_P)
     cycles = frame.basis.period_cycles() + [
@@ -337,9 +308,7 @@ def _psi_components_for_b(triple_P, g, frame, quad_order):
         out = []
         for i, b in enumerate(blist):
             vals = [res[i].value for res in per_cycle]
-            vals.append(
-                triple_P.coeff(1) * b.coeff(0) - 2.0 * triple_P.coeff(0) * b.coeff(1)
-            )
+            vals.append(residue_condition(triple_P, b))
             out.append(vals)
         return out[0] if single else out
 
@@ -377,41 +346,8 @@ _FROZEN_GENUS1_CASE_A = {
 
 def seed_genus1(quad_order=40, tol=1e-10):
     """Validated genus-1 case-(a) point: re-projection of a frozen,
-    previously converged seed (fresh searches: ``seed_genus1_search``)."""
+    previously converged seed."""
     guess = SpectralTriple.from_json_dict(_FROZEN_GENUS1_CASE_A)
-    return project_to_mg(guess, tol=tol, quad_order=quad_order).triple
-
-
-def seed_genus1_search(alpha0=0.35, alpha1=0.55j, targets1=(0, 1, 1, 0),
-                       targets2=(0, 1, 0, 1), quad_order=32, tol=1e-10):
-    """Genus-1 case-(a) seed from scratch: linear fit of both numerators on
-    the fixed curve, then full 15-coordinate projection.
-
-    ``targets*`` are the integers (m_A, m_B, m_+, m_-) for each
-    differential.  Feasible integer tuples depend on the curve; the
-    defaults converge from the default branch points.
-    """
-    P = _pair_poly(alpha0, alpha1)
-    g = 1
-    tmp = SpectralTriple(
-        g, P, Polynomial([1.0] * (g + 4)), Polynomial([1.0] * (g + 4))
-    )
-    frame = PsiFrame.build(tmp, quad_order=quad_order)
-    comp = _psi_components_for_b(P, g, frame, quad_order)
-
-    def fit(mA, mB, mp, mm):
-        target = np.concatenate(
-            [
-                [0.0, 2 * np.pi * mA],
-                [0.0, 2 * np.pi * mB],
-                [0.0, 2 * np.pi * mp],
-                [0.0, 2 * np.pi * mm],
-                [0.0, 0.0],
-            ]
-        )
-        return _linear_b_fit(P, g, g + 3, target, comp)
-
-    guess = SpectralTriple(g, P, fit(*targets1), fit(*targets2))
     return project_to_mg(guess, tol=tol, quad_order=quad_order).triple
 
 
@@ -495,7 +431,7 @@ def solve_common_factor(alphas, G, integers):
     d = G.degree
     nP = 2 * g + 2
     quad_order = 32
-    P0 = _pair_poly(*alphas)
+    P0 = product_form(alphas)
     one = Polynomial.one()
     frame = PsiFrame.build(SpectralTriple(g, P0, one, one), quad_order=quad_order)
     n1, n2 = _split_integers(integers, g)
@@ -503,7 +439,7 @@ def solve_common_factor(alphas, G, integers):
     N0, _ = numerator_space(P0, g, frame, quad_order)
 
     def unpack(x):
-        P = _pair_poly(*(complex(x[2 * i], x[2 * i + 1]) for i in range(g + 1)))
+        P = product_form(complex(x[2 * i], x[2 * i + 1]) for i in range(g + 1))
         return P, unpack_section(x[nP:] / np.linalg.norm(x[nP:]), d)
 
     def residual(x):
@@ -655,9 +591,7 @@ class FlowConfig:
     steps: int = 10
     params_rule: object = "basis0"  # "basis0"/"basis1" or fixed DeformationParams
     projection_tol: float = 1e-10
-    max_newton_iter: int = 25
     quad_order: int = 32
-    h_min: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -744,15 +678,12 @@ def flow_step(triple, v, h, config=None, lattice=None):
                 lattice_targets=lattice,
                 tol=cfg.projection_tol,
                 quad_order=cfg.quad_order,
-                max_iter=cfg.max_newton_iter,
             )
             break
         except WhithamError:
             step *= 0.5
-            if abs(step) < cfg.h_min:
-                raise StepSizeError(
-                    f"flow step collapsed below h_min = {cfg.h_min}"
-                )
+            if abs(step) < H_MIN:
+                raise StepSizeError(f"flow step collapsed below h_min = {H_MIN}")
     new = proj.triple
     lab = classify(new)
     return (

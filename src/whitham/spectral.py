@@ -19,17 +19,12 @@ nearby triples are measured against identical paths.
 
 from __future__ import annotations
 
-import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import (
-    Differential,
-    build_curve,
-    homology_basis,
-    integrate_batch,
-)
+from .curve import build_curve, homology_basis, integrate_batch, residue_condition
 from .errors import (
     CircleRootError,
     DegreeBoundError,
@@ -41,6 +36,8 @@ from .errors import (
 from .polyring import Polynomial, real_defect, roots
 
 TWO_PI = 2.0 * np.pi
+# P is conformal (branched over zeta = 0) when |P_0| is below this times |P|
+CONFORMAL_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -53,7 +50,6 @@ class ToleranceProfile:
     circle: float = 1e-8
     cluster: float = 1e-8
     p8: float = 1e-10
-    equation: float = 1e-9
 
 
 @dataclass(frozen=True)
@@ -73,13 +69,6 @@ class SpectralTriple:
     def weights(self):
         return 2 * self.g + 2, self.g + 3, self.g + 3
 
-    def curve(self, tol=1e-8):
-        return build_curve(self.P, tol=tol)
-
-    def differentials(self, curve=None):
-        cur = curve if curve is not None else self.curve()
-        return Differential(cur, self.b1), Differential(cur, self.b2)
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self):
@@ -92,17 +81,30 @@ class SpectralTriple:
 
     @staticmethod
     def from_json_dict(d):
-        g = int(d["genus"])
-        return SpectralTriple(
-            g,
-            Polynomial.from_pairs(d["P"], bound=2 * g + 2),
-            Polynomial.from_pairs(d["b1"], bound=g + 3),
-            Polynomial.from_pairs(d["b2"], bound=g + 3),
-        )
+        """Parse the JSON schema; raises ``ValueError`` for any other shape
+        (not an object, a genus that is not a non-negative integer, or a
+        coefficient list that is not a list of [re, im] number pairs)."""
+        if not isinstance(d, dict):
+            raise ValueError("a triple must be a JSON object")
+        g = d.get("genus")
+        if isinstance(g, bool) or not isinstance(g, int) or g < 0:
+            raise ValueError(f"genus must be a non-negative integer, not {g!r}")
+        polys = []
+        for key, bound in (("P", 2 * g + 2), ("b1", g + 3), ("b2", g + 3)):
+            pairs = d.get(key)
+            if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
+                raise ValueError(f"{key} must be a list of [re, im] number pairs")
+            polys.append(Polynomial.from_pairs(pairs, bound=bound))
+        return SpectralTriple(g, *polys)
 
-    @staticmethod
-    def from_json(text):
-        return SpectralTriple.from_json_dict(json.loads(text))
+
+def _is_number_pair(p):
+    return isinstance(p, (list, tuple)) and len(p) == 2 and all(
+        isinstance(v, (int, float))
+        and not isinstance(v, bool)
+        and abs(v) <= sys.float_info.max  # finite, and no int beyond float range
+        for v in p
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -165,12 +167,13 @@ def chart_dim(g):
 # ---------------------------------------------------------------------------
 
 
-def product_form(curve):
-    """The normalized polynomial with the same branch pairs as the curve:
-    product of (zeta - a)(1 - conj(a) zeta), with zeta for a pair at 0."""
+def product_form(alphas):
+    """The normalized polynomial with in-disc branch points ``alphas``:
+    the product of (zeta - a)(1 - conj(a) zeta) in the given order, with the
+    factor zeta for a = 0 (the branch point paired with infinity)."""
     out = Polynomial.one()
-    for a, partner in curve.branch_pairs:
-        if partner is None or abs(a) < 1e-13:
+    for a in alphas:
+        if abs(a) < 1e-13:
             out = out * Polynomial.zeta()
         else:
             out = out * Polynomial([-a, 1.0]) * Polynomial([1.0, -np.conj(a)])
@@ -185,7 +188,7 @@ def scaling_value(P, curve=None, index=None):
     across the conformal locus where both of those vanish.
     """
     cur = curve if curve is not None else build_curve(P)
-    Pi = product_form(cur)
+    Pi = product_form(a for a, _ in cur.branch_pairs)
     if index is None:
         index = int(np.argmax(np.abs(Pi.coeffs)))
     pm = P.coeff(index)
@@ -360,21 +363,13 @@ def psi(triple, frame=None, quad_order=None):
             labels.append(f"{tag}.{path.label}")
             err = max(err, res[i].error)
     residues = (
-        _residue_value(triple.P, triple.b1),
-        _residue_value(triple.P, triple.b2),
+        residue_condition(triple.P, triple.b1),
+        residue_condition(triple.P, triple.b2),
     )
     labels.extend(("res.T1", "res.T2"))
     s, _ = scaling_value(triple.P, cur, index=frame.scaling_index)
     labels.append("scaling")
     return PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
-
-
-def _residue_value(P, b):
-    return P.coeff(1) * b.coeff(0) - 2.0 * P.coeff(0) * b.coeff(1)
-
-
-def psi_flat(triple, frame, integers):
-    return psi(triple, frame=frame).flatten(integers)
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +441,8 @@ def psi_jacobian(triple, frame=None, h=1e-6, quad_order=None):
         xp[j] += dx
         xm = x0.copy()
         xm[j] -= dx
-        fp = psi_flat(unpack_triple(xp, g), frame, integers)
-        fm = psi_flat(unpack_triple(xm, g), frame, integers)
+        fp = psi(unpack_triple(xp, g), frame=frame).flatten(integers)
+        fm = psi(unpack_triple(xm, g), frame=frame).flatten(integers)
         cols.append((fp - fm) / (2.0 * dx))
     return np.column_stack(cols)
 
@@ -568,7 +563,7 @@ def validate(triple, tol=None, quad_order=32):
         )
 
     for i, b in ((1, triple.b1), (2, triple.b2)):
-        r = abs(_residue_value(triple.P, b)) / max(
+        r = abs(residue_condition(triple.P, b)) / max(
             triple.P.norm() * b.norm(), 1e-300
         )
         checks.append(
@@ -604,15 +599,15 @@ def validate(triple, tol=None, quad_order=32):
 
         margin = _principal_part_margin(triple)
         checks.append(
-            _margin_check("P8_independence", margin, tol.p8, {"conformal": _is_conformal(triple)})
+            _margin_check("P8_independence", margin, tol.p8, {"conformal": is_conformal(triple)})
         )
 
     verdict = all(c.passed for c in checks)
     return ValidationReport(tuple(checks), verdict)
 
 
-def _is_conformal(triple, rel=1e-9):
-    return abs(triple.P.coeff(0)) <= rel * max(triple.P.norm(), 1e-300)
+def is_conformal(triple):
+    return abs(triple.P.coeff(0)) <= CONFORMAL_RTOL * max(triple.P.norm(), 1e-300)
 
 
 def _principal_part_margin(triple):
@@ -623,7 +618,7 @@ def _principal_part_margin(triple):
     pair is independent over R iff Im(conj(b1_m) b2_m) != 0.  The same
     number shows up at infinity by reality; both ends are checked.
     """
-    m = 1 if _is_conformal(triple) else 0
+    m = 1 if is_conformal(triple) else 0
     k = triple.g + 3
     margins = []
     for i, j in ((m, m), (k - m, k - m)):
@@ -637,7 +632,7 @@ def conformal_type(triple):
     """tau = b2_m / b1_m with m = 0 (nonconformal) or 1 (conformal)."""
     from .errors import UndefinedConformalTypeError
 
-    m = 1 if _is_conformal(triple) else 0
+    m = 1 if is_conformal(triple) else 0
     denom = triple.b1.coeff(m)
     if abs(denom) == 0.0:
         raise UndefinedConformalTypeError("b1 constant coefficient vanishes")

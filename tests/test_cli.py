@@ -54,6 +54,19 @@ def test_parse_error_exit2(tmp_path):
     missing_key.write_text('{"genus": 0}', encoding="utf-8")
     assert main(["validate", str(missing_key)]) == 2
     assert main(["validate", str(tmp_path / "nope.json")]) == 2
+    pairs = [[0.5, 0.0], [1.0, 0.0]]
+    malformed = {
+        "top_level_list": [1, 2, 3],
+        "null_genus": {"genus": None, "P": pairs, "b1": pairs, "b2": pairs},
+        "short_pair": {"genus": 0, "P": [[1]], "b1": pairs, "b2": pairs},
+        "string_coeffs": {"genus": 0, "P": "abc", "b1": pairs, "b2": pairs},
+        "negative_genus": {"genus": -1, "P": pairs, "b1": pairs, "b2": pairs},
+    }
+    for name, data in malformed.items():
+        f = tmp_path / f"{name}.json"
+        f.write_text(json.dumps(data), encoding="utf-8")
+        for command in ("validate", "classify", "tangent", "flow"):
+            assert main([command, str(f)]) == 2, (name, command)
 
 
 def test_usage_error_exit2():
@@ -159,3 +172,28 @@ def test_validate_directory_batch(good_file, circle_root_file, tmp_path):
     assert code == 1
     results = json.loads(out.read_text())["results"]
     assert [r["verdict"] for r in results] == ["pass", "fail"]
+
+
+def test_validate_directory_isolates_malformed_files(good_file, tmp_path):
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "a_good.json").write_text(good_file.read_text(), encoding="utf-8")
+    (d / "b_list.json").write_text("[1, 2]", encoding="utf-8")
+    (d / "c_garbled.json").write_text("{not json", encoding="utf-8")
+    out = tmp_path / "batch.json"
+    assert main(["validate", str(d), "--out", str(out)]) == 2
+    results = json.loads(out.read_text())["results"]
+    assert [r["verdict"] for r in results] == ["pass", "input-error", "input-error"]
+
+
+def test_options_belong_to_the_commands_that_read_them(good_file, tmp_path):
+    assert main(["tangent", str(good_file), "--quad-order", "40"]) == 2
+    assert main(["validate", str(good_file), "--format", "csv"]) == 2
+    assert main(["classify", str(good_file), "--tol-int", "1e-8"]) == 2
+    assert main(["flow", str(good_file), "--format", "svg"]) == 2
+    assert main(["flow", str(good_file), "--rule", "basis7"]) == 2
+    out = tmp_path / "flow.csv"
+    code = main(["flow", str(good_file), "--steps", "1", "--format", "csv",
+                 "--out", str(out)])
+    assert code == 0
+    assert out.read_text().splitlines()[0] == "t,tau_re,tau_im,residual"

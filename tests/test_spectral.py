@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from whitham.curve import build_curve
 from whitham.errors import RealityViolationError
 from whitham.polyring import Polynomial, random_real_section
 from whitham.spectral import (
@@ -13,6 +14,7 @@ from whitham.spectral import (
     d_psi_norm,
     normalize,
     pack_triple,
+    product_form,
     psi,
     scaling_value,
     unpack_triple,
@@ -50,6 +52,32 @@ def lemma_g0_triple(alpha, y1, y2):
     def b(y):
         return P(y, x * y, np.conj(x * y), np.conj(y))
     return SpectralTriple(0, pair_poly(alpha), b(y1), b(y2))
+
+
+# -- product form --------------------------------------------------------------
+
+PRODUCT_FORM_CASES = {
+    "genus0": (0.42 + 0.18j,),
+    "genus1": (0.3, 0.4j),
+    "genus2": (0.5, -0.45 + 0.2j, 0.25j),
+    "conformal-genus0": (0.0,),
+    "conformal-genus2": (0.0, 0.4 - 0.3j, -0.35 + 0.1j),
+}
+
+
+@pytest.mark.parametrize("alphas", PRODUCT_FORM_CASES.values(), ids=PRODUCT_FORM_CASES)
+def test_product_form_matches_independent_pair_poly(alphas):
+    assert np.array_equal(product_form(alphas).coeffs, pair_poly(*alphas).coeffs)
+
+
+@pytest.mark.parametrize("alphas", PRODUCT_FORM_CASES.values(), ids=PRODUCT_FORM_CASES)
+def test_product_form_of_curve_is_the_normalized_P(alphas):
+    Pn = pair_poly(*alphas)
+    for scale in (1.0, 3.7):
+        cur = build_curve(Pn * scale)
+        Pi = product_form(a for a, _ in cur.branch_pairs)
+        assert Pi.degree == Pn.degree
+        assert (Pi - Pn).norm() <= 1e-12 * Pn.norm()
 
 
 # -- chart ---------------------------------------------------------------------
