@@ -17,7 +17,13 @@ circle and from the others, and at least 0.02 from zeta = 0.
 import numpy as np
 
 from whitham.errors import WhithamError
-from whitham.flow import _projector, _times_matrix, gauss_newton, numerator_space
+from whitham.flow import (
+    _projector,
+    _times_matrix,
+    central_differences,
+    gauss_newton,
+    numerator_space,
+)
 from whitham.polyring import Polynomial, real_section_scale, roots_flat
 from whitham.spectral import (
     PsiFrame,
@@ -72,7 +78,7 @@ def solve_from(alphas):
         [np.ravel([[a.real, a.imag] for a in alphas]),
          pack_section(_start_factor(N0), G_WEIGHT)]
     )
-    res = gauss_newton(residual, x0, tol=1e-10, max_iter=MAX_ITER)
+    res = gauss_newton(central_differences(residual), x0, tol=1e-10, max_iter=MAX_ITER)
     al = unpack(res.x)
     pts = al + [1.0 / np.conj(a) for a in al]
     circle = min(abs(abs(p) - 1.0) for p in pts)

@@ -169,10 +169,12 @@ def build_curve(P, tol=1e-8, cluster_radius=None):
 
     Raises ``CircleRootError`` for roots on the unit circle,
     ``MultipleRootError`` for repeated roots, ``RealityViolationError``
-    when a root has no conjugate-inverse partner or P is not a real
-    section of the implied weight.
+    when P has no roots, a root has no conjugate-inverse partner or P is
+    not a real section of the implied weight.
     """
     rs = roots(P) if cluster_radius is None else roots(P, cluster_radius)
+    if not rs:
+        raise RealityViolationError("P has no branch points")
     for r, m in rs:
         if m > 1:
             raise MultipleRootError(f"repeated root near {r:.6g}")
@@ -536,25 +538,68 @@ def _walk_eta(P, seg, ts, eta0):
     return etas
 
 
-def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
-    """Integrals of several differentials b dzeta/(zeta^2 eta) over one path.
-
-    The analytic continuation of eta does not depend on the numerator, so
-    the sheet-tracked walk is shared and each b only costs one extra
-    evaluation per node.
-    """
-    P = curve.P
-    sing = list(curve.finite_branch_points)
-    if all(abs(s) > 1e-12 for s in sing):
-        sing.append(0.0 + 0.0j)  # double pole of the differentials
-    segments = _subdivide(path.segments, sing)
+@lru_cache(maxsize=64)
+def _panel_grid(quad_order):
+    """Panel parameters walked for a rule of the given order: both rules'
+    nodes plus a coarse grid for the sign walk, and where each rule's nodes
+    sit in it."""
     q_hi = max(int(quad_order), 2)
     q_lo = max(q_hi // 2, 2)
     t_hi, w_hi = _gl_nodes(q_hi)
     t_lo, w_lo = _gl_nodes(q_lo)
     ts = np.unique(np.concatenate([[0.0, 1.0], t_hi, t_lo, np.linspace(0.0, 1.0, 9)]))
-    idx_hi = np.searchsorted(ts, t_hi)
-    idx_lo = np.searchsorted(ts, t_lo)
+    return ts, np.searchsorted(ts, t_hi), w_hi, np.searchsorted(ts, t_lo), w_lo
+
+
+@dataclass(frozen=True)
+class PathWalk:
+    """One sheet-tracked walk along a path, as quadrature data.
+
+    Row p holds panel p: the nodes ``zs``, eta continued to them, and
+    ``base`` = velocity / (zeta^2 eta).  The integral of b dzeta/(zeta^2 eta)
+    over the panel is sum(w_hi * b(zs) * base) over the columns ``idx_hi``;
+    the half-order rule (``idx_lo``, ``w_lo``) gives the error estimate.
+    """
+
+    zs: np.ndarray
+    etas: np.ndarray
+    base: np.ndarray
+    idx_hi: np.ndarray
+    w_hi: np.ndarray
+    idx_lo: np.ndarray
+    w_lo: np.ndarray
+    end_sheet: int
+
+    def integrate(self, numerators):
+        """``IntegrationResult`` of each numerator; panel sums are added in
+        path order."""
+        out = []
+        for b in numerators:
+            fvals = b(self.zs) * self.base
+            # np.take keeps rows contiguous, so each row sums exactly as the
+            # 1-D sum of its panel would
+            panels = zip(
+                np.sum(self.w_hi * np.take(fvals, self.idx_hi, axis=1), axis=1),
+                np.sum(self.w_lo * np.take(fvals, self.idx_lo, axis=1), axis=1),
+            )
+            total = np.zeros(2, dtype=complex)
+            for sums in panels:
+                total += sums
+            hi, lo = total
+            out.append(IntegrationResult(complex(hi), float(abs(hi - lo)), self.end_sheet))
+        return out
+
+
+def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
+    """Subdivide the path into panels and continue eta along it from its
+    start sheet; every integral over the path is a weighted sum over the
+    returned ``PathWalk``."""
+    P = curve.P
+    sing = list(curve.finite_branch_points)
+    if all(abs(s) > 1e-12 for s in sing):
+        sing.append(0.0 + 0.0j)  # double pole of the differentials
+    segments = _subdivide(path.segments, sing)
+    ts, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
 
     z0 = segments[0].point(0.0)
     p0 = complex(P(z0))
@@ -567,26 +612,28 @@ def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
     eta = path.start_sheet * complex(np.sqrt(p0))
     if eta == 0.0:
         raise GeometryError("path starts at a branch point")
-    n = len(numerators)
-    total_hi = np.zeros(n, dtype=complex)
-    total_lo = np.zeros(n, dtype=complex)
-    for seg in segments:
-        etas = _walk_eta(P, seg, ts, eta)
-        eta = complex(etas[-1])
-        zs = seg.point(ts)
-        vel = seg.velocity(ts)
-        base = vel / (zs**2 * etas)
-        for i, b in enumerate(numerators):
-            fvals = b(zs) * base
-            total_hi[i] += np.sum(w_hi * fvals[idx_hi])
-            total_lo[i] += np.sum(w_lo * fvals[idx_lo])
+    shape = (len(segments), ts.size)
+    zs, etas, base = (np.empty(shape, dtype=complex) for _ in range(3))
+    for p, seg in enumerate(segments):
+        etas[p] = _walk_eta(P, seg, ts, eta)
+        eta = complex(etas[p, -1])
+        zs[p] = seg.point(ts)
+        base[p] = seg.velocity(ts)  # divided by zeta^2 eta below
     z_end = segments[-1].point(1.0)
     ref = complex(np.sqrt(P(z_end)))
     end_sheet = 1 if abs(eta - ref) <= abs(eta + ref) else -1
-    return [
-        IntegrationResult(complex(hi), float(abs(hi - lo)), end_sheet)
-        for hi, lo in zip(total_hi, total_lo)
-    ]
+    base /= zs**2 * etas
+    return PathWalk(zs, etas, base, idx_hi, w_hi, idx_lo, w_lo, end_sheet)
+
+
+def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
+    """Integrals of several differentials b dzeta/(zeta^2 eta) over one path.
+
+    The analytic continuation of eta does not depend on the numerator, so
+    the sheet-tracked walk is shared and each b only costs one extra
+    evaluation per node.
+    """
+    return walk_path(curve, path, quad_order).integrate(numerators)
 
 
 def integrate(diff, path, quad_order=DEFAULT_QUAD_ORDER):

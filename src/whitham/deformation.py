@@ -53,7 +53,7 @@ from .polyring import (
     real_section_scale,
     symmetrize,
 )
-from .spectral import is_conformal, product_form, unpack_section
+from .spectral import is_conformal, product_form, product_form_dot, unpack_section
 
 
 # ---------------------------------------------------------------------------
@@ -489,15 +489,7 @@ def _scaling_shift(triple, P_dot):
     """
     alphas = [a for a, _ in build_curve(triple.P).branch_pairs]
     Pi = product_form(alphas)
-    dP = triple.P.derivative()
-    terms = Polynomial.zero()
-    for k, a in enumerate(alphas):
-        a_dot = -P_dot(a) / dP(a)
-        rest = product_form(alphas[:k] + alphas[k + 1 :])
-        dpair = Polynomial([-a_dot, 0.0]) * Polynomial([1.0, -np.conj(a)]) + Polynomial(
-            [-a, 1.0]
-        ) * Polynomial([0.0, -np.conj(a_dot)])
-        terms = terms + dpair * rest
+    terms = product_form_dot(alphas, triple.P, P_dot)
     m = int(np.argmax(np.abs(Pi.coeffs)))
     Pm = triple.P.coeff(m)
     t = (Pm * terms.coeff(m) - P_dot.coeff(m) * Pi.coeff(m)) / (2.0 * Pm * Pi.coeff(m))

@@ -4,7 +4,12 @@
 the flattened condition map (periods and closings to their fixed 2*pi*i
 multiples, residues to 0, scaling to 1) by Gauss-Newton with a
 minimum-norm step: the true derivative has a two-dimensional kernel on
-the moduli set, so the pseudo-inverse is rank-truncated.
+the moduli set, so the pseudo-inverse is rank-truncated.  Every Jacobian of
+a solve against the condition map is the exact one
+(``spectral.psi_residual_jacobian``), taken from the same walk as the
+residual; only the common-factor conditions of ``solve_common_factor``,
+which run through SVD and QR projectors, use central differences
+(``central_differences``).
 
 Seed construction works the same way on constrained charts:
 
@@ -42,15 +47,14 @@ from .spectral import (
     pack_triple,
     product_form,
     psi,
+    psi_residual_jacobian,
     unpack_section,
     unpack_triple,
     validate,
 )
 
-# Gauss-Newton: central-difference step (relative to max(1, |x_j|)), the
-# relative singular-value cutoff of the rank-truncated solve, and the
-# initial trust radius
-FD_STEP = 1e-6
+# Gauss-Newton: the relative singular-value cutoff of the rank-truncated
+# solve, and the initial trust radius
 SVD_CUTOFF = 1e-8
 TRUST_RADIUS = 0.1
 # flow steps halve on failure down to this size
@@ -73,38 +77,23 @@ class GNResult:
 def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
     """Trust-region Gauss-Newton with a rank-truncated inner solve.
 
-    ``residual`` maps a real vector to a real vector and may raise
-    ``WhithamError`` for inadmissible points (treated as a rejected
-    trial).  The rank truncation makes the two-dimensional tangent kernel
-    of the condition map harmless; the trust radius handles the stiff,
-    strongly nonlinear lattice components (a full Newton step can wrap
-    integrals across lattice cells).  Never raises on slow progress; the
-    caller reads ``status``.
+    ``residual`` maps a real vector x to ``(r, jacobian)``: the residual
+    vector and a callable returning its Jacobian at x, which is called only
+    at accepted iterates.  It may raise ``WhithamError`` for inadmissible
+    points (treated as a rejected trial).  The rank truncation makes the
+    two-dimensional tangent kernel of the condition map harmless; the trust
+    radius handles the stiff, strongly nonlinear lattice components (a full
+    Newton step can wrap integrals across lattice cells).  Never raises on
+    slow progress; the caller reads ``status``.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r = residual(x)
+    r, jacobian = residual(x)
     trace = [float(np.linalg.norm(r))]
     delta = TRUST_RADIUS
     for _ in range(max_iter):
         if trace[-1] <= tol:
             return GNResult(x, trace[-1], trace, "converged")
-        J = np.empty((r.size, x.size))
-        for j in range(x.size):
-            dx = FD_STEP * max(1.0, abs(x[j]))
-            xp = x.copy()
-            xp[j] += dx
-            xm = x.copy()
-            xm[j] -= dx
-            try:
-                J[:, j] = (residual(xp) - residual(xm)) / (2.0 * dx)
-            except WhithamError:
-                try:
-                    J[:, j] = (residual(xp) - r) / dx
-                except WhithamError:
-                    try:
-                        J[:, j] = (r - residual(xm)) / dx
-                    except WhithamError:
-                        J[:, j] = 0.0
+        J = jacobian()
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         smax = s[0] if s.size else 1.0
         keep = s > SVD_CUTOFF * smax
@@ -115,7 +104,7 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
         for _ in range(26):
             step = gn_full if full_len <= delta else gn_full * (delta / full_len)
             try:
-                r_new = residual(x + step)
+                r_new, jac_new = residual(x + step)
             except WhithamError:
                 delta *= 0.3
                 continue
@@ -125,7 +114,7 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
                 gain = trace[-1] - n_new
                 model_gain = max(trace[-1] - pred, 1e-300)
                 x = x + step
-                r = r_new
+                r, jacobian = r_new, jac_new
                 trace.append(n_new)
                 if gain > 0.5 * model_gain and np.linalg.norm(step) >= 0.99 * min(delta, full_len):
                     delta = min(delta * 2.5, 10.0)
@@ -195,7 +184,8 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
         frame = _refreshed_frame(frame, current, integers, total_trace[-1], quad_order)
 
         def residual(xv):
-            return psi(unpack_triple(xv, g), frame=frame).flatten(integers)
+            r, J = psi_residual_jacobian(unpack_triple(xv, g), frame, integers)
+            return r, lambda: J
 
         res = gauss_newton(residual, x, tol=tol, max_iter=6)
         x = res.x
@@ -387,9 +377,10 @@ def numerator_space(P, g, frame, quad_order=32):
     return vt[-2:].T, lattice.imag / TWO_PI
 
 
-def _times_matrix(G, k):
-    """Real-coordinate matrix of m -> G*m on the weight-k real sections."""
-    d = G.degree
+def _times_matrix(G, k, d=None):
+    """Real-coordinate matrix of m -> G*m on the weight-k real sections; G is
+    a real section of weight ``d`` (default: its degree)."""
+    d = G.degree if d is None else d
     return np.column_stack(
         [pack_section(G * unpack_section(e, k), k + d) for e in np.eye(k + 1)]
     )
@@ -409,6 +400,45 @@ def _projector(A):
     """Orthogonal projector onto the column space of A (full column rank)."""
     q, _ = np.linalg.qr(A)
     return q @ q.T
+
+
+# central-difference step of ``central_differences``, relative to max(1, |x_j|)
+FD_STEP = 1e-6
+
+
+def central_differences(residual):
+    """``residual`` (x -> r) in the form ``gauss_newton`` takes, with a
+    central-difference Jacobian: for residuals that run through SVD and QR
+    projectors and so have no closed-form derivative.  A coordinate whose
+    stepped points are inadmissible falls back to a one-sided difference,
+    and to a zero column if both are."""
+
+    def with_jacobian(x):
+        r = residual(x)
+
+        def jacobian():
+            J = np.empty((r.size, x.size))
+            for j in range(x.size):
+                dx = FD_STEP * max(1.0, abs(x[j]))
+                xp = x.copy()
+                xp[j] += dx
+                xm = x.copy()
+                xm[j] -= dx
+                try:
+                    J[:, j] = (residual(xp) - residual(xm)) / (2.0 * dx)
+                except WhithamError:
+                    try:
+                        J[:, j] = (residual(xp) - r) / dx
+                    except WhithamError:
+                        try:
+                            J[:, j] = (r - residual(xm)) / dx
+                        except WhithamError:
+                            J[:, j] = 0.0
+            return J
+
+        return r, jacobian
+
+    return with_jacobian
 
 
 def solve_common_factor(alphas, G, integers):
@@ -453,7 +483,7 @@ def solve_common_factor(alphas, G, integers):
     x0 = np.concatenate(
         [np.ravel([[a.real, a.imag] for a in alphas]), pack_section(G, d)]
     )
-    res = gauss_newton(residual, x0, tol=1e-12, max_iter=40)
+    res = gauss_newton(central_differences(residual), x0, tol=1e-12, max_iter=40)
     if res.status != "converged":
         raise ProjectionFailureError(
             f"common-factor solve {res.status} at residual {res.norm:.2e}",
@@ -480,20 +510,23 @@ def _geometry_margin(triple):
     return min(circ, sep, min(abs(p) for p in pts))
 
 
-def polish_common_factor(triple, G, quad_order=40, tol=1e-10):
-    """Re-solve a near-case-(b) triple on the (P, G, m1, m2) chart, where
-    b_i = G*m_i, against the full condition map with the nearest lattice
-    integers held fixed.  G is any real section of weight 1 or 2
-    approximately dividing both numerators."""
+def _common_factor_chart(triple, G, quad_order):
+    """The (P, G, m1, m2) chart around a near-case-(b) triple, where
+    b_i = G*m_i: its start point, the map to triples, and the residual in
+    the form ``gauss_newton`` takes, against the full condition map with
+    the nearest lattice integers held fixed.  The Jacobian is that of
+    ``psi_residual_jacobian`` times the chart's derivative."""
     g, d = triple.g, G.degree
     kP, km = 2 * g + 2, g + 3 - d
     cuts = np.cumsum([kP + 1, d + 1, km + 1])
 
+    def sections(x):
+        return [
+            unpack_section(part, k) for part, k in zip(np.split(x, cuts), (kP, d, km, km))
+        ]
+
     def make_triple(x):
-        P, Gx, m1, m2 = (
-            unpack_section(part, k)
-            for part, k in zip(np.split(x, cuts), (kP, d, km, km))
-        )
+        P, Gx, m1, m2 = sections(x)
         return SpectralTriple(g, P, Gx * m1, Gx * m2)
 
     frame = PsiFrame.build(triple, quad_order=quad_order)
@@ -504,8 +537,30 @@ def polish_common_factor(triple, G, quad_order=40, tol=1e-10):
     )
 
     def residual(x):
-        return psi(make_triple(x), frame=frame).flatten(integers)
+        r, J = psi_residual_jacobian(make_triple(x), frame, integers)
 
+        def jacobian():
+            _, Gx, m1, m2 = sections(x)
+            times_G = _times_matrix(Gx, km, d)
+            zero_b, zero_m = np.zeros((g + 4, kP + 1)), np.zeros_like(times_G)
+            chart = np.block([
+                [np.eye(kP + 1), np.zeros((kP + 1, d + 1 + 2 * (km + 1)))],
+                [zero_b, _times_matrix(m1, d, km), times_G, zero_m],
+                [zero_b, _times_matrix(m2, d, km), zero_m, times_G],
+            ])
+            return J @ chart
+
+        return r, jacobian
+
+    return x0, make_triple, residual
+
+
+def polish_common_factor(triple, G, quad_order=40, tol=1e-10):
+    """Re-solve a near-case-(b) triple on the (P, G, m1, m2) chart, where
+    b_i = G*m_i, against the full condition map with the nearest lattice
+    integers held fixed.  G is any real section of weight 1 or 2
+    approximately dividing both numerators."""
+    x0, make_triple, residual = _common_factor_chart(triple, G, quad_order)
     res = gauss_newton(residual, x0, tol=tol, max_iter=40)
     if res.norm > 10 * tol:
         raise ProjectionFailureError(

@@ -15,16 +15,28 @@ deterministic given the deterministic homology basis; for derivative work
 (``d_psi``, Jacobians, Newton projection) the basis geometry and the
 scaling's reference coefficient index are frozen in a ``PsiFrame`` so
 nearby triples are measured against identical paths.
+
+Newton projection uses the exact Jacobian, ``psi_residual_jacobian``: in a
+frozen frame every column is a sum over the nodes of the same walks that
+evaluate Psi.  The central-difference ``d_psi`` and ``psi_jacobian`` are
+kept as its independent oracle.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .curve import build_curve, homology_basis, integrate_batch, residue_condition
+from .curve import (
+    build_curve,
+    homology_basis,
+    integrate_batch,
+    residue_condition,
+    walk_path,
+)
 from .errors import (
     CircleRootError,
     DegreeBoundError,
@@ -82,8 +94,9 @@ class SpectralTriple:
     @staticmethod
     def from_json_dict(d):
         """Parse the JSON schema; raises ``ValueError`` for any other shape
-        (not an object, a genus that is not a non-negative integer, or a
-        coefficient list that is not a list of [re, im] number pairs)."""
+        (not an object, a genus that is not a non-negative integer, a
+        coefficient list that is not a list of [re, im] number pairs, or a
+        polynomial of higher degree than its weight allows)."""
         if not isinstance(d, dict):
             raise ValueError("a triple must be a JSON object")
         g = d.get("genus")
@@ -94,7 +107,12 @@ class SpectralTriple:
             pairs = d.get(key)
             if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
                 raise ValueError(f"{key} must be a list of [re, im] number pairs")
-            polys.append(Polynomial.from_pairs(pairs, bound=bound))
+            try:
+                polys.append(Polynomial.from_pairs(pairs, bound=bound))
+            except DegreeBoundError as exc:
+                raise ValueError(
+                    f"{key} has more coefficients than weight {bound} allows"
+                ) from exc
         return SpectralTriple(g, *polys)
 
 
@@ -178,6 +196,22 @@ def product_form(alphas):
         else:
             out = out * Polynomial([-a, 1.0]) * Polynomial([1.0, -np.conj(a)])
     return out
+
+
+def product_form_dot(alphas, P, P_dot):
+    """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot: each
+    in-disc branch point moves by alpha_dot = -P_dot(alpha)/P'(alpha)."""
+    alphas = list(alphas)
+    dP = P.derivative()
+    terms = Polynomial.zero()
+    for k, a in enumerate(alphas):
+        a_dot = -P_dot(a) / dP(a)
+        rest = product_form(alphas[:k] + alphas[k + 1 :])
+        dpair = Polynomial([-a_dot, 0.0]) * Polynomial([1.0, -np.conj(a)]) + Polynomial(
+            [-a, 1.0]
+        ) * Polynomial([0.0, -np.conj(a_dot)])
+        terms = terms + dpair * rest
+    return terms
 
 
 def scaling_value(P, curve=None, index=None):
@@ -325,6 +359,34 @@ class PsiVector:
         }
 
 
+def _psi_paths(frame):
+    basis = frame.basis
+    return basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
+
+
+def _psi_vector(triple, cur, frame, per_path):
+    """Assemble the ``PsiVector`` from the integrals of (b1, b2) over each of
+    ``_psi_paths(frame)``."""
+    paths = _psi_paths(frame)
+    n = len(paths) - 2
+    periods, closings, labels = [], [], []
+    err = 0.0
+    for out, part in ((periods, slice(0, n)), (closings, slice(n, None))):
+        for i, tag in ((0, "T1"), (1, "T2")):
+            for path, res in zip(paths[part], per_path[part]):
+                out.append(res[i].value)
+                labels.append(f"{tag}.{path.label}")
+                err = max(err, res[i].error)
+    residues = (
+        residue_condition(triple.P, triple.b1),
+        residue_condition(triple.P, triple.b2),
+    )
+    labels.extend(("res.T1", "res.T2"))
+    s, _ = scaling_value(triple.P, cur, index=frame.scaling_index)
+    labels.append("scaling")
+    return PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
+
+
 def psi(triple, frame=None, quad_order=None):
     """Assemble all period/closing integrals, residue values and the scaling.
 
@@ -336,44 +398,91 @@ def psi(triple, frame=None, quad_order=None):
         frame = PsiFrame.build(triple, quad_order=quad_order or 32)
     order = quad_order or frame.quad_order
     cur = build_curve(triple.P)
-    basis = frame.basis
-    numerators = [triple.b1, triple.b2]
-
     # one sheet-tracked walk per path, shared by both differentials
-    per_cycle = [
-        integrate_batch(cur, numerators, cyc, order)
-        for cyc in basis.period_cycles()
+    per_path = [
+        integrate_batch(cur, [triple.b1, triple.b2], path, order)
+        for path in _psi_paths(frame)
     ]
-    per_closing = [
-        integrate_batch(cur, numerators, path, order)
-        for path in (basis.gamma_plus, basis.gamma_minus)
-    ]
-    periods = []
-    labels = []
-    err = 0.0
-    for i, tag in ((0, "T1"), (1, "T2")):
-        for cyc, res in zip(basis.period_cycles(), per_cycle):
-            periods.append(res[i].value)
-            labels.append(f"{tag}.{cyc.label}")
-            err = max(err, res[i].error)
-    closings = []
-    for i, tag in ((0, "T1"), (1, "T2")):
-        for path, res in zip((basis.gamma_plus, basis.gamma_minus), per_closing):
-            closings.append(res[i].value)
-            labels.append(f"{tag}.{path.label}")
-            err = max(err, res[i].error)
-    residues = (
-        residue_condition(triple.P, triple.b1),
-        residue_condition(triple.P, triple.b2),
-    )
-    labels.extend(("res.T1", "res.T2"))
-    s, _ = scaling_value(triple.P, cur, index=frame.scaling_index)
-    labels.append("scaling")
-    return PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
+    return _psi_vector(triple, cur, frame, per_path)
 
 
 # ---------------------------------------------------------------------------
-# Directional derivative and Jacobian (central differences in a frame)
+# Exact Jacobian in a frame (the one Newton uses)
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=16)
+def _section_basis(k):
+    """Coefficients of ``unpack_section`` of each unit vector (columns): the
+    polynomial that one real coordinate of a weight-k section stands for."""
+    return np.column_stack([unpack_section(e, k).padded(k + 1) for e in np.eye(k + 1)])
+
+
+def psi_residual_jacobian(triple, frame, integers):
+    """The flattened Psi against ``integers`` and its exact Jacobian over the
+    real chart (``pack_triple``), from one walk per path of the frame.
+
+    With the paths frozen, a lattice value of b dzeta/(zeta^2 eta) is linear
+    in b, and eta^2 = P gives its P-derivative -1/2 b dP dzeta/(zeta^2 eta P);
+    both are sums over the walk's nodes.  The residue rows are exact (the
+    residue condition is bilinear), and the scaling row follows the branch
+    points through ``product_form_dot``.
+    """
+    g = triple.g
+    kP, kb = 2 * g + 2, g + 3
+    P, bs = triple.P, (triple.b1, triple.b2)
+    EP, Eb = _section_basis(kP), _section_basis(kb)
+    nP, nb = kP + 1, kb + 1
+    b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
+    cur = build_curve(P)
+    paths = _psi_paths(frame)
+    per_path = []
+    # d(integral of b_i over path p) in rows [i, p]
+    lattice = np.zeros((2, len(paths), nP + 2 * nb), dtype=complex)
+    for p, path in enumerate(paths):
+        w = walk_path(cur, path, frame.quad_order)
+        per_path.append(w.integrate(bs))
+        zs = np.take(w.zs, w.idx_hi, axis=1).ravel()
+        wb = (w.w_hi * np.take(w.base, w.idx_hi, axis=1)).ravel()
+        inv_P = 1.0 / np.take(w.etas, w.idx_hi, axis=1).ravel() ** 2
+        # node weights whose moments sum(f zeta^k) are the b-columns (row 0)
+        # and the P-columns of b1 and b2 (rows 1, 2) in the monomial basis
+        f = np.stack([wb] + [wb * b(zs) * inv_P for b in bs])
+        moments = np.empty((3, max(nP, nb)), dtype=complex)
+        zk = np.ones_like(zs)
+        for k in range(moments.shape[1]):
+            moments[:, k] = f @ zk
+            zk *= zs
+        for i in range(2):
+            lattice[i, p, :nP] = -0.5 * (moments[1 + i, :nP] @ EP)
+            lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
+    vec = _psi_vector(triple, cur, frame, per_path)
+    P_dots = [Polynomial(c) for c in EP.T]
+    residues = np.zeros((2, nP + 2 * nb), dtype=complex)
+    for i, b in enumerate(bs):
+        residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
+        residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
+    alphas = [a for a, _ in cur.branch_pairs]
+    m = frame.scaling_index
+    Pi_m, P_m = product_form(alphas).coeff(m), P.coeff(m)
+    scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
+    scaling[0, :nP] = [
+        (product_form_dot(alphas, P, dP).coeff(m) * P_m - Pi_m * dP.coeff(m)) / P_m**2
+        for dP in P_dots
+    ]
+    n = len(paths) - 2
+    # complex rows in the order of ``PsiVector.flatten``: periods of b1 and
+    # of b2, closings of b1 and of b2, residues, scaling
+    Jc = np.vstack([lattice[0, :n], lattice[1, :n], lattice[0, n:], lattice[1, n:],
+                    residues, scaling])
+    J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
+    J[0::2], J[1::2] = Jc.real, Jc.imag
+    return vec.flatten(integers), J
+
+
+# ---------------------------------------------------------------------------
+# Directional derivative and Jacobian by central differences in a frame: the
+# independent oracle of the exact Jacobian
 # ---------------------------------------------------------------------------
 
 
@@ -543,7 +652,10 @@ def validate(triple, tol=None, quad_order=32):
         margins = [abs(abs(r) - 1.0) for r, _ in root_list]
         checks.append(
             _margin_check(
-                "P2_no_circle_roots", min(margins), tol.circle, {"roots": len(margins)}
+                "P2_no_circle_roots",
+                min(margins, default=np.inf),
+                tol.circle,
+                {"roots": len(margins)},
             )
         )
         seps = [

@@ -61,12 +61,31 @@ def test_parse_error_exit2(tmp_path):
         "short_pair": {"genus": 0, "P": [[1]], "b1": pairs, "b2": pairs},
         "string_coeffs": {"genus": 0, "P": "abc", "b1": pairs, "b2": pairs},
         "negative_genus": {"genus": -1, "P": pairs, "b1": pairs, "b2": pairs},
+        "overlong_P": {"genus": 0, "P": [[0.5, 0.0]] * 5, "b1": pairs, "b2": pairs},
     }
     for name, data in malformed.items():
         f = tmp_path / f"{name}.json"
         f.write_text(json.dumps(data), encoding="utf-8")
         for command in ("validate", "classify", "tangent", "flow"):
             assert main([command, str(f)]) == 2, (name, command)
+
+
+def test_rootless_P_is_a_failed_curve(tmp_path):
+    """A P without branch points fails the curve check in ``validate`` and is
+    a numerical failure for ``tangent`` and ``flow``, never a traceback."""
+    pairs = [[0.5, 0.0], [1.0, 0.0]]
+    f = tmp_path / "rootless.json"
+    f.write_text(
+        json.dumps({"genus": 1, "P": [[1, 0]], "b1": pairs, "b2": pairs}), encoding="utf-8"
+    )
+    out = tmp_path / "report.json"
+    assert main(["validate", str(f), "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["curve"]["passed"]
+    assert "no branch points" in checks["curve"]["error"]
+    assert main(["tangent", str(f)]) == 3
+    assert main(["flow", str(f)]) == 3
+    assert main(["classify", str(f)]) in (0, 1, 2, 3)
 
 
 def test_usage_error_exit2():

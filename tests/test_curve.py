@@ -89,6 +89,11 @@ def test_build_curve_unpaired():
         build_curve(Polynomial.from_roots([0.5, 3.0]))
 
 
+def test_build_curve_without_branch_points():
+    with pytest.raises(RealityViolationError, match="no branch points"):
+        build_curve(Polynomial([1.0]))
+
+
 # -- homology ------------------------------------------------------------------
 
 

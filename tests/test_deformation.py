@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from whitham.curve import build_curve
 from whitham.deformation import (
     CaseAParams,
     CaseBLinearParams,
     CaseEParams,
     _r_last_coefficient,
+    _scaling_shift,
     build_tower,
     case_c_indicator,
     classify,
@@ -22,7 +24,7 @@ from whitham.deformation import (
 )
 from whitham.errors import DegenerateKernelError, NotDeformableError
 from whitham.polyring import Polynomial, approx_gcd, random_real_section, roots_flat
-from whitham.spectral import SpectralTriple
+from whitham.spectral import SpectralTriple, product_form
 
 RNG = np.random.default_rng(20260808)
 
@@ -394,3 +396,36 @@ def test_case_b_linear_q_equation_shape():
     # Q = G * Q-tilde
     q_over_g, rem = Q.divmod(build_tower(t, lab).G)
     assert rem.norm() < 1e-9 * max(1.0, Q.norm())
+
+
+def _inline_scaling_shift(triple, P_dot):
+    """The scaling shift written out with the root motion inline."""
+    alphas = [a for a, _ in build_curve(triple.P).branch_pairs]
+    Pi = product_form(alphas)
+    dP = triple.P.derivative()
+    terms = Polynomial.zero()
+    for k, a in enumerate(alphas):
+        a_dot = -P_dot(a) / dP(a)
+        rest = product_form(alphas[:k] + alphas[k + 1 :])
+        dpair = Polynomial([-a_dot, 0.0]) * Polynomial([1.0, -np.conj(a)]) + Polynomial(
+            [-a, 1.0]
+        ) * Polynomial([0.0, -np.conj(a_dot)])
+        terms = terms + dpair * rest
+    m = int(np.argmax(np.abs(Pi.coeffs)))
+    Pm = triple.P.coeff(m)
+    t = (Pm * terms.coeff(m) - P_dot.coeff(m) * Pi.coeff(m)) / (2.0 * Pm * Pi.coeff(m))
+    return float(t.real), float(abs(t.imag))
+
+
+def test_scaling_shift_is_bit_identical_to_inline_root_motion(
+    g0_triple, g0_conformal, g1_triple
+):
+    """``_scaling_shift`` through the shared ``product_form_dot`` gives the
+    same t, bit for bit, as the formula with the root motion inline."""
+    rng = np.random.default_rng(3)
+    for t in (g0_triple, g0_conformal, g1_triple):
+        k = 2 * t.g + 2
+        P_dots = [random_real_section(rng, k) for _ in range(3)]
+        P_dots += [v.P_dot for v in tangent_basis(t)[0]]
+        for P_dot in P_dots:
+            assert _scaling_shift(t, P_dot) == _inline_scaling_shift(t, P_dot)

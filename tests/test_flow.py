@@ -185,3 +185,28 @@ def test_common_factor_seed(kind, genus, d_G, g1_b_linear, g2_b_quad):
     assert validate(t, quad_order=40).verdict
     assert _geometry_margin(t) >= 0.02
     assert seed_common_factor(kind).to_json_dict() == t.to_json_dict()
+
+
+@pytest.mark.parametrize("kind, d_G", [("linear", 1), ("quad", 2)])
+def test_common_factor_chart_jacobian(kind, d_G, g1_b_linear, g2_b_quad):
+    """The (P, G, m1, m2) chart's Jacobian (the exact Psi Jacobian times the
+    chart derivative) against a central difference of its residual."""
+    from whitham.flow import _common_factor_chart
+    from whitham.polyring import approx_gcd, real_section_scale
+
+    t = {"linear": g1_b_linear, "quad": g2_b_quad}[kind]
+    assert not isinstance(t, str), t
+    G, _ = real_section_scale(approx_gcd(t.b1, t.b2))
+    assert G.degree == d_G
+    x0, _, residual = _common_factor_chart(t, G, 40)
+    r, jacobian = residual(x0)
+    J = jacobian()
+    cols = []
+    for j in range(x0.size):
+        dx = 1e-7 * max(1.0, abs(x0[j]))
+        e = np.zeros(x0.size)
+        e[j] = dx
+        cols.append((residual(x0 + e)[0] - residual(x0 - e)[0]) / (2 * dx))
+    J_fd = np.column_stack(cols)
+    assert J.shape == J_fd.shape == (r.size, x0.size)
+    assert np.abs(J - J_fd).max() <= 1e-8 * np.abs(J_fd).max()

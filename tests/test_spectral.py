@@ -15,7 +15,10 @@ from whitham.spectral import (
     normalize,
     pack_triple,
     product_form,
+    product_form_dot,
     psi,
+    psi_jacobian,
+    psi_residual_jacobian,
     scaling_value,
     unpack_triple,
     validate,
@@ -78,6 +81,23 @@ def test_product_form_of_curve_is_the_normalized_P(alphas):
         Pi = product_form(a for a, _ in cur.branch_pairs)
         assert Pi.degree == Pn.degree
         assert (Pi - Pn).norm() <= 1e-12 * Pn.norm()
+
+
+@pytest.mark.parametrize("alphas", PRODUCT_FORM_CASES.values(), ids=PRODUCT_FORM_CASES)
+def test_product_form_dot_follows_the_branch_points(alphas):
+    """The root-motion derivative against a central difference of the
+    product form of the moved curve's branch points."""
+    P0 = pair_poly(*alphas)
+    P_dot = random_real_section(np.random.default_rng(7), P0.degree + P0.degree % 2)
+    h = 1e-6
+
+    def moved(s):
+        cur = build_curve(P0 + s * P_dot)
+        return product_form(a for a, _ in cur.branch_pairs)
+
+    fd = (moved(h) - moved(-h)) / (2 * h)
+    dot = product_form_dot(alphas, P0, P_dot)
+    assert (dot - fd).norm() <= 1e-7 * max(1.0, fd.norm())
 
 
 # -- chart ---------------------------------------------------------------------
@@ -261,3 +281,22 @@ def test_genus1_point_on_lattice(g1_triple):
     assert max(vec.lattice_residuals()) < 1e-9
     assert abs(vec.scaling - 1.0) < 1e-10
     assert validate(g1_triple, quad_order=48).verdict
+
+
+@pytest.mark.parametrize(
+    "point", ["g0_triple", "g0_conformal", "g1_triple", "g1_b_linear", "g2_b_quad"]
+)
+def test_exact_jacobian_matches_finite_differences(point, request):
+    """``psi_residual_jacobian`` against the finite-difference oracle
+    ``psi_jacobian`` in the same order-48 frame: the residual half is psi's
+    own flattening, and J agrees to the truncation error of h = 1e-7."""
+    t = request.getfixturevalue(point)
+    assert not isinstance(t, str), t
+    frame = PsiFrame.build(t, quad_order=48)
+    vec = psi(t, frame=frame)
+    ints = vec.lattice_integers()
+    r, J = psi_residual_jacobian(t, frame, ints)
+    assert np.abs(r - vec.flatten(ints)).max() <= 1e-13
+    J_fd = psi_jacobian(t, frame=frame, h=1e-7)
+    assert J.shape == J_fd.shape == (r.size, chart_dim(t.g))
+    assert np.abs(J - J_fd).max() <= 1e-8 * np.abs(J_fd).max()
