@@ -17,13 +17,7 @@ circle and from the others, and at least 0.02 from zeta = 0.
 import numpy as np
 
 from whitham.errors import WhithamError
-from whitham.flow import (
-    _projector,
-    _times_matrix,
-    central_differences,
-    gauss_newton,
-    numerator_space,
-)
+from whitham.flow import _times_matrix, gauss_newton, numerator_space
 from whitham.polyring import Polynomial, real_section_scale, roots_flat
 from whitham.spectral import (
     PsiFrame,
@@ -37,6 +31,49 @@ G_WEIGHT = 2
 STARTS = 16
 SEED = 2026
 MAX_ITER = 120
+# central-difference step of ``central_differences``, relative to max(1, |x_j|)
+FD_STEP = 1e-6
+
+
+def _projector(A):
+    """Orthogonal projector onto the column space of A (full column rank)."""
+    q, _ = np.linalg.qr(A)
+    return q @ q.T
+
+
+def central_differences(residual):
+    """``residual`` (x -> r) in the form ``gauss_newton`` takes, with a
+    central-difference Jacobian: the base-pair residual runs through SVD and
+    QR projectors and so has no closed-form derivative.  A coordinate whose
+    stepped points are inadmissible falls back to a one-sided difference,
+    and to a zero column if both are."""
+
+    def with_jacobian(x):
+        r = residual(x)
+
+        def jacobian():
+            J = np.empty((r.size, x.size))
+            for j in range(x.size):
+                dx = FD_STEP * max(1.0, abs(x[j]))
+                xp = x.copy()
+                xp[j] += dx
+                xm = x.copy()
+                xm[j] -= dx
+                try:
+                    J[:, j] = (residual(xp) - residual(xm)) / (2.0 * dx)
+                except WhithamError:
+                    try:
+                        J[:, j] = (residual(xp) - r) / dx
+                    except WhithamError:
+                        try:
+                            J[:, j] = (r - residual(xm)) / dx
+                        except WhithamError:
+                            J[:, j] = 0.0
+            return J
+
+        return r, jacobian
+
+    return with_jacobian
 
 
 def _space(alphas):

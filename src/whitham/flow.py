@@ -4,12 +4,10 @@
 the flattened condition map (periods and closings to their fixed 2*pi*i
 multiples, residues to 0, scaling to 1) by Gauss-Newton with a
 minimum-norm step: the true derivative has a two-dimensional kernel on
-the moduli set, so the pseudo-inverse is rank-truncated.  Every Jacobian of
-a solve against the condition map is the exact one
+the moduli set, so the pseudo-inverse is rank-truncated.  Every Newton solve
+runs against the condition map with its exact Jacobian
 (``spectral.psi_residual_jacobian``), taken from the same walk as the
-residual; only the common-factor conditions of ``solve_common_factor``,
-which run through SVD and QR projectors, use central differences
-(``central_differences``).
+residual; none uses central differences.
 
 Seed construction works the same way on constrained charts:
 
@@ -18,9 +16,9 @@ Seed construction works the same way on constrained charts:
   family and a linear fit of the closing targets,
 * the genus-1 seed re-projects a frozen previously converged point,
 * the case-(b) points (a common factor G between the differentials) are
-  solved for directly in the branch points and G
-  (``solve_common_factor``), re-solved on the (P, G, m1, m2) chart against
-  the full condition map, and returned only once validation and
+  solved for on the (P, G, m1, m2) chart, where b_i = G*m_i, against the
+  full condition map from recorded branch points, G and lattice integers
+  (``solve_common_factor``), and returned only once validation and
   classification confirm them: the linear-G point at genus 1, the
   quadratic-G point at genus 2 (``seed_common_factor``).
 
@@ -59,6 +57,17 @@ SVD_CUTOFF = 1e-8
 TRUST_RADIUS = 0.1
 # flow steps halve on failure down to this size
 H_MIN = 1e-6
+# outer rounds (one frame refresh each) of ``project_to_mg``
+PROJECTION_ROUNDS = 25
+# seed points: the quadrature order of their solves and of their validation,
+# the projection tolerance of the genus-0 seed and of the others, the lattice
+# integers (gamma+, gamma-) of the two genus-0 differentials, and how far the
+# case-(b) branch points must stay from degeneration
+SEED_QUAD_ORDER = 40
+GENUS0_TOL = 1e-11
+SEED_TOL = 1e-10
+GENUS0_INTEGERS = ((1, 0), (0, 1))
+HEALTH_FLOOR = 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +167,7 @@ def _refreshed_frame(old, triple, integers, current_norm, quad_order):
 
 
 def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
-                  max_iter=25, capture_radius=0.5):
+                  capture_radius=0.5):
     """Gauss-Newton projection of a candidate triple onto the moduli set.
 
     Lattice targets default to the nearest 2*pi*i multiples of the initial
@@ -177,7 +186,9 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
         )
     x = pack_triple(guess)
     total_trace = [r0]
-    for outer in range(max_iter):
+    # the residual of x in the current frame, as its last walk gave it
+    final_res = r0
+    for _ in range(PROJECTION_ROUNDS):
         if total_trace[-1] <= tol:
             break
         current = unpack_triple(x, g)
@@ -188,7 +199,7 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
             return r, lambda: J
 
         res = gauss_newton(residual, x, tol=tol, max_iter=6)
-        x = res.x
+        x, final_res = res.x, res.norm
         prev = total_trace[-1]
         total_trace.extend(res.trace[1:])
         if res.status == "converged":
@@ -200,14 +211,12 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
                 f"projection stalled at residual {total_trace[-1]:.3e}",
                 trace=total_trace,
             )
-    final = unpack_triple(x, g)
-    final_res = float(np.linalg.norm(psi(final, frame=frame).flatten(integers)))
     if final_res > 10 * tol:
         raise ProjectionFailureError(
             f"projection finished at residual {final_res:.3e} > {10 * tol:.1e}",
             trace=total_trace,
         )
-    return ProjectionResult(final, final_res, len(total_trace) - 1, integers)
+    return ProjectionResult(unpack_triple(x, g), final_res, len(total_trace) - 1, integers)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +245,9 @@ def seed_conformal_genus0(k_plus=1, k_minus=1):
     return SpectralTriple(0, z, numerator(k_plus, 0), numerator(0, k_minus))
 
 
-def seed_genus0(alpha=0.42 + 0.18j, m_plus=(1, 0), m_minus=(0, 1),
-                quad_order=40, tol=1e-11):
+def seed_genus0(alpha=0.42 + 0.18j):
     """Nonconformal genus-0 point: residue-exact family, closings fit to
-    the requested integers, then full projection."""
+    ``GENUS0_INTEGERS``, then full projection."""
     P = product_form([alpha])
     from .curve import build_curve, homology_basis, integrate, Differential
 
@@ -250,8 +258,8 @@ def seed_genus0(alpha=0.42 + 0.18j, m_plus=(1, 0), m_minus=(0, 1),
         b = differential_family_genus0(alpha, y)
         d = Differential(cur, b)
         return (
-            integrate(d, basis.gamma_plus, quad_order).value,
-            integrate(d, basis.gamma_minus, quad_order).value,
+            integrate(d, basis.gamma_plus, SEED_QUAD_ORDER).value,
+            integrate(d, basis.gamma_minus, SEED_QUAD_ORDER).value,
         )
 
     # the map y -> closings is R-linear; fit 2 real unknowns to 4 real targets
@@ -266,7 +274,7 @@ def seed_genus0(alpha=0.42 + 0.18j, m_plus=(1, 0), m_minus=(0, 1),
         ]
     )
     ys = []
-    for mp, mm in (m_plus, m_minus):
+    for mp, mm in GENUS0_INTEGERS:
         t = np.array([0.0, 2 * np.pi * mp, 0.0, 2 * np.pi * mm])
         u, *_ = np.linalg.lstsq(M, t, rcond=None)
         ys.append(complex(u[0], u[1]))
@@ -276,33 +284,7 @@ def seed_genus0(alpha=0.42 + 0.18j, m_plus=(1, 0), m_minus=(0, 1),
         differential_family_genus0(alpha, ys[0]),
         differential_family_genus0(alpha, ys[1]),
     )
-    return project_to_mg(guess, tol=tol, quad_order=quad_order).triple
-
-
-def _psi_components_for_b(triple_P, g, frame, quad_order):
-    """Closure evaluating (periods..., closings..., residue) for numerators
-    over the fixed curve of triple_P.  The returned callable accepts one
-    polynomial or a list (the eta-walk along each path is shared)."""
-    from .curve import build_curve, integrate_batch, residue_condition
-
-    cur = build_curve(triple_P)
-    cycles = frame.basis.period_cycles() + [
-        frame.basis.gamma_plus,
-        frame.basis.gamma_minus,
-    ]
-
-    def components(bs):
-        single = not isinstance(bs, (list, tuple))
-        blist = [bs] if single else list(bs)
-        per_cycle = [integrate_batch(cur, blist, c, quad_order) for c in cycles]
-        out = []
-        for i, b in enumerate(blist):
-            vals = [res[i].value for res in per_cycle]
-            vals.append(residue_condition(triple_P, b))
-            out.append(vals)
-        return out[0] if single else out
-
-    return components
+    return project_to_mg(guess, tol=GENUS0_TOL, quad_order=SEED_QUAD_ORDER).triple
 
 
 # A previously converged genus-1 case-(a) point (periods/closings on the
@@ -334,11 +316,11 @@ _FROZEN_GENUS1_CASE_A = {
 }
 
 
-def seed_genus1(quad_order=40, tol=1e-10):
+def seed_genus1():
     """Validated genus-1 case-(a) point: re-projection of a frozen,
     previously converged seed."""
     guess = SpectralTriple.from_json_dict(_FROZEN_GENUS1_CASE_A)
-    return project_to_mg(guess, tol=tol, quad_order=quad_order).triple
+    return project_to_mg(guess, tol=SEED_TOL, quad_order=SEED_QUAD_ORDER).triple
 
 
 # ---------------------------------------------------------------------------
@@ -352,22 +334,27 @@ def seed_genus1(quad_order=40, tol=1e-10):
 # triple is in case (b) exactly when every element of V(P) is divisible by
 # one real section G of weight 1 or 2 (a property of P alone), and the
 # lattice integers enter only through the requirement that W(P) be the
-# plane they span.  ``solve_common_factor`` solves for both in the branch
-# points and G; ``polish_common_factor`` re-solves its result on the
-# (P, G, m1, m2) chart with the full condition map, and ``confirm_case_b``
-# checks what comes out.  ``seed_common_factor`` chains the three.
+# plane they span.  ``solve_common_factor`` solves for such a triple on the
+# (P, G, m1, m2) chart, where b_i = G*m_i, against the full condition map
+# with the lattice integers held fixed; ``confirm_case_b`` checks what comes
+# out, and ``seed_common_factor`` chains the two.
 
 
-def numerator_space(P, g, frame, quad_order=32):
+def numerator_space(P, g, frame):
     """(N, L): an orthonormal basis of V(P) as the columns of N, in the real
     coordinates of weight-(g+3) sections, and the lattice map L sending those
     coordinates to Im/(2*pi) of the lattice values of one differential, in
     the order A_1.., B_1.., gamma+, gamma-.  The A-rows of L vanish
     identically (the A-cycles are invariant under the real structure)."""
     k = g + 3
-    comp = _psi_components_for_b(P, g, frame, quad_order)
-    vals = np.array(comp([unpack_section(e, k) for e in np.eye(k + 1)])).T
-    lattice, residue = vals[:-1], vals[-1]
+    one = Polynomial.one()
+    _, J = psi_residual_jacobian(SpectralTriple(g, P, one, one), frame, None)
+    # the lattice values and the residue are linear in b: their b1-columns,
+    # in the complex rows periods of b1 and of b2, closings of b1 and of b2,
+    # residues, scaling
+    cols = (J[0::2] + 1j * J[1::2])[:, 2 * g + 3 : 2 * g + 4 + k]
+    lattice = np.vstack([cols[: 2 * g], cols[4 * g : 4 * g + 2]])
+    residue = cols[4 * g + 4]
     cond = np.vstack([residue.real, residue.imag, lattice.real])
     _, s, vt = np.linalg.svd(cond)
     if s[k - 2] < 1e-8 * s[0]:
@@ -386,118 +373,6 @@ def _times_matrix(G, k, d=None):
     )
 
 
-def _split_integers(integers, g):
-    """Per-differential lattice integers (A.., B.., gamma+, gamma-) from the
-    order of ``psi``."""
-    n = np.asarray(integers, dtype=float)
-    return (
-        np.concatenate([n[: 2 * g], n[4 * g : 4 * g + 2]]),
-        np.concatenate([n[2 * g : 4 * g], n[4 * g + 2 :]]),
-    )
-
-
-def _projector(A):
-    """Orthogonal projector onto the column space of A (full column rank)."""
-    q, _ = np.linalg.qr(A)
-    return q @ q.T
-
-
-# central-difference step of ``central_differences``, relative to max(1, |x_j|)
-FD_STEP = 1e-6
-
-
-def central_differences(residual):
-    """``residual`` (x -> r) in the form ``gauss_newton`` takes, with a
-    central-difference Jacobian: for residuals that run through SVD and QR
-    projectors and so have no closed-form derivative.  A coordinate whose
-    stepped points are inadmissible falls back to a one-sided difference,
-    and to a zero column if both are."""
-
-    def with_jacobian(x):
-        r = residual(x)
-
-        def jacobian():
-            J = np.empty((r.size, x.size))
-            for j in range(x.size):
-                dx = FD_STEP * max(1.0, abs(x[j]))
-                xp = x.copy()
-                xp[j] += dx
-                xm = x.copy()
-                xm[j] -= dx
-                try:
-                    J[:, j] = (residual(xp) - residual(xm)) / (2.0 * dx)
-                except WhithamError:
-                    try:
-                        J[:, j] = (residual(xp) - r) / dx
-                    except WhithamError:
-                        try:
-                            J[:, j] = (r - residual(xm)) / dx
-                        except WhithamError:
-                            J[:, j] = 0.0
-            return J
-
-        return r, jacobian
-
-    return with_jacobian
-
-
-def solve_common_factor(alphas, G, integers):
-    """Direct solve for a case-(b) point from a start near one.
-
-    Unknowns: the in-disc branch points ``alphas`` (P is their product form,
-    so the scaling condition holds exactly) and the real-section
-    coordinates of the common factor ``G`` (weight 1: one unit-circle root;
-    weight 2: an in-disc pair or two unit-circle roots).  Conditions, solved
-    together by Gauss-Newton: V(P) lies in G times the weight-(g+3-deg G)
-    sections, and W(P) is the plane spanned by the two lattice-integer
-    vectors (``integers`` in the order of ``psi``).  The integration paths
-    are those of the start curve, so the start must be near the solution.
-
-    Returns ``(triple, G)``: b_i is the element of V(P) with the lattice
-    integers of differential i.  Raises ``ProjectionFailureError`` unless
-    the solve converges.
-    """
-    g = len(alphas) - 1
-    d = G.degree
-    nP = 2 * g + 2
-    quad_order = 32
-    P0 = product_form(alphas)
-    one = Polynomial.one()
-    frame = PsiFrame.build(SpectralTriple(g, P0, one, one), quad_order=quad_order)
-    n1, n2 = _split_integers(integers, g)
-    off_target = np.eye(n1.size) - _projector(np.column_stack([n1, n2]))
-    N0, _ = numerator_space(P0, g, frame, quad_order)
-
-    def unpack(x):
-        P = product_form(complex(x[2 * i], x[2 * i + 1]) for i in range(g + 1))
-        return P, unpack_section(x[nP:] / np.linalg.norm(x[nP:]), d)
-
-    def residual(x):
-        P, Gx = unpack(x)
-        N, L = numerator_space(P, g, frame, quad_order)
-        B = N @ (N.T @ N0)  # basis of V(P) moving continuously with P
-        factor = B - _projector(_times_matrix(Gx, g + 3 - d)) @ B
-        lattice = off_target @ _projector(L @ N)
-        return np.concatenate([factor.ravel(), lattice.ravel()])
-
-    x0 = np.concatenate(
-        [np.ravel([[a.real, a.imag] for a in alphas]), pack_section(G, d)]
-    )
-    res = gauss_newton(central_differences(residual), x0, tol=1e-12, max_iter=40)
-    if res.status != "converged":
-        raise ProjectionFailureError(
-            f"common-factor solve {res.status} at residual {res.norm:.2e}",
-            trace=res.trace,
-        )
-    P, Gx = unpack(res.x)
-    N, L = numerator_space(P, g, frame, quad_order)
-    bs = [
-        unpack_section(N @ np.linalg.lstsq(L @ N, n, rcond=None)[0], g + 3)
-        for n in (n1, n2)
-    ]
-    return SpectralTriple(g, P, *bs), Gx
-
-
 def _geometry_margin(triple):
     """Distance of the branch configuration from degeneration: min of the
     unit-circle margins, the pairwise separations and the distance from
@@ -510,12 +385,13 @@ def _geometry_margin(triple):
     return min(circ, sep, min(abs(p) for p in pts))
 
 
-def _common_factor_chart(triple, G, quad_order):
-    """The (P, G, m1, m2) chart around a near-case-(b) triple, where
-    b_i = G*m_i: its start point, the map to triples, and the residual in
-    the form ``gauss_newton`` takes, against the full condition map with
-    the nearest lattice integers held fixed.  The Jacobian is that of
-    ``psi_residual_jacobian`` times the chart's derivative."""
+def _common_factor_chart(triple, G, integers, quad_order):
+    """The (P, G, m1, m2) chart around a triple whose numerators G divides
+    (or nearly so), where b_i = G*m_i: its start point, the map to triples,
+    and the residual in the form ``gauss_newton`` takes, against the full
+    condition map with the lattice ``integers`` (in the order of ``psi``)
+    held fixed.  The Jacobian is that of ``psi_residual_jacobian`` times the
+    chart's derivative."""
     g, d = triple.g, G.degree
     kP, km = 2 * g + 2, g + 3 - d
     cuts = np.cumsum([kP + 1, d + 1, km + 1])
@@ -530,7 +406,6 @@ def _common_factor_chart(triple, G, quad_order):
         return SpectralTriple(g, P, Gx * m1, Gx * m2)
 
     frame = PsiFrame.build(triple, quad_order=quad_order)
-    integers = psi(triple, frame=frame).lattice_integers()
     x0 = np.concatenate(
         [pack_section(triple.P, kP), pack_section(G, d)]
         + [pack_section(symmetrize(b.divmod(G)[0], km), km) for b in (triple.b1, triple.b2)]
@@ -555,14 +430,27 @@ def _common_factor_chart(triple, G, quad_order):
     return x0, make_triple, residual
 
 
-def polish_common_factor(triple, G, quad_order=40, tol=1e-10):
-    """Re-solve a near-case-(b) triple on the (P, G, m1, m2) chart, where
-    b_i = G*m_i, against the full condition map with the nearest lattice
-    integers held fixed.  G is any real section of weight 1 or 2
-    approximately dividing both numerators."""
-    x0, make_triple, residual = _common_factor_chart(triple, G, quad_order)
-    res = gauss_newton(residual, x0, tol=tol, max_iter=40)
-    if res.norm > 10 * tol:
+def solve_common_factor(alphas, G, integers):
+    """Gauss-Newton solve for a case-(b) point on the (P, G, m1, m2) chart.
+
+    The start is P = ``product_form(alphas)`` (in-disc branch points
+    ``alphas``), the common factor ``G`` (weight 1: one unit-circle root;
+    weight 2: an in-disc pair or two unit-circle roots) and b1 = b2 = 0; the
+    solve drives the full condition map to the lattice ``integers`` (in the
+    order of ``psi``).  At b = 0 the P- and G-columns of the lattice and
+    residue rows vanish, so the first steps fit m1 and m2 by linear least
+    squares and the trust region then lets P and G move.  The integration paths are
+    those of the start curve, so the start must be near a solution.
+
+    Raises ``ProjectionFailureError`` unless the residual ends within
+    10 * ``SEED_TOL``.
+    """
+    g = len(alphas) - 1
+    zero = Polynomial.zero()
+    start = SpectralTriple(g, product_form(alphas), zero, zero)
+    x0, make_triple, residual = _common_factor_chart(start, G, integers, SEED_QUAD_ORDER)
+    res = gauss_newton(residual, x0, tol=SEED_TOL, max_iter=40)
+    if res.norm > 10 * SEED_TOL:
         raise ProjectionFailureError(
             f"case-(b) chart solve {res.status} at residual {res.norm:.2e}",
             trace=res.trace,
@@ -570,12 +458,12 @@ def polish_common_factor(triple, G, quad_order=40, tol=1e-10):
     return make_triple(res.x)
 
 
-def confirm_case_b(triple, d_G, quad_order=40, health_floor=0.02):
+def confirm_case_b(triple, d_G):
     """Raise ``ProjectionFailureError`` unless the triple validates, is
     classified (b) with a common factor of degree ``d_G``, and keeps its
-    branch points more than ``health_floor`` from degeneration."""
+    branch points more than ``HEALTH_FLOOR`` from degeneration."""
     problems = []
-    rep = validate(triple, quad_order=quad_order)
+    rep = validate(triple, quad_order=SEED_QUAD_ORDER)
     if not rep.verdict:
         problems.append("validation failed: " + ", ".join(rep.failed()))
     lab = classify(triple)
@@ -585,22 +473,26 @@ def confirm_case_b(triple, d_G, quad_order=40, health_floor=0.02):
             f"not (b) with deg G = {d_G}"
         )
     margin = _geometry_margin(triple)
-    if margin <= health_floor:
-        problems.append(f"geometry margin {margin:.3f} <= {health_floor}")
+    if margin <= HEALTH_FLOOR:
+        problems.append(f"geometry margin {margin:.3f} <= {HEALTH_FLOOR}")
     if problems:
         raise ProjectionFailureError("case-(b) point not confirmed: " + "; ".join(problems))
     return triple
 
 
 # Starts for ``solve_common_factor``: in-disc branch points, the roots of the
-# common factor G, and the lattice integers in the order of ``psi``.
+# common factor G, and the lattice integers in the order of ``psi``, read in
+# the frame of the start curve.
 #
-# linear (genus 1): near a point of the stratum where b1 and b2 share one
-#   unit-circle root; A-period integers are always 0 (see numerator_space).
+# linear (genus 1): near the stratum where b1 and b2 share one unit-circle
+#   root; A-period integers are always 0 (see numerator_space).  The solve
+#   ends at branch points 0.3525-0.4675i, 0.3933-0.1638i and the shared root
+#   0.7005-0.7136i; a frame built afresh there picks another homology basis
+#   (B -> -B, gamma -> gamma - B), one continued from the start frame keeps
+#   these integers.
 # quad (genus 2): a rounded point where V(P) has the in-disc base pair
 #   (beta, 1/conj(beta)); the integers span the rational plane nearest W(P)
-#   there (denominator 8 in the B-coordinates), which the solve reaches in
-#   four Gauss-Newton steps.
+#   there (denominator 8 in the B-coordinates).
 _CASE_B_STARTS = {
     "linear": (
         (0.45 - 0.45j, 0.3 - 0.1j),
@@ -615,24 +507,21 @@ _CASE_B_STARTS = {
 }
 
 
-def seed_common_factor(kind="linear", quad_order=40, tol=1e-10, health_floor=0.02):
+def seed_common_factor(kind="linear"):
     """Validated case-(b) point: ``linear`` (genus 1, b1 and b2 share one
     unit-circle root) or ``quad`` (genus 2, they share an in-disc root
     pair).
 
     Deterministic: ``solve_common_factor`` from the recorded start, then
-    ``polish_common_factor`` at ``quad_order``, then ``confirm_case_b``.
-    No interior genus-1 point with a shared root pair is known: Gauss-Newton
-    on the base-pair condition alone drives a branch pair onto the unit
-    circle or stalls at a nonzero residual from every start tried
-    (``scripts/scan_genus1_base_pair.py``), so the quadratic point is built
-    at genus 2.
+    ``confirm_case_b``.  No interior genus-1 point with a shared root pair
+    is known: Gauss-Newton on the base-pair condition alone drives a branch
+    pair onto the unit circle or stalls at a nonzero residual from every
+    start tried (``scripts/scan_genus1_base_pair.py``), so the quadratic
+    point is built at genus 2.
     """
     alphas, g_roots, integers = _CASE_B_STARTS[kind]
     G, _ = real_section_scale(Polynomial.from_roots(g_roots))
-    triple, G = solve_common_factor(alphas, G, integers)
-    triple = polish_common_factor(triple, G, quad_order, tol)
-    return confirm_case_b(triple, G.degree, quad_order, health_floor)
+    return confirm_case_b(solve_common_factor(alphas, G, integers), G.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -387,20 +387,21 @@ def _psi_vector(triple, cur, frame, per_path):
     return PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
 
 
-def psi(triple, frame=None, quad_order=None):
+def psi(triple, frame=None, quad_order=32):
     """Assemble all period/closing integrals, residue values and the scaling.
 
     Component order: A_1..A_g, B_1..B_g of the first differential, the
     same for the second, then gamma+/gamma- of the first and of the
-    second, both residue values, and the scaling ratio.
+    second, both residue values, and the scaling ratio.  The frame sets the
+    quadrature order; ``quad_order`` is that of the frame built when none
+    is given.
     """
     if frame is None:
-        frame = PsiFrame.build(triple, quad_order=quad_order or 32)
-    order = quad_order or frame.quad_order
+        frame = PsiFrame.build(triple, quad_order=quad_order)
     cur = build_curve(triple.P)
     # one sheet-tracked walk per path, shared by both differentials
     per_path = [
-        integrate_batch(cur, [triple.b1, triple.b2], path, order)
+        integrate_batch(cur, [triple.b1, triple.b2], path, frame.quad_order)
         for path in _psi_paths(frame)
     ]
     return _psi_vector(triple, cur, frame, per_path)
@@ -495,18 +496,19 @@ def _perturbed(triple, direction, h):
     )
 
 
-def d_psi(triple, direction, h=1e-5, frame=None, quad_order=None):
-    """Central-difference directional derivative of Psi.
+def d_psi(triple, direction, h=1e-5, frame=None, quad_order=48):
+    """Central-difference directional derivative of Psi in a frame
+    (``quad_order`` is that of the frame built when none is given).
 
     Lattice components are differenced raw (their integer targets are
     locally constant).  Raises ``StepSizeError`` when the stepped triples
     leave the admissible set.
     """
     if frame is None:
-        frame = PsiFrame.build(triple, quad_order=quad_order or 48)
+        frame = PsiFrame.build(triple, quad_order=quad_order)
     try:
-        hi = psi(_perturbed(triple, direction, h), frame=frame, quad_order=quad_order)
-        lo = psi(_perturbed(triple, direction, -h), frame=frame, quad_order=quad_order)
+        hi = psi(_perturbed(triple, direction, h), frame=frame)
+        lo = psi(_perturbed(triple, direction, -h), frame=frame)
     except (CircleRootError, MultipleRootError, RealityViolationError) as exc:
         raise StepSizeError(f"step h={h} left the admissible set: {exc}") from exc
     scale = 0.5 / h
@@ -531,16 +533,18 @@ def d_psi_norm(dvec):
     return float(np.linalg.norm(out))
 
 
-def psi_jacobian(triple, frame=None, h=1e-6, quad_order=None):
-    """Finite-difference Jacobian of the flattened Psi over the real chart.
+def psi_jacobian(triple, frame=None, h=1e-6, quad_order=48):
+    """Finite-difference Jacobian of the flattened Psi over the real chart,
+    in a frame (``quad_order`` is that of the frame built when none is
+    given).
 
     Columns are central differences along every one of the 4g+11
     coordinate directions; the kernel of the true derivative on the
     moduli set is two-dimensional.
     """
     if frame is None:
-        frame = PsiFrame.build(triple, quad_order=quad_order or 48)
-    integers = psi(triple, frame=frame, quad_order=quad_order).lattice_integers()
+        frame = PsiFrame.build(triple, quad_order=quad_order)
+    integers = psi(triple, frame=frame).lattice_integers()
     x0 = pack_triple(triple)
     g = triple.g
     cols = []

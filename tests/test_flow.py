@@ -146,15 +146,25 @@ def test_tau_drift_matches_rate(g0_triple):
     assert errs[1] < 0.75 * errs[0] + 1e-9 * abs(rate)
 
 
+def _split_integers(integers, g):
+    """Per-differential lattice integers (A.., B.., gamma+, gamma-) from the
+    order of ``psi``."""
+    n = np.asarray(integers, dtype=float)
+    return (
+        np.concatenate([n[: 2 * g], n[4 * g : 4 * g + 2]]),
+        np.concatenate([n[2 * g : 4 * g], n[4 * g + 2 :]]),
+    )
+
+
 def test_numerator_space_holds_the_numerators(g1_triple):
     """b1, b2 of an admissible triple lie in the two-dimensional space V(P),
     and the lattice map sends them to their integers (A-rows vanish)."""
-    from whitham.flow import _split_integers, numerator_space
+    from whitham.flow import numerator_space
     from whitham.spectral import pack_section
 
     g = g1_triple.g
     frame = PsiFrame.build(g1_triple, quad_order=40)
-    N, L = numerator_space(g1_triple.P, g, frame, 40)
+    N, L = numerator_space(g1_triple.P, g, frame)
     assert N.shape == (g + 4, 2)
     assert np.abs(L[:g] @ N).max() < 1e-10
     ints = psi(g1_triple, frame=frame).lattice_integers()
@@ -173,9 +183,13 @@ def test_confirm_case_b_rejects_case_a(g1_triple):
 
 @pytest.mark.parametrize("kind, genus, d_G", [("linear", 1, 1), ("quad", 2, 2)])
 def test_common_factor_seed(kind, genus, d_G, g1_b_linear, g2_b_quad):
-    """The case-(b) seeds are confirmed points, and a fresh construction
-    returns the identical triple."""
-    from whitham.flow import _geometry_margin, seed_common_factor
+    """The case-(b) seeds are confirmed points on the recorded lattice
+    integers, and a fresh construction returns the identical triple.  The
+    integers are read in a frame continued from the start curve's: the
+    solve runs in that frame, and the branch points move far enough that a
+    frame built afresh may pick another homology basis."""
+    from whitham.flow import _CASE_B_STARTS, _geometry_margin, seed_common_factor
+    from whitham.spectral import product_form
 
     t = {"linear": g1_b_linear, "quad": g2_b_quad}[kind]
     assert not isinstance(t, str), t
@@ -184,6 +198,11 @@ def test_common_factor_seed(kind, genus, d_G, g1_b_linear, g2_b_quad):
     assert lab.label == "b" and lab.factors.d_G == d_G and not lab.warnings
     assert validate(t, quad_order=40).verdict
     assert _geometry_margin(t) >= 0.02
+    alphas, _, integers = _CASE_B_STARTS[kind]
+    zero = Polynomial.zero()
+    start = PsiFrame.build(SpectralTriple(genus, product_form(alphas), zero, zero), quad_order=40)
+    frame = PsiFrame.build(t, quad_order=40, like=start)
+    assert psi(t, frame=frame).lattice_integers() == integers
     assert seed_common_factor(kind).to_json_dict() == t.to_json_dict()
 
 
@@ -198,7 +217,8 @@ def test_common_factor_chart_jacobian(kind, d_G, g1_b_linear, g2_b_quad):
     assert not isinstance(t, str), t
     G, _ = real_section_scale(approx_gcd(t.b1, t.b2))
     assert G.degree == d_G
-    x0, _, residual = _common_factor_chart(t, G, 40)
+    integers = psi(t, frame=PsiFrame.build(t, quad_order=40)).lattice_integers()
+    x0, _, residual = _common_factor_chart(t, G, integers, 40)
     r, jacobian = residual(x0)
     J = jacobian()
     cols = []
