@@ -1,92 +1,52 @@
-"""Search for genus-1 curves whose numerator space has a base pair.
+"""Search for genus-1 case-(b) points with a quadratic common factor.
 
 A genus-1 triple is in case (b) with a quadratic common factor G exactly
 when every element of the numerator space V(P) is divisible by one weight-2
-real section G (see ``whitham.flow.numerator_space``).  This script solves
-that condition alone - no lattice conditions - by Gauss-Newton in the two
-branch points and G, from fixed pseudo-random starts, and prints where each
-solve ends: converged, or the geometry it ran into.
+real section G, and the lattice plane W(P) is the plane its integers span
+(see ``whitham.flow.numerator_space``).  This script runs the full chart
+solve ``solve_common_factor`` (the (P, G, m1, m2) chart, exact Jacobian,
+refreshed frame) from fixed pseudo-random pairs of branch points, each with
+
+* G from the root pair of V(P) that comes closest to being shared
+  (``_start_factor``), and
+* the lattice integers of the rational plane nearest W(P) with denominator
+  at most 12, A-integers 0 (``nearest_integers``; the same rule gives the
+  recorded genus-2 quadratic start),
+
+and passes each result through ``confirm_case_b(..., 2)``.
 
     PYTHONPATH=src python scripts/scan_genus1_base_pair.py
 
-Deterministic (fixed seed).  A start counts as an interior solution
-only if it converges with every branch point at least 0.02 from the unit
-circle and from the others, and at least 0.02 from zeta = 0.
+Deterministic (fixed seed).  Each start ends as ``interior`` (confirmed:
+validated, classified (b) with deg G = 2, branch points more than
+``HEALTH_FLOOR`` from degeneration), ``boundary`` (the solve converged but
+the point is not confirmed; the reason is printed) or ``stalled`` (the
+solve raised: a round made no progress, or every round ended above
+tolerance).  Seed 2026, 16 starts: 0 interior, 0 boundary, 16 stalled -
+6 rounds stalled, at residuals 2.3 to 2.5e2, and 10 solves ran out of
+rounds still above tolerance, at 3.4 to 3.6e2.  So no genus-1 quadratic-G
+point is known.
 """
+
+from itertools import combinations
 
 import numpy as np
 
 from whitham.errors import WhithamError
-from whitham.flow import _times_matrix, gauss_newton, numerator_space
+from whitham.flow import confirm_case_b, numerator_space, solve_common_factor
 from whitham.polyring import Polynomial, real_section_scale, roots_flat
-from whitham.spectral import (
-    PsiFrame,
-    SpectralTriple,
-    pack_section,
-    product_form,
-    unpack_section,
-)
+from whitham.spectral import PsiFrame, SpectralTriple, product_form, unpack_section
 
-G_WEIGHT = 2
+GENUS = 1
 STARTS = 16
 SEED = 2026
-MAX_ITER = 120
-# central-difference step of ``central_differences``, relative to max(1, |x_j|)
-FD_STEP = 1e-6
-
-
-def _projector(A):
-    """Orthogonal projector onto the column space of A (full column rank)."""
-    q, _ = np.linalg.qr(A)
-    return q @ q.T
-
-
-def central_differences(residual):
-    """``residual`` (x -> r) in the form ``gauss_newton`` takes, with a
-    central-difference Jacobian: the base-pair residual runs through SVD and
-    QR projectors and so has no closed-form derivative.  A coordinate whose
-    stepped points are inadmissible falls back to a one-sided difference,
-    and to a zero column if both are."""
-
-    def with_jacobian(x):
-        r = residual(x)
-
-        def jacobian():
-            J = np.empty((r.size, x.size))
-            for j in range(x.size):
-                dx = FD_STEP * max(1.0, abs(x[j]))
-                xp = x.copy()
-                xp[j] += dx
-                xm = x.copy()
-                xm[j] -= dx
-                try:
-                    J[:, j] = (residual(xp) - residual(xm)) / (2.0 * dx)
-                except WhithamError:
-                    try:
-                        J[:, j] = (residual(xp) - r) / dx
-                    except WhithamError:
-                        try:
-                            J[:, j] = (r - residual(xm)) / dx
-                        except WhithamError:
-                            J[:, j] = 0.0
-            return J
-
-        return r, jacobian
-
-    return with_jacobian
-
-
-def _space(alphas):
-    P = product_form(alphas)
-    one = Polynomial.one()
-    frame = PsiFrame.build(SpectralTriple(1, P, one, one), quad_order=32)
-    return numerator_space(P, 1, frame)[0]
+MAX_DENOMINATOR = 12
 
 
 def _start_factor(N):
     """The in-disc root pair of the first basis numerator closest to a root
     of the second."""
-    r1, r2 = (roots_flat(unpack_section(N[:, i], 4)) for i in range(2))
+    r1, r2 = (roots_flat(unpack_section(N[:, i], GENUS + 3)) for i in range(2))
     beta = min(
         (a for a in r1 if abs(a) < 1.0),
         key=lambda a: min(abs(a - c) for c in r2),
@@ -96,54 +56,77 @@ def _start_factor(N):
     return G
 
 
+def _plane_distance(A, B):
+    """Sine of the largest principal angle between the column spaces."""
+    s = np.linalg.svd(np.linalg.qr(A)[0].T @ np.linalg.qr(B)[0], compute_uv=False)
+    return float(np.sqrt(max(0.0, 1.0 - s.min() ** 2)))
+
+
+def nearest_integers(W, g):
+    """Lattice integers, in the order of ``psi``, of the rational plane
+    nearest the plane W(P) (columns of ``W``: the images of a basis of V(P)
+    in the order A.., B.., gamma+, gamma-; its A-rows vanish).
+
+    Candidates are the planes spanned by q times the unit vectors on two
+    pivot rows and the rounded rest of the basis of W(P) with that
+    echelon form, for q <= ``MAX_DENOMINATOR``; the nearest by principal
+    angle wins.  The two basis vectors are the integers of b1 and b2."""
+    Wn = W[g:]
+    best = None
+    for rows in combinations(range(len(Wn)), 2):
+        piv = Wn[list(rows)]
+        if abs(np.linalg.det(piv)) < 1e-12:
+            continue
+        C = Wn @ np.linalg.inv(piv)
+        for q in range(1, MAX_DENOMINATOR + 1):
+            M = np.round(q * C)
+            dist = _plane_distance(Wn, M)
+            if best is None or dist < best[0]:
+                best = (dist, q, M.astype(int))
+    _, q, M = best
+    zeros = [0] * g
+    ints = zeros + list(M[:g, 0]) + zeros + list(M[:g, 1]) + list(M[g:, 0]) + list(M[g:, 1])
+    return tuple(int(n) for n in ints), q
+
+
 def solve_from(alphas):
-    N0 = _space(alphas)
-
-    def unpack(x):
-        return [complex(x[0], x[1]), complex(x[2], x[3])]
-
-    def residual(x):
-        al = unpack(x)
-        if max(abs(a) for a in al) > 0.995:
-            raise WhithamError("branch point left the disc")
-        N = _space(al)
-        B = N @ (N.T @ N0)
-        G = unpack_section(x[4:] / np.linalg.norm(x[4:]), G_WEIGHT)
-        return (B - _projector(_times_matrix(G, 4 - G_WEIGHT)) @ B).ravel()
-
-    x0 = np.concatenate(
-        [np.ravel([[a.real, a.imag] for a in alphas]),
-         pack_section(_start_factor(N0), G_WEIGHT)]
-    )
-    res = gauss_newton(central_differences(residual), x0, tol=1e-10, max_iter=MAX_ITER)
-    al = unpack(res.x)
-    pts = al + [1.0 / np.conj(a) for a in al]
-    circle = min(abs(abs(p) - 1.0) for p in pts)
-    sep = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1 :])
-    g_roots = roots_flat(unpack_section(res.x[4:], G_WEIGHT))
-    return res, al, circle, sep, g_roots
+    """How the chart solve from the branch points ``alphas`` ends, with its
+    start: ``(kind, detail, G, integers, q)``."""
+    zero = Polynomial.zero()
+    P = product_form(alphas)
+    frame = PsiFrame.build(SpectralTriple(GENUS, P, zero, zero), quad_order=40)
+    N, L = numerator_space(P, GENUS, frame)
+    G = _start_factor(N)
+    integers, q = nearest_integers(L @ N, GENUS)
+    try:
+        triple = solve_common_factor(alphas, G, integers)
+    except WhithamError as exc:
+        return "stalled", str(exc), G, integers, q
+    try:
+        confirm_case_b(triple, 2)
+    except WhithamError as exc:
+        return "boundary", str(exc), G, integers, q
+    branch = [a for a in roots_flat(triple.P) if abs(a) < 1.0]
+    return "interior", "branch points " + ", ".join(f"{a:.4f}" for a in branch), G, integers, q
 
 
 def main():
     rng = np.random.default_rng(SEED)
-    interior = 0
+    counts = {"interior": 0, "boundary": 0, "stalled": 0}
     for k in range(STARTS):
         alphas = [
             (0.15 + 0.7 * rng.random()) * np.exp(2j * np.pi * rng.random())
             for _ in range(2)
         ]
-        res, al, circle, sep, g_roots = solve_from(alphas)
-        near_zero = min(abs(a) for a in al)
-        healthy = min(circle, sep, near_zero) >= 0.02
-        interior += res.status == "converged" and healthy
+        kind, detail, G, integers, q = solve_from(alphas)
+        counts[kind] += 1
         print(
-            f"{k:2d} {res.status:9s} |r| {res.norm:.1e}  "
-            f"alpha ({al[0]:.3f}, {al[1]:.3f})  circle {circle:.3f}  "
-            f"separation {sep:.3f}  min|alpha| {near_zero:.3f}  "
-            f"|roots of G| {', '.join(f'{abs(z):.3f}' for z in g_roots)}",
+            f"{k:2d} {kind:8s} alpha ({alphas[0]:.3f}, {alphas[1]:.3f})  "
+            f"|roots of G| {', '.join(f'{abs(z):.3f}' for z in roots_flat(G))}  "
+            f"integers {integers} (q {q})  {detail}",
             flush=True,
         )
-    print(f"interior solutions: {interior} of {STARTS}")
+    print(", ".join(f"{kind} {n}" for kind, n in counts.items()) + f" of {STARTS}")
 
 
 if __name__ == "__main__":

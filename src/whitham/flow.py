@@ -1,15 +1,14 @@
 """Newton projection onto the condition level set, seed points, and flows.
 
-``project_to_mg`` drives a nearby candidate triple onto the zero set of
-the flattened condition map (periods and closings to their fixed 2*pi*i
-multiples, residues to 0, scaling to 1) by Gauss-Newton with a
-minimum-norm step: the true derivative has a two-dimensional kernel on
-the moduli set, so the pseudo-inverse is rank-truncated.  Every Newton solve
-runs against the condition map with its exact Jacobian
-(``spectral.psi_residual_jacobian``), taken from the same walk as the
-residual; none uses central differences.
-
-Seed construction works the same way on constrained charts:
+One refreshed-frame driver (``_chart_solve``) does every solve: rounds of
+Gauss-Newton with a minimum-norm step (the true derivative has a
+two-dimensional kernel on the moduli set, so the pseudo-inverse is
+rank-truncated) drive the flattened condition map (periods and closings to
+their fixed 2*pi*i multiples, residues to 0, scaling to 1) to zero on a
+chart of triples, each round in one frame refreshed at the iterate, with the
+exact Jacobian (``spectral.psi_residual_jacobian``, from the residual's
+walk) times the chart derivative.  ``project_to_mg`` runs it on the plain
+coordinates of a nearby candidate triple.  Seeds:
 
 * genus-0 conformal points are exact (closed form),
 * genus-0 nonconformal seeds start from the residue-exact differential
@@ -29,11 +28,12 @@ with the lattice integers held fixed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .deformation import classify, make_tangent, tangent_basis
+from .curve import Differential, build_curve, homology_basis, integrate
+from .deformation import CaseAParams, classify, make_tangent, r_kernel, tangent_basis
 from .errors import ProjectionFailureError, StepSizeError, WhithamError
 from .polyring import Polynomial, real_section_scale, symmetrize
 from .spectral import (
@@ -52,13 +52,16 @@ from .spectral import (
 )
 
 # Gauss-Newton: the relative singular-value cutoff of the rank-truncated
-# solve, and the initial trust radius
+# solve, the initial trust radius, and the iterations of one round
 SVD_CUTOFF = 1e-8
 TRUST_RADIUS = 0.1
+ROUND_ITERATIONS = 6
 # flow steps halve on failure down to this size
 H_MIN = 1e-6
-# outer rounds (one frame refresh each) of ``project_to_mg``
+# rounds of a chart solve, and the largest initial residual ``project_to_mg``
+# accepts
 PROJECTION_ROUNDS = 25
+CAPTURE_RADIUS = 0.5
 # seed points: the quadrature order of their solves and of their validation,
 # the projection tolerance of the genus-0 seed and of the others, the lattice
 # integers (gamma+, gamma-) of the two genus-0 differentials, and how far the
@@ -83,8 +86,9 @@ class GNResult:
     status: str  # converged | maxiter | stalled
 
 
-def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
-    """Trust-region Gauss-Newton with a rank-truncated inner solve.
+def gauss_newton(residual, x0, tol):
+    """One round of trust-region Gauss-Newton (at most ``ROUND_ITERATIONS``
+    steps) with a rank-truncated inner solve.
 
     ``residual`` maps a real vector x to ``(r, jacobian)``: the residual
     vector and a callable returning its Jacobian at x, which is called only
@@ -99,7 +103,7 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
     r, jacobian = residual(x)
     trace = [float(np.linalg.norm(r))]
     delta = TRUST_RADIUS
-    for _ in range(max_iter):
+    for _ in range(ROUND_ITERATIONS):
         if trace[-1] <= tol:
             return GNResult(x, trace[-1], trace, "converged")
         J = jacobian()
@@ -139,8 +143,63 @@ def gauss_newton(residual, x0, tol=1e-10, max_iter=25):
 
 
 # ---------------------------------------------------------------------------
-# Projection onto the moduli set
+# Chart solves with a refreshed frame, and projection onto the moduli set
 # ---------------------------------------------------------------------------
+
+
+def _refreshed_frame(old, triple, integers, current_norm):
+    """Rebuild the evaluation frame at the current point, but keep the old
+    one if the rebuilt geometry jumps the residual (a corridor detour or
+    loop radius change can shift a cycle's homotopy class by whole
+    periods; the old frame stays valid until its paths fail outright)."""
+    try:
+        cand = PsiFrame.build(triple, quad_order=old.quad_order, like=old)
+        r_cand = float(np.linalg.norm(psi(triple, frame=cand).flatten(integers)))
+    except WhithamError:
+        return old
+    if r_cand <= max(1.2 * current_norm, current_norm + 0.05):
+        return cand
+    return old
+
+
+def _chart_solve(chart, integers, frame, r0, tol):
+    """Drive the condition map to the lattice ``integers`` (in the order of
+    ``psi``) on ``chart = (x0, make_triple, chart_derivative)``: the start,
+    the map to triples, and x -> the derivative of ``pack_triple`` of the
+    triple (``None``: the identity), from ``frame`` built at the start where
+    the residual norm is ``r0``.  Each round is one ``gauss_newton`` call in
+    one frame, refreshed at the iterate before every round but the first.
+    Returns ``(triple, norm, trace)``; raises ``ProjectionFailureError`` if
+    a round stalls or the residual ends above 10 * ``tol``."""
+    x0, make_triple, chart_derivative = chart
+    x, norm, trace = x0, r0, [r0]
+    for k in range(PROJECTION_ROUNDS):
+        if trace[-1] <= tol:
+            break
+        if k:
+            frame = _refreshed_frame(frame, make_triple(x), integers, trace[-1])
+
+        def residual(xv, frame=frame):
+            r, J = psi_residual_jacobian(make_triple(xv), frame, integers)
+            return r, lambda: J if chart_derivative is None else J @ chart_derivative(xv)
+
+        res = gauss_newton(residual, x, tol)
+        x, norm = res.x, res.norm
+        prev = trace[-1]
+        trace.extend(res.trace[1:])
+        if res.status == "converged":
+            break
+        if res.status == "stalled" and trace[-1] > 0.999 * prev:
+            if trace[-1] <= 10 * tol:
+                break
+            raise ProjectionFailureError(
+                f"projection stalled at residual {trace[-1]:.3e}", trace=trace
+            )
+    if norm > 10 * tol:
+        raise ProjectionFailureError(
+            f"projection finished at residual {norm:.3e} > {10 * tol:.1e}", trace=trace
+        )
+    return make_triple(x), norm, trace
 
 
 @dataclass(frozen=True)
@@ -151,23 +210,7 @@ class ProjectionResult:
     lattice_integers: tuple
 
 
-def _refreshed_frame(old, triple, integers, current_norm, quad_order):
-    """Rebuild the evaluation frame at the current point, but keep the old
-    one if the rebuilt geometry jumps the residual (a corridor detour or
-    loop radius change can shift a cycle's homotopy class by whole
-    periods; the old frame stays valid until its paths fail outright)."""
-    try:
-        cand = PsiFrame.build(triple, quad_order=quad_order, like=old)
-        r_cand = float(np.linalg.norm(psi(triple, frame=cand).flatten(integers)))
-    except WhithamError:
-        return old
-    if r_cand <= max(1.2 * current_norm, current_norm + 0.05):
-        return cand
-    return old
-
-
-def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
-                  capture_radius=0.5):
+def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32):
     """Gauss-Newton projection of a candidate triple onto the moduli set.
 
     Lattice targets default to the nearest 2*pi*i multiples of the initial
@@ -179,44 +222,14 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32,
     vec = psi(guess, frame=frame)
     integers = tuple(lattice_targets) if lattice_targets is not None else vec.lattice_integers()
     r0 = float(np.linalg.norm(vec.flatten(integers)))
-    if r0 > capture_radius:
+    if r0 > CAPTURE_RADIUS:
         raise ProjectionFailureError(
-            f"initial residual {r0:.3e} outside the capture radius {capture_radius}",
+            f"initial residual {r0:.3e} outside the capture radius {CAPTURE_RADIUS}",
             trace=[r0],
         )
-    x = pack_triple(guess)
-    total_trace = [r0]
-    # the residual of x in the current frame, as its last walk gave it
-    final_res = r0
-    for _ in range(PROJECTION_ROUNDS):
-        if total_trace[-1] <= tol:
-            break
-        current = unpack_triple(x, g)
-        frame = _refreshed_frame(frame, current, integers, total_trace[-1], quad_order)
-
-        def residual(xv):
-            r, J = psi_residual_jacobian(unpack_triple(xv, g), frame, integers)
-            return r, lambda: J
-
-        res = gauss_newton(residual, x, tol=tol, max_iter=6)
-        x, final_res = res.x, res.norm
-        prev = total_trace[-1]
-        total_trace.extend(res.trace[1:])
-        if res.status == "converged":
-            break
-        if res.status == "stalled" and total_trace[-1] > 0.999 * prev:
-            if total_trace[-1] <= 10 * tol:
-                break
-            raise ProjectionFailureError(
-                f"projection stalled at residual {total_trace[-1]:.3e}",
-                trace=total_trace,
-            )
-    if final_res > 10 * tol:
-        raise ProjectionFailureError(
-            f"projection finished at residual {final_res:.3e} > {10 * tol:.1e}",
-            trace=total_trace,
-        )
-    return ProjectionResult(unpack_triple(x, g), final_res, len(total_trace) - 1, integers)
+    chart = (pack_triple(guess), lambda x: unpack_triple(x, g), None)
+    triple, norm, trace = _chart_solve(chart, integers, frame, r0, tol)
+    return ProjectionResult(triple, norm, len(trace) - 1, integers)
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +262,6 @@ def seed_genus0(alpha=0.42 + 0.18j):
     """Nonconformal genus-0 point: residue-exact family, closings fit to
     ``GENUS0_INTEGERS``, then full projection."""
     P = product_form([alpha])
-    from .curve import build_curve, homology_basis, integrate, Differential
-
     cur = build_curve(P)
     basis = homology_basis(cur)
 
@@ -334,10 +345,11 @@ def seed_genus1():
 # triple is in case (b) exactly when every element of V(P) is divisible by
 # one real section G of weight 1 or 2 (a property of P alone), and the
 # lattice integers enter only through the requirement that W(P) be the
-# plane they span.  ``solve_common_factor`` solves for such a triple on the
-# (P, G, m1, m2) chart, where b_i = G*m_i, against the full condition map
-# with the lattice integers held fixed; ``confirm_case_b`` checks what comes
-# out, and ``seed_common_factor`` chains the two.
+# plane they span.  ``solve_common_factor`` solves for such a triple by the
+# one refreshed-frame chart solve, on the (P, G, m1, m2) chart where
+# b_i = G*m_i, against the full condition map with the lattice integers held
+# fixed; ``confirm_case_b`` checks what comes out, and ``seed_common_factor``
+# chains the two.
 
 
 def numerator_space(P, g, frame):
@@ -377,21 +389,17 @@ def _geometry_margin(triple):
     """Distance of the branch configuration from degeneration: min of the
     unit-circle margins, the pairwise separations and the distance from
     zeta = 0 (conformal collapse)."""
-    from .curve import build_curve
-
     pts = build_curve(triple.P).finite_branch_points
     circ = min(abs(abs(p) - 1.0) for p in pts)
     sep = min(abs(a - b) for i, a in enumerate(pts) for b in pts[i + 1 :])
     return min(circ, sep, min(abs(p) for p in pts))
 
 
-def _common_factor_chart(triple, G, integers, quad_order):
+def _common_factor_chart(triple, G):
     """The (P, G, m1, m2) chart around a triple whose numerators G divides
-    (or nearly so), where b_i = G*m_i: its start point, the map to triples,
-    and the residual in the form ``gauss_newton`` takes, against the full
-    condition map with the lattice ``integers`` (in the order of ``psi``)
-    held fixed.  The Jacobian is that of ``psi_residual_jacobian`` times the
-    chart's derivative."""
+    (or nearly so), where b_i = G*m_i, in the form ``_chart_solve`` takes:
+    its start point, the map to triples, and the map from a chart vector to
+    the derivative of the triple's ``pack_triple`` coordinates."""
     g, d = triple.g, G.degree
     kP, km = 2 * g + 2, g + 3 - d
     cuts = np.cumsum([kP + 1, d + 1, km + 1])
@@ -405,57 +413,43 @@ def _common_factor_chart(triple, G, integers, quad_order):
         P, Gx, m1, m2 = sections(x)
         return SpectralTriple(g, P, Gx * m1, Gx * m2)
 
-    frame = PsiFrame.build(triple, quad_order=quad_order)
+    def chart_derivative(x):
+        _, Gx, m1, m2 = sections(x)
+        times_G = _times_matrix(Gx, km, d)
+        zero_b, zero_m = np.zeros((g + 4, kP + 1)), np.zeros_like(times_G)
+        return np.block([
+            [np.eye(kP + 1), np.zeros((kP + 1, d + 1 + 2 * (km + 1)))],
+            [zero_b, _times_matrix(m1, d, km), times_G, zero_m],
+            [zero_b, _times_matrix(m2, d, km), zero_m, times_G],
+        ])
+
     x0 = np.concatenate(
         [pack_section(triple.P, kP), pack_section(G, d)]
         + [pack_section(symmetrize(b.divmod(G)[0], km), km) for b in (triple.b1, triple.b2)]
     )
-
-    def residual(x):
-        r, J = psi_residual_jacobian(make_triple(x), frame, integers)
-
-        def jacobian():
-            _, Gx, m1, m2 = sections(x)
-            times_G = _times_matrix(Gx, km, d)
-            zero_b, zero_m = np.zeros((g + 4, kP + 1)), np.zeros_like(times_G)
-            chart = np.block([
-                [np.eye(kP + 1), np.zeros((kP + 1, d + 1 + 2 * (km + 1)))],
-                [zero_b, _times_matrix(m1, d, km), times_G, zero_m],
-                [zero_b, _times_matrix(m2, d, km), zero_m, times_G],
-            ])
-            return J @ chart
-
-        return r, jacobian
-
-    return x0, make_triple, residual
+    return x0, make_triple, chart_derivative
 
 
 def solve_common_factor(alphas, G, integers):
-    """Gauss-Newton solve for a case-(b) point on the (P, G, m1, m2) chart.
+    """Chart solve for a case-(b) point on the (P, G, m1, m2) chart.
 
     The start is P = ``product_form(alphas)`` (in-disc branch points
     ``alphas``), the common factor ``G`` (weight 1: one unit-circle root;
     weight 2: an in-disc pair or two unit-circle roots) and b1 = b2 = 0; the
     solve drives the full condition map to the lattice ``integers`` (in the
-    order of ``psi``).  At b = 0 the P- and G-columns of the lattice and
-    residue rows vanish, so the first steps fit m1 and m2 by linear least
-    squares and the trust region then lets P and G move.  The integration paths are
-    those of the start curve, so the start must be near a solution.
+    order of ``psi``), in a frame built at the start curve and refreshed as
+    the branch points move.  At b = 0 the P- and G-columns of the lattice
+    and residue rows vanish, so the first steps fit m1 and m2 by linear
+    least squares and the trust region then lets P and G move.
 
     Raises ``ProjectionFailureError`` unless the residual ends within
     10 * ``SEED_TOL``.
     """
-    g = len(alphas) - 1
     zero = Polynomial.zero()
-    start = SpectralTriple(g, product_form(alphas), zero, zero)
-    x0, make_triple, residual = _common_factor_chart(start, G, integers, SEED_QUAD_ORDER)
-    res = gauss_newton(residual, x0, tol=SEED_TOL, max_iter=40)
-    if res.norm > 10 * SEED_TOL:
-        raise ProjectionFailureError(
-            f"case-(b) chart solve {res.status} at residual {res.norm:.2e}",
-            trace=res.trace,
-        )
-    return make_triple(res.x)
+    start = SpectralTriple(len(alphas) - 1, product_form(alphas), zero, zero)
+    frame = PsiFrame.build(start, quad_order=SEED_QUAD_ORDER)
+    r0 = float(np.linalg.norm(psi(start, frame=frame).flatten(integers)))
+    return _chart_solve(_common_factor_chart(start, G), integers, frame, r0, SEED_TOL)[0]
 
 
 def confirm_case_b(triple, d_G):
@@ -486,13 +480,14 @@ def confirm_case_b(triple, d_G):
 #
 # linear (genus 1): near the stratum where b1 and b2 share one unit-circle
 #   root; A-period integers are always 0 (see numerator_space).  The solve
-#   ends at branch points 0.3525-0.4675i, 0.3933-0.1638i and the shared root
-#   0.7005-0.7136i; a frame built afresh there picks another homology basis
+#   ends at branch points 0.3485-0.4667i, 0.3968-0.1682i and the shared root
+#   0.7007-0.7134i; a frame built afresh there picks another homology basis
 #   (B -> -B, gamma -> gamma - B), one continued from the start frame keeps
 #   these integers.
 # quad (genus 2): a rounded point where V(P) has the in-disc base pair
 #   (beta, 1/conj(beta)); the integers span the rational plane nearest W(P)
-#   there (denominator 8 in the B-coordinates).
+#   there (denominator 8 in the B-coordinates; ``nearest_integers`` in
+#   scripts/scan_genus1_base_pair.py gives them).
 _CASE_B_STARTS = {
     "linear": (
         (0.45 - 0.45j, 0.3 - 0.1j),
@@ -514,10 +509,11 @@ def seed_common_factor(kind="linear"):
 
     Deterministic: ``solve_common_factor`` from the recorded start, then
     ``confirm_case_b``.  No interior genus-1 point with a shared root pair
-    is known: Gauss-Newton on the base-pair condition alone drives a branch
-    pair onto the unit circle or stalls at a nonzero residual from every
-    start tried (``scripts/scan_genus1_base_pair.py``), so the quadratic
-    point is built at genus 2.
+    is known: ``scripts/scan_genus1_base_pair.py`` runs this chart solve
+    from 16 seeded genus-1 starts (seed 2026; G from the numerator space,
+    integers from the rational plane nearest W(P)) and ends with 0 interior,
+    0 boundary and 16 stalled solves, so the quadratic point is built at
+    genus 2.
     """
     alphas, g_roots, integers = _CASE_B_STARTS[kind]
     G, _ = real_section_scale(Polynomial.from_roots(g_roots))
@@ -579,9 +575,6 @@ def _rule_tangent(triple, rule, v_prev):
     function of the point - which is what makes traces reversible).
     Other fixed parameter objects are re-solved as they are.
     """
-    from .deformation import CaseAParams, r_kernel
-    from .spectral import pack_section
-
     if isinstance(rule, str) and rule.startswith("basis"):
         idx = int(rule[5:] or 0)
         vecs, _ = tangent_basis(triple)
@@ -666,16 +659,7 @@ def trace(triple, config):
             status = f"stopped at step {k}: {exc}"
             break
         t_acc += taken
-        samples.append(
-            PathSample(
-                t_acc,
-                sample.triple,
-                sample.psi_residual,
-                sample.case,
-                sample.tau,
-                lattice,
-            )
-        )
+        samples.append(replace(sample, t=t_acc))
         current = sample.triple
         v_prev = v
     return samples, status

@@ -50,8 +50,35 @@ def test_projection_is_retraction(g0_triple):
 def test_capture_radius():
     z = Polynomial.zeta()
     junk = SpectralTriple(0, z, z * Polynomial([10.0, 10.0]), z * Polynomial([3j, -3j]))
-    with pytest.raises(ProjectionFailureError):
-        project_to_mg(junk, capture_radius=0.1)
+    with pytest.raises(ProjectionFailureError, match="capture radius"):
+        project_to_mg(junk)
+
+
+def test_one_round_projection_builds_one_frame(g0_triple, monkeypatch):
+    """A projection that converges in its first round builds its frame and
+    evaluates psi once: the first round works in the frame just built at
+    the guess, without refreshing it."""
+    import whitham.flow as flow
+
+    calls = {"build": 0, "psi": 0}
+    build, flow_psi = PsiFrame.build, flow.psi
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counted_psi(*args, **kwargs):
+        calls["psi"] += 1
+        return flow_psi(*args, **kwargs)
+
+    monkeypatch.setattr(PsiFrame, "build", staticmethod(counted_build))
+    monkeypatch.setattr(flow, "psi", counted_psi)
+    rng = np.random.default_rng(2)
+    x = pack_triple(g0_triple)
+    noisy = unpack_triple(x + 1e-6 * rng.standard_normal(x.size), 0)
+    res = project_to_mg(noisy, tol=1e-10, quad_order=40)
+    assert res.residual < 1e-10
+    assert calls == {"build": 1, "psi": 1}
 
 
 def test_seed_genus0_validates(g0_triple):
@@ -208,19 +235,26 @@ def test_common_factor_seed(kind, genus, d_G, g1_b_linear, g2_b_quad):
 
 @pytest.mark.parametrize("kind, d_G", [("linear", 1), ("quad", 2)])
 def test_common_factor_chart_jacobian(kind, d_G, g1_b_linear, g2_b_quad):
-    """The (P, G, m1, m2) chart's Jacobian (the exact Psi Jacobian times the
-    chart derivative) against a central difference of its residual."""
+    """The (P, G, m1, m2) chart's Jacobian (the exact Psi Jacobian in a fixed
+    frame times the chart derivative) against a central difference of the
+    residual on the chart."""
     from whitham.flow import _common_factor_chart
     from whitham.polyring import approx_gcd, real_section_scale
+    from whitham.spectral import psi_residual_jacobian
 
     t = {"linear": g1_b_linear, "quad": g2_b_quad}[kind]
     assert not isinstance(t, str), t
     G, _ = real_section_scale(approx_gcd(t.b1, t.b2))
     assert G.degree == d_G
-    integers = psi(t, frame=PsiFrame.build(t, quad_order=40)).lattice_integers()
-    x0, _, residual = _common_factor_chart(t, G, integers, 40)
-    r, jacobian = residual(x0)
-    J = jacobian()
+    frame = PsiFrame.build(t, quad_order=40)
+    integers = psi(t, frame=frame).lattice_integers()
+    x0, make_triple, chart_derivative = _common_factor_chart(t, G)
+
+    def residual(x):
+        return psi_residual_jacobian(make_triple(x), frame, integers)
+
+    r, J_psi = residual(x0)
+    J = J_psi @ chart_derivative(x0)
     cols = []
     for j in range(x0.size):
         dx = 1e-7 * max(1.0, abs(x0[j]))
