@@ -20,11 +20,14 @@ and passes each result through ``confirm_case_b(..., 2)``.
 Deterministic (fixed seed).  Each start ends as ``interior`` (confirmed:
 validated, classified (b) with deg G = 2, branch points more than
 ``HEALTH_FLOOR`` from degeneration), ``boundary`` (the solve converged but
-the point is not confirmed; the reason is printed) or ``stalled`` (the
-solve raised: a round made no progress, or every round ended above
-tolerance).  Seed 2026, 16 starts: 0 interior, 0 boundary, 16 stalled -
-6 rounds stalled, at residuals 2.3 to 2.5e2, and 10 solves ran out of
-rounds still above tolerance, at 3.4 to 3.6e2.  So no genus-1 quadratic-G
+the point is not confirmed; the reason is printed), ``stalled`` (the solve
+raised: a round lowered the residual by less than 0.1%, or the last round
+ended above tolerance) or ``no-start`` (the first basis numerator has no
+root inside the disc, so there is no G to start from and no solve is run).
+Seed 2026, 16 starts, about 10 s: 0 interior, 0 boundary, 12 stalled,
+4 no-start (starts 1, 2, 5, 10).  Of the stalled solves, 11 ended at a
+round that gained less than 0.1%, at residuals 2.3 to 3.7e2, and one
+(start 6) used all its rounds and ended at 3.4.  So no genus-1 quadratic-G
 point is known.
 """
 
@@ -45,13 +48,12 @@ MAX_DENOMINATOR = 12
 
 def _start_factor(N):
     """The in-disc root pair of the first basis numerator closest to a root
-    of the second."""
+    of the second; ``None`` if the first has no root inside the disc."""
     r1, r2 = (roots_flat(unpack_section(N[:, i], GENUS + 3)) for i in range(2))
-    beta = min(
-        (a for a in r1 if abs(a) < 1.0),
-        key=lambda a: min(abs(a - c) for c in r2),
-        default=0.5j,
-    )
+    inside = [a for a in r1 if abs(a) < 1.0]
+    if not inside:
+        return None
+    beta = min(inside, key=lambda a: min(abs(a - c) for c in r2))
     G, _ = real_section_scale(Polynomial.from_roots([beta, 1.0 / np.conj(beta)]))
     return G
 
@@ -91,13 +93,16 @@ def nearest_integers(W, g):
 
 def solve_from(alphas):
     """How the chart solve from the branch points ``alphas`` ends, with its
-    start: ``(kind, detail, G, integers, q)``."""
+    start: ``(kind, detail, G, integers, q)`` (``G`` is ``None`` for a
+    ``no-start``)."""
     zero = Polynomial.zero()
     P = product_form(alphas)
     frame = PsiFrame.build(SpectralTriple(GENUS, P, zero, zero), quad_order=40)
     N, L = numerator_space(P, GENUS, frame)
     G = _start_factor(N)
     integers, q = nearest_integers(L @ N, GENUS)
+    if G is None:
+        return "no-start", "first basis numerator has no root in the disc", G, integers, q
     try:
         triple = solve_common_factor(alphas, G, integers)
     except WhithamError as exc:
@@ -112,7 +117,7 @@ def solve_from(alphas):
 
 def main():
     rng = np.random.default_rng(SEED)
-    counts = {"interior": 0, "boundary": 0, "stalled": 0}
+    counts = {"interior": 0, "boundary": 0, "stalled": 0, "no-start": 0}
     for k in range(STARTS):
         alphas = [
             (0.15 + 0.7 * rng.random()) * np.exp(2j * np.pi * rng.random())
@@ -120,9 +125,10 @@ def main():
         ]
         kind, detail, G, integers, q = solve_from(alphas)
         counts[kind] += 1
+        G_roots = ", ".join(f"{abs(z):.3f}" for z in roots_flat(G)) if G is not None else "-"
         print(
             f"{k:2d} {kind:8s} alpha ({alphas[0]:.3f}, {alphas[1]:.3f})  "
-            f"|roots of G| {', '.join(f'{abs(z):.3f}' for z in roots_flat(G))}  "
+            f"|roots of G| {G_roots}  "
             f"integers {integers} (q {q})  {detail}",
             flush=True,
         )

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoSolutionError
+from .errors import NoSolutionError, RealityViolationError
 from .polyring import (
     GCD_CLUSTER_RADIUS,
     Polynomial,
@@ -217,8 +217,6 @@ def realify(A, B, C, a, b, c, sol):
     for p, k, name in ((A, a, "A"), (B, b, "B"), (C, c, "C")):
         d = _section_defect(p, k)
         if d > 1e-8 * max(1.0, p.norm()):
-            from .errors import RealityViolationError
-
             raise RealityViolationError(f"{name} is not a weight-{k} real section")
     X = symmetrize(sol.X, c - a)
     Y = symmetrize(sol.Y, c - b)

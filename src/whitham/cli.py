@@ -24,10 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .deformation import classify, r_value, tangent_basis
+from .bezout import minimal_solution
+from .curve import build_curve
+from .deformation import (
+    build_tower,
+    classify,
+    empdi_operator_matrix,
+    r_value,
+    tangent_basis,
+)
 from .errors import NotDeformableError, WhithamError
 from .flow import FlowConfig, trace
-from .polyring import Polynomial, random_real_section, roots
+from .polyring import Polynomial, random_real_section, roots, roots_flat
 from .spectral import SpectralTriple, ToleranceProfile, product_form, validate
 
 EXIT_PASS = 0
@@ -188,8 +196,6 @@ def _dense_bezout_x(A, B, C, d):
 
 
 def _oracle_bezout(rng, count):
-    from .bezout import minimal_solution
-
     worst = 0.0
     for _ in range(count):
         d_deg = int(rng.integers(0, 3))
@@ -208,8 +214,6 @@ def _oracle_bezout(rng, count):
 
 
 def _oracle_r_reality(rng, count):
-    from .polyring import roots_flat
-
     worst = 0.0
     for _ in range(count):
         g = int(rng.integers(0, 3))
@@ -222,10 +226,8 @@ def _oracle_r_reality(rng, count):
         if lab.label != "a":
             continue
         Q = random_real_section(rng, 2)
-        R = r_value(t, Q)
-        from .deformation import build_tower
-
         tw = build_tower(t, lab)
+        R = r_value(t, Q, tw)
         betas = roots_flat(tw.b2_tilde)
         n = tw.b2_tilde.degree - 1
         rel = (-1.0) ** n * np.prod(betas) * R
@@ -234,8 +236,6 @@ def _oracle_r_reality(rng, count):
 
 
 def _oracle_kernel(rng, count):
-    from .deformation import empdi_operator_matrix
-
     worst_min = np.inf
     for _ in range(count):
         g = int(rng.integers(0, 6))
@@ -284,8 +284,6 @@ def cmd_plot(args):
         '<circle cx="300" cy="300" r="120" fill="none" stroke="#888" stroke-dasharray="4 3"/>',
     ]
     try:
-        from .curve import build_curve
-
         cur = build_curve(triple.P)
         for a, partner in cur.branch_pairs:
             xa, ya = _svg_point(a)

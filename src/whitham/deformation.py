@@ -21,6 +21,12 @@ obstruct and shape the solutions; the deformable cases are
 Cases (c), (d), (f) admit no construction here; (c) carries a scalar
 obstruction value that is computed and reported.
 
+``polyring.factor_structure`` finds the monic factors of the tower; the
+real tower here (``Tower``) rescales them to real sections, carries the
+case label and the reduced parts P-tilde, b1-tilde, b2-tilde, and is built
+only through ``build_tower``, the one place that refuses a non-deformable
+triple.
+
 Construction pipeline: solve the reduced Q-equation for (c1, c2) at the
 case's parameter choice, feed them into the two reduced identities, solve
 each by the confluent-Vandermonde machinery, reconcile the two P-dot
@@ -44,6 +50,7 @@ from .errors import (
     NotDeformableError,
     RealityViolationError,
     SingularOperatorError,
+    UndefinedConformalTypeError,
 )
 from .polyring import (
     FactorStructure,
@@ -211,7 +218,7 @@ class Tower:
     In the conformal case the zeta factor of F is split off and G must be
     trivial."""
 
-    conformal: bool
+    label: CaseLabel
     F: Polynomial  # without the zeta factor in the conformal case
     F1: Polynomial
     F2: Polynomial
@@ -219,6 +226,10 @@ class Tower:
     P_tilde: Polynomial
     b1_tilde: Polynomial
     b2_tilde: Polynomial
+
+    @property
+    def conformal(self):
+        return self.label.conformal
 
     @property
     def d1(self):
@@ -244,28 +255,43 @@ def _real_factor(p):
     return q
 
 
-def build_tower(triple, label=None, cluster_radius=1e-8):
-    lab = label if label is not None else classify(triple, cluster_radius)
+def _real_tower(triple, lab):
+    """The real tower of ``triple`` under its label ``lab``: the one place
+    the reduced parts P-tilde, b1-tilde and b2-tilde are computed."""
     fs = lab.factors
-    conformal = lab.conformal
-    if conformal:
-        if lab.label != "e":
-            raise NotDeformableError("conformal tower requires case (e)", case=lab.label)
-        zeta = Polynomial.zeta()
-        F1 = _real_factor(fs.F1)
-        F2 = _real_factor(fs.F2)
+    F1 = _real_factor(fs.F1)
+    F2 = _real_factor(fs.F2)
+    if lab.conformal:
+        zeta, one = Polynomial.zeta(), Polynomial.one()
         P_tilde = triple.P.deflate(zeta * F1 * F2)
         b1_tilde = triple.b1.deflate(zeta * F1)
         b2_tilde = triple.b2.deflate(zeta * F2)
-        return Tower(True, Polynomial.one(), F1, F2, Polynomial.one(), P_tilde, b1_tilde, b2_tilde)
+        return Tower(lab, one, F1, F2, one, P_tilde, b1_tilde, b2_tilde)
     F = _real_factor(fs.F)
-    F1 = _real_factor(fs.F1)
-    F2 = _real_factor(fs.F2)
     G = _real_factor(fs.G)
     P_tilde = triple.P.deflate(F * F1 * F2)
     b1_tilde = triple.b1.deflate(F * F1 * G)
     b2_tilde = triple.b2.deflate(F * F2 * G)
-    return Tower(False, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde)
+    return Tower(lab, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde)
+
+
+def build_tower(triple, label=None):
+    """The real tower of a deformable triple (``label``: its
+    ``classify``, computed when not given).
+
+    The one deformability gate: cases (c), (d) and (f) raise
+    ``NotDeformableError``, which in case (c) carries the indicator."""
+    lab = label if label is not None else classify(triple)
+    if lab.deformable:
+        return _real_tower(triple, lab)
+    indicator = None
+    if lab.label == "c":
+        indicator = r_value(triple, Polynomial.one(), _real_tower(triple, lab))
+    raise NotDeformableError(
+        f"case ({lab.label}) admits no deformation construction",
+        case=lab.label,
+        indicator=indicator,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +321,7 @@ def _r_last_coefficient(A, B, C):
     return complex(x[-1]) if x.size else 0.0 + 0.0j
 
 
-def r_kernel(triple, tower=None, rank_rtol=1e-10):
+def r_kernel(triple, tower=None):
     """Orthonormal basis (in real coordinates) of the 2-plane of real
     quadratics with R(Q) = 0.
 
@@ -311,7 +337,7 @@ def r_kernel(triple, tower=None, rank_rtol=1e-10):
         M[1, j] = val.imag
     U, s, Vt = np.linalg.svd(M)
     scale = max(s[0], 1e-300)
-    rank = int(np.sum(s > rank_rtol * scale)) if s[0] > 1e-14 else 0
+    rank = int(np.sum(s > 1e-10 * scale)) if s[0] > 1e-14 else 0
     if rank != 1:
         raise DegenerateKernelError(
             f"R on the real quadratics has numerical rank {rank}, expected 1 "
@@ -327,18 +353,11 @@ def r_kernel(triple, tower=None, rank_rtol=1e-10):
     return tuple(out)
 
 
-def case_c_indicator(triple, tower=None):
+def case_c_indicator(triple):
     """The scalar whose vanishing would allow case-(c) deformations: the
     leading coefficient of the minimal solution of the reduced equation
-    with right-hand side P-tilde (i.e. R evaluated at Q = F)."""
-    lab = classify(triple)
-    fs = lab.factors
-    F = _real_factor(fs.F)
-    F1, F2 = _real_factor(fs.F1), _real_factor(fs.F2)
-    P_tilde = triple.P.deflate(F * F1 * F2)
-    b1_tilde = triple.b1.deflate(F * F1)
-    b2_tilde = triple.b2.deflate(F * F2)
-    return _r_last_coefficient(b1_tilde, b2_tilde, P_tilde)
+    with right-hand side P-tilde (i.e. R of the real tower at Q = 1)."""
+    return r_value(triple, Polynomial.one(), _real_tower(triple, classify(triple)))
 
 
 # ---------------------------------------------------------------------------
@@ -346,37 +365,36 @@ def case_c_indicator(triple, tower=None):
 # ---------------------------------------------------------------------------
 
 
-def solve_q_equation(triple, params, tower=None, label=None):
+# the (label, deg G) of the triples each kind of parameters applies to
+_PARAMS_CASE = {CaseAParams: ("a", 0), CaseBLinearParams: ("b", 1),
+                CaseBQuadParams: ("b", 2), CaseEParams: ("e", 0)}
+
+
+def solve_q_equation(triple, params, tower=None):
     """Construct (c1, c2, Q) for the given case parameters.
 
     Returns (c1, c2, Q, info) where info carries the consistency residual
-    of b1*c2 - b2*c1 = Q*P.  Raises ``NotDeformableError`` in cases
-    (c)/(d)/(f) and a precondition error when a case-(a) Q has R(Q) != 0.
+    of b1*c2 - b2*c1 = Q*P.  Raises ``NotDeformableError`` (from
+    ``build_tower``) in cases (c)/(d)/(f) and a precondition error when a
+    case-(a) Q has R(Q) != 0.
     """
-    lab = label if label is not None else classify(triple)
-    if not lab.deformable:
-        indicator = None
-        if lab.label == "c":
-            indicator = case_c_indicator(triple)
-        raise NotDeformableError(
-            f"case ({lab.label}) admits no deformation construction",
-            case=lab.label,
-            indicator=indicator,
-        )
-    tw = tower if tower is not None else build_tower(triple, lab)
+    tw = tower if tower is not None else build_tower(triple)
     g = triple.g
     d1, d2 = tw.d1, tw.d2
-    dG = tw.G.degree
+    case = _PARAMS_CASE.get(type(params))
+    if case is None:
+        raise TypeError(f"unrecognized deformation parameters: {params!r}")
+    if case != (tw.label.label, tw.G.degree):
+        raise ValueError(
+            f"{type(params).__name__} needs case ({case[0]}) with deg G = {case[1]}, "
+            f"not case ({tw.label.label}) with deg G = {tw.G.degree}"
+        )
 
     if isinstance(params, CaseAParams):
-        if lab.label != "a":
-            raise ValueError(f"case-(a) parameters passed to a case-({lab.label}) triple")
         Q = params.Q
         if real_defect(Q, 2) > 1e-8 * max(1.0, Q.norm()):
             raise RealityViolationError("Q is not a real quadratic section")
         C = Q * tw.P_tilde
-        a_w, b_w = g + 3 - d1, g + 3 - d2
-        c_w = 2 * g + 4 - d1 - d2
         sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
         x = sol.x_raw
         top = abs(x[-1]) if x.size else 0.0
@@ -385,15 +403,11 @@ def solve_q_equation(triple, params, tower=None, label=None):
             raise RealityViolationError(
                 f"R(Q) = {x[-1]:.3e} does not vanish; Q is outside the kernel"
             )
-        c2t = symmetrize(Polynomial(x[:-1]) if x.size > 1 else Polynomial.zero(), c_w - a_w)
+        c2t = symmetrize(Polynomial(x[:-1]) if x.size > 1 else Polynomial.zero(), g + 1 - d2)
         c1t, rem = (tw.b1_tilde * c2t - C).divmod(tw.b2_tilde)
         rem_rel = rem.norm() / max(C.norm(), 1.0)
-        c1 = tw.F1 * c1t
-        c2 = tw.F2 * c2t
         Q_full = Q
     elif isinstance(params, CaseBLinearParams):
-        if lab.label != "b" or dG != 1:
-            raise ValueError("linear-G parameters need case (b) with deg G = 1")
         Qt = params.Q_tilde
         if real_defect(Qt, 1) > 1e-8 * max(1.0, Qt.norm()):
             raise RealityViolationError("Q-tilde is not a weight-1 real section")
@@ -401,39 +415,27 @@ def solve_q_equation(triple, params, tower=None, label=None):
         sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
         c2t, c1t = sol.X, sol.Y
         rem_rel = sol.residual
-        c1 = tw.F1 * c1t
-        c2 = tw.F2 * c2t
         Q_full = tw.G * Qt
-    elif isinstance(params, CaseBQuadParams):
-        if lab.label != "b" or dG != 2:
-            raise ValueError("quadratic-G parameters need case (b) with deg G = 2")
-        a_w, b_w = g + 1 - d1, g + 1 - d2
-        c_w = 2 * g + 2 - d1 - d2
-        C = tw.P_tilde * float(params.q)
-        sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
-        sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, sol)
-        c2t = sol.X + float(params.r) * tw.b2_tilde
-        c1t = sol.Y + float(params.r) * tw.b1_tilde
-        rem_rel = sol.residual
-        c1 = tw.F1 * c1t
-        c2 = tw.F2 * c2t
-        Q_full = tw.G * float(params.q)
-    elif isinstance(params, CaseEParams):
-        if lab.label != "e":
-            raise ValueError("case-(e) parameters need a conformal case-(e) triple")
-        a_w, b_w = g + 1 - d1, g + 1 - d2
-        c_w = 2 * g + 2 - d1 - d2
-        C = Polynomial.zeta() * tw.P_tilde * float(params.q1)
-        sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
-        sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, sol)
-        c2t = sol.X + float(params.r) * tw.b2_tilde
-        c1t = sol.Y + float(params.r) * tw.b1_tilde
-        rem_rel = sol.residual
-        c1 = tw.F1 * c1t
-        c2 = tw.F2 * c2t
-        Q_full = Polynomial([0.0, float(params.q1)])
     else:
-        raise TypeError(f"unrecognized deformation parameters: {params!r}")
+        # one real number times G (case b) or zeta (case e), plus r along
+        # (b1-tilde, b2-tilde)
+        if isinstance(params, CaseBQuadParams):
+            q = float(params.q)
+            C = tw.P_tilde * q
+            Q_full = tw.G * q
+        else:
+            q = float(params.q1)
+            C = Polynomial.zeta() * tw.P_tilde * q
+            Q_full = Polynomial([0.0, q])
+        a_w, b_w = g + 1 - d1, g + 1 - d2
+        c_w = 2 * g + 2 - d1 - d2
+        sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
+        sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, sol)
+        c2t = sol.X + float(params.r) * tw.b2_tilde
+        c1t = sol.Y + float(params.r) * tw.b1_tilde
+        rem_rel = sol.residual
+    c1 = tw.F1 * c1t
+    c2 = tw.F2 * c2t
 
     q_res = (triple.b1 * c2 - triple.b2 * c1 - Q_full * triple.P).norm() / max(
         (Q_full * triple.P).norm(), triple.b1.norm() * max(c2.norm(), 1e-300), 1e-300
@@ -496,7 +498,7 @@ def _scaling_shift(triple, P_dot):
     return float(t.real), float(abs(t.imag))
 
 
-def solve_empdi(triple, c1, c2, Q, params=None, tower=None, label=None):
+def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
     """Solve both deformation identities for a common (P-dot, b1-dot, b2-dot).
 
     The two reduced Bezout problems are solved independently, their P-dot
@@ -506,12 +508,7 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None, label=None):
     residue-derivative condition first pins the constant part s_0, after
     which the second differential's condition holds automatically).
     """
-    lab = label if label is not None else classify(triple)
-    if not lab.deformable:
-        raise NotDeformableError(
-            f"case ({lab.label}) admits no deformation construction", case=lab.label
-        )
-    tw = tower if tower is not None else build_tower(triple, lab)
+    tw = tower if tower is not None else build_tower(triple)
     g = triple.g
     warnings = []
 
@@ -624,44 +621,37 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None, label=None):
     )
 
 
-def make_tangent(triple, params, tower=None, label=None):
+def make_tangent(triple, params, tower=None):
     """solve_q_equation followed by solve_empdi."""
-    lab = label if label is not None else classify(triple)
-    tw = tower if tower is not None else build_tower(triple, lab)
-    c1, c2, Q, info = solve_q_equation(triple, params, tower=tw, label=lab)
-    v = solve_empdi(triple, c1, c2, Q, params=params, tower=tw, label=lab)
+    tw = tower if tower is not None else build_tower(triple)
+    c1, c2, Q, info = solve_q_equation(triple, params, tower=tw)
+    v = solve_empdi(triple, c1, c2, Q, params=params, tower=tw)
     v.residuals["q_identity"] = info["q_identity"]
     return v
 
 
-def tangent_basis(triple, label=None):
+def tangent_basis(triple):
     """Two independent tangent vectors spanning the deformation parameters.
 
     Case (a): the kernel basis of R; case (b) with G linear: the real
     sections {1 + zeta, i - i zeta}; case (b) with G quadratic and case
     (e): the canonical parameter pairs (1, 0) and (0, 1).
     """
-    lab = label if label is not None else classify(triple)
-    if not lab.deformable:
-        raise NotDeformableError(
-            f"case ({lab.label}) does not admit deformations",
-            case=lab.label,
-            indicator=case_c_indicator(triple) if lab.label == "c" else None,
-        )
-    tw = build_tower(triple, lab)
-    if lab.label == "a":
+    tw = build_tower(triple)
+    label = tw.label.label
+    if label == "a":
         q1, q2 = r_kernel(triple, tw)
         plist = [CaseAParams(q1), CaseAParams(q2)]
-    elif lab.label == "b" and tw.G.degree == 1:
+    elif label == "b" and tw.G.degree == 1:
         plist = [
             CaseBLinearParams(Polynomial([1.0, 1.0])),
             CaseBLinearParams(Polynomial([1j, -1j])),
         ]
-    elif lab.label == "b":
+    elif label == "b":
         plist = [CaseBQuadParams(1.0, 0.0), CaseBQuadParams(0.0, 1.0)]
     else:
         plist = [CaseEParams(1.0, 0.0), CaseEParams(0.0, 1.0)]
-    vectors = tuple(make_tangent(triple, p, tower=tw, label=lab) for p in plist)
+    vectors = tuple(make_tangent(triple, p, tower=tw) for p in plist)
     return vectors, gram_determinant(vectors)
 
 
@@ -702,7 +692,7 @@ def empdi_operator_matrix(P, g):
     return M
 
 
-def recover_chat(triple, v, rtol=1e-8):
+def recover_chat(triple, v):
     """The unique pair (chat1, chat2) reproducing the tangent vector through
     the deformation identities; raises when the operator is numerically
     singular (which would contradict a nonsingular spectral curve)."""
@@ -722,7 +712,7 @@ def recover_chat(triple, v, rtol=1e-8):
         rhs = rhs_poly.padded(M.shape[0])
         chat, *_ = np.linalg.lstsq(M, rhs, rcond=None)
         res = np.linalg.norm(M @ chat - rhs) / max(np.linalg.norm(rhs), 1e-300)
-        if res > max(rtol, 1e-6):
+        if res > 1e-6:
             raise SingularOperatorError(
                 f"chat recovery residual {res:.3e}; tangent data inconsistent"
             )
@@ -737,8 +727,6 @@ def recover_chat(triple, v, rtol=1e-8):
 
 def conformal_type_rate(triple, v):
     """tau-dot = Q_0 * tau * P_0 / (b1_0 * b2_0) at a nonconformal point."""
-    from .errors import UndefinedConformalTypeError
-
     P0 = triple.P.coeff(0)
     b10 = triple.b1.coeff(0)
     b20 = triple.b2.coeff(0)

@@ -151,10 +151,7 @@ class Polynomial:
 
     def __call__(self, z):
         """Horner evaluation; accepts scalars or arrays."""
-        z = np.asarray(z, dtype=complex)
-        out = np.full(z.shape, self.coeffs[-1], dtype=complex)
-        for a in self.coeffs[-2::-1]:
-            out = out * z + a
+        out = _eval_many(self.coeffs, np.asarray(z, dtype=complex))
         return out if out.shape else complex(out)
 
     def derivative(self):
@@ -391,12 +388,8 @@ def _aberth(coeffs, max_iter=ABERTH_MAX_ITER, target=ABERTH_TARGET):
 
     converged = np.zeros(n, dtype=bool)
     for _ in range(max_iter):
-        p = np.full(n, coeffs[-1], dtype=complex)
-        for a in coeffs[-2::-1]:
-            p = p * z + a
-        dp = np.full(n, dcoeffs[-1], dtype=complex)
-        for a in dcoeffs[-2::-1]:
-            dp = dp * z + a
+        p = _eval_many(coeffs, z)
+        dp = _eval_many(dcoeffs, z)
         converged = backward_ok(z, p)
         if np.all(converged):
             return z
@@ -415,6 +408,7 @@ def _aberth(coeffs, max_iter=ABERTH_MAX_ITER, target=ABERTH_TARGET):
 
 
 def _eval_many(coeffs, z):
+    """Horner evaluation of the coefficients (low to high) at the array z."""
     out = np.full(z.shape, coeffs[-1], dtype=complex)
     for a in coeffs[-2::-1]:
         out = out * z + a
@@ -538,17 +532,15 @@ class FactorStructure:
     """The gcd tower between P and the differential numerators.
 
     F divides all three; F1 (resp. F2) the further common part of P and b1
-    (resp. b2); G what b1 and b2 still share after that.  Reconstruction:
-    P = F*F1*F2*P_tilde, b1 = F*F1*G*b1_tilde, b2 = F*F2*G*b2_tilde.
+    (resp. b2); G what b1 and b2 still share after that.  All four are
+    monic; the quotients of P, b1 and b2 by them are taken in
+    ``deformation.build_tower``, after rescaling to real sections.
     """
 
     F: Polynomial
     F1: Polynomial
     F2: Polynomial
     G: Polynomial
-    P_tilde: Polynomial
-    b1_tilde: Polynomial
-    b2_tilde: Polynomial
     borderline: tuple = ()
 
     @property
@@ -566,12 +558,6 @@ class FactorStructure:
     @property
     def d_G(self):
         return self.G.degree
-
-    def reconstruction_residual(self, P, b1, b2):
-        rP = (self.F * self.F1 * self.F2 * self.P_tilde - P).norm() / max(P.norm(), 1e-300)
-        r1 = (self.F * self.F1 * self.G * self.b1_tilde - b1).norm() / max(b1.norm(), 1e-300)
-        r2 = (self.F * self.F2 * self.G * self.b2_tilde - b2).norm() / max(b2.norm(), 1e-300)
-        return max(rP, r1, r2)
 
 
 def factor_structure(P, b1, b2, cluster_radius=GCD_CLUSTER_RADIUS):
@@ -591,10 +577,7 @@ def factor_structure(P, b1, b2, cluster_radius=GCD_CLUSTER_RADIUS):
     info.extend(binfo)
     G, binfo = approx_gcd(b1_F.deflate(F1), b2_F.deflate(F2), cluster_radius, return_info=True)
     info.extend(binfo)
-    P_tilde = P_F.deflate(F1).deflate(F2)
-    b1_tilde = b1_F.deflate(F1).deflate(G)
-    b2_tilde = b2_F.deflate(F2).deflate(G)
-    return FactorStructure(F, F1, F2, G, P_tilde, b1_tilde, b2_tilde, tuple(info))
+    return FactorStructure(F, F1, F2, G, tuple(info))
 
 
 # ---------------------------------------------------------------------------

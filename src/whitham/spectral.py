@@ -43,6 +43,7 @@ from .errors import (
     MultipleRootError,
     RealityViolationError,
     StepSizeError,
+    UndefinedConformalTypeError,
     WhithamError,
 )
 from .polyring import Polynomial, real_defect, roots
@@ -324,12 +325,6 @@ class PsiVector:
             abs(v - TWO_PI * 1j * m)
             for v, m in zip(self.lattice_values(), self.lattice_integers())
         )
-
-    def max_residual(self):
-        parts = list(self.lattice_residuals())
-        parts.extend(abs(r) for r in self.residues)
-        parts.append(abs(self.scaling - 1.0))
-        return max(parts)
 
     def flatten(self, integers=None):
         """Real residual vector against lattice targets (default: nearest)."""
@@ -746,8 +741,6 @@ def _principal_part_margin(triple):
 
 def conformal_type(triple):
     """tau = b2_m / b1_m with m = 0 (nonconformal) or 1 (conformal)."""
-    from .errors import UndefinedConformalTypeError
-
     m = 1 if is_conformal(triple) else 0
     denom = triple.b1.coeff(m)
     if abs(denom) == 0.0:

@@ -107,6 +107,35 @@ def test_classify_case_c_and_indicator():
     assert err.value.indicator is not None
 
 
+def test_case_c_gate_classifies_once(monkeypatch):
+    """On a case-(c) triple, ``tangent_basis`` classifies the triple once:
+    the gate in ``build_tower`` computes the indicator from the same real
+    tower, without classifying again."""
+    import whitham.deformation as deformation
+
+    g = 2
+    rng = np.random.default_rng(3)
+    F = pair_poly(0.35 + 0.1j)
+    t = SpectralTriple(
+        g,
+        F * pair_poly(0.5, -0.4),
+        F * random_real_section(rng, g + 1),
+        F * random_real_section(rng, g + 1),
+    )
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return classify(*args, **kwargs)
+
+    monkeypatch.setattr(deformation, "classify", counted)
+    with pytest.raises(NotDeformableError) as err:
+        tangent_basis(t)
+    assert err.value.case == "c"
+    assert len(calls) == 1
+    assert err.value.indicator == case_c_indicator(t)
+
+
 def test_classify_case_d():
     g = 2
     rng = np.random.default_rng(4)
@@ -142,6 +171,39 @@ def test_classify_case_f():
     lab = classify(t)
     assert lab.conformal
     assert lab.label == "f"
+
+
+def test_reconstruction_residual_random():
+    """The real tower reconstructs the triple: P = F*F1*F2*P-tilde,
+    b1 = F*F1*G*b1-tilde and b2 = F*F2*G*b2-tilde, with F replaced by zeta
+    at a conformal point, in the cases (a), (b) with linear and with
+    quadratic G, and (e)."""
+    rng = np.random.default_rng(11)
+    triples = [random_case_a_triple(rng, g) for g in (0, 1, 2)]
+    G1 = P(-1j, 1)
+    G2 = pair_poly(0.4 + 0.2j)
+    for _ in range(2):
+        triples.append(SpectralTriple(
+            1, pair_poly(0.3, -0.4), G1 * random_real_section(rng, 3) * 1j,
+            G1 * random_real_section(rng, 3) * 1j,
+        ))
+        triples.append(SpectralTriple(
+            2, pair_poly(0.3, -0.4, 0.5j), G2 * random_real_section(rng, 3),
+            G2 * random_real_section(rng, 3),
+        ))
+    triples.append(conformal_g0_triple())
+    seen = set()
+    for t in triples:
+        tw = build_tower(t)
+        seen.add((tw.label.label, tw.G.degree))
+        F = Polynomial.zeta() if tw.conformal else tw.F
+        for whole, part in (
+            (t.P, F * tw.F1 * tw.F2 * tw.P_tilde),
+            (t.b1, F * tw.F1 * tw.G * tw.b1_tilde),
+            (t.b2, F * tw.F2 * tw.G * tw.b2_tilde),
+        ):
+            assert (part - whole).norm() < 1e-8 * whole.norm()
+    assert seen == {("a", 0), ("b", 1), ("b", 2), ("e", 0)}
 
 
 # -- the R function ------------------------------------------------------------
@@ -391,7 +453,7 @@ def test_case_b_linear_q_equation_shape():
         if lab.label == "b" and lab.factors.d_G == 1:
             break
     Qt = P(1.0, 1.0)
-    c1, c2, Q, info = solve_q_equation(t, CaseBLinearParams(Qt), label=lab)
+    c1, c2, Q, info = solve_q_equation(t, CaseBLinearParams(Qt))
     assert info["q_identity"] < 1e-8
     # Q = G * Q-tilde
     q_over_g, rem = Q.divmod(build_tower(t, lab).G)

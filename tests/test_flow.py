@@ -81,6 +81,49 @@ def test_one_round_projection_builds_one_frame(g0_triple, monkeypatch):
     assert calls == {"build": 1, "psi": 1}
 
 
+def test_crawling_round_ends_the_solve(monkeypatch):
+    """A round that lowers the residual by less than 0.1% ends the chart
+    solve even when it stopped at its iteration limit, instead of running
+    every remaining round at no real progress."""
+    import whitham.flow as flow
+
+    rounds = []
+
+    def crawling(residual, x0, tol):
+        prev = rounds[-1] if rounds else 1.0
+        rounds.append(prev * (1.0 - 1e-4))
+        return flow.GNResult(x0, rounds[-1], [prev, rounds[-1]], "maxiter")
+
+    monkeypatch.setattr(flow, "gauss_newton", crawling)
+    monkeypatch.setattr(flow, "_refreshed_frame", lambda old, *args: old)
+    chart = (np.zeros(1), lambda x: x, None)
+    with pytest.raises(ProjectionFailureError, match="stalled"):
+        flow._chart_solve(chart, (), None, 1.0, 1e-10)
+    assert len(rounds) == 1
+
+
+def test_scan_integer_rule_gives_the_quad_start():
+    """The scan's integer rule (the rational plane nearest W(P)) returns the
+    recorded lattice integers of the genus-2 quadratic-G start, with
+    denominator q = 8."""
+    import importlib.util
+    from pathlib import Path
+
+    from whitham.flow import _CASE_B_STARTS, numerator_space
+    from whitham.spectral import product_form
+
+    path = Path(__file__).parents[1] / "scripts" / "scan_genus1_base_pair.py"
+    spec = importlib.util.spec_from_file_location("scan_genus1_base_pair", path)
+    scan = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scan)
+    alphas, _, integers = _CASE_B_STARTS["quad"]
+    P = product_form(alphas)
+    zero = Polynomial.zero()
+    frame = PsiFrame.build(SpectralTriple(2, P, zero, zero), quad_order=40)
+    N, L = numerator_space(P, 2, frame)
+    assert scan.nearest_integers(L @ N, 2) == (integers, 8)
+
+
 def test_seed_genus0_validates(g0_triple):
     rep = validate(g0_triple, quad_order=48)
     assert rep.verdict, rep.failed()

@@ -224,10 +224,6 @@ def test_factor_structure_linear_factors():
     assert fs.F1.degree == 0
     assert (fs.F2 - Polynomial.from_roots([5.0])).norm() < 1e-8
     assert (fs.G - Polynomial.from_roots([7.0])).norm() < 1e-8
-    assert fs.P_tilde.degree == 0
-    assert (fs.b1_tilde.monic() - Polynomial.from_roots([11.0])).norm() < 1e-8
-    assert fs.b2_tilde.degree == 0
-    assert fs.reconstruction_residual(P_, b1, b2) < 1e-10
 
 
 def test_factor_structure_coprime():
@@ -255,16 +251,6 @@ def test_factor_structure_even_F_for_real_sections():
     b2 = pair * random_real_section(rng, 2)
     fs = factor_structure(P_, b1, b2)
     assert fs.d_F == 2
-
-
-def test_reconstruction_residual_random():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        P_ = random_real_section(rng, 6)
-        b1 = random_real_section(rng, 5)
-        b2 = random_real_section(rng, 5)
-        fs = factor_structure(P_, b1, b2)
-        assert fs.reconstruction_residual(P_, b1, b2) < 1e-8
 
 
 # -- jets ----------------------------------------------------------------------
