@@ -23,12 +23,14 @@ validated, classified (b) with deg G = 2, branch points more than
 the point is not confirmed; the reason is printed), ``stalled`` (the solve
 raised: a round lowered the residual by less than 0.1%, or the last round
 ended above tolerance) or ``no-start`` (the first basis numerator has no
-root inside the disc, so there is no G to start from and no solve is run).
-Seed 2026, 16 starts, about 10 s: 0 interior, 0 boundary, 12 stalled,
-4 no-start (starts 1, 2, 5, 10).  Of the stalled solves, 11 ended at a
-round that gained less than 0.1%, at residuals 2.3 to 3.7e2, and one
-(start 6) used all its rounds and ended at 3.4.  So no genus-1 quadratic-G
-point is known.
+root more than ``HEALTH_FLOOR`` inside the unit circle, so there is no G to
+start from and no solve is run).
+Seed 2026, 16 starts, about 20 s on 2 shared cores: 0 interior,
+0 boundary, 11 stalled, 5 no-start (starts 1, 2, 5, 7, 10; start 7's
+nearest root pair lies at |beta| = 0.9997).  Of the stalled solves, 10
+ended at a round that gained less than 0.1%, at residuals 2.3 to 3.7e2,
+and one (start 6) used all its rounds and ended at 3.4.  So no genus-1
+quadratic-G point is known.
 """
 
 from itertools import combinations
@@ -36,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from whitham.errors import WhithamError
-from whitham.flow import confirm_case_b, numerator_space, solve_common_factor
+from whitham.flow import HEALTH_FLOOR, confirm_case_b, numerator_space, solve_common_factor
 from whitham.polyring import Polynomial, real_section_scale, roots_flat
 from whitham.spectral import PsiFrame, SpectralTriple, product_form, unpack_section
 
@@ -47,10 +49,12 @@ MAX_DENOMINATOR = 12
 
 
 def _start_factor(N):
-    """The in-disc root pair of the first basis numerator closest to a root
-    of the second; ``None`` if the first has no root inside the disc."""
+    """The root pair of the first basis numerator closest to a root of the
+    second, among its in-disc roots more than ``HEALTH_FLOOR`` inside the
+    unit circle; ``None`` if it has no such root (a G with a root near the
+    circle starts the solve next to a degenerate curve)."""
     r1, r2 = (roots_flat(unpack_section(N[:, i], GENUS + 3)) for i in range(2))
-    inside = [a for a in r1 if abs(a) < 1.0]
+    inside = [a for a in r1 if 1.0 - abs(a) > HEALTH_FLOOR]
     if not inside:
         return None
     beta = min(inside, key=lambda a: min(abs(a - c) for c in r2))
@@ -102,7 +106,7 @@ def solve_from(alphas):
     G = _start_factor(N)
     integers, q = nearest_integers(L @ N, GENUS)
     if G is None:
-        return "no-start", "first basis numerator has no root in the disc", G, integers, q
+        return "no-start", "first basis numerator has no root well inside the disc", G, integers, q
     try:
         triple = solve_common_factor(alphas, G, integers)
     except WhithamError as exc:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import NoSolutionError, RealityViolationError
 from .polyring import (
-    GCD_CLUSTER_RADIUS,
     Polynomial,
     approx_gcd,
     jet_divide,
@@ -146,7 +145,7 @@ def _relative_residual(A, B, C, X, Y):
     return r / scale
 
 
-def minimal_solution(A, B, C, cluster_radius=GCD_CLUSTER_RADIUS, known_gcd=None):
+def minimal_solution(A, B, C, known_gcd=None):
     """Unique solution of AX - BY = C with deg X <= deg(B/D) - 1.
 
     ``known_gcd`` overrides the numerical gcd when coprimality (or a
@@ -154,7 +153,7 @@ def minimal_solution(A, B, C, cluster_radius=GCD_CLUSTER_RADIUS, known_gcd=None)
     attached when the Vandermonde condition number exceeds the cap; a
     ``NoSolutionError`` is raised when gcd(A, B) fails to divide C.
     """
-    D = known_gcd if known_gcd is not None else approx_gcd(A, B, cluster_radius)
+    D = known_gcd if known_gcd is not None else approx_gcd(A, B)
     if D.degree > 0:
         Cd, rem = C.divmod(D)
         if rem.norm() > DIVISIBILITY_RTOL * max(C.norm(), 1e-300):
@@ -231,17 +230,17 @@ def _section_defect(p, k):
     return float(np.max(np.abs(p.padded(k + 1) - np.conj(p.padded(k + 1)[::-1]))))
 
 
-def solution_space(A, B, C, a, b, c, cluster_radius=GCD_CLUSTER_RADIUS, known_gcd=None):
+def solution_space(A, B, C, a, b, c, known_gcd=None):
     """All real-section solutions in weights (c-a, c-b), for c >= a+b-d.
 
     The space is the minimal solution plus U*(B/D, A/D) over real-section
     parameters U of weight c-a-b+d.
     """
-    D = known_gcd if known_gcd is not None else approx_gcd(A, B, cluster_radius)
+    D = known_gcd if known_gcd is not None else approx_gcd(A, B)
     d = D.degree
     if c < a + b - d:
         raise ValueError(f"solution space requires c >= a+b-d ({c} < {a + b - d})")
-    base = minimal_solution(A, B, C, cluster_radius, known_gcd=D)
+    base = minimal_solution(A, B, C, known_gcd=D)
     base = realify(A, B, C, a, b, c, base)
     hom_X = B.deflate(D) if d > 0 else B
     hom_Y = A.deflate(D) if d > 0 else A

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,7 +36,7 @@ from .deformation import (
 )
 from .errors import NotDeformableError, WhithamError
 from .flow import FlowConfig, trace
-from .polyring import Polynomial, random_real_section, roots, roots_flat
+from .polyring import GCD_CLUSTER_RADIUS, Polynomial, random_real_section, roots, roots_flat
 from .spectral import SpectralTriple, ToleranceProfile, product_form, validate
 
 EXIT_PASS = 0
@@ -66,12 +67,7 @@ def _load_triple(path):
 
 
 def _tolerances(args):
-    base = ToleranceProfile()
-    return ToleranceProfile(
-        alg=args.tol_alg if args.tol_alg is not None else base.alg,
-        integral=args.tol_int if args.tol_int is not None else base.integral,
-        cluster=args.cluster_radius if args.cluster_radius is not None else base.cluster,
-    )
+    return ToleranceProfile(alg=args.tol_alg, integral=args.tol_int, cluster=args.cluster_radius)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +108,7 @@ def _validate_batch(path, args):
 
 def cmd_classify(args):
     triple = _load_triple(args.input)
-    label = classify(triple, cluster_radius=args.cluster_radius or 1e-8)
+    label = classify(triple, cluster_radius=args.cluster_radius)
     fs = label.factors
     _dump(
         {
@@ -155,7 +151,7 @@ def cmd_flow(args):
         steps=args.steps,
         params_rule=args.rule,
         quad_order=args.quad_order,
-        projection_tol=args.tol_int if args.tol_int is not None else 1e-10,
+        projection_tol=args.tol_int,
     )
     samples, status = trace(triple, cfg)
     if args.format == "csv":
@@ -325,6 +321,25 @@ def cmd_plot(args):
 # ---------------------------------------------------------------------------
 
 
+def _in_domain(kind, ok, domain):
+    """argparse ``type=`` that parses ``kind`` and rejects values outside
+    the domain, so they end as usage errors."""
+
+    def parse(text):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {domain}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its own errors
+    return parse
+
+
+_QUAD_ORDER = _in_domain(int, lambda n: n >= 3, "an integer >= 3")
+_POSITIVE = _in_domain(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
+_COUNT = _in_domain(int, lambda n: n >= 1, "an integer >= 1")
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="whitham",
@@ -341,19 +356,19 @@ def build_parser():
         return sp
 
     sp = command("validate", cmd_validate, "grade a triple against the conditions")
-    sp.add_argument("--tol-alg", type=float)
-    sp.add_argument("--tol-int", type=float)
-    sp.add_argument("--cluster-radius", type=float)
-    sp.add_argument("--quad-order", type=int, default=32)
+    sp.add_argument("--tol-alg", type=_POSITIVE, default=ToleranceProfile.alg)
+    sp.add_argument("--tol-int", type=_POSITIVE, default=ToleranceProfile.integral)
+    sp.add_argument("--cluster-radius", type=_POSITIVE, default=ToleranceProfile.cluster)
+    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=32)
 
     sp = command("classify", cmd_classify, "case label (a)-(f) from the gcd tower")
-    sp.add_argument("--cluster-radius", type=float)
+    sp.add_argument("--cluster-radius", type=_POSITIVE, default=GCD_CLUSTER_RADIUS)
 
     command("tangent", cmd_tangent, "two-dimensional tangent basis")
 
     sp = command("flow", cmd_flow, "trace a deformation path")
-    sp.add_argument("--tol-int", type=float)
-    sp.add_argument("--quad-order", type=int, default=32)
+    sp.add_argument("--tol-int", type=_POSITIVE, default=FlowConfig.projection_tol)
+    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=32)
     sp.add_argument("--format", default="json", choices=("json", "csv"))
     sp.add_argument("--steps", type=int, default=10)
     sp.add_argument("--dt", type=float, default=1e-2)
@@ -361,7 +376,7 @@ def build_parser():
 
     sp = command("oracle", cmd_oracle, "randomized solver cross-checks", needs_input=False)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--count", type=int, default=100)
+    sp.add_argument("--count", type=_COUNT, default=100)
 
     command("plot", cmd_plot, "SVG of branch points and differential roots")
     return p

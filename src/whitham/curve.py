@@ -41,6 +41,9 @@ from .errors import (
 from .polyring import Polynomial, real_defect, roots
 
 DEFAULT_QUAD_ORDER = 32
+# a root of P closer than this to the unit circle is on it; an odd-degree P's
+# root closer than this to zeta = 0 is the branch point there
+CIRCLE_TOL = 1e-8
 # a cut passing closer than this to {0, +1, -1} or another cut gets a detour
 DETOUR_TRIGGER = 1e-2
 
@@ -156,15 +159,7 @@ class HyperellipticCurve:
         return pts
 
 
-@dataclass(frozen=True)
-class Differential:
-    """b(zeta) dzeta / (zeta^2 eta) on a fixed curve."""
-
-    curve: HyperellipticCurve
-    b: Polynomial
-
-
-def build_curve(P, tol=1e-8, cluster_radius=None):
+def build_curve(P):
     """Validate P and pair its roots under alpha -> 1/conj(alpha).
 
     Raises ``CircleRootError`` for roots on the unit circle,
@@ -172,13 +167,13 @@ def build_curve(P, tol=1e-8, cluster_radius=None):
     when P has no roots, a root has no conjugate-inverse partner or P is
     not a real section of the implied weight.
     """
-    rs = roots(P) if cluster_radius is None else roots(P, cluster_radius)
+    rs = roots(P)
     if not rs:
         raise RealityViolationError("P has no branch points")
     for r, m in rs:
         if m > 1:
             raise MultipleRootError(f"repeated root near {r:.6g}")
-        if abs(abs(r) - 1.0) < tol:
+        if abs(abs(r) - 1.0) < CIRCLE_TOL:
             raise CircleRootError(f"root {r:.6g} on the unit circle")
     deg = P.degree
     genus = (deg - 1) // 2
@@ -194,7 +189,7 @@ def build_curve(P, tol=1e-8, cluster_radius=None):
     if deg % 2 == 1:
         # odd degree: the partner of the near-zero root sits at infinity
         zero_root = min(inside, key=abs, default=None)
-        if zero_root is None or abs(zero_root) > tol:
+        if zero_root is None or abs(zero_root) > CIRCLE_TOL:
             raise RealityViolationError(
                 "odd-degree P without a root at zeta = 0 cannot be paired"
             )
@@ -501,9 +496,6 @@ class IntegrationResult:
     error: float
     end_sheet: int
 
-    def __complex__(self):
-        return complex(self.value)
-
 
 def _walk_eta(P, seg, ts, eta0):
     """eta at the (sorted, starting at 0) parameters ts, continued from
@@ -631,35 +623,16 @@ def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
 
     The analytic continuation of eta does not depend on the numerator, so
     the sheet-tracked walk is shared and each b only costs one extra
-    evaluation per node.
+    evaluation per node.  Each result's ``error`` is the difference against
+    the half-order rule on the same panels, so doubling ``quad_order`` moves
+    the value by less than ``error``.
     """
     return walk_path(curve, path, quad_order).integrate(numerators)
-
-
-def integrate(diff, path, quad_order=DEFAULT_QUAD_ORDER):
-    """Integral of the differential along the path with sheet tracking.
-
-    The reported error estimate is the difference against the half-order
-    rule on the same panels, so doubling ``quad_order`` moves the value by
-    less than ``error``.
-    """
-    return integrate_batch(diff.curve, [diff.b], path, quad_order)[0]
 
 
 # ---------------------------------------------------------------------------
 # Residues over zeta = 0
 # ---------------------------------------------------------------------------
-
-
-def residue_at_zero(diff):
-    """res_{zeta=0} of the differential when the curve is unbranched there:
-    b_1 - (P_1 / 2 P_0) b_0."""
-    P, b = diff.curve.P, diff.b
-    if abs(P.coeff(0)) < 1e-12 * max(1.0, P.norm()):
-        raise GeometryError(
-            "curve is branched over zeta = 0; use residue_condition instead"
-        )
-    return b.coeff(1) - 0.5 * P.coeff(1) / P.coeff(0) * b.coeff(0)
 
 
 def residue_condition(P, b):

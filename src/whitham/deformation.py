@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bezout import minimal_solution, realify
-from .curve import build_curve
+from .curve import build_curve, residue_condition
 from .errors import (
     DegenerateKernelError,
     InternalInconsistencyError,
@@ -53,6 +53,7 @@ from .errors import (
     UndefinedConformalTypeError,
 )
 from .polyring import (
+    GCD_CLUSTER_RADIUS,
     FactorStructure,
     Polynomial,
     factor_structure,
@@ -174,7 +175,7 @@ class TangentVector:
 # ---------------------------------------------------------------------------
 
 
-def classify(triple, cluster_radius=1e-8):
+def classify(triple, cluster_radius=GCD_CLUSTER_RADIUS):
     """Case label from the gcd tower and the conformality of P.
 
     Nonconformal: (a) F = G = 1; (b) F = 1, deg G in {1, 2}; (c) deg F = 2,
@@ -280,7 +281,9 @@ def build_tower(triple, label=None):
     ``classify``, computed when not given).
 
     The one deformability gate: cases (c), (d) and (f) raise
-    ``NotDeformableError``, which in case (c) carries the indicator."""
+    ``NotDeformableError``.  In case (c) it carries the indicator, the
+    scalar whose vanishing would allow deformations: R of the real tower at
+    Q = 1."""
     lab = label if label is not None else classify(triple)
     if lab.deformable:
         return _real_tower(triple, lab)
@@ -351,13 +354,6 @@ def r_kernel(triple, tower=None):
         if abs(r_value(triple, Q, tw)) > 1e-8 * scale * max(1.0, Q.norm()):
             raise DegenerateKernelError("kernel candidate fails R(Q) = 0 re-evaluation")
     return tuple(out)
-
-
-def case_c_indicator(triple):
-    """The scalar whose vanishing would allow case-(c) deformations: the
-    leading coefficient of the minimal solution of the reduced equation
-    with right-hand side P-tilde (i.e. R of the real tower at Q = 1)."""
-    return r_value(triple, Polynomial.one(), _real_tower(triple, classify(triple)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +465,8 @@ def _empdi_residual(triple, v, i):
 def _residue_tangent_residual(triple, v, i):
     b = triple.b1 if i == 1 else triple.b2
     b_dot = v.b1_dot if i == 1 else v.b2_dot
-    val = (
-        v.P_dot.coeff(1) * b.coeff(0)
-        + triple.P.coeff(1) * b_dot.coeff(0)
-        - 2.0 * v.P_dot.coeff(0) * b.coeff(1)
-        - 2.0 * triple.P.coeff(0) * b_dot.coeff(1)
-    )
+    # the derivative of the bilinear residue condition along the vector
+    val = residue_condition(v.P_dot, b) + residue_condition(triple.P, b_dot)
     scale = max(
         v.P_dot.norm() * b.norm() + triple.P.norm() * b_dot.norm(), 1e-300
     )

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import Differential, build_curve, homology_basis, integrate
+from .curve import build_curve, homology_basis, integrate_batch
 from .deformation import CaseAParams, classify, make_tangent, r_kernel, tangent_basis
 from .errors import ProjectionFailureError, StepSizeError, WhithamError
 from .polyring import Polynomial, real_section_scale, symmetrize
@@ -268,10 +268,9 @@ def seed_genus0(alpha=0.42 + 0.18j):
 
     def closing_values(y):
         b = differential_family_genus0(alpha, y)
-        d = Differential(cur, b)
-        return (
-            integrate(d, basis.gamma_plus, SEED_QUAD_ORDER).value,
-            integrate(d, basis.gamma_minus, SEED_QUAD_ORDER).value,
+        return tuple(
+            integrate_batch(cur, [b], path, SEED_QUAD_ORDER)[0].value
+            for path in (basis.gamma_plus, basis.gamma_minus)
         )
 
     # the map y -> closings is R-linear; fit 2 real unknowns to 4 real targets
@@ -513,8 +512,9 @@ def seed_common_factor(kind="linear"):
     is known: ``scripts/scan_genus1_base_pair.py`` runs this chart solve
     from 16 seeded genus-1 starts (seed 2026; G from the numerator space,
     integers from the rational plane nearest W(P)) and ends with 0 interior,
-    0 boundary, 12 stalled solves and 4 starts without an in-disc root to
-    build G from, so the quadratic point is built at genus 2.
+    0 boundary, 11 stalled solves and 5 starts without an in-disc root clear
+    of the unit circle to build G from, so the quadratic point is built at
+    genus 2.
     """
     alphas, g_roots, integers = _CASE_B_STARTS[kind]
     G, _ = real_section_scale(Polynomial.from_roots(g_roots))

@@ -46,11 +46,12 @@ class Polynomial:
         Low-to-high coefficients; trailing near-zeros are trimmed.
     bound : int, optional
         Nominal degree bound k of the section space this polynomial lives
-        in.  May exceed the numerical degree (e.g. a weight-(2g+2) curve
+        in; a larger numerical degree raises ``DegreeBoundError``.  The bound
+        may exceed the numerical degree (e.g. a weight-(2g+2) curve
         polynomial branched over zeta=0 has numerical degree 2g+1).
     """
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, bound=None):
         c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
@@ -72,7 +73,6 @@ class Polynomial:
             raise DegreeBoundError(
                 f"degree {self.degree} exceeds nominal bound {bound}"
             )
-        object.__setattr__(self, "bound", bound)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -239,13 +239,6 @@ def _as_poly(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealSectionWitness:
-    poly: Polynomial
-    k: int
-    max_defect: float
-
-
 def real_pullback(p, k):
     """Action of the real involution on a weight-k section: q_i -> conj(q_{k-i}).
 
@@ -271,12 +264,6 @@ def real_defect(p, k):
     m = min(k + 1, p.coeffs.size)
     c[:m] = p.coeffs[:m]
     return max(float(np.max(np.abs(c - np.conj(c[::-1])))), over)
-
-
-def is_real_section(p, k, tol=1e-10):
-    """Whether p lies in the weight-k real sections, with a defect witness."""
-    d = real_defect(p, k)
-    return d <= tol, RealSectionWitness(_as_poly(p), k, d)
 
 
 def symmetrize(p, k):
@@ -475,9 +462,9 @@ def roots(p, cluster_radius=MULTIPLICITY_RADIUS):
     return out
 
 
-def roots_flat(p, cluster_radius=MULTIPLICITY_RADIUS):
+def roots_flat(p):
     """Roots expanded with multiplicity."""
-    return [r for r, m in roots(p, cluster_radius) for _ in range(m)]
+    return [r for r, m in roots(p) for _ in range(m)]
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curve import (
+    CIRCLE_TOL,
     build_curve,
     homology_basis,
     integrate_batch,
@@ -51,18 +52,19 @@ from .polyring import Polynomial, real_defect, roots
 TWO_PI = 2.0 * np.pi
 # P is conformal (branched over zeta = 0) when |P_0| is below this times |P|
 CONFORMAL_RTOL = 1e-9
+# the principal parts are independent when their normalized margin clears this
+P8_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class ToleranceProfile:
     """Default thresholds: algebraic identities at 1e-10, integral lattice
-    checks at 1e-8 (quadrature error dominates), all CLI-overridable."""
+    checks at 1e-8 (quadrature error dominates), root separation at 1e-8;
+    all CLI-overridable."""
 
     alg: float = 1e-10
     integral: float = 1e-8
-    circle: float = 1e-8
     cluster: float = 1e-8
-    p8: float = 1e-10
 
 
 @dataclass(frozen=True)
@@ -177,10 +179,6 @@ def unpack_triple(x, g):
     )
 
 
-def chart_dim(g):
-    return 4 * g + 11
-
-
 # ---------------------------------------------------------------------------
 # Scaling normalization
 # ---------------------------------------------------------------------------
@@ -232,10 +230,10 @@ def scaling_value(P, curve=None, index=None):
     return complex(Pi.coeff(index) / pm), index
 
 
-def normalize(triple, tol=1e-8):
+def normalize(triple):
     """Rescale (P, b1, b2) -> (P/lambda^2, b1/lambda, b2/lambda) so P takes
     the product form; the differentials are unchanged as differentials."""
-    cur = build_curve(triple.P, tol=tol)
+    cur = build_curve(triple.P)
     s, index = scaling_value(triple.P, cur)
     lam2 = 1.0 / s
     if abs(lam2.imag) > 1e-6 * abs(lam2) or lam2.real <= 0:
@@ -653,7 +651,7 @@ def validate(triple, tol=None, quad_order=32):
             _margin_check(
                 "P2_no_circle_roots",
                 min(margins, default=np.inf),
-                tol.circle,
+                CIRCLE_TOL,
                 {"roots": len(margins)},
             )
         )
@@ -667,7 +665,7 @@ def validate(triple, tol=None, quad_order=32):
         checks.append(
             _margin_check("P3_simple_roots", sep_margin, tol.cluster, {})
         )
-        curve = build_curve(triple.P, tol=tol.circle)
+        curve = build_curve(triple.P)
     except WhithamError as exc:
         checks.append(
             ConditionCheck("curve", 1.0, 0.5, False, {}, error=str(exc))
@@ -684,12 +682,9 @@ def validate(triple, tol=None, quad_order=32):
     if curve is not None:
         try:
             vec = psi(triple, frame=PsiFrame.build(triple, quad_order=quad_order))
-            vals = vec.lattice_values()
-            labels = vec.labels
-            for v, lab in zip(vals, labels):
-                name = "P6_period" if not lab.split(".")[1].startswith("g") else "P7_closing"
-                m = int(np.round(v.imag / TWO_PI))
-                r = abs(v - TWO_PI * 1j * m)
+            rows = zip(vec.labels, vec.lattice_integers(), vec.lattice_residuals())
+            for k, (lab, m, r) in enumerate(rows):
+                name = "P6_period" if k < len(vec.periods) else "P7_closing"
                 checks.append(
                     ConditionCheck(
                         f"{name}.{lab}",
@@ -710,7 +705,7 @@ def validate(triple, tol=None, quad_order=32):
 
         margin = _principal_part_margin(triple)
         checks.append(
-            _margin_check("P8_independence", margin, tol.p8, {"conformal": is_conformal(triple)})
+            _margin_check("P8_independence", margin, P8_TOL, {"conformal": is_conformal(triple)})
         )
 
     verdict = all(c.passed for c in checks)

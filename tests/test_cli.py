@@ -216,3 +216,26 @@ def test_options_belong_to_the_commands_that_read_them(good_file, tmp_path):
                  "--out", str(out)])
     assert code == 0
     assert out.read_text().splitlines()[0] == "t,tau_re,tau_im,residual"
+
+
+def test_option_values_out_of_domain_exit2(good_file, tmp_path):
+    f = str(good_file)
+    for argv in (
+        ["validate", f, "--quad-order", "0"],
+        ["validate", f, "--quad-order", "2"],
+        ["flow", f, "--quad-order", "-1"],
+        ["validate", f, "--cluster-radius", "-1"],
+        ["validate", f, "--tol-int", "nan"],
+        ["validate", f, "--tol-alg", "0"],
+        ["validate", f, "--tol-alg", "inf"],
+        ["flow", f, "--tol-int", "-1e-10"],
+        ["classify", f, "--cluster-radius", "0"],
+        ["oracle", "--count", "-2"],
+        ["oracle", "--count", "0"],
+    ):
+        assert main(argv) == 2, argv
+    # the smallest values in the domains are accepted
+    out = str(tmp_path / "r.json")
+    assert main(["validate", f, "--quad-order", "3", "--out", out]) in (0, 1)
+    assert main(["classify", f, "--cluster-radius", "1e-8", "--out", out]) == 0
+    assert main(["oracle", "--seed", "1", "--count", "1", "--out", out]) in (0, 1)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from whitham.curve import build_curve
+from whitham.curve import build_curve, residue_condition
 from whitham.deformation import (
     CaseAParams,
     CaseBLinearParams,
     CaseEParams,
+    TangentVector,
     _r_last_coefficient,
+    _real_tower,
+    _residue_tangent_residual,
     _scaling_shift,
     build_tower,
-    case_c_indicator,
     classify,
     conformal_type_rate,
     empdi_operator_matrix,
@@ -99,7 +101,7 @@ def test_classify_case_c_and_indicator():
     )
     lab = classify(t)
     assert lab.label == "c"
-    ind = case_c_indicator(t)
+    ind = r_value(t, Polynomial.one(), _real_tower(t, lab))
     assert np.isfinite(ind.real) and abs(ind) > 0
     with pytest.raises(NotDeformableError) as err:
         tangent_basis(t)
@@ -133,7 +135,7 @@ def test_case_c_gate_classifies_once(monkeypatch):
         tangent_basis(t)
     assert err.value.case == "c"
     assert len(calls) == 1
-    assert err.value.indicator == case_c_indicator(t)
+    assert err.value.indicator == r_value(t, Polynomial.one(), _real_tower(t, classify(t)))
 
 
 def test_classify_case_d():
@@ -491,3 +493,23 @@ def test_scaling_shift_is_bit_identical_to_inline_root_motion(
         P_dots += [v.P_dot for v in tangent_basis(t)[0]]
         for P_dot in P_dots:
             assert _scaling_shift(t, P_dot) == _inline_scaling_shift(t, P_dot)
+
+
+def test_residue_tangent_residual_is_the_derivative_of_the_residue_condition():
+    """The tangent residual of the residue condition is the central
+    difference of ``residue_condition`` along (P_dot, b_dot), normalized."""
+    rng = np.random.default_rng(17)
+    zero = Polynomial.zero()
+    for g in (0, 1, 2):
+        for _ in range(5):
+            t = SpectralTriple(g, random_real_section(rng, 2 * g + 2),
+                               random_real_section(rng, g + 3), random_real_section(rng, g + 3))
+            v = TangentVector(random_real_section(rng, 2 * g + 2), random_real_section(rng, g + 3),
+                              random_real_section(rng, g + 3), None, zero, zero, zero)
+            h = 1e-3
+            for i, b, b_dot in ((1, t.b1, v.b1_dot), (2, t.b2, v.b2_dot)):
+                fd = (residue_condition(t.P + h * v.P_dot, b + h * b_dot)
+                      - residue_condition(t.P - h * v.P_dot, b - h * b_dot)) / (2 * h)
+                scale = v.P_dot.norm() * b.norm() + t.P.norm() * b_dot.norm()
+                got = _residue_tangent_residual(t, v, i)
+                assert abs(got - abs(fd) / scale) <= 1e-12 * got

@@ -102,26 +102,47 @@ def test_crawling_round_ends_the_solve(monkeypatch):
     assert len(rounds) == 1
 
 
-def test_scan_integer_rule_gives_the_quad_start():
-    """The scan's integer rule (the rational plane nearest W(P)) returns the
-    recorded lattice integers of the genus-2 quadratic-G start, with
-    denominator q = 8."""
+def _scan_script():
     import importlib.util
     from pathlib import Path
-
-    from whitham.flow import _CASE_B_STARTS, numerator_space
-    from whitham.spectral import product_form
 
     path = Path(__file__).parents[1] / "scripts" / "scan_genus1_base_pair.py"
     spec = importlib.util.spec_from_file_location("scan_genus1_base_pair", path)
     scan = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scan)
+    return scan
+
+
+def test_scan_integer_rule_gives_the_quad_start():
+    """The scan's integer rule (the rational plane nearest W(P)) returns the
+    recorded lattice integers of the genus-2 quadratic-G start, with
+    denominator q = 8."""
+    from whitham.flow import _CASE_B_STARTS, numerator_space
+    from whitham.spectral import product_form
+
+    scan = _scan_script()
     alphas, _, integers = _CASE_B_STARTS["quad"]
     P = product_form(alphas)
     zero = Polynomial.zero()
     frame = PsiFrame.build(SpectralTriple(2, P, zero, zero), quad_order=40)
     N, L = numerator_space(P, 2, frame)
     assert scan.nearest_integers(L @ N, 2) == (integers, 8)
+
+
+def test_scan_start_factor_keeps_off_the_unit_circle():
+    """A first numerator whose in-disc roots both lie within ``HEALTH_FLOOR``
+    of the unit circle gives no start factor; one root well inside does."""
+    from whitham.polyring import roots_flat
+    from whitham.spectral import pack_section, product_form
+
+    scan = _scan_script()
+    near = [0.995 * np.exp(0.7j), 0.995 * np.exp(-2.1j)]
+    second = pack_section(product_form([0.994 * np.exp(0.71j), 0.3]), 4)
+    N = np.column_stack([pack_section(product_form(near), 4), second])
+    assert scan._start_factor(N) is None
+    N[:, 0] = pack_section(product_form([near[0], 0.5]), 4)
+    G = scan._start_factor(N)
+    assert min(abs(abs(z) - 0.5) for z in roots_flat(G)) < 1e-9
 
 
 def test_seed_genus0_validates(g0_triple):

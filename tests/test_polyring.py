@@ -12,7 +12,6 @@ from whitham.polyring import (
     Polynomial,
     approx_gcd,
     factor_structure,
-    is_real_section,
     jet_divide,
     poly_jet,
     random_real_section,
@@ -83,13 +82,10 @@ def test_real_pullback_degree_error():
 
 
 def test_is_real_section_examples():
-    ok, w = is_real_section(P(1, 0, 1), 2)
-    assert ok and w.max_defect < 1e-15
-    ok, _ = is_real_section(P(0, 1j), 2)
-    assert not ok
+    assert real_defect(P(1, 0, 1), 2) < 1e-15
+    assert real_defect(P(0, 1j), 2) > 1e-10
     # (zeta - 0.5)(1 - 0.5 zeta) = -0.5 + 1.25 zeta - 0.5 zeta^2
-    ok, _ = is_real_section(P(-0.5, 1.25, -0.5), 2)
-    assert ok
+    assert real_defect(P(-0.5, 1.25, -0.5), 2) <= 1e-10
 
 
 @settings(max_examples=60, deadline=None)
