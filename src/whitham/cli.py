@@ -37,7 +37,13 @@ from .deformation import (
 from .errors import NotDeformableError, WhithamError
 from .flow import FlowConfig, trace
 from .polyring import GCD_CLUSTER_RADIUS, Polynomial, random_real_section, roots, roots_flat
-from .spectral import SpectralTriple, ToleranceProfile, product_form, validate
+from .spectral import (
+    SpectralTriple,
+    ToleranceProfile,
+    product_form,
+    relative_residue,
+    validate,
+)
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -123,21 +129,36 @@ def cmd_classify(args):
     return EXIT_PASS
 
 
+def _residue_warnings(triple):
+    """A warning for each numerator that fails the residue condition by the
+    P4 test of ``validate``: the tangent space is built for residue-free
+    points."""
+    tol = ToleranceProfile.alg
+    out = []
+    for name, b in (("b1", triple.b1), ("b2", triple.b2)):
+        r = relative_residue(triple.P, b)
+        if r > tol:
+            out.append(f"{name} is not residue-free: relative residue {r:.2e} > {tol:.0e}")
+    return out
+
+
 def cmd_tangent(args):
     triple = _load_triple(args.input)
+    warnings = _residue_warnings(triple)
     try:
         vectors, gram = tangent_basis(triple)
     except NotDeformableError as exc:
         payload = {"deformable": False, "case": exc.case}
         if exc.indicator is not None:
             payload["case_c_indicator"] = [exc.indicator.real, exc.indicator.imag]
-        _dump(payload, args)
+        _dump({**payload, "warnings": warnings}, args)
         return EXIT_FAIL
     _dump(
         {
             "deformable": True,
             "gram_determinant": gram,
             "vectors": [v.to_json_dict() for v in vectors],
+            "warnings": warnings,
         },
         args,
     )
@@ -338,6 +359,7 @@ def _in_domain(kind, ok, domain):
 _QUAD_ORDER = _in_domain(int, lambda n: n >= 3, "an integer >= 3")
 _POSITIVE = _in_domain(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _COUNT = _in_domain(int, lambda n: n >= 1, "an integer >= 1")
+_NONZERO = _in_domain(float, lambda x: x != 0.0 and math.isfinite(x), "a finite nonzero number")
 
 
 def build_parser():
@@ -370,8 +392,9 @@ def build_parser():
     sp.add_argument("--tol-int", type=_POSITIVE, default=FlowConfig.projection_tol)
     sp.add_argument("--quad-order", type=_QUAD_ORDER, default=32)
     sp.add_argument("--format", default="json", choices=("json", "csv"))
-    sp.add_argument("--steps", type=int, default=10)
-    sp.add_argument("--dt", type=float, default=1e-2)
+    sp.add_argument("--steps", type=_COUNT, default=10)
+    # a negative step is a backward flow
+    sp.add_argument("--dt", type=_NONZERO, default=1e-2)
     sp.add_argument("--rule", default="basis0", choices=("basis0", "basis1"))
 
     sp = command("oracle", cmd_oracle, "randomized solver cross-checks", needs_input=False)

@@ -21,6 +21,12 @@ for *constructing* paths in the intended homotopy classes:
 Corridors detour around any branch point or marked point (0, +1, -1) that
 comes too close; loops whose radii cannot clear the surrounding geometry
 raise ``PathConstructionError`` with a diagnostic.
+
+Each path is walked as one stack (``walk_path``): it is split into
+quadrature panels level by level, probing every panel of a level against
+the singular set at once; P is evaluated once over the panels x nodes
+grid; and the sheet signs of all panels chain in one ``cumprod``.  Only a
+panel with an ambiguous step is walked node by node, with bisection.
 """
 
 from __future__ import annotations
@@ -167,7 +173,12 @@ def build_curve(P):
     when P has no roots, a root has no conjugate-inverse partner or P is
     not a real section of the implied weight.
     """
-    rs = roots(P)
+    return _curve_from_roots(P, roots(P))
+
+
+def _curve_from_roots(P, rs):
+    """``build_curve`` of P from its roots ``rs``, as ``roots(P)`` returns
+    them."""
     if not rs:
         raise RealityViolationError("P has no branch points")
     for r, m in rs:
@@ -428,43 +439,131 @@ def _gl_nodes(order):
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
 
 
-def _subdivide(segments, sing):
-    """Split segments until each clears the singular set by its half-length.
+_PROBES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+# subdivision gives up beyond this many segments examined, or panels kept
+MAX_SEGMENTS = 20000
 
-    Gauss-Legendre converges geometrically in the ratio of clearance to
-    segment size; the 0.75 factor below keeps even order-8 panels at
-    ~1e-11 accuracy.
+
+@dataclass(frozen=True)
+class Panels:
+    """Segments as arrays, one row each in path order.
+
+    A line runs from ``start`` to ``end`` (angles 0, radius 0); an arc
+    (``arc``) has center ``start`` = ``end``, ``radius`` and angles
+    ``theta0`` -> ``theta1``.  With these fillers one formula per column
+    serves both kinds, and each row computes exactly what its segment's
+    ``point``, ``velocity``, ``length`` and ``split`` compute.
     """
-    out = []
-    stack = list(segments)
-    guard = 0
-    while stack:
-        guard += 1
-        if guard > 20000:
+
+    arc: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    radius: np.ndarray
+    theta0: np.ndarray
+    theta1: np.ndarray
+
+    @staticmethod
+    def of(segments):
+        """One row per ``LineSegment`` or ``ArcSegment``, in order."""
+        rows = [
+            (True, s.center, s.center, s.radius, s.theta0, s.theta1)
+            if isinstance(s, ArcSegment)
+            else (False, s.z0, s.z1, 0.0, 0.0, 0.0)
+            for s in segments
+        ]
+        arc, start, end, radius, theta0, theta1 = zip(*rows)
+        return Panels(
+            np.array(arc), np.array(start, dtype=complex), np.array(end, dtype=complex),
+            *(np.array(c, dtype=float) for c in (radius, theta0, theta1)),
+        )
+
+    def __len__(self):
+        return self.arc.size
+
+    def segment(self, i):
+        """Row i as a ``LineSegment`` or ``ArcSegment``."""
+        if self.arc[i]:
+            return ArcSegment(self.start[i], self.radius[i], self.theta0[i], self.theta1[i])
+        return LineSegment(self.start[i], self.end[i])
+
+    def points(self, ts):
+        """Points of every row (rows) at the parameters ts (columns), and
+        exp(i theta) there, which an arc's velocity reuses."""
+        arc, z0 = self.arc[:, None], self.start[:, None]
+        e = np.exp(1j * (self.theta0[:, None] + (self.theta1 - self.theta0)[:, None] * ts))
+        zs = np.where(arc, z0 + self.radius[:, None] * e, z0 + (self.end - self.start)[:, None] * ts)
+        return zs, e
+
+    def nodes(self, ts):
+        """Points and velocities of every row (rows) at the parameters ts
+        (columns)."""
+        zs, e = self.points(ts)
+        turn = (1j * (self.theta1 - self.theta0) * self.radius)[:, None] * e
+        return zs, np.where(self.arc[:, None], turn, (self.end - self.start)[:, None])
+
+    def split(self, mask):
+        """Each masked row replaced by its two halves."""
+        rows = np.flatnonzero(mask)
+        first = rows + np.arange(rows.size)  # where each first half lands
+        copies = np.repeat(np.arange(len(self)), 1 + mask)
+        arc, start, end, radius, theta0, theta1 = (
+            a[copies] for a in (self.arc, self.start, self.end, self.radius, self.theta0, self.theta1)
+        )
+        z0, z1 = self.start[rows], self.end[rows]
+        mid = z0 + (z1 - z0) * 0.5  # an arc's center stays put
+        th_mid = 0.5 * (self.theta0[rows] + self.theta1[rows])  # a line's angles stay 0
+        end[first], start[first + 1] = mid, mid
+        theta1[first], theta0[first + 1] = th_mid, th_mid
+        return Panels(arc, start, end, radius, theta0, theta1)
+
+    def too_close(self, sing):
+        """Rows whose half-length exceeds 0.75 times their clearance: the
+        distance from five probe points to the singular set (an arc's own
+        center is cleared by its radius)."""
+        half = 0.5 * np.where(
+            self.arc, self.radius * np.abs(self.theta1 - self.theta0), np.abs(self.end - self.start)
+        )
+        probes, _ = self.points(_PROBES)
+        dist = np.minimum.reduce(np.abs(probes[:, :, None] - sing), axis=1, initial=np.inf)
+        dist[self.arc[:, None] & (np.abs(sing - self.start[:, None]) < 1e-13)] = np.inf
+        clear = np.minimum.reduce(dist, axis=1, initial=np.inf)
+        clear = np.where(self.arc, np.minimum(clear, self.radius), clear)
+        close = (half > 1e-14) & (half > 0.75 * clear)
+        if np.any(close & (clear < 1e-11)):
+            raise GeometryError("integration path passes through a singular point")
+        return close
+
+
+def _narrowed(seg):
+    """The segment, or the pieces of an arc wider than pi/4 halved until
+    none is: such an arc splits whatever its clearance."""
+    if isinstance(seg, ArcSegment) and abs(seg.theta1 - seg.theta0) > np.pi / 4 + 1e-12:
+        return [piece for half in seg.split() for piece in _narrowed(half)]
+    return [seg]
+
+
+def _subdivide(segments, sing):
+    """Split segments until each clears the singular set by its half-length,
+    level by level, and return the ``Panels`` in path order.
+
+    Wide arcs are first halved into arcs of at most pi/4.  Then at each
+    level every panel is probed against the singular set in one array
+    operation, and those too close to it are halved.  Gauss-Legendre
+    converges geometrically in the ratio of clearance to segment size; the
+    0.75 factor of ``Panels.too_close`` keeps even order-8 panels at ~1e-11
+    accuracy.  A panel that stays whole keeps its verdict at the next level.
+    """
+    sing = np.asarray(sing, dtype=complex)
+    panels = Panels.of([piece for seg in segments for piece in _narrowed(seg)])
+    splits = len(panels) - len(segments)
+    while (mask := panels.too_close(sing)).any():
+        splits += np.count_nonzero(mask)
+        if splits + len(panels) > MAX_SEGMENTS:
             raise GeometryError("segment subdivision did not terminate near a singularity")
-        seg = stack.pop(0)
-        if isinstance(seg, ArcSegment) and abs(seg.theta1 - seg.theta0) > np.pi / 4 + 1e-12:
-            stack = list(seg.split()) + stack
-            continue
-        pts = [seg.point(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        own_center = seg.center if isinstance(seg, ArcSegment) else None
-        clear = np.inf
-        for s in sing:
-            if own_center is not None and abs(s - own_center) < 1e-13:
-                continue  # the arc's own center is cleared by its radius
-            clear = min(clear, min(abs(p - s) for p in pts))
-        if isinstance(seg, ArcSegment):
-            clear = min(clear, seg.radius)
-        half = 0.5 * seg.length
-        if half > 1e-14 and half > 0.75 * clear:
-            if clear < 1e-11:
-                raise GeometryError("integration path passes through a singular point")
-            stack = list(seg.split()) + stack
-            continue
-        out.append(seg)
-        if len(out) > 20000:
+        panels = panels.split(mask)
+        if len(panels) > MAX_SEGMENTS:
             raise GeometryError("integration path required too many panels")
-    return out
+    return panels
 
 
 def _continue_eta(Ppoly, seg, t0, eta0, t1, depth=0):
@@ -497,31 +596,62 @@ class IntegrationResult:
     end_sheet: int
 
 
-def _walk_eta(P, seg, ts, eta0):
-    """eta at the (sorted, starting at 0) parameters ts, continued from
-    eta0 at t = 0.  Vectorized sign walk with scalar bisection fallback on
-    ambiguous steps."""
-    zs = seg.point(ts)
+def _walk_eta(P, panels, ts, zs, eta0):
+    """eta at the nodes ``zs`` of the panels (rows, in path order, at the
+    sorted parameters ts from 0 to 1), continued from eta0 at the first
+    node.
+
+    Each step keeps or flips the sign of the principal root; inside a panel
+    a step is clear when one choice is much closer than the other, and at a
+    junction the next panel's first value must lie near the last one.  The
+    signs of all clear rows chain in one ``cumprod``; only a row with an
+    unclear step is walked node by node, with ``_continue_eta`` bisecting
+    each unclear step.
+    """
     vals = np.sqrt(P(zs))
-    n = ts.size
-    etas = np.empty(n, dtype=complex)
-    d_keep = np.abs(vals[1:] - vals[:-1])
-    d_flip = np.abs(vals[1:] + vals[:-1])
+    d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
+    d_flip = np.abs(vals[:, 1:] + vals[:, :-1])
     lo = np.minimum(d_keep, d_flip)
     hi = np.maximum(d_keep, d_flip)
-    mag = np.maximum(np.abs(vals[1:]), np.abs(vals[:-1]))
+    mag = np.maximum(np.abs(vals[:, 1:]), np.abs(vals[:, :-1]))
     clear = (lo <= 0.5 * hi) & (lo <= 0.8 * np.maximum(mag, 1e-300))
-    # orient the first value to the incoming eta
-    cur = vals[0] if abs(vals[0] - eta0) <= abs(vals[0] + eta0) else -vals[0]
-    if abs(cur - eta0) > 0.5 * max(abs(eta0), 1e-300):
+    steps = np.where(d_flip < d_keep, -1.0, 1.0)
+    etas = np.empty_like(vals)
+    start, n = 0, len(panels)
+    for stop in [*np.flatnonzero(~np.all(clear, axis=1)), n]:
+        if stop > start:
+            etas[start:stop] = _chain_signs(vals[start:stop], steps[start:stop], eta0)
+            eta0 = etas[stop - 1, -1]
+        if stop < n:
+            etas[stop] = _walk_row(P, panels.segment(stop), ts, vals[stop], clear[stop], eta0)
+            eta0 = etas[stop, -1]
+        start = stop + 1
+    return etas
+
+
+def _junction_sign(first, incoming):
+    """Sign that puts each panel's first root value next to the eta it
+    continues; raises when neither sign does."""
+    sign = np.where(np.abs(first - incoming) <= np.abs(first + incoming), 1.0, -1.0)
+    if np.any(np.abs(sign * first - incoming) > 0.5 * np.maximum(np.abs(incoming), 1e-300)):
         raise GeometryError("continuation lost the sheet at a segment junction")
-    etas[0] = cur
-    if np.all(clear):
-        signs = np.where(d_flip < d_keep, -1.0, 1.0)
-        rel = np.concatenate([[1.0 if cur == vals[0] else -1.0], signs])
-        etas[:] = np.cumprod(rel) * vals
-        return etas
-    for k in range(1, n):
+    return sign
+
+
+def _chain_signs(vals, steps, eta0):
+    """eta over consecutive rows whose steps are all clear: each row's
+    junction sign against the previous row's last value (the first row's
+    against eta0), then every sign chained in path order."""
+    incoming = np.concatenate([[eta0], vals[:-1, -1]])
+    signs = np.column_stack([_junction_sign(vals[:, 0], incoming), steps])
+    return np.cumprod(signs.ravel()).reshape(vals.shape) * vals
+
+
+def _walk_row(P, seg, ts, vals, clear, eta0):
+    """eta along one panel with an unclear step, node by node."""
+    etas = np.empty_like(vals)
+    etas[0] = _junction_sign(vals[0], eta0) * vals[0]
+    for k in range(1, ts.size):
         if clear[k - 1]:
             keep = abs(vals[k] - etas[k - 1]) <= abs(vals[k] + etas[k - 1])
             etas[k] = vals[k] if keep else -vals[k]
@@ -569,15 +699,12 @@ class PathWalk:
         for b in numerators:
             fvals = b(self.zs) * self.base
             # np.take keeps rows contiguous, so each row sums exactly as the
-            # 1-D sum of its panel would
-            panels = zip(
+            # 1-D sum of its panel would; cumsum then adds the panels in order
+            sums = np.column_stack([
                 np.sum(self.w_hi * np.take(fvals, self.idx_hi, axis=1), axis=1),
                 np.sum(self.w_lo * np.take(fvals, self.idx_lo, axis=1), axis=1),
-            )
-            total = np.zeros(2, dtype=complex)
-            for sums in panels:
-                total += sums
-            hi, lo = total
+            ])
+            hi, lo = np.cumsum(sums, axis=0)[-1]
             out.append(IntegrationResult(complex(hi), float(abs(hi - lo)), self.end_sheet))
         return out
 
@@ -585,16 +712,21 @@ class PathWalk:
 def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
     """Subdivide the path into panels and continue eta along it from its
     start sheet; every integral over the path is a weighted sum over the
-    returned ``PathWalk``."""
+    returned ``PathWalk``.
+
+    The walk is stacked: P is evaluated once over the whole (panels x
+    nodes) grid and the sheet signs of all panels chain in one pass, see
+    ``_walk_eta``.
+    """
     P = curve.P
     sing = list(curve.finite_branch_points)
     if all(abs(s) > 1e-12 for s in sing):
         sing.append(0.0 + 0.0j)  # double pole of the differentials
-    segments = _subdivide(path.segments, sing)
+    panels = _subdivide(path.segments, sing)
     ts, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
+    zs, base = panels.nodes(ts)  # base: velocity, divided by zeta^2 eta below
 
-    z0 = segments[0].point(0.0)
-    p0 = complex(P(z0))
+    p0 = complex(P(zs[0, 0]))
     if abs(p0.imag) <= 1e-13 * abs(p0):
         # P is real at zeta = +-1 (on the unit circle a real section is real
         # up to a phase); at -1 it is negative for even genus, i.e. on the
@@ -604,15 +736,11 @@ def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
     eta = path.start_sheet * complex(np.sqrt(p0))
     if eta == 0.0:
         raise GeometryError("path starts at a branch point")
-    shape = (len(segments), ts.size)
-    zs, etas, base = (np.empty(shape, dtype=complex) for _ in range(3))
-    for p, seg in enumerate(segments):
-        etas[p] = _walk_eta(P, seg, ts, eta)
-        eta = complex(etas[p, -1])
-        zs[p] = seg.point(ts)
-        base[p] = seg.velocity(ts)  # divided by zeta^2 eta below
-    z_end = segments[-1].point(1.0)
-    ref = complex(np.sqrt(P(z_end)))
+    etas = _walk_eta(P, panels, ts, zs, eta)
+    # the end node as walked: at zeta = -1 the path's own end point may sit
+    # on the other side of the principal root's cut
+    ref = complex(np.sqrt(P(zs[-1, -1])))
+    eta = etas[-1, -1]
     end_sheet = 1 if abs(eta - ref) <= abs(eta + ref) else -1
     base /= zs**2 * etas
     return PathWalk(zs, etas, base, idx_hi, w_hi, idx_lo, w_lo, end_sheet)

@@ -32,6 +32,7 @@ import numpy as np
 
 from .curve import (
     CIRCLE_TOL,
+    _curve_from_roots,
     build_curve,
     homology_basis,
     integrate_batch,
@@ -221,7 +222,11 @@ def scaling_value(P, curve=None, index=None):
     across the conformal locus where both of those vanish.
     """
     cur = curve if curve is not None else build_curve(P)
-    Pi = product_form(a for a, _ in cur.branch_pairs)
+    return _scaling_ratio(P, product_form(a for a, _ in cur.branch_pairs), index)
+
+
+def _scaling_ratio(P, Pi, index=None):
+    """``scaling_value`` from the product form ``Pi`` of P's curve."""
     if index is None:
         index = int(np.argmax(np.abs(Pi.coeffs)))
     pm = P.coeff(index)
@@ -259,23 +264,38 @@ class PsiFrame:
     finite differences and Newton steps are taken inside a frame.
     Rebuilding a frame ``like`` an old one keeps the cycle assignment
     continuous when branch points have moved (and possibly reordered).
+    The frame keeps the curve it was built on and that curve's product
+    form, which Psi reuses at a triple with the same P.
     """
 
     basis: object
     scaling_index: int
     quad_order: int = 32
     anchors: tuple = ()
+    curve: object = field(default=None, compare=False, repr=False)
+    product: object = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def build(triple, quad_order=32, jitter=0.0, like=None):
-        cur = build_curve(triple.P)
+    def build(triple, quad_order=32, jitter=0.0, like=None, curve=None):
+        """Frame at the triple; ``curve`` is the curve of ``triple.P`` when
+        the caller has already built it."""
+        cur = curve if curve is not None else build_curve(triple.P)
         anchor = like.anchors if like is not None and like.anchors else None
         basis = homology_basis(cur, jitter=jitter, anchor=anchor)
-        _, index = scaling_value(triple.P, cur)
+        Pi = product_form(a for a, _ in cur.branch_pairs)
+        _, index = _scaling_ratio(triple.P, Pi)
         anchors = tuple(a for a, _ in basis.cuts)
         if like is not None:
             index = like.scaling_index
-        return PsiFrame(basis, index, quad_order, anchors)
+        return PsiFrame(basis, index, quad_order, anchors, cur, Pi)
+
+    def curve_of(self, P):
+        """The curve of P and its product form: the frame's own when P is
+        the one the frame was built at."""
+        if self.curve is not None and self.curve.P == P:
+            return self.curve, self.product
+        cur = build_curve(P)
+        return cur, product_form(a for a, _ in cur.branch_pairs)
 
 
 @dataclass(frozen=True)
@@ -357,9 +377,9 @@ def _psi_paths(frame):
     return basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
 
 
-def _psi_vector(triple, cur, frame, per_path):
+def _psi_vector(triple, frame, per_path, scaling):
     """Assemble the ``PsiVector`` from the integrals of (b1, b2) over each of
-    ``_psi_paths(frame)``."""
+    ``_psi_paths(frame)`` and the scaling value."""
     paths = _psi_paths(frame)
     n = len(paths) - 2
     periods, closings, labels = [], [], []
@@ -374,10 +394,8 @@ def _psi_vector(triple, cur, frame, per_path):
         residue_condition(triple.P, triple.b1),
         residue_condition(triple.P, triple.b2),
     )
-    labels.extend(("res.T1", "res.T2"))
-    s, _ = scaling_value(triple.P, cur, index=frame.scaling_index)
-    labels.append("scaling")
-    return PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
+    labels.extend(("res.T1", "res.T2", "scaling"))
+    return PsiVector(tuple(periods), tuple(closings), residues, scaling, tuple(labels), err)
 
 
 def psi(triple, frame=None, quad_order=32):
@@ -391,13 +409,14 @@ def psi(triple, frame=None, quad_order=32):
     """
     if frame is None:
         frame = PsiFrame.build(triple, quad_order=quad_order)
-    cur = build_curve(triple.P)
+    cur, Pi = frame.curve_of(triple.P)
     # one sheet-tracked walk per path, shared by both differentials
     per_path = [
         integrate_batch(cur, [triple.b1, triple.b2], path, frame.quad_order)
         for path in _psi_paths(frame)
     ]
-    return _psi_vector(triple, cur, frame, per_path)
+    s, _ = _scaling_ratio(triple.P, Pi, frame.scaling_index)
+    return _psi_vector(triple, frame, per_path, s)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +447,7 @@ def psi_residual_jacobian(triple, frame, integers):
     EP, Eb = _section_basis(kP), _section_basis(kb)
     nP, nb = kP + 1, kb + 1
     b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
-    cur = build_curve(P)
+    cur, Pi = frame.curve_of(P)
     paths = _psi_paths(frame)
     per_path = []
     # d(integral of b_i over path p) in rows [i, p]
@@ -450,15 +469,16 @@ def psi_residual_jacobian(triple, frame, integers):
         for i in range(2):
             lattice[i, p, :nP] = -0.5 * (moments[1 + i, :nP] @ EP)
             lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
-    vec = _psi_vector(triple, cur, frame, per_path)
+    alphas = [a for a, _ in cur.branch_pairs]
+    m = frame.scaling_index
+    s, _ = _scaling_ratio(P, Pi, m)
+    vec = _psi_vector(triple, frame, per_path, s)
     P_dots = [Polynomial(c) for c in EP.T]
     residues = np.zeros((2, nP + 2 * nb), dtype=complex)
     for i, b in enumerate(bs):
         residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
         residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
-    alphas = [a for a, _ in cur.branch_pairs]
-    m = frame.scaling_index
-    Pi_m, P_m = product_form(alphas).coeff(m), P.coeff(m)
+    Pi_m, P_m = Pi.coeff(m), P.coeff(m)
     scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
     scaling[0, :nP] = [
         (product_form_dot(alphas, P, dP).coeff(m) * P_m - Pi_m * dP.coeff(m)) / P_m**2
@@ -643,7 +663,6 @@ def validate(triple, tol=None, quad_order=32):
     )
 
     curve = None
-    root_list = None
     try:
         root_list = roots(triple.P)
         margins = [abs(abs(r) - 1.0) for r, _ in root_list]
@@ -665,23 +684,21 @@ def validate(triple, tol=None, quad_order=32):
         checks.append(
             _margin_check("P3_simple_roots", sep_margin, tol.cluster, {})
         )
-        curve = build_curve(triple.P)
+        curve = _curve_from_roots(triple.P, root_list)
     except WhithamError as exc:
         checks.append(
             ConditionCheck("curve", 1.0, 0.5, False, {}, error=str(exc))
         )
 
     for i, b in ((1, triple.b1), (2, triple.b2)):
-        r = abs(residue_condition(triple.P, b)) / max(
-            triple.P.norm() * b.norm(), 1e-300
-        )
+        r = relative_residue(triple.P, b)
         checks.append(
             ConditionCheck(f"P4_residue_T{i}", r, tol.alg, r <= tol.alg)
         )
 
     if curve is not None:
         try:
-            vec = psi(triple, frame=PsiFrame.build(triple, quad_order=quad_order))
+            vec = psi(triple, frame=PsiFrame.build(triple, quad_order=quad_order, curve=curve))
             rows = zip(vec.labels, vec.lattice_integers(), vec.lattice_residuals())
             for k, (lab, m, r) in enumerate(rows):
                 name = "P6_period" if k < len(vec.periods) else "P7_closing"
@@ -710,6 +727,11 @@ def validate(triple, tol=None, quad_order=32):
 
     verdict = all(c.passed for c in checks)
     return ValidationReport(tuple(checks), verdict)
+
+
+def relative_residue(P, b):
+    """|residue condition| / (|P| |b|): the P4 residual of ``validate``."""
+    return abs(residue_condition(P, b)) / max(P.norm() * b.norm(), 1e-300)
 
 
 def is_conformal(triple):

@@ -95,3 +95,96 @@ def random_real_bezout_instance(rng, strict=True):
     return A, B, C, D, (a, b, c), (X0, Y0)
 
 
+
+
+def reference_walk(curve, path, quad_order):
+    """The per-panel walk that ``curve.walk_path`` stacks: segments split one
+    at a time, eta continued panel by panel.  Returns (zs, etas, base,
+    end_sheet) with one row per panel."""
+    from whitham.curve import _continue_eta, _panel_grid
+
+    P = curve.P
+    sing = list(curve.finite_branch_points)
+    if all(abs(s) > 1e-12 for s in sing):
+        sing.append(0.0 + 0.0j)
+    segments = reference_subdivide(path.segments, sing)
+    ts = _panel_grid(quad_order)[0]
+    p0 = complex(P(segments[0].point(0.0)))
+    if abs(p0.imag) <= 1e-13 * abs(p0):
+        p0 = complex(p0.real, 0.0)
+    eta = path.start_sheet * complex(np.sqrt(p0))
+    shape = (len(segments), ts.size)
+    zs, etas, base = (np.empty(shape, dtype=complex) for _ in range(3))
+    for p, seg in enumerate(segments):
+        etas[p] = _reference_walk_eta(P, seg, ts, eta, _continue_eta)
+        eta = complex(etas[p, -1])
+        zs[p] = seg.point(ts)
+        base[p] = seg.velocity(ts)
+    ref = complex(np.sqrt(P(segments[-1].point(1.0))))
+    end_sheet = 1 if abs(eta - ref) <= abs(eta + ref) else -1
+    base /= zs**2 * etas
+    return zs, etas, base, end_sheet
+
+
+def reference_subdivide(segments, sing):
+    """Depth-first split of one segment at a time, by the rule of
+    ``curve._subdivide``."""
+    from whitham.curve import ArcSegment
+    from whitham.errors import GeometryError
+
+    out = []
+    stack = list(segments)
+    while stack:
+        seg = stack.pop(0)
+        if isinstance(seg, ArcSegment) and abs(seg.theta1 - seg.theta0) > np.pi / 4 + 1e-12:
+            stack = list(seg.split()) + stack
+            continue
+        pts = [seg.point(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        own_center = seg.center if isinstance(seg, ArcSegment) else None
+        clear = np.inf
+        for s in sing:
+            if own_center is not None and abs(s - own_center) < 1e-13:
+                continue
+            clear = min(clear, min(abs(p - s) for p in pts))
+        if isinstance(seg, ArcSegment):
+            clear = min(clear, seg.radius)
+        half = 0.5 * seg.length
+        if half > 1e-14 and half > 0.75 * clear:
+            if clear < 1e-11:
+                raise GeometryError("integration path passes through a singular point")
+            stack = list(seg.split()) + stack
+            continue
+        out.append(seg)
+    return out
+
+
+def _reference_walk_eta(P, seg, ts, eta0, continue_eta):
+    """eta along one panel: a vectorized sign walk, or a step-by-step one
+    with ``continue_eta`` on each unclear step."""
+    from whitham.errors import GeometryError
+
+    vals = np.sqrt(P(seg.point(ts)))
+    n = ts.size
+    etas = np.empty(n, dtype=complex)
+    d_keep = np.abs(vals[1:] - vals[:-1])
+    d_flip = np.abs(vals[1:] + vals[:-1])
+    lo = np.minimum(d_keep, d_flip)
+    hi = np.maximum(d_keep, d_flip)
+    mag = np.maximum(np.abs(vals[1:]), np.abs(vals[:-1]))
+    clear = (lo <= 0.5 * hi) & (lo <= 0.8 * np.maximum(mag, 1e-300))
+    cur = vals[0] if abs(vals[0] - eta0) <= abs(vals[0] + eta0) else -vals[0]
+    if abs(cur - eta0) > 0.5 * max(abs(eta0), 1e-300):
+        raise GeometryError("continuation lost the sheet at a segment junction")
+    etas[0] = cur
+    if np.all(clear):
+        signs = np.where(d_flip < d_keep, -1.0, 1.0)
+        rel = np.concatenate([[1.0 if cur == vals[0] else -1.0], signs])
+        etas[:] = np.cumprod(rel) * vals
+        return etas
+    for k in range(1, n):
+        if clear[k - 1]:
+            keep = abs(vals[k] - etas[k - 1]) <= abs(vals[k] + etas[k - 1])
+            etas[k] = vals[k] if keep else -vals[k]
+        else:
+            etas[k] = continue_eta(P, seg, float(ts[k - 1]), etas[k - 1], float(ts[k]))
+    return etas

@@ -120,6 +120,31 @@ def test_tangent_command(good_file, tmp_path):
         assert v["residuals"]["empd1"] < 1e-9
 
 
+def test_tangent_warns_off_the_residue_condition(
+    tmp_path, g0_triple, g0_conformal, g1_triple, g1_b_linear, g2_b_quad
+):
+    """``tangent`` names each numerator that fails the P4 residue test of
+    ``validate``, and keeps its exit code; the seed points are residue-free."""
+    from whitham.polyring import random_real_section
+
+    rng = np.random.default_rng(0)
+    P = Polynomial.one()
+    for a in (0.3 + 0.05j, 0.5j, -0.45 + 0.2j):
+        P = P * Polynomial([-a, 1.0]) * Polynomial([1.0, -np.conj(a)])
+    genus2 = SpectralTriple(2, P, random_real_section(rng, 5), random_real_section(rng, 5))
+    seeds = [g0_triple, g0_conformal, g1_triple, g1_b_linear, g2_b_quad]
+    for k, t in enumerate([genus2] + seeds):
+        f = tmp_path / f"t{k}.json"
+        f.write_text(json.dumps(t.to_json_dict()), encoding="utf-8")
+        out = tmp_path / f"r{k}.json"
+        assert main(["tangent", str(f), "--out", str(out)]) == 0
+        warnings = json.loads(out.read_text())["warnings"]
+        if t is genus2:
+            assert [w.split()[0] for w in warnings] == ["b1", "b2"]
+        else:
+            assert warnings == []
+
+
 def test_tangent_not_deformable_exit1(tmp_path):
     from whitham.polyring import random_real_section
 
@@ -232,6 +257,10 @@ def test_option_values_out_of_domain_exit2(good_file, tmp_path):
         ["classify", f, "--cluster-radius", "0"],
         ["oracle", "--count", "-2"],
         ["oracle", "--count", "0"],
+        ["flow", f, "--steps", "0"],
+        ["flow", f, "--steps", "-3"],
+        ["flow", f, "--dt", "0"],
+        ["flow", f, "--dt", "nan"],
     ):
         assert main(argv) == 2, argv
     # the smallest values in the domains are accepted
@@ -239,3 +268,8 @@ def test_option_values_out_of_domain_exit2(good_file, tmp_path):
     assert main(["validate", f, "--quad-order", "3", "--out", out]) in (0, 1)
     assert main(["classify", f, "--cluster-radius", "1e-8", "--out", out]) == 0
     assert main(["oracle", "--seed", "1", "--count", "1", "--out", out]) in (0, 1)
+    # a negative step is a backward flow
+    csv = tmp_path / "back.csv"
+    assert main(["flow", f, "--dt", "-0.01", "--steps", "1", "--format", "csv",
+                 "--out", str(csv)]) == 0
+    assert [r.split(",")[0] for r in csv.read_text().splitlines()[1:]] == ["0.0", "-0.01"]

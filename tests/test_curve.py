@@ -296,3 +296,72 @@ def test_closing_from_minus_one_is_continuous_at_even_genus():
         moved = build_curve(pair_poly(alphas[0], alphas[1] + h, alphas[2]))
         value = integrate_batch(moved, [b], path, 32)[0].value
         assert abs(value - base) < 1e3 * h * abs(base)
+
+
+# -- the stacked walk against the per-panel reference ----------------------------
+
+
+def _assert_walks_equal(walk, ref):
+    zs, etas, base, end_sheet = ref
+    assert np.array_equal(walk.zs, zs)
+    assert np.array_equal(walk.etas, etas)
+    assert np.array_equal(walk.base, base)
+    assert walk.end_sheet == end_sheet
+
+
+def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
+    """Every Psi path of genus 0 to 3, both case-(b) seeds included, walks
+    to the same panels, nodes, eta and end sheet as the walk that splits
+    one segment and continues eta one panel at a time."""
+    from oracles import reference_walk
+    from whitham.curve import walk_path
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+    from whitham.spectral import PsiFrame, SpectralTriple, _psi_paths, product_form
+
+    genus3 = product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j])
+    one = Polynomial.one()
+    points = [seed_genus0(), seed_conformal_genus0(1, 2), seed_genus1(), g1_b_linear,
+              g2_b_quad, SpectralTriple(3, genus3, one, one)]
+    assert not any(isinstance(t, str) for t in points), points
+    for t in points:
+        frame = PsiFrame.build(t)
+        for path in _psi_paths(frame):
+            for order in (16, 32, 48):
+                ref = reference_walk(frame.curve, path, order)
+                _assert_walks_equal(walk_path(frame.curve, path, order), ref)
+
+
+def test_unclear_row_falls_back_to_bisection(monkeypatch):
+    """A panel that passes 1e-3 from a branch point, not subdivided, has
+    unclear sign steps: only that row is walked node by node with the
+    bisecting continuation, and eta agrees with the per-panel reference on
+    it and on the panels after it."""
+    import whitham.curve as curve_mod
+    from oracles import _reference_walk_eta
+    from whitham.curve import Panels, _continue_eta, _panel_grid, _walk_eta
+
+    Ppoly = Polynomial.from_roots([0.5, 2.0])
+    segs = [
+        LineSegment(0.1 + 0.3j, 0.2 + 0.001j),
+        LineSegment(0.2 + 0.001j, 0.9 + 0.001j),
+        LineSegment(0.9 + 0.001j, 0.9 + 0.3j),
+        ArcSegment(0.5 + 0.3j, 0.4, 0.0, np.pi / 2),
+    ]
+    ts = _panel_grid(32)[0]
+    panels = Panels.of(segs)
+    zs, _ = panels.nodes(ts)
+    eta0 = complex(np.sqrt(Ppoly(zs[0, 0])))
+    bisected = []
+
+    def counted(P, seg, *args, **kwargs):
+        bisected.append(seg)
+        return _continue_eta(P, seg, *args, **kwargs)
+
+    monkeypatch.setattr(curve_mod, "_continue_eta", counted)
+    etas = _walk_eta(Ppoly, panels, ts, zs, eta0)
+    assert bisected and set(bisected) == {segs[1]}
+    ref, eta = [], eta0
+    for seg in segs:
+        ref.append(_reference_walk_eta(Ppoly, seg, ts, eta, _continue_eta))
+        eta = complex(ref[-1][-1])
+    assert np.array_equal(etas, np.array(ref))

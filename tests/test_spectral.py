@@ -299,3 +299,24 @@ def test_exact_jacobian_matches_finite_differences(point, request):
     J_fd = psi_jacobian(t, frame=frame, h=1e-7)
     assert J.shape == J_fd.shape == (r.size, 4 * t.g + 11)
     assert np.abs(J - J_fd).max() <= 1e-8 * np.abs(J_fd).max()
+
+
+def test_validate_roots_P_once(g1_triple, monkeypatch):
+    """``validate`` takes its circle and separation margins, its curve, its
+    frame and Psi from one root-finding of P."""
+    import sys
+
+    import whitham.polyring as polyring
+
+    calls = []
+    roots = polyring.roots
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return roots(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("whitham") and getattr(mod, "roots", None) is roots:
+            monkeypatch.setattr(mod, "roots", counted)
+    assert validate(g1_triple).verdict
+    assert len(calls) == 1
