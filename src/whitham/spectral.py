@@ -214,7 +214,7 @@ def product_form_dot(alphas, P, P_dot):
     return terms
 
 
-def scaling_value(P, curve=None, index=None):
+def scaling_value(P, curve=None):
     """Last Psi component: Pi_m / P_m for the product-form Pi.
 
     At a nonconformal normalized point with m = 0 this is the classical
@@ -222,7 +222,7 @@ def scaling_value(P, curve=None, index=None):
     across the conformal locus where both of those vanish.
     """
     cur = curve if curve is not None else build_curve(P)
-    return _scaling_ratio(P, product_form(a for a, _ in cur.branch_pairs), index)
+    return _scaling_ratio(P, product_form(a for a, _ in cur.branch_pairs))
 
 
 def _scaling_ratio(P, Pi, index=None):
