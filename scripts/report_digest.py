@@ -1,0 +1,63 @@
+"""Print one sha1 per CLI report, with its exit code, to compare checkouts.
+
+Runs ``validate``, ``classify``, ``tangent`` and ``flow --steps 3`` on the
+five seed points and on every input given (a directory stands for the
+``*.json`` files in it), in-process, and hashes what each call writes to
+stdout and stderr.  Two checkouts' outputs diff clean exactly when their
+reports and exit codes are byte-identical:
+
+    PYTHONPATH=src python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from whitham.cli import main
+from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1
+
+COMMANDS = (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "3"))
+
+SEEDS = {
+    "seed_genus0": seed_genus0,
+    "seed_conformal_genus0": seed_conformal_genus0,
+    "seed_genus1": seed_genus1,
+    "seed_common_factor_linear": lambda: seed_common_factor("linear"),
+    "seed_common_factor_quad": lambda: seed_common_factor("quad"),
+}
+
+
+def inputs(args, workdir):
+    """(label, path) of the seed points, written to ``workdir``, then of the
+    given files."""
+    for name, make in SEEDS.items():
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(make().to_json_dict()), encoding="utf-8")
+        yield name, path
+    for arg in args:
+        path = Path(arg)
+        for f in sorted(path.glob("*.json")) if path.is_dir() else [path]:
+            yield str(f), f
+
+
+def digest(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, hashlib.sha1((out.getvalue() + err.getvalue()).encode()).hexdigest()
+
+
+def run(args):
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, path in inputs(args, Path(tmp)):
+            for cmd in COMMANDS:
+                code, sha = digest((cmd[0], str(path)) + cmd[1:])
+                print(f"{sha} exit={code} {' '.join(cmd)} {label}", flush=True)
+
+
+if __name__ == "__main__":
+    run(sys.argv[1:])

@@ -8,7 +8,9 @@ and its successive derivatives, the right-hand entries the successive
 derivatives of the rational function C/A at beta.  The matrix is always
 nonsingular; conditioning is another matter, which is why roots are
 Leja-ordered and a warning is attached when the condition estimate is
-large.  Y is recovered from BY = AX - C.
+large.  Y is recovered from BY = AX - C.  A caller that solves several
+systems against one B (the gcd tower of ``deformation``) roots B once and
+passes its ``RootSpec`` in.
 
 Solvability requires gcd(A, B) | C; that precondition is checked
 numerically and its failure is an error, never a silent least-squares fit.
@@ -48,6 +50,11 @@ class RootSpec:
     @staticmethod
     def of(poly, cluster_radius=None):
         rs = roots(poly) if cluster_radius is None else roots(poly, cluster_radius)
+        return RootSpec.ordered(rs)
+
+    @staticmethod
+    def ordered(rs):
+        """The spec of a ``roots`` list, Leja-ordered."""
         return RootSpec(tuple(leja_order(rs)))
 
 
@@ -145,11 +152,14 @@ def _relative_residual(A, B, C, X, Y):
     return r / scale
 
 
-def minimal_solution(A, B, C, known_gcd=None):
+def minimal_solution(A, B, C, known_gcd=None, spec=None):
     """Unique solution of AX - BY = C with deg X <= deg(B/D) - 1.
 
     ``known_gcd`` overrides the numerical gcd when coprimality (or a
-    specific common factor) is known a priori.  A conditioning warning is
+    specific common factor) is known a priori.  ``spec`` is the
+    ``RootSpec.of(B/D)`` when the caller has it already (the gcd tower
+    keeps the specs of the divisors it solves against); otherwise B/D is
+    rooted here.  A conditioning warning is
     attached when the Vandermonde condition number exceeds the cap; a
     ``NoSolutionError`` is raised when gcd(A, B) fails to divide C.
     """
@@ -174,7 +184,8 @@ def minimal_solution(A, B, C, known_gcd=None):
         res = _relative_residual(A, B, C, X, Y)
         return BezoutSolution(X, Y, res, 0.0, (), np.zeros(0, dtype=complex))
 
-    spec = RootSpec.of(Bd)
+    if spec is None:
+        spec = RootSpec.of(Bd)
     n = Bd.degree - 1
     if spec.total != n + 1:
         # clustered multiplicity bookkeeping disagreed with the degree;

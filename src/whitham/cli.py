@@ -18,6 +18,7 @@ formatting.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -405,8 +406,16 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _parser():
+    """The parser, built on the first ``main`` call (not at import) and
+    reused by every later call in the process: parsing leaves it unchanged,
+    and each call gets a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -25,7 +25,11 @@ obstruction value that is computed and reported.
 real tower here (``Tower``) rescales them to real sections, carries the
 case label and the reduced parts P-tilde, b1-tilde, b2-tilde, and is built
 only through ``build_tower``, the one place that refuses a non-deformable
-triple.
+triple.  The tower also carries every root list the construction needs:
+roots(P) from ``factor_structure`` (for the scaling fix) and the
+Leja-ordered roots of b2-tilde and of the two divisors 2 F_j P-tilde of
+the deformation identities (for the Bezout solves).  Each is computed once
+per tower and passed on; nothing is cached between calls.
 
 Construction pipeline: solve the reduced Q-equation for (c1, c2) at the
 case's parameter choice, feed them into the two reduced identities, solve
@@ -42,8 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bezout import minimal_solution, realify
-from .curve import build_curve, residue_condition
+from .bezout import RootSpec, minimal_solution, realify
+from .curve import _curve_from_roots, residue_condition
 from .errors import (
     DegenerateKernelError,
     InternalInconsistencyError,
@@ -217,7 +221,12 @@ class Tower:
     """Factor tower with every factor rescaled to a real section, so that
     quotients and the reduced equations stay inside the real sections.
     In the conformal case the zeta factor of F is split off and G must be
-    trivial."""
+    trivial.
+
+    It also carries the Leja-ordered roots of every divisor the Bezout
+    solves take: ``b2_spec`` of b2-tilde (the Q-equation and R) and, in
+    ``divisors``, the pair (B_i, RootSpec of B_i) of each deformation
+    identity, B_i = 2 F_j P-tilde.  So each is rooted once per tower."""
 
     label: CaseLabel
     F: Polynomial  # without the zeta factor in the conformal case
@@ -227,10 +236,17 @@ class Tower:
     P_tilde: Polynomial
     b1_tilde: Polynomial
     b2_tilde: Polynomial
+    b2_spec: RootSpec
+    divisors: tuple  # ((B_1, spec), (B_2, spec))
 
     @property
     def conformal(self):
         return self.label.conformal
+
+    @property
+    def P_roots(self):
+        """``roots(P)``, as the gcd tower found them."""
+        return self.label.factors.P_roots
 
     @property
     def d1(self):
@@ -258,22 +274,35 @@ def _real_factor(p):
 
 def _real_tower(triple, lab):
     """The real tower of ``triple`` under its label ``lab``: the one place
-    the reduced parts P-tilde, b1-tilde and b2-tilde are computed."""
+    the reduced parts P-tilde, b1-tilde and b2-tilde, and the root lists of
+    the Bezout divisors built from them, are computed."""
     fs = lab.factors
     F1 = _real_factor(fs.F1)
     F2 = _real_factor(fs.F2)
     if lab.conformal:
-        zeta, one = Polynomial.zeta(), Polynomial.one()
+        zeta = Polynomial.zeta()
+        F = G = Polynomial.one()
         P_tilde = triple.P.deflate(zeta * F1 * F2)
         b1_tilde = triple.b1.deflate(zeta * F1)
         b2_tilde = triple.b2.deflate(zeta * F2)
-        return Tower(lab, one, F1, F2, one, P_tilde, b1_tilde, b2_tilde)
-    F = _real_factor(fs.F)
-    G = _real_factor(fs.G)
-    P_tilde = triple.P.deflate(F * F1 * F2)
-    b1_tilde = triple.b1.deflate(F * F1 * G)
-    b2_tilde = triple.b2.deflate(F * F2 * G)
-    return Tower(lab, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde)
+    else:
+        F = _real_factor(fs.F)
+        G = _real_factor(fs.G)
+        P_tilde = triple.P.deflate(F * F1 * F2)
+        b1_tilde = triple.b1.deflate(F * F1 * G)
+        b2_tilde = triple.b2.deflate(F * F2 * G)
+    # a root list is reused only for identical coefficients: b2-tilde is
+    # the gcd tower's last quotient of b2 whenever G is 1 and the real
+    # factors equal the monic ones (all 1, or F = zeta at a conformal
+    # point), and B_2 = B_1 whenever F1 = F2
+    b2_q, b2_q_roots = fs.b2_reduced
+    b2_spec = RootSpec.ordered(b2_q_roots) if b2_tilde == b2_q else RootSpec.of(b2_tilde)
+    B1 = 2.0 * F2 * P_tilde
+    B2 = 2.0 * F1 * P_tilde
+    spec1 = RootSpec.of(B1)
+    spec2 = spec1 if B2 == B1 else RootSpec.of(B2)
+    return Tower(lab, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde, b2_spec,
+                 ((B1, spec1), (B2, spec2)))
 
 
 def build_tower(triple, label=None):
@@ -313,13 +342,13 @@ def r_value(triple, Q, tower=None):
     reduced Q-equation; linear in Q.  Vanishing of R makes the solution
     degree drop to the deformation degree."""
     tw = tower if tower is not None else build_tower(triple)
-    return _r_last_coefficient(tw.b1_tilde, tw.b2_tilde, Q * tw.P_tilde)
+    return _r_last_coefficient(tw.b1_tilde, tw.b2_tilde, Q * tw.P_tilde, tw.b2_spec)
 
 
-def _r_last_coefficient(A, B, C):
+def _r_last_coefficient(A, B, C, spec=None):
     if B.degree < 1:
         raise DegenerateKernelError("b2-tilde is degenerate (degree < 1); R undefined")
-    sol = minimal_solution(A, B, C, known_gcd=Polynomial.one())
+    sol = minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec)
     x = sol.x_raw
     return complex(x[-1]) if x.size else 0.0 + 0.0j
 
@@ -391,7 +420,9 @@ def solve_q_equation(triple, params, tower=None):
         if real_defect(Q, 2) > 1e-8 * max(1.0, Q.norm()):
             raise RealityViolationError("Q is not a real quadratic section")
         C = Q * tw.P_tilde
-        sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
+        sol = minimal_solution(
+            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
+        )
         x = sol.x_raw
         top = abs(x[-1]) if x.size else 0.0
         scale = max(1.0, float(np.linalg.norm(x)) if x.size else 0.0)
@@ -408,7 +439,9 @@ def solve_q_equation(triple, params, tower=None):
         if real_defect(Qt, 1) > 1e-8 * max(1.0, Qt.norm()):
             raise RealityViolationError("Q-tilde is not a weight-1 real section")
         C = Qt * tw.P_tilde
-        sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
+        sol = minimal_solution(
+            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
+        )
         c2t, c1t = sol.X, sol.Y
         rem_rel = sol.residual
         Q_full = tw.G * Qt
@@ -425,7 +458,9 @@ def solve_q_equation(triple, params, tower=None):
             Q_full = Polynomial([0.0, q])
         a_w, b_w = g + 1 - d1, g + 1 - d2
         c_w = 2 * g + 2 - d1 - d2
-        sol = minimal_solution(tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one())
+        sol = minimal_solution(
+            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
+        )
         sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, sol)
         c2t = sol.X + float(params.r) * tw.b2_tilde
         c1t = sol.Y + float(params.r) * tw.b1_tilde
@@ -473,15 +508,15 @@ def _residue_tangent_residual(triple, v, i):
     return abs(val) / scale
 
 
-def _scaling_shift(triple, P_dot):
+def _scaling_shift(triple, P_dot, P_roots):
     """The real rescale parameter t killing the scaling-normalization
-    derivative along (P_dot + 2tP, ...).
+    derivative along (P_dot + 2tP, ...); ``P_roots`` is ``roots(triple.P)``.
 
     Uses d/dt of the product-form coefficients: alpha_k moves by
     -P_dot(alpha_k)/P'(alpha_k), and the reference index is the largest
     product-form coefficient (stable across the conformal locus).
     """
-    alphas = [a for a, _ in build_curve(triple.P).branch_pairs]
+    alphas = [a for a, _ in _curve_from_roots(triple.P, P_roots).branch_pairs]
     Pi = product_form(alphas)
     terms = product_form_dot(alphas, triple.P, P_dot)
     m = int(np.argmax(np.abs(Pi.coeffs)))
@@ -512,21 +547,18 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
     sols = []
     hom = []
     for i in (1, 2):
-        j = 2 if i == 1 else 1
-        Fj = tw.Fi(j)
+        B, spec = tw.divisors[i - 1]
         bt = tw.btilde(i)
         ci = c1 if i == 1 else c2
         if tw.conformal:
             ct = ci.deflate(tw.Fi(i))
             A = bt
-            B = 2.0 * Fj * tw.P_tilde
             C = B * (chat[i - 1] - zeta * chat[i - 1].derivative()) + zeta2m1 * dP * ct
             a_w = g + 1 - tw.d1 if i == 1 else g + 1 - tw.d2
             c_w = 3 * g + 3 - (tw.d1 if i == 1 else tw.d2)
         else:
             ct = ci.deflate(tw.F * tw.Fi(i))
             A = tw.G * bt
-            B = 2.0 * Fj * tw.P_tilde
             C = (
                 B * (chat[i - 1] - zeta * chat[i - 1].derivative())
                 + zeta * zeta2m1 * dP * ct
@@ -536,7 +568,7 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
             a_w = g + 3 - dF - di
             c_w = 3 * g + 5 - dF - di
         b_w = c_w - (g + 3)
-        sol = minimal_solution(A, B, C, known_gcd=Polynomial.one())
+        sol = minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec)
         sol = realify(A, B, C, a_w, b_w, c_w, sol)
         warnings.extend(sol.warnings)
         sols.append(sol)
@@ -583,7 +615,7 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
         b1_dot = b1_dot + u_e * (tw.F1 * tw.b1_tilde)
         b2_dot = b2_dot + u_e * (tw.F2 * tw.b2_tilde)
 
-    t, t_imag = _scaling_shift(triple, P_dot)
+    t, t_imag = _scaling_shift(triple, P_dot, tw.P_roots)
     if t_imag > 1e-6 * max(1.0, abs(t)):
         warnings.append(f"scaling shift has imaginary part {t_imag:.2e}")
     P_dot = P_dot + 2.0 * t * triple.P
@@ -593,7 +625,7 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
     v = TangentVector(
         P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings)
     )
-    t_after, _ = _scaling_shift(triple, P_dot)
+    t_after, _ = _scaling_shift(triple, P_dot, tw.P_roots)
     residuals = {
         "empd1": _empdi_residual(triple, v, 1),
         "empd2": _empdi_residual(triple, v, 2),

@@ -8,10 +8,21 @@ these are the fixed points of the pullback ``real_pullback(-, k)``.
 
 Coefficients are stored dense and low-to-high (coeffs[i] multiplies
 zeta**i).  Degrees in play stay below ~25, so no sparse or FFT machinery.
+A ``Polynomial`` owns a read-only copy of its coefficients, trimmed in one
+pass.
+
+Gcds are matched between root lists (``approx_gcd`` roots its two inputs
+and matches them).  The gcd tower ``factor_structure`` roots P, b1 and b2
+once each and passes the lists down: a quotient by the exact 1 is the
+dividend with its roots, and only a new coefficient vector (a gcd or a
+quotient by a factor of positive degree) is rooted again.  It keeps
+``roots(P)`` for the curve and the last quotient of b2 with its roots for
+the real tower of ``deformation``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,19 +65,16 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs, bound=None):
-        c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
-        if c.size == 0:
-            c = np.zeros(1, dtype=complex)
-        if not np.all(np.isfinite(c)):
+        # a private copy, so that no caller's array aliases the coefficients
+        c = np.array(coeffs, dtype=complex).reshape(-1)
+        mags = np.abs(c)
+        # any NaN or infinity (or a modulus that overflows) makes the max
+        # non-finite, so one reduction serves as the finiteness test too
+        scale = mags.max(initial=0.0)
+        if not math.isfinite(scale):
             raise ValueError("non-finite polynomial coefficient")
-        scale = np.max(np.abs(c))
-        if scale > 0.0:
-            keep = np.abs(c) > TRIM_REL * scale
-            last = int(np.max(np.nonzero(keep)[0])) if np.any(keep) else -1
-        else:
-            last = -1
-        c = c[: last + 1] if last >= 0 else np.zeros(1, dtype=complex)
-        c = np.ascontiguousarray(c)
+        kept = (mags > TRIM_REL * scale).nonzero()[0]
+        c = c[: kept[-1] + 1] if kept.size else np.zeros(1, dtype=complex)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         if bound is not None and self.degree > bound:
@@ -116,7 +124,8 @@ class Polynomial:
         )
 
     def __hash__(self):
-        return hash(self.coeffs.tobytes())
+        # + 0.0 maps -0.0 to 0.0, which __eq__ already treats as equal
+        return hash((self.coeffs + 0.0).tobytes())
 
     # -- ring operations -------------------------------------------------
 
@@ -473,12 +482,8 @@ def roots_flat(p):
 
 
 def approx_gcd(p, q, cluster_radius=GCD_CLUSTER_RADIUS, return_info=False):
-    """Monic gcd by root-cluster matching.
-
-    Roots of p and q closer than ``cluster_radius`` (relative) are treated
-    as common; multiplicities combine by min.  Coprime inputs give 1.
-    With ``return_info`` also reports borderline near-matches (distance
-    within 10x the radius) for diagnostics.
+    """Monic gcd by root-cluster matching (``_gcd_of_roots`` on the roots of
+    p and q).  With ``return_info`` also reports the borderline near-matches.
     """
     p, q = _as_poly(p), _as_poly(q)
     if p.is_zero and q.is_zero:
@@ -486,8 +491,18 @@ def approx_gcd(p, q, cluster_radius=GCD_CLUSTER_RADIUS, return_info=False):
     if p.is_zero or q.is_zero:
         g = (q if p.is_zero else p).monic()
         return (g, []) if return_info else g
-    rp = roots(p)
-    rq = roots(q)
+    g, borderline = _gcd_of_roots(roots(p), roots(q), cluster_radius)
+    return (g, borderline) if return_info else g
+
+
+def _gcd_of_roots(rp, rq, cluster_radius):
+    """Monic gcd of two polynomials from their ``roots`` lists.
+
+    Roots closer than ``cluster_radius`` (relative) are treated as common;
+    multiplicities combine by min.  No common root gives the exact
+    ``Polynomial.one()``.  Returns the gcd and the borderline near-matches
+    (distance within 10x the radius) as (root of p, root of q, distance).
+    """
     pairs = []
     for i, (r1, m1) in enumerate(rp):
         for j, (r2, m2) in enumerate(rq):
@@ -508,10 +523,8 @@ def approx_gcd(p, q, cluster_radius=GCD_CLUSTER_RADIUS, return_info=False):
         elif d <= 10.0 * cluster_radius:
             borderline.append((rp[i][0], rq[j][0], d))
     if not matched:
-        g = Polynomial.one()
-    else:
-        g = Polynomial.from_roots([r for r, m in matched for _ in range(m)])
-    return (g, borderline) if return_info else g
+        return Polynomial.one(), borderline
+    return Polynomial.from_roots([r for r, m in matched for _ in range(m)]), borderline
 
 
 @dataclass(frozen=True)
@@ -522,12 +535,16 @@ class FactorStructure:
     (resp. b2); G what b1 and b2 still share after that.  All four are
     monic; the quotients of P, b1 and b2 by them are taken in
     ``deformation.build_tower``, after rescaling to real sections.
+    ``P_roots`` is ``roots(P)``; ``b2_reduced`` is b2 / (F F2) with its
+    roots, the last quotient of b2 the tower rooted.
     """
 
     F: Polynomial
     F1: Polynomial
     F2: Polynomial
     G: Polynomial
+    P_roots: tuple
+    b2_reduced: tuple  # (b2 / (F F2), its roots)
     borderline: tuple = ()
 
     @property
@@ -547,24 +564,51 @@ class FactorStructure:
         return self.G.degree
 
 
+def _quotient(p, rp, f):
+    """p / f and its roots.  A gcd of degree 0 is the exact 1, so the
+    quotient is p itself and keeps the roots ``rp``."""
+    if f.degree == 0:
+        return p, rp
+    q = p.deflate(f)
+    return q, roots(q)
+
+
+def _gcd_roots(g, p, rp):
+    """Roots of a gcd g of p and another polynomial: none for the exact 1,
+    and p's own ``rp`` when g has p's coefficients (p monic, every root
+    shared, as P = zeta at a conformal genus-0 point)."""
+    if g.degree == 0:
+        return []
+    return rp if g == p else roots(g)
+
+
 def factor_structure(P, b1, b2, cluster_radius=GCD_CLUSTER_RADIUS):
-    """Compute the gcd tower, first F, then F1 and F2, then G."""
+    """Compute the gcd tower, first F, then F1 and F2, then G.
+
+    Every gcd is matched from root lists.  P, b1 and b2 are rooted once
+    each; a gcd or a quotient is rooted again only when its coefficients
+    are new, that is when the factor has positive degree.
+    """
     P, b1, b2 = _as_poly(P), _as_poly(b1), _as_poly(b2)
     if P.is_zero or b1.is_zero or b2.is_zero:
         raise ZeroPolynomialError("factor tower of zero polynomial")
-    info = []
-    F, binfo = approx_gcd(approx_gcd(P, b1, cluster_radius), b2, cluster_radius, return_info=True)
+    rP, r1 = roots(P), roots(b1)
+    F0, _ = _gcd_of_roots(rP, r1, cluster_radius)
+    rF0 = _gcd_roots(F0, P, rP)
+    r2 = roots(b2)
+    F, info = _gcd_of_roots(rF0, r2, cluster_radius)
+    P_F, rP_F = _quotient(P, rP, F)
+    b1_F, r1_F = _quotient(b1, r1, F)
+    b2_F, r2_F = _quotient(b2, r2, F)
+    F1, binfo = _gcd_of_roots(rP_F, r1_F, cluster_radius)
     info.extend(binfo)
-    P_F = P.deflate(F)
-    b1_F = b1.deflate(F)
-    b2_F = b2.deflate(F)
-    F1, binfo = approx_gcd(P_F, b1_F, cluster_radius, return_info=True)
+    F2, binfo = _gcd_of_roots(rP_F, r2_F, cluster_radius)
     info.extend(binfo)
-    F2, binfo = approx_gcd(P_F, b2_F, cluster_radius, return_info=True)
+    _, r1_G = _quotient(b1_F, r1_F, F1)
+    b2_G, r2_G = _quotient(b2_F, r2_F, F2)
+    G, binfo = _gcd_of_roots(r1_G, r2_G, cluster_radius)
     info.extend(binfo)
-    G, binfo = approx_gcd(b1_F.deflate(F1), b2_F.deflate(F2), cluster_radius, return_info=True)
-    info.extend(binfo)
-    return FactorStructure(F, F1, F2, G, tuple(info))
+    return FactorStructure(F, F1, F2, G, tuple(rP), (b2_G, tuple(r2_G)), tuple(info))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,30 @@ instance generators build data from explicit factors.
 
 import numpy as np
 
-from whitham.polyring import Polynomial, random_real_section, real_section_scale
+from whitham.errors import DegreeBoundError
+from whitham.polyring import TRIM_REL, Polynomial, random_real_section, real_section_scale
+
+
+def reference_coeffs(coeffs, bound=None):
+    """The coefficients ``Polynomial(coeffs, bound)`` keeps, by the
+    three-pass trim (finiteness, then the scale, then the last kept index)
+    that the one-pass constructor replaces."""
+    c = np.atleast_1d(np.asarray(coeffs, dtype=complex)).ravel()
+    if c.size == 0:
+        c = np.zeros(1, dtype=complex)
+    if not np.all(np.isfinite(c)):
+        raise ValueError("non-finite polynomial coefficient")
+    scale = np.max(np.abs(c))
+    if scale > 0.0:
+        keep = np.abs(c) > TRIM_REL * scale
+        last = int(np.max(np.nonzero(keep)[0])) if np.any(keep) else -1
+    else:
+        last = -1
+    c = c[: last + 1] if last >= 0 else np.zeros(1, dtype=complex)
+    degree = -1 if (c.size == 1 and c[0] == 0) else c.size - 1
+    if bound is not None and degree > bound:
+        raise DegreeBoundError(f"degree {degree} exceeds nominal bound {bound}")
+    return c
 
 
 def conv_matrix(p, cols, rows):

@@ -82,6 +82,19 @@ def test_minimal_solution_division_example():
     assert (sol.Y - P(0, -1)).norm() < 1e-12
 
 
+def test_minimal_solution_takes_the_spec_of_B_and_owns_X():
+    """A caller's ``RootSpec.of(B/D)`` gives the solution of rooting B/D
+    inside, bit for bit; X owns its coefficients apart from ``x_raw``."""
+    rng = np.random.default_rng(5)
+    one = Polynomial.one()
+    for _ in range(10):
+        A, B, C, _ = random_bezout_instance(rng, d_deg=0)
+        sol = minimal_solution(A, B, C, known_gcd=one)
+        given = minimal_solution(A, B, C, known_gcd=one, spec=RootSpec.of(B))
+        assert (given.X, given.Y, given.residual) == (sol.X, sol.Y, sol.residual)
+        assert not np.shares_memory(sol.x_raw, sol.X.coeffs)
+
+
 def test_minimal_solution_divisibility_error():
     # gcd = zeta does not divide C = 1
     with pytest.raises(NoSolutionError):

@@ -273,3 +273,26 @@ def test_option_values_out_of_domain_exit2(good_file, tmp_path):
     assert main(["flow", f, "--dt", "-0.01", "--steps", "1", "--format", "csv",
                  "--out", str(csv)]) == 0
     assert [r.split(",")[0] for r in csv.read_text().splitlines()[1:]] == ["0.0", "-0.01"]
+
+
+def test_successive_calls_see_their_own_options(good_file, tmp_path, capsys, monkeypatch):
+    """The parser is built once per process, and each ``main`` call still
+    gets its own option values and the defaults of what it leaves out."""
+    import whitham.cli as cli
+
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    out = tmp_path / "flow.csv"
+    assert main(["flow", str(good_file), "--steps", "1", "--format", "csv", "--out", str(out)]) == 0
+    assert out.read_text().startswith("t,tau_re,tau_im,residual\n")
+    assert main(["oracle", "--seed", "5", "--count", "5"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["seed"], report["count"]) == (5, 5)
+    assert main(["flow", str(good_file), "--steps", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and json.loads(lines[-1]) == {"status": "completed"}
+    assert json.loads(lines[1])["t"] == pytest.approx(1e-2)
+    assert main(["classify", str(good_file)]) == 0
+    assert json.loads(capsys.readouterr().out)["case"] == "a"
+    assert len(built) <= 1

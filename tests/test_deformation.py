@@ -25,7 +25,7 @@ from whitham.deformation import (
     tangent_basis,
 )
 from whitham.errors import DegenerateKernelError, NotDeformableError
-from whitham.polyring import Polynomial, approx_gcd, random_real_section, roots_flat
+from whitham.polyring import Polynomial, approx_gcd, random_real_section, roots, roots_flat
 from whitham.spectral import SpectralTriple, product_form
 
 RNG = np.random.default_rng(20260808)
@@ -492,7 +492,46 @@ def test_scaling_shift_is_bit_identical_to_inline_root_motion(
         P_dots = [random_real_section(rng, k) for _ in range(3)]
         P_dots += [v.P_dot for v in tangent_basis(t)[0]]
         for P_dot in P_dots:
-            assert _scaling_shift(t, P_dot) == _inline_scaling_shift(t, P_dot)
+            assert _scaling_shift(t, P_dot, roots(t.P)) == _inline_scaling_shift(t, P_dot)
+
+
+def _rooted_vectors(monkeypatch):
+    """Record the coefficient bytes of every ``polyring.roots`` call made
+    through any ``whitham`` module."""
+    import sys
+
+    import whitham.polyring as polyring
+
+    seen = []
+    original = polyring.roots
+
+    def counted(p, *args, **kwargs):
+        seen.append(polyring._as_poly(p).coeffs.tobytes())
+        return original(p, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("whitham") and getattr(mod, "roots", None) is original:
+            monkeypatch.setattr(mod, "roots", counted)
+    return seen
+
+
+def test_classify_roots_P_b1_b2_once_each(g0_triple, monkeypatch):
+    """The gcd tower is matched from one root list each of P, b1 and b2;
+    at the genus-0 seed every factor is 1, so nothing else is rooted."""
+    t = g0_triple
+    seen = _rooted_vectors(monkeypatch)
+    assert classify(t).label == "a"
+    assert sorted(seen) == sorted(p.coeffs.tobytes() for p in (t.P, t.b1, t.b2))
+
+
+def test_tangent_basis_roots_no_vector_twice(g0_triple, g1_triple, g0_conformal, monkeypatch):
+    """The tower carries every root list it computed, so one
+    ``tangent_basis`` roots each coefficient vector at most once."""
+    seen = _rooted_vectors(monkeypatch)
+    for t in (g0_triple, g1_triple, g0_conformal):
+        seen.clear()
+        tangent_basis(t)
+        assert seen and len(seen) == len(set(seen))
 
 
 def test_residue_tangent_residual_is_the_derivative_of_the_residue_condition():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whitham.errors import (
@@ -9,6 +9,7 @@ from whitham.errors import (
     ZeroPolynomialError,
 )
 from whitham.polyring import (
+    TRIM_REL,
     Polynomial,
     approx_gcd,
     factor_structure,
@@ -22,6 +23,8 @@ from whitham.polyring import (
     roots_flat,
     symmetrize,
 )
+
+from oracles import reference_coeffs
 
 RNG = np.random.default_rng(20260808)
 
@@ -61,6 +64,79 @@ def test_eval_matches_numpy():
 def test_degree_bound_enforced():
     with pytest.raises(DegreeBoundError):
         Polynomial([1, 2, 3], bound=1)
+
+
+_FINITE = st.floats(-1e150, 1e150, allow_nan=False)
+# a trailing entry's modulus over TRIM_REL * max|coeff|: just above and just
+# below the trim threshold, or zero
+_TRIM_EDGE = st.sampled_from((1.0 + 1e-9, 1.0 - 1e-9, 0.0))
+
+
+@st.composite
+def _coefficient_inputs(draw):
+    """Lists and arrays of coefficients: any length (empty and all-zero
+    included), trailing entries at the trim threshold, 0-d and 2-D arrays,
+    and a NaN or an infinity somewhere."""
+    head = [complex(a, b) for a, b in draw(st.lists(st.tuples(_FINITE, _FINITE), max_size=8))]
+    if draw(st.booleans()):
+        head = [0j] * len(head)
+    scale = max((abs(c) for c in head), default=0.0)
+    phase = np.exp(1j * draw(st.floats(0.0, 6.3)))
+    head += [TRIM_REL * scale * f * phase for f in draw(st.lists(_TRIM_EDGE, max_size=3))]
+    if head and draw(st.integers(0, 5)) == 0:
+        bad = draw(st.sampled_from((np.nan, np.inf, -np.inf, complex(0.0, np.nan))))
+        head[draw(st.integers(0, len(head) - 1))] = bad
+    form = draw(st.sampled_from(("list", "array", "0-d", "2-D")))
+    if form == "0-d":
+        return np.asarray(head[0] if head else 0j)
+    if form == "2-D" and len(head) % 2 == 0:
+        return np.array(head, dtype=complex).reshape(2, -1)
+    return head if form == "list" else np.array(head, dtype=complex)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_coefficient_inputs(), st.one_of(st.none(), st.integers(-1, 10)))
+@example([1.0, 0.5, TRIM_REL * (1.0 + 1e-9)], None)
+@example([1.0, 0.5, TRIM_REL * (1.0 - 1e-9)], None)
+@example([0.0, 0.0, 0.0], None)
+@example([], None)
+@example(np.asarray(2.5 - 1j), None)
+@example(np.arange(6.0).reshape(2, 3), None)
+@example(np.asfortranarray(np.arange(6.0).reshape(2, 3)), None)
+@example([1.0, np.nan], None)
+@example([np.inf], None)
+@example([1.0, 2.0, 3.0], 1)
+def test_constructor_matches_three_pass_reference(coeffs, bound):
+    """The one-pass constructor keeps the coefficients of the three-pass
+    trim, bit for bit, and raises where it raised."""
+    try:
+        expected = reference_coeffs(coeffs, bound)
+    except (ValueError, DegreeBoundError) as exc:
+        with pytest.raises(type(exc)):
+            Polynomial(coeffs, bound=bound)
+        return
+    got = Polynomial(coeffs, bound=bound).coeffs
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_constructor_owns_its_coefficients():
+    a = np.array([1, 2, 3], dtype=complex)
+    p = Polynomial(a)
+    a[0] = 99
+    assert p.coeffs[0] == 1
+    assert not np.shares_memory(p.coeffs, a)
+    assert not p.coeffs.flags.writeable
+
+
+def test_hash_agrees_with_eq_on_signed_zeros():
+    pairs = [
+        (Polynomial([0.0, 1.0]), Polynomial([-0.0, 1.0])),
+        (Polynomial([complex(1.0, 0.0), 2.0]), Polynomial([complex(1.0, -0.0), 2.0])),
+    ]
+    for p, q in pairs:
+        assert p == q
+        assert hash(p) == hash(q)
+        assert len({p, q}) == 1
 
 
 # -- real structure ----------------------------------------------------------
