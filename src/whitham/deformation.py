@@ -345,7 +345,7 @@ def r_value(triple, Q, tower=None):
     return _r_last_coefficient(tw.b1_tilde, tw.b2_tilde, Q * tw.P_tilde, tw.b2_spec)
 
 
-def _r_last_coefficient(A, B, C, spec=None):
+def _r_last_coefficient(A, B, C, spec):
     if B.degree < 1:
         raise DegenerateKernelError("b2-tilde is degenerate (degree < 1); R undefined")
     sol = minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec)

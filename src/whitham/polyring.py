@@ -573,13 +573,9 @@ def _quotient(p, rp, f):
     return q, roots(q)
 
 
-def _gcd_roots(g, p, rp):
-    """Roots of a gcd g of p and another polynomial: none for the exact 1,
-    and p's own ``rp`` when g has p's coefficients (p monic, every root
-    shared, as P = zeta at a conformal genus-0 point)."""
-    if g.degree == 0:
-        return []
-    return rp if g == p else roots(g)
+def _gcd_roots(g):
+    """Roots of a matched gcd g: none for the exact 1."""
+    return [] if g.degree == 0 else roots(g)
 
 
 def factor_structure(P, b1, b2, cluster_radius=GCD_CLUSTER_RADIUS):
@@ -594,7 +590,7 @@ def factor_structure(P, b1, b2, cluster_radius=GCD_CLUSTER_RADIUS):
         raise ZeroPolynomialError("factor tower of zero polynomial")
     rP, r1 = roots(P), roots(b1)
     F0, _ = _gcd_of_roots(rP, r1, cluster_radius)
-    rF0 = _gcd_roots(F0, P, rP)
+    rF0 = _gcd_roots(F0)
     r2 = roots(b2)
     F, info = _gcd_of_roots(rF0, r2, cluster_radius)
     P_F, rP_F = _quotient(P, rP, F)

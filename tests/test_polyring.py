@@ -119,6 +119,18 @@ def test_constructor_matches_three_pass_reference(coeffs, bound):
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
+def test_constructor_rejects_an_overflowing_modulus():
+    """A finite coefficient whose modulus overflows raises ``ValueError``.
+    This departs on purpose from the three-pass reference, which returns
+    the zero polynomial there; the hypothesis test above draws components
+    far below this range, so the two constructors agree on what it draws."""
+    with pytest.raises(ValueError):
+        Polynomial([1.5e308 + 1.5e308j])
+    with pytest.raises(ValueError):
+        Polynomial([1.0, 1.5e308 - 1.5e308j])
+    assert reference_coeffs([1.5e308 + 1.5e308j], None).tobytes() == np.zeros(1, complex).tobytes()
+
+
 def test_constructor_owns_its_coefficients():
     a = np.array([1, 2, 3], dtype=complex)
     p = Polynomial(a)
