@@ -1,7 +1,7 @@
 """Print one sha1 per CLI report, with its exit code, to compare checkouts.
 
-Runs ``validate``, ``classify``, ``tangent`` and ``flow --steps 3`` on the
-five seed points and on every input given (a directory stands for the
+Runs ``validate``, ``classify``, ``tangent`` and ``flow --steps 3`` under
+both flow rules (``basis0`` and ``basis1``) on the five seed points and on every input given (a directory stands for the
 ``*.json`` files in it), in-process, and hashes what each call writes to
 stdout and stderr.  Two checkouts' outputs diff clean exactly when their
 reports and exit codes are byte-identical:
@@ -20,7 +20,13 @@ from pathlib import Path
 from whitham.cli import main
 from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1
 
-COMMANDS = (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "3"))
+COMMANDS = (
+    ("validate",),
+    ("classify",),
+    ("tangent",),
+    ("flow", "--steps", "3"),
+    ("flow", "--steps", "3", "--rule", "basis1"),
+)
 
 SEEDS = {
     "seed_genus0": seed_genus0,

@@ -518,7 +518,7 @@ def _scaling_shift(triple, P_dot, P_roots):
     """
     alphas = [a for a, _ in _curve_from_roots(triple.P, P_roots).branch_pairs]
     Pi = product_form(alphas)
-    terms = product_form_dot(alphas, triple.P, P_dot)
+    (terms,) = product_form_dot(alphas, triple.P, [P_dot])
     m = int(np.argmax(np.abs(Pi.coeffs)))
     Pm = triple.P.coeff(m)
     t = (Pm * terms.coeff(m) - P_dot.coeff(m) * Pi.coeff(m)) / (2.0 * Pm * Pi.coeff(m))
@@ -654,28 +654,33 @@ def make_tangent(triple, params, tower=None):
     return v
 
 
-def tangent_basis(triple):
-    """Two independent tangent vectors spanning the deformation parameters.
+def tangent_params(triple, tower):
+    """The pair of deformation parameters whose tangent vectors span the
+    tangent space at a triple with real tower ``tower``.
 
     Case (a): the kernel basis of R; case (b) with G linear: the real
     sections {1 + zeta, i - i zeta}; case (b) with G quadratic and case
     (e): the canonical parameter pairs (1, 0) and (0, 1).
     """
-    tw = build_tower(triple)
-    label = tw.label.label
+    label = tower.label.label
     if label == "a":
-        q1, q2 = r_kernel(triple, tw)
-        plist = [CaseAParams(q1), CaseAParams(q2)]
-    elif label == "b" and tw.G.degree == 1:
-        plist = [
+        q1, q2 = r_kernel(triple, tower)
+        return CaseAParams(q1), CaseAParams(q2)
+    if label == "b" and tower.G.degree == 1:
+        return (
             CaseBLinearParams(Polynomial([1.0, 1.0])),
             CaseBLinearParams(Polynomial([1j, -1j])),
-        ]
-    elif label == "b":
-        plist = [CaseBQuadParams(1.0, 0.0), CaseBQuadParams(0.0, 1.0)]
-    else:
-        plist = [CaseEParams(1.0, 0.0), CaseEParams(0.0, 1.0)]
-    vectors = tuple(make_tangent(triple, p, tower=tw) for p in plist)
+        )
+    if label == "b":
+        return CaseBQuadParams(1.0, 0.0), CaseBQuadParams(0.0, 1.0)
+    return CaseEParams(1.0, 0.0), CaseEParams(0.0, 1.0)
+
+
+def tangent_basis(triple):
+    """Two independent tangent vectors spanning the deformation parameters
+    (those of ``tangent_params``), and their Gram determinant."""
+    tw = build_tower(triple)
+    vectors = tuple(make_tangent(triple, p, tower=tw) for p in tangent_params(triple, tw))
     return vectors, gram_determinant(vectors)
 
 

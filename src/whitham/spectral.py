@@ -16,10 +16,11 @@ deterministic given the deterministic homology basis; for derivative work
 scaling's reference coefficient index are frozen in a ``PsiFrame`` so
 nearby triples are measured against identical paths.
 
-Newton projection uses the exact Jacobian, ``psi_residual_jacobian``: in a
-frozen frame every column is a sum over the nodes of the same walks that
-evaluate Psi.  The central-difference ``d_psi`` and ``psi_jacobian`` are
-kept as its independent oracle.
+Newton projection uses the exact Jacobian: in a frozen frame every column
+is a sum over the nodes of the same walks that evaluate Psi.  ``psi_walks``
+keeps those walks and assembles the Jacobian only when asked;
+``psi_residual_jacobian`` is its eager form.  The central-difference
+``d_psi`` and ``psi_jacobian`` are kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -198,20 +199,28 @@ def product_form(alphas):
     return out
 
 
-def product_form_dot(alphas, P, P_dot):
-    """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot: each
-    in-disc branch point moves by alpha_dot = -P_dot(alpha)/P'(alpha)."""
+def product_form_dot(alphas, P, P_dots):
+    """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot, for each
+    P_dot of ``P_dots``: each in-disc branch point moves by
+    alpha_dot = -P_dot(alpha)/P'(alpha).  The product form of the other
+    roots and P'(alpha) are built once per root and shared by every
+    direction."""
     alphas = list(alphas)
     dP = P.derivative()
-    terms = Polynomial.zero()
-    for k, a in enumerate(alphas):
-        a_dot = -P_dot(a) / dP(a)
-        rest = product_form(alphas[:k] + alphas[k + 1 :])
-        dpair = Polynomial([-a_dot, 0.0]) * Polynomial([1.0, -np.conj(a)]) + Polynomial(
-            [-a, 1.0]
-        ) * Polynomial([0.0, -np.conj(a_dot)])
-        terms = terms + dpair * rest
-    return terms
+    per_root = [
+        (a, dP(a), product_form(alphas[:k] + alphas[k + 1 :]),
+         Polynomial([1.0, -np.conj(a)]), Polynomial([-a, 1.0]))
+        for k, a in enumerate(alphas)
+    ]
+    out = []
+    for P_dot in P_dots:
+        terms = Polynomial.zero()
+        for a, dP_a, rest, right, left in per_root:
+            a_dot = -P_dot(a) / dP_a
+            dpair = Polynomial([-a_dot, 0.0]) * right + left * Polynomial([0.0, -np.conj(a_dot)])
+            terms = terms + dpair * rest
+        out.append(terms)
+    return out
 
 
 def scaling_value(P, curve=None):
@@ -431,67 +440,95 @@ def _section_basis(k):
     return np.column_stack([unpack_section(e, k).padded(k + 1) for e in np.eye(k + 1)])
 
 
+@dataclass(frozen=True)
+class PsiWalks:
+    """Psi at a triple from one walk per path of a frame (``psi_walks``),
+    with the walks kept so that ``jacobian()`` can assemble the exact
+    Jacobian from them when, and only when, it is called."""
+
+    triple: SpectralTriple
+    frame: PsiFrame
+    curve: object
+    product: Polynomial
+    walks: tuple
+    vector: PsiVector
+
+    def jacobian(self):
+        """The exact Jacobian of the flattened Psi over the real chart
+        (``pack_triple``), in the frame of the walks.
+
+        With the paths frozen, a lattice value of b dzeta/(zeta^2 eta) is
+        linear in b, and eta^2 = P gives its P-derivative
+        -1/2 b dP dzeta/(zeta^2 eta P); both are sums over the walk's nodes.
+        The residue rows are exact (the residue condition is bilinear), and
+        the scaling row follows the branch points through
+        ``product_form_dot``.
+        """
+        triple = self.triple
+        g = triple.g
+        kP, kb = 2 * g + 2, g + 3
+        P, bs = triple.P, (triple.b1, triple.b2)
+        EP, Eb = _section_basis(kP), _section_basis(kb)
+        nP, nb = kP + 1, kb + 1
+        b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
+        # d(integral of b_i over path p) in rows [i, p]
+        lattice = np.zeros((2, len(self.walks), nP + 2 * nb), dtype=complex)
+        for p, w in enumerate(self.walks):
+            zs = np.take(w.zs, w.idx_hi, axis=1).ravel()
+            wb = (w.w_hi * np.take(w.base, w.idx_hi, axis=1)).ravel()
+            inv_P = 1.0 / np.take(w.etas, w.idx_hi, axis=1).ravel() ** 2
+            # node weights whose moments sum(f zeta^k) are the b-columns (row
+            # 0) and the P-columns of b1 and b2 (rows 1, 2) in the monomial
+            # basis
+            f = np.stack([wb] + [wb * b(zs) * inv_P for b in bs])
+            moments = np.empty((3, max(nP, nb)), dtype=complex)
+            zk = np.ones_like(zs)
+            for k in range(moments.shape[1]):
+                moments[:, k] = f @ zk
+                zk *= zs
+            for i in range(2):
+                lattice[i, p, :nP] = -0.5 * (moments[1 + i, :nP] @ EP)
+                lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
+        P_dots = [Polynomial(c) for c in EP.T]
+        residues = np.zeros((2, nP + 2 * nb), dtype=complex)
+        for i, b in enumerate(bs):
+            residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
+            residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
+        m = self.frame.scaling_index
+        Pi_m, P_m = self.product.coeff(m), P.coeff(m)
+        alphas = [a for a, _ in self.curve.branch_pairs]
+        scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
+        scaling[0, :nP] = [
+            (dPi.coeff(m) * P_m - Pi_m * dP.coeff(m)) / P_m**2
+            for dP, dPi in zip(P_dots, product_form_dot(alphas, P, P_dots))
+        ]
+        n = len(self.walks) - 2
+        # complex rows in the order of ``PsiVector.flatten``: periods of b1
+        # and of b2, closings of b1 and of b2, residues, scaling
+        Jc = np.vstack([lattice[0, :n], lattice[1, :n], lattice[0, n:], lattice[1, n:],
+                        residues, scaling])
+        J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
+        J[0::2], J[1::2] = Jc.real, Jc.imag
+        return J
+
+
+def psi_walks(triple, frame):
+    """Psi at the triple from one walk per path of the frame, as a
+    ``PsiWalks`` whose Jacobian is assembled on demand; its ``vector``
+    equals ``psi(triple, frame=frame)``."""
+    cur, Pi = frame.curve_of(triple.P)
+    walks = tuple(walk_path(cur, path, frame.quad_order) for path in _psi_paths(frame))
+    per_path = [w.integrate((triple.b1, triple.b2)) for w in walks]
+    s, _ = _scaling_ratio(triple.P, Pi, frame.scaling_index)
+    return PsiWalks(triple, frame, cur, Pi, walks, _psi_vector(triple, frame, per_path, s))
+
+
 def psi_residual_jacobian(triple, frame, integers):
     """The flattened Psi against ``integers`` and its exact Jacobian over the
-    real chart (``pack_triple``), from one walk per path of the frame.
-
-    With the paths frozen, a lattice value of b dzeta/(zeta^2 eta) is linear
-    in b, and eta^2 = P gives its P-derivative -1/2 b dP dzeta/(zeta^2 eta P);
-    both are sums over the walk's nodes.  The residue rows are exact (the
-    residue condition is bilinear), and the scaling row follows the branch
-    points through ``product_form_dot``.
-    """
-    g = triple.g
-    kP, kb = 2 * g + 2, g + 3
-    P, bs = triple.P, (triple.b1, triple.b2)
-    EP, Eb = _section_basis(kP), _section_basis(kb)
-    nP, nb = kP + 1, kb + 1
-    b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
-    cur, Pi = frame.curve_of(P)
-    paths = _psi_paths(frame)
-    per_path = []
-    # d(integral of b_i over path p) in rows [i, p]
-    lattice = np.zeros((2, len(paths), nP + 2 * nb), dtype=complex)
-    for p, path in enumerate(paths):
-        w = walk_path(cur, path, frame.quad_order)
-        per_path.append(w.integrate(bs))
-        zs = np.take(w.zs, w.idx_hi, axis=1).ravel()
-        wb = (w.w_hi * np.take(w.base, w.idx_hi, axis=1)).ravel()
-        inv_P = 1.0 / np.take(w.etas, w.idx_hi, axis=1).ravel() ** 2
-        # node weights whose moments sum(f zeta^k) are the b-columns (row 0)
-        # and the P-columns of b1 and b2 (rows 1, 2) in the monomial basis
-        f = np.stack([wb] + [wb * b(zs) * inv_P for b in bs])
-        moments = np.empty((3, max(nP, nb)), dtype=complex)
-        zk = np.ones_like(zs)
-        for k in range(moments.shape[1]):
-            moments[:, k] = f @ zk
-            zk *= zs
-        for i in range(2):
-            lattice[i, p, :nP] = -0.5 * (moments[1 + i, :nP] @ EP)
-            lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
-    alphas = [a for a, _ in cur.branch_pairs]
-    m = frame.scaling_index
-    s, _ = _scaling_ratio(P, Pi, m)
-    vec = _psi_vector(triple, frame, per_path, s)
-    P_dots = [Polynomial(c) for c in EP.T]
-    residues = np.zeros((2, nP + 2 * nb), dtype=complex)
-    for i, b in enumerate(bs):
-        residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
-        residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
-    Pi_m, P_m = Pi.coeff(m), P.coeff(m)
-    scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
-    scaling[0, :nP] = [
-        (product_form_dot(alphas, P, dP).coeff(m) * P_m - Pi_m * dP.coeff(m)) / P_m**2
-        for dP in P_dots
-    ]
-    n = len(paths) - 2
-    # complex rows in the order of ``PsiVector.flatten``: periods of b1 and
-    # of b2, closings of b1 and of b2, residues, scaling
-    Jc = np.vstack([lattice[0, :n], lattice[1, :n], lattice[0, n:], lattice[1, n:],
-                    residues, scaling])
-    J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
-    J[0::2], J[1::2] = Jc.real, Jc.imag
-    return vec.flatten(integers), J
+    real chart (``pack_triple``), from one walk per path of the frame: the
+    eager form of ``psi_walks``."""
+    w = psi_walks(triple, frame)
+    return w.vector.flatten(integers), w.jacobian()
 
 
 # ---------------------------------------------------------------------------

@@ -55,51 +55,150 @@ def test_capture_radius():
 
 
 def test_one_round_projection_builds_one_frame(g0_triple, monkeypatch):
-    """A projection that converges in its first round builds its frame and
-    evaluates psi once: the first round works in the frame just built at
-    the guess, without refreshing it."""
-    import whitham.flow as flow
+    """A projection that converges in its first round builds its frame once
+    and walks the guess once, one walk per path: the first round works in
+    the frame just built at the guess, without refreshing it, and
+    Gauss-Newton starts from the walk that measured the guess."""
+    import whitham.spectral as spectral
 
-    calls = {"build": 0, "psi": 0}
-    build, flow_psi = PsiFrame.build, flow.psi
+    frames, walked = [], []
+    build, walk_path = PsiFrame.build, spectral.walk_path
 
     def counted_build(*args, **kwargs):
-        calls["build"] += 1
-        return build(*args, **kwargs)
+        frames.append(build(*args, **kwargs))
+        return frames[-1]
 
-    def counted_psi(*args, **kwargs):
-        calls["psi"] += 1
-        return flow_psi(*args, **kwargs)
+    def counted_walk(curve, *args, **kwargs):
+        walked.append(curve.P)
+        return walk_path(curve, *args, **kwargs)
 
     monkeypatch.setattr(PsiFrame, "build", staticmethod(counted_build))
-    monkeypatch.setattr(flow, "psi", counted_psi)
+    monkeypatch.setattr(spectral, "walk_path", counted_walk)
     rng = np.random.default_rng(2)
     x = pack_triple(g0_triple)
     noisy = unpack_triple(x + 1e-6 * rng.standard_normal(x.size), 0)
     res = project_to_mg(noisy, tol=1e-10, quad_order=40)
     assert res.residual < 1e-10
-    assert calls == {"build": 1, "psi": 1}
+    assert len(frames) == 1
+    assert sum(P == noisy.P for P in walked) == len(spectral._psi_paths(frames[0]))
 
 
 def test_crawling_round_ends_the_solve(monkeypatch):
     """A round that lowers the residual by less than 0.1% ends the chart
     solve even when it stopped at its iteration limit, instead of running
     every remaining round at no real progress."""
+    from types import SimpleNamespace
+
     import whitham.flow as flow
 
     rounds = []
 
-    def crawling(residual, x0, tol):
+    def crawling(residual, x0, first, tol):
         prev = rounds[-1] if rounds else 1.0
         rounds.append(prev * (1.0 - 1e-4))
         return flow.GNResult(x0, rounds[-1], [prev, rounds[-1]], "maxiter")
 
     monkeypatch.setattr(flow, "gauss_newton", crawling)
-    monkeypatch.setattr(flow, "_refreshed_frame", lambda old, *args: old)
+    monkeypatch.setattr(flow, "_refreshed_frame", lambda old, *args: (old, None))
     chart = (np.zeros(1), lambda x: x, None)
+    # the walks at the start, as far as the solve reads them: residual norm 1
+    start = SimpleNamespace(vector=SimpleNamespace(flatten=lambda integers: np.ones(1)),
+                            jacobian=None)
     with pytest.raises(ProjectionFailureError, match="stalled"):
-        flow._chart_solve(chart, (), None, 1.0, 1e-10)
+        flow._chart_solve(chart, (), None, start, 1e-10)
     assert len(rounds) == 1
+
+
+def test_gauss_newton_assembles_jacobians_only_where_it_steps():
+    """``gauss_newton`` calls ``jacobian()`` at the start and at each
+    accepted iterate that has not converged, never on a rejected trial
+    (inadmissible or not lowering the residual) nor at the converged
+    point."""
+    import whitham.flow as flow
+    from whitham.errors import StepSizeError
+
+    target = np.array([0.05, -0.02])
+    evaluations = []  # [residual norm or None, jacobian called]
+
+    def residual(x):
+        entry = [None, False]
+        evaluations.append(entry)
+        if len(evaluations) == 2:
+            raise StepSizeError("inadmissible trial")
+        r = (x - target) * (10.0 if len(evaluations) == 3 else 1.0)
+        entry[0] = float(np.linalg.norm(r))
+
+        def jacobian():
+            entry[1] = True
+            return np.eye(2)
+
+        return r, jacobian
+
+    x0 = np.zeros(2)
+    res = flow.gauss_newton(residual, x0, residual(x0), 1e-12)
+    assert res.status == "converged"
+    accepted = [e for e in evaluations if e[0] in res.trace]
+    assert len(accepted) == len(res.trace) < len(evaluations)
+    for norm, called in evaluations:
+        assert called == (norm in res.trace and norm > 1e-12)
+    assert [called for _, called in evaluations].count(True) == len(res.trace) - 1
+
+
+def _counted(monkeypatch, name):
+    """Count the calls of ``whitham.deformation.<name>`` through every
+    ``whitham`` module that binds it."""
+    import sys
+
+    import whitham.deformation as deformation
+
+    calls = []
+    original = getattr(deformation, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("whitham") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("rule", ["basis0", "basis1"])
+def test_trace_classifies_each_point_once(g1_triple, rule, monkeypatch):
+    """A 3-step trace classifies each of its 4 points once and builds one
+    tangent vector per step: the one the rule uses."""
+    classified = _counted(monkeypatch, "classify")
+    tangents = _counted(monkeypatch, "make_tangent")
+    samples, status = trace(g1_triple, FlowConfig(h=1e-2, steps=3, params_rule=rule))
+    assert status == "completed" and len(samples) == 4
+    assert len(classified) == 4
+    assert len(tangents) == 3
+
+
+def test_fixed_rule_classifies_each_point_once(g0_triple, monkeypatch):
+    """The fixed ``CaseAParams`` rule builds one tower per point, from the
+    point's own label, for both the R-kernel and the tangent vector."""
+    rule = tangent_basis(g0_triple)[0][0].params
+    classified = _counted(monkeypatch, "classify")
+    tangents = _counted(monkeypatch, "make_tangent")
+    samples, status = trace(g0_triple, FlowConfig(h=1e-3, steps=2, params_rule=rule))
+    assert status == "completed" and len(samples) == 3
+    assert len(classified) == 3
+    assert len(tangents) == 2
+
+
+def test_genus2_common_factor_flow_completes(g2_b_quad):
+    """The 3-step ``basis0`` flow from the genus-2 quadratic-G point takes
+    every step, and every sample validates.  Its second step is halved
+    seven times."""
+    assert not isinstance(g2_b_quad, str), g2_b_quad
+    samples, status = trace(g2_b_quad, FlowConfig(h=1e-2, steps=3, params_rule="basis0"))
+    assert status == "completed"
+    assert len(samples) == 4
+    for s in samples:
+        assert validate(s.triple).verdict, validate(s.triple).failed()
+    assert samples[2].t - samples[1].t == pytest.approx(1e-2 / 2**7)
 
 
 def _scan_script():

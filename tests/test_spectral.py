@@ -95,8 +95,22 @@ def test_product_form_dot_follows_the_branch_points(alphas):
         return product_form(a for a, _ in cur.branch_pairs)
 
     fd = (moved(h) - moved(-h)) / (2 * h)
-    dot = product_form_dot(alphas, P0, P_dot)
+    (dot,) = product_form_dot(alphas, P0, [P_dot])
     assert (dot - fd).norm() <= 1e-7 * max(1.0, fd.norm())
+
+
+@pytest.mark.parametrize("alphas", PRODUCT_FORM_CASES.values(), ids=PRODUCT_FORM_CASES)
+def test_product_form_dot_over_many_directions_is_bit_identical(alphas):
+    """One call over several directions gives, coefficient for coefficient,
+    the result of one call per direction."""
+    P0 = pair_poly(*alphas)
+    rng = np.random.default_rng(11)
+    P_dots = [random_real_section(rng, P0.degree + P0.degree % 2) for _ in range(5)]
+    many = product_form_dot(alphas, P0, P_dots)
+    assert len(many) == len(P_dots)
+    for P_dot, dot in zip(P_dots, many):
+        (alone,) = product_form_dot(alphas, P0, [P_dot])
+        assert np.array_equal(dot.coeffs, alone.coeffs)
 
 
 # -- chart ---------------------------------------------------------------------
