@@ -1,10 +1,11 @@
 """Print one sha1 per CLI report, with its exit code, to compare checkouts.
 
-Runs ``validate``, ``classify``, ``tangent`` and ``flow --steps 3`` under
-both flow rules (``basis0`` and ``basis1``) on the five seed points and on every input given (a directory stands for the
-``*.json`` files in it), in-process, and hashes what each call writes to
-stdout and stderr.  Two checkouts' outputs diff clean exactly when their
-reports and exit codes are byte-identical:
+Runs ``validate``, ``classify``, ``tangent``, ``flow --steps 3`` under
+both flow rules (``basis0`` and ``basis1``) and ``plot`` on the five seed
+points and on every input given (a directory stands for the ``*.json``
+files in it), then ``oracle --seed 7 --count 25`` once, in-process, and
+hashes what each call writes to stdout and stderr.  Two checkouts' outputs
+diff clean exactly when their reports and exit codes are byte-identical:
 
     PYTHONPATH=src python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
 """
@@ -26,7 +27,11 @@ COMMANDS = (
     ("tangent",),
     ("flow", "--steps", "3"),
     ("flow", "--steps", "3", "--rule", "basis1"),
+    ("plot",),
 )
+
+# subcommands that read no input, run once
+STANDALONE = (("oracle", "--seed", "7", "--count", "25"),)
 
 SEEDS = {
     "seed_genus0": seed_genus0,
@@ -63,6 +68,9 @@ def run(args):
             for cmd in COMMANDS:
                 code, sha = digest((cmd[0], str(path)) + cmd[1:])
                 print(f"{sha} exit={code} {' '.join(cmd)} {label}", flush=True)
+    for cmd in STANDALONE:
+        code, sha = digest(cmd)
+        print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .polyring import (
     approx_gcd,
     jet_divide,
     poly_jet,
-    real_pullback,
     roots,
     symmetrize,
 )
@@ -48,9 +47,8 @@ class RootSpec:
         return sum(m for _, m in self.entries)
 
     @staticmethod
-    def of(poly, cluster_radius=None):
-        rs = roots(poly) if cluster_radius is None else roots(poly, cluster_radius)
-        return RootSpec.ordered(rs)
+    def of(poly):
+        return RootSpec.ordered(roots(poly))
 
     @staticmethod
     def ordered(rs):
@@ -190,7 +188,7 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
     if spec.total != n + 1:
         # clustered multiplicity bookkeeping disagreed with the degree;
         # rebuild with a tight radius so the system stays square
-        spec = RootSpec.of(Bd, cluster_radius=1e-13)
+        spec = RootSpec.ordered(roots(Bd, 1e-13))
         warnings.append("root multiplicity adjusted to match degree")
     V = confluent_vandermonde(spec, n)
     h = _rhs_vector(spec, Cd, Ad)
@@ -241,13 +239,13 @@ def _section_defect(p, k):
     return float(np.max(np.abs(p.padded(k + 1) - np.conj(p.padded(k + 1)[::-1]))))
 
 
-def solution_space(A, B, C, a, b, c, known_gcd=None):
+def solution_space(A, B, C, a, b, c):
     """All real-section solutions in weights (c-a, c-b), for c >= a+b-d.
 
     The space is the minimal solution plus U*(B/D, A/D) over real-section
     parameters U of weight c-a-b+d.
     """
-    D = known_gcd if known_gcd is not None else approx_gcd(A, B)
+    D = approx_gcd(A, B)
     d = D.degree
     if c < a + b - d:
         raise ValueError(f"solution space requires c >= a+b-d ({c} < {a + b - d})")

@@ -60,12 +60,16 @@ def _np_scalar(x):
     raise TypeError(f"not JSON serializable: {type(x)}")
 
 
-def _dump(obj, args):
-    text = json.dumps(obj, indent=2, default=_np_scalar)
+def _write(text, args):
+    """The report goes to ``--out`` when given, else to stdout."""
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _dump(obj, args):
+    _write(json.dumps(obj, indent=2, default=_np_scalar) + "\n", args)
 
 
 def _load_triple(path):
@@ -122,7 +126,8 @@ def cmd_classify(args):
             "case": label.label,
             "conformal": label.conformal,
             "deformable": label.deformable,
-            "degrees": {"F": fs.d_F, "F1": fs.d_1, "F2": fs.d_2, "G": fs.d_G},
+            "degrees": {"F": fs.F.degree, "F1": fs.F1.degree, "F2": fs.F2.degree,
+                        "G": fs.G.degree},
             "warnings": list(label.warnings),
         },
         args,
@@ -180,15 +185,10 @@ def cmd_flow(args):
         lines = ["t,tau_re,tau_im,residual"]
         for s in samples:
             lines.append(f"{s.t!r},{s.tau.real!r},{s.tau.imag!r},{s.psi_residual!r}")
-        text = "\n".join(lines) + "\n"
     else:
         lines = [json.dumps(s.to_json_dict()) for s in samples]
         lines.append(json.dumps({"status": status}))
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args)
     return EXIT_PASS if status == "completed" else EXIT_NUMERICAL
 
 
@@ -290,8 +290,10 @@ def cmd_oracle(args):
 # -- SVG plot -------------------------------------------------------------------
 
 
-def _svg_point(z, scale=120.0, cx=300.0, cy=300.0):
-    return cx + scale * z.real, cy - scale * z.imag
+def _svg_point(z):
+    """SVG coordinates of z: the unit circle is drawn at radius 120 about
+    (300, 300)."""
+    return 300.0 + 120.0 * z.real, 300.0 - 120.0 * z.imag
 
 
 def cmd_plot(args):
@@ -330,11 +332,7 @@ def cmd_plot(args):
         "red: branch pairs (dot inside, square outside) - blue/green: roots of b1/b2</text>"
     )
     parts.append("</svg>")
-    text = "\n".join(parts) + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(parts) + "\n", args)
     return EXIT_PASS
 
 

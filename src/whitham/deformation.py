@@ -192,7 +192,7 @@ def classify(triple, cluster_radius=GCD_CLUSTER_RADIUS):
         f"borderline gcd cluster: |{r1:.4g} - {r2:.4g}| = {d:.2e}"
         for r1, r2, d in fs.borderline
     )
-    dF, dG = fs.d_F, fs.d_G
+    dF, dG = fs.F.degree, fs.G.degree
     if is_conformal(triple):
         zeta_factor = dF == 1 and abs(fs.F.coeff(0)) <= 1e-8
         label = "e" if (zeta_factor and dG == 0) else "f"
@@ -247,14 +247,6 @@ class Tower:
     def P_roots(self):
         """``roots(P)``, as the gcd tower found them."""
         return self.label.factors.P_roots
-
-    @property
-    def d1(self):
-        return self.F1.degree
-
-    @property
-    def d2(self):
-        return self.F2.degree
 
     def btilde(self, i):
         return self.b1_tilde if i == 1 else self.b2_tilde
@@ -330,12 +322,6 @@ def build_tower(triple, label=None):
 # The R function and its kernel
 # ---------------------------------------------------------------------------
 
-_QUAD_BASIS = (
-    Polynomial([1.0, 0.0, 1.0]),
-    Polynomial([1j, 0.0, -1j]),
-    Polynomial([0.0, 1.0, 0.0]),
-)
-
 
 def r_value(triple, Q, tower=None):
     """Leading (degree g+2-d2) coefficient of the minimal interpolant of the
@@ -363,8 +349,8 @@ def r_kernel(triple, tower=None):
     """
     tw = tower if tower is not None else build_tower(triple)
     M = np.zeros((2, 3))
-    for j, e in enumerate(_QUAD_BASIS):
-        val = r_value(triple, e, tw)
+    for j, e in enumerate(np.eye(3)):
+        val = r_value(triple, unpack_section(e, 2), tw)
         M[0, j] = val.real
         M[1, j] = val.imag
     U, s, Vt = np.linalg.svd(M)
@@ -375,10 +361,7 @@ def r_kernel(triple, tower=None):
             f"R on the real quadratics has numerical rank {rank}, expected 1 "
             f"(singular values {s})"
         )
-    out = []
-    for row in Vt[1:]:
-        Q = sum((float(cj) * e for cj, e in zip(row, _QUAD_BASIS)), Polynomial.zero())
-        out.append(Q)
+    out = [unpack_section(row, 2) for row in Vt[1:]]
     for Q in out:
         if abs(r_value(triple, Q, tw)) > 1e-8 * scale * max(1.0, Q.norm()):
             raise DegenerateKernelError("kernel candidate fails R(Q) = 0 re-evaluation")
@@ -391,8 +374,8 @@ def r_kernel(triple, tower=None):
 
 
 # the (label, deg G) of the triples each kind of parameters applies to
-_PARAMS_CASE = {CaseAParams: ("a", 0), CaseBLinearParams: ("b", 1),
-                CaseBQuadParams: ("b", 2), CaseEParams: ("e", 0)}
+PARAMS_CASE = {CaseAParams: ("a", 0), CaseBLinearParams: ("b", 1),
+               CaseBQuadParams: ("b", 2), CaseEParams: ("e", 0)}
 
 
 def solve_q_equation(triple, params, tower=None):
@@ -405,8 +388,8 @@ def solve_q_equation(triple, params, tower=None):
     """
     tw = tower if tower is not None else build_tower(triple)
     g = triple.g
-    d1, d2 = tw.d1, tw.d2
-    case = _PARAMS_CASE.get(type(params))
+    d1, d2 = tw.F1.degree, tw.F2.degree
+    case = PARAMS_CASE.get(type(params))
     if case is None:
         raise TypeError(f"unrecognized deformation parameters: {params!r}")
     if case != (tw.label.label, tw.G.degree):
@@ -550,12 +533,13 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
         B, spec = tw.divisors[i - 1]
         bt = tw.btilde(i)
         ci = c1 if i == 1 else c2
+        di = tw.Fi(i).degree
         if tw.conformal:
             ct = ci.deflate(tw.Fi(i))
             A = bt
             C = B * (chat[i - 1] - zeta * chat[i - 1].derivative()) + zeta2m1 * dP * ct
-            a_w = g + 1 - tw.d1 if i == 1 else g + 1 - tw.d2
-            c_w = 3 * g + 3 - (tw.d1 if i == 1 else tw.d2)
+            a_w = g + 1 - di
+            c_w = 3 * g + 3 - di
         else:
             ct = ci.deflate(tw.F * tw.Fi(i))
             A = tw.G * bt
@@ -564,7 +548,6 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
                 + zeta * zeta2m1 * dP * ct
             )
             dF = tw.F.degree
-            di = tw.d1 if i == 1 else tw.d2
             a_w = g + 3 - dF - di
             c_w = 3 * g + 5 - dF - di
         b_w = c_w - (g + 3)

@@ -6,8 +6,8 @@ two-dimensional kernel on the moduli set, so the pseudo-inverse is
 rank-truncated) drive the flattened condition map (periods and closings to
 their fixed 2*pi*i multiples, residues to 0, scaling to 1) to zero on a
 chart of triples, each round in one frame refreshed at the iterate, with the
-exact Jacobian (``spectral.psi_residual_jacobian``, from the residual's
-walk) times the chart derivative.  ``project_to_mg`` runs it on the plain
+exact Jacobian (``spectral.psi_walks``, assembled from the residual's walk)
+times the chart derivative.  ``project_to_mg`` runs it on the plain
 coordinates of a nearby candidate triple.  Seeds:
 
 * genus-0 conformal points are exact (closed form),
@@ -41,6 +41,7 @@ import numpy as np
 
 from .curve import build_curve, homology_basis, integrate_batch
 from .deformation import (
+    PARAMS_CASE,
     CaseAParams,
     CaseLabel,
     build_tower,
@@ -60,7 +61,6 @@ from .spectral import (
     pack_triple,
     product_form,
     psi,
-    psi_residual_jacobian,
     psi_walks,
     unpack_section,
     unpack_triple,
@@ -399,7 +399,7 @@ def numerator_space(P, g, frame):
     identically (the A-cycles are invariant under the real structure)."""
     k = g + 3
     one = Polynomial.one()
-    _, J = psi_residual_jacobian(SpectralTriple(g, P, one, one), frame, None)
+    J = psi_walks(SpectralTriple(g, P, one, one), frame).jacobian()
     # the lattice values and the residue are linear in b: their b1-columns,
     # in the complex rows periods of b1 and of b2, closings of b1 and of b2,
     # residues, scaling
@@ -415,10 +415,9 @@ def numerator_space(P, g, frame):
     return vt[-2:].T, lattice.imag / TWO_PI
 
 
-def _times_matrix(G, k, d=None):
+def _times_matrix(G, k, d):
     """Real-coordinate matrix of m -> G*m on the weight-k real sections; G is
-    a real section of weight ``d`` (default: its degree)."""
-    d = G.degree if d is None else d
+    a real section of weight ``d``."""
     return np.column_stack(
         [pack_section(G * unpack_section(e, k), k + d) for e in np.eye(k + 1)]
     )
@@ -501,9 +500,9 @@ def confirm_case_b(triple, d_G):
     if not rep.verdict:
         problems.append("validation failed: " + ", ".join(rep.failed()))
     lab = classify(triple)
-    if lab.label != "b" or lab.factors.d_G != d_G:
+    if lab.label != "b" or lab.factors.G.degree != d_G:
         problems.append(
-            f"classified ({lab.label}) with deg G = {lab.factors.d_G}, "
+            f"classified ({lab.label}) with deg G = {lab.factors.G.degree}, "
             f"not (b) with deg G = {d_G}"
         )
     margin = _geometry_margin(triple)
@@ -566,13 +565,26 @@ def seed_common_factor(kind="linear"):
 # ---------------------------------------------------------------------------
 
 
+# the tangent rules of a flow that pick the tangent-basis vector of one
+# parameter (``tangent_params``); any other rule is fixed deformation parameters
+BASIS_RULES = {"basis0": 0, "basis1": 1}
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     h: float = 1e-2
     steps: int = 10
-    params_rule: object = "basis0"  # "basis0"/"basis1" or fixed DeformationParams
+    params_rule: object = "basis0"  # a key of BASIS_RULES, or a PARAMS_CASE kind
     projection_tol: float = 1e-10
     quad_order: int = 32
+
+    def __post_init__(self):
+        rule = self.params_rule
+        if not (type(rule) in PARAMS_CASE or (isinstance(rule, str) and rule in BASIS_RULES)):
+            raise ValueError(
+                f"params_rule must be one of {', '.join(BASIS_RULES)} or deformation "
+                f"parameters, not {rule!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -623,8 +635,8 @@ def _rule_tangent(triple, label, rule, v_prev):
     are re-solved as they are.
     """
     tw = build_tower(triple, label)
-    if isinstance(rule, str) and rule.startswith("basis"):
-        params = tangent_params(triple, tw)[int(rule[5:] or 0)]
+    if isinstance(rule, str):
+        params = tangent_params(triple, tw)[BASIS_RULES[rule]]
     elif isinstance(rule, CaseAParams):
         q1, q2 = r_kernel(triple, tw)
         xref = pack_section(rule.Q, 2)

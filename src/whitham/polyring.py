@@ -47,6 +47,12 @@ MULTIPLICITY_RADIUS = 1e-6
 ABERTH_MAX_ITER = 200
 ABERTH_TARGET = 1e-12
 
+# ``Polynomial.deflate`` accepts a remainder up to this times the dividend's
+# norm; ``real_section_scale`` a real-section defect up to this times the
+# rescaled norm
+DEFLATE_RTOL = 1e-8
+REAL_SCALE_RTOL = 1e-8
+
 
 class Polynomial:
     """Immutable dense polynomial over the complex floats.
@@ -192,13 +198,13 @@ class Polynomial:
             num[i : i + den.size] -= q[i] * den
         return Polynomial(q), Polynomial(num[: den.size - 1] if den.size > 1 else [0.0])
 
-    def deflate(self, factor, rel_tol=1e-8):
-        """Exact division; raises if the remainder is not negligible."""
+    def deflate(self, factor):
+        """Exact division; raises if the remainder exceeds ``DEFLATE_RTOL``."""
         q, r = self.divmod(factor)
         scale = max(self.norm(), 1e-300)
-        if r.norm() > rel_tol * scale:
+        if r.norm() > DEFLATE_RTOL * scale:
             raise NumericalFailureError(
-                f"deflation remainder {r.norm() / scale:.3e} exceeds {rel_tol:.1e}",
+                f"deflation remainder {r.norm() / scale:.3e} exceeds {DEFLATE_RTOL:.1e}",
                 best=q,
             )
         return q
@@ -206,8 +212,8 @@ class Polynomial:
     # -- constructors ----------------------------------------------------
 
     @staticmethod
-    def from_roots(roots, leading=1.0):
-        p = np.array([complex(leading)])
+    def from_roots(roots):
+        p = np.array([1.0 + 0.0j])
         for r in roots:
             p = np.convolve(p, np.array([-complex(r), 1.0]))
         return Polynomial(p)
@@ -281,7 +287,7 @@ def symmetrize(p, k):
     return (p + real_pullback(p, k)) * 0.5
 
 
-def real_section_scale(p, tol=1e-8):
+def real_section_scale(p):
     """Complex unit lambda such that lambda*p is a real section of weight deg p.
 
     Exists whenever the root multiset of p is invariant under the
@@ -307,7 +313,7 @@ def real_section_scale(p, tol=1e-8):
     if lam.real < 0 or (lam.real == 0 and lam.imag < 0):
         lam = -lam
     q = p * lam
-    if real_defect(q, k) > tol * max(1.0, q.norm()):
+    if real_defect(q, k) > REAL_SCALE_RTOL * max(1.0, q.norm()):
         raise RealityViolationError(
             f"real-section defect {real_defect(q, k):.3e} after rescale"
         )
@@ -363,7 +369,7 @@ def _aberth_start(coeffs):
     return guesses
 
 
-def _aberth(coeffs, max_iter=ABERTH_MAX_ITER, target=ABERTH_TARGET):
+def _aberth(coeffs):
     """Simultaneous iteration for all roots of a squarefree-ish polynomial."""
     n = coeffs.size - 1
     if n == 0:
@@ -380,10 +386,10 @@ def _aberth(coeffs, max_iter=ABERTH_MAX_ITER, target=ABERTH_TARGET):
         s = np.zeros_like(az)
         for a in mags[::-1]:
             s = s * az + a
-        return np.abs(pv) <= target * np.maximum(s, 1e-300)
+        return np.abs(pv) <= ABERTH_TARGET * np.maximum(s, 1e-300)
 
     converged = np.zeros(n, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(ABERTH_MAX_ITER):
         p = _eval_many(coeffs, z)
         dp = _eval_many(dcoeffs, z)
         converged = backward_ok(z, p)
@@ -481,18 +487,16 @@ def roots_flat(p):
 # ---------------------------------------------------------------------------
 
 
-def approx_gcd(p, q, cluster_radius=GCD_CLUSTER_RADIUS, return_info=False):
+def approx_gcd(p, q):
     """Monic gcd by root-cluster matching (``_gcd_of_roots`` on the roots of
-    p and q).  With ``return_info`` also reports the borderline near-matches.
-    """
+    p and q, at ``GCD_CLUSTER_RADIUS``)."""
     p, q = _as_poly(p), _as_poly(q)
     if p.is_zero and q.is_zero:
         raise ZeroPolynomialError("gcd of two zero polynomials")
     if p.is_zero or q.is_zero:
-        g = (q if p.is_zero else p).monic()
-        return (g, []) if return_info else g
-    g, borderline = _gcd_of_roots(roots(p), roots(q), cluster_radius)
-    return (g, borderline) if return_info else g
+        return (q if p.is_zero else p).monic()
+    g, _ = _gcd_of_roots(roots(p), roots(q), GCD_CLUSTER_RADIUS)
+    return g
 
 
 def _gcd_of_roots(rp, rq, cluster_radius):
@@ -546,22 +550,6 @@ class FactorStructure:
     P_roots: tuple
     b2_reduced: tuple  # (b2 / (F F2), its roots)
     borderline: tuple = ()
-
-    @property
-    def d_F(self):
-        return self.F.degree
-
-    @property
-    def d_1(self):
-        return self.F1.degree
-
-    @property
-    def d_2(self):
-        return self.F2.degree
-
-    @property
-    def d_G(self):
-        return self.G.degree
 
 
 def _quotient(p, rp, f):

@@ -18,9 +18,9 @@ nearby triples are measured against identical paths.
 
 Newton projection uses the exact Jacobian: in a frozen frame every column
 is a sum over the nodes of the same walks that evaluate Psi.  ``psi_walks``
-keeps those walks and assembles the Jacobian only when asked;
-``psi_residual_jacobian`` is its eager form.  The central-difference
-``d_psi`` and ``psi_jacobian`` are kept as its independent oracle.
+keeps those walks and assembles the Jacobian only when asked.  The
+central-difference ``d_psi`` and ``psi_jacobian`` are kept as its
+independent oracle.
 """
 
 from __future__ import annotations
@@ -521,14 +521,6 @@ def psi_walks(triple, frame):
     per_path = [w.integrate((triple.b1, triple.b2)) for w in walks]
     s, _ = _scaling_ratio(triple.P, Pi, frame.scaling_index)
     return PsiWalks(triple, frame, cur, Pi, walks, _psi_vector(triple, frame, per_path, s))
-
-
-def psi_residual_jacobian(triple, frame, integers):
-    """The flattened Psi against ``integers`` and its exact Jacobian over the
-    real chart (``pack_triple``), from one walk per path of the frame: the
-    eager form of ``psi_walks``."""
-    w = psi_walks(triple, frame)
-    return w.vector.flatten(integers), w.jacobian()
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,30 @@ def test_flow_command_jsonl_and_csv(good_file, tmp_path):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("validate", "{f}"),
+        ("classify", "{f}"),
+        ("tangent", "{f}"),
+        ("flow", "{f}", "--steps", "1"),
+        ("flow", "{f}", "--steps", "1", "--format", "csv"),
+        ("plot", "{f}"),
+        ("oracle", "--seed", "7", "--count", "5"),
+    ],
+)
+def test_stdout_and_out_get_the_same_bytes(argv, good_file, tmp_path, capsysbinary):
+    """Every subcommand writes the same report to stdout as to ``--out``,
+    and nothing to stdout when ``--out`` is given."""
+    argv = [a.format(f=good_file) for a in argv]
+    code = main(argv)
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == code == 0
+    assert capsysbinary.readouterr().out == b""
+    assert out.read_bytes() == printed and printed.endswith(b"\n")
+
+
 def test_validate_directory_batch(good_file, circle_root_file, tmp_path):
     d = tmp_path / "batch"
     d.mkdir()

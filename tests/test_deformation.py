@@ -87,7 +87,7 @@ def test_classify_case_b_linear():
     )
     lab = classify(t)
     assert lab.label == "b"
-    assert lab.factors.d_G == 1
+    assert lab.factors.G.degree == 1
 
 
 def test_classify_case_c_and_indicator():
@@ -298,9 +298,10 @@ def test_solve_q_case_a_degree_and_residual():
         q1, _ = r_kernel(t, tw)
         c1, c2, Q, info = solve_q_equation(t, CaseAParams(q1), tower=tw)
         assert info["q_identity"] < 1e-9
-        assert c2.degree <= t.g + 1 - tw.d2 + tw.d2  # c2 = F2 * c2-tilde, weight g+1
-        ct2 = c2.deflate(tw.F2) if tw.d2 else c2
-        assert ct2.degree <= t.g + 1 - tw.d2
+        d2 = tw.F2.degree
+        assert c2.degree <= t.g + 1 - d2 + d2  # c2 = F2 * c2-tilde, weight g+1
+        ct2 = c2.deflate(tw.F2) if d2 else c2
+        assert ct2.degree <= t.g + 1 - d2
 
 
 def test_solve_q_rejects_nonkernel_Q():
@@ -388,7 +389,7 @@ def test_divisibility_ladder():
     t = random_case_a_triple(rng)
     tw = build_tower(t)
     v = make_tangent(t, CaseAParams(r_kernel(t)[0]))
-    if tw.d2:
+    if tw.F2.degree:
         _, rem = v.c2.divmod(tw.F2)
         assert rem.norm() <= 1e-9 * max(1.0, v.c2.norm())
 
@@ -453,7 +454,7 @@ def test_case_b_linear_q_equation_shape():
         m2 = random_real_section(rng, g + 2)
         t = SpectralTriple(g, pair_poly(0.3, -0.4), G * m1, G * m2)
         lab = classify(t)
-        if lab.label == "b" and lab.factors.d_G == 1:
+        if lab.label == "b" and lab.factors.G.degree == 1:
             break
     Qt = P(1.0, 1.0)
     c1, c2, Q, info = solve_q_equation(t, CaseBLinearParams(Qt))

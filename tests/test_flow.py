@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from whitham.deformation import classify, conformal_type_rate, tangent_basis
+from whitham.deformation import (
+    CaseAParams,
+    CaseBLinearParams,
+    CaseBQuadParams,
+    CaseEParams,
+    classify,
+    conformal_type_rate,
+    tangent_basis,
+)
 from whitham.errors import ProjectionFailureError
 from whitham.flow import (
     FlowConfig,
@@ -162,6 +170,20 @@ def _counted(monkeypatch, name):
         if mod_name.startswith("whitham") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, counted)
     return calls
+
+
+def test_flow_config_takes_only_known_rules():
+    """A rule is ``basis0``, ``basis1`` or fixed deformation parameters; any
+    other is refused when the config is built, before a trace starts (at
+    ``seed_genus0()``, "basis2" used to raise IndexError inside ``trace``,
+    "bogus" TypeError after the start frame, and "basis" meant basis0)."""
+    fixed = (CaseAParams(Polynomial([1.0, 0.0, 1.0])), CaseBLinearParams(Polynomial([1.0, 1.0])),
+             CaseBQuadParams(1.0, 0.0), CaseEParams(1.0, 0.0))
+    for rule in ("basis0", "basis1") + fixed:
+        assert FlowConfig(params_rule=rule).params_rule is rule
+    for rule in ("basis2", "bogus", "basis", "", None, 0, ["basis0"], CaseAParams):
+        with pytest.raises(ValueError, match="params_rule"):
+            FlowConfig(params_rule=rule)
 
 
 @pytest.mark.parametrize("rule", ["basis0", "basis1"])
@@ -385,7 +407,7 @@ def test_common_factor_seed(kind, genus, d_G, g1_b_linear, g2_b_quad):
     assert not isinstance(t, str), t
     assert t.g == genus
     lab = classify(t)
-    assert lab.label == "b" and lab.factors.d_G == d_G and not lab.warnings
+    assert lab.label == "b" and lab.factors.G.degree == d_G and not lab.warnings
     assert validate(t, quad_order=40).verdict
     assert _geometry_margin(t) >= 0.02
     alphas, _, integers = _CASE_B_STARTS[kind]
@@ -403,7 +425,7 @@ def test_common_factor_chart_jacobian(kind, d_G, g1_b_linear, g2_b_quad):
     residual on the chart."""
     from whitham.flow import _common_factor_chart
     from whitham.polyring import approx_gcd, real_section_scale
-    from whitham.spectral import psi_residual_jacobian
+    from whitham.spectral import psi_walks
 
     t = {"linear": g1_b_linear, "quad": g2_b_quad}[kind]
     assert not isinstance(t, str), t
@@ -414,16 +436,16 @@ def test_common_factor_chart_jacobian(kind, d_G, g1_b_linear, g2_b_quad):
     x0, make_triple, chart_derivative = _common_factor_chart(t, G)
 
     def residual(x):
-        return psi_residual_jacobian(make_triple(x), frame, integers)
+        return psi_walks(make_triple(x), frame).vector.flatten(integers)
 
-    r, J_psi = residual(x0)
-    J = J_psi @ chart_derivative(x0)
+    r = residual(x0)
+    J = psi_walks(make_triple(x0), frame).jacobian() @ chart_derivative(x0)
     cols = []
     for j in range(x0.size):
         dx = 1e-7 * max(1.0, abs(x0[j]))
         e = np.zeros(x0.size)
         e[j] = dx
-        cols.append((residual(x0 + e)[0] - residual(x0 - e)[0]) / (2 * dx))
+        cols.append((residual(x0 + e) - residual(x0 - e)) / (2 * dx))
     J_fd = np.column_stack(cols)
     assert J.shape == J_fd.shape == (r.size, x0.size)
     assert np.abs(J - J_fd).max() <= 1e-8 * np.abs(J_fd).max()

@@ -281,7 +281,7 @@ def test_roots_reconstruction_property():
         rng = np.random.default_rng(seed)
         c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
         p = Polynomial(c)
-        rec = Polynomial.from_roots(roots_flat(p), leading=p.coeffs[-1])
+        rec = Polynomial.from_roots(roots_flat(p)) * p.coeffs[-1]
         assert (rec - p).norm() < 1e-8 * p.norm()
 
 
@@ -312,7 +312,7 @@ def test_factor_structure_linear_factors():
 
 def test_factor_structure_coprime():
     fs = factor_structure(P(-2, 1), P(3, 1), P(1, 1))
-    assert (fs.d_F, fs.d_1, fs.d_2, fs.d_G) == (0, 0, 0, 0)
+    assert (fs.F.degree, fs.F1.degree, fs.F2.degree, fs.G.degree) == (0, 0, 0, 0)
 
 
 def test_factor_structure_conformal_shape():
@@ -321,8 +321,8 @@ def test_factor_structure_conformal_shape():
     m2 = Polynomial.from_roots([-4.0])
     z = Polynomial.zeta()
     fs = factor_structure(z * L, z * m1, z * m2)
-    assert fs.d_F == 1 and abs(fs.F.coeff(0)) < 1e-10
-    assert fs.d_G == 0
+    assert fs.F.degree == 1 and abs(fs.F.coeff(0)) < 1e-10
+    assert fs.G.degree == 0
 
 
 def test_factor_structure_even_F_for_real_sections():
@@ -334,7 +334,7 @@ def test_factor_structure_even_F_for_real_sections():
     b1 = pair * random_real_section(rng, 2)
     b2 = pair * random_real_section(rng, 2)
     fs = factor_structure(P_, b1, b2)
-    assert fs.d_F == 2
+    assert fs.F.degree == 2
 
 
 # -- jets ----------------------------------------------------------------------

@@ -17,7 +17,7 @@ from whitham.spectral import (
     product_form_dot,
     psi,
     psi_jacobian,
-    psi_residual_jacobian,
+    psi_walks,
     scaling_value,
     unpack_triple,
     validate,
@@ -300,7 +300,7 @@ def test_genus1_point_on_lattice(g1_triple):
     "point", ["g0_triple", "g0_conformal", "g1_triple", "g1_b_linear", "g2_b_quad"]
 )
 def test_exact_jacobian_matches_finite_differences(point, request):
-    """``psi_residual_jacobian`` against the finite-difference oracle
+    """``psi_walks``' Jacobian against the finite-difference oracle
     ``psi_jacobian`` in the same order-48 frame: the residual half is psi's
     own flattening, and J agrees to the truncation error of h = 1e-7."""
     t = request.getfixturevalue(point)
@@ -308,7 +308,8 @@ def test_exact_jacobian_matches_finite_differences(point, request):
     frame = PsiFrame.build(t, quad_order=48)
     vec = psi(t, frame=frame)
     ints = vec.lattice_integers()
-    r, J = psi_residual_jacobian(t, frame, ints)
+    walks = psi_walks(t, frame)
+    r, J = walks.vector.flatten(ints), walks.jacobian()
     assert np.abs(r - vec.flatten(ints)).max() <= 1e-13
     J_fd = psi_jacobian(t, frame=frame, h=1e-7)
     assert J.shape == J_fd.shape == (r.size, 4 * t.g + 11)
