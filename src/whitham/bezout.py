@@ -145,9 +145,9 @@ class SolutionSpace:
 
 
 def _relative_residual(A, B, C, X, Y):
-    r = (A * X - B * Y - C).norm()
-    scale = max((A * X).norm(), (B * Y).norm(), C.norm(), 1e-300)
-    return r / scale
+    AX, BY = A * X, B * Y
+    scale = max(AX.norm(), BY.norm(), C.norm(), 1e-300)
+    return (AX - BY - C).norm() / scale
 
 
 def minimal_solution(A, B, C, known_gcd=None, spec=None):

@@ -361,7 +361,16 @@ def r_kernel(triple, tower=None):
             f"R on the real quadratics has numerical rank {rank}, expected 1 "
             f"(singular values {s})"
         )
-    out = [unpack_section(row, 2) for row in Vt[1:]]
+    # the basis is a function of R's row direction n, not of the SVD's
+    # roundoff-chosen kernel rows: n's sign is fixed by the first axis with
+    # |n_k| > 0.5, u1 is the first axis with |n_k| < 0.6 projected onto n's
+    # complement, u2 = n x u1.  Both axes exist for any unit n in R^3.
+    n = Vt[0]
+    n = n if n[int(np.argmax(np.abs(n) > 0.5))] > 0 else -n
+    k = int(np.argmax(np.abs(n) < 0.6))
+    u1 = np.eye(3)[k] - n[k] * n
+    u1 /= np.linalg.norm(u1)
+    out = [unpack_section(u, 2) for u in (u1, np.cross(n, u1))]
     for Q in out:
         if abs(r_value(triple, Q, tw)) > 1e-8 * scale * max(1.0, Q.norm()):
             raise DegenerateKernelError("kernel candidate fails R(Q) = 0 re-evaluation")

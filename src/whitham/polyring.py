@@ -11,6 +11,13 @@ zeta**i).  Degrees in play stay below ~25, so no sparse or FFT machinery.
 A ``Polynomial`` owns a read-only copy of its coefficients, trimmed in one
 pass.
 
+Roots start as the eigenvalues of the monic companion matrix.  They are
+accepted by the Aberth backward-error test, |p(z)| <= ABERTH_TARGET *
+sum |a_i||z|^i at every root; a start that fails it is refined by
+Aberth-Ehrlich iteration until it passes (``NumericalFailureError`` after
+``ABERTH_MAX_ITER`` iterations).  A double root then splits by about
+sqrt(eps), well inside ``MULTIPLICITY_RADIUS``.
+
 Gcds are matched between root lists (``approx_gcd`` roots its two inputs
 and matches them).  The gcd tower ``factor_structure`` roots P, b1 and b2
 once each and passes the lists down: a quotient by the exact 1 is the
@@ -146,10 +153,12 @@ class Polynomial:
         return Polynomial(-self.coeffs)
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        other = _as_poly(other)
+        n = max(self.coeffs.size, other.coeffs.size)
+        return Polynomial(self.padded(n) - other.padded(n))
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return _as_poly(other) - self
 
     def __mul__(self, other):
         if np.isscalar(other):
@@ -327,74 +336,38 @@ def random_real_section(rng, k, scale=1.0):
 
 
 # ---------------------------------------------------------------------------
-# Root finding (Aberth-Ehrlich)
+# Root finding (companion eigenvalues, checked and refined by Aberth-Ehrlich)
 # ---------------------------------------------------------------------------
 
 
-def _aberth_start(coeffs):
-    """Initial guesses from the upper convex hull of (k, log|a_k|).
-
-    Each hull segment contributes points on a circle whose radius estimates
-    the moduli of the roots it accounts for; this keeps widely spread root
-    magnitudes (1e-5 .. 1e5) inside the basin.
-    """
+def _eigenvalue_start(coeffs):
+    """Eigenvalues of the monic companion matrix of the coefficients (low to
+    high, degree at least 2); LAPACK's balancing keeps widely spread root
+    moduli (1e-5 .. 1e5) accurate."""
     n = coeffs.size - 1
-    with np.errstate(divide="ignore"):
-        logs = np.where(coeffs != 0, np.log(np.abs(coeffs)), -np.inf)
-    hull = [0]
-    for k in range(1, n + 1):
-        if logs[k] == -np.inf:
-            continue
-        while len(hull) >= 2:
-            i, j = hull[-2], hull[-1]
-            # keep the hull upper-convex
-            if (logs[j] - logs[i]) * (k - j) <= (logs[k] - logs[j]) * (j - i):
-                hull.pop()
-            else:
-                break
-        hull.append(k)
-    if hull[-1] != n:
-        hull.append(n)
-    guesses = np.empty(n, dtype=complex)
-    pos = 0
-    for i, j in zip(hull[:-1], hull[1:]):
-        m = j - i
-        if logs[i] == -np.inf or logs[j] == -np.inf:
-            r = 1.0
-        else:
-            r = np.exp((logs[i] - logs[j]) / m)
-        ang = 2.0 * np.pi * (np.arange(m) + 0.5) / m + 0.4 + pos
-        guesses[pos : pos + m] = r * np.exp(1j * ang)
-        pos += m
-    return guesses
+    A = np.eye(n, k=-1, dtype=complex)
+    A[:, -1] = -coeffs[:-1] / coeffs[-1]
+    return np.linalg.eigvals(A)
 
 
 def _aberth(coeffs):
-    """Simultaneous iteration for all roots of a squarefree-ish polynomial."""
+    """All roots of a squarefree-ish polynomial: the eigenvalue start,
+    returned as soon as every point passes the backward-error test, and
+    otherwise refined by Aberth-Ehrlich's simultaneous iteration."""
     n = coeffs.size - 1
     if n == 0:
         return np.empty(0, dtype=complex)
     if n == 1:
         return np.array([-coeffs[0] / coeffs[1]])
-    dcoeffs = coeffs[1:] * np.arange(1, n + 1)
-    z = _aberth_start(coeffs)
-    mags = np.abs(coeffs)
-
-    def backward_ok(zv, pv):
+    z = _eigenvalue_start(coeffs)
+    for it in range(ABERTH_MAX_ITER + 1):
+        p, dp, s = _horner3(coeffs, z)
         # |p(z)| measured against sum |a_i||z|^i (backward-error style)
-        az = np.abs(zv)
-        s = np.zeros_like(az)
-        for a in mags[::-1]:
-            s = s * az + a
-        return np.abs(pv) <= ABERTH_TARGET * np.maximum(s, 1e-300)
-
-    converged = np.zeros(n, dtype=bool)
-    for _ in range(ABERTH_MAX_ITER):
-        p = _eval_many(coeffs, z)
-        dp = _eval_many(dcoeffs, z)
-        converged = backward_ok(z, p)
+        converged = np.abs(p) <= ABERTH_TARGET * np.maximum(s, 1e-300)
         if np.all(converged):
             return z
+        if it == ABERTH_MAX_ITER:
+            raise NumericalFailureError("root iteration did not converge", best=z)
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dp != 0, p / dp, 0.1 + 0.1j)
             diff = z[:, None] - z[None, :]
@@ -404,9 +377,20 @@ def _aberth(coeffs):
             step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
         step[converged] = 0.0
         z = z - step
-    if np.all(backward_ok(z, _eval_many(coeffs, z))):
-        return z
-    raise NumericalFailureError("root iteration did not converge", best=z)
+
+
+def _horner3(coeffs, z):
+    """p(z), p'(z) and sum |a_i||z|^i at the array z, in one Horner pass
+    over the coefficients (low to high)."""
+    az = np.abs(z)
+    p = np.full(z.shape, coeffs[-1], dtype=complex)
+    dp = np.zeros(z.shape, dtype=complex)
+    s = np.full(z.shape, abs(coeffs[-1]))
+    for a in coeffs[-2::-1]:
+        dp = dp * z + p
+        p = p * z + a
+        s = s * az + abs(a)
+    return p, dp, s
 
 
 def _eval_many(coeffs, z):
@@ -419,27 +403,25 @@ def _eval_many(coeffs, z):
 
 def _cluster(points, rel_radius):
     """Greedy merge of near-coincident points; returns (center, count) pairs."""
-    pts = list(points)
+    pts = sorted(np.asarray(points, dtype=complex).tolist(), key=lambda z: (z.real, z.imag))
     used = [False] * len(pts)
     out = []
-    order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
-    for i in order:
+    for i, zi in enumerate(pts):
         if used[i]:
             continue
-        group = [i]
+        group = [zi]
         used[i] = True
         changed = True
         while changed:
             changed = False
-            center = np.mean([pts[j] for j in group])
+            center = sum(group) / len(group)
             scale = max(1.0, abs(center))
-            for j in order:
-                if not used[j] and abs(pts[j] - center) <= rel_radius * scale:
-                    group.append(j)
+            for j, zj in enumerate(pts):
+                if not used[j] and abs(zj - center) <= rel_radius * scale:
+                    group.append(zj)
                     used[j] = True
                     changed = True
-        center = complex(np.mean([pts[j] for j in group]))
-        out.append((center, len(group)))
+        out.append((sum(group) / len(group), len(group)))
     out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
     return out
 
@@ -447,9 +429,12 @@ def _cluster(points, rel_radius):
 def roots(p, cluster_radius=MULTIPLICITY_RADIUS):
     """All roots of p as (root, multiplicity) pairs.
 
-    Exact zeta-factors are deflated before iteration; the remaining roots
-    come from Aberth-Ehrlich, Newton-polished on the deflated polynomial,
-    then merged into clusters of relative radius ``cluster_radius``.
+    Exact zeta-factors are deflated first.  The remaining roots start as the
+    eigenvalues of the companion matrix; a start that fails the Aberth
+    backward-error test (|p(z)| <= ABERTH_TARGET * sum |a_i||z|^i at every
+    root) is refined by Aberth-Ehrlich until it passes.  The roots are then
+    Newton-polished twice on the deflated polynomial and merged into
+    clusters of relative radius ``cluster_radius``.
     """
     p = _as_poly(p)
     if p.is_zero:
@@ -462,11 +447,11 @@ def roots(p, cluster_radius=MULTIPLICITY_RADIUS):
         zero_mult += 1
     found = _aberth(np.ascontiguousarray(c)) if c.size > 1 else np.empty(0, complex)
     if found.size:
-        dc = c[1:] * np.arange(1, c.size)
         for _ in range(2):
-            pv = _eval_many(c, found)
-            dv = _eval_many(dc, found) if dc.size else np.ones_like(found)
-            step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)
+            pv, dv = _horner3(c, found)[:2]
+            # p' vanishes (and p with it) where a start hits a double root
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)
             mask = np.abs(step) < 1e-3 * np.maximum(1.0, np.abs(found))
             found = found - np.where(mask, step, 0.0)
     out = []

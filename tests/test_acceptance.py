@@ -8,7 +8,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from whitham.bezout import minimal_solution, solution_space
 from whitham.curve import PathOnCurve, ArcSegment, build_curve, homology_basis, integrate_batch

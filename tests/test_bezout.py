@@ -4,6 +4,7 @@ import pytest
 from whitham.bezout import (
     BezoutSolution,
     RootSpec,
+    _relative_residual,
     confluent_vandermonde,
     leja_order,
     minimal_solution,
@@ -111,6 +112,19 @@ def test_oracle_equivalence_random():
         scale = max(X_o.norm(), 1.0)
         assert (sol.X - X_o).norm() < 1e-8 * scale
         assert sol.residual < 1e-8
+
+
+
+def test_relative_residual_is_bit_identical_to_the_two_product_formula():
+    """The residual forms A X and B Y once each; the value is the one the
+    formula that formed them twice gave, bit for bit."""
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        A, B, C, _ = random_bezout_instance(rng)
+        sol = minimal_solution(A, B, C)
+        X, Y = sol.X, sol.Y
+        old = (A * X - B * Y - C).norm() / max((A * X).norm(), (B * Y).norm(), C.norm(), 1e-300)
+        assert np.array_equal(_relative_residual(A, B, C, X, Y), old)
 
 
 def test_degree_bounds():

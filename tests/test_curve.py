@@ -16,7 +16,7 @@ from whitham.errors import (
     MultipleRootError,
     RealityViolationError,
 )
-from whitham.polyring import Polynomial, random_real_section, symmetrize
+from whitham.polyring import Polynomial, random_real_section
 
 
 def P(*coeffs):

@@ -16,7 +16,6 @@ from whitham.deformation import (
     classify,
     conformal_type_rate,
     empdi_operator_matrix,
-    gram_determinant,
     make_tangent,
     r_kernel,
     r_value,
@@ -26,8 +25,9 @@ from whitham.deformation import (
     tangent_basis,
 )
 from whitham.errors import DegenerateKernelError, NotDeformableError
-from whitham.polyring import Polynomial, approx_gcd, random_real_section, roots, roots_flat
-from whitham.spectral import SpectralTriple, product_form
+from whitham.flow import FlowConfig, seed_genus0, seed_genus1, trace
+from whitham.polyring import Polynomial, random_real_section, roots, roots_flat
+from whitham.spectral import SpectralTriple, pack_triple, product_form, unpack_triple
 
 RNG = np.random.default_rng(20260808)
 
@@ -264,6 +264,28 @@ def test_r_kernel_basis():
     x1, x2 = pack_section(q1, 2), pack_section(q2, 2)
     assert abs(np.dot(x1, x1) - 1) < 1e-12
     assert abs(np.dot(x1, x2)) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [seed_genus0, seed_genus1])
+def test_tangent_basis_is_continuous_at_the_first_flow_point(seed):
+    """1e-12 moves of the step-1 flow point move the case-(a) tangent basis
+    by at most 1e-8: the basis follows R's row direction, not the SVD's
+    roundoff-chosen kernel rows, which flipped it by O(1)."""
+    samples, _ = trace(seed(), FlowConfig(h=1e-2, steps=1))
+    t = samples[1].triple
+    assert samples[1].case == "a"
+
+    def flats(triple):
+        return [np.concatenate([v.P_dot.padded(12), v.b1_dot.padded(12), v.b2_dot.padded(12)])
+                for v in tangent_basis(triple)[0]]
+
+    base = flats(t)
+    x = pack_triple(t)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        moved = flats(unpack_triple(x + 1e-12 * rng.standard_normal(x.size), t.g))
+        for a, b in zip(base, moved):
+            assert np.abs(a - b).max() <= 1e-8
 
 
 def test_r_kernel_degenerate_rank0():

@@ -15,8 +15,6 @@ from whitham.flow import (
     FlowConfig,
     flow_step,
     project_to_mg,
-    seed_conformal_genus0,
-    seed_genus0,
     trace,
 )
 from whitham.polyring import Polynomial

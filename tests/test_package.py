@@ -18,3 +18,30 @@ def test_exports_are_the_imported_public_names():
     public = {name for name in imported if not name.startswith("_")}
     assert set(whitham.__all__) == public
     assert public <= set(namespace)
+
+
+def _unused_imports(path):
+    """Top-level imported names that the module never mentions, neither as
+    a name in its code nor in its ``__all__``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_top_level_imports():
+    root = Path(__file__).resolve().parent
+    files = sorted(Path(whitham.__file__).parent.glob("*.py")) + sorted(root.glob("*.py"))
+    assert [u for f in files for u in _unused_imports(f)] == []

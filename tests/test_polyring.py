@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from whitham import polyring
 from whitham.errors import (
     DegreeBoundError,
     NumericalFailureError,
@@ -21,7 +22,6 @@ from whitham.polyring import (
     real_section_scale,
     roots,
     roots_flat,
-    symmetrize,
 )
 
 from oracles import reference_coeffs
@@ -274,6 +274,91 @@ def test_roots_wide_magnitude_spread():
     got = sorted(roots_flat(p), key=lambda z: abs(z))
     assert abs(got[0] - 1e-4) < 1e-10
     assert abs(got[-1] - 1e4) / 1e4 < 1e-10
+
+
+def _planted_double(rng):
+    """Roots of degree 2..12 with moduli 0.1..10, at least 0.05 apart; the
+    first is planted twice."""
+    while True:
+        n = int(rng.integers(2, 13))
+        mod = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n - 1))
+        rs = mod * np.exp(2j * np.pi * rng.uniform(size=n - 1))
+        if (np.abs(rs[:, None] - rs[None, :]) + np.eye(n - 1)).min() >= 0.05:
+            return np.concatenate([rs[:1], rs])
+
+
+def test_planted_double_roots_have_multiplicity_two():
+    """A double root of a computed polynomial splits by about sqrt(eps); the
+    eigenvalue start keeps the split inside ``MULTIPLICITY_RADIUS``."""
+    rng = np.random.default_rng(20261019)
+    for _ in range(250):
+        rs = _planted_double(rng)
+        got = roots(Polynomial.from_roots(rs) * complex(*rng.standard_normal(2)))
+        assert sorted(m for _, m in got) == [1] * (rs.size - 2) + [2]
+        double = next(r for r, m in got if m == 2)
+        assert abs(double - rs[0]) <= 1e-5 * abs(rs[0])
+
+
+def test_separated_roots_agree_with_numpy():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 100:
+        n = int(rng.integers(1, 13))
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        ref = np.polynomial.polynomial.polyroots(c)
+        scale = np.maximum(1.0, np.maximum.outer(np.abs(ref), np.abs(ref)))
+        if (np.abs(np.subtract.outer(ref, ref)) / scale + np.eye(n)).min() < 0.05:
+            continue
+        got = roots(Polynomial(c))
+        assert [m for _, m in got] == [1] * n
+        for r in ref:
+            assert min(abs(r - z) for z, _ in got) <= 1e-12 * abs(r)
+        checked += 1
+
+
+def _backward_ok(c, z):
+    p, _, s = polyring._horner3(c, z)
+    return bool(np.all(np.abs(p) <= polyring.ABERTH_TARGET * s))
+
+
+def test_aberth_refines_a_start_that_fails_the_backward_test(monkeypatch):
+    rs = np.array([0.3 + 0.2j, -1.5, 2.0 - 1.0j, 0.05j, 4.0 + 3.0j])
+    c = Polynomial.from_roots(rs).coeffs
+    start = rs * (1 + 1e-3)
+    assert not _backward_ok(c, start)
+    monkeypatch.setattr(polyring, "_eigenvalue_start", lambda coeffs: start.copy())
+    z = polyring._aberth(c)
+    assert _backward_ok(c, z)
+    for r in rs:
+        assert np.min(np.abs(z - r)) <= 1e-12 * max(1.0, abs(r))
+    assert sorted(roots_flat(Polynomial(c)), key=abs) == pytest.approx(sorted(rs, key=abs), abs=1e-12)
+
+
+def test_aberth_raises_at_the_iteration_cap(monkeypatch):
+    """A start the iteration cannot repair (a NaN) runs to
+    ``ABERTH_MAX_ITER`` and raises; so does a failing start when the cap
+    leaves no iteration."""
+    rs = np.array([0.5, -1.0, 2.0j])
+    c = Polynomial.from_roots(rs).coeffs
+    monkeypatch.setattr(polyring, "_eigenvalue_start", lambda coeffs: np.full(3, complex(np.nan, 0)))
+    with pytest.raises(NumericalFailureError) as info:
+        polyring._aberth(c)
+    assert info.value.best.shape == (3,)
+    monkeypatch.setattr(polyring, "_eigenvalue_start", lambda coeffs: rs * (1 + 1e-3))
+    monkeypatch.setattr(polyring, "ABERTH_MAX_ITER", 0)
+    with pytest.raises(NumericalFailureError):
+        polyring._aberth(c)
+
+
+def test_subtraction_is_bit_identical_to_adding_the_negation():
+    rng = np.random.default_rng(3)
+    for n, m in ((1, 1), (3, 5), (6, 2), (4, 4)):
+        a = Polynomial(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        b = Polynomial(rng.standard_normal(m) + 1j * rng.standard_normal(m))
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert np.array_equal((x - y).coeffs, (x + (-y)).coeffs)
+        assert np.array_equal((2.5 - a).coeffs, (Polynomial([2.5]) + (-a)).coeffs)
+        assert np.array_equal((a - 1j).coeffs, (a + (-Polynomial([1j]))).coeffs)
 
 
 def test_roots_reconstruction_property():

@@ -7,7 +7,6 @@ from whitham.polyring import Polynomial, random_real_section
 from whitham.spectral import (
     PsiFrame,
     SpectralTriple,
-    ToleranceProfile,
     conformal_type,
     d_psi,
     d_psi_norm,
