@@ -33,6 +33,7 @@ from .deformation import (
     classify,
     empdi_operator_matrix,
     r_value,
+    recovery_sigma_min,
     tangent_basis,
 )
 from .errors import NotDeformableError, WhithamError
@@ -245,7 +246,7 @@ def _oracle_r_reality(rng, count):
             continue
         Q = random_real_section(rng, 2)
         tw = build_tower(t, lab)
-        R = r_value(t, Q, tw)
+        R = r_value(tw, Q)
         betas = roots_flat(tw.b2_tilde)
         n = tw.b2_tilde.degree - 1
         rel = (-1.0) ** n * np.prod(betas) * R
@@ -259,9 +260,7 @@ def _oracle_kernel(rng, count):
         g = int(rng.integers(0, 6))
         alphas = 0.2 + 0.55 * rng.random(g + 1) * np.exp(2j * np.pi * rng.random(g + 1))
         M = empdi_operator_matrix(product_form(alphas), g)
-        rn = np.linalg.norm(M, axis=1)
-        Ms = M[rn > 0] / rn[rn > 0, None]
-        worst_min = min(worst_min, float(np.linalg.svd(Ms, compute_uv=False)[-1]))
+        worst_min = min(worst_min, recovery_sigma_min(M))
     return worst_min, 1e-10
 
 

@@ -127,12 +127,6 @@ class PathOnCurve:
     closed: bool = False
     label: str = ""
 
-    def start(self):
-        return self.segments[0].point(0.0)
-
-    def end(self):
-        return self.segments[-1].point(1.0)
-
     def flipped(self):
         return PathOnCurve(self.segments, -self.start_sheet, self.closed, self.label)
 

@@ -22,10 +22,13 @@ Cases (c), (d), (f) admit no construction here; (c) carries a scalar
 obstruction value that is computed and reported.
 
 ``polyring.factor_structure`` finds the monic factors of the tower; the
-real tower here (``Tower``) rescales them to real sections, carries the
-case label and the reduced parts P-tilde, b1-tilde, b2-tilde, and is built
-only through ``build_tower``, the one place that refuses a non-deformable
-triple.  The tower also carries every root list the construction needs:
+real tower here (``Tower``) rescales them to real sections (at a conformal
+point zeta is split off in place of F), carries the triple, the case label
+and the reduced parts P-tilde, b1-tilde, b2-tilde, and is built only
+through ``build_tower``, the one place that refuses a non-deformable
+triple.  Every step of the construction takes the tower alone, so its
+triple cannot disagree with its factors.  The tower also carries every
+root list the construction needs:
 roots(P) from ``factor_structure`` (for the scaling fix) and the
 Leja-ordered roots of b2-tilde and of the two divisors 2 F_j P-tilde of
 the deformation identities (for the Bezout solves).  Each is computed once
@@ -228,8 +231,9 @@ class Tower:
     ``divisors``, the pair (B_i, RootSpec of B_i) of each deformation
     identity, B_i = 2 F_j P-tilde.  So each is rooted once per tower."""
 
+    triple: object  # the SpectralTriple the tower was built from
     label: CaseLabel
-    F: Polynomial  # without the zeta factor in the conformal case
+    F: Polynomial  # 1 in the conformal case, where zeta is split off instead
     F1: Polynomial
     F2: Polynomial
     G: Polynomial
@@ -248,12 +252,6 @@ class Tower:
         """``roots(P)``, as the gcd tower found them."""
         return self.label.factors.P_roots
 
-    def btilde(self, i):
-        return self.b1_tilde if i == 1 else self.b2_tilde
-
-    def Fi(self, i):
-        return self.F1 if i == 1 else self.F2
-
 
 def _real_factor(p):
     """Gcd factors arrive monic; rotate them onto the real sections so all
@@ -271,18 +269,14 @@ def _real_tower(triple, lab):
     fs = lab.factors
     F1 = _real_factor(fs.F1)
     F2 = _real_factor(fs.F2)
-    if lab.conformal:
-        zeta = Polynomial.zeta()
-        F = G = Polynomial.one()
-        P_tilde = triple.P.deflate(zeta * F1 * F2)
-        b1_tilde = triple.b1.deflate(zeta * F1)
-        b2_tilde = triple.b2.deflate(zeta * F2)
-    else:
-        F = _real_factor(fs.F)
-        G = _real_factor(fs.G)
-        P_tilde = triple.P.deflate(F * F1 * F2)
-        b1_tilde = triple.b1.deflate(F * F1 * G)
-        b2_tilde = triple.b2.deflate(F * F2 * G)
+    G = _real_factor(fs.G)
+    # zeta is not a real section, so at a conformal point it is deflated in
+    # place of F and the real factor F is 1
+    F = Polynomial.one() if lab.conformal else _real_factor(fs.F)
+    Fz = Polynomial.zeta() if lab.conformal else F
+    P_tilde = triple.P.deflate(Fz * F1 * F2)
+    b1_tilde = triple.b1.deflate(Fz * F1 * G)
+    b2_tilde = triple.b2.deflate(Fz * F2 * G)
     # a root list is reused only for identical coefficients: b2-tilde is
     # the gcd tower's last quotient of b2 whenever G is 1 and the real
     # factors equal the monic ones (all 1, or F = zeta at a conformal
@@ -293,7 +287,7 @@ def _real_tower(triple, lab):
     B2 = 2.0 * F1 * P_tilde
     spec1 = RootSpec.of(B1)
     spec2 = spec1 if B2 == B1 else RootSpec.of(B2)
-    return Tower(lab, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde, b2_spec,
+    return Tower(triple, lab, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde, b2_spec,
                  ((B1, spec1), (B2, spec2)))
 
 
@@ -310,7 +304,7 @@ def build_tower(triple, label=None):
         return _real_tower(triple, lab)
     indicator = None
     if lab.label == "c":
-        indicator = r_value(triple, Polynomial.one(), _real_tower(triple, lab))
+        indicator = r_value(_real_tower(triple, lab), Polynomial.one())
     raise NotDeformableError(
         f"case ({lab.label}) admits no deformation construction",
         case=lab.label,
@@ -323,11 +317,10 @@ def build_tower(triple, label=None):
 # ---------------------------------------------------------------------------
 
 
-def r_value(triple, Q, tower=None):
+def r_value(tw, Q):
     """Leading (degree g+2-d2) coefficient of the minimal interpolant of the
-    reduced Q-equation; linear in Q.  Vanishing of R makes the solution
-    degree drop to the deformation degree."""
-    tw = tower if tower is not None else build_tower(triple)
+    reduced Q-equation of the tower ``tw``; linear in Q.  Vanishing of R
+    makes the solution degree drop to the deformation degree."""
     return _r_last_coefficient(tw.b1_tilde, tw.b2_tilde, Q * tw.P_tilde, tw.b2_spec)
 
 
@@ -339,18 +332,17 @@ def _r_last_coefficient(A, B, C, spec):
     return complex(x[-1]) if x.size else 0.0 + 0.0j
 
 
-def r_kernel(triple, tower=None):
+def r_kernel(tw):
     """Orthonormal basis (in real coordinates) of the 2-plane of real
-    quadratics with R(Q) = 0.
+    quadratics with R(Q) = 0 on the tower ``tw``.
 
     The reality relation conj(R) = (-1)^n (prod beta_i) R forces the real
     rank of R on the quadratics to be at most 1; a numerical rank other
     than 1 yields a degeneracy error, never a fabricated basis.
     """
-    tw = tower if tower is not None else build_tower(triple)
     M = np.zeros((2, 3))
     for j, e in enumerate(np.eye(3)):
-        val = r_value(triple, unpack_section(e, 2), tw)
+        val = r_value(tw, unpack_section(e, 2))
         M[0, j] = val.real
         M[1, j] = val.imag
     U, s, Vt = np.linalg.svd(M)
@@ -372,7 +364,7 @@ def r_kernel(triple, tower=None):
     u1 /= np.linalg.norm(u1)
     out = [unpack_section(u, 2) for u in (u1, np.cross(n, u1))]
     for Q in out:
-        if abs(r_value(triple, Q, tw)) > 1e-8 * scale * max(1.0, Q.norm()):
+        if abs(r_value(tw, Q)) > 1e-8 * scale * max(1.0, Q.norm()):
             raise DegenerateKernelError("kernel candidate fails R(Q) = 0 re-evaluation")
     return tuple(out)
 
@@ -387,15 +379,23 @@ PARAMS_CASE = {CaseAParams: ("a", 0), CaseBLinearParams: ("b", 1),
                CaseBQuadParams: ("b", 2), CaseEParams: ("e", 0)}
 
 
-def solve_q_equation(triple, params, tower=None):
-    """Construct (c1, c2, Q) for the given case parameters.
+def _q_solution(tw, C):
+    """Minimal solution of the reduced Q-equation b1-tilde X - b2-tilde Y = C."""
+    return minimal_solution(
+        tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
+    )
+
+
+def solve_q_equation(tw, params):
+    """Construct (c1, c2, Q) for the given case parameters on the tower
+    ``tw`` (from ``build_tower``, which refuses cases (c)/(d)/(f)).
 
     Returns (c1, c2, Q, info) where info carries the consistency residual
-    of b1*c2 - b2*c1 = Q*P.  Raises ``NotDeformableError`` (from
-    ``build_tower``) in cases (c)/(d)/(f) and a precondition error when a
-    case-(a) Q has R(Q) != 0.
+    of b1*c2 - b2*c1 = Q*P.  Raises a precondition error when the
+    parameters do not fit the tower's case, or when a case-(a) Q has
+    R(Q) != 0.
     """
-    tw = tower if tower is not None else build_tower(triple)
+    triple = tw.triple
     g = triple.g
     d1, d2 = tw.F1.degree, tw.F2.degree
     case = PARAMS_CASE.get(type(params))
@@ -412,10 +412,7 @@ def solve_q_equation(triple, params, tower=None):
         if real_defect(Q, 2) > 1e-8 * max(1.0, Q.norm()):
             raise RealityViolationError("Q is not a real quadratic section")
         C = Q * tw.P_tilde
-        sol = minimal_solution(
-            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
-        )
-        x = sol.x_raw
+        x = _q_solution(tw, C).x_raw
         top = abs(x[-1]) if x.size else 0.0
         scale = max(1.0, float(np.linalg.norm(x)) if x.size else 0.0)
         if top > 1e-8 * scale:
@@ -431,9 +428,7 @@ def solve_q_equation(triple, params, tower=None):
         if real_defect(Qt, 1) > 1e-8 * max(1.0, Qt.norm()):
             raise RealityViolationError("Q-tilde is not a weight-1 real section")
         C = Qt * tw.P_tilde
-        sol = minimal_solution(
-            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
-        )
+        sol = _q_solution(tw, C)
         c2t, c1t = sol.X, sol.Y
         rem_rel = sol.residual
         Q_full = tw.G * Qt
@@ -450,10 +445,7 @@ def solve_q_equation(triple, params, tower=None):
             Q_full = Polynomial([0.0, q])
         a_w, b_w = g + 1 - d1, g + 1 - d2
         c_w = 2 * g + 2 - d1 - d2
-        sol = minimal_solution(
-            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
-        )
-        sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, sol)
+        sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, _q_solution(tw, C))
         c2t = sol.X + float(params.r) * tw.b2_tilde
         c1t = sol.Y + float(params.r) * tw.b1_tilde
         rem_rel = sol.residual
@@ -500,25 +492,28 @@ def _residue_tangent_residual(triple, v, i):
     return abs(val) / scale
 
 
-def _scaling_shift(triple, P_dot, P_roots):
+def _scaling_shift(tw, P_dot):
     """The real rescale parameter t killing the scaling-normalization
-    derivative along (P_dot + 2tP, ...); ``P_roots`` is ``roots(triple.P)``.
+    derivative along (P_dot + 2tP, ...) at the tower's triple, whose
+    ``roots(P)`` the tower carries.
 
     Uses d/dt of the product-form coefficients: alpha_k moves by
     -P_dot(alpha_k)/P'(alpha_k), and the reference index is the largest
     product-form coefficient (stable across the conformal locus).
     """
-    alphas = [a for a, _ in _curve_from_roots(triple.P, P_roots).branch_pairs]
+    P = tw.triple.P
+    alphas = [a for a, _ in _curve_from_roots(P, tw.P_roots).branch_pairs]
     Pi = product_form(alphas)
-    (terms,) = product_form_dot(alphas, triple.P, [P_dot])
+    (terms,) = product_form_dot(alphas, P, [P_dot])
     m = int(np.argmax(np.abs(Pi.coeffs)))
-    Pm = triple.P.coeff(m)
+    Pm = P.coeff(m)
     t = (Pm * terms.coeff(m) - P_dot.coeff(m) * Pi.coeff(m)) / (2.0 * Pm * Pi.coeff(m))
     return float(t.real), float(abs(t.imag))
 
 
-def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
-    """Solve both deformation identities for a common (P-dot, b1-dot, b2-dot).
+def solve_empdi(tw, c1, c2, Q, params=None):
+    """Solve both deformation identities for a common (P-dot, b1-dot, b2-dot)
+    at the triple of the tower ``tw``.
 
     The two reduced Bezout problems are solved independently, their P-dot
     solution families reconciled by a dense least-squares over the small
@@ -527,7 +522,7 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
     residue-derivative condition first pins the constant part s_0, after
     which the second differential's condition holds automatically).
     """
-    tw = tower if tower is not None else build_tower(triple)
+    triple = tw.triple
     g = triple.g
     warnings = []
 
@@ -535,30 +530,20 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
     zeta2m1 = Polynomial([-1.0, 0.0, 1.0])
     chat = (zeta2m1 * c1, zeta2m1 * c2)
     dP = triple.P.derivative()
+    # at a conformal point the tower's zeta split absorbs the zeta of the
+    # P' term, and the two end coefficients it removes lower each weight by 2
+    Z, shift = (Polynomial.one(), 2) if tw.conformal else (zeta, 0)
 
     sols = []
     hom = []
-    for i in (1, 2):
-        B, spec = tw.divisors[i - 1]
-        bt = tw.btilde(i)
-        ci = c1 if i == 1 else c2
-        di = tw.Fi(i).degree
-        if tw.conformal:
-            ct = ci.deflate(tw.Fi(i))
-            A = bt
-            C = B * (chat[i - 1] - zeta * chat[i - 1].derivative()) + zeta2m1 * dP * ct
-            a_w = g + 1 - di
-            c_w = 3 * g + 3 - di
-        else:
-            ct = ci.deflate(tw.F * tw.Fi(i))
-            A = tw.G * bt
-            C = (
-                B * (chat[i - 1] - zeta * chat[i - 1].derivative())
-                + zeta * zeta2m1 * dP * ct
-            )
-            dF = tw.F.degree
-            a_w = g + 3 - dF - di
-            c_w = 3 * g + 5 - dF - di
+    parts = zip(tw.divisors, chat, (c1, c2), (tw.F1, tw.F2), (tw.b1_tilde, tw.b2_tilde))
+    for (B, spec), ch, c, Fi, bt in parts:
+        ct = c.deflate(tw.F * Fi)
+        A = tw.G * bt
+        C = B * (ch - zeta * ch.derivative()) + Z * zeta2m1 * dP * ct
+        dF = tw.F.degree + Fi.degree
+        a_w = g + 3 - dF - shift
+        c_w = 3 * g + 5 - dF - shift
         b_w = c_w - (g + 3)
         sol = minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec)
         sol = realify(A, B, C, a_w, b_w, c_w, sol)
@@ -571,9 +556,7 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
     n_rows = 2 * g + 3
     cols = []
     for sgn, dlt, (Bgen, _, _) in ((1.0, delta1, hom[0]), (-1.0, delta2, hom[1])):
-        for bidx in range(dlt + 1):
-            x = np.zeros(dlt + 1)
-            x[bidx] = 1.0
+        for x in np.eye(dlt + 1):
             e = unpack_section(x, dlt)
             col = (sgn * (e * Bgen)).padded(n_rows)
             cols.append(np.concatenate([col.real, col.imag]))
@@ -607,18 +590,16 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
         b1_dot = b1_dot + u_e * (tw.F1 * tw.b1_tilde)
         b2_dot = b2_dot + u_e * (tw.F2 * tw.b2_tilde)
 
-    t, t_imag = _scaling_shift(triple, P_dot, tw.P_roots)
+    t, t_imag = _scaling_shift(tw, P_dot)
     if t_imag > 1e-6 * max(1.0, abs(t)):
         warnings.append(f"scaling shift has imaginary part {t_imag:.2e}")
     P_dot = P_dot + 2.0 * t * triple.P
     b1_dot = b1_dot + t * triple.b1
     b2_dot = b2_dot + t * triple.b2
 
-    v = TangentVector(
-        P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings)
-    )
-    t_after, _ = _scaling_shift(triple, P_dot, tw.P_roots)
-    residuals = {
+    v = TangentVector(P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings))
+    t_after, _ = _scaling_shift(tw, P_dot)
+    v.residuals.update({
         "empd1": _empdi_residual(triple, v, 1),
         "empd2": _empdi_residual(triple, v, 2),
         "residue_tangent_1": _residue_tangent_residual(triple, v, 1),
@@ -631,34 +612,31 @@ def solve_empdi(triple, c1, c2, Q, params=None, tower=None):
             real_defect(b2_dot, g + 3),
         )
         / max(v.norm(), 1e-300),
-    }
-    return TangentVector(
-        P_dot, b1_dot, b2_dot, params, c1, c2, Q, residuals, tuple(warnings)
-    )
+    })
+    return v
 
 
-def make_tangent(triple, params, tower=None):
-    """solve_q_equation followed by solve_empdi."""
-    tw = tower if tower is not None else build_tower(triple)
-    c1, c2, Q, info = solve_q_equation(triple, params, tower=tw)
-    v = solve_empdi(triple, c1, c2, Q, params=params, tower=tw)
+def make_tangent(tw, params):
+    """solve_q_equation followed by solve_empdi, on the tower ``tw``."""
+    c1, c2, Q, info = solve_q_equation(tw, params)
+    v = solve_empdi(tw, c1, c2, Q, params=params)
     v.residuals["q_identity"] = info["q_identity"]
     return v
 
 
-def tangent_params(triple, tower):
+def tangent_params(tw):
     """The pair of deformation parameters whose tangent vectors span the
-    tangent space at a triple with real tower ``tower``.
+    tangent space at the triple of the real tower ``tw``.
 
     Case (a): the kernel basis of R; case (b) with G linear: the real
     sections {1 + zeta, i - i zeta}; case (b) with G quadratic and case
     (e): the canonical parameter pairs (1, 0) and (0, 1).
     """
-    label = tower.label.label
+    label = tw.label.label
     if label == "a":
-        q1, q2 = r_kernel(triple, tower)
+        q1, q2 = r_kernel(tw)
         return CaseAParams(q1), CaseAParams(q2)
-    if label == "b" and tower.G.degree == 1:
+    if label == "b" and tw.G.degree == 1:
         return (
             CaseBLinearParams(Polynomial([1.0, 1.0])),
             CaseBLinearParams(Polynomial([1j, -1j])),
@@ -672,7 +650,7 @@ def tangent_basis(triple):
     """Two independent tangent vectors spanning the deformation parameters
     (those of ``tangent_params``), and their Gram determinant."""
     tw = build_tower(triple)
-    vectors = tuple(make_tangent(triple, p, tower=tw) for p in tangent_params(triple, tw))
+    vectors = tuple(make_tangent(tw, p) for p in tangent_params(tw))
     return vectors, gram_determinant(vectors)
 
 
@@ -699,30 +677,28 @@ def gram_determinant(vectors):
 
 
 def empdi_operator_matrix(P, g):
-    """Matrix of chat -> 2P(chat - zeta chat') + P' zeta chat on the
-    weight-(g+3) polynomials; injective for nonsingular P."""
-    zeta = Polynomial.zeta()
-    dP = P.derivative()
-    n_cols = g + 4
-    n_rows = 3 * g + 6
-    M = np.zeros((n_rows, n_cols), dtype=complex)
-    for m in range(n_cols):
-        mono = Polynomial.from_roots([0.0] * m) if m else Polynomial.one()
-        col = 2.0 * (1 - m) * P * mono + dP * zeta * mono
-        M[:, m] = col.padded(n_rows)
-    return M
+    """Matrix of chat -> ``_empdi_rhs(P, chat)`` on the weight-(g+3)
+    polynomials, one column per monomial zeta^m; injective for nonsingular
+    P."""
+    return np.column_stack(
+        [_empdi_rhs(P, Polynomial(e)).padded(3 * g + 6) for e in np.eye(g + 4)]
+    )
+
+
+def recovery_sigma_min(M):
+    """Smallest singular value of ``M`` with its nonzero rows normalised:
+    the injectivity margin of the recovery operator."""
+    row_norms = np.linalg.norm(M, axis=1)
+    keep = row_norms > 0
+    return float(np.linalg.svd(M[keep] / row_norms[keep, None], compute_uv=False)[-1])
 
 
 def recover_chat(triple, v):
     """The unique pair (chat1, chat2) reproducing the tangent vector through
     the deformation identities; raises when the operator is numerically
     singular (which would contradict a nonsingular spectral curve)."""
-    g = triple.g
-    M = empdi_operator_matrix(triple.P, g)
-    row_norms = np.linalg.norm(M, axis=1)
-    keep = row_norms > 0
-    Ms = M[keep] / row_norms[keep, None]
-    smin = np.linalg.svd(Ms, compute_uv=False)[-1]
+    M = empdi_operator_matrix(triple.P, triple.g)
+    smin = recovery_sigma_min(M)
     if smin <= 1e-10:
         raise SingularOperatorError(
             f"homogeneous recovery operator has sigma_min = {smin:.2e}"

@@ -636,9 +636,9 @@ def _rule_tangent(triple, label, rule, v_prev):
     """
     tw = build_tower(triple, label)
     if isinstance(rule, str):
-        params = tangent_params(triple, tw)[BASIS_RULES[rule]]
+        params = tangent_params(tw)[BASIS_RULES[rule]]
     elif isinstance(rule, CaseAParams):
-        q1, q2 = r_kernel(triple, tw)
+        q1, q2 = r_kernel(tw)
         xref = pack_section(rule.Q, 2)
         x1, x2 = pack_section(q1, 2), pack_section(q2, 2)
         c1, c2 = float(np.dot(xref, x1)), float(np.dot(xref, x2))
@@ -649,7 +649,7 @@ def _rule_tangent(triple, label, rule, v_prev):
         params = CaseAParams((c1 * q1 + c2 * q2) * lam)
     else:
         params = rule
-    v = make_tangent(triple, params, tower=tw)
+    v = make_tangent(tw, params)
     if v_prev is not None:
         g = triple.g
         if float(np.dot(_tangent_pack(v, g), _tangent_pack(v_prev, g))) < 0.0:

@@ -51,6 +51,9 @@ TRIM_REL = 1e-13
 GCD_CLUSTER_RADIUS = 1e-8
 MULTIPLICITY_RADIUS = 1e-6
 
+NORM_PLAIN_LO = math.sqrt(np.finfo(float).tiny)
+NORM_PLAIN_HI = 1e150
+
 ABERTH_MAX_ITER = 200
 ABERTH_TARGET = 1e-12
 
@@ -75,7 +78,7 @@ class Polynomial:
         polynomial branched over zeta=0 has numerical degree 2g+1).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_max_modulus")
 
     def __init__(self, coeffs, bound=None):
         # a private copy, so that no caller's array aliases the coefficients
@@ -90,6 +93,7 @@ class Polynomial:
         c = c[: kept[-1] + 1] if kept.size else np.zeros(1, dtype=complex)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "_max_modulus", scale)
         if bound is not None and self.degree > bound:
             raise DegreeBoundError(
                 f"degree {self.degree} exceeds nominal bound {bound}"
@@ -124,7 +128,22 @@ class Polynomial:
         return out
 
     def norm(self):
-        return float(np.linalg.norm(self.coeffs))
+        """Euclidean norm of the coefficients, finite and positive for every
+        nonzero polynomial.  The squares are summed as they are while the
+        largest modulus lies in [NORM_PLAIN_LO, NORM_PLAIN_HI] (its square is
+        normal, and fewer than 1e8 such squares cannot overflow) or while the
+        sum stays finite; otherwise the coefficients are divided by the
+        largest modulus, and their norm is scaled back and capped at the
+        largest float."""
+        m = self._max_modulus
+        if NORM_PLAIN_LO <= m <= NORM_PLAIN_HI or m == 0.0:
+            return float(np.linalg.norm(self.coeffs))
+        with np.errstate(over="ignore"):
+            plain = float(np.linalg.norm(self.coeffs))
+        if m > NORM_PLAIN_HI and plain < math.inf:
+            return plain
+        scaled = float(m) * float(np.linalg.norm(self.coeffs.view(float) / m))
+        return min(scaled, np.finfo(float).max)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -368,6 +387,11 @@ def _aberth(coeffs):
             return z
         if it == ABERTH_MAX_ITER:
             raise NumericalFailureError("root iteration did not converge", best=z)
+        if it == 0 and np.unique(z).size < n:
+            # Aberth's repulsion is undefined between coincident points,
+            # which would then converge to one root together: spread them
+            z = z + 1e-3 * np.maximum(1.0, np.abs(z)) * np.exp(2j * np.pi * np.arange(n) / n)
+            continue
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = np.where(dp != 0, p / dp, 0.1 + 0.1j)
             diff = z[:, None] - z[None, :]

@@ -328,10 +328,6 @@ class PsiVector:
     integration_error: float = 0.0
 
     @property
-    def g(self):
-        return len(self.periods) // 4
-
-    @property
     def real_accounting(self):
         n = len(self.periods) + len(self.closings)
         return {

@@ -8,6 +8,7 @@ from whitham.deformation import (
     CaseBLinearParams,
     CaseEParams,
     TangentVector,
+    _empdi_rhs,
     _r_last_coefficient,
     _real_tower,
     _residue_tangent_residual,
@@ -26,7 +27,7 @@ from whitham.deformation import (
 )
 from whitham.errors import DegenerateKernelError, NotDeformableError
 from whitham.flow import FlowConfig, seed_genus0, seed_genus1, trace
-from whitham.polyring import Polynomial, random_real_section, roots, roots_flat
+from whitham.polyring import Polynomial, random_real_section, roots_flat
 from whitham.spectral import SpectralTriple, pack_triple, product_form, unpack_triple
 
 RNG = np.random.default_rng(20260808)
@@ -102,7 +103,7 @@ def test_classify_case_c_and_indicator():
     )
     lab = classify(t)
     assert lab.label == "c"
-    ind = r_value(t, Polynomial.one(), _real_tower(t, lab))
+    ind = r_value(_real_tower(t, lab), Polynomial.one())
     assert np.isfinite(ind.real) and abs(ind) > 0
     with pytest.raises(NotDeformableError) as err:
         tangent_basis(t)
@@ -136,7 +137,7 @@ def test_case_c_gate_classifies_once(monkeypatch):
         tangent_basis(t)
     assert err.value.case == "c"
     assert len(calls) == 1
-    assert err.value.indicator == r_value(t, Polynomial.one(), _real_tower(t, classify(t)))
+    assert err.value.indicator == r_value(_real_tower(t, classify(t)), Polynomial.one())
 
 
 def test_classify_case_d():
@@ -232,7 +233,7 @@ def test_r_reality_relation():
         t = random_case_a_triple(rng)
         tw = build_tower(t)
         Q = random_real_section(rng, 2)
-        R = r_value(t, Q, tw)
+        R = r_value(tw, Q)
         betas = roots_flat(tw.b2_tilde)
         n = tw.b2_tilde.degree - 1
         rel = (-1.0) ** n * np.prod(betas) * R
@@ -246,18 +247,19 @@ def test_r_linearity():
     Q1 = random_real_section(rng, 2)
     Q2 = random_real_section(rng, 2)
     for a, b in ((2.0, -1.0), (0.5, 3.0)):
-        lhs = r_value(t, a * Q1 + b * Q2, tw)
-        rhs = a * r_value(t, Q1, tw) + b * r_value(t, Q2, tw)
+        lhs = r_value(tw, a * Q1 + b * Q2)
+        rhs = a * r_value(tw, Q1) + b * r_value(tw, Q2)
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(rhs))
 
 
 def test_r_kernel_basis():
     rng = np.random.default_rng(17)
     t = random_case_a_triple(rng)
-    q1, q2 = r_kernel(t)
-    scale = max(abs(r_value(t, e)) for e in (P(1, 0, 1), P(1j, 0, -1j), P(0, 1)))
+    tw = build_tower(t)
+    q1, q2 = r_kernel(tw)
+    scale = max(abs(r_value(tw, e)) for e in (P(1, 0, 1), P(1j, 0, -1j), P(0, 1)))
     for q in (q1, q2):
-        assert abs(r_value(t, q)) <= 1e-9 * max(1.0, scale)
+        assert abs(r_value(tw, q)) <= 1e-9 * max(1.0, scale)
     # orthonormal in real coordinates
     from whitham.spectral import pack_section
 
@@ -300,7 +302,7 @@ def test_r_kernel_degenerate_rank0():
     t = SpectralTriple(g, Ppoly, b1, b2)
     assert classify(t).label == "a"
     with pytest.raises(DegenerateKernelError):
-        r_kernel(t)
+        r_kernel(build_tower(t))
 
 
 # -- Q-equation and deformation identities ----------------------------------------
@@ -308,7 +310,7 @@ def test_r_kernel_degenerate_rank0():
 
 def test_solve_q_zero_params():
     t = random_case_a_triple(np.random.default_rng(23))
-    c1, c2, Q, info = solve_q_equation(t, CaseAParams(Polynomial.zero()))
+    c1, c2, Q, info = solve_q_equation(build_tower(t), CaseAParams(Polynomial.zero()))
     assert c1.is_zero and c2.is_zero and Q.is_zero
 
 
@@ -317,8 +319,8 @@ def test_solve_q_case_a_degree_and_residual():
     for _ in range(5):
         t = random_case_a_triple(rng)
         tw = build_tower(t)
-        q1, _ = r_kernel(t, tw)
-        c1, c2, Q, info = solve_q_equation(t, CaseAParams(q1), tower=tw)
+        q1, _ = r_kernel(tw)
+        c1, c2, Q, info = solve_q_equation(tw, CaseAParams(q1))
         assert info["q_identity"] < 1e-9
         d2 = tw.F2.degree
         assert c2.degree <= t.g + 1 - d2 + d2  # c2 = F2 * c2-tilde, weight g+1
@@ -330,24 +332,25 @@ def test_solve_q_rejects_nonkernel_Q():
     from whitham.errors import RealityViolationError
 
     t = random_case_a_triple(np.random.default_rng(31))
+    tw = build_tower(t)
     # generic Q has R(Q) != 0
     Q = P(1.0, 0.0, 1.0)
-    if abs(r_value(t, Q)) > 1e-6:
+    if abs(r_value(tw, Q)) > 1e-6:
         with pytest.raises(RealityViolationError):
-            solve_q_equation(t, CaseAParams(Q))
+            solve_q_equation(tw, CaseAParams(Q))
 
 
 def test_solve_empdi_zero_is_zero():
     t = random_case_a_triple(np.random.default_rng(37))
-    v = solve_empdi(t, Polynomial.zero(), Polynomial.zero(), Polynomial.zero())
+    v = solve_empdi(build_tower(t), Polynomial.zero(), Polynomial.zero(), Polynomial.zero())
     assert v.norm() < 1e-14
 
 
 def test_solve_empdi_random_case_a():
     rng = np.random.default_rng(41)
     for _ in range(3):
-        t = random_case_a_triple(rng)
-        v = make_tangent(t, CaseAParams(r_kernel(t)[0]))
+        tw = build_tower(random_case_a_triple(rng))
+        v = make_tangent(tw, CaseAParams(r_kernel(tw)[0]))
         assert v.residuals["empd1"] < 1e-9
         assert v.residuals["empd2"] < 1e-9
         assert v.residuals["q_identity"] < 1e-9
@@ -357,11 +360,11 @@ def test_solve_empdi_random_case_a():
 
 
 def test_tangent_linearity_in_params():
-    t = random_case_a_triple(np.random.default_rng(43))
-    q1, _ = r_kernel(t)
-    v1 = make_tangent(t, CaseAParams(q1))
+    tw = build_tower(random_case_a_triple(np.random.default_rng(43)))
+    q1, _ = r_kernel(tw)
+    v1 = make_tangent(tw, CaseAParams(q1))
     for lam in (-1.0, 2.0):
-        v2 = make_tangent(t, CaseAParams(q1 * lam))
+        v2 = make_tangent(tw, CaseAParams(q1 * lam))
         assert (v2.P_dot - lam * v1.P_dot).norm() < 1e-8 * max(1.0, v1.norm())
         assert (v2.b1_dot - lam * v1.b1_dot).norm() < 1e-8 * max(1.0, v1.norm())
 
@@ -370,7 +373,8 @@ def test_recover_chat_roundtrip():
     rng = np.random.default_rng(47)
     for _ in range(3):
         t = random_case_a_triple(rng)
-        v = make_tangent(t, CaseAParams(r_kernel(t)[0]))
+        tw = build_tower(t)
+        v = make_tangent(tw, CaseAParams(r_kernel(tw)[0]))
         chat1, chat2 = recover_chat(t, v)
         want1 = P(-1, 0, 1) * v.c1
         want2 = P(-1, 0, 1) * v.c2
@@ -405,12 +409,33 @@ def test_empdi_operator_kernel_trivial():
         assert smin > 1e-10
 
 
+def test_empdi_operator_matrix_applies_the_identity_operator():
+    """Column m is ``_empdi_rhs(P, zeta^m)``: the matrix applied to the
+    coefficients of chat is the operator applied to chat, and each column
+    is the closed form 2(1-m) P zeta^m + P' zeta^(m+1)."""
+    rng = np.random.default_rng(61)
+    zeta = Polynomial.zeta()
+    for g in range(4):
+        alphas = 0.2 + 0.5 * rng.random(g + 1) * np.exp(2j * np.pi * rng.random(g + 1))
+        Ppoly = pair_poly(*alphas)
+        M = empdi_operator_matrix(Ppoly, g)
+        assert M.shape == (3 * g + 6, g + 4)
+        for _ in range(3):
+            chat = Polynomial(rng.standard_normal(g + 4) + 1j * rng.standard_normal(g + 4))
+            want = _empdi_rhs(Ppoly, chat).padded(3 * g + 6)
+            assert np.abs(M @ chat.padded(g + 4) - want).max() <= 1e-12 * np.abs(want).max()
+        for m in range(g + 4):
+            mono = Polynomial.from_roots([0.0] * m)
+            col = 2.0 * (1 - m) * Ppoly * mono + Ppoly.derivative() * zeta * mono
+            assert np.array_equal(M[:, m], col.padded(3 * g + 6))
+
+
 def test_divisibility_ladder():
     # FF^i divides c^i and FG divides Q for constructed tangents
     rng = np.random.default_rng(61)
     t = random_case_a_triple(rng)
     tw = build_tower(t)
-    v = make_tangent(t, CaseAParams(r_kernel(t)[0]))
+    v = make_tangent(tw, CaseAParams(r_kernel(tw)[0]))
     if tw.F2.degree:
         _, rem = v.c2.divmod(tw.F2)
         assert rem.norm() <= 1e-9 * max(1.0, v.c2.norm())
@@ -437,9 +462,9 @@ def test_case_e_tangents():
 
 def test_case_e_q_equation_family():
     t = conformal_g0_triple()
-    c1a, c2a, Qa, _ = solve_q_equation(t, CaseEParams(1.0, 0.0))
-    c1b, c2b, Qb, _ = solve_q_equation(t, CaseEParams(1.0, 1.0))
     tw = build_tower(t)
+    c1a, c2a, Qa, _ = solve_q_equation(tw, CaseEParams(1.0, 0.0))
+    c1b, c2b, Qb, _ = solve_q_equation(tw, CaseEParams(1.0, 1.0))
     # the r parameter moves the solution by r*(b1-tilde, b2-tilde) (times F^i)
     d1 = c1b - c1a
     want = tw.F1 * tw.b1_tilde
@@ -448,7 +473,8 @@ def test_case_e_q_equation_family():
 
 def test_conformal_type_rate_zero_Q0():
     t = random_case_a_triple(np.random.default_rng(67))
-    v = make_tangent(t, CaseAParams(r_kernel(t)[0]))
+    tw = build_tower(t)
+    v = make_tangent(tw, CaseAParams(r_kernel(tw)[0]))
     rate = conformal_type_rate(t, v)
     # Q_0 = 0 gives rate 0
     v0 = v.scaled(0.0)
@@ -479,10 +505,11 @@ def test_case_b_linear_q_equation_shape():
         if lab.label == "b" and lab.factors.G.degree == 1:
             break
     Qt = P(1.0, 1.0)
-    c1, c2, Q, info = solve_q_equation(t, CaseBLinearParams(Qt))
+    tw = build_tower(t, lab)
+    c1, c2, Q, info = solve_q_equation(tw, CaseBLinearParams(Qt))
     assert info["q_identity"] < 1e-8
     # Q = G * Q-tilde
-    q_over_g, rem = Q.divmod(build_tower(t, lab).G)
+    q_over_g, rem = Q.divmod(tw.G)
     assert rem.norm() < 1e-9 * max(1.0, Q.norm())
 
 
@@ -516,7 +543,7 @@ def test_scaling_shift_is_bit_identical_to_inline_root_motion(
         P_dots = [random_real_section(rng, k) for _ in range(3)]
         P_dots += [v.P_dot for v in tangent_basis(t)[0]]
         for P_dot in P_dots:
-            assert _scaling_shift(t, P_dot, roots(t.P)) == _inline_scaling_shift(t, P_dot)
+            assert _scaling_shift(build_tower(t), P_dot) == _inline_scaling_shift(t, P_dot)
 
 
 def _rooted_vectors(monkeypatch):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -348,6 +350,38 @@ def test_aberth_raises_at_the_iteration_cap(monkeypatch):
     monkeypatch.setattr(polyring, "ABERTH_MAX_ITER", 0)
     with pytest.raises(NumericalFailureError):
         polyring._aberth(c)
+
+
+def test_aberth_separates_a_start_whose_points_coincide(monkeypatch):
+    """A start of exactly coincident points leaves Aberth's repulsion
+    undefined; the points are spread before the first step, so they reach
+    the three distinct roots rather than three copies of one."""
+    rs = np.array([0.5, -1.0, 2.0j])
+    c = Polynomial.from_roots(rs).coeffs
+    monkeypatch.setattr(polyring, "_eigenvalue_start", lambda coeffs: np.full(3, 1.0 + 0j))
+    z = polyring._aberth(c)
+    assert _backward_ok(c, z)
+    assert sorted(z, key=lambda r: (r.real, r.imag)) == pytest.approx(
+        sorted(rs, key=lambda r: (r.real, r.imag)), abs=1e-12
+    )
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-160, 1e-150, 1.0, 1e150, 1e153, 1e300, 5e307])
+def test_norm_is_finite_positive_and_plain_where_the_sum_of_squares_is(s):
+    p = Polynomial([s, 0.0, 2.0 * s * 1j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = p.norm()
+    assert n == pytest.approx(s * np.sqrt(5.0), rel=1e-15, abs=0.0)
+    if 1e-150 <= s <= 1e153:
+        assert n == float(np.linalg.norm(p.coeffs))
+
+
+def test_norm_caps_at_the_largest_float_and_keeps_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Polynomial([1.5e308, 1.5e308j]).norm() == np.finfo(float).max
+        assert Polynomial.zero().norm() == 0.0
 
 
 def test_subtraction_is_bit_identical_to_adding_the_negation():

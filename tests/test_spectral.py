@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -235,6 +237,19 @@ def test_d_psi_coordinate_direction_nonzero():
 
 
 # -- validation ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("s", [1.0, 1e150, 1e300])
+def test_real_section_check_fails_a_non_real_P_at_every_scale(g0_triple, s):
+    """P = s + 2s zeta^2 is not a real section at any scale; the defect is
+    measured against a norm that stays finite, so P1 fails at s = 1e300 as
+    at s = 1, without an overflow warning."""
+    t = SpectralTriple(0, P(s, 0.0, 2.0 * s), g0_triple.b1, g0_triple.b2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (check,) = [c for c in validate(t).checks if c.name == "P1_real_sections"]
+    assert not check.passed
+    assert check.residual == pytest.approx(1.0 / np.sqrt(5.0))
 
 
 def test_validate_exact_conformal_point_passes():
