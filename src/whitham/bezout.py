@@ -28,6 +28,7 @@ from .polyring import (
     approx_gcd,
     jet_divide,
     poly_jet,
+    real_defect,
     roots,
     symmetrize,
 )
@@ -223,20 +224,14 @@ def realify(A, B, C, a, b, c, sol):
     already real the averaging is the identity up to rounding.
     """
     for p, k, name in ((A, a, "A"), (B, b, "B"), (C, c, "C")):
-        d = _section_defect(p, k)
-        if d > 1e-8 * max(1.0, p.norm()):
+        # a polynomial over its weight is refused whatever its coefficients
+        if p.degree > k or real_defect(p, k) > 1e-8 * max(1.0, p.norm()):
             raise RealityViolationError(f"{name} is not a weight-{k} real section")
     X = symmetrize(sol.X, c - a)
     Y = symmetrize(sol.Y, c - b)
     return BezoutSolution(
         X, Y, _relative_residual(A, B, C, X, Y), sol.condition, sol.warnings, sol.x_raw
     )
-
-
-def _section_defect(p, k):
-    if p.degree > k:
-        return float("inf")
-    return float(np.max(np.abs(p.padded(k + 1) - np.conj(p.padded(k + 1)[::-1]))))
 
 
 def solution_space(A, B, C, a, b, c):

@@ -68,7 +68,7 @@ from .polyring import (
     real_section_scale,
     symmetrize,
 )
-from .spectral import is_conformal, product_form, product_form_dot, unpack_section
+from .spectral import is_conformal, product_form, scaling_derivative_numerators, unpack_section
 
 
 # ---------------------------------------------------------------------------
@@ -497,17 +497,17 @@ def _scaling_shift(tw, P_dot):
     derivative along (P_dot + 2tP, ...) at the tower's triple, whose
     ``roots(P)`` the tower carries.
 
-    Uses d/dt of the product-form coefficients: alpha_k moves by
-    -P_dot(alpha_k)/P'(alpha_k), and the reference index is the largest
-    product-form coefficient (stable across the conformal locus).
+    Uses the numerator of d/dt (Pi_m / P_m) that the scaling row of the
+    exact Jacobian also uses (``scaling_derivative_numerators``): alpha_k
+    moves by -P_dot(alpha_k)/P'(alpha_k), and the reference index is the
+    largest product-form coefficient (stable across the conformal locus).
     """
     P = tw.triple.P
     alphas = [a for a, _ in _curve_from_roots(P, tw.P_roots).branch_pairs]
     Pi = product_form(alphas)
-    (terms,) = product_form_dot(alphas, P, [P_dot])
     m = int(np.argmax(np.abs(Pi.coeffs)))
-    Pm = P.coeff(m)
-    t = (Pm * terms.coeff(m) - P_dot.coeff(m) * Pi.coeff(m)) / (2.0 * Pm * Pi.coeff(m))
+    (num,) = scaling_derivative_numerators(alphas, P, Pi, m, [P_dot])
+    t = num / (2.0 * P.coeff(m) * Pi.coeff(m))
     return float(t.real), float(abs(t.imag))
 
 

@@ -27,10 +27,7 @@ with the lattice integers held fixed.  A step does no work it throws away:
 each point is classified once (its sample's label builds the next step's
 tower), the step builds the one tangent vector its rule uses, the guess is
 walked once (that walk is Gauss-Newton's first residual), and a Jacobian is
-assembled only where Gauss-Newton takes a step.  In a cProfile of the
-``flow-trace`` benchmark workload the projection takes 48% of the time (the
-residual walks 32%, the Jacobians 10%), the tangent vector 26% and
-``classify`` 13%.
+assembled only where Gauss-Newton takes a step.
 """
 
 from __future__ import annotations
@@ -117,10 +114,8 @@ def gauss_newton(residual, x0, first, tol):
     condition map harmless; the trust radius handles the stiff, strongly
     nonlinear lattice components (a full Newton step can wrap integrals
     across lattice cells).  Never raises on slow progress; the caller reads
-    ``status``.
-
-    In a ``flow-trace`` cProfile the residual walks take 32% of the time
-    and the Jacobians 10%: 27 assemblies for 39 walks.
+    ``status``.  Each iterate is evaluated once: its residual and its
+    Jacobian come from the same ``residual`` call.
     """
     x = np.asarray(x0, dtype=float).copy()
     r, jacobian = first
@@ -189,6 +184,16 @@ def _refreshed_frame(old, triple, integers, current_norm):
     return old, None
 
 
+@dataclass(frozen=True)
+class ProjectionResult:
+    """A finished solve: the triple, its residual norm, and the residual
+    norm at the start and after every accepted Gauss-Newton step."""
+
+    triple: SpectralTriple
+    residual: float
+    trace: list
+
+
 def _chart_solve(chart, integers, frame, start, tol):
     """Drive the condition map to the lattice ``integers`` (in the order of
     ``psi``) on ``chart = (x0, make_triple, chart_derivative)``: the start,
@@ -198,7 +203,7 @@ def _chart_solve(chart, integers, frame, start, tol):
     is one ``gauss_newton`` call in one frame, refreshed at the iterate
     before every round but the first; a round's first residual is the walk
     already taken there (the start's, or the refreshed frame's) when there
-    is one.  Returns ``(triple, norm, trace)``; raises
+    is one.  Returns a ``ProjectionResult``; raises
     ``ProjectionFailureError`` if a round lowers the residual by less than
     0.1% (stalled or crawling) or the residual ends above 10 * ``tol``."""
     x0, make_triple, chart_derivative = chart
@@ -236,15 +241,7 @@ def _chart_solve(chart, integers, frame, start, tol):
         raise ProjectionFailureError(
             f"projection finished at residual {norm:.3e} > {10 * tol:.1e}", trace=trace
         )
-    return make_triple(x), norm, trace
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    triple: SpectralTriple
-    residual: float
-    iterations: int
-    lattice_integers: tuple
+    return ProjectionResult(make_triple(x), norm, trace)
 
 
 def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32):
@@ -268,8 +265,7 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32):
             trace=[r0],
         )
     chart = (x0, lambda x: unpack_triple(x, g), None)
-    triple, norm, trace = _chart_solve(chart, integers, frame, start, tol)
-    return ProjectionResult(triple, norm, len(trace) - 1, integers)
+    return _chart_solve(chart, integers, frame, start, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -488,7 +484,7 @@ def solve_common_factor(alphas, G, integers):
     frame = PsiFrame.build(start, quad_order=SEED_QUAD_ORDER)
     chart = _common_factor_chart(start, G)
     x0, make_triple, _ = chart
-    return _chart_solve(chart, integers, frame, psi_walks(make_triple(x0), frame), SEED_TOL)[0]
+    return _chart_solve(chart, integers, frame, psi_walks(make_triple(x0), frame), SEED_TOL).triple
 
 
 def confirm_case_b(triple, d_G):

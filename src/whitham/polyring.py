@@ -102,6 +102,11 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__; the default slot-state
+        # restore would assign through the __setattr__ above
+        return (Polynomial, (self.coeffs,))
+
     # -- basics ----------------------------------------------------------
 
     @property

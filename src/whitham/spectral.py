@@ -36,7 +36,6 @@ from .curve import (
     _curve_from_roots,
     build_curve,
     homology_basis,
-    integrate_batch,
     residue_condition,
     walk_path,
 )
@@ -223,6 +222,17 @@ def product_form_dot(alphas, P, P_dots):
     return out
 
 
+def scaling_derivative_numerators(alphas, P, Pi, m, P_dots):
+    """P_m dPi_m - dP_m Pi_m for each P_dot of ``P_dots``: the numerator of
+    d/dt (Pi_m / P_m) as P moves to P + t P_dot, where Pi is
+    ``product_form(alphas)`` and dPi its ``product_form_dot``."""
+    P_m, Pi_m = P.coeff(m), Pi.coeff(m)
+    return [
+        P_m * dPi.coeff(m) - dP.coeff(m) * Pi_m
+        for dP, dPi in zip(P_dots, product_form_dot(alphas, P, P_dots))
+    ]
+
+
 def scaling_value(P, curve=None):
     """Last Psi component: Pi_m / P_m for the product-form Pi.
 
@@ -315,9 +325,9 @@ class PsiVector:
     ``closings``: the four closing integrals (gamma+/gamma- per
     differential), ``residues``: both residue-condition values,
     ``scaling``: the normalization ratio (target 1).  Lattice targets are
-    the nearest points of 2*pi*i*Z.  The flattening to real components is
-    ``real_accounting``; it is finer than strictly necessary (real parts
-    of periods vanish automatically on real sections).
+    the nearest points of 2*pi*i*Z.  ``flatten`` gives the real components;
+    they are more than strictly necessary (real parts of periods vanish
+    automatically on real sections).
     """
 
     periods: tuple
@@ -326,16 +336,6 @@ class PsiVector:
     scaling: complex
     labels: tuple
     integration_error: float = 0.0
-
-    @property
-    def real_accounting(self):
-        n = len(self.periods) + len(self.closings)
-        return {
-            "lattice_values": 2 * n,
-            "residues": 4,
-            "scaling": 2,
-            "total": 2 * n + 6,
-        }
 
     def lattice_values(self):
         return tuple(self.periods) + tuple(self.closings)
@@ -364,43 +364,10 @@ class PsiVector:
         out.extend((d.real, d.imag))
         return np.array(out)
 
-    def to_json_dict(self):
-        return {
-            "periods": [[v.real, v.imag] for v in self.periods],
-            "closings": [[v.real, v.imag] for v in self.closings],
-            "residues": [[v.real, v.imag] for v in self.residues],
-            "scaling": [self.scaling.real, self.scaling.imag],
-            "labels": list(self.labels),
-            "lattice_integers": list(self.lattice_integers()),
-            "lattice_residuals": list(self.lattice_residuals()),
-            "real_accounting": self.real_accounting,
-        }
-
 
 def _psi_paths(frame):
     basis = frame.basis
     return basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
-
-
-def _psi_vector(triple, frame, per_path, scaling):
-    """Assemble the ``PsiVector`` from the integrals of (b1, b2) over each of
-    ``_psi_paths(frame)`` and the scaling value."""
-    paths = _psi_paths(frame)
-    n = len(paths) - 2
-    periods, closings, labels = [], [], []
-    err = 0.0
-    for out, part in ((periods, slice(0, n)), (closings, slice(n, None))):
-        for i, tag in ((0, "T1"), (1, "T2")):
-            for path, res in zip(paths[part], per_path[part]):
-                out.append(res[i].value)
-                labels.append(f"{tag}.{path.label}")
-                err = max(err, res[i].error)
-    residues = (
-        residue_condition(triple.P, triple.b1),
-        residue_condition(triple.P, triple.b2),
-    )
-    labels.extend(("res.T1", "res.T2", "scaling"))
-    return PsiVector(tuple(periods), tuple(closings), residues, scaling, tuple(labels), err)
 
 
 def psi(triple, frame=None, quad_order=32):
@@ -410,18 +377,11 @@ def psi(triple, frame=None, quad_order=32):
     same for the second, then gamma+/gamma- of the first and of the
     second, both residue values, and the scaling ratio.  The frame sets the
     quadrature order; ``quad_order`` is that of the frame built when none
-    is given.
+    is given.  This is the ``vector`` of ``psi_walks``.
     """
     if frame is None:
         frame = PsiFrame.build(triple, quad_order=quad_order)
-    cur, Pi = frame.curve_of(triple.P)
-    # one sheet-tracked walk per path, shared by both differentials
-    per_path = [
-        integrate_batch(cur, [triple.b1, triple.b2], path, frame.quad_order)
-        for path in _psi_paths(frame)
-    ]
-    s, _ = _scaling_ratio(triple.P, Pi, frame.scaling_index)
-    return _psi_vector(triple, frame, per_path, s)
+    return psi_walks(triple, frame).vector
 
 
 # ---------------------------------------------------------------------------
@@ -491,12 +451,11 @@ class PsiWalks:
             residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
             residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
         m = self.frame.scaling_index
-        Pi_m, P_m = self.product.coeff(m), P.coeff(m)
         alphas = [a for a, _ in self.curve.branch_pairs]
         scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
         scaling[0, :nP] = [
-            (dPi.coeff(m) * P_m - Pi_m * dP.coeff(m)) / P_m**2
-            for dP, dPi in zip(P_dots, product_form_dot(alphas, P, P_dots))
+            num / P.coeff(m) ** 2
+            for num in scaling_derivative_numerators(alphas, P, self.product, m, P_dots)
         ]
         n = len(self.walks) - 2
         # complex rows in the order of ``PsiVector.flatten``: periods of b1
@@ -509,14 +468,30 @@ class PsiWalks:
 
 
 def psi_walks(triple, frame):
-    """Psi at the triple from one walk per path of the frame, as a
-    ``PsiWalks`` whose Jacobian is assembled on demand; its ``vector``
-    equals ``psi(triple, frame=frame)``."""
+    """Psi at the triple from one walk per path of the frame, shared by both
+    differentials, as a ``PsiWalks`` whose Jacobian is assembled on
+    demand."""
     cur, Pi = frame.curve_of(triple.P)
-    walks = tuple(walk_path(cur, path, frame.quad_order) for path in _psi_paths(frame))
+    paths = _psi_paths(frame)
+    walks = tuple(walk_path(cur, path, frame.quad_order) for path in paths)
     per_path = [w.integrate((triple.b1, triple.b2)) for w in walks]
+    n = len(paths) - 2
+    periods, closings, labels = [], [], []
+    err = 0.0
+    for out, part in ((periods, slice(0, n)), (closings, slice(n, None))):
+        for i, tag in ((0, "T1"), (1, "T2")):
+            for path, res in zip(paths[part], per_path[part]):
+                out.append(res[i].value)
+                labels.append(f"{tag}.{path.label}")
+                err = max(err, res[i].error)
+    residues = (
+        residue_condition(triple.P, triple.b1),
+        residue_condition(triple.P, triple.b2),
+    )
+    labels.extend(("res.T1", "res.T2", "scaling"))
     s, _ = _scaling_ratio(triple.P, Pi, frame.scaling_index)
-    return PsiWalks(triple, frame, cur, Pi, walks, _psi_vector(triple, frame, per_path, s))
+    vector = PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
+    return PsiWalks(triple, frame, cur, Pi, walks, vector)
 
 
 # ---------------------------------------------------------------------------

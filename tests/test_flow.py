@@ -323,6 +323,40 @@ def test_trace_short_flow(g0_triple):
     assert (pack_triple(samples[-1].triple) - pack_triple(samples[0].triple)).max() > 1e-4
 
 
+@pytest.mark.parametrize("rule", ["basis0", "basis1"])
+@pytest.mark.parametrize("seed", ["g0_triple", "g1_triple"])
+def test_flow_from_a_roundoff_moved_input_follows_the_same_path(seed, rule, request):
+    """A 3-step flow from an input moved by 1e-12 keeps every sample within
+    1e-8 of the unmoved flow's, in the point and in t: the tangent basis
+    follows R's row direction, so roundoff cannot flip the step."""
+    start = request.getfixturevalue(seed)
+    cfg = FlowConfig(h=1e-2, steps=3, params_rule=rule)
+    base, status = trace(start, cfg)
+    assert status == "completed"
+    x = pack_triple(start)
+    rng = np.random.default_rng(11)
+    moved_x = x + 1e-12 * rng.standard_normal(x.size)
+    moved, status = trace(unpack_triple(moved_x, start.g), cfg)
+    assert status == "completed"
+    assert len(moved) == len(base)
+    for a, b in zip(base, moved):
+        assert np.abs(pack_triple(a.triple) - pack_triple(b.triple)).max() <= 1e-8
+        assert abs(a.t - b.t) <= 1e-8
+
+
+def test_project_to_mg_trace_runs_from_the_start_residual_to_the_result(g0_triple):
+    """The projection's trace starts at the residual of the guess against
+    its nearest lattice points and ends at the returned residual."""
+    rng = np.random.default_rng(4)
+    x = pack_triple(g0_triple)
+    noisy = unpack_triple(x + 1e-4 * rng.standard_normal(x.size), 0)
+    res = project_to_mg(noisy, tol=1e-10, quad_order=40)
+    r0 = float(np.linalg.norm(psi(noisy, quad_order=40).flatten()))
+    assert len(res.trace) > 1
+    assert res.trace[0] == r0
+    assert res.trace[-1] == res.residual <= 1e-9
+
+
 def test_trace_reversibility_small_h(g0_triple):
     # a fixed kernel-projected parameter rule gives a continuous direction
     # field, so forward/backward traces retrace each other to O(h^2)

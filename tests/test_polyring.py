@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -151,6 +153,19 @@ def test_hash_agrees_with_eq_on_signed_zeros():
         assert p == q
         assert hash(p) == hash(q)
         assert len({p, q}) == 1
+
+
+def test_copy_and_pickle_rebuild_an_equal_immutable_polynomial(g1_triple):
+    """``copy``, ``deepcopy`` and ``pickle`` rebuild through the constructor,
+    which the immutability guard used to block."""
+    for p in (Polynomial([1, 2j]), Polynomial.zero(), Polynomial([1e-300, 3, 0])):
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and hash(q) == hash(p) and q.degree == p.degree
+            assert q.coeffs.tobytes() == p.coeffs.tobytes()
+            with pytest.raises(AttributeError, match="immutable"):
+                q.coeffs = None
+    assert copy.deepcopy(g1_triple) == g1_triple
+    assert pickle.loads(pickle.dumps(g1_triple)) == g1_triple
 
 
 # -- real structure ----------------------------------------------------------

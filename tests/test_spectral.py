@@ -186,7 +186,7 @@ def test_psi_structure_genus0():
     assert len(vec.periods) == 0
     assert len(vec.closings) == 4
     assert len(vec.residues) == 2
-    assert vec.real_accounting["total"] == 8 * t.g + 14
+    assert vec.flatten().size == 8 * t.g + 14
 
 
 def test_psi_exact_conformal_point_on_lattice():
