@@ -7,7 +7,10 @@ files in it), then ``oracle --seed 7 --count 25`` once, in-process, and
 hashes what each call writes to stdout and stderr.  Two checkouts' outputs
 diff clean exactly when their reports and exit codes are byte-identical:
 
-    PYTHONPATH=src python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
+    python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
+
+The library is imported from the ``src`` directory of the checkout that
+holds the script.
 """
 
 import contextlib
@@ -17,6 +20,8 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from whitham.cli import main
 from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1

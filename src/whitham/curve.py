@@ -22,16 +22,20 @@ Corridors detour around any branch point or marked point (0, +1, -1) that
 comes too close; loops whose radii cannot clear the surrounding geometry
 raise ``PathConstructionError`` with a diagnostic.
 
-Each path is walked as one stack (``walk_path``): it is split into
-quadrature panels level by level, probing every panel of a level against
-the singular set at once; P is evaluated once over the panels x nodes
-grid; and the sheet signs of all panels chain in one ``cumprod``.  Only a
-panel with an ambiguous step is walked node by node, with bisection.
+The paths of one Psi evaluation are walked as one stack (``walk_paths``;
+``walk_path`` is the one-path case): they are split into quadrature panels
+together, level by level, probing the panels just split against the
+singular set at once; P is evaluated once over the panels x nodes grid of
+all paths; and the sheet signs of all panels chain in one ``cumprod`` that
+starts afresh at each path's first panel.  Only a panel with an ambiguous
+step is walked node by node, with bisection.  Each path gets the panels
+and eta it gets when walked alone, and a failing stack raises the error
+that walking its paths one after another raises first.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -434,19 +438,24 @@ def _gl_nodes(order):
 
 
 _PROBES = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
-# subdivision gives up beyond this many segments examined, or panels kept
+# a path's subdivision gives up when its panels plus the splits made to reach
+# them exceed this
 MAX_SEGMENTS = 20000
 
 
 @dataclass(frozen=True)
 class Panels:
-    """Segments as arrays, one row each in path order.
+    """Segments as arrays, one row each: the rows of each path in path
+    order, path after path (``path`` holds each row's path index).
 
     A line runs from ``start`` to ``end`` (angles 0, radius 0); an arc
     (``arc``) has center ``start`` = ``end``, ``radius`` and angles
     ``theta0`` -> ``theta1``.  With these fillers one formula per column
     serves both kinds, and each row computes exactly what its segment's
     ``point``, ``velocity``, ``length`` and ``split`` compute.
+
+    ``error`` is set only by ``_subdivide``: the ``GeometryError`` of the
+    first path whose subdivision failed; the rows stop before that path.
     """
 
     arc: np.ndarray
@@ -455,24 +464,40 @@ class Panels:
     radius: np.ndarray
     theta0: np.ndarray
     theta1: np.ndarray
+    path: np.ndarray
+    error: Exception | None = None
 
     @staticmethod
-    def of(segments):
-        """One row per ``LineSegment`` or ``ArcSegment``, in order."""
+    def of(*paths):
+        """One row per ``LineSegment`` or ``ArcSegment`` of each path (a
+        list of segments), in order."""
         rows = [
             (True, s.center, s.center, s.radius, s.theta0, s.theta1)
             if isinstance(s, ArcSegment)
             else (False, s.z0, s.z1, 0.0, 0.0, 0.0)
+            for segments in paths
             for s in segments
         ]
         arc, start, end, radius, theta0, theta1 = zip(*rows)
         return Panels(
             np.array(arc), np.array(start, dtype=complex), np.array(end, dtype=complex),
             *(np.array(c, dtype=float) for c in (radius, theta0, theta1)),
+            np.repeat(np.arange(len(paths)), [len(segments) for segments in paths]),
         )
 
     def __len__(self):
         return self.arc.size
+
+    def _columns(self):
+        return (self.arc, self.start, self.end, self.radius, self.theta0, self.theta1, self.path)
+
+    def take(self, rows):
+        """The rows selected by an index, slice or mask."""
+        return Panels(*(a[rows] for a in self._columns()))
+
+    def heads(self):
+        """Mask of the rows that start a path."""
+        return np.diff(self.path, prepend=-1) != 0
 
     def segment(self, i):
         """Row i as a ``LineSegment`` or ``ArcSegment``."""
@@ -500,20 +525,19 @@ class Panels:
         rows = np.flatnonzero(mask)
         first = rows + np.arange(rows.size)  # where each first half lands
         copies = np.repeat(np.arange(len(self)), 1 + mask)
-        arc, start, end, radius, theta0, theta1 = (
-            a[copies] for a in (self.arc, self.start, self.end, self.radius, self.theta0, self.theta1)
-        )
+        arc, start, end, radius, theta0, theta1, path = (a[copies] for a in self._columns())
         z0, z1 = self.start[rows], self.end[rows]
         mid = z0 + (z1 - z0) * 0.5  # an arc's center stays put
         th_mid = 0.5 * (self.theta0[rows] + self.theta1[rows])  # a line's angles stay 0
         end[first], start[first + 1] = mid, mid
         theta1[first], theta0[first + 1] = th_mid, th_mid
-        return Panels(arc, start, end, radius, theta0, theta1)
+        return Panels(arc, start, end, radius, theta0, theta1, path)
 
     def too_close(self, sing):
         """Rows whose half-length exceeds 0.75 times their clearance: the
         distance from five probe points to the singular set (an arc's own
-        center is cleared by its radius)."""
+        center is cleared by its radius); and, of those, the rows that pass
+        through a singular point."""
         half = 0.5 * np.where(
             self.arc, self.radius * np.abs(self.theta1 - self.theta0), np.abs(self.end - self.start)
         )
@@ -523,41 +547,56 @@ class Panels:
         clear = np.minimum.reduce(dist, axis=1, initial=np.inf)
         clear = np.where(self.arc, np.minimum(clear, self.radius), clear)
         close = (half > 1e-14) & (half > 0.75 * clear)
-        if np.any(close & (clear < 1e-11)):
-            raise GeometryError("integration path passes through a singular point")
-        return close
+        return close, close & (clear < 1e-11)
 
 
-def _narrowed(seg):
-    """The segment, or the pieces of an arc wider than pi/4 halved until
-    none is: such an arc splits whatever its clearance."""
-    if isinstance(seg, ArcSegment) and abs(seg.theta1 - seg.theta0) > np.pi / 4 + 1e-12:
-        return [piece for half in seg.split() for piece in _narrowed(half)]
-    return [seg]
-
-
-def _subdivide(segments, sing):
-    """Split segments until each clears the singular set by its half-length,
-    level by level, and return the ``Panels`` in path order.
+def _subdivide(paths, sing):
+    """Split the segments of each path (a list of segments per path) until
+    each clears the singular set by its half-length, level by level, and
+    return the ``Panels`` of all paths, path after path, each in path order.
 
     Wide arcs are first halved into arcs of at most pi/4.  Then at each
-    level every panel is probed against the singular set in one array
-    operation, and those too close to it are halved.  Gauss-Legendre
-    converges geometrically in the ratio of clearance to segment size; the
-    0.75 factor of ``Panels.too_close`` keeps even order-8 panels at ~1e-11
-    accuracy.  A panel that stays whole keeps its verdict at the next level.
+    level the panels just split (at the first level, all of them) are probed
+    against the singular set in one array operation, and those too close to
+    it are halved; a panel that stays whole keeps its verdict at the next
+    level.  Gauss-Legendre converges geometrically in the ratio of clearance
+    to segment size; the 0.75 factor of ``Panels.too_close`` keeps even
+    order-8 panels at ~1e-11 accuracy.
+
+    A row's verdict depends on that row alone, so every path gets the panels
+    it gets when subdivided by itself.  A path that passes through a
+    singular point, or whose panels plus splits exceed ``MAX_SEGMENTS``,
+    fails: its ``GeometryError`` goes to ``error`` and its rows and those of
+    every later path are dropped, since no later path's error can be the
+    first one raised.
     """
     sing = np.asarray(sing, dtype=complex)
-    panels = Panels.of([piece for seg in segments for piece in _narrowed(seg)])
-    splits = len(panels) - len(segments)
-    while (mask := panels.too_close(sing)).any():
-        splits += np.count_nonzero(mask)
-        if splits + len(panels) > MAX_SEGMENTS:
-            raise GeometryError("segment subdivision did not terminate near a singularity")
+    panels = Panels.of(*paths)
+    segments = np.bincount(panels.path, minlength=len(paths))
+    # an arc wider than pi/4 splits whatever its clearance
+    while (wide := panels.arc & (np.abs(panels.theta1 - panels.theta0) > np.pi / 4 + 1e-12)).any():
+        panels = panels.split(wide)
+    splits = np.bincount(panels.path, minlength=len(paths)) - segments
+    error = None
+    fresh = np.ones(len(panels), dtype=bool)
+    while fresh.any():
+        close, through = panels.take(fresh).too_close(sing)
+        mask = np.zeros(len(panels), dtype=bool)
+        mask[fresh] = close
+        splits += np.bincount(panels.path[mask], minlength=splits.size)
+        over = splits + np.bincount(panels.path, minlength=splits.size) > MAX_SEGMENTS
+        hit = panels.path[fresh][through]
+        if over.any() or hit.size:
+            k = min(np.flatnonzero(over)[:1].tolist() + hit[:1].tolist())
+            error = GeometryError(
+                "integration path passes through a singular point" if k in hit
+                else "segment subdivision did not terminate near a singularity"
+            )
+            keep = panels.path < k
+            panels, mask, splits = panels.take(keep), mask[keep], splits[:k]
         panels = panels.split(mask)
-        if len(panels) > MAX_SEGMENTS:
-            raise GeometryError("integration path required too many panels")
-    return panels
+        fresh = np.repeat(mask, 1 + mask)
+    return replace(panels, error=error)
 
 
 def _continue_eta(Ppoly, seg, t0, eta0, t1, depth=0):
@@ -591,16 +630,17 @@ class IntegrationResult:
 
 
 def _walk_eta(P, panels, ts, zs, eta0):
-    """eta at the nodes ``zs`` of the panels (rows, in path order, at the
-    sorted parameters ts from 0 to 1), continued from eta0 at the first
-    node.
+    """eta at the nodes ``zs`` of the panels (rows: each path's panels in
+    path order, path after path, at the sorted parameters ts from 0 to 1),
+    continued along each path from its start value ``eta0[k]`` (path k; one
+    number for one path) at its first node.
 
     Each step keeps or flips the sign of the principal root; inside a panel
     a step is clear when one choice is much closer than the other, and at a
     junction the next panel's first value must lie near the last one.  The
-    signs of all clear rows chain in one ``cumprod``; only a row with an
-    unclear step is walked node by node, with ``_continue_eta`` bisecting
-    each unclear step.
+    signs of all clear rows chain in one ``cumprod``, which starts afresh at
+    each path's first row; only a row with an unclear step is walked node by
+    node, with ``_continue_eta`` bisecting each unclear step.
     """
     vals = np.sqrt(P(zs))
     d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
@@ -610,15 +650,23 @@ def _walk_eta(P, panels, ts, zs, eta0):
     mag = np.maximum(np.abs(vals[:, 1:]), np.abs(vals[:, :-1]))
     clear = (lo <= 0.5 * hi) & (lo <= 0.8 * np.maximum(mag, 1e-300))
     steps = np.where(d_flip < d_keep, -1.0, 1.0)
+    heads = panels.heads()
+    # the eta each row continues: its path's start value at a path's first
+    # row, else the previous row's last root value (the chain carries the sign)
+    incoming = np.concatenate([[0.0], vals[:-1, -1]])
+    incoming[heads] = np.atleast_1d(eta0)
     etas = np.empty_like(vals)
     start, n = 0, len(panels)
     for stop in [*np.flatnonzero(~np.all(clear, axis=1)), n]:
         if stop > start:
-            etas[start:stop] = _chain_signs(vals[start:stop], steps[start:stop], eta0)
-            eta0 = etas[stop - 1, -1]
+            if not heads[start]:
+                incoming[start] = etas[start - 1, -1]  # the row after a walked row
+            rows = slice(start, stop)
+            etas[rows] = _chain_signs(vals[rows], steps[rows], incoming[rows], heads[rows])
         if stop < n:
-            etas[stop] = _walk_row(P, panels.segment(stop), ts, vals[stop], clear[stop], eta0)
-            eta0 = etas[stop, -1]
+            if not heads[stop]:
+                incoming[stop] = etas[stop - 1, -1]
+            etas[stop] = _walk_row(P, panels.segment(stop), ts, vals[stop], clear[stop], incoming[stop])
         start = stop + 1
     return etas
 
@@ -632,13 +680,19 @@ def _junction_sign(first, incoming):
     return sign
 
 
-def _chain_signs(vals, steps, eta0):
+def _chain_signs(vals, steps, incoming, heads):
     """eta over consecutive rows whose steps are all clear: each row's
-    junction sign against the previous row's last value (the first row's
-    against eta0), then every sign chained in path order."""
-    incoming = np.concatenate([[eta0], vals[:-1, -1]])
+    junction sign against its incoming value, then every sign chained in
+    row order, the chain starting afresh at the first row and at each
+    ``heads`` row (the first row of a path)."""
     signs = np.column_stack([_junction_sign(vals[:, 0], incoming), steps])
-    return np.cumprod(signs.ravel()).reshape(vals.shape) * vals
+    chain = np.cumprod(signs.ravel()).reshape(vals.shape)
+    if heads[1:].any():
+        # every sign is +-1, so multiplying a path's rows by the chain's value
+        # before its first row undoes that prefix exactly
+        before = np.concatenate([[1.0], chain[:-1, -1]])
+        chain *= before[np.maximum.accumulate(np.where(heads, np.arange(heads.size), 0))][:, None]
+    return chain * vals
 
 
 def _walk_row(P, seg, ts, vals, clear, eta0):
@@ -703,41 +757,60 @@ class PathWalk:
         return out
 
 
-def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
-    """Subdivide the path into panels and continue eta along it from its
-    start sheet; every integral over the path is a weighted sum over the
-    returned ``PathWalk``.
+def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER):
+    """Subdivide the paths into panels and continue eta along each from its
+    start sheet: one ``PathWalk`` per path, and every integral over a path
+    is a weighted sum over its walk.
 
-    The walk is stacked: P is evaluated once over the whole (panels x
-    nodes) grid and the sheet signs of all panels chain in one pass, see
-    ``_walk_eta``.
+    The paths are walked as one stack: they are subdivided together (see
+    ``_subdivide``), P is evaluated once over the whole (panels x nodes)
+    grid and the sheet signs of all panels chain in one pass, see
+    ``_walk_eta``; each walk holds its path's rows of the stack.  A failure
+    raises the error that walking the paths one after another raises first.
     """
     P = curve.P
     sing = list(curve.finite_branch_points)
     if all(abs(s) > 1e-12 for s in sing):
         sing.append(0.0 + 0.0j)  # double pole of the differentials
-    panels = _subdivide(path.segments, sing)
+    panels = _subdivide([path.segments for path in paths], sing)
+    error = panels.error
     ts, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
     zs, base = panels.nodes(ts)  # base: velocity, divided by zeta^2 eta below
+    first = np.flatnonzero(panels.heads())
 
-    p0 = complex(P(zs[0, 0]))
-    if abs(p0.imag) <= 1e-13 * abs(p0):
-        # P is real at zeta = +-1 (on the unit circle a real section is real
-        # up to a phase); at -1 it is negative for even genus, i.e. on the
-        # cut of the principal root, where the roundoff sign of the
-        # imaginary part would pick the sheet.  Take the upper side.
-        p0 = complex(p0.real, 0.0)
-    eta = path.start_sheet * complex(np.sqrt(p0))
-    if eta == 0.0:
-        raise GeometryError("path starts at a branch point")
-    etas = _walk_eta(P, panels, ts, zs, eta)
+    p0 = P(zs[first, 0])
+    # P is real at zeta = +-1 (on the unit circle a real section is real up
+    # to a phase); at -1 it is negative for even genus, i.e. on the cut of
+    # the principal root, where the roundoff sign of the imaginary part would
+    # pick the sheet.  Take the upper side.
+    p0 = np.where(np.abs(p0.imag) <= 1e-13 * np.abs(p0), p0.real.astype(complex), p0)
+    eta0 = np.array([path.start_sheet for path in paths[: first.size]]) * np.sqrt(p0)
+    if not eta0.all():
+        # walk the paths before the first one that starts at a branch point
+        k = int(np.argmin(eta0 != 0.0))
+        error = GeometryError("path starts at a branch point")
+        rows = slice(0, first[k])
+        panels, zs, base, first, eta0 = panels.take(rows), zs[rows], base[rows], first[:k], eta0[:k]
+    if len(panels):
+        etas = _walk_eta(P, panels, ts, zs, eta0)
+    if error is not None:
+        raise error
     # the end node as walked: at zeta = -1 the path's own end point may sit
     # on the other side of the principal root's cut
-    ref = complex(np.sqrt(P(zs[-1, -1])))
-    eta = etas[-1, -1]
-    end_sheet = 1 if abs(eta - ref) <= abs(eta + ref) else -1
+    last = np.append(first[1:], len(panels)) - 1
+    ref, eta = np.sqrt(P(zs[last, -1])), etas[last, -1]
+    end_sheet = np.where(np.abs(eta - ref) <= np.abs(eta + ref), 1, -1)
     base /= zs**2 * etas
-    return PathWalk(zs, etas, base, idx_hi, w_hi, idx_lo, w_lo, end_sheet)
+    return tuple(
+        PathWalk(zs[a:b], etas[a:b], base[a:b], idx_hi, w_hi, idx_lo, w_lo, int(s))
+        for a, b, s in zip(first, last + 1, end_sheet)
+    )
+
+
+def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
+    """``walk_paths`` of the one path."""
+    (walk,) = walk_paths(curve, [path], quad_order)
+    return walk
 
 
 def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):

@@ -37,7 +37,7 @@ from .curve import (
     build_curve,
     homology_basis,
     residue_condition,
-    walk_path,
+    walk_paths,
 )
 from .errors import (
     CircleRootError,
@@ -203,23 +203,36 @@ def product_form_dot(alphas, P, P_dots):
     P_dot of ``P_dots``: each in-disc branch point moves by
     alpha_dot = -P_dot(alpha)/P'(alpha).  The product form of the other
     roots and P'(alpha) are built once per root and shared by every
-    direction."""
+    direction.
+
+    Each direction's terms are summed on coefficient arrays, by the
+    ``np.convolve`` calls that the ``Polynomial`` products of
+    d/dt (zeta - alpha)(1 - conj(alpha) zeta) times the other roots' product
+    form make, and become one ``Polynomial`` at the end."""
     alphas = list(alphas)
     dP = P.derivative()
     per_root = [
-        (a, dP(a), product_form(alphas[:k] + alphas[k + 1 :]),
-         Polynomial([1.0, -np.conj(a)]), Polynomial([-a, 1.0]))
+        (a, dP(a), product_form(alphas[:k] + alphas[k + 1 :]).coeffs,
+         Polynomial([1.0, -np.conj(a)]).coeffs, np.array([-a, 1.0], dtype=complex))
         for k, a in enumerate(alphas)
     ]
     out = []
     for P_dot in P_dots:
-        terms = Polynomial.zero()
+        terms = np.zeros(1, dtype=complex)
         for a, dP_a, rest, right, left in per_root:
             a_dot = -P_dot(a) / dP_a
-            dpair = Polynomial([-a_dot, 0.0]) * right + left * Polynomial([0.0, -np.conj(a_dot)])
-            terms = terms + dpair * rest
-        out.append(terms)
+            dpair = _added(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
+            terms = _added(terms, np.convolve(dpair, rest))
+        out.append(Polynomial(terms))
     return out
+
+
+def _added(p, q):
+    """p + q on coefficient arrays, as ``Polynomial`` addition forms it:
+    the shorter padded with zeros."""
+    n = max(p.size, q.size)
+    p, q = (c if c.size == n else np.concatenate([c, np.zeros(n - c.size)]) for c in (p, q))
+    return p + q
 
 
 def scaling_derivative_numerators(alphas, P, Pi, m, P_dots):
@@ -473,7 +486,7 @@ def psi_walks(triple, frame):
     demand."""
     cur, Pi = frame.curve_of(triple.P)
     paths = _psi_paths(frame)
-    walks = tuple(walk_path(cur, path, frame.quad_order) for path in paths)
+    walks = walk_paths(cur, paths, frame.quad_order)
     per_path = [w.integrate((triple.b1, triple.b2)) for w in walks]
     n = len(paths) - 2
     periods, closings, labels = [], [], []

@@ -9,11 +9,14 @@ from whitham.curve import (
     homology_basis,
     integrate_batch,
     residue_condition,
+    walk_path,
+    walk_paths,
 )
 from whitham.errors import (
     CircleRootError,
     GeometryError,
     MultipleRootError,
+    NumericalFailureError,
     RealityViolationError,
 )
 from whitham.polyring import Polynomial, random_real_section
@@ -312,9 +315,9 @@ def _assert_walks_equal(walk, ref):
 def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
     """Every Psi path of genus 0 to 3, both case-(b) seeds included, walks
     to the same panels, nodes, eta and end sheet as the walk that splits
-    one segment and continues eta one panel at a time."""
+    one segment and continues eta one panel at a time, both alone and in
+    the stack of all paths of its frame."""
     from oracles import reference_walk
-    from whitham.curve import walk_path
     from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
     from whitham.spectral import PsiFrame, SpectralTriple, _psi_paths, product_form
 
@@ -325,10 +328,81 @@ def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
     assert not any(isinstance(t, str) for t in points), points
     for t in points:
         frame = PsiFrame.build(t)
-        for path in _psi_paths(frame):
-            for order in (16, 32, 48):
+        paths = _psi_paths(frame)
+        for order in (16, 32, 48):
+            stack = walk_paths(frame.curve, paths, order)
+            assert len(stack) == len(paths)
+            for path, walk in zip(paths, stack):
                 ref = reference_walk(frame.curve, path, order)
                 _assert_walks_equal(walk_path(frame.curve, path, order), ref)
+                _assert_walks_equal(walk, ref)
+
+
+def _walked(walk):
+    """The walks, or the class and message of the error raised."""
+    try:
+        return walk()
+    except (GeometryError, NumericalFailureError) as exc:
+        return type(exc), str(exc)
+
+
+def _walked_in_order(cur, paths):
+    return _walked(lambda: tuple(walk_path(cur, path, 32) for path in paths))
+
+
+def _same_outcome(stacked, in_order):
+    if isinstance(in_order[0], type):
+        assert stacked == in_order
+        return
+    assert len(stacked) == len(in_order)
+    for walk, alone in zip(stacked, in_order):
+        _assert_walks_equal(walk, (alone.zs, alone.etas, alone.base, alone.end_sheet))
+
+
+# a curve with branch points 0.5 and 2 (and the pole at 0), and paths that
+# clear them (FAR), pass 1e-6 from 0.5 (NEAR: 86 panels, 171 panels and
+# splits) or through 0.5 and through 0 (THROUGH, POLE; POLE's midpoint probe
+# hits 0 on the first level)
+FAR = PathOnCurve((ArcSegment(-0.5 - 0.5j, 0.12, 0.0, 2 * np.pi),), 1, True, "far")
+NEAR = PathOnCurve((LineSegment(-0.4 + 1e-6j, 0.9 + 1e-6j),), 1, False, "near")
+THROUGH = PathOnCurve((LineSegment(0.5 - 0.3j, 0.5 + 0.3j),), 1, False, "through")
+POLE = PathOnCurve((LineSegment(-0.2j, 0.2j),), 1, False, "pole")
+
+
+def test_stack_raises_the_first_failing_path_error():
+    """A middle path through a branch point fails the stack with the class
+    and message that walking the paths one after another raises."""
+    cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
+    for paths in ([FAR, THROUGH, NEAR], [NEAR, THROUGH, FAR, POLE]):
+        in_order = _walked_in_order(cur, paths)
+        assert in_order == (GeometryError, "integration path passes through a singular point")
+        assert _walked(lambda: walk_paths(cur, paths, 32)) == in_order
+
+
+def test_segment_guard_applies_per_path(monkeypatch):
+    """``MAX_SEGMENTS`` bounds each path's panels and splits, not the
+    stack's: a stack of paths that each fit walks as they walk alone,
+    however many panels it holds, and a path beyond the bound fails the
+    stack with its own error even when a later path fails on an earlier
+    level."""
+    import whitham.curve as curve_mod
+
+    cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 171)
+    paths = [NEAR, FAR, NEAR]
+    stack = walk_paths(cur, paths, 32)
+    assert sum(len(w.zs) for w in stack) > curve_mod.MAX_SEGMENTS
+    _same_outcome(stack, _walked_in_order(cur, paths))
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 170)
+    for paths, message in (
+        ([FAR, NEAR, POLE], "segment subdivision did not terminate near a singularity"),
+        ([FAR, POLE, NEAR], "integration path passes through a singular point"),
+        ([FAR, FAR], None),
+    ):
+        in_order = _walked_in_order(cur, paths)
+        if message is not None:
+            assert in_order == (GeometryError, message)
+        _same_outcome(_walked(lambda: walk_paths(cur, paths, 32)), in_order)
 
 
 def test_unclear_row_falls_back_to_bisection(monkeypatch):
@@ -364,4 +438,34 @@ def test_unclear_row_falls_back_to_bisection(monkeypatch):
     for seg in segs:
         ref.append(_reference_walk_eta(Ppoly, seg, ts, eta, _continue_eta))
         eta = complex(ref[-1][-1])
+    assert np.array_equal(etas, np.array(ref))
+
+
+def test_stacked_rows_restart_at_each_path():
+    """Stacked paths whose unclear rows end one path, start the next and end
+    the stack, one path on the other sheet: each path's rows continue from
+    its own start value, as the per-panel reference walks that path
+    alone."""
+    from oracles import _reference_walk_eta
+    from whitham.curve import Panels, _continue_eta, _panel_grid, _walk_eta
+
+    Ppoly = Polynomial.from_roots([0.5, 2.0])
+    segs = [
+        LineSegment(0.1 + 0.3j, 0.2 + 0.001j),
+        LineSegment(0.2 + 0.001j, 0.9 + 0.001j),  # 1e-3 from 0.5: unclear steps
+        LineSegment(0.9 + 0.001j, 0.9 + 0.3j),
+        ArcSegment(0.5 + 0.3j, 0.4, 0.0, np.pi / 2),
+    ]
+    paths = [segs[:2], segs[1:], segs[2:], segs[:2]]
+    sheets = [1, -1, 1, 1]
+    ts = _panel_grid(32)[0]
+    eta0 = [s * complex(np.sqrt(Ppoly(p[0].point(0.0)))) for s, p in zip(sheets, paths)]
+    panels = Panels.of(*paths)
+    zs, _ = panels.nodes(ts)
+    etas = _walk_eta(Ppoly, panels, ts, zs, eta0)
+    ref = []
+    for path, eta in zip(paths, eta0):
+        for seg in path:
+            ref.append(_reference_walk_eta(Ppoly, seg, ts, eta, _continue_eta))
+            eta = complex(ref[-1][-1])
     assert np.array_equal(etas, np.array(ref))

@@ -64,22 +64,23 @@ def test_one_round_projection_builds_one_frame(g0_triple, monkeypatch):
     """A projection that converges in its first round builds its frame once
     and walks the guess once, one walk per path: the first round works in
     the frame just built at the guess, without refreshing it, and
-    Gauss-Newton starts from the walk that measured the guess."""
+    Gauss-Newton starts from the walk that measured the guess.  Paths are
+    counted as they enter the stacked walk."""
     import whitham.spectral as spectral
 
     frames, walked = [], []
-    build, walk_path = PsiFrame.build, spectral.walk_path
+    build, walk_paths = PsiFrame.build, spectral.walk_paths
 
     def counted_build(*args, **kwargs):
         frames.append(build(*args, **kwargs))
         return frames[-1]
 
-    def counted_walk(curve, *args, **kwargs):
-        walked.append(curve.P)
-        return walk_path(curve, *args, **kwargs)
+    def counted_walk(curve, paths, *args, **kwargs):
+        walked.extend(curve.P for _ in paths)
+        return walk_paths(curve, paths, *args, **kwargs)
 
     monkeypatch.setattr(PsiFrame, "build", staticmethod(counted_build))
-    monkeypatch.setattr(spectral, "walk_path", counted_walk)
+    monkeypatch.setattr(spectral, "walk_paths", counted_walk)
     rng = np.random.default_rng(2)
     x = pack_triple(g0_triple)
     noisy = unpack_triple(x + 1e-6 * rng.standard_normal(x.size), 0)
@@ -210,14 +211,18 @@ def test_fixed_rule_classifies_each_point_once(g0_triple, monkeypatch):
 
 def test_genus2_common_factor_flow_completes(g2_b_quad):
     """The 3-step ``basis0`` flow from the genus-2 quadratic-G point takes
-    every step, and every sample validates.  Its second step is halved
-    seven times."""
+    every step, every sample validates, and every sample after the start
+    has a tangent basis (its step-1 point once failed the reality check of
+    ``bezout.realify`` there).  Its second step is halved seven times."""
     assert not isinstance(g2_b_quad, str), g2_b_quad
     samples, status = trace(g2_b_quad, FlowConfig(h=1e-2, steps=3, params_rule="basis0"))
     assert status == "completed"
     assert len(samples) == 4
     for s in samples:
         assert validate(s.triple).verdict, validate(s.triple).failed()
+    for s in samples[1:]:
+        vectors, gram = tangent_basis(s.triple)
+        assert len(vectors) == 2 and gram > 0.0
     assert samples[2].t - samples[1].t == pytest.approx(1e-2 / 2**7)
 
 
