@@ -8,9 +8,12 @@ and its successive derivatives, the right-hand entries the successive
 derivatives of the rational function C/A at beta.  The matrix is always
 nonsingular; conditioning is another matter, which is why roots are
 Leja-ordered and a warning is attached when the condition estimate is
-large.  Y is recovered from BY = AX - C.  A caller that solves several
-systems against one B (the gcd tower of ``deformation``) roots B once and
-passes its ``RootSpec`` in.
+large.  Y is recovered from BY = AX - C.  The matrix depends on the roots
+alone, so a ``RootSpec`` carries it: the spec builds its matrix on the
+first solve against it and its condition number right after that solve,
+and every later solve reuses both.  A caller that solves several systems
+against one B (the gcd tower of ``deformation``) roots B once and passes
+its ``RootSpec`` in, so the system is built once per divisor.
 
 Solvability requires gcd(A, B) | C; that precondition is checked
 numerically and its failure is an error, never a silent least-squares fit.
@@ -19,6 +22,7 @@ numerically and its failure is an error, never a silent least-squares fit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,13 +43,29 @@ CONDITION_CAP = 1e12
 
 @dataclass(frozen=True)
 class RootSpec:
-    """Distinct roots with multiplicities; ``total`` counts them all."""
+    """Distinct roots with multiplicities; ``total`` counts them all.
+
+    The spec carries its system: ``matrix``, the confluent Vandermonde
+    matrix (n = total - 1), and ``condition``, its condition number, each
+    built on first use and then kept."""
 
     entries: tuple  # of (complex root, int multiplicity)
 
     @property
     def total(self):
         return sum(m for _, m in self.entries)
+
+    @cached_property
+    def matrix(self):
+        """``confluent_vandermonde(self, total - 1)``, read-only."""
+        V = confluent_vandermonde(self, self.total - 1)
+        V.flags.writeable = False
+        return V
+
+    @cached_property
+    def condition(self):
+        """``np.linalg.cond`` of ``matrix``."""
+        return float(np.linalg.cond(self.matrix))
 
     @staticmethod
     def of(poly):
@@ -88,8 +108,7 @@ def confluent_vandermonde(spec, n):
     Row block for a root beta of multiplicity r: d^m/dbeta^m of
     [1, beta, ..., beta^n] for m = 0..r-1.
     """
-    if spec.total != n + 1:
-        raise ValueError(f"root multiplicities sum to {spec.total}, expected {n + 1}")
+    _check_square(spec, n)
     V = np.zeros((n + 1, n + 1), dtype=complex)
     row = 0
     for beta, r in spec.entries:
@@ -101,6 +120,12 @@ def confluent_vandermonde(spec, n):
                 V[row, j] = fac * beta ** (j - m)
             row += 1
     return V
+
+
+def _check_square(spec, n):
+    """The system of ``spec`` is (n+1) x (n+1), or ``ValueError``."""
+    if spec.total != n + 1:
+        raise ValueError(f"root multiplicities sum to {spec.total}, expected {n + 1}")
 
 
 def _rhs_vector(spec, Cd, Ad):
@@ -157,8 +182,8 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
     ``known_gcd`` overrides the numerical gcd when coprimality (or a
     specific common factor) is known a priori.  ``spec`` is the
     ``RootSpec.of(B/D)`` when the caller has it already (the gcd tower
-    keeps the specs of the divisors it solves against); otherwise B/D is
-    rooted here.  A conditioning warning is
+    keeps the specs of the divisors it solves against, so each builds its
+    system once); otherwise B/D is rooted here.  A conditioning warning is
     attached when the Vandermonde condition number exceeds the cap; a
     ``NoSolutionError`` is raised when gcd(A, B) fails to divide C.
     """
@@ -191,10 +216,11 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
         # rebuild with a tight radius so the system stays square
         spec = RootSpec.ordered(roots(Bd, 1e-13))
         warnings.append("root multiplicity adjusted to match degree")
-    V = confluent_vandermonde(spec, n)
+    _check_square(spec, n)
+    V = spec.matrix
     h = _rhs_vector(spec, Cd, Ad)
     x = np.linalg.solve(V, h)
-    cond = float(np.linalg.cond(V))
+    cond = spec.condition
     if cond > CONDITION_CAP:
         warnings.append(f"ill-conditioned Vandermonde system (cond ~ {cond:.2e})")
     X = Polynomial(x)

@@ -31,8 +31,10 @@ triple cannot disagree with its factors.  The tower also carries every
 root list the construction needs:
 roots(P) from ``factor_structure`` (for the scaling fix) and the
 Leja-ordered roots of b2-tilde and of the two divisors 2 F_j P-tilde of
-the deformation identities (for the Bezout solves).  Each is computed once
-per tower and passed on; nothing is cached between calls.
+the deformation identities (for the Bezout solves; 2P takes the roots of
+P), each ``RootSpec`` with the Vandermonde system its first solve builds,
+and the scaling row of P that its first scaling fix builds.  Each is
+computed once per tower and passed on; nothing is cached between calls.
 
 Construction pipeline: solve the reduced Q-equation for (c1, c2) at the
 case's parameter choice, feed them into the two reduced identities, solve
@@ -46,6 +48,7 @@ points, the residue-derivative condition that pins s_0).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,7 +71,7 @@ from .polyring import (
     real_section_scale,
     symmetrize,
 )
-from .spectral import is_conformal, product_form, scaling_derivative_numerators, unpack_section
+from .spectral import ScalingRow, is_conformal, product_form, unpack_section
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +232,13 @@ class Tower:
     It also carries the Leja-ordered roots of every divisor the Bezout
     solves take: ``b2_spec`` of b2-tilde (the Q-equation and R) and, in
     ``divisors``, the pair (B_i, RootSpec of B_i) of each deformation
-    identity, B_i = 2 F_j P-tilde.  So each is rooted once per tower."""
+    identity, B_i = 2 F_j P-tilde.  So each is rooted once per tower, and
+    each spec builds its Vandermonde system once, at its first solve.
+
+    ``scaling_row``, the ``ScalingRow`` of P that the scaling fix of every
+    tangent vector reads, is built from the curve of ``P_roots`` on first
+    use and then kept; a tower that makes no tangent vector (case (c))
+    never builds it."""
 
     triple: object  # the SpectralTriple the tower was built from
     label: CaseLabel
@@ -251,6 +260,17 @@ class Tower:
     def P_roots(self):
         """``roots(P)``, as the gcd tower found them."""
         return self.label.factors.P_roots
+
+    @cached_property
+    def scaling_row(self):
+        """The ``ScalingRow`` of P at the curve of ``P_roots``, with the
+        largest product-form coefficient as reference index (stable across
+        the conformal locus).  A P with no curve raises the curve's error
+        here, at the first scaling fix."""
+        P = self.triple.P
+        alphas = [a for a, _ in _curve_from_roots(P, self.P_roots).branch_pairs]
+        Pi = product_form(alphas)
+        return ScalingRow.at(P, alphas, Pi, int(np.argmax(np.abs(Pi.coeffs))))
 
 
 def _real_factor(p):
@@ -280,12 +300,14 @@ def _real_tower(triple, lab):
     # a root list is reused only for identical coefficients: b2-tilde is
     # the gcd tower's last quotient of b2 whenever G is 1 and the real
     # factors equal the monic ones (all 1, or F = zeta at a conformal
-    # point), and B_2 = B_1 whenever F1 = F2
+    # point), B_1 = 2P whenever F F1 F2 = 1 at a nonconformal point (doubling
+    # is exact, so 2P has P's roots to the bit), and B_2 = B_1 whenever
+    # F1 = F2
     b2_q, b2_q_roots = fs.b2_reduced
     b2_spec = RootSpec.ordered(b2_q_roots) if b2_tilde == b2_q else RootSpec.of(b2_tilde)
     B1 = 2.0 * F2 * P_tilde
     B2 = 2.0 * F1 * P_tilde
-    spec1 = RootSpec.of(B1)
+    spec1 = RootSpec.ordered(fs.P_roots) if B1 == 2.0 * triple.P else RootSpec.of(B1)
     spec2 = spec1 if B2 == B1 else RootSpec.of(B2)
     return Tower(triple, lab, F, F1, F2, G, P_tilde, b1_tilde, b2_tilde, b2_spec,
                  ((B1, spec1), (B2, spec2)))
@@ -464,19 +486,25 @@ def solve_q_equation(tw, params):
 # ---------------------------------------------------------------------------
 
 
-def _empdi_rhs(P, chat):
-    """2P(chat - zeta chat') + P' zeta chat."""
-    zeta = Polynomial.zeta()
-    return 2.0 * P * (chat - zeta * chat.derivative()) + P.derivative() * zeta * chat
+def _twist(chat):
+    """chat - zeta chat'."""
+    return chat - Polynomial.zeta() * chat.derivative()
 
 
-def _empdi_residual(triple, v, i):
+def _empdi_rhs(P, dP, chat, twist):
+    """2P(chat - zeta chat') + P' zeta chat, from dP = P' and twist =
+    ``_twist(chat)``."""
+    return 2.0 * P * twist + dP * Polynomial.zeta() * chat
+
+
+def _empdi_residual(triple, v, i, chat, twist, dP):
+    """Relative residual of the i-th deformation identity along ``v``, from
+    the parts ``solve_empdi`` built: chat = (zeta^2 - 1) c_i, twist =
+    chat - zeta chat' and dP = P'."""
     b = triple.b1 if i == 1 else triple.b2
     b_dot = v.b1_dot if i == 1 else v.b2_dot
-    c = v.c1 if i == 1 else v.c2
-    chat = Polynomial([-1.0, 0.0, 1.0]) * c
     lhs = v.P_dot * b - 2.0 * triple.P * b_dot
-    rhs = _empdi_rhs(triple.P, chat)
+    rhs = _empdi_rhs(triple.P, dP, chat, twist)
     scale = max(lhs.norm(), rhs.norm(), triple.P.norm() * b.norm() * 1e-6, 1e-300)
     return (lhs - rhs).norm() / scale
 
@@ -494,20 +522,16 @@ def _residue_tangent_residual(triple, v, i):
 
 def _scaling_shift(tw, P_dot):
     """The real rescale parameter t killing the scaling-normalization
-    derivative along (P_dot + 2tP, ...) at the tower's triple, whose
-    ``roots(P)`` the tower carries.
+    derivative along (P_dot + 2tP, ...) at the tower's triple.
 
     Uses the numerator of d/dt (Pi_m / P_m) that the scaling row of the
-    exact Jacobian also uses (``scaling_derivative_numerators``): alpha_k
-    moves by -P_dot(alpha_k)/P'(alpha_k), and the reference index is the
-    largest product-form coefficient (stable across the conformal locus).
+    exact Jacobian also uses (``ScalingRow.numerators``), on the tower's
+    ``scaling_row``: alpha_k moves by -P_dot(alpha_k)/P'(alpha_k).
     """
-    P = tw.triple.P
-    alphas = [a for a, _ in _curve_from_roots(P, tw.P_roots).branch_pairs]
-    Pi = product_form(alphas)
-    m = int(np.argmax(np.abs(Pi.coeffs)))
-    (num,) = scaling_derivative_numerators(alphas, P, Pi, m, [P_dot])
-    t = num / (2.0 * P.coeff(m) * Pi.coeff(m))
+    row = tw.scaling_row
+    m = row.index
+    (num,) = row.numerators([P_dot])
+    t = num / (2.0 * row.P.coeff(m) * row.product.coeff(m))
     return float(t.real), float(abs(t.imag))
 
 
@@ -529,6 +553,7 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     zeta = Polynomial.zeta()
     zeta2m1 = Polynomial([-1.0, 0.0, 1.0])
     chat = (zeta2m1 * c1, zeta2m1 * c2)
+    twists = tuple(_twist(ch) for ch in chat)
     dP = triple.P.derivative()
     # at a conformal point the tower's zeta split absorbs the zeta of the
     # P' term, and the two end coefficients it removes lower each weight by 2
@@ -536,11 +561,11 @@ def solve_empdi(tw, c1, c2, Q, params=None):
 
     sols = []
     hom = []
-    parts = zip(tw.divisors, chat, (c1, c2), (tw.F1, tw.F2), (tw.b1_tilde, tw.b2_tilde))
-    for (B, spec), ch, c, Fi, bt in parts:
+    parts = zip(tw.divisors, twists, (c1, c2), (tw.F1, tw.F2), (tw.b1_tilde, tw.b2_tilde))
+    for (B, spec), tch, c, Fi, bt in parts:
         ct = c.deflate(tw.F * Fi)
         A = tw.G * bt
-        C = B * (ch - zeta * ch.derivative()) + Z * zeta2m1 * dP * ct
+        C = B * tch + Z * zeta2m1 * dP * ct
         dF = tw.F.degree + Fi.degree
         a_w = g + 3 - dF - shift
         c_w = 3 * g + 5 - dF - shift
@@ -600,8 +625,8 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     v = TangentVector(P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings))
     t_after, _ = _scaling_shift(tw, P_dot)
     v.residuals.update({
-        "empd1": _empdi_residual(triple, v, 1),
-        "empd2": _empdi_residual(triple, v, 2),
+        "empd1": _empdi_residual(triple, v, 1, chat[0], twists[0], dP),
+        "empd2": _empdi_residual(triple, v, 2, chat[1], twists[1], dP),
         "residue_tangent_1": _residue_tangent_residual(triple, v, 1),
         "residue_tangent_2": _residue_tangent_residual(triple, v, 2),
         "reconciliation": recon_res / scale,
@@ -677,11 +702,13 @@ def gram_determinant(vectors):
 
 
 def empdi_operator_matrix(P, g):
-    """Matrix of chat -> ``_empdi_rhs(P, chat)`` on the weight-(g+3)
-    polynomials, one column per monomial zeta^m; injective for nonsingular
-    P."""
+    """Matrix of chat -> 2P(chat - zeta chat') + P' zeta chat
+    (``_empdi_rhs``) on the weight-(g+3) polynomials, one column per
+    monomial zeta^m; injective for nonsingular P."""
+    dP = P.derivative()
+    chats = [Polynomial(e) for e in np.eye(g + 4)]
     return np.column_stack(
-        [_empdi_rhs(P, Polynomial(e)).padded(3 * g + 6) for e in np.eye(g + 4)]
+        [_empdi_rhs(P, dP, ch, _twist(ch)).padded(3 * g + 6) for ch in chats]
     )
 
 

@@ -76,9 +76,17 @@ class Polynomial:
         in; a larger numerical degree raises ``DegreeBoundError``.  The bound
         may exceed the numerical degree (e.g. a weight-(2g+2) curve
         polynomial branched over zeta=0 has numerical degree 2g+1).
+
+    Attributes
+    ----------
+    coeffs : read-only complex array
+        The trimmed coefficients; ``[0]`` for the zero polynomial.
+    degree : int
+        Numerical degree, set once by the constructor; the zero polynomial
+        reports -1.
     """
 
-    __slots__ = ("coeffs", "_max_modulus")
+    __slots__ = ("coeffs", "degree", "_max_modulus")
 
     def __init__(self, coeffs, bound=None):
         # a private copy, so that no caller's array aliases the coefficients
@@ -86,18 +94,24 @@ class Polynomial:
         mags = np.abs(c)
         # any NaN or infinity (or a modulus that overflows) makes the max
         # non-finite, so one reduction serves as the finiteness test too
-        scale = mags.max(initial=0.0)
+        scale = np.maximum.reduce(mags, initial=0.0)
         if not math.isfinite(scale):
             raise ValueError("non-finite polynomial coefficient")
-        kept = (mags > TRIM_REL * scale).nonzero()[0]
-        c = c[: kept[-1] + 1] if kept.size else np.zeros(1, dtype=complex)
+        cut = TRIM_REL * scale
+        if c.size and mags[-1] > cut:
+            degree = c.size - 1
+        else:
+            # trailing near-zeros are scanned for only when the last
+            # coefficient is one; the zero polynomial has degree -1
+            kept = (mags > cut).nonzero()[0]
+            degree = int(kept[-1]) if kept.size else -1
+            c = c[: degree + 1] if kept.size else np.zeros(1, dtype=complex)
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "_max_modulus", scale)
-        if bound is not None and self.degree > bound:
-            raise DegreeBoundError(
-                f"degree {self.degree} exceeds nominal bound {bound}"
-            )
+        if bound is not None and degree > bound:
+            raise DegreeBoundError(f"degree {degree} exceeds nominal bound {bound}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -108,13 +122,6 @@ class Polynomial:
         return (Polynomial, (self.coeffs,))
 
     # -- basics ----------------------------------------------------------
-
-    @property
-    def degree(self):
-        """Numerical degree; the zero polynomial reports -1."""
-        if self.coeffs.size == 1 and self.coeffs[0] == 0:
-            return -1
-        return self.coeffs.size - 1
 
     @property
     def is_zero(self):
@@ -185,9 +192,10 @@ class Polynomial:
         return _as_poly(other) - self
 
     def __mul__(self, other):
-        if np.isscalar(other):
-            return Polynomial(self.coeffs * complex(other))
-        other = _as_poly(other)
+        if not isinstance(other, Polynomial):
+            if np.isscalar(other):
+                return Polynomial(self.coeffs * complex(other))
+            other = Polynomial(other)
         if self.is_zero or other.is_zero:
             return Polynomial([0.0])
         return Polynomial(np.convolve(self.coeffs, other.coeffs))

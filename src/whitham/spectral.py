@@ -198,28 +198,35 @@ def product_form(alphas):
     return out
 
 
-def product_form_dot(alphas, P, P_dots):
+def product_form_motion(alphas, P):
+    """The per-point part of ``product_form_dot`` at the in-disc branch
+    points ``alphas`` of P: for each root alpha, P'(alpha), the
+    coefficients of the product form of the other roots, and those of
+    (1 - conj(alpha) zeta) and (zeta - alpha).  Built once per point and
+    shared by every direction."""
+    alphas = list(alphas)
+    dP = P.derivative()
+    return tuple(
+        (a, dP(a), product_form(alphas[:k] + alphas[k + 1 :]).coeffs,
+         Polynomial([1.0, -np.conj(a)]).coeffs, np.array([-a, 1.0], dtype=complex))
+        for k, a in enumerate(alphas)
+    )
+
+
+def product_form_dot(motion, P_dots):
     """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot, for each
-    P_dot of ``P_dots``: each in-disc branch point moves by
-    alpha_dot = -P_dot(alpha)/P'(alpha).  The product form of the other
-    roots and P'(alpha) are built once per root and shared by every
-    direction.
+    P_dot of ``P_dots``, where ``motion`` is ``product_form_motion(alphas,
+    P)``: each in-disc branch point moves by alpha_dot =
+    -P_dot(alpha)/P'(alpha).
 
     Each direction's terms are summed on coefficient arrays, by the
     ``np.convolve`` calls that the ``Polynomial`` products of
     d/dt (zeta - alpha)(1 - conj(alpha) zeta) times the other roots' product
     form make, and become one ``Polynomial`` at the end."""
-    alphas = list(alphas)
-    dP = P.derivative()
-    per_root = [
-        (a, dP(a), product_form(alphas[:k] + alphas[k + 1 :]).coeffs,
-         Polynomial([1.0, -np.conj(a)]).coeffs, np.array([-a, 1.0], dtype=complex))
-        for k, a in enumerate(alphas)
-    ]
     out = []
     for P_dot in P_dots:
         terms = np.zeros(1, dtype=complex)
-        for a, dP_a, rest, right, left in per_root:
+        for a, dP_a, rest, right, left in motion:
             a_dot = -P_dot(a) / dP_a
             dpair = _added(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
             terms = _added(terms, np.convolve(dpair, rest))
@@ -235,15 +242,34 @@ def _added(p, q):
     return p + q
 
 
-def scaling_derivative_numerators(alphas, P, Pi, m, P_dots):
-    """P_m dPi_m - dP_m Pi_m for each P_dot of ``P_dots``: the numerator of
-    d/dt (Pi_m / P_m) as P moves to P + t P_dot, where Pi is
-    ``product_form(alphas)`` and dPi its ``product_form_dot``."""
-    P_m, Pi_m = P.coeff(m), Pi.coeff(m)
-    return [
-        P_m * dPi.coeff(m) - dP.coeff(m) * Pi_m
-        for dP, dPi in zip(P_dots, product_form_dot(alphas, P, P_dots))
-    ]
+@dataclass(frozen=True)
+class ScalingRow:
+    """The scaling component Pi_m / P_m at P with what its derivative along
+    P needs: the product form Pi of P's in-disc branch points, the index m
+    and the branch points' ``product_form_motion``.  Built once per point;
+    ``numerators`` then costs one loop per direction."""
+
+    P: Polynomial
+    product: Polynomial
+    index: int
+    motion: tuple
+
+    @staticmethod
+    def at(P, alphas, product, index):
+        """The row at P, whose in-disc branch points ``alphas`` have the
+        product form ``product``, with reference index ``index``."""
+        return ScalingRow(P, product, index, product_form_motion(alphas, P))
+
+    def numerators(self, P_dots):
+        """P_m dPi_m - dP_m Pi_m for each P_dot of ``P_dots``: the numerator
+        of d/dt (Pi_m / P_m) as P moves to P + t P_dot, where dPi is the
+        ``product_form_dot`` of the row's motion."""
+        m = self.index
+        P_m, Pi_m = self.P.coeff(m), self.product.coeff(m)
+        return [
+            P_m * dPi.coeff(m) - dP.coeff(m) * Pi_m
+            for dP, dPi in zip(P_dots, product_form_dot(self.motion, P_dots))
+        ]
 
 
 def scaling_value(P, curve=None):
@@ -430,8 +456,8 @@ class PsiWalks:
         linear in b, and eta^2 = P gives its P-derivative
         -1/2 b dP dzeta/(zeta^2 eta P); both are sums over the walk's nodes.
         The residue rows are exact (the residue condition is bilinear), and
-        the scaling row follows the branch points through
-        ``product_form_dot``.
+        the scaling row follows the branch points through the
+        ``ScalingRow`` of the walks' curve.
         """
         triple = self.triple
         g = triple.g
@@ -464,12 +490,9 @@ class PsiWalks:
             residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
             residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
         m = self.frame.scaling_index
-        alphas = [a for a, _ in self.curve.branch_pairs]
+        row = ScalingRow.at(P, [a for a, _ in self.curve.branch_pairs], self.product, m)
         scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
-        scaling[0, :nP] = [
-            num / P.coeff(m) ** 2
-            for num in scaling_derivative_numerators(alphas, P, self.product, m, P_dots)
-        ]
+        scaling[0, :nP] = [num / P.coeff(m) ** 2 for num in row.numerators(P_dots)]
         n = len(self.walks) - 2
         # complex rows in the order of ``PsiVector.flatten``: periods of b1
         # and of b2, closings of b1 and of b2, residues, scaling

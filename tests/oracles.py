@@ -120,6 +120,112 @@ def random_real_bezout_instance(rng, strict=True):
 
 
 
+def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
+    """``bezout.minimal_solution`` with its system built at every call: a
+    fresh ``confluent_vandermonde`` before the solve and a fresh
+    ``np.linalg.cond`` after it, where the library reads the ones the spec
+    carries."""
+    from whitham.bezout import (
+        CONDITION_CAP,
+        DIVISIBILITY_RTOL,
+        BezoutSolution,
+        RootSpec,
+        _relative_residual,
+        _rhs_vector,
+        confluent_vandermonde,
+    )
+    from whitham.errors import NoSolutionError
+    from whitham.polyring import approx_gcd, roots
+
+    D = known_gcd if known_gcd is not None else approx_gcd(A, B)
+    if D.degree > 0:
+        Cd, rem = C.divmod(D)
+        if rem.norm() > DIVISIBILITY_RTOL * max(C.norm(), 1e-300):
+            raise NoSolutionError("gcd(A,B) does not divide C")
+        Ad, Bd = A.deflate(D), B.deflate(D)
+    else:
+        Cd, Ad, Bd = C, A, B
+    warnings = []
+    if Bd.degree <= 0:
+        X = Polynomial.zero()
+        Y = (A * X - C).deflate(B)
+        return BezoutSolution(X, Y, _relative_residual(A, B, C, X, Y), 0.0, (),
+                              np.zeros(0, dtype=complex))
+    if spec is None:
+        spec = RootSpec.of(Bd)
+    n = Bd.degree - 1
+    if spec.total != n + 1:
+        spec = RootSpec.ordered(roots(Bd, 1e-13))
+        warnings.append("root multiplicity adjusted to match degree")
+    V = confluent_vandermonde(spec, n)
+    x = np.linalg.solve(V, _rhs_vector(spec, Cd, Ad))
+    cond = float(np.linalg.cond(V))
+    if cond > CONDITION_CAP:
+        warnings.append(f"ill-conditioned Vandermonde system (cond ~ {cond:.2e})")
+    X = Polynomial(x)
+    Y, _ = (A * X - C).divmod(B)
+    res = _relative_residual(A, B, C, X, Y)
+    if res > 1e-12:
+        defect = C - (A * X - B * Y)
+        if defect.norm() > 0:
+            Dd, _ = defect.divmod(D) if D.degree > 0 else (defect, None)
+            x2 = np.linalg.solve(V, _rhs_vector(spec, Dd, Ad))
+            X2 = X + Polynomial(x2)
+            Y2, _ = (A * X2 - C).divmod(B)
+            if _relative_residual(A, B, C, X2, Y2) < res:
+                X, Y = X2, Y2
+                x = x + x2
+                res = _relative_residual(A, B, C, X, Y)
+    return BezoutSolution(X, Y, res, cond, tuple(warnings), x)
+
+
+def reference_scaling_shift(triple, P_dot):
+    """``deformation._scaling_shift`` recomputed from scratch at every call,
+    as it was before the tower kept a scaling row: the curve of P, the
+    product form of its in-disc branch points, the reference index and the
+    root motion of every branch point."""
+    from whitham.curve import build_curve
+    from whitham.spectral import product_form
+
+    P = triple.P
+    alphas = [a for a, _ in build_curve(P).branch_pairs]
+    Pi = product_form(alphas)
+    m = int(np.argmax(np.abs(Pi.coeffs)))
+    dP = P.derivative()
+    terms = np.zeros(1, dtype=complex)
+
+    def added(p, q):
+        n = max(p.size, q.size)
+        return np.pad(p, (0, n - p.size)) + np.pad(q, (0, n - q.size))
+
+    for k, a in enumerate(alphas):
+        a_dot = -P_dot(a) / dP(a)
+        rest = product_form(alphas[:k] + alphas[k + 1 :]).coeffs
+        right = Polynomial([1.0, -np.conj(a)]).coeffs
+        left = np.array([-a, 1.0], dtype=complex)
+        dpair = added(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
+        terms = added(terms, np.convolve(dpair, rest))
+    dPi = Polynomial(terms)
+    num = P.coeff(m) * dPi.coeff(m) - P_dot.coeff(m) * Pi.coeff(m)
+    t = num / (2.0 * P.coeff(m) * Pi.coeff(m))
+    return float(t.real), float(abs(t.imag))
+
+
+def reference_empdi_residual(triple, v, i):
+    """``deformation._empdi_residual`` with chat, chat - zeta chat' and P'
+    rebuilt from the tangent vector, as it was before it took them from
+    ``solve_empdi``."""
+    b = triple.b1 if i == 1 else triple.b2
+    b_dot = v.b1_dot if i == 1 else v.b2_dot
+    c = v.c1 if i == 1 else v.c2
+    zeta = Polynomial.zeta()
+    chat = Polynomial([-1.0, 0.0, 1.0]) * c
+    lhs = v.P_dot * b - 2.0 * triple.P * b_dot
+    rhs = 2.0 * triple.P * (chat - zeta * chat.derivative()) + triple.P.derivative() * zeta * chat
+    scale = max(lhs.norm(), rhs.norm(), triple.P.norm() * b.norm() * 1e-6, 1e-300)
+    return (lhs - rhs).norm() / scale
+
+
 def reference_walk(curve, path, quad_order):
     """The per-panel walk that ``curve.walk_path`` stacks: segments split one
     at a time, eta continued panel by panel.  Returns (zs, etas, base,

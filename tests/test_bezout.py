@@ -14,7 +14,13 @@ from whitham.bezout import (
 from whitham.errors import NoSolutionError
 from whitham.polyring import Polynomial, approx_gcd, random_real_section, real_defect
 
-from oracles import dense_bezout, random_bezout_instance, random_real_bezout_instance
+from oracles import (
+    dense_bezout,
+    random_bezout_instance,
+    random_complex_poly,
+    random_real_bezout_instance,
+    reference_minimal_solution,
+)
 
 
 def P(*coeffs):
@@ -94,6 +100,77 @@ def test_minimal_solution_takes_the_spec_of_B_and_owns_X():
         given = minimal_solution(A, B, C, known_gcd=one, spec=RootSpec.of(B))
         assert (given.X, given.Y, given.residual) == (sol.X, sol.Y, sol.residual)
         assert not np.shares_memory(sol.x_raw, sol.X.coeffs)
+
+
+def _assert_same_solution(got, want):
+    for name in ("X", "Y"):
+        assert getattr(got, name).coeffs.tobytes() == getattr(want, name).coeffs.tobytes()
+    assert got.x_raw.tobytes() == want.x_raw.tobytes()
+    assert (got.residual, got.condition, got.warnings) == (
+        want.residual, want.condition, want.warnings)
+
+
+def test_spec_carried_system_matches_a_fresh_build():
+    """Every solve against one spec reads the Vandermonde matrix and
+    condition number the spec carries, and gives, bit for bit, the solution
+    (X, Y, x_raw, condition, warnings) of building both afresh for that
+    solve; roots of multiplicity 1 to 3, some systems past the condition
+    cap."""
+    rng = np.random.default_rng(17)
+    one = Polynomial.one()
+    capped = 0
+    cases = []
+    for _ in range(20):
+        k = int(rng.integers(1, 4))
+        cases.append(((rng.standard_normal(k) + 1j * rng.standard_normal(k)).tolist(),
+                      rng.integers(1, 4, size=k).tolist()))
+    cases.append(([1.0 + 0j, 1.0 + 1e-4j, -1.0 + 0j], [3, 3, 1]))  # clustered: past the cap
+    for betas, mults in cases:
+        B = Polynomial.from_roots(np.repeat(betas, mults)) * complex(rng.standard_normal(), 1.0)
+        spec = RootSpec.ordered(list(zip(betas, mults)))
+        for _ in range(3):
+            A = random_complex_poly(rng, int(rng.integers(1, 5)))
+            C = random_complex_poly(rng, int(rng.integers(0, 6)))
+            got = minimal_solution(A, B, C, known_gcd=one, spec=spec)
+            want = reference_minimal_solution(A, B, C, known_gcd=one, spec=RootSpec(spec.entries))
+            _assert_same_solution(got, want)
+            capped += any("ill-conditioned" in w for w in got.warnings)
+        V = confluent_vandermonde(spec, spec.total - 1)
+        assert spec.matrix.tobytes() == V.tobytes() and not spec.matrix.flags.writeable
+        assert spec.condition == float(np.linalg.cond(V))
+    assert capped > 0
+
+
+def test_spec_of_a_wrong_total_is_rebuilt_and_a_wrong_system_fails_as_before(monkeypatch):
+    """A caller spec whose total is not deg B is rebuilt at a tight radius
+    with its warning; a rebuilt spec that is still not square raises the
+    shape ``ValueError``, and a singular system fails in the solve, as a
+    fresh build per call does."""
+    import whitham.bezout as bezout
+    import whitham.polyring as polyring
+
+    one = Polynomial.one()
+    B = Polynomial.from_roots([1.5, -0.5 + 1j, 2.0j])
+    A, C = P(1.0, 0.5j, 2.0), P(0.3, -1.0, 0.25, 1.0)
+    short = RootSpec(((1.5 + 0j, 1), (-0.5 + 1j, 1)))
+    got = minimal_solution(A, B, C, known_gcd=one, spec=short)
+    _assert_same_solution(
+        got, reference_minimal_solution(A, B, C, known_gcd=one, spec=RootSpec(short.entries)))
+    assert got.warnings[0] == "root multiplicity adjusted to match degree"
+
+    singular = RootSpec(((1.5 + 0j, 1), (1.5 + 0j, 1), (2.0j, 1)))
+    for solve in (minimal_solution, reference_minimal_solution):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve(A, B, C, known_gcd=one, spec=RootSpec(singular.entries))
+
+    def one_root(p, cluster_radius=None):
+        return [(1.5 + 0j, 1)]
+
+    monkeypatch.setattr(bezout, "roots", one_root)
+    monkeypatch.setattr(polyring, "roots", one_root)
+    for solve in (minimal_solution, reference_minimal_solution):
+        with pytest.raises(ValueError, match="^root multiplicities sum to 1, expected 3$"):
+            solve(A, B, C, known_gcd=one, spec=RootSpec(short.entries))
 
 
 def test_minimal_solution_divisibility_error():

@@ -30,6 +30,8 @@ from whitham.flow import FlowConfig, seed_genus0, seed_genus1, trace
 from whitham.polyring import Polynomial, random_real_section, roots_flat
 from whitham.spectral import SpectralTriple, pack_triple, product_form, unpack_triple
 
+from oracles import reference_empdi_residual, reference_scaling_shift
+
 RNG = np.random.default_rng(20260808)
 
 
@@ -410,7 +412,8 @@ def test_empdi_operator_kernel_trivial():
 
 
 def test_empdi_operator_matrix_applies_the_identity_operator():
-    """Column m is ``_empdi_rhs(P, zeta^m)``: the matrix applied to the
+    """Column m is the operator 2P(chat - zeta chat') + P' zeta chat
+    (``_empdi_rhs``) at chat = zeta^m: the matrix applied to the
     coefficients of chat is the operator applied to chat, and each column
     is the closed form 2(1-m) P zeta^m + P' zeta^(m+1)."""
     rng = np.random.default_rng(61)
@@ -422,7 +425,8 @@ def test_empdi_operator_matrix_applies_the_identity_operator():
         assert M.shape == (3 * g + 6, g + 4)
         for _ in range(3):
             chat = Polynomial(rng.standard_normal(g + 4) + 1j * rng.standard_normal(g + 4))
-            want = _empdi_rhs(Ppoly, chat).padded(3 * g + 6)
+            want = _empdi_rhs(Ppoly, Ppoly.derivative(), chat,
+                              chat - zeta * chat.derivative()).padded(3 * g + 6)
             assert np.abs(M @ chat.padded(g + 4) - want).max() <= 1e-12 * np.abs(want).max()
         for m in range(g + 4):
             mono = Polynomial.from_roots([0.0] * m)
@@ -544,6 +548,113 @@ def test_scaling_shift_is_bit_identical_to_inline_root_motion(
         P_dots += [v.P_dot for v in tangent_basis(t)[0]]
         for P_dot in P_dots:
             assert _scaling_shift(build_tower(t), P_dot) == _inline_scaling_shift(t, P_dot)
+
+
+def test_tower_scaling_row_matches_the_per_call_reference(
+    g0_triple, g1_triple, g0_conformal, g1_b_linear, g2_b_quad
+):
+    """``_scaling_shift`` from the tower's one scaling row gives, bit for
+    bit, the shift recomputed from the curve of P at every call, and the
+    deformation-identity residuals equal those rebuilt from the vector; at
+    the five seeds and at every conformal seed with k+, k- in 1..3."""
+    from whitham.flow import seed_conformal_genus0
+
+    assert not isinstance(g1_b_linear, str), g1_b_linear
+    assert not isinstance(g2_b_quad, str), g2_b_quad
+    triples = [g0_triple, g1_triple, g0_conformal, g1_b_linear, g2_b_quad]
+    triples += [seed_conformal_genus0(kp, km) for kp in (1, 2, 3) for km in (1, 2, 3)]
+    rng = np.random.default_rng(29)
+    for t in triples:
+        vectors, _ = tangent_basis(t)
+        tw = build_tower(t)
+        P_dots = [random_real_section(rng, 2 * t.g + 2) for _ in range(3)]
+        P_dots += [v.P_dot for v in vectors]
+        for P_dot in P_dots:
+            assert _scaling_shift(tw, P_dot) == reference_scaling_shift(t, P_dot)
+        row = tw.scaling_row
+        assert tw.scaling_row is row and row.P is t.P
+        for v in vectors:
+            for i in (1, 2):
+                assert v.residuals[f"empd{i}"] == reference_empdi_residual(t, v, i)
+
+
+def test_tangent_basis_builds_each_system_once(g1_triple, monkeypatch):
+    """One ``tangent_basis`` at the genus-1 seed builds the Vandermonde
+    system of each of its two divisors once (11 builds when every solve
+    built its own), the product forms of one scaling row once (3; 12 when
+    every scaling fix rebuilt them), and roots 3 vectors: P, b1 and b2,
+    since B_1 = 2P takes P's roots (4 when 2P was rooted again)."""
+    import whitham.bezout as bezout
+    import whitham.deformation as deformation
+    import whitham.spectral as spectral
+
+    counts = {"vandermonde": 0, "product_form": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(bezout, "confluent_vandermonde",
+                        counted("vandermonde", bezout.confluent_vandermonde))
+    pf = counted("product_form", spectral.product_form)
+    monkeypatch.setattr(spectral, "product_form", pf)
+    monkeypatch.setattr(deformation, "product_form", pf)
+    seen = _rooted_vectors(monkeypatch)
+    tangent_basis(g1_triple)
+    assert counts == {"vandermonde": 2, "product_form": 3}
+    assert sorted(seen) == sorted(p.coeffs.tobytes() for p in (g1_triple.P, g1_triple.b1,
+                                                               g1_triple.b2))
+
+
+def test_first_divisor_of_a_trivial_tower_takes_the_roots_of_P(g0_triple, g1_triple):
+    """With F F1 F2 = 1 at a nonconformal point, B_1 = 2P; its spec, taken
+    from roots(P), equals the spec of rooting 2P, root for root."""
+    for t in (g0_triple, g1_triple):
+        tw = build_tower(t)
+        (B1, spec1), _ = tw.divisors
+        assert B1 == 2.0 * t.P
+        assert spec1 == RootSpec.of(B1)
+
+
+def test_scaling_row_is_built_at_the_first_scaling_fix(g1_triple, monkeypatch):
+    """The tower builds its scaling row when a scaling fix first needs it:
+    a P whose curve fails raises that failure from ``solve_empdi``, after
+    ``r_kernel`` and ``solve_q_equation``, and a case-(c) tower, which makes
+    no tangent vector, never builds it."""
+    import traceback
+
+    import whitham.deformation as deformation
+    from whitham.errors import CircleRootError
+
+    events = []
+    failure = CircleRootError("root on the unit circle")
+    for name in ("r_kernel", "solve_q_equation"):
+        f = getattr(deformation, name)
+        monkeypatch.setattr(deformation, name,
+                            lambda *a, _f=f, _n=name, **k: events.append(_n) or _f(*a, **k))
+
+    def no_curve(P, rs):
+        events.append("curve")
+        raise failure
+
+    monkeypatch.setattr(deformation, "_curve_from_roots", no_curve)
+    with pytest.raises(CircleRootError) as err:
+        tangent_basis(g1_triple)
+    assert err.value is failure
+    assert events == ["r_kernel", "solve_q_equation", "curve"]
+    assert "solve_empdi" in [f.name for f in traceback.extract_tb(err.tb)]
+
+    events.clear()
+    g = 2
+    rng = np.random.default_rng(3)
+    F = pair_poly(0.35 + 0.1j)
+    t = SpectralTriple(g, F * pair_poly(0.5, -0.4), F * random_real_section(rng, g + 1),
+                       F * random_real_section(rng, g + 1))
+    with pytest.raises(NotDeformableError) as err:
+        build_tower(t)
+    assert err.value.case == "c" and events == []
 
 
 def _rooted_vectors(monkeypatch):

@@ -112,15 +112,18 @@ def _coefficient_inputs(draw):
 @example([1.0, 2.0, 3.0], 1)
 def test_constructor_matches_three_pass_reference(coeffs, bound):
     """The one-pass constructor keeps the coefficients of the three-pass
-    trim, bit for bit, and raises where it raised."""
+    trim, bit for bit, with their degree, and raises where it raised."""
     try:
         expected = reference_coeffs(coeffs, bound)
     except (ValueError, DegreeBoundError) as exc:
         with pytest.raises(type(exc)):
             Polynomial(coeffs, bound=bound)
         return
-    got = Polynomial(coeffs, bound=bound).coeffs
+    p = Polynomial(coeffs, bound=bound)
+    got = p.coeffs
     assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    zero = expected.size == 1 and expected[0] == 0
+    assert type(p.degree) is int and p.degree == (-1 if zero else expected.size - 1)
 
 
 def test_constructor_rejects_an_overflowing_modulus():
@@ -162,8 +165,9 @@ def test_copy_and_pickle_rebuild_an_equal_immutable_polynomial(g1_triple):
         for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
             assert q == p and hash(q) == hash(p) and q.degree == p.degree
             assert q.coeffs.tobytes() == p.coeffs.tobytes()
-            with pytest.raises(AttributeError, match="immutable"):
-                q.coeffs = None
+            for name in ("coeffs", "degree"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(q, name, None)
     assert copy.deepcopy(g1_triple) == g1_triple
     assert pickle.loads(pickle.dumps(g1_triple)) == g1_triple
 

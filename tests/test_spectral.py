@@ -16,6 +16,7 @@ from whitham.spectral import (
     pack_triple,
     product_form,
     product_form_dot,
+    product_form_motion,
     psi,
     psi_jacobian,
     psi_walks,
@@ -96,7 +97,7 @@ def test_product_form_dot_follows_the_branch_points(alphas):
         return product_form(a for a, _ in cur.branch_pairs)
 
     fd = (moved(h) - moved(-h)) / (2 * h)
-    (dot,) = product_form_dot(alphas, P0, [P_dot])
+    (dot,) = product_form_dot(product_form_motion(alphas, P0), [P_dot])
     assert (dot - fd).norm() <= 1e-7 * max(1.0, fd.norm())
 
 
@@ -107,10 +108,10 @@ def test_product_form_dot_over_many_directions_is_bit_identical(alphas):
     P0 = pair_poly(*alphas)
     rng = np.random.default_rng(11)
     P_dots = [random_real_section(rng, P0.degree + P0.degree % 2) for _ in range(5)]
-    many = product_form_dot(alphas, P0, P_dots)
+    many = product_form_dot(product_form_motion(alphas, P0), P_dots)
     assert len(many) == len(P_dots)
     for P_dot, dot in zip(P_dots, many):
-        (alone,) = product_form_dot(alphas, P0, [P_dot])
+        (alone,) = product_form_dot(product_form_motion(alphas, P0), [P_dot])
         assert np.array_equal(dot.coeffs, alone.coeffs)
 
 
