@@ -1,7 +1,8 @@
 """Print one sha1 per CLI report, with its exit code, to compare checkouts.
 
-Runs ``validate``, ``classify``, ``tangent``, ``flow --steps 3`` under
-both flow rules (``basis0`` and ``basis1``) and ``plot`` on the five seed
+Runs ``validate``, ``classify``, ``tangent``, ``flow --steps 3`` at the
+default step and at ``--dt 0.05``, each under both flow rules (``basis0``
+and ``basis1``), and ``plot`` on the five seed
 points and on every input given (a directory stands for the ``*.json``
 files in it), then ``oracle --seed 7 --count 25`` once, in-process, and
 hashes what each call writes to stdout and stderr.  Two checkouts' outputs
@@ -32,6 +33,9 @@ COMMANDS = (
     ("tangent",),
     ("flow", "--steps", "3"),
     ("flow", "--steps", "3", "--rule", "basis1"),
+    # a longer step takes more Gauss-Newton trials per round
+    ("flow", "--steps", "3", "--dt", "0.05"),
+    ("flow", "--steps", "3", "--dt", "0.05", "--rule", "basis1"),
     ("plot",),
 )
 

@@ -30,13 +30,21 @@ all paths; and the sheet signs of all panels chain in one ``cumprod`` that
 starts afresh at each path's first panel.  Only a panel with an ambiguous
 step is walked node by node, with bisection.  Each path gets the panels
 and eta it gets when walked alone, and a failing stack raises the error
-that walking its paths one after another raises first.
+that walking its paths one after another raises first.  Every numerator
+is integrated over the whole stack in one pass (``StackWalk.integrate``).
+
+A walk keeps its quadrature grid: the panels, their nodes and velocities,
+and every row the subdivision probed with its verdict.  A later walk of
+the same paths on a nearby curve is handed that walk (``like=``); it
+re-probes the recorded rows against its own branch points in one pass
+and, when no verdict changes, walks on the grid as it is instead of
+subdividing again.  The grid is freed with the walks that hold it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -454,8 +462,10 @@ class Panels:
     serves both kinds, and each row computes exactly what its segment's
     ``point``, ``velocity``, ``length`` and ``split`` compute.
 
-    ``error`` is set only by ``_subdivide``: the ``GeometryError`` of the
-    first path whose subdivision failed; the rows stop before that path.
+    ``error`` and ``levels`` are set only by ``_subdivide``: the
+    ``GeometryError`` of the first path whose subdivision failed (the rows
+    stop before that path), and the rows probed at each level with their
+    ``too_close`` verdicts.
     """
 
     arc: np.ndarray
@@ -466,6 +476,7 @@ class Panels:
     theta1: np.ndarray
     path: np.ndarray
     error: Exception | None = None
+    levels: tuple = ()
 
     @staticmethod
     def of(*paths):
@@ -506,19 +517,22 @@ class Panels:
         return LineSegment(self.start[i], self.end[i])
 
     def points(self, ts):
-        """Points of every row (rows) at the parameters ts (columns), and
-        exp(i theta) there, which an arc's velocity reuses."""
-        arc, z0 = self.arc[:, None], self.start[:, None]
-        e = np.exp(1j * (self.theta0[:, None] + (self.theta1 - self.theta0)[:, None] * ts))
-        zs = np.where(arc, z0 + self.radius[:, None] * e, z0 + (self.end - self.start)[:, None] * ts)
-        return zs, e
+        """Points of every row (rows) at the parameters ts (columns), the
+        indices of the arc rows, and exp(i theta) at their points, which an
+        arc's velocity reuses; ``exp`` is taken on the arc rows alone."""
+        arcs = np.flatnonzero(self.arc)
+        zs = self.start[:, None] + (self.end - self.start)[:, None] * ts
+        e = np.exp(1j * (self.theta0[arcs, None] + (self.theta1 - self.theta0)[arcs, None] * ts))
+        zs[arcs] = self.start[arcs, None] + self.radius[arcs, None] * e
+        return zs, arcs, e
 
     def nodes(self, ts):
         """Points and velocities of every row (rows) at the parameters ts
         (columns)."""
-        zs, e = self.points(ts)
-        turn = (1j * (self.theta1 - self.theta0) * self.radius)[:, None] * e
-        return zs, np.where(self.arc[:, None], turn, (self.end - self.start)[:, None])
+        zs, arcs, e = self.points(ts)
+        velocity = np.repeat((self.end - self.start)[:, None], ts.size, axis=1)
+        velocity[arcs] = (1j * (self.theta1 - self.theta0) * self.radius)[arcs, None] * e
+        return zs, velocity
 
     def split(self, mask):
         """Each masked row replaced by its two halves."""
@@ -541,7 +555,7 @@ class Panels:
         half = 0.5 * np.where(
             self.arc, self.radius * np.abs(self.theta1 - self.theta0), np.abs(self.end - self.start)
         )
-        probes, _ = self.points(_PROBES)
+        probes = self.points(_PROBES)[0]
         dist = np.minimum.reduce(np.abs(probes[:, :, None] - sing), axis=1, initial=np.inf)
         dist[self.arc[:, None] & (np.abs(sing - self.start[:, None]) < 1e-13)] = np.inf
         clear = np.minimum.reduce(dist, axis=1, initial=np.inf)
@@ -569,6 +583,12 @@ def _subdivide(paths, sing):
     fails: its ``GeometryError`` goes to ``error`` and its rows and those of
     every later path are dropped, since no later path's error can be the
     first one raised.
+
+    The rows probed at each level and their verdicts go to ``levels``.  The
+    panels depend on the singular set only through those verdicts: against
+    another singular set that gives every probed row the same verdict and
+    no row through a singular point, each level splits the same rows, and
+    the panels come out the same (see ``StackWalk.holds``).
     """
     sing = np.asarray(sing, dtype=complex)
     panels = Panels.of(*paths)
@@ -577,10 +597,12 @@ def _subdivide(paths, sing):
     while (wide := panels.arc & (np.abs(panels.theta1 - panels.theta0) > np.pi / 4 + 1e-12)).any():
         panels = panels.split(wide)
     splits = np.bincount(panels.path, minlength=len(paths)) - segments
-    error = None
+    error, levels = None, []
     fresh = np.ones(len(panels), dtype=bool)
     while fresh.any():
-        close, through = panels.take(fresh).too_close(sing)
+        probed = panels.take(fresh)
+        close, through = probed.too_close(sing)
+        levels.append((probed, close))
         mask = np.zeros(len(panels), dtype=bool)
         mask[fresh] = close
         splits += np.bincount(panels.path[mask], minlength=splits.size)
@@ -596,7 +618,7 @@ def _subdivide(paths, sing):
             panels, mask, splits = panels.take(keep), mask[keep], splits[:k]
         panels = panels.split(mask)
         fresh = np.repeat(mask, 1 + mask)
-    return replace(panels, error=error)
+    return replace(panels, error=error, levels=tuple(levels))
 
 
 def _continue_eta(Ppoly, seg, t0, eta0, t1, depth=0):
@@ -742,40 +764,144 @@ class PathWalk:
 
     def integrate(self, numerators):
         """``IntegrationResult`` of each numerator; panel sums are added in
-        path order."""
-        out = []
-        for b in numerators:
-            fvals = b(self.zs) * self.base
-            # np.take keeps rows contiguous, so each row sums exactly as the
-            # 1-D sum of its panel would; cumsum then adds the panels in order
-            sums = np.column_stack([
-                np.sum(self.w_hi * np.take(fvals, self.idx_hi, axis=1), axis=1),
-                np.sum(self.w_lo * np.take(fvals, self.idx_lo, axis=1), axis=1),
-            ])
-            hi, lo = np.cumsum(sums, axis=0)[-1]
-            out.append(IntegrationResult(complex(hi), float(abs(hi - lo)), self.end_sheet))
+        path order.  The one-path case of ``StackWalk.integrate``."""
+        (out,) = _integrals(self.zs, self.base, np.zeros(1, dtype=int), self, [self.end_sheet],
+                            numerators)
         return out
 
 
-def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER):
+def _integrals(zs, base, first, rule, end_sheets, numerators):
+    """``IntegrationResult`` of each numerator (inner lists) over each path
+    (outer list) of stacked rows, path k starting at row ``first[k]``, by
+    the rule of the ``PathWalk`` ``rule``.
+
+    Each numerator is evaluated once over all rows, at the rule columns
+    alone.  Each row is summed on its own, contiguous, so it sums exactly as
+    the 1-D sum of its panel would; each path's panel sums are then added in
+    path order by one ``cumsum`` down the rows, padded with -0.0, which
+    leaves every sum unchanged, so no sum runs across paths.
+    """
+    q = rule.idx_hi.size
+    cols = np.concatenate([rule.idx_hi, rule.idx_lo])
+    z, wb = np.take(zs, cols, axis=1), np.take(base, cols, axis=1)
+    f = np.empty((len(numerators),) + z.shape, dtype=complex)  # (numerator, row, column)
+    for fb, b in zip(f, numerators):
+        np.multiply(b(z), wb, out=fb)
+    sums = np.stack([np.sum(rule.w_hi * f[..., :q], axis=-1),
+                     np.sum(rule.w_lo * f[..., q:], axis=-1)], axis=-1)
+    rows = sums.shape[1]
+    path = np.repeat(np.arange(first.size), np.diff(first, append=rows))
+    rank = np.arange(rows) - first[path]
+    padded = np.full((first.size, rank.max() + 1) + sums.shape[::2], complex(-0.0, -0.0))
+    padded[path, rank] = sums.swapaxes(0, 1)
+    totals = np.cumsum(padded, axis=1)[:, -1]  # (path, numerator, rule)
+    return [
+        [IntegrationResult(complex(hi), float(abs(hi - lo)), int(s)) for hi, lo in total]
+        for total, s in zip(totals, end_sheets)
+    ]
+
+
+@dataclass(frozen=True, eq=False)
+class StackWalk:
+    """The walks of a stack of paths (``walk_paths``) and the quadrature
+    grid they were walked on; iterating gives the walks, one ``PathWalk``
+    per path, each holding its path's rows of the stacked arrays.
+
+    The grid is the panels ``_subdivide`` gave the paths (with the rows it
+    probed at each level and their verdicts, ``Panels.levels``) and their
+    nodes ``zs`` and ``velocity``, both read-only.  A later walk of the
+    same paths takes it over when ``holds`` says the subdivision would come
+    out the same (``walk_paths(..., like=...)``); it lives as long as these
+    walks.
+    """
+
+    paths: tuple
+    quad_order: int
+    panels: Panels
+    zs: np.ndarray
+    velocity: np.ndarray
+    base: np.ndarray
+    first: np.ndarray  # each path's first row
+    walks: tuple
+
+    def __len__(self):
+        return len(self.walks)
+
+    def __iter__(self):
+        return iter(self.walks)
+
+    def __getitem__(self, k):
+        return self.walks[k]
+
+    def integrate(self, numerators):
+        """``IntegrationResult`` of each numerator (inner lists) over each
+        path (outer list), one pass over the stack; equal to each walk's
+        ``PathWalk.integrate``."""
+        return _integrals(self.zs, self.base, self.first, self.walks[0],
+                          [w.end_sheet for w in self.walks], numerators)
+
+    @cached_property
+    def _probed(self):
+        # every probed row, level after level, and its verdict; built the
+        # first time the grid is handed on, so a walk that is never handed
+        # on pays nothing for it
+        levels = self.panels.levels
+        columns = zip(*(rows._columns() for rows, _ in levels))
+        return Panels(*map(np.concatenate, columns)), np.concatenate([c for _, c in levels])
+
+    def holds(self, sing):
+        """Whether ``_subdivide`` of these paths against the singular set
+        ``sing`` gives these panels: every row it probed keeps its verdict
+        and none passes through a singular point, all checked in one
+        ``too_close`` call."""
+        rows, verdicts = self._probed
+        close, through = rows.too_close(sing)
+        return np.array_equal(close, verdicts) and not through.any()
+
+
+def _singular_set(curve):
+    """The points every panel must clear: the finite branch points, and
+    zeta = 0 (the double pole of the differentials) unless it is one."""
+    sing = list(curve.finite_branch_points)
+    if all(abs(s) > 1e-12 for s in sing):
+        sing.append(0.0 + 0.0j)
+    return np.asarray(sing, dtype=complex)
+
+
+def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     """Subdivide the paths into panels and continue eta along each from its
-    start sheet: one ``PathWalk`` per path, and every integral over a path
-    is a weighted sum over its walk.
+    start sheet: a ``StackWalk`` with one ``PathWalk`` per path, and every
+    integral over a path is a weighted sum over its walk.
 
     The paths are walked as one stack: they are subdivided together (see
     ``_subdivide``), P is evaluated once over the whole (panels x nodes)
     grid and the sheet signs of all panels chain in one pass, see
     ``_walk_eta``; each walk holds its path's rows of the stack.  A failure
     raises the error that walking the paths one after another raises first.
+
+    ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
+    same order (another curve, say a nearby iterate's), hands its grid on:
+    when the grid ``holds`` against this curve's singular set, its panels,
+    nodes and velocities are walked as they are, without subdividing; else
+    the paths are subdivided afresh.  Either way the walks are those of a
+    fresh walk.  A grid of other paths or another order raises
+    ``ValueError``.
     """
     P = curve.P
-    sing = list(curve.finite_branch_points)
-    if all(abs(s) > 1e-12 for s in sing):
-        sing.append(0.0 + 0.0j)  # double pole of the differentials
-    panels = _subdivide([path.segments for path in paths], sing)
-    error = panels.error
+    paths = tuple(paths)
+    sing = _singular_set(curve)
     ts, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
-    zs, base = panels.nodes(ts)  # base: velocity, divided by zeta^2 eta below
+    # (tuples compare their items by identity first, so the paths of one
+    # frame compare at no cost)
+    if like is not None and (like.quad_order, like.paths) != (quad_order, paths):
+        raise ValueError("the grid handed on was walked for other paths or at another order")
+    if like is not None and like.holds(sing):
+        panels, zs, velocity = like.panels, like.zs, like.velocity
+    else:
+        panels = _subdivide([path.segments for path in paths], sing)
+        zs, velocity = panels.nodes(ts)
+        zs.flags.writeable = velocity.flags.writeable = False
+    error = panels.error
     first = np.flatnonzero(panels.heads())
 
     p0 = P(zs[first, 0])
@@ -790,7 +916,7 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER):
         k = int(np.argmin(eta0 != 0.0))
         error = GeometryError("path starts at a branch point")
         rows = slice(0, first[k])
-        panels, zs, base, first, eta0 = panels.take(rows), zs[rows], base[rows], first[:k], eta0[:k]
+        panels, zs, first, eta0 = panels.take(rows), zs[rows], first[:k], eta0[:k]
     if len(panels):
         etas = _walk_eta(P, panels, ts, zs, eta0)
     if error is not None:
@@ -800,17 +926,19 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER):
     last = np.append(first[1:], len(panels)) - 1
     ref, eta = np.sqrt(P(zs[last, -1])), etas[last, -1]
     end_sheet = np.where(np.abs(eta - ref) <= np.abs(eta + ref), 1, -1)
-    base /= zs**2 * etas
-    return tuple(
+    # the velocities may be a handed-on grid's, so they are not divided in
+    # place
+    base = velocity / (zs**2 * etas)
+    walks = tuple(
         PathWalk(zs[a:b], etas[a:b], base[a:b], idx_hi, w_hi, idx_lo, w_lo, int(s))
         for a, b, s in zip(first, last + 1, end_sheet)
     )
+    return StackWalk(paths, quad_order, panels, zs, velocity, base, first, walks)
 
 
 def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
     """``walk_paths`` of the one path."""
-    (walk,) = walk_paths(curve, [path], quad_order)
-    return walk
+    return walk_paths(curve, [path], quad_order)[0]
 
 
 def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):

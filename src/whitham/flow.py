@@ -26,8 +26,11 @@ Euler predictor along a constructed tangent vector followed by projection
 with the lattice integers held fixed.  A step does no work it throws away:
 each point is classified once (its sample's label builds the next step's
 tower), the step builds the one tangent vector its rule uses, the guess is
-walked once (that walk is Gauss-Newton's first residual), and a Jacobian is
-assembled only where Gauss-Newton takes a step.
+walked once (that walk is Gauss-Newton's first residual), a round in a kept
+frame starts from the walk that ended the round before, every trial walk
+takes over the quadrature grid of its round's first walk when its branch
+points allow (so the paths of a frame are usually subdivided once), and a
+Jacobian is assembled only where Gauss-Newton takes a step.
 """
 
 from __future__ import annotations
@@ -97,6 +100,7 @@ class GNResult:
     norm: float
     trace: list
     status: str  # converged | maxiter | stalled
+    last: tuple  # the evaluation at x: the last accepted one, or the first
 
 
 def gauss_newton(residual, x0, first, tol):
@@ -104,10 +108,12 @@ def gauss_newton(residual, x0, first, tol):
     steps) with a rank-truncated inner solve, from ``x0`` where the caller
     has already evaluated ``first = residual(x0)``.
 
-    ``residual`` maps a real vector x to ``(r, jacobian)``: the residual
-    vector and a callable returning its Jacobian at x.  ``jacobian`` is
-    called only at accepted iterates that have not yet converged, never on a
-    rejected trial, so a residual that assembles its Jacobian on demand
+    ``residual`` maps a real vector x to an evaluation ``(r, jacobian,
+    ...)``: the residual vector, a callable returning its Jacobian at x, and
+    anything else the caller wants back, unread here; ``GNResult.last`` is
+    the evaluation at the returned x.  ``jacobian`` is called only at
+    accepted iterates that have not yet converged, never on a rejected
+    trial, so a residual that assembles its Jacobian on demand
     (``spectral.psi_walks``) pays for it only there.  ``residual`` may raise
     ``WhithamError`` for inadmissible points (treated as a rejected trial).
     The rank truncation makes the two-dimensional tangent kernel of the
@@ -118,12 +124,13 @@ def gauss_newton(residual, x0, first, tol):
     Jacobian come from the same ``residual`` call.
     """
     x = np.asarray(x0, dtype=float).copy()
-    r, jacobian = first
+    last = first
+    r, jacobian = first[:2]
     trace = [float(np.linalg.norm(r))]
     delta = TRUST_RADIUS
     for _ in range(ROUND_ITERATIONS):
         if trace[-1] <= tol:
-            return GNResult(x, trace[-1], trace, "converged")
+            return GNResult(x, trace[-1], trace, "converged", last)
         J = jacobian()
         U, s, Vt = np.linalg.svd(J, full_matrices=False)
         smax = s[0] if s.size else 1.0
@@ -135,17 +142,18 @@ def gauss_newton(residual, x0, first, tol):
         for _ in range(26):
             step = gn_full if full_len <= delta else gn_full * (delta / full_len)
             try:
-                r_new, jac_new = residual(x + step)
+                trial = residual(x + step)
             except WhithamError:
                 delta *= 0.3
                 continue
-            n_new = float(np.linalg.norm(r_new))
+            n_new = float(np.linalg.norm(trial[0]))
             if n_new < trace[-1]:
                 pred = float(np.linalg.norm(r + J @ step))
                 gain = trace[-1] - n_new
                 model_gain = max(trace[-1] - pred, 1e-300)
                 x = x + step
-                r, jacobian = r_new, jac_new
+                last = trial
+                r, jacobian = last[:2]
                 trace.append(n_new)
                 if gain > 0.5 * model_gain and np.linalg.norm(step) >= 0.99 * min(delta, full_len):
                     delta = min(delta * 2.5, 10.0)
@@ -155,9 +163,9 @@ def gauss_newton(residual, x0, first, tol):
             if delta < 1e-13:
                 break
         if not accepted:
-            return GNResult(x, trace[-1], trace, "stalled")
+            return GNResult(x, trace[-1], trace, "stalled", last)
     status = "converged" if trace[-1] <= tol else "maxiter"
-    return GNResult(x, trace[-1], trace, status)
+    return GNResult(x, trace[-1], trace, status, last)
 
 
 # ---------------------------------------------------------------------------
@@ -201,32 +209,39 @@ def _chart_solve(chart, integers, frame, start, tol):
     triple (``None``: the identity), from ``frame`` built at the start and
     ``start``, the ``psi_walks`` of ``make_triple(x0)`` in it.  Each round
     is one ``gauss_newton`` call in one frame, refreshed at the iterate
-    before every round but the first; a round's first residual is the walk
-    already taken there (the start's, or the refreshed frame's) when there
-    is one.  Returns a ``ProjectionResult``; raises
-    ``ProjectionFailureError`` if a round lowers the residual by less than
-    0.1% (stalled or crawling) or the residual ends above 10 * ``tol``."""
+    before every round but the first.  A round's first residual is a walk
+    already taken at the iterate in its frame: the start's, the refreshed
+    frame's, or, when the old frame is kept, the previous round's last
+    accepted walk.  Every trial walk of a round is handed that first walk,
+    so it takes over its quadrature grid when its branch points leave the
+    subdivision unchanged (``psi_walks(..., like=...)``).  Returns a
+    ``ProjectionResult``; raises ``ProjectionFailureError`` if a round
+    lowers the residual by less than 0.1% (stalled or crawling) or the
+    residual ends above 10 * ``tol``."""
     x0, make_triple, chart_derivative = chart
 
     def evaluated(walks, xv):
+        r = walks.vector.flatten(integers)
         if chart_derivative is None:
-            return walks.vector.flatten(integers), walks.jacobian
-        return walks.vector.flatten(integers), lambda: walks.jacobian() @ chart_derivative(xv)
+            return r, walks.jacobian, walks
+        return r, lambda: walks.jacobian() @ chart_derivative(xv), walks
 
-    r0 = float(np.linalg.norm(start.vector.flatten(integers)))
-    x, norm, trace, walks = x0, r0, [r0], start
+    first = evaluated(start, x0)
+    r0 = float(np.linalg.norm(first[0]))
+    x, norm, trace = x0, r0, [r0]
     for k in range(PROJECTION_ROUNDS):
         if trace[-1] <= tol:
             break
         if k:
             frame, walks = _refreshed_frame(frame, make_triple(x), integers, trace[-1])
+            if walks is not None:
+                first = evaluated(walks, x)
 
-        def residual(xv, frame=frame):
-            return evaluated(psi_walks(make_triple(xv), frame), xv)
+        def residual(xv, frame=frame, like=first[2]):
+            return evaluated(psi_walks(make_triple(xv), frame, like=like), xv)
 
-        first = residual(x) if walks is None else evaluated(walks, x)
         res = gauss_newton(residual, x, first, tol)
-        x, norm = res.x, res.norm
+        x, norm, first = res.x, res.norm, res.last
         prev = trace[-1]
         trace.extend(res.trace[1:])
         if res.status == "converged":

@@ -265,11 +265,14 @@ class Polynomial:
 
     @staticmethod
     def one():
-        return Polynomial([1.0])
+        """The constant 1, one shared instance (a ``Polynomial`` is
+        immutable)."""
+        return _ONE
 
     @staticmethod
     def zeta():
-        return Polynomial([0.0, 1.0])
+        """The monomial zeta, one shared instance."""
+        return _ZETA
 
     # -- serialization ---------------------------------------------------
 
@@ -280,6 +283,11 @@ class Polynomial:
     @staticmethod
     def from_pairs(pairs, bound=None):
         return Polynomial([complex(p[0], p[1]) for p in pairs], bound=bound)
+
+
+# the instances ``Polynomial.one()`` and ``Polynomial.zeta()`` return
+_ONE = Polynomial([1.0])
+_ZETA = Polynomial([0.0, 1.0])
 
 
 def _as_poly(x):

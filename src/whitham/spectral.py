@@ -18,7 +18,9 @@ nearby triples are measured against identical paths.
 
 Newton projection uses the exact Jacobian: in a frozen frame every column
 is a sum over the nodes of the same walks that evaluate Psi.  ``psi_walks``
-keeps those walks and assembles the Jacobian only when asked.  The
+keeps those walks and assembles the Jacobian only when asked; handed the
+walks of an earlier evaluation in the frame, it walks on their quadrature
+grid when the new branch points leave the subdivision unchanged.  The
 central-difference ``d_psi`` and ``psi_jacobian`` are kept as its
 independent oracle.
 """
@@ -33,6 +35,7 @@ import numpy as np
 
 from .curve import (
     CIRCLE_TOL,
+    StackWalk,
     _curve_from_roots,
     build_curve,
     homology_basis,
@@ -439,13 +442,16 @@ def _section_basis(k):
 class PsiWalks:
     """Psi at a triple from one walk per path of a frame (``psi_walks``),
     with the walks kept so that ``jacobian()`` can assemble the exact
-    Jacobian from them when, and only when, it is called."""
+    Jacobian from them when, and only when, it is called.  ``walks`` is the
+    ``curve.StackWalk`` of the frame's paths, which holds the quadrature
+    grid a later evaluation in the frame can take over (``psi_walks(...,
+    like=...)``); the grid is freed with the walks."""
 
     triple: SpectralTriple
     frame: PsiFrame
     curve: object
     product: Polynomial
-    walks: tuple
+    walks: StackWalk
     vector: PsiVector
 
     def jacobian(self):
@@ -503,14 +509,22 @@ class PsiWalks:
         return J
 
 
-def psi_walks(triple, frame):
+def psi_walks(triple, frame, like=None):
     """Psi at the triple from one walk per path of the frame, shared by both
     differentials, as a ``PsiWalks`` whose Jacobian is assembled on
-    demand."""
+    demand.  Both differentials are integrated over all paths in one pass
+    (``StackWalk.integrate``).
+
+    ``like``, the ``PsiWalks`` of an earlier evaluation in the same frame,
+    hands its quadrature grid on: the paths are re-probed against the new
+    branch points in one pass and, when every verdict is unchanged, walked
+    on that grid without subdividing them again (``curve.walk_paths``).
+    The result is that of a fresh evaluation.  Walks in another frame raise
+    ``ValueError``."""
     cur, Pi = frame.curve_of(triple.P)
     paths = _psi_paths(frame)
-    walks = walk_paths(cur, paths, frame.quad_order)
-    per_path = [w.integrate((triple.b1, triple.b2)) for w in walks]
+    walks = walk_paths(cur, paths, frame.quad_order, like=None if like is None else like.walks)
+    per_path = walks.integrate((triple.b1, triple.b2))
     n = len(paths) - 2
     periods, closings, labels = [], [], []
     err = 0.0

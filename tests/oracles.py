@@ -317,3 +317,20 @@ def _reference_walk_eta(P, seg, ts, eta0, continue_eta):
         else:
             etas[k] = continue_eta(P, seg, float(ts[k - 1]), etas[k - 1], float(ts[k]))
     return etas
+
+
+def reference_integrate(walk, numerators):
+    """The per-path integral that ``StackWalk.integrate`` stacks: over one
+    ``PathWalk``, each numerator evaluated at every node, each panel summed
+    on its own, and the panel sums added in path order.  Returns (value,
+    error, end sheet) per numerator."""
+    out = []
+    for b in numerators:
+        fvals = b(walk.zs) * walk.base
+        sums = np.column_stack([
+            np.sum(walk.w_hi * np.take(fvals, walk.idx_hi, axis=1), axis=1),
+            np.sum(walk.w_lo * np.take(fvals, walk.idx_lo, axis=1), axis=1),
+        ])
+        hi, lo = np.cumsum(sums, axis=0)[-1]
+        out.append((complex(hi), float(abs(hi - lo)), walk.end_sheet))
+    return out

@@ -469,3 +469,34 @@ def test_stacked_rows_restart_at_each_path():
             ref.append(_reference_walk_eta(Ppoly, seg, ts, eta, _continue_eta))
             eta = complex(ref[-1][-1])
     assert np.array_equal(etas, np.array(ref))
+
+
+def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
+    """``StackWalk.integrate`` evaluates each numerator once over the rows of
+    every path and adds each path's panel sums apart: every value, error
+    and end sheet equals that path's ``PathWalk.integrate`` and the
+    per-path reference, bit for bit, at genus 0 to 3 and at three
+    orders."""
+    from oracles import reference_integrate
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+    from whitham.polyring import random_real_section
+    from whitham.spectral import PsiFrame, SpectralTriple, _psi_paths, product_form
+
+    genus3 = product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j])
+    one = Polynomial.one()
+    points = [seed_genus0(), seed_conformal_genus0(1, 2), seed_genus1(), g1_b_linear,
+              g2_b_quad, SpectralTriple(3, genus3, one, one)]
+    assert not any(isinstance(t, str) for t in points), points
+    rng = np.random.default_rng(18)
+    for t in points:
+        frame = PsiFrame.build(t)
+        numerators = (t.b1, t.b2, random_real_section(rng, t.g + 3))
+        for order in (16, 32, 48):
+            stack = walk_paths(frame.curve, _psi_paths(frame), order)
+            stacked = stack.integrate(numerators)
+            assert len(stacked) == len(stack)
+            for walk, per_path in zip(stack, stacked):
+                alone = walk.integrate(numerators)
+                ref = reference_integrate(walk, numerators)
+                assert [(r.value, r.error, r.end_sheet) for r in per_path] == ref
+                assert [(r.value, r.error, r.end_sheet) for r in alone] == ref

@@ -103,7 +103,7 @@ def test_crawling_round_ends_the_solve(monkeypatch):
     def crawling(residual, x0, first, tol):
         prev = rounds[-1] if rounds else 1.0
         rounds.append(prev * (1.0 - 1e-4))
-        return flow.GNResult(x0, rounds[-1], [prev, rounds[-1]], "maxiter")
+        return flow.GNResult(x0, rounds[-1], [prev, rounds[-1]], "maxiter", first)
 
     monkeypatch.setattr(flow, "gauss_newton", crawling)
     monkeypatch.setattr(flow, "_refreshed_frame", lambda old, *args: (old, None))
@@ -354,7 +354,7 @@ def test_project_to_mg_trace_runs_from_the_start_residual_to_the_result(g0_tripl
     its nearest lattice points and ends at the returned residual."""
     rng = np.random.default_rng(4)
     x = pack_triple(g0_triple)
-    noisy = unpack_triple(x + 1e-4 * rng.standard_normal(x.size), 0)
+    noisy = unpack_triple(x + 3e-3 * rng.standard_normal(x.size), 0)
     res = project_to_mg(noisy, tol=1e-10, quad_order=40)
     r0 = float(np.linalg.norm(psi(noisy, quad_order=40).flatten()))
     assert len(res.trace) > 1
@@ -486,3 +486,74 @@ def test_common_factor_chart_jacobian(kind, d_G, g1_b_linear, g2_b_quad):
     J_fd = np.column_stack(cols)
     assert J.shape == J_fd.shape == (r.size, x0.size)
     assert np.abs(J - J_fd).max() <= 1e-8 * np.abs(J_fd).max()
+
+
+def test_a_kept_frame_starts_the_next_round_from_the_last_accepted_walk(g0_triple, monkeypatch):
+    """When the refreshed frame is rejected, the next round starts from the
+    previous round's last accepted evaluation instead of walking the same
+    iterate in the same frame again: a solve of one-step rounds in one
+    kept frame walks once at the start and once per Gauss-Newton trial,
+    one walk fewer per kept round, and each round's first residual and
+    Jacobian are those of a fresh walk of its iterate."""
+    import whitham.flow as flow
+    import whitham.spectral as spectral
+    from whitham.spectral import psi_walks
+
+    walks, trials, rounds = [], [], []
+    gauss_newton, walk_paths = flow.gauss_newton, spectral.walk_paths
+
+    def counted_walk(*args, **kwargs):
+        walks.append(1)
+        return walk_paths(*args, **kwargs)
+
+    def counted_gauss_newton(residual, x0, first, tol):
+        rounds.append((x0, first))
+
+        def counted_residual(x):
+            trials.append(1)
+            return residual(x)
+
+        return gauss_newton(counted_residual, x0, first, tol)
+
+    monkeypatch.setattr(flow, "ROUND_ITERATIONS", 1)
+    monkeypatch.setattr(flow, "_refreshed_frame", lambda old, *args: (old, None))
+    monkeypatch.setattr(flow, "gauss_newton", counted_gauss_newton)
+    monkeypatch.setattr(spectral, "walk_paths", counted_walk)
+    rng = np.random.default_rng(4)
+    x = pack_triple(g0_triple)
+    noisy = unpack_triple(x + 3e-3 * rng.standard_normal(x.size), 0)
+    res = project_to_mg(noisy, tol=1e-10, quad_order=40)
+    assert res.residual < 1e-10
+    assert len(rounds) >= 3
+    assert len(walks) == 1 + len(trials)
+    frame = PsiFrame.build(noisy, quad_order=40)
+    integers = psi(noisy, frame).lattice_integers()
+    for x_round, (r, jacobian, _) in rounds:
+        fresh = psi_walks(unpack_triple(x_round, 0), frame)
+        assert np.array_equal(r, fresh.vector.flatten(integers))
+        assert np.array_equal(jacobian(), fresh.jacobian())
+
+
+@pytest.mark.parametrize("seed", ["g0_triple", "g1_triple"])
+def test_one_step_flow_subdivides_once_per_frame(seed, request, monkeypatch):
+    """In a one-step flow every walk after a frame's first takes that
+    walk's quadrature grid over: the paths are subdivided once per frame
+    built."""
+    import whitham.curve as curve_mod
+
+    frames, subdivided = [], []
+    build, subdivide = PsiFrame.build, curve_mod._subdivide
+
+    def counted_build(*args, **kwargs):
+        frames.append(1)
+        return build(*args, **kwargs)
+
+    def counted_subdivide(*args, **kwargs):
+        subdivided.append(1)
+        return subdivide(*args, **kwargs)
+
+    monkeypatch.setattr(PsiFrame, "build", staticmethod(counted_build))
+    monkeypatch.setattr(curve_mod, "_subdivide", counted_subdivide)
+    samples, status = trace(request.getfixturevalue(seed), FlowConfig(steps=1))
+    assert status == "completed" and len(samples) == 2
+    assert len(subdivided) == len(frames) >= 2

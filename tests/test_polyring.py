@@ -172,6 +172,36 @@ def test_copy_and_pickle_rebuild_an_equal_immutable_polynomial(g1_triple):
     assert pickle.loads(pickle.dumps(g1_triple)) == g1_triple
 
 
+def test_one_and_zeta_are_shared_immutable_instances(g1_triple, g1_b_linear, monkeypatch):
+    """``Polynomial.one()`` and ``zeta()`` return one immutable instance each,
+    which no computation changes: the tangent bases of a case-(a) and a
+    case-(b) point come out bit for bit as with a new instance per call."""
+    from whitham.deformation import tangent_basis
+
+    for make, coeffs in ((Polynomial.one, [1.0]), (Polynomial.zeta, [0.0, 1.0])):
+        p = make()
+        assert make() is p
+        assert not p.coeffs.flags.writeable
+        with pytest.raises(AttributeError, match="immutable"):
+            p.coeffs = np.zeros(1)
+
+    def bases():
+        out = []
+        for t in (g1_triple, g1_b_linear):
+            vectors, gram = tangent_basis(t)
+            out.append(gram)
+            for v in vectors:
+                out.extend(f.coeffs.tobytes() for f in (v.P_dot, v.b1_dot, v.b2_dot))
+        return out
+
+    shared = bases()
+    assert Polynomial.one().coeffs.tolist() == [1.0]
+    assert Polynomial.zeta().coeffs.tolist() == [0.0, 1.0]
+    monkeypatch.setattr(Polynomial, "one", staticmethod(lambda: Polynomial([1.0])))
+    monkeypatch.setattr(Polynomial, "zeta", staticmethod(lambda: Polynomial([0.0, 1.0])))
+    assert bases() == shared
+
+
 # -- real structure ----------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from whitham.polyring import Polynomial, random_real_section
 from whitham.spectral import (
     PsiFrame,
     SpectralTriple,
+    _psi_paths,
     conformal_type,
     d_psi,
     d_psi_norm,
@@ -350,3 +351,153 @@ def test_validate_roots_P_once(g1_triple, monkeypatch):
             monkeypatch.setattr(mod, "roots", counted)
     assert validate(g1_triple).verdict
     assert len(calls) == 1
+
+
+# -- Psi on a handed-on quadrature grid ------------------------------------------
+
+
+def _evaluated(make):
+    """The ``PsiWalks`` that ``make()`` returns, or the class and message of
+    the ``WhithamError`` it raises."""
+    from whitham.errors import WhithamError
+
+    try:
+        return make()
+    except WhithamError as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_evaluation(a, b):
+    """Two Psi evaluations are the same bit for bit: every walk's nodes, eta,
+    base and end sheet, the Psi vector, its integration error and the exact
+    Jacobian (or the same error raised)."""
+    if isinstance(b, tuple):
+        assert a == b
+        return
+    assert len(a.walks) == len(b.walks)
+    for wa, wb in zip(a.walks, b.walks):
+        for name in ("zs", "etas", "base"):
+            assert np.array_equal(getattr(wa, name), getattr(wb, name)), name
+        assert wa.end_sheet == wb.end_sheet
+    assert np.array_equal(a.vector.flatten(), b.vector.flatten())
+    assert a.vector.integration_error == b.vector.integration_error
+    assert np.array_equal(a.jacobian(), b.jacobian())
+
+
+def _grid_points(g1_b_linear, g2_b_quad):
+    """The five seed points and a genus-2 and a genus-3 point (branch points
+    of the bench corpus, seeded numerators)."""
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+
+    seeds = [seed_genus0(), seed_conformal_genus0(), seed_genus1(), g1_b_linear, g2_b_quad]
+    assert not any(isinstance(t, str) for t in seeds), seeds
+    rng = np.random.default_rng(7)
+    alphas = [0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j]
+    synthetic = [
+        SpectralTriple(g, product_form(alphas[: g + 1]), random_real_section(rng, g + 3),
+                       random_real_section(rng, g + 3))
+        for g in (2, 3)
+    ]
+    return seeds, synthetic
+
+
+def _counted_subdivide(monkeypatch):
+    import whitham.curve as curve_mod
+
+    calls = []
+    original = curve_mod._subdivide
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(curve_mod, "_subdivide", counted)
+    return calls
+
+
+def test_walk_on_a_handed_on_grid_equals_a_fresh_walk(g1_b_linear, g2_b_quad, monkeypatch):
+    """Psi at a triple moved by 1e-12 to 1e-2 (along random directions, and
+    along a tangent vector at the seeds) in the frame of the unmoved
+    triple, handed the unmoved triple's walks, equals the fresh evaluation
+    bit for bit, whether or not it takes the grid over; the smallest moves
+    take it over without subdividing."""
+    from whitham.deformation import tangent_basis
+    from whitham.flow import _tangent_pack
+
+    calls = _counted_subdivide(monkeypatch)
+    seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
+    rng = np.random.default_rng(18)
+    taken_over = 0
+    for t in seeds + synthetic:
+        frame = PsiFrame.build(t)
+        x = pack_triple(t)
+        earlier = psi_walks(unpack_triple(x, t.g), frame)
+        directions = [d / np.linalg.norm(d) for d in rng.standard_normal((2, x.size))]
+        if t in seeds:
+            tangent = _tangent_pack(tangent_basis(t)[0][0], t.g)
+            directions.append(tangent / np.linalg.norm(tangent))
+        for d in directions:
+            for h in (1e-12, 1e-9, 1e-6, 1e-4, 1e-2):
+                moved = unpack_triple(x + h * d, t.g)
+                fresh = _evaluated(lambda: psi_walks(moved, frame))
+                del calls[:]
+                handed = _evaluated(lambda: psi_walks(moved, frame, like=earlier))
+                _assert_same_evaluation(handed, fresh)
+                if h == 1e-12:
+                    assert calls == []
+                taken_over += not calls
+    assert taken_over > 3 * len(seeds + synthetic)
+
+
+def _flipped(walks, triple):
+    """How many rows probed for the grid of ``walks`` change their verdict
+    against the singular set of ``triple``'s curve."""
+    from whitham.curve import _singular_set
+
+    rows, verdicts = walks.walks._probed
+    close, _ = rows.too_close(_singular_set(build_curve(triple.P)))
+    return int(np.count_nonzero(close != verdicts))
+
+
+def test_a_flipped_verdict_falls_back_to_subdividing(g1_triple, monkeypatch):
+    """A move of the genus-1 seed just large enough to flip a recorded
+    verdict re-subdivides the paths (one ``_subdivide`` call) and still
+    equals a fresh evaluation; a move just short of it takes the grid
+    over.  (A row and its reverse on a B-cycle's corridor flip
+    together.)"""
+    calls = _counted_subdivide(monkeypatch)
+    frame = PsiFrame.build(g1_triple)
+    x = pack_triple(g1_triple)
+    earlier = psi_walks(g1_triple, frame)
+    d = np.random.default_rng(1).standard_normal(x.size)
+    d /= np.linalg.norm(d)
+
+    def moved(h):
+        return unpack_triple(x + h * d, 1)
+
+    lo, hi = 1e-12, 1e-2
+    assert _flipped(earlier, moved(lo)) == 0 < _flipped(earlier, moved(hi))
+    for _ in range(60):  # bisect on a log scale for the first flip
+        mid = np.sqrt(lo * hi)
+        lo, hi = (mid, hi) if _flipped(earlier, moved(mid)) == 0 else (lo, mid)
+    assert 0 < _flipped(earlier, moved(hi)) <= 2
+    for h, subdivided in ((lo, []), (hi, [1])):
+        fresh = psi_walks(moved(h), frame)
+        del calls[:]
+        handed = psi_walks(moved(h), frame, like=earlier)
+        assert calls == subdivided
+        _assert_same_evaluation(handed, fresh)
+
+
+def test_a_grid_of_another_frame_is_refused(g0_triple):
+    """Walks of other paths, or of the same paths at another order, cannot
+    hand their grid on."""
+    from dataclasses import replace
+
+    frame = PsiFrame.build(g0_triple)
+    walks = psi_walks(g0_triple, frame)
+    jittered = PsiFrame.build(g0_triple, jitter=1.0)
+    assert _psi_paths(jittered) != _psi_paths(frame)
+    for other in (jittered, replace(frame, quad_order=48)):
+        with pytest.raises(ValueError, match="other paths"):
+            psi_walks(g0_triple, other, like=walks)
