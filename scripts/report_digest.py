@@ -5,8 +5,14 @@ default step and at ``--dt 0.05``, each under both flow rules (``basis0``
 and ``basis1``), and ``plot`` on the five seed
 points and on every input given (a directory stands for the ``*.json``
 files in it), then ``oracle --seed 7 --count 25`` once, in-process, and
-hashes what each call writes to stdout and stderr.  Two checkouts' outputs
-diff clean exactly when their reports and exit codes are byte-identical:
+hashes what each call writes to stdout and stderr.  At each seed point it
+also hashes the numbers behind those reports: the Psi vector with its
+integration error, the exact Jacobian of a fresh evaluation, Psi and the
+exact Jacobian at P scaled by 1 + 1e-9 in the same frame, handed the
+first evaluation's quadrature grid (``like=``), and the
+``integrate_batch`` values of both differentials over every path of the
+frame.  Two checkouts' outputs diff clean exactly when their reports, exit
+codes and those numbers are byte-identical:
 
     python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
 
@@ -24,8 +30,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import numpy as np
+
 from whitham.cli import main
+from whitham.curve import build_curve, integrate_batch
 from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1
+from whitham.spectral import PsiFrame, SpectralTriple, psi_walks
 
 COMMANDS = (
     ("validate",),
@@ -71,12 +81,34 @@ def digest(argv):
     return code, hashlib.sha1((out.getvalue() + err.getvalue()).encode()).hexdigest()
 
 
+def numerics(triple):
+    """(name, arrays) of the numbers behind the reports at ``triple``, in
+    its frame at the default quadrature order."""
+    frame = PsiFrame.build(triple)
+    fresh = psi_walks(triple, frame)
+    yield "psi", [fresh.vector.flatten(), [fresh.vector.integration_error]]
+    yield "jacobian", [fresh.jacobian()]
+    scaled = SpectralTriple(triple.g, triple.P * (1 + 1e-9), triple.b1, triple.b2)
+    handed = psi_walks(scaled, frame, like=fresh)
+    yield "jacobian-like", [handed.vector.flatten(), handed.jacobian()]
+    basis, cur = frame.basis, build_curve(triple.P)
+    yield "integrate_batch", [
+        [(r.value, r.error, r.end_sheet) for r in integrate_batch(cur, [triple.b1, triple.b2], path)]
+        for path in basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
+    ]
+
+
 def run(args):
     with tempfile.TemporaryDirectory() as tmp:
         for label, path in inputs(args, Path(tmp)):
             for cmd in COMMANDS:
                 code, sha = digest((cmd[0], str(path)) + cmd[1:])
                 print(f"{sha} exit={code} {' '.join(cmd)} {label}", flush=True)
+            if label in SEEDS:
+                triple = SpectralTriple.from_json_dict(json.loads(path.read_text(encoding="utf-8")))
+                for name, arrays in numerics(triple):
+                    data = b"".join(np.asarray(a, dtype=complex).tobytes() for a in arrays)
+                    print(f"{hashlib.sha1(data).hexdigest()} numerics {name} {label}", flush=True)
     for cmd in STANDALONE:
         code, sha = digest(cmd)
         print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .bezout import minimal_solution
-from .curve import build_curve
+from .curve import DEFAULT_QUAD_ORDER, build_curve
 from .deformation import (
     build_tower,
     classify,
@@ -379,7 +379,7 @@ def build_parser():
     sp.add_argument("--tol-alg", type=_POSITIVE, default=ToleranceProfile.alg)
     sp.add_argument("--tol-int", type=_POSITIVE, default=ToleranceProfile.integral)
     sp.add_argument("--cluster-radius", type=_POSITIVE, default=ToleranceProfile.cluster)
-    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=32)
+    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=DEFAULT_QUAD_ORDER)
 
     sp = command("classify", cmd_classify, "case label (a)-(f) from the gcd tower")
     sp.add_argument("--cluster-radius", type=_POSITIVE, default=GCD_CLUSTER_RADIUS)
@@ -388,7 +388,7 @@ def build_parser():
 
     sp = command("flow", cmd_flow, "trace a deformation path")
     sp.add_argument("--tol-int", type=_POSITIVE, default=FlowConfig.projection_tol)
-    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=32)
+    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=DEFAULT_QUAD_ORDER)
     sp.add_argument("--format", default="json", choices=("json", "csv"))
     sp.add_argument("--steps", type=_COUNT, default=10)
     # a negative step is a backward flow

@@ -22,16 +22,16 @@ Corridors detour around any branch point or marked point (0, +1, -1) that
 comes too close; loops whose radii cannot clear the surrounding geometry
 raise ``PathConstructionError`` with a diagnostic.
 
-The paths of one Psi evaluation are walked as one stack (``walk_paths``;
-``walk_path`` is the one-path case): they are split into quadrature panels
-together, level by level, probing the panels just split against the
-singular set at once; P is evaluated once over the panels x nodes grid of
-all paths; and the sheet signs of all panels chain in one ``cumprod`` that
-starts afresh at each path's first panel.  Only a panel with an ambiguous
-step is walked node by node, with bisection.  Each path gets the panels
-and eta it gets when walked alone, and a failing stack raises the error
-that walking its paths one after another raises first.  Every numerator
-is integrated over the whole stack in one pass (``StackWalk.integrate``).
+Paths are walked as one stack, a ``StackWalk`` (``walk_paths``; one path
+is a stack of one): they are split into quadrature panels together, level
+by level, probing the panels just split against the singular set at once;
+P is evaluated once over the panels x nodes grid of all paths; and the
+sheet signs of all panels chain in one ``cumprod`` that starts afresh at
+each path's first panel.  Only a panel with an ambiguous step is walked
+node by node, with bisection.  Each path gets the panels and eta it gets
+when walked alone, and a failing stack raises the error that walking its
+paths one after another raises first.  Every numerator is integrated over
+the whole stack in one pass (``StackWalk.integrate``).
 
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
@@ -136,11 +136,10 @@ class PathOnCurve:
 
     segments: tuple
     start_sheet: int = 1
-    closed: bool = False
     label: str = ""
 
     def flipped(self):
-        return PathOnCurve(self.segments, -self.start_sheet, self.closed, self.label)
+        return PathOnCurve(self.segments, -self.start_sheet, self.label)
 
 
 def _check_continuity(segments):
@@ -386,7 +385,7 @@ def homology_basis(curve, jitter=0.0, anchor=None):
                 f"cut {k} has no clearance for a stadium contour"
             )
         segs = _stadium(a, p, offset)
-        a_cycles.append(PathOnCurve(segs, 1, True, f"A{k}"))
+        a_cycles.append(PathOnCurve(segs, 1, f"A{k}"))
 
     b_cycles = []
     for k in range(1, len(pairs)):
@@ -408,7 +407,7 @@ def homology_basis(curve, jitter=0.0, anchor=None):
             + _reversed_run(corridor)
         )
         _check_continuity(segs)
-        b_cycles.append(PathOnCurve(segs, 1, True, f"B{k}"))
+        b_cycles.append(PathOnCurve(segs, 1, f"B{k}"))
 
     closings = []
     for sign, name in ((1.0, "gamma+"), (-1.0, "gamma-")):
@@ -424,7 +423,7 @@ def homology_basis(curve, jitter=0.0, anchor=None):
         th = float(np.angle(-u))
         segs = run + (ArcSegment(base, r, th, th + 2 * np.pi),) + _reversed_run(run)
         _check_continuity(segs)
-        closings.append(PathOnCurve(segs, 1, False, name))
+        closings.append(PathOnCurve(segs, 1, name))
 
     cuts = tuple((a, p) for a, p in pairs)
     return CycleBasis(tuple(a_cycles), tuple(b_cycles), closings[0], closings[1], cuts)
@@ -743,76 +742,25 @@ def _panel_grid(quad_order):
     return ts, np.searchsorted(ts, t_hi), w_hi, np.searchsorted(ts, t_lo), w_lo
 
 
-@dataclass(frozen=True)
-class PathWalk:
-    """One sheet-tracked walk along a path, as quadrature data.
-
-    Row p holds panel p: the nodes ``zs``, eta continued to them, and
-    ``base`` = velocity / (zeta^2 eta).  The integral of b dzeta/(zeta^2 eta)
-    over the panel is sum(w_hi * b(zs) * base) over the columns ``idx_hi``;
-    the half-order rule (``idx_lo``, ``w_lo``) gives the error estimate.
-    """
-
-    zs: np.ndarray
-    etas: np.ndarray
-    base: np.ndarray
-    idx_hi: np.ndarray
-    w_hi: np.ndarray
-    idx_lo: np.ndarray
-    w_lo: np.ndarray
-    end_sheet: int
-
-    def integrate(self, numerators):
-        """``IntegrationResult`` of each numerator; panel sums are added in
-        path order.  The one-path case of ``StackWalk.integrate``."""
-        (out,) = _integrals(self.zs, self.base, np.zeros(1, dtype=int), self, [self.end_sheet],
-                            numerators)
-        return out
-
-
-def _integrals(zs, base, first, rule, end_sheets, numerators):
-    """``IntegrationResult`` of each numerator (inner lists) over each path
-    (outer list) of stacked rows, path k starting at row ``first[k]``, by
-    the rule of the ``PathWalk`` ``rule``.
-
-    Each numerator is evaluated once over all rows, at the rule columns
-    alone.  Each row is summed on its own, contiguous, so it sums exactly as
-    the 1-D sum of its panel would; each path's panel sums are then added in
-    path order by one ``cumsum`` down the rows, padded with -0.0, which
-    leaves every sum unchanged, so no sum runs across paths.
-    """
-    q = rule.idx_hi.size
-    cols = np.concatenate([rule.idx_hi, rule.idx_lo])
-    z, wb = np.take(zs, cols, axis=1), np.take(base, cols, axis=1)
-    f = np.empty((len(numerators),) + z.shape, dtype=complex)  # (numerator, row, column)
-    for fb, b in zip(f, numerators):
-        np.multiply(b(z), wb, out=fb)
-    sums = np.stack([np.sum(rule.w_hi * f[..., :q], axis=-1),
-                     np.sum(rule.w_lo * f[..., q:], axis=-1)], axis=-1)
-    rows = sums.shape[1]
-    path = np.repeat(np.arange(first.size), np.diff(first, append=rows))
-    rank = np.arange(rows) - first[path]
-    padded = np.full((first.size, rank.max() + 1) + sums.shape[::2], complex(-0.0, -0.0))
-    padded[path, rank] = sums.swapaxes(0, 1)
-    totals = np.cumsum(padded, axis=1)[:, -1]  # (path, numerator, rule)
-    return [
-        [IntegrationResult(complex(hi), float(abs(hi - lo)), int(s)) for hi, lo in total]
-        for total, s in zip(totals, end_sheets)
-    ]
-
-
 @dataclass(frozen=True, eq=False)
 class StackWalk:
-    """The walks of a stack of paths (``walk_paths``) and the quadrature
-    grid they were walked on; iterating gives the walks, one ``PathWalk``
-    per path, each holding its path's rows of the stacked arrays.
+    """The sheet-tracked walk of a stack of paths (``walk_paths``), as
+    quadrature data, and the quadrature grid it was walked on.
+
+    Row p holds panel p of the stack (each path's panels in path order,
+    path after path; path k's rows start at ``first[k]``, and ``slices``
+    gives each path's rows): the nodes ``zs``, eta continued to them
+    (``etas``) and ``base`` = velocity / (zeta^2 eta).  The integral of
+    b dzeta/(zeta^2 eta) over a panel is sum(w_hi * b(zs) * base) over the
+    columns ``idx_hi`` of ``_panel_grid(quad_order)``; its half-order rule
+    gives the error estimate.  Path k ends on sheet ``end_sheets[k]``.
 
     The grid is the panels ``_subdivide`` gave the paths (with the rows it
     probed at each level and their verdicts, ``Panels.levels``) and their
     nodes ``zs`` and ``velocity``, both read-only.  A later walk of the
     same paths takes it over when ``holds`` says the subdivision would come
-    out the same (``walk_paths(..., like=...)``); it lives as long as these
-    walks.
+    out the same (``walk_paths(..., like=...)``); it lives as long as this
+    walk.
     """
 
     paths: tuple
@@ -820,25 +768,45 @@ class StackWalk:
     panels: Panels
     zs: np.ndarray
     velocity: np.ndarray
+    etas: np.ndarray
     base: np.ndarray
-    first: np.ndarray  # each path's first row
-    walks: tuple
+    first: np.ndarray
+    end_sheets: np.ndarray
 
-    def __len__(self):
-        return len(self.walks)
-
-    def __iter__(self):
-        return iter(self.walks)
-
-    def __getitem__(self, k):
-        return self.walks[k]
+    def slices(self):
+        """Each path's rows, as a slice."""
+        return [slice(a, b) for a, b in zip(self.first, np.append(self.first[1:], len(self.zs)))]
 
     def integrate(self, numerators):
         """``IntegrationResult`` of each numerator (inner lists) over each
-        path (outer list), one pass over the stack; equal to each walk's
-        ``PathWalk.integrate``."""
-        return _integrals(self.zs, self.base, self.first, self.walks[0],
-                          [w.end_sheet for w in self.walks], numerators)
+        path (outer list), in one pass over the stack.
+
+        Each numerator is evaluated once over all rows, at the rule columns
+        alone.  Each row is summed on its own, contiguous, so it sums
+        exactly as the 1-D sum of its panel would; each path's panel sums
+        are then added in path order by one ``cumsum`` down the rows, padded
+        with -0.0, which leaves every sum unchanged, so no sum runs across
+        paths and each path integrates as it does walked alone.
+        """
+        _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(self.quad_order)
+        q, first = idx_hi.size, self.first
+        cols = np.concatenate([idx_hi, idx_lo])
+        z, wb = np.take(self.zs, cols, axis=1), np.take(self.base, cols, axis=1)
+        f = np.empty((len(numerators),) + z.shape, dtype=complex)  # (numerator, row, column)
+        for fb, b in zip(f, numerators):
+            np.multiply(b(z), wb, out=fb)
+        sums = np.stack([np.sum(w_hi * f[..., :q], axis=-1),
+                         np.sum(w_lo * f[..., q:], axis=-1)], axis=-1)
+        rows = sums.shape[1]
+        path = np.repeat(np.arange(first.size), np.diff(first, append=rows))
+        rank = np.arange(rows) - first[path]
+        padded = np.full((first.size, rank.max() + 1) + sums.shape[::2], complex(-0.0, -0.0))
+        padded[path, rank] = sums.swapaxes(0, 1)
+        totals = np.cumsum(padded, axis=1)[:, -1]  # (path, numerator, rule)
+        return [
+            [IntegrationResult(complex(hi), float(abs(hi - lo)), int(s)) for hi, lo in total]
+            for total, s in zip(totals, self.end_sheets)
+        ]
 
     @cached_property
     def _probed(self):
@@ -870,14 +838,15 @@ def _singular_set(curve):
 
 def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     """Subdivide the paths into panels and continue eta along each from its
-    start sheet: a ``StackWalk`` with one ``PathWalk`` per path, and every
-    integral over a path is a weighted sum over its walk.
+    start sheet: a ``StackWalk``, over whose rows every integral over a path
+    is a weighted sum.
 
     The paths are walked as one stack: they are subdivided together (see
     ``_subdivide``), P is evaluated once over the whole (panels x nodes)
     grid and the sheet signs of all panels chain in one pass, see
-    ``_walk_eta``; each walk holds its path's rows of the stack.  A failure
-    raises the error that walking the paths one after another raises first.
+    ``_walk_eta``.  Each path gets the rows it gets when walked alone, and
+    a failure raises the error that walking the paths one after another
+    raises first.
 
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
     same order (another curve, say a nearby iterate's), hands its grid on:
@@ -890,7 +859,7 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     P = curve.P
     paths = tuple(paths)
     sing = _singular_set(curve)
-    ts, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
+    ts = _panel_grid(quad_order)[0]
     # (tuples compare their items by identity first, so the paths of one
     # frame compare at no cost)
     if like is not None and (like.quad_order, like.paths) != (quad_order, paths):
@@ -929,16 +898,7 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     # the velocities may be a handed-on grid's, so they are not divided in
     # place
     base = velocity / (zs**2 * etas)
-    walks = tuple(
-        PathWalk(zs[a:b], etas[a:b], base[a:b], idx_hi, w_hi, idx_lo, w_lo, int(s))
-        for a, b, s in zip(first, last + 1, end_sheet)
-    )
-    return StackWalk(paths, quad_order, panels, zs, velocity, base, first, walks)
-
-
-def walk_path(curve, path, quad_order=DEFAULT_QUAD_ORDER):
-    """``walk_paths`` of the one path."""
-    return walk_paths(curve, [path], quad_order)[0]
+    return StackWalk(paths, quad_order, panels, zs, velocity, etas, base, first, end_sheet)
 
 
 def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
@@ -950,7 +910,7 @@ def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
     the half-order rule on the same panels, so doubling ``quad_order`` moves
     the value by less than ``error``.
     """
-    return walk_path(curve, path, quad_order).integrate(numerators)
+    return walk_paths(curve, [path], quad_order).integrate(numerators)[0]
 
 
 # ---------------------------------------------------------------------------

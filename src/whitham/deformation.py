@@ -71,7 +71,7 @@ from .polyring import (
     real_section_scale,
     symmetrize,
 )
-from .spectral import ScalingRow, is_conformal, product_form, unpack_section
+from .spectral import ScalingRow, is_conformal, unpack_section
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +236,10 @@ class Tower:
     each spec builds its Vandermonde system once, at its first solve.
 
     ``scaling_row``, the ``ScalingRow`` of P that the scaling fix of every
-    tangent vector reads, is built from the curve of ``P_roots`` on first
-    use and then kept; a tower that makes no tangent vector (case (c))
-    never builds it."""
+    tangent vector reads (the same Pi and index m as a ``PsiFrame`` at the
+    triple), is built from the curve of ``P_roots`` on first use and then
+    kept; a tower that makes no tangent vector (case (c)) never builds
+    it."""
 
     triple: object  # the SpectralTriple the tower was built from
     label: CaseLabel
@@ -263,14 +264,10 @@ class Tower:
 
     @cached_property
     def scaling_row(self):
-        """The ``ScalingRow`` of P at the curve of ``P_roots``, with the
-        largest product-form coefficient as reference index (stable across
-        the conformal locus).  A P with no curve raises the curve's error
-        here, at the first scaling fix."""
-        P = self.triple.P
-        alphas = [a for a, _ in _curve_from_roots(P, self.P_roots).branch_pairs]
-        Pi = product_form(alphas)
-        return ScalingRow.at(P, alphas, Pi, int(np.argmax(np.abs(Pi.coeffs))))
+        """``ScalingRow.of`` the curve of P from ``P_roots``, so with the
+        reference index a frame at the triple takes.  A P with no curve
+        raises the curve's error here, at the first scaling fix."""
+        return ScalingRow.of(_curve_from_roots(self.triple.P, self.P_roots))
 
 
 def _real_factor(p):

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import build_curve, homology_basis, integrate_batch
+from .curve import DEFAULT_QUAD_ORDER, build_curve, homology_basis, walk_paths
 from .deformation import (
     PARAMS_CASE,
     CaseAParams,
@@ -259,7 +259,7 @@ def _chart_solve(chart, integers, frame, start, tol):
     return ProjectionResult(make_triple(x), norm, trace)
 
 
-def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=32):
+def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=DEFAULT_QUAD_ORDER):
     """Gauss-Newton projection of a candidate triple onto the moduli set.
 
     Lattice targets default to the nearest 2*pi*i multiples of the initial
@@ -315,17 +315,12 @@ def seed_genus0(alpha=0.42 + 0.18j):
     P = product_form([alpha])
     cur = build_curve(P)
     basis = homology_basis(cur)
-
-    def closing_values(y):
-        b = differential_family_genus0(alpha, y)
-        return tuple(
-            integrate_batch(cur, [b], path, SEED_QUAD_ORDER)[0].value
-            for path in (basis.gamma_plus, basis.gamma_minus)
-        )
-
+    # closings (gamma+, gamma-) of the numerators at y = 1 and y = i, from one
+    # walk of both paths
+    walks = walk_paths(cur, [basis.gamma_plus, basis.gamma_minus], SEED_QUAD_ORDER)
+    closings = walks.integrate([differential_family_genus0(alpha, y) for y in (1.0, 1j)])
+    c1, ci = ([res[i].value for res in closings] for i in range(2))
     # the map y -> closings is R-linear; fit 2 real unknowns to 4 real targets
-    c1 = closing_values(1.0)
-    ci = closing_values(1j)
     M = np.array(
         [
             [c1[0].real, ci[0].real],
@@ -587,7 +582,7 @@ class FlowConfig:
     steps: int = 10
     params_rule: object = "basis0"  # a key of BASIS_RULES, or a PARAMS_CASE kind
     projection_tol: float = 1e-10
-    quad_order: int = 32
+    quad_order: int = DEFAULT_QUAD_ORDER
 
     def __post_init__(self):
         rule = self.params_rule

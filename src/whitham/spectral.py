@@ -14,10 +14,14 @@ parts, and the product-form scaling normalization of P.
 deterministic given the deterministic homology basis; for derivative work
 (``d_psi``, Jacobians, Newton projection) the basis geometry and the
 scaling's reference coefficient index are frozen in a ``PsiFrame`` so
-nearby triples are measured against identical paths.
+nearby triples are measured against identical paths.  The scaling
+normalization (the product form of the in-disc branch points and its
+reference index) is chosen in one place, ``ScalingRow.of``, for frames,
+Psi, its Jacobian and the tangent's scaling fix alike.
 
 Newton projection uses the exact Jacobian: in a frozen frame every column
-is a sum over the nodes of the same walks that evaluate Psi.  ``psi_walks``
+is a sum over the nodes of the same stacked walk (``curve.StackWalk``)
+that evaluates Psi.  ``psi_walks``
 keeps those walks and assembles the Jacobian only when asked; handed the
 walks of an earlier evaluation in the frame, it walks on their quadrature
 grid when the new branch points leave the subdivision unchanged.  The
@@ -28,15 +32,17 @@ independent oracle.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .curve import (
     CIRCLE_TOL,
+    DEFAULT_QUAD_ORDER,
     StackWalk,
     _curve_from_roots,
+    _panel_grid,
     build_curve,
     homology_basis,
     residue_condition,
@@ -247,21 +253,41 @@ def _added(p, q):
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """The scaling component Pi_m / P_m at P with what its derivative along
-    P needs: the product form Pi of P's in-disc branch points, the index m
-    and the branch points' ``product_form_motion``.  Built once per point;
-    ``numerators`` then costs one loop per direction."""
+    """The scaling component of Psi at the curve of P, Pi_m / P_m, with
+    what its derivative along P needs: the product form Pi of the curve's
+    in-disc branch points, the reference index m and, built on first use,
+    the branch points' ``product_form_motion``.  ``of`` is the one place
+    that picks Pi and m; ``numerators`` then costs one loop per
+    direction."""
 
-    P: Polynomial
+    curve: object
     product: Polynomial
     index: int
-    motion: tuple
 
     @staticmethod
-    def at(P, alphas, product, index):
-        """The row at P, whose in-disc branch points ``alphas`` have the
-        product form ``product``, with reference index ``index``."""
-        return ScalingRow(P, product, index, product_form_motion(alphas, P))
+    def of(curve, index=None):
+        """The row at ``curve``; the index defaults to m = argmax |Pi_m|.
+
+        At a nonconformal normalized point with m = 0 the value is the
+        classical prod(-alpha_k) / P_0; the stable argmax index extends it
+        across the conformal locus, where both of those vanish."""
+        Pi = product_form(a for a, _ in curve.branch_pairs)
+        return ScalingRow(curve, Pi, int(np.argmax(np.abs(Pi.coeffs))) if index is None else index)
+
+    @property
+    def P(self):
+        return self.curve.P
+
+    def value(self):
+        """The last Psi component, Pi_m / P_m; raises when P_m vanishes."""
+        pm = self.P.coeff(self.index)
+        if pm == 0:
+            raise RealityViolationError("scaling reference coefficient of P vanishes")
+        return complex(self.product.coeff(self.index) / pm)
+
+    @cached_property
+    def motion(self):
+        return product_form_motion([a for a, _ in self.curve.branch_pairs], self.P)
 
     def numerators(self, P_dots):
         """P_m dPi_m - dP_m Pi_m for each P_dot of ``P_dots``: the numerator
@@ -275,33 +301,10 @@ class ScalingRow:
         ]
 
 
-def scaling_value(P, curve=None):
-    """Last Psi component: Pi_m / P_m for the product-form Pi.
-
-    At a nonconformal normalized point with m = 0 this is the classical
-    prod(-alpha_k) / P_0; the stable index m = argmax |Pi_m| extends it
-    across the conformal locus where both of those vanish.
-    """
-    cur = curve if curve is not None else build_curve(P)
-    return _scaling_ratio(P, product_form(a for a, _ in cur.branch_pairs))
-
-
-def _scaling_ratio(P, Pi, index=None):
-    """``scaling_value`` from the product form ``Pi`` of P's curve."""
-    if index is None:
-        index = int(np.argmax(np.abs(Pi.coeffs)))
-    pm = P.coeff(index)
-    if pm == 0:
-        raise RealityViolationError("scaling reference coefficient of P vanishes")
-    return complex(Pi.coeff(index) / pm), index
-
-
 def normalize(triple):
     """Rescale (P, b1, b2) -> (P/lambda^2, b1/lambda, b2/lambda) so P takes
     the product form; the differentials are unchanged as differentials."""
-    cur = build_curve(triple.P)
-    s, index = scaling_value(triple.P, cur)
-    lam2 = 1.0 / s
+    lam2 = 1.0 / ScalingRow.of(build_curve(triple.P)).value()
     if abs(lam2.imag) > 1e-6 * abs(lam2) or lam2.real <= 0:
         raise RealityViolationError(
             f"scaling factor lambda^2 = {lam2:.6g} is not positive real"
@@ -324,39 +327,39 @@ class PsiFrame:
     Psi evaluated in one frame is smooth in the triple's coefficients, so
     finite differences and Newton steps are taken inside a frame.
     Rebuilding a frame ``like`` an old one keeps the cycle assignment
-    continuous when branch points have moved (and possibly reordered).
-    The frame keeps the curve it was built on and that curve's product
-    form, which Psi reuses at a triple with the same P.
+    continuous when branch points have moved (and possibly reordered): the
+    in-disc ends of the old basis's cuts anchor the new one, and the old
+    scaling index is kept.  The frame keeps the ``ScalingRow`` of the curve
+    it was built on (``row``, with the frame's index), which Psi reuses at
+    a triple with the same P.
     """
 
     basis: object
     scaling_index: int
-    quad_order: int = 32
-    anchors: tuple = ()
-    curve: object = field(default=None, compare=False, repr=False)
-    product: object = field(default=None, compare=False, repr=False)
+    quad_order: int = DEFAULT_QUAD_ORDER
+    row: object = field(default=None, compare=False, repr=False)
 
     @staticmethod
-    def build(triple, quad_order=32, jitter=0.0, like=None, curve=None):
+    def build(triple, quad_order=DEFAULT_QUAD_ORDER, jitter=0.0, like=None, curve=None):
         """Frame at the triple; ``curve`` is the curve of ``triple.P`` when
-        the caller has already built it."""
+        the caller has already built it.  Raises ``RealityViolationError``
+        when P_m vanishes at the argmax index m, even when ``like`` sets
+        the index."""
         cur = curve if curve is not None else build_curve(triple.P)
-        anchor = like.anchors if like is not None and like.anchors else None
+        anchor = None if like is None else [a for a, _ in like.basis.cuts]
         basis = homology_basis(cur, jitter=jitter, anchor=anchor)
-        Pi = product_form(a for a, _ in cur.branch_pairs)
-        _, index = _scaling_ratio(triple.P, Pi)
-        anchors = tuple(a for a, _ in basis.cuts)
+        row = ScalingRow.of(cur)
+        row.value()  # checks P_m at the argmax index, before ``like`` sets it
         if like is not None:
-            index = like.scaling_index
-        return PsiFrame(basis, index, quad_order, anchors, cur, Pi)
+            row = replace(row, index=like.scaling_index)
+        return PsiFrame(basis, row.index, quad_order, row)
 
-    def curve_of(self, P):
-        """The curve of P and its product form: the frame's own when P is
-        the one the frame was built at."""
-        if self.curve is not None and self.curve.P == P:
-            return self.curve, self.product
-        cur = build_curve(P)
-        return cur, product_form(a for a, _ in cur.branch_pairs)
+    def row_of(self, P):
+        """The ``ScalingRow`` of P at the frame's index: the frame's own when
+        P is the one the frame was built at."""
+        if self.row is not None and self.row.P == P:
+            return self.row
+        return ScalingRow.of(build_curve(P), self.scaling_index)
 
 
 @dataclass(frozen=True)
@@ -412,7 +415,7 @@ def _psi_paths(frame):
     return basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
 
 
-def psi(triple, frame=None, quad_order=32):
+def psi(triple, frame=None, quad_order=DEFAULT_QUAD_ORDER):
     """Assemble all period/closing integrals, residue values and the scaling.
 
     Component order: A_1..A_g, B_1..B_g of the first differential, the
@@ -445,12 +448,12 @@ class PsiWalks:
     Jacobian from them when, and only when, it is called.  ``walks`` is the
     ``curve.StackWalk`` of the frame's paths, which holds the quadrature
     grid a later evaluation in the frame can take over (``psi_walks(...,
-    like=...)``); the grid is freed with the walks."""
+    like=...)``); the grid is freed with the walks.  ``row`` is the
+    ``ScalingRow`` of the triple's P at the frame's index."""
 
     triple: SpectralTriple
     frame: PsiFrame
-    curve: object
-    product: Polynomial
+    row: ScalingRow
     walks: StackWalk
     vector: PsiVector
 
@@ -462,8 +465,7 @@ class PsiWalks:
         linear in b, and eta^2 = P gives its P-derivative
         -1/2 b dP dzeta/(zeta^2 eta P); both are sums over the walk's nodes.
         The residue rows are exact (the residue condition is bilinear), and
-        the scaling row follows the branch points through the
-        ``ScalingRow`` of the walks' curve.
+        the scaling row follows the branch points through ``row``.
         """
         triple = self.triple
         g = triple.g
@@ -472,12 +474,14 @@ class PsiWalks:
         EP, Eb = _section_basis(kP), _section_basis(kb)
         nP, nb = kP + 1, kb + 1
         b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
+        stack = self.walks
+        _, idx_hi, w_hi, _, _ = _panel_grid(stack.quad_order)
         # d(integral of b_i over path p) in rows [i, p]
-        lattice = np.zeros((2, len(self.walks), nP + 2 * nb), dtype=complex)
-        for p, w in enumerate(self.walks):
-            zs = np.take(w.zs, w.idx_hi, axis=1).ravel()
-            wb = (w.w_hi * np.take(w.base, w.idx_hi, axis=1)).ravel()
-            inv_P = 1.0 / np.take(w.etas, w.idx_hi, axis=1).ravel() ** 2
+        lattice = np.zeros((2, len(stack.paths), nP + 2 * nb), dtype=complex)
+        for p, rows in enumerate(stack.slices()):
+            zs = np.take(stack.zs[rows], idx_hi, axis=1).ravel()
+            wb = (w_hi * np.take(stack.base[rows], idx_hi, axis=1)).ravel()
+            inv_P = 1.0 / np.take(stack.etas[rows], idx_hi, axis=1).ravel() ** 2
             # node weights whose moments sum(f zeta^k) are the b-columns (row
             # 0) and the P-columns of b1 and b2 (rows 1, 2) in the monomial
             # basis
@@ -495,11 +499,10 @@ class PsiWalks:
         for i, b in enumerate(bs):
             residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
             residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
-        m = self.frame.scaling_index
-        row = ScalingRow.at(P, [a for a, _ in self.curve.branch_pairs], self.product, m)
+        m = self.row.index
         scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
-        scaling[0, :nP] = [num / P.coeff(m) ** 2 for num in row.numerators(P_dots)]
-        n = len(self.walks) - 2
+        scaling[0, :nP] = [num / P.coeff(m) ** 2 for num in self.row.numerators(P_dots)]
+        n = len(stack.paths) - 2
         # complex rows in the order of ``PsiVector.flatten``: periods of b1
         # and of b2, closings of b1 and of b2, residues, scaling
         Jc = np.vstack([lattice[0, :n], lattice[1, :n], lattice[0, n:], lattice[1, n:],
@@ -521,9 +524,9 @@ def psi_walks(triple, frame, like=None):
     on that grid without subdividing them again (``curve.walk_paths``).
     The result is that of a fresh evaluation.  Walks in another frame raise
     ``ValueError``."""
-    cur, Pi = frame.curve_of(triple.P)
+    row = frame.row_of(triple.P)
     paths = _psi_paths(frame)
-    walks = walk_paths(cur, paths, frame.quad_order, like=None if like is None else like.walks)
+    walks = walk_paths(row.curve, paths, frame.quad_order, like=None if like is None else like.walks)
     per_path = walks.integrate((triple.b1, triple.b2))
     n = len(paths) - 2
     periods, closings, labels = [], [], []
@@ -539,9 +542,8 @@ def psi_walks(triple, frame, like=None):
         residue_condition(triple.P, triple.b2),
     )
     labels.extend(("res.T1", "res.T2", "scaling"))
-    s, _ = _scaling_ratio(triple.P, Pi, frame.scaling_index)
-    vector = PsiVector(tuple(periods), tuple(closings), residues, s, tuple(labels), err)
-    return PsiWalks(triple, frame, cur, Pi, walks, vector)
+    vector = PsiVector(tuple(periods), tuple(closings), residues, row.value(), tuple(labels), err)
+    return PsiWalks(triple, frame, row, walks, vector)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +683,7 @@ def _margin_check(name, margin, threshold, details):
     )
 
 
-def validate(triple, tol=None, quad_order=32):
+def validate(triple, tol=None, quad_order=DEFAULT_QUAD_ORDER):
     """Grade every admissibility condition; failures are entries, never
     exceptions (integration failures are recorded per entry)."""
     tol = tol or ToleranceProfile()

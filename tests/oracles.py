@@ -5,6 +5,8 @@ stacks raw coefficient convolutions into one dense least-squares solve, and
 instance generators build data from explicit factors.
 """
 
+from collections import namedtuple
+
 import numpy as np
 
 from whitham.errors import DegreeBoundError
@@ -226,8 +228,22 @@ def reference_empdi_residual(triple, v, i):
     return (lhs - rhs).norm() / scale
 
 
+# one path's rows of a ``curve.StackWalk``
+PathRows = namedtuple("PathRows", "zs etas base end_sheet")
+
+
+def per_path(stack):
+    """Each path's ``PathRows`` of a ``curve.StackWalk``: the rows from its
+    ``first`` row up to the next path's."""
+    bounds = [*stack.first, len(stack.zs)]
+    return [
+        PathRows(stack.zs[a:b], stack.etas[a:b], stack.base[a:b], int(s))
+        for a, b, s in zip(bounds[:-1], bounds[1:], stack.end_sheets)
+    ]
+
+
 def reference_walk(curve, path, quad_order):
-    """The per-panel walk that ``curve.walk_path`` stacks: segments split one
+    """The per-panel walk that ``curve.walk_paths`` stacks: segments split one
     at a time, eta continued panel by panel.  Returns (zs, etas, base,
     end_sheet) with one row per panel."""
     from whitham.curve import _continue_eta, _panel_grid
@@ -319,18 +335,59 @@ def _reference_walk_eta(P, seg, ts, eta0, continue_eta):
     return etas
 
 
-def reference_integrate(walk, numerators):
+def reference_integrate(walk, numerators, quad_order):
     """The per-path integral that ``StackWalk.integrate`` stacks: over one
-    ``PathWalk``, each numerator evaluated at every node, each panel summed
-    on its own, and the panel sums added in path order.  Returns (value,
-    error, end sheet) per numerator."""
+    path's ``PathRows`` (``per_path``), each numerator evaluated at every
+    node, each panel summed on its own by the rules of ``quad_order``, and
+    the panel sums added in path order.  Returns (value, error, end sheet)
+    per numerator."""
+    from whitham.curve import _panel_grid
+
+    _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
     out = []
     for b in numerators:
         fvals = b(walk.zs) * walk.base
         sums = np.column_stack([
-            np.sum(walk.w_hi * np.take(fvals, walk.idx_hi, axis=1), axis=1),
-            np.sum(walk.w_lo * np.take(fvals, walk.idx_lo, axis=1), axis=1),
+            np.sum(w_hi * np.take(fvals, idx_hi, axis=1), axis=1),
+            np.sum(w_lo * np.take(fvals, idx_lo, axis=1), axis=1),
         ])
         hi, lo = np.cumsum(sums, axis=0)[-1]
         out.append((complex(hi), float(abs(hi - lo)), walk.end_sheet))
     return out
+
+
+def reference_lattice_jacobian(evaluation):
+    """The lattice rows of ``PsiWalks.jacobian`` of the ``PsiWalks``
+    ``evaluation``, by the moment loop over each path's own rows
+    (``per_path``) that it ran when every path's walk was a separate view:
+    the real and imaginary part of each complex row, periods of b1 and of
+    b2, then closings of b1 and of b2."""
+    from whitham.curve import _panel_grid
+    from whitham.spectral import _section_basis
+
+    triple = evaluation.triple
+    kP, kb = 2 * triple.g + 2, triple.g + 3
+    EP, Eb = _section_basis(kP), _section_basis(kb)
+    nP, nb = kP + 1, kb + 1
+    b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
+    _, idx_hi, w_hi, _, _ = _panel_grid(evaluation.walks.quad_order)
+    walks = per_path(evaluation.walks)
+    lattice = np.zeros((2, len(walks), nP + 2 * nb), dtype=complex)
+    for p, w in enumerate(walks):
+        zs = np.take(w.zs, idx_hi, axis=1).ravel()
+        wb = (w_hi * np.take(w.base, idx_hi, axis=1)).ravel()
+        inv_P = 1.0 / np.take(w.etas, idx_hi, axis=1).ravel() ** 2
+        f = np.stack([wb] + [wb * b(zs) * inv_P for b in (triple.b1, triple.b2)])
+        moments = np.empty((3, max(nP, nb)), dtype=complex)
+        zk = np.ones_like(zs)
+        for k in range(moments.shape[1]):
+            moments[:, k] = f @ zk
+            zk *= zs
+        for i in range(2):
+            lattice[i, p, :nP] = -0.5 * (moments[1 + i, :nP] @ EP)
+            lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
+    n = len(walks) - 2
+    Jc = np.vstack([lattice[0, :n], lattice[1, :n], lattice[0, n:], lattice[1, n:]])
+    J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
+    J[0::2], J[1::2] = Jc.real, Jc.imag
+    return J

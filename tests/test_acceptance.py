@@ -362,7 +362,7 @@ def test_criterion_9_periods(g0_triple, g1_triple):
 
     # one-cut A-cycle of dzeta/eta vs the residue-at-infinity oracle
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
-    span = PathOnCurve((ArcSegment(1.25, 1.1, 0.0, 2 * np.pi),), 1, True, "A")
+    span = PathOnCurve((ArcSegment(1.25, 1.1, 0.0, 2 * np.pi),), 1, "A")
     val = integrate_batch(cur, [Polynomial([0, 0, 1.0])], span, 48)[0].value
     a_err = min(abs(val - 2j * np.pi), abs(val + 2j * np.pi))
 

@@ -9,7 +9,6 @@ from whitham.curve import (
     homology_basis,
     integrate_batch,
     residue_condition,
-    walk_path,
     walk_paths,
 )
 from whitham.errors import (
@@ -20,6 +19,8 @@ from whitham.errors import (
     RealityViolationError,
 )
 from whitham.polyring import Polynomial, random_real_section
+
+from oracles import per_path
 
 
 def P(*coeffs):
@@ -45,7 +46,7 @@ def zero_residue(Ppoly, b):
 
 def circle(center, radius, sheet=1):
     return PathOnCurve(
-        (ArcSegment(complex(center), radius, 0.0, 2 * np.pi),), sheet, True, "circle"
+        (ArcSegment(complex(center), radius, 0.0, 2 * np.pi),), sheet, "circle"
     )
 
 
@@ -205,7 +206,7 @@ def test_path_through_singularity_raises():
         integrate_batch(
             cur,
             [b],
-            PathOnCurve((LineSegment(0.5 - 1.0, 0.5 + 1.0),), 1, False, "bad"),
+            PathOnCurve((LineSegment(0.5 - 1.0, 0.5 + 1.0),), 1, "bad"),
             16,
         )
 
@@ -329,12 +330,13 @@ def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
     for t in points:
         frame = PsiFrame.build(t)
         paths = _psi_paths(frame)
+        cur = frame.row.curve
         for order in (16, 32, 48):
-            stack = walk_paths(frame.curve, paths, order)
+            stack = per_path(walk_paths(cur, paths, order))
             assert len(stack) == len(paths)
             for path, walk in zip(paths, stack):
-                ref = reference_walk(frame.curve, path, order)
-                _assert_walks_equal(walk_path(frame.curve, path, order), ref)
+                ref = reference_walk(cur, path, order)
+                _assert_walks_equal(per_path(walk_paths(cur, [path], order))[0], ref)
                 _assert_walks_equal(walk, ref)
 
 
@@ -347,7 +349,7 @@ def _walked(walk):
 
 
 def _walked_in_order(cur, paths):
-    return _walked(lambda: tuple(walk_path(cur, path, 32) for path in paths))
+    return _walked(lambda: [per_path(walk_paths(cur, [path], 32))[0] for path in paths])
 
 
 def _same_outcome(stacked, in_order):
@@ -363,10 +365,10 @@ def _same_outcome(stacked, in_order):
 # clear them (FAR), pass 1e-6 from 0.5 (NEAR: 86 panels, 171 panels and
 # splits) or through 0.5 and through 0 (THROUGH, POLE; POLE's midpoint probe
 # hits 0 on the first level)
-FAR = PathOnCurve((ArcSegment(-0.5 - 0.5j, 0.12, 0.0, 2 * np.pi),), 1, True, "far")
-NEAR = PathOnCurve((LineSegment(-0.4 + 1e-6j, 0.9 + 1e-6j),), 1, False, "near")
-THROUGH = PathOnCurve((LineSegment(0.5 - 0.3j, 0.5 + 0.3j),), 1, False, "through")
-POLE = PathOnCurve((LineSegment(-0.2j, 0.2j),), 1, False, "pole")
+FAR = PathOnCurve((ArcSegment(-0.5 - 0.5j, 0.12, 0.0, 2 * np.pi),), 1, "far")
+NEAR = PathOnCurve((LineSegment(-0.4 + 1e-6j, 0.9 + 1e-6j),), 1, "near")
+THROUGH = PathOnCurve((LineSegment(0.5 - 0.3j, 0.5 + 0.3j),), 1, "through")
+POLE = PathOnCurve((LineSegment(-0.2j, 0.2j),), 1, "pole")
 
 
 def test_stack_raises_the_first_failing_path_error():
@@ -376,7 +378,7 @@ def test_stack_raises_the_first_failing_path_error():
     for paths in ([FAR, THROUGH, NEAR], [NEAR, THROUGH, FAR, POLE]):
         in_order = _walked_in_order(cur, paths)
         assert in_order == (GeometryError, "integration path passes through a singular point")
-        assert _walked(lambda: walk_paths(cur, paths, 32)) == in_order
+        assert _walked(lambda: per_path(walk_paths(cur, paths, 32))) == in_order
 
 
 def test_segment_guard_applies_per_path(monkeypatch):
@@ -390,7 +392,7 @@ def test_segment_guard_applies_per_path(monkeypatch):
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
     monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 171)
     paths = [NEAR, FAR, NEAR]
-    stack = walk_paths(cur, paths, 32)
+    stack = per_path(walk_paths(cur, paths, 32))
     assert sum(len(w.zs) for w in stack) > curve_mod.MAX_SEGMENTS
     _same_outcome(stack, _walked_in_order(cur, paths))
     monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 170)
@@ -402,7 +404,7 @@ def test_segment_guard_applies_per_path(monkeypatch):
         in_order = _walked_in_order(cur, paths)
         if message is not None:
             assert in_order == (GeometryError, message)
-        _same_outcome(_walked(lambda: walk_paths(cur, paths, 32)), in_order)
+        _same_outcome(_walked(lambda: per_path(walk_paths(cur, paths, 32))), in_order)
 
 
 def test_unclear_row_falls_back_to_bisection(monkeypatch):
@@ -474,7 +476,7 @@ def test_stacked_rows_restart_at_each_path():
 def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
     """``StackWalk.integrate`` evaluates each numerator once over the rows of
     every path and adds each path's panel sums apart: every value, error
-    and end sheet equals that path's ``PathWalk.integrate`` and the
+    and end sheet equals that path's ``integrate_batch`` and the
     per-path reference, bit for bit, at genus 0 to 3 and at three
     orders."""
     from oracles import reference_integrate
@@ -491,12 +493,14 @@ def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
     for t in points:
         frame = PsiFrame.build(t)
         numerators = (t.b1, t.b2, random_real_section(rng, t.g + 3))
+        paths = _psi_paths(frame)
         for order in (16, 32, 48):
-            stack = walk_paths(frame.curve, _psi_paths(frame), order)
+            stack = walk_paths(frame.row.curve, paths, order)
             stacked = stack.integrate(numerators)
-            assert len(stacked) == len(stack)
-            for walk, per_path in zip(stack, stacked):
-                alone = walk.integrate(numerators)
-                ref = reference_integrate(walk, numerators)
-                assert [(r.value, r.error, r.end_sheet) for r in per_path] == ref
+            walks = per_path(stack)
+            assert len(stacked) == len(walks)
+            for path, walk, results in zip(paths, walks, stacked):
+                alone = integrate_batch(frame.row.curve, numerators, path, order)
+                ref = reference_integrate(walk, numerators, order)
+                assert [(r.value, r.error, r.end_sheet) for r in results] == ref
                 assert [(r.value, r.error, r.end_sheet) for r in alone] == ref

@@ -550,6 +550,22 @@ def test_scaling_shift_is_bit_identical_to_inline_root_motion(
             assert _scaling_shift(build_tower(t), P_dot) == _inline_scaling_shift(t, P_dot)
 
 
+def test_frame_and_tower_take_the_same_scaling_index(
+    g0_triple, g1_triple, g0_conformal, g1_b_linear, g2_b_quad
+):
+    """A frame built at a triple and the tower's scaling row take the same
+    reference index m: at the five seeds and at every conformal seed with
+    k+, k- in 1..2."""
+    from whitham.flow import seed_conformal_genus0
+    from whitham.spectral import PsiFrame
+
+    triples = [g0_triple, g1_triple, g0_conformal, g1_b_linear, g2_b_quad]
+    assert not any(isinstance(t, str) for t in triples), triples
+    triples += [seed_conformal_genus0(kp, km) for kp in (1, 2) for km in (1, 2)]
+    for t in triples:
+        assert PsiFrame.build(t).scaling_index == build_tower(t).scaling_row.index
+
+
 def test_tower_scaling_row_matches_the_per_call_reference(
     g0_triple, g1_triple, g0_conformal, g1_b_linear, g2_b_quad
 ):
@@ -585,7 +601,6 @@ def test_tangent_basis_builds_each_system_once(g1_triple, monkeypatch):
     every scaling fix rebuilt them), and roots 3 vectors: P, b1 and b2,
     since B_1 = 2P takes P's roots (4 when 2P was rooted again)."""
     import whitham.bezout as bezout
-    import whitham.deformation as deformation
     import whitham.spectral as spectral
 
     counts = {"vandermonde": 0, "product_form": 0}
@@ -600,7 +615,6 @@ def test_tangent_basis_builds_each_system_once(g1_triple, monkeypatch):
                         counted("vandermonde", bezout.confluent_vandermonde))
     pf = counted("product_form", spectral.product_form)
     monkeypatch.setattr(spectral, "product_form", pf)
-    monkeypatch.setattr(deformation, "product_form", pf)
     seen = _rooted_vectors(monkeypatch)
     tangent_basis(g1_triple)
     assert counts == {"vandermonde": 2, "product_form": 3}

@@ -275,6 +275,23 @@ def test_seed_genus0_validates(g0_triple):
     assert classify(g0_triple).label == "a"
 
 
+def test_seed_genus0_fits_its_closings_from_one_walk(monkeypatch):
+    """``seed_genus0`` walks its two closing paths once, as one stack, for
+    both trial numerators."""
+    import whitham.flow as flow
+
+    walked = []
+    walk_paths = flow.walk_paths
+
+    def counted_walk(curve, paths, *args, **kwargs):
+        walked.append(len(paths))
+        return walk_paths(curve, paths, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "walk_paths", counted_walk)
+    flow.seed_genus0()
+    assert walked == [2]
+
+
 def test_seed_conformal_genus0_validates(g0_conformal):
     rep = validate(g0_conformal, quad_order=48)
     assert rep.verdict, rep.failed()

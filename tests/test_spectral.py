@@ -8,6 +8,7 @@ from whitham.errors import RealityViolationError
 from whitham.polyring import Polynomial, random_real_section
 from whitham.spectral import (
     PsiFrame,
+    ScalingRow,
     SpectralTriple,
     _psi_paths,
     conformal_type,
@@ -21,7 +22,6 @@ from whitham.spectral import (
     psi,
     psi_jacobian,
     psi_walks,
-    scaling_value,
     unpack_triple,
     validate,
 )
@@ -152,7 +152,7 @@ def test_normalize_scales_down():
     out = normalize(doubled)
     assert (out.P - base.P).norm() < 1e-12
     assert (out.b1 - base.b1 / np.sqrt(2)).norm() < 1e-12
-    s, _ = scaling_value(out.P)
+    s = ScalingRow.of(build_curve(out.P)).value()
     assert abs(s - 1.0) < 1e-12
 
 
@@ -168,7 +168,7 @@ def test_normalize_conformal_keeps_zeta_factor():
     out = normalize(scaled)
     assert abs(out.P.coeff(0)) < 1e-14
     assert (out.P - t.P).norm() < 1e-12
-    s, _ = scaling_value(out.P)
+    s = ScalingRow.of(build_curve(out.P)).value()
     assert abs(s - 1.0) < 1e-12
 
 
@@ -374,8 +374,11 @@ def _assert_same_evaluation(a, b):
     if isinstance(b, tuple):
         assert a == b
         return
-    assert len(a.walks) == len(b.walks)
-    for wa, wb in zip(a.walks, b.walks):
+    from oracles import per_path
+
+    walks_a, walks_b = per_path(a.walks), per_path(b.walks)
+    assert len(walks_a) == len(walks_b)
+    for wa, wb in zip(walks_a, walks_b):
         for name in ("zs", "etas", "base"):
             assert np.array_equal(getattr(wa, name), getattr(wb, name)), name
         assert wa.end_sheet == wb.end_sheet
@@ -487,6 +490,25 @@ def test_a_flipped_verdict_falls_back_to_subdividing(g1_triple, monkeypatch):
         handed = psi_walks(moved(h), frame, like=earlier)
         assert calls == subdivided
         _assert_same_evaluation(handed, fresh)
+
+
+def test_exact_jacobian_equals_the_per_path_moment_loop(g1_b_linear, g2_b_quad):
+    """The lattice rows of the exact Jacobian, whose moment loop runs over
+    each path's rows of the stacked walk, equal the loop over each path's
+    own arrays bit for bit: at the five seeds and at genus 2 and 3, at
+    orders 32 and 48, fresh and at P scaled by 1 + 1e-9 in the same frame,
+    handed the fresh evaluation's grid."""
+    from oracles import reference_lattice_jacobian
+
+    seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
+    for t in seeds + synthetic:
+        scaled = SpectralTriple(t.g, t.P * (1 + 1e-9), t.b1, t.b2)
+        for order in (32, 48):
+            frame = PsiFrame.build(t, quad_order=order)
+            fresh = psi_walks(t, frame)
+            for evaluation in (fresh, psi_walks(scaled, frame, like=fresh)):
+                ref = reference_lattice_jacobian(evaluation)
+                assert np.array_equal(evaluation.jacobian()[: len(ref)], ref)
 
 
 def test_a_grid_of_another_frame_is_refused(g0_triple):
