@@ -2,8 +2,10 @@
 
 Runs ``validate``, ``classify``, ``tangent``, ``flow --steps 3`` at the
 default step and at ``--dt 0.05``, each under both flow rules (``basis0``
-and ``basis1``), and ``plot`` on the five seed
-points and on every input given (a directory stands for the ``*.json``
+and ``basis1``), and ``plot`` on the five seed points, on two fixed
+triples (a genus-3 case-(a) triple, whose tangent solves genus-3 Bezout
+systems, and a case-(c) triple, whose ``tangent`` reports the case-(c)
+indicator) and on every input given (a directory stands for the ``*.json``
 files in it), then ``oracle --seed 7 --count 25`` once, in-process, and
 hashes what each call writes to stdout and stderr.  At each seed point it
 also hashes the numbers behind those reports: the Psi vector with its
@@ -35,7 +37,8 @@ import numpy as np
 from whitham.cli import main
 from whitham.curve import build_curve, integrate_batch
 from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1
-from whitham.spectral import PsiFrame, SpectralTriple, psi_walks
+from whitham.polyring import random_real_section
+from whitham.spectral import PsiFrame, SpectralTriple, product_form, psi_walks
 
 COMMANDS = (
     ("validate",),
@@ -61,10 +64,30 @@ SEEDS = {
 }
 
 
+def genus3_case_a():
+    """Genus 3: four fixed branch pairs and fixed random real sections of
+    weight 6, neither residue-free nor on the lattice."""
+    rng = np.random.default_rng(2018)
+    P = product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j])
+    return SpectralTriple(3, P, random_real_section(rng, 6), random_real_section(rng, 6))
+
+
+def case_c():
+    """Genus 2 with a real quadratic F shared by P, b1 and b2."""
+    rng = np.random.default_rng(2019)
+    F = product_form([0.35 + 0.1j])
+    c1, c2 = random_real_section(rng, 3), random_real_section(rng, 3)
+    return SpectralTriple(2, F * product_form([0.5, -0.4]), F * c1, F * c2)
+
+
+# fixed triples that only the CLI commands run on
+FIXED = {"genus3_case_a": genus3_case_a, "case_c": case_c}
+
+
 def inputs(args, workdir):
-    """(label, path) of the seed points, written to ``workdir``, then of the
-    given files."""
-    for name, make in SEEDS.items():
+    """(label, path) of the seed points and the fixed triples, written to
+    ``workdir``, then of the given files."""
+    for name, make in {**SEEDS, **FIXED}.items():
         path = workdir / f"{name}.json"
         path.write_text(json.dumps(make().to_json_dict()), encoding="utf-8")
         yield name, path

@@ -17,6 +17,13 @@ its ``RootSpec`` in, so the system is built once per divisor.
 
 Solvability requires gcd(A, B) | C; that precondition is checked
 numerically and its failure is an error, never a silent least-squares fit.
+
+``minimal_solution`` and ``realify`` take and return ``Polynomial``s but
+form every intermediate on coefficient arrays (``polyring.c_*``): the
+product A X is formed once per solve and feeds both Y = (A X - C) / B and
+the relative residual (``_residual``), and only X and Y become
+``Polynomial``s.  The results are those of the ``Polynomial`` operators,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,11 +37,17 @@ from .errors import NoSolutionError, RealityViolationError
 from .polyring import (
     Polynomial,
     approx_gcd,
+    c_add,
+    c_divmod,
+    c_mul,
+    c_norm,
+    c_sub,
+    c_symmetrize,
     jet_divide,
     poly_jet,
     real_defect,
     roots,
-    symmetrize,
+    trim,
 )
 
 DIVISIBILITY_RTOL = 1e-8
@@ -129,7 +142,8 @@ def _check_square(spec, n):
 
 
 def _rhs_vector(spec, Cd, Ad):
-    """h(B/D, C/A): derivatives of (C/D)/(A/D) at each root, jet-computed.
+    """h(B/D, C/A): derivatives of (C/D)/(A/D) at each root, jet-computed
+    from the coefficients Cd of C/D and Ad of A/D.
 
     Evaluated on the deflated pair so roots of D inside B do not poison the
     denominator.
@@ -171,9 +185,16 @@ class SolutionSpace:
 
 
 def _relative_residual(A, B, C, X, Y):
-    AX, BY = A * X, B * Y
-    scale = max(AX.norm(), BY.norm(), C.norm(), 1e-300)
-    return (AX - BY - C).norm() / scale
+    """|AX - BY - C| / max(|AX|, |BY|, |C|, 1e-300) of a solution (X, Y)."""
+    return _residual(A.coeffs, B.coeffs, C.coeffs, C.norm(), c_mul(A.coeffs, X.coeffs), Y.coeffs)
+
+
+def _residual(a, b, c, c_n, ax, y):
+    """``_relative_residual`` on the coefficients a, b, c of A, B, C, given
+    |C| = c_n and the product ax of A X, which the caller has formed."""
+    by = c_mul(b, y)
+    scale = max(c_norm(ax), c_norm(by), c_n, 1e-300)
+    return c_norm(c_sub(c_sub(ax, by), c)) / scale
 
 
 def minimal_solution(A, B, C, known_gcd=None, spec=None):
@@ -188,17 +209,19 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
     ``NoSolutionError`` is raised when gcd(A, B) fails to divide C.
     """
     D = known_gcd if known_gcd is not None else approx_gcd(A, B)
+    a, b, c = A.coeffs, B.coeffs, C.coeffs
+    c_n = C.norm()
     if D.degree > 0:
-        Cd, rem = C.divmod(D)
-        if rem.norm() > DIVISIBILITY_RTOL * max(C.norm(), 1e-300):
+        cd, rem = c_divmod(c, D.coeffs)
+        if c_norm(rem) > DIVISIBILITY_RTOL * max(c_n, 1e-300):
             raise NoSolutionError(
                 f"gcd(A,B) of degree {D.degree} does not divide C "
-                f"(remainder {rem.norm() / max(C.norm(), 1e-300):.2e})"
+                f"(remainder {c_norm(rem) / max(c_n, 1e-300):.2e})"
             )
-        Ad = A.deflate(D)
+        ad = A.deflate(D).coeffs
         Bd = B.deflate(D)
     else:
-        Cd, Ad, Bd = C, A, B
+        cd, ad, Bd = c, a, B
     warnings = []
 
     if Bd.degree <= 0:
@@ -218,28 +241,30 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
         warnings.append("root multiplicity adjusted to match degree")
     _check_square(spec, n)
     V = spec.matrix
-    h = _rhs_vector(spec, Cd, Ad)
+    h = _rhs_vector(spec, cd, ad)
     x = np.linalg.solve(V, h)
     cond = spec.condition
     if cond > CONDITION_CAP:
         warnings.append(f"ill-conditioned Vandermonde system (cond ~ {cond:.2e})")
-    X = Polynomial(x)
-    Y, rem = (A * X - C).divmod(B)
-    res = _relative_residual(A, B, C, X, Y)
+    # A X feeds both Y = (A X - C) / B and the residual
+    xc = trim(x)
+    ax = c_mul(a, xc)
+    y = c_divmod(c_sub(ax, c), b)[0]
+    res = _residual(a, b, c, c_n, ax, y)
     # one pass of polynomial-level iterative refinement when warranted
     if res > 1e-12:
-        defect = C - (A * X - B * Y)
-        if defect.norm() > 0:
-            Dd, _ = defect.divmod(D) if D.degree > 0 else (defect, None)
-            h2 = _rhs_vector(spec, Dd, Ad)
-            x2 = np.linalg.solve(V, h2)
-            X2 = X + Polynomial(x2)
-            Y2, _ = (A * X2 - C).divmod(B)
-            if _relative_residual(A, B, C, X2, Y2) < res:
-                X, Y = X2, Y2
+        defect = c_sub(c, c_sub(ax, c_mul(b, y)))
+        if c_norm(defect) > 0:
+            dd = c_divmod(defect, D.coeffs)[0] if D.degree > 0 else defect
+            x2 = np.linalg.solve(V, _rhs_vector(spec, dd, ad))
+            xc2 = c_add(xc, trim(x2))
+            ax2 = c_mul(a, xc2)
+            y2 = c_divmod(c_sub(ax2, c), b)[0]
+            res2 = _residual(a, b, c, c_n, ax2, y2)
+            if res2 < res:
+                xc, y, res = xc2, y2, res2
                 x = x + x2
-                res = _relative_residual(A, B, C, X, Y)
-    return BezoutSolution(X, Y, res, cond, tuple(warnings), x)
+    return BezoutSolution(Polynomial(xc), Polynomial(y), res, cond, tuple(warnings), x)
 
 
 def realify(A, B, C, a, b, c, sol):
@@ -253,10 +278,11 @@ def realify(A, B, C, a, b, c, sol):
         # a polynomial over its weight is refused whatever its coefficients
         if p.degree > k or real_defect(p, k) > 1e-8 * max(1.0, p.norm()):
             raise RealityViolationError(f"{name} is not a weight-{k} real section")
-    X = symmetrize(sol.X, c - a)
-    Y = symmetrize(sol.Y, c - b)
+    x = c_symmetrize(sol.X.coeffs, c - a)
+    y = c_symmetrize(sol.Y.coeffs, c - b)
+    res = _residual(A.coeffs, B.coeffs, C.coeffs, C.norm(), c_mul(A.coeffs, x), y)
     return BezoutSolution(
-        X, Y, _relative_residual(A, B, C, X, Y), sol.condition, sol.warnings, sol.x_raw
+        Polynomial(x), Polynomial(y), res, sol.condition, sol.warnings, sol.x_raw
     )
 
 

@@ -34,7 +34,12 @@ Leja-ordered roots of b2-tilde and of the two divisors 2 F_j P-tilde of
 the deformation identities (for the Bezout solves; 2P takes the roots of
 P), each ``RootSpec`` with the Vandermonde system its first solve builds,
 and the scaling row of P that its first scaling fix builds.  Each is
-computed once per tower and passed on; nothing is cached between calls.
+computed once per tower and passed on, and so is each solve of the
+reduced Q-equation (the solve ``r_kernel`` makes to re-check a kernel
+vector is the one ``solve_q_equation`` reads for it); nothing is cached
+between towers.  The construction works on coefficient arrays
+(``polyring.c_*``) and builds a ``Polynomial`` only for the Bezout data and
+the parts of the tangent vector it returns.
 
 Construction pipeline: solve the reduced Q-equation for (c1, c2) at the
 case's parameter choice, feed them into the two reduced identities, solve
@@ -66,12 +71,27 @@ from .polyring import (
     GCD_CLUSTER_RADIUS,
     FactorStructure,
     Polynomial,
+    c_add,
+    c_deflate,
+    c_derivative,
+    c_divmod,
+    c_mul,
+    c_norm,
+    c_padded,
+    c_scale,
+    c_sub,
+    c_symmetrize,
     factor_structure,
     real_defect,
     real_section_scale,
-    symmetrize,
+    trim,
 )
-from .spectral import ScalingRow, is_conformal, unpack_section
+from .spectral import ScalingRow, is_conformal, section_coeffs, unpack_section
+
+# coefficients of 1, zeta and zeta^2 - 1
+_ONE = Polynomial.one().coeffs
+_ZETA = Polynomial.zeta().coeffs
+_ZETA2M1 = Polynomial([-1.0, 0.0, 1.0]).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +259,9 @@ class Tower:
     tangent vector reads (the same Pi and index m as a ``PsiFrame`` at the
     triple), is built from the curve of ``P_roots`` on first use and then
     kept; a tower that makes no tangent vector (case (c)) never builds
-    it."""
+    it.  ``q_solves`` keeps each solve of the reduced Q-equation under the
+    bytes of its right-hand side, so the solve ``r_kernel`` makes to
+    re-check a kernel vector is the one ``solve_q_equation`` reads for it."""
 
     triple: object  # the SpectralTriple the tower was built from
     label: CaseLabel
@@ -252,6 +274,8 @@ class Tower:
     b2_tilde: Polynomial
     b2_spec: RootSpec
     divisors: tuple  # ((B_1, spec), (B_2, spec))
+    # the Q-equation solves made on this tower, by right-hand side
+    q_solves: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def conformal(self):
@@ -346,7 +370,11 @@ def r_value(tw, Q):
 def _r_last_coefficient(A, B, C, spec):
     if B.degree < 1:
         raise DegenerateKernelError("b2-tilde is degenerate (degree < 1); R undefined")
-    sol = minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec)
+    return _r_of(minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec))
+
+
+def _r_of(sol):
+    """R read off a minimal solution: the last coefficient of its X."""
     x = sol.x_raw
     return complex(x[-1]) if x.size else 0.0 + 0.0j
 
@@ -383,7 +411,8 @@ def r_kernel(tw):
     u1 /= np.linalg.norm(u1)
     out = [unpack_section(u, 2) for u in (u1, np.cross(n, u1))]
     for Q in out:
-        if abs(r_value(tw, Q)) > 1e-8 * scale * max(1.0, Q.norm()):
+        # the tower keeps this solve for solve_q_equation at Q
+        if abs(_r_of(_q_solution(tw, Q * tw.P_tilde))) > 1e-8 * scale * max(1.0, Q.norm()):
             raise DegenerateKernelError("kernel candidate fails R(Q) = 0 re-evaluation")
     return tuple(out)
 
@@ -399,10 +428,15 @@ PARAMS_CASE = {CaseAParams: ("a", 0), CaseBLinearParams: ("b", 1),
 
 
 def _q_solution(tw, C):
-    """Minimal solution of the reduced Q-equation b1-tilde X - b2-tilde Y = C."""
-    return minimal_solution(
-        tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
-    )
+    """Minimal solution of the reduced Q-equation b1-tilde X - b2-tilde Y = C,
+    made once per right-hand side on the tower ``tw`` (``Tower.q_solves``)."""
+    key = C.coeffs.tobytes()
+    sol = tw.q_solves.get(key)
+    if sol is None:
+        sol = tw.q_solves[key] = minimal_solution(
+            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
+        )
+    return sol
 
 
 def solve_q_equation(tw, params):
@@ -426,6 +460,8 @@ def solve_q_equation(tw, params):
             f"not case ({tw.label.label}) with deg G = {tw.G.degree}"
         )
 
+    # the intermediate parts are coefficient arrays (``polyring.c_*``)
+    b1t, b2t = tw.b1_tilde.coeffs, tw.b2_tilde.coeffs
     if isinstance(params, CaseAParams):
         Q = params.Q
         if real_defect(Q, 2) > 1e-8 * max(1.0, Q.norm()):
@@ -438,9 +474,9 @@ def solve_q_equation(tw, params):
             raise RealityViolationError(
                 f"R(Q) = {x[-1]:.3e} does not vanish; Q is outside the kernel"
             )
-        c2t = symmetrize(Polynomial(x[:-1]) if x.size > 1 else Polynomial.zero(), g + 1 - d2)
-        c1t, rem = (tw.b1_tilde * c2t - C).divmod(tw.b2_tilde)
-        rem_rel = rem.norm() / max(C.norm(), 1.0)
+        c2t = c_symmetrize(trim(x[:-1]) if x.size > 1 else Polynomial.zero().coeffs, g + 1 - d2)
+        c1t, rem = c_divmod(c_sub(c_mul(b1t, c2t), C.coeffs), b2t)
+        rem_rel = c_norm(rem) / max(C.norm(), 1.0)
         Q_full = Q
     elif isinstance(params, CaseBLinearParams):
         Qt = params.Q_tilde
@@ -448,7 +484,7 @@ def solve_q_equation(tw, params):
             raise RealityViolationError("Q-tilde is not a weight-1 real section")
         C = Qt * tw.P_tilde
         sol = _q_solution(tw, C)
-        c2t, c1t = sol.X, sol.Y
+        c2t, c1t = sol.X.coeffs, sol.Y.coeffs
         rem_rel = sol.residual
         Q_full = tw.G * Qt
     else:
@@ -465,14 +501,18 @@ def solve_q_equation(tw, params):
         a_w, b_w = g + 1 - d1, g + 1 - d2
         c_w = 2 * g + 2 - d1 - d2
         sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, _q_solution(tw, C))
-        c2t = sol.X + float(params.r) * tw.b2_tilde
-        c1t = sol.Y + float(params.r) * tw.b1_tilde
+        r = float(params.r)
+        c2t = c_add(sol.X.coeffs, c_scale(b2t, r))
+        c1t = c_add(sol.Y.coeffs, c_scale(b1t, r))
         rem_rel = sol.residual
-    c1 = tw.F1 * c1t
-    c2 = tw.F2 * c2t
+    c1 = Polynomial(c_mul(tw.F1.coeffs, c1t))
+    c2 = Polynomial(c_mul(tw.F2.coeffs, c2t))
 
-    q_res = (triple.b1 * c2 - triple.b2 * c1 - Q_full * triple.P).norm() / max(
-        (Q_full * triple.P).norm(), triple.b1.norm() * max(c2.norm(), 1e-300), 1e-300
+    QP = c_mul(Q_full.coeffs, triple.P.coeffs)
+    b1c2 = c_mul(triple.b1.coeffs, c2.coeffs)
+    identity = c_sub(c_sub(b1c2, c_mul(triple.b2.coeffs, c1.coeffs)), QP)
+    q_res = c_norm(identity) / max(
+        c_norm(QP), triple.b1.norm() * max(c2.norm(), 1e-300), 1e-300
     )
     info = {"q_identity": float(q_res), "solve_residual": float(rem_rel)}
     return c1, c2, Q_full, info
@@ -484,26 +524,26 @@ def solve_q_equation(tw, params):
 
 
 def _twist(chat):
-    """chat - zeta chat'."""
-    return chat - Polynomial.zeta() * chat.derivative()
+    """chat - zeta chat', on coefficient arrays."""
+    return c_sub(chat, c_mul(_ZETA, c_derivative(chat)))
 
 
-def _empdi_rhs(P, dP, chat, twist):
-    """2P(chat - zeta chat') + P' zeta chat, from dP = P' and twist =
-    ``_twist(chat)``."""
-    return 2.0 * P * twist + dP * Polynomial.zeta() * chat
+def _empdi_terms(twoP, dPz, chat, twist):
+    """2P(chat - zeta chat') + P' zeta chat on coefficient arrays, from
+    twoP = 2P, dPz = P' zeta and twist = ``_twist(chat)``."""
+    return c_add(c_mul(twoP, twist), c_mul(dPz, chat))
 
 
-def _empdi_residual(triple, v, i, chat, twist, dP):
+def _empdi_residual(triple, v, i, twoP, dPz, chat, twist):
     """Relative residual of the i-th deformation identity along ``v``, from
-    the parts ``solve_empdi`` built: chat = (zeta^2 - 1) c_i, twist =
-    chat - zeta chat' and dP = P'."""
+    the coefficient arrays ``solve_empdi`` built: twoP = 2P, dPz = P' zeta,
+    chat = (zeta^2 - 1) c_i and twist = chat - zeta chat'."""
     b = triple.b1 if i == 1 else triple.b2
     b_dot = v.b1_dot if i == 1 else v.b2_dot
-    lhs = v.P_dot * b - 2.0 * triple.P * b_dot
-    rhs = _empdi_rhs(triple.P, dP, chat, twist)
-    scale = max(lhs.norm(), rhs.norm(), triple.P.norm() * b.norm() * 1e-6, 1e-300)
-    return (lhs - rhs).norm() / scale
+    lhs = c_sub(c_mul(v.P_dot.coeffs, b.coeffs), c_mul(twoP, b_dot.coeffs))
+    rhs = _empdi_terms(twoP, dPz, chat, twist)
+    scale = max(c_norm(lhs), c_norm(rhs), triple.P.norm() * b.norm() * 1e-6, 1e-300)
+    return c_norm(c_sub(lhs, rhs)) / scale
 
 
 def _residue_tangent_residual(triple, v, i):
@@ -547,22 +587,24 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     g = triple.g
     warnings = []
 
-    zeta = Polynomial.zeta()
-    zeta2m1 = Polynomial([-1.0, 0.0, 1.0])
-    chat = (zeta2m1 * c1, zeta2m1 * c2)
+    # the intermediate parts are coefficient arrays (``polyring.c_*``);
+    # Polynomials are built for the Bezout data and the returned vector
+    chat = tuple(c_mul(_ZETA2M1, c.coeffs) for c in (c1, c2))
     twists = tuple(_twist(ch) for ch in chat)
-    dP = triple.P.derivative()
+    dP = c_derivative(triple.P.coeffs)
+    twoP = c_scale(triple.P.coeffs, 2.0)
     # at a conformal point the tower's zeta split absorbs the zeta of the
     # P' term, and the two end coefficients it removes lower each weight by 2
-    Z, shift = (Polynomial.one(), 2) if tw.conformal else (zeta, 0)
+    Z, shift = (_ONE, 2) if tw.conformal else (_ZETA, 0)
+    ZdP = c_mul(c_mul(Z, _ZETA2M1), dP)
 
     sols = []
     hom = []
     parts = zip(tw.divisors, twists, (c1, c2), (tw.F1, tw.F2), (tw.b1_tilde, tw.b2_tilde))
     for (B, spec), tch, c, Fi, bt in parts:
-        ct = c.deflate(tw.F * Fi)
+        ct = c_deflate(c.coeffs, c_mul(tw.F.coeffs, Fi.coeffs))
         A = tw.G * bt
-        C = B * tch + Z * zeta2m1 * dP * ct
+        C = Polynomial(c_add(c_mul(B.coeffs, tch), c_mul(ZdP, ct)))
         dF = tw.F.degree + Fi.degree
         a_w = g + 3 - dF - shift
         c_w = 3 * g + 5 - dF - shift
@@ -571,7 +613,8 @@ def solve_empdi(tw, c1, c2, Q, params=None):
         sol = realify(A, B, C, a_w, b_w, c_w, sol)
         warnings.extend(sol.warnings)
         sols.append(sol)
-        hom.append((B, A, c_w - a_w - b_w))  # X-generator, Y-generator, param weight
+        # X-generator, Y-generator, param weight
+        hom.append((B.coeffs, A.coeffs, c_w - a_w - b_w))
 
     # reconcile: P1dot + u1*B1 = P2dot + u2*B2 over real-section (u1, u2)
     delta1, delta2 = hom[0][2], hom[1][2]
@@ -579,12 +622,12 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     cols = []
     for sgn, dlt, (Bgen, _, _) in ((1.0, delta1, hom[0]), (-1.0, delta2, hom[1])):
         for x in np.eye(dlt + 1):
-            e = unpack_section(x, dlt)
-            col = (sgn * (e * Bgen)).padded(n_rows)
+            e = trim(section_coeffs(x, dlt))
+            col = c_padded(c_scale(c_mul(e, Bgen), sgn), n_rows)
             cols.append(np.concatenate([col.real, col.imag]))
     M = np.column_stack(cols)
-    rhs_poly = sols[1].X - sols[0].X
-    rhs = np.concatenate([rhs_poly.padded(n_rows).real, rhs_poly.padded(n_rows).imag])
+    rhs_poly = c_padded(c_sub(sols[1].X.coeffs, sols[0].X.coeffs), n_rows)
+    rhs = np.concatenate([rhs_poly.real, rhs_poly.imag])
     u, *_ = np.linalg.lstsq(M, rhs, rcond=None)
     recon_res = float(np.linalg.norm(M @ u - rhs))
     scale = max(sols[0].X.norm(), sols[1].X.norm(), triple.P.norm(), 1.0)
@@ -593,37 +636,38 @@ def solve_empdi(tw, c1, c2, Q, params=None):
             f"P-dot reconciliation residual {recon_res / scale:.3e}; "
             "input triple is not consistent deformation data"
         )
-    u1 = unpack_section(u[: delta1 + 1], delta1)
-    u2 = unpack_section(u[delta1 + 1 :], delta2)
-    P1 = sols[0].X + u1 * hom[0][0]
-    P2 = sols[1].X + u2 * hom[1][0]
-    P_dot = (P1 + P2) * 0.5
-    b1_dot = sols[0].Y + u1 * hom[0][1]
-    b2_dot = sols[1].Y + u2 * hom[1][1]
+    u1 = trim(section_coeffs(u[: delta1 + 1], delta1))
+    u2 = trim(section_coeffs(u[delta1 + 1 :], delta2))
+    P1_dot = c_add(sols[0].X.coeffs, c_mul(u1, hom[0][0]))
+    P2_dot = c_add(sols[1].X.coeffs, c_mul(u2, hom[1][0]))
+    P_dot = c_scale(c_add(P1_dot, P2_dot), 0.5)
+    b1_dot = c_add(sols[0].Y.coeffs, c_mul(u1, hom[0][1]))
+    b2_dot = c_add(sols[1].Y.coeffs, c_mul(u2, hom[1][1]))
 
     if tw.conformal:
         # pin s_0 from the first differential's residue-derivative condition
         P1c = triple.P.coeff(1)
         b11 = triple.b1.coeff(1)
-        s0 = (P1c * b1_dot.coeff(0) - 2.0 * P_dot.coeff(0) * b11) / (3.0 * P1c * b11)
-        u_e = Polynomial([s0, 0.0, np.conj(s0)])
-        P_over_zeta = tw.F1 * tw.F2 * tw.P_tilde
-        P_dot = P_dot + 2.0 * (u_e * P_over_zeta)
-        b1_dot = b1_dot + u_e * (tw.F1 * tw.b1_tilde)
-        b2_dot = b2_dot + u_e * (tw.F2 * tw.b2_tilde)
+        s0 = (P1c * complex(b1_dot[0]) - 2.0 * complex(P_dot[0]) * b11) / (3.0 * P1c * b11)
+        u_e = trim(np.array([s0, 0.0, np.conj(s0)], dtype=complex))
+        P_over_zeta = c_mul(c_mul(tw.F1.coeffs, tw.F2.coeffs), tw.P_tilde.coeffs)
+        P_dot = c_add(P_dot, c_scale(c_mul(u_e, P_over_zeta), 2.0))
+        b1_dot = c_add(b1_dot, c_mul(u_e, c_mul(tw.F1.coeffs, tw.b1_tilde.coeffs)))
+        b2_dot = c_add(b2_dot, c_mul(u_e, c_mul(tw.F2.coeffs, tw.b2_tilde.coeffs)))
 
-    t, t_imag = _scaling_shift(tw, P_dot)
+    t, t_imag = _scaling_shift(tw, Polynomial(P_dot))
     if t_imag > 1e-6 * max(1.0, abs(t)):
         warnings.append(f"scaling shift has imaginary part {t_imag:.2e}")
-    P_dot = P_dot + 2.0 * t * triple.P
-    b1_dot = b1_dot + t * triple.b1
-    b2_dot = b2_dot + t * triple.b2
+    P_dot = Polynomial(c_add(P_dot, c_scale(triple.P.coeffs, 2.0 * t)))
+    b1_dot = Polynomial(c_add(b1_dot, c_scale(triple.b1.coeffs, t)))
+    b2_dot = Polynomial(c_add(b2_dot, c_scale(triple.b2.coeffs, t)))
 
     v = TangentVector(P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings))
     t_after, _ = _scaling_shift(tw, P_dot)
+    dPz = c_mul(dP, _ZETA)
     v.residuals.update({
-        "empd1": _empdi_residual(triple, v, 1, chat[0], twists[0], dP),
-        "empd2": _empdi_residual(triple, v, 2, chat[1], twists[1], dP),
+        "empd1": _empdi_residual(triple, v, 1, twoP, dPz, chat[0], twists[0]),
+        "empd2": _empdi_residual(triple, v, 2, twoP, dPz, chat[1], twists[1]),
         "residue_tangent_1": _residue_tangent_residual(triple, v, 1),
         "residue_tangent_2": _residue_tangent_residual(triple, v, 2),
         "reconciliation": recon_res / scale,
@@ -700,12 +744,12 @@ def gram_determinant(vectors):
 
 def empdi_operator_matrix(P, g):
     """Matrix of chat -> 2P(chat - zeta chat') + P' zeta chat
-    (``_empdi_rhs``) on the weight-(g+3) polynomials, one column per
+    (``_empdi_terms``) on the weight-(g+3) polynomials, one column per
     monomial zeta^m; injective for nonsingular P."""
-    dP = P.derivative()
-    chats = [Polynomial(e) for e in np.eye(g + 4)]
+    twoP, dPz = c_scale(P.coeffs, 2.0), c_mul(c_derivative(P.coeffs), _ZETA)
+    chats = [trim(e.astype(complex)) for e in np.eye(g + 4)]
     return np.column_stack(
-        [_empdi_rhs(P, dP, ch, _twist(ch)).padded(3 * g + 6) for ch in chats]
+        [c_padded(_empdi_terms(twoP, dPz, ch, _twist(ch)), 3 * g + 6) for ch in chats]
     )
 
 

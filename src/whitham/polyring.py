@@ -9,7 +9,17 @@ these are the fixed points of the pullback ``real_pullback(-, k)``.
 Coefficients are stored dense and low-to-high (coeffs[i] multiplies
 zeta**i).  Degrees in play stay below ~25, so no sparse or FFT machinery.
 A ``Polynomial`` owns a read-only copy of its coefficients, trimmed in one
-pass.
+pass by ``_trim``, the one trailing-zero rule: coefficients after the last
+one of modulus above TRIM_REL * max|c| are cut.
+
+The ``c_`` functions (``c_add``, ``c_sub``, ``c_mul``, ``c_scale``,
+``c_divmod``, ``c_deflate``, ``c_derivative``, ``c_symmetrize``,
+``c_norm``) do the ring arithmetic on trimmed coefficient arrays.  They use
+the kernels the operators use (the same ``np.convolve`` calls and
+zero-padded sums) and trim each result by the same rule (``trim``), so a
+chain of them gives the coefficients of the chain of operators bit for bit.
+The Bezout solves and the deformation identities work on them and build a
+``Polynomial`` only for what they return or hand on.
 
 Roots start as the eigenvalues of the monic companion matrix.  They are
 accepted by the Aberth backward-error test, |p(z)| <= ABERTH_TARGET *
@@ -90,22 +100,7 @@ class Polynomial:
 
     def __init__(self, coeffs, bound=None):
         # a private copy, so that no caller's array aliases the coefficients
-        c = np.array(coeffs, dtype=complex).reshape(-1)
-        mags = np.abs(c)
-        # any NaN or infinity (or a modulus that overflows) makes the max
-        # non-finite, so one reduction serves as the finiteness test too
-        scale = np.maximum.reduce(mags, initial=0.0)
-        if not math.isfinite(scale):
-            raise ValueError("non-finite polynomial coefficient")
-        cut = TRIM_REL * scale
-        if c.size and mags[-1] > cut:
-            degree = c.size - 1
-        else:
-            # trailing near-zeros are scanned for only when the last
-            # coefficient is one; the zero polynomial has degree -1
-            kept = (mags > cut).nonzero()[0]
-            degree = int(kept[-1]) if kept.size else -1
-            c = c[: degree + 1] if kept.size else np.zeros(1, dtype=complex)
+        c, degree, scale = _trim(np.array(coeffs, dtype=complex).reshape(-1))
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "degree", degree)
@@ -140,22 +135,9 @@ class Polynomial:
         return out
 
     def norm(self):
-        """Euclidean norm of the coefficients, finite and positive for every
-        nonzero polynomial.  The squares are summed as they are while the
-        largest modulus lies in [NORM_PLAIN_LO, NORM_PLAIN_HI] (its square is
-        normal, and fewer than 1e8 such squares cannot overflow) or while the
-        sum stays finite; otherwise the coefficients are divided by the
-        largest modulus, and their norm is scaled back and capped at the
-        largest float."""
-        m = self._max_modulus
-        if NORM_PLAIN_LO <= m <= NORM_PLAIN_HI or m == 0.0:
-            return float(np.linalg.norm(self.coeffs))
-        with np.errstate(over="ignore"):
-            plain = float(np.linalg.norm(self.coeffs))
-        if m > NORM_PLAIN_HI and plain < math.inf:
-            return plain
-        scaled = float(m) * float(np.linalg.norm(self.coeffs.view(float) / m))
-        return min(scaled, np.finfo(float).max)
+        """Euclidean norm of the coefficients (``c_norm``), finite and
+        positive for every nonzero polynomial."""
+        return _norm(self.coeffs, self._max_modulus)
 
     def __repr__(self):
         return f"Polynomial({list(self.coeffs)})"
@@ -175,8 +157,7 @@ class Polynomial:
 
     def __add__(self, other):
         other = _as_poly(other)
-        n = max(self.coeffs.size, other.coeffs.size)
-        return Polynomial(self.padded(n) + other.padded(n))
+        return Polynomial(_sum(self.coeffs, other.coeffs))
 
     __radd__ = __add__
 
@@ -185,8 +166,7 @@ class Polynomial:
 
     def __sub__(self, other):
         other = _as_poly(other)
-        n = max(self.coeffs.size, other.coeffs.size)
-        return Polynomial(self.padded(n) - other.padded(n))
+        return Polynomial(_difference(self.coeffs, other.coeffs))
 
     def __rsub__(self, other):
         return _as_poly(other) - self
@@ -196,9 +176,7 @@ class Polynomial:
             if np.isscalar(other):
                 return Polynomial(self.coeffs * complex(other))
             other = Polynomial(other)
-        if self.is_zero or other.is_zero:
-            return Polynomial([0.0])
-        return Polynomial(np.convolve(self.coeffs, other.coeffs))
+        return Polynomial(_product(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -211,10 +189,7 @@ class Polynomial:
         return out if out.shape else complex(out)
 
     def derivative(self):
-        if self.coeffs.size == 1:
-            return Polynomial([0.0])
-        k = np.arange(1, self.coeffs.size)
-        return Polynomial(self.coeffs[1:] * k)
+        return Polynomial(_derivative(self.coeffs))
 
     def monic(self):
         if self.is_zero:
@@ -228,27 +203,12 @@ class Polynomial:
         divisor = _as_poly(divisor)
         if divisor.is_zero:
             raise ZeroPolynomialError("division by zero polynomial")
-        if self.degree < divisor.degree:
-            return Polynomial([0.0]), self
-        num = self.coeffs.copy()
-        den = divisor.coeffs
-        qlen = num.size - den.size + 1
-        q = np.zeros(qlen, dtype=complex)
-        for i in range(qlen - 1, -1, -1):
-            q[i] = num[i + den.size - 1] / den[-1]
-            num[i : i + den.size] -= q[i] * den
-        return Polynomial(q), Polynomial(num[: den.size - 1] if den.size > 1 else [0.0])
+        q, r = _long_division(self.coeffs, divisor.coeffs)
+        return Polynomial(q), Polynomial(r)
 
     def deflate(self, factor):
         """Exact division; raises if the remainder exceeds ``DEFLATE_RTOL``."""
-        q, r = self.divmod(factor)
-        scale = max(self.norm(), 1e-300)
-        if r.norm() > DEFLATE_RTOL * scale:
-            raise NumericalFailureError(
-                f"deflation remainder {r.norm() / scale:.3e} exceeds {DEFLATE_RTOL:.1e}",
-                best=q,
-            )
-        return q
+        return Polynomial(c_deflate(self.coeffs, _as_poly(factor).coeffs))
 
     # -- constructors ----------------------------------------------------
 
@@ -285,17 +245,184 @@ class Polynomial:
         return Polynomial([complex(p[0], p[1]) for p in pairs], bound=bound)
 
 
-# the instances ``Polynomial.one()`` and ``Polynomial.zeta()`` return
-_ONE = Polynomial([1.0])
-_ZETA = Polynomial([0.0, 1.0])
-
-
 def _as_poly(x):
     if isinstance(x, Polynomial):
         return x
     if np.isscalar(x):
         return Polynomial([complex(x)])
     return Polynomial(x)
+
+
+# ---------------------------------------------------------------------------
+# Coefficient-array arithmetic
+# ---------------------------------------------------------------------------
+#
+# The operators of ``Polynomial`` form their results with the kernels below
+# (``_sum``, ``_difference``, ``_product``, ``_derivative``,
+# ``_long_division``), and the constructor trims them by ``_trim``.  The
+# ``c_`` functions apply the same kernels to trimmed coefficient arrays and
+# trim by the same rule, so a chain of them gives the coefficients of the
+# corresponding chain of operators bit for bit, with no ``Polynomial`` built
+# for an intermediate.  Their arrays are never written to.
+
+
+def _trim(c):
+    """The one trailing-zero rule, on a complex 1-d array ``c``: returns c
+    cut after its last coefficient of modulus above TRIM_REL * max|c|, its
+    degree and max|c|.  Nothing above the cut gives zeros(1), the zero
+    polynomial, with degree -1.  A non-finite coefficient raises
+    ``ValueError``."""
+    mags = np.abs(c).tolist()
+    scale = max(mags, default=0.0)
+    # an infinity (or a modulus that overflows) makes the max infinite; max
+    # passes over a NaN that is not first, but the sum of the moduli keeps it
+    if not math.isfinite(scale) or math.isnan(sum(mags)):
+        raise ValueError("non-finite polynomial coefficient")
+    cut = TRIM_REL * scale
+    if c.size and mags[-1] > cut:
+        return c, c.size - 1, scale
+    # trailing near-zeros are scanned for only when the last coefficient is one
+    kept = [i for i, m in enumerate(mags) if m > cut]
+    if not kept:
+        return np.zeros(1, dtype=complex), -1, scale
+    degree = kept[-1]
+    return c[: degree + 1], degree, scale
+
+
+def trim(c):
+    """The coefficients ``Polynomial(c).coeffs`` holds, for a complex 1-d
+    array ``c`` (not copied when nothing is cut)."""
+    return _trim(c)[0]
+
+
+def _degree(c):
+    """Degree of trimmed coefficients: -1 for the zero polynomial."""
+    return -1 if c.size == 1 and c[0] == 0 else c.size - 1
+
+
+def c_padded(c, n):
+    """The coefficients c padded with zeros to length n, as
+    ``Polynomial.padded`` gives them (c itself when it has that length)."""
+    if c.size == n:
+        return c
+    out = np.zeros(n, dtype=complex)
+    out[: c.size] = c
+    return out
+
+
+def _sum(p, q):
+    n = max(p.size, q.size)
+    return c_padded(p, n) + c_padded(q, n)
+
+
+def _difference(p, q):
+    n = max(p.size, q.size)
+    return c_padded(p, n) - c_padded(q, n)
+
+
+def _product(p, q):
+    if _degree(p) < 0 or _degree(q) < 0:
+        return np.zeros(1, dtype=complex)
+    return np.convolve(p, q)
+
+
+def _derivative(c):
+    if c.size == 1:
+        return np.zeros(1, dtype=complex)
+    return c[1:] * np.arange(1, c.size)
+
+
+def _long_division(num, den):
+    """(quotient, remainder) of num by the nonzero den, untrimmed."""
+    if _degree(num) < _degree(den):
+        return np.zeros(1, dtype=complex), num
+    num = num.copy()
+    qlen = num.size - den.size + 1
+    q = np.zeros(qlen, dtype=complex)
+    for i in range(qlen - 1, -1, -1):
+        q[i] = num[i + den.size - 1] / den[-1]
+        num[i : i + den.size] -= q[i] * den
+    return q, (num[: den.size - 1] if den.size > 1 else np.zeros(1, dtype=complex))
+
+
+def _norm(c, m):
+    """Euclidean norm of the coefficients ``c`` whose largest modulus is
+    ``m``.  The squares are summed as they are while m lies in
+    [NORM_PLAIN_LO, NORM_PLAIN_HI] (its square is normal, and fewer than
+    1e8 such squares cannot overflow) or while the sum stays finite;
+    otherwise the coefficients are divided by m, and their norm is scaled
+    back and capped at the largest float."""
+    if NORM_PLAIN_LO <= m <= NORM_PLAIN_HI or m == 0.0:
+        # the sum np.linalg.norm forms for a complex vector
+        return math.sqrt(c.real.dot(c.real) + c.imag.dot(c.imag))
+    with np.errstate(over="ignore"):
+        plain = float(np.linalg.norm(c))
+    if m > NORM_PLAIN_HI and plain < math.inf:
+        return plain
+    scaled = float(m) * float(np.linalg.norm(c.view(float) / m))
+    return min(scaled, np.finfo(float).max)
+
+
+def c_add(p, q):
+    """Coefficients of p + q."""
+    return trim(_sum(p, q))
+
+
+def c_sub(p, q):
+    """Coefficients of p - q."""
+    return trim(_difference(p, q))
+
+
+def c_mul(p, q):
+    """Coefficients of p * q."""
+    return trim(_product(p, q))
+
+
+def c_scale(p, s):
+    """Coefficients of p * s for a scalar s."""
+    return trim(p * complex(s))
+
+
+def c_derivative(p):
+    """Coefficients of p'."""
+    return trim(_derivative(p))
+
+
+def c_divmod(p, q):
+    """Coefficients of ``p.divmod(q)``: quotient and remainder."""
+    if _degree(q) < 0:
+        raise ZeroPolynomialError("division by zero polynomial")
+    quo, rem = _long_division(p, q)
+    return trim(quo), trim(rem)
+
+
+def c_deflate(p, f):
+    """Coefficients of ``p.deflate(f)``: the quotient, or
+    ``NumericalFailureError`` when the remainder exceeds ``DEFLATE_RTOL``
+    times |p|."""
+    q, r = c_divmod(p, f)
+    scale = max(c_norm(p), 1e-300)
+    if c_norm(r) > DEFLATE_RTOL * scale:
+        raise NumericalFailureError(
+            f"deflation remainder {c_norm(r) / scale:.3e} exceeds {DEFLATE_RTOL:.1e}",
+            best=Polynomial(q),
+        )
+    return q
+
+
+def c_norm(p):
+    """``Polynomial.norm`` of the coefficients p."""
+    return _norm(p, max(np.abs(p).tolist()))
+
+
+def c_symmetrize(p, k):
+    """Coefficients of ``symmetrize(p, k)``."""
+    return c_scale(c_add(p, trim(_pullback(p, k))), 0.5)
+
+
+# the instances ``Polynomial.one()`` and ``Polynomial.zeta()`` return
+_ONE = Polynomial([1.0])
+_ZETA = Polynomial([0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +435,15 @@ def real_pullback(p, k):
 
     Applying it twice is the identity up to rounding.
     """
-    p = _as_poly(p)
-    if p.degree > k:
-        raise DegreeBoundError(f"degree {p.degree} exceeds weight {k}")
-    return Polynomial(np.conj(p.padded(k + 1))[::-1])
+    return Polynomial(_pullback(_as_poly(p).coeffs, k))
+
+
+def _pullback(c, k):
+    """``real_pullback`` on the coefficients c, untrimmed."""
+    degree = _degree(c)
+    if degree > k:
+        raise DegreeBoundError(f"degree {degree} exceeds weight {k}")
+    return np.conj(c_padded(c, k + 1))[::-1]
 
 
 def real_defect(p, k):
@@ -332,8 +464,7 @@ def real_defect(p, k):
 
 def symmetrize(p, k):
     """Orthogonal projection onto the weight-k real sections."""
-    p = _as_poly(p)
-    return (p + real_pullback(p, k)) * 0.5
+    return Polynomial(c_symmetrize(_as_poly(p).coeffs, k))
 
 
 def real_section_scale(p):
@@ -631,9 +762,9 @@ def factor_structure(P, b1, b2, cluster_radius=GCD_CLUSTER_RADIUS):
 
 
 def poly_jet(p, beta, order):
-    """Taylor coefficients of p at beta up to t**(order-1), by Horner shifts."""
-    p = _as_poly(p)
-    work = p.coeffs.copy()
+    """Taylor coefficients of p (a ``Polynomial`` or its coefficients) at
+    beta up to t**(order-1), by Horner shifts."""
+    work = np.array(p.coeffs if isinstance(p, Polynomial) else p, dtype=complex)
     out = np.zeros(order, dtype=complex)
     for m in range(min(order, work.size)):
         # synthetic division by (zeta - beta); remainder is the next jet coeff

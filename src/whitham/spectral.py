@@ -155,6 +155,11 @@ def pack_section(p, k):
 
 
 def unpack_section(x, k):
+    return Polynomial(section_coeffs(x, k), bound=k)
+
+
+def section_coeffs(x, k):
+    """The untrimmed coefficients of ``unpack_section(x, k)``."""
     c = np.zeros(k + 1, dtype=complex)
     j = 0
     for i in range((k + 1) // 2):
@@ -163,7 +168,7 @@ def unpack_section(x, k):
         j += 2
     if (k + 1) % 2:
         c[k // 2] = x[j]
-    return Polynomial(c, bound=k)
+    return c
 
 
 def pack_triple(triple):
@@ -209,16 +214,18 @@ def product_form(alphas):
 
 def product_form_motion(alphas, P):
     """The per-point part of ``product_form_dot`` at the in-disc branch
-    points ``alphas`` of P: for each root alpha, P'(alpha), the
-    coefficients of the product form of the other roots, and those of
-    (1 - conj(alpha) zeta) and (zeta - alpha).  Built once per point and
-    shared by every direction."""
+    points ``alphas`` of P: the points as one array and, for each root
+    alpha, P'(alpha), the coefficients of the product form of the other
+    roots, and those of (1 - conj(alpha) zeta) and (zeta - alpha).  Built
+    once per point and shared by every direction; P' is evaluated at all
+    points in one array call."""
     alphas = list(alphas)
-    dP = P.derivative()
-    return tuple(
-        (a, dP(a), product_form(alphas[:k] + alphas[k + 1 :]).coeffs,
+    points = np.array(alphas, dtype=complex)
+    dP_at = P.derivative()(points).tolist()
+    return points, tuple(
+        (a, dP_a, product_form(alphas[:k] + alphas[k + 1 :]).coeffs,
          Polynomial([1.0, -np.conj(a)]).coeffs, np.array([-a, 1.0], dtype=complex))
-        for k, a in enumerate(alphas)
+        for k, (a, dP_a) in enumerate(zip(alphas, dP_at))
     )
 
 
@@ -226,17 +233,19 @@ def product_form_dot(motion, P_dots):
     """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot, for each
     P_dot of ``P_dots``, where ``motion`` is ``product_form_motion(alphas,
     P)``: each in-disc branch point moves by alpha_dot =
-    -P_dot(alpha)/P'(alpha).
+    -P_dot(alpha)/P'(alpha), with P_dot evaluated at all of them in one
+    array call.
 
     Each direction's terms are summed on coefficient arrays, by the
     ``np.convolve`` calls that the ``Polynomial`` products of
     d/dt (zeta - alpha)(1 - conj(alpha) zeta) times the other roots' product
     form make, and become one ``Polynomial`` at the end."""
+    points, per_root = motion
     out = []
     for P_dot in P_dots:
         terms = np.zeros(1, dtype=complex)
-        for a, dP_a, rest, right, left in motion:
-            a_dot = -P_dot(a) / dP_a
+        for (a, dP_a, rest, right, left), P_dot_a in zip(per_root, P_dot(points).tolist()):
+            a_dot = -P_dot_a / dP_a
             dpair = _added(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
             terms = _added(terms, np.convolve(dpair, rest))
         out.append(Polynomial(terms))
@@ -685,7 +694,10 @@ def _margin_check(name, margin, threshold, details):
 
 def validate(triple, tol=None, quad_order=DEFAULT_QUAD_ORDER):
     """Grade every admissibility condition; failures are entries, never
-    exceptions (integration failures are recorded per entry)."""
+    exceptions (integration failures are recorded per entry).  A lattice
+    check (P6, P7) passes only when the quadrature error estimate is within
+    ``tol.integral`` too; one whose residual alone would pass is marked
+    ``"unresolved": true`` in its details."""
     tol = tol or ToleranceProfile()
     checks = []
     g = triple.g
@@ -752,15 +764,16 @@ def validate(triple, tol=None, quad_order=DEFAULT_QUAD_ORDER):
         try:
             vec = psi(triple, frame=PsiFrame.build(triple, quad_order=quad_order, curve=curve))
             rows = zip(vec.labels, vec.lattice_integers(), vec.lattice_residuals())
+            # a lattice residual is only as good as the quadrature behind it
+            resolved = vec.integration_error <= tol.integral
             for k, (lab, m, r) in enumerate(rows):
                 name = "P6_period" if k < len(vec.periods) else "P7_closing"
+                details = {"integer": m, "quad_error": vec.integration_error}
+                if r <= tol.integral and not resolved:
+                    details["unresolved"] = True
                 checks.append(
                     ConditionCheck(
-                        f"{name}.{lab}",
-                        r,
-                        tol.integral,
-                        r <= tol.integral,
-                        {"integer": m, "quad_error": vec.integration_error},
+                        f"{name}.{lab}", r, tol.integral, r <= tol.integral and resolved, details
                     )
                 )
             s = abs(vec.scaling - 1.0)

@@ -122,17 +122,25 @@ def random_real_bezout_instance(rng, strict=True):
 
 
 
+def _relative_residual(A, B, C, X, Y):
+    """The relative residual of a solution, formed by ``Polynomial``
+    operators (the library forms it on coefficient arrays)."""
+    AX, BY = A * X, B * Y
+    scale = max(AX.norm(), BY.norm(), C.norm(), 1e-300)
+    return (AX - BY - C).norm() / scale
+
+
 def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
     """``bezout.minimal_solution`` with its system built at every call: a
     fresh ``confluent_vandermonde`` before the solve and a fresh
     ``np.linalg.cond`` after it, where the library reads the ones the spec
-    carries."""
+    carries; and with every intermediate a ``Polynomial``, where the library
+    works on coefficient arrays."""
     from whitham.bezout import (
         CONDITION_CAP,
         DIVISIBILITY_RTOL,
         BezoutSolution,
         RootSpec,
-        _relative_residual,
         _rhs_vector,
         confluent_vandermonde,
     )

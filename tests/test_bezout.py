@@ -141,6 +141,51 @@ def test_spec_carried_system_matches_a_fresh_build():
     assert capped > 0
 
 
+def test_array_solve_matches_the_polynomial_oracle_bit_for_bit(monkeypatch):
+    """``minimal_solution`` on coefficient arrays gives, bit for bit, the
+    solution of the oracle that forms every intermediate as a
+    ``Polynomial``: with a numerical gcd of degree 0 to 2 (deflation and
+    the divisibility check), and on clustered roots of B, where the first
+    residual exceeds 1e-12 and the refinement pass runs.  ``realify`` gives
+    the symmetrized pair and its residual as the operators form them."""
+    import whitham.bezout as bezout
+    from oracles import _relative_residual as polynomial_residual
+    from whitham.polyring import symmetrize
+
+    residuals = []
+    array_residual = bezout._residual
+    monkeypatch.setattr(bezout, "_residual", lambda *a: residuals.append(1) or array_residual(*a))
+    rng = np.random.default_rng(53)
+    one = Polynomial.one()
+    for _ in range(40):
+        A, B, C, _ = random_bezout_instance(rng)
+        _assert_same_solution(minimal_solution(A, B, C), reference_minimal_solution(A, B, C))
+    refined = 0
+    for _ in range(40):
+        k = int(rng.integers(3, 7))
+        center = complex(rng.standard_normal(), rng.standard_normal())
+        spread = 10 ** rng.uniform(-4, -1)
+        B = Polynomial.from_roots(
+            center + spread * (rng.standard_normal(k) + 1j * rng.standard_normal(k)))
+        A = random_complex_poly(rng, int(rng.integers(1, 5)))
+        C = random_complex_poly(rng, int(rng.integers(0, 9)))
+        residuals.clear()
+        got = minimal_solution(A, B, C, known_gcd=one)
+        _assert_same_solution(got, reference_minimal_solution(A, B, C, known_gcd=one))
+        refined += len(residuals) > 1
+    assert refined > 20
+    for strict in (True, False) * 15:
+        A, B, C, _, (a, b, c), _ = random_real_bezout_instance(rng, strict)
+        if c < b:
+            continue  # no weight for Y: both forms refuse
+        sol = minimal_solution(A, B, C)
+        real = realify(A, B, C, a, b, c, sol)
+        X, Y = symmetrize(sol.X, c - a), symmetrize(sol.Y, c - b)
+        assert real.X.coeffs.tobytes() == X.coeffs.tobytes()
+        assert real.Y.coeffs.tobytes() == Y.coeffs.tobytes()
+        assert real.residual == polynomial_residual(A, B, C, X, Y)
+
+
 def test_spec_of_a_wrong_total_is_rebuilt_and_a_wrong_system_fails_as_before(monkeypatch):
     """A caller spec whose total is not deg B is rebuilt at a tight radius
     with its warning; a rebuilt spec that is still not square raises the

@@ -46,6 +46,28 @@ def test_validate_fail_exit1(circle_root_file, tmp_path):
     assert "P2_no_circle_roots" in names
 
 
+def test_validate_flags_lattice_checks_the_quadrature_cannot_resolve(g1_triple, tmp_path):
+    """At --quad-order 8 the genus-1 seed's quadrature error estimate
+    (about 5e-4) is far above tol.integral: every lattice check fails, and
+    each one whose residual alone would pass is marked unresolved.  At the
+    default order the seed passes and no check is marked."""
+    f = tmp_path / "g1.json"
+    f.write_text(json.dumps(g1_triple.to_json_dict()), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["validate", str(f), "--out", str(out), "--quad-order", "8"]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    lattice = [c for c in checks if c["name"].startswith(("P6", "P7"))]
+    assert len(lattice) == 8 and not any(c["passed"] for c in lattice)
+    for c in lattice:
+        assert c["details"]["quad_error"] > c["tolerance"]
+        assert c["details"].get("unresolved", False) == (c["residual"] <= c["tolerance"])
+    assert any(c["details"].get("unresolved") for c in lattice)
+    assert all(c["passed"] for c in checks if c not in lattice)
+    assert main(["validate", str(f), "--out", str(out)]) == 0
+    assert not any("unresolved" in c.get("details", {})
+                   for c in json.loads(out.read_text())["checks"])
+
+
 def test_parse_error_exit2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json", encoding="utf-8")

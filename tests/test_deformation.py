@@ -8,7 +8,6 @@ from whitham.deformation import (
     CaseBLinearParams,
     CaseEParams,
     TangentVector,
-    _empdi_rhs,
     _r_last_coefficient,
     _real_tower,
     _residue_tangent_residual,
@@ -342,6 +341,39 @@ def test_solve_q_rejects_nonkernel_Q():
             solve_q_equation(tw, CaseAParams(Q))
 
 
+def test_kernel_vectors_reuse_the_solve_of_their_r_check(g1_triple, monkeypatch):
+    """The Q-equation solve ``r_kernel`` makes to re-check a kernel vector
+    is the one ``solve_q_equation`` reads for it: a case-(a)
+    ``tangent_basis`` makes 9 Bezout solves (11 when each solved again), and
+    the tangent of a ``basis0`` flow step 7 (8).  A fixed ``CaseAParams``
+    rule, projected onto the kernel, has a Q of its own and makes its own
+    solve.  The vectors equal those made on a tower that kept no solve."""
+    from whitham import deformation
+    from whitham.deformation import tangent_params
+    from whitham.flow import _rule_tangent
+
+    solves = []
+    real = deformation.minimal_solution
+    monkeypatch.setattr(deformation, "minimal_solution",
+                        lambda *a, **k: solves.append(1) or real(*a, **k))
+
+    def count(fn, *args):
+        solves.clear()
+        out = fn(*args)
+        return len(solves), out
+
+    n, (vectors, _) = count(tangent_basis, g1_triple)
+    assert n == 9
+    label = classify(g1_triple)
+    assert count(_rule_tangent, g1_triple, label, "basis0", None)[0] == 7
+    fixed = CaseAParams(Polynomial([1.0, 0.3, 1.0]))
+    assert count(_rule_tangent, g1_triple, label, fixed, None)[0] == 8
+    tw = build_tower(g1_triple)
+    for params, v in zip(tangent_params(tw), vectors):
+        tw.q_solves.clear()
+        assert make_tangent(tw, params).to_json_dict() == v.to_json_dict()
+
+
 def test_solve_empdi_zero_is_zero():
     t = random_case_a_triple(np.random.default_rng(37))
     v = solve_empdi(build_tower(t), Polynomial.zero(), Polynomial.zero(), Polynomial.zero())
@@ -413,7 +445,7 @@ def test_empdi_operator_kernel_trivial():
 
 def test_empdi_operator_matrix_applies_the_identity_operator():
     """Column m is the operator 2P(chat - zeta chat') + P' zeta chat
-    (``_empdi_rhs``) at chat = zeta^m: the matrix applied to the
+    at chat = zeta^m: the matrix applied to the
     coefficients of chat is the operator applied to chat, and each column
     is the closed form 2(1-m) P zeta^m + P' zeta^(m+1)."""
     rng = np.random.default_rng(61)
@@ -425,8 +457,8 @@ def test_empdi_operator_matrix_applies_the_identity_operator():
         assert M.shape == (3 * g + 6, g + 4)
         for _ in range(3):
             chat = Polynomial(rng.standard_normal(g + 4) + 1j * rng.standard_normal(g + 4))
-            want = _empdi_rhs(Ppoly, Ppoly.derivative(), chat,
-                              chat - zeta * chat.derivative()).padded(3 * g + 6)
+            want = (2.0 * Ppoly * (chat - zeta * chat.derivative())
+                    + Ppoly.derivative() * zeta * chat).padded(3 * g + 6)
             assert np.abs(M @ chat.padded(g + 4) - want).max() <= 1e-12 * np.abs(want).max()
         for m in range(g + 4):
             mono = Polynomial.from_roots([0.0] * m)

@@ -14,9 +14,20 @@ from whitham.errors import (
     ZeroPolynomialError,
 )
 from whitham.polyring import (
+    NORM_PLAIN_HI,
+    NORM_PLAIN_LO,
     TRIM_REL,
     Polynomial,
     approx_gcd,
+    c_add,
+    c_deflate,
+    c_derivative,
+    c_divmod,
+    c_mul,
+    c_norm,
+    c_scale,
+    c_sub,
+    c_symmetrize,
     factor_structure,
     jet_divide,
     poly_jet,
@@ -26,6 +37,8 @@ from whitham.polyring import (
     real_section_scale,
     roots,
     roots_flat,
+    symmetrize,
+    trim,
 )
 
 from oracles import reference_coeffs
@@ -200,6 +213,86 @@ def test_one_and_zeta_are_shared_immutable_instances(g1_triple, g1_b_linear, mon
     monkeypatch.setattr(Polynomial, "one", staticmethod(lambda: Polynomial([1.0])))
     monkeypatch.setattr(Polynomial, "zeta", staticmethod(lambda: Polynomial([0.0, 1.0])))
     assert bases() == shared
+
+
+# -- coefficient arrays ----------------------------------------------------------
+
+
+def _random_polynomial(rng, extreme=False):
+    """A random polynomial of degree -1 to 6 with some coefficients -0.0 in
+    either part; with ``extreme``, some at a scale far outside
+    [NORM_PLAIN_LO, NORM_PLAIN_HI]."""
+    n = int(rng.integers(0, 8))
+    if n == 0:
+        return Polynomial.zero()
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for i in np.nonzero(rng.random(n) < 0.3)[0]:
+        c[i] = complex(-0.0 if rng.random() < 0.5 else c[i].real,
+                       -0.0 if rng.random() < 0.5 else c[i].imag)
+    if extreme and rng.random() < 0.3:
+        c = c * (1e-170 if rng.random() < 0.5 else 1e200)
+    return Polynomial(c)
+
+
+def _same(got, want):
+    """``got`` holds the coefficients of the ``Polynomial`` ``want``, bit for
+    bit."""
+    return got.shape == want.coeffs.shape and got.tobytes() == want.coeffs.tobytes()
+
+
+def test_coefficient_helpers_match_the_operators_bit_for_bit():
+    """Each ``c_`` helper gives the bytes of the ``Polynomial`` operation it
+    stands for: on random pairs of unequal lengths, on differences that
+    cancel to a lower degree, products with the zero polynomial, -0.0
+    coefficients and norms outside the plain range."""
+    rng = np.random.default_rng(20261019)
+    pairs = [(_random_polynomial(rng, extreme=True), _random_polynomial(rng))
+             for _ in range(300)]
+    for _ in range(60):
+        # the top coefficients agree, so p - q cancels to a lower degree
+        p = _random_polynomial(rng)
+        low = rng.standard_normal(p.coeffs.size) * (rng.random(p.coeffs.size) < 0.5)
+        pairs.append((p, Polynomial(p.coeffs + np.append(low[:-1], 0.0))))
+    pairs += [(p, Polynomial.zero()) for p, _ in pairs[:20]]
+    pairs.append((P(complex(-0.0, 1.0), -0.0, 2.0), P(-0.0, complex(1.0, -0.0))))
+    cancelled = 0
+    for p, q in pairs:
+        a, b = p.coeffs, q.coeffs
+        assert _same(c_add(a, b), p + q)
+        assert _same(c_sub(a, b), p - q)
+        assert _same(c_mul(a, b), p * q) and _same(c_mul(b, a), q * p)
+        for s in (0.5, -1.0, 2.0, 1j, 0.0):
+            assert _same(c_scale(a, s), p * s)
+        assert _same(c_derivative(a), p.derivative())
+        assert c_norm(a) == p.norm() and c_norm(b) == q.norm()
+        for k in (max(p.degree, 0), p.degree + 2):
+            assert _same(c_symmetrize(a, k), symmetrize(p, k))
+        if not q.is_zero:
+            quo, rem = c_divmod(a, b)
+            want_q, want_r = p.divmod(q)
+            assert _same(quo, want_q) and _same(rem, want_r)
+            assert _same(c_deflate(c_mul(a, b), b), (p * q).deflate(q))
+        cancelled += (p - q).degree < max(p.degree, q.degree)
+    assert cancelled > 30
+    assert any(not (NORM_PLAIN_LO <= float(np.abs(p.coeffs).max()) <= NORM_PLAIN_HI)
+               for p, _ in pairs if not p.is_zero)
+    with pytest.raises(ZeroPolynomialError):
+        c_divmod(P(1.0, 2.0).coeffs, Polynomial.zero().coeffs)
+    with pytest.raises(NumericalFailureError):
+        c_deflate(P(1.0, 0.0, 1.0).coeffs, P(-2.0, 1.0).coeffs)
+
+
+def test_trim_is_the_constructor_rule():
+    """``trim`` keeps what the constructor keeps, including trailing
+    coefficients just above and just below the cut, and -0.0 at the end."""
+    rng = np.random.default_rng(5)
+    cases = [np.array(c, dtype=complex) for c in (
+        [1.0, 0.5, TRIM_REL * (1.0 + 1e-9)], [1.0, 0.5, TRIM_REL * (1.0 - 1e-9)],
+        [0.0, 0.0], [-0.0], [2.0, complex(-0.0, -0.0)], [1e-300, 3.0, 0.0])]
+    cases += [rng.standard_normal(6) * np.append(np.ones(3), rng.random(3) < 0.5)
+              + 0j for _ in range(50)]
+    for c in cases:
+        assert _same(trim(c), Polynomial(c))
 
 
 # -- real structure ----------------------------------------------------------
