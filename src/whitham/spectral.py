@@ -57,7 +57,7 @@ from .errors import (
     UndefinedConformalTypeError,
     WhithamError,
 )
-from .polyring import Polynomial, real_defect, roots
+from .polyring import Polynomial, _sum, real_defect, roots
 
 TWO_PI = 2.0 * np.pi
 # P is conformal (branched over zeta = 0) when |P_0| is below this times |P|
@@ -246,18 +246,10 @@ def product_form_dot(motion, P_dots):
         terms = np.zeros(1, dtype=complex)
         for (a, dP_a, rest, right, left), P_dot_a in zip(per_root, P_dot(points).tolist()):
             a_dot = -P_dot_a / dP_a
-            dpair = _added(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
-            terms = _added(terms, np.convolve(dpair, rest))
+            dpair = _sum(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
+            terms = _sum(terms, np.convolve(dpair, rest))
         out.append(Polynomial(terms))
     return out
-
-
-def _added(p, q):
-    """p + q on coefficient arrays, as ``Polynomial`` addition forms it:
-    the shorter padded with zeros."""
-    n = max(p.size, q.size)
-    p, q = (c if c.size == n else np.concatenate([c, np.zeros(n - c.size)]) for c in (p, q))
-    return p + q
 
 
 @dataclass(frozen=True)
