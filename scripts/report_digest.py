@@ -6,8 +6,10 @@ and ``basis1``), and ``plot`` on the five seed points, on two fixed
 triples (a genus-3 case-(a) triple, whose tangent solves genus-3 Bezout
 systems, and a case-(c) triple, whose ``tangent`` reports the case-(c)
 indicator) and on every input given (a directory stands for the ``*.json``
-files in it), then ``oracle --seed 7 --count 25`` once, in-process, and
-hashes what each call writes to stdout and stderr.  At each seed point it
+files in it), then ``validate`` on the directory of the seven fixed inputs
+(the seed points and the two fixed triples, graded as one batch of stacked
+walks) and ``oracle --seed 7 --count 25`` once, in-process, and hashes
+what each call writes to stdout and stderr.  At each seed point it
 also hashes the numbers behind those reports: the Psi vector with its
 integration error, the exact Jacobian of a fresh evaluation, Psi and the
 exact Jacobian at P scaled by 1 + 1e-9 in the same frame, handed the
@@ -132,6 +134,9 @@ def run(args):
                 for name, arrays in numerics(triple):
                     data = b"".join(np.asarray(a, dtype=complex).tobytes() for a in arrays)
                     print(f"{hashlib.sha1(data).hexdigest()} numerics {name} {label}", flush=True)
+        # the seven fixed inputs are the only files in the directory
+        code, sha = digest(("validate", tmp))
+        print(f"{sha} exit={code} validate fixed-inputs-directory", flush=True)
     for cmd in STANDALONE:
         code, sha = digest(cmd)
         print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)

@@ -6,8 +6,11 @@ conditions), ``classify`` (case label from the gcd tower), ``tangent``
 ``oracle`` (randomized cross-checks of the polynomial solvers against
 independent dense solves), ``plot`` (SVG of branch points and roots).
 Each subcommand takes only the options its handler reads; ``validate`` on
-a directory grades every ``*.json`` in it, one file after another, and a
-file that fails to parse gets its own ``input-error`` row.
+a directory grades every ``*.json`` in it with one ``validate_batch``:
+the paths of several triples are walked as one stack of curves, a stack
+that raises is walked again triple by triple, and every row is the one
+that grading its file alone gives.  A file that fails to parse gets its
+own ``input-error`` row.
 
 Exit codes: 0 success/pass, 1 validated-false (condition failures or a
 non-deformable case), 2 usage/parse error, 3 numerical failure.  Reports
@@ -45,6 +48,7 @@ from .spectral import (
     product_form,
     relative_residue,
     validate,
+    validate_batch,
 )
 
 EXIT_PASS = 0
@@ -101,19 +105,33 @@ _BATCH_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "input-error": EXIT_USAGE,
                "numerical-failure": EXIT_NUMERICAL}
 
 
-def _validate_one(f, tol, quad_order):
+def _load_or_error(f):
+    """The triple of file f, or the error that reading it raised."""
     try:
-        rep = validate(_load_triple(f), tol=tol, quad_order=quad_order)
-        return f.name, ("pass" if rep.verdict else "fail"), rep.failed()
-    except WhithamError as exc:
-        return f.name, "numerical-failure", [str(exc)]
-    except (ValueError, OSError) as exc:  # ValueError includes JSONDecodeError
-        return f.name, "input-error", [str(exc)]
+        return _load_triple(f)
+    except (WhithamError, ValueError, OSError) as exc:  # ValueError includes JSONDecodeError
+        return exc
+
+
+def _batch_row(name, graded):
+    """The row of one file: its report's verdict, or the kind and text of
+    the error that reading or grading it raised."""
+    if isinstance(graded, WhithamError):
+        return name, "numerical-failure", [str(graded)]
+    if isinstance(graded, (ValueError, OSError)):
+        return name, "input-error", [str(graded)]
+    if isinstance(graded, Exception):
+        raise graded
+    return name, ("pass" if graded.verdict else "fail"), graded.failed()
 
 
 def _validate_batch(path, args):
-    tol = _tolerances(args)
-    rows = [_validate_one(f, tol, args.quad_order) for f in sorted(path.glob("*.json"))]
+    files = sorted(path.glob("*.json"))
+    loaded = [_load_or_error(f) for f in files]
+    reports = iter(validate_batch([t for t in loaded if isinstance(t, SpectralTriple)],
+                                  tol=_tolerances(args), quad_order=args.quad_order))
+    rows = [_batch_row(f.name, t if isinstance(t, Exception) else next(reports))
+            for f, t in zip(files, loaded)]
     _dump({"results": [{"file": n, "verdict": v, "failed": fl} for n, v, fl in rows]}, args)
     return max((_BATCH_EXIT[v] for _, v, _ in rows), default=EXIT_PASS)
 

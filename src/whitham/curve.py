@@ -33,6 +33,14 @@ when walked alone, and a failing stack raises the error that walking its
 paths one after another raises first.  Every numerator is integrated over
 the whole stack in one pass (``StackWalk.integrate``).
 
+One stack may also carry the paths of several curves, curve after curve
+(``walk_paths`` of a sequence of curves): each row is probed against its
+own curve's singular set (the sets padded with inf to one length), each
+curve's P is evaluated once on its own block of rows, and each curve's
+numerators are integrated over its own rows, so every path still gets the
+rows, eta and integrals it gets when its curve is walked alone.  A batch
+``validate`` walks its triples this way, a few curves per stack.
+
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
 the same paths on a nearby curve is handed that walk (``like=``); it
@@ -550,12 +558,20 @@ class Panels:
         """Rows whose half-length exceeds 0.75 times their clearance: the
         distance from five probe points to the singular set (an arc's own
         center is cleared by its radius); and, of those, the rows that pass
-        through a singular point."""
+        through a singular point.
+
+        ``sing`` is the singular set of every row, or one set per path
+        (row k of a 2-D ``sing``, padded with inf, for path k), each row
+        then probed against its own path's set alone: an inf point is at
+        infinite distance, so the padding changes no clearance."""
         half = 0.5 * np.where(
             self.arc, self.radius * np.abs(self.theta1 - self.theta0), np.abs(self.end - self.start)
         )
         probes = self.points(_PROBES)[0]
-        dist = np.minimum.reduce(np.abs(probes[:, :, None] - sing), axis=1, initial=np.inf)
+        if sing.ndim == 2:
+            sing = sing[self.path]
+        dist = np.minimum.reduce(np.abs(probes[:, :, None] - sing[..., None, :]), axis=1,
+                                 initial=np.inf)
         dist[self.arc[:, None] & (np.abs(sing - self.start[:, None]) < 1e-13)] = np.inf
         clear = np.minimum.reduce(dist, axis=1, initial=np.inf)
         clear = np.where(self.arc, np.minimum(clear, self.radius), clear)
@@ -567,6 +583,8 @@ def _subdivide(paths, sing):
     """Split the segments of each path (a list of segments per path) until
     each clears the singular set by its half-length, level by level, and
     return the ``Panels`` of all paths, path after path, each in path order.
+    ``sing`` is one singular set for all paths, or one per path padded with
+    inf (the paths of several curves, see ``Panels.too_close``).
 
     Wide arcs are first halved into arcs of at most pi/4.  Then at each
     level the panels just split (at the first level, all of them) are probed
@@ -576,10 +594,10 @@ def _subdivide(paths, sing):
     to segment size; the 0.75 factor of ``Panels.too_close`` keeps even
     order-8 panels at ~1e-11 accuracy.
 
-    A row's verdict depends on that row alone, so every path gets the panels
-    it gets when subdivided by itself.  A path that passes through a
-    singular point, or whose panels plus splits exceed ``MAX_SEGMENTS``,
-    fails: its ``GeometryError`` goes to ``error`` and its rows and those of
+    A row's verdict depends on that row and its own singular set alone, so
+    every path gets the panels it gets when subdivided by itself.  A path
+    that passes through a singular point, or whose panels plus splits exceed
+    ``MAX_SEGMENTS``, fails: its ``GeometryError`` goes to ``error`` and its rows and those of
     every later path are dropped, since no later path's error can be the
     first one raised.
 
@@ -650,11 +668,26 @@ class IntegrationResult:
     end_sheet: int
 
 
-def _walk_eta(P, panels, ts, zs, eta0):
+def _per_curve(Ps, stops, z):
+    """Each curve's P at its own block of rows of z: ``Ps[c]`` at the rows
+    from ``stops[c - 1]`` (0 for c = 0) up to ``stops[c]``.  One curve's P
+    is evaluated at all rows at once.  Horner runs elementwise, so each
+    block comes out as it does evaluated alone."""
+    if len(Ps) == 1:
+        return Ps[0](z)
+    out = np.empty(z.shape, dtype=complex)
+    for P, lo, hi in zip(Ps, [0, *stops[:-1]], stops):
+        out[lo:hi] = P(z[lo:hi])
+    return out
+
+
+def _walk_eta(P, panels, ts, zs, eta0, stops=None):
     """eta at the nodes ``zs`` of the panels (rows: each path's panels in
     path order, path after path, at the sorted parameters ts from 0 to 1),
     continued along each path from its start value ``eta0[k]`` (path k; one
-    number for one path) at its first node.
+    number for one path) at its first node.  ``P`` is the curve polynomial
+    of every row or, with ``stops``, one polynomial per block of rows, as
+    ``_per_curve`` takes them (the paths of several curves).
 
     Each step keeps or flips the sign of the principal root; inside a panel
     a step is clear when one choice is much closer than the other, and at a
@@ -663,7 +696,8 @@ def _walk_eta(P, panels, ts, zs, eta0):
     each path's first row; only a row with an unclear step is walked node by
     node, with ``_continue_eta`` bisecting each unclear step.
     """
-    vals = np.sqrt(P(zs))
+    Ps, stops = ((P,), [len(panels)]) if stops is None else (P, stops)
+    vals = np.sqrt(_per_curve(Ps, stops, zs))
     d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
     d_flip = np.abs(vals[:, 1:] + vals[:, :-1])
     lo = np.minimum(d_keep, d_flip)
@@ -687,7 +721,9 @@ def _walk_eta(P, panels, ts, zs, eta0):
         if stop < n:
             if not heads[stop]:
                 incoming[stop] = etas[stop - 1, -1]
-            etas[stop] = _walk_row(P, panels.segment(stop), ts, vals[stop], clear[stop], incoming[stop])
+            P_row = Ps[np.searchsorted(stops, stop, side="right")]
+            etas[stop] = _walk_row(P_row, panels.segment(stop), ts, vals[stop], clear[stop],
+                                   incoming[stop])
         start = stop + 1
     return etas
 
@@ -754,6 +790,8 @@ class StackWalk:
     b dzeta/(zeta^2 eta) over a panel is sum(w_hi * b(zs) * base) over the
     columns ``idx_hi`` of ``_panel_grid(quad_order)``; its half-order rule
     gives the error estimate.  Path k ends on sheet ``end_sheets[k]``.
+    The paths may be those of several curves, curve after curve; curve c's
+    rows end at ``curve_stops[c]``.
 
     The grid is the panels ``_subdivide`` gave the paths (with the rows it
     probed at each level and their verdicts, ``Panels.levels``) and their
@@ -772,6 +810,7 @@ class StackWalk:
     base: np.ndarray
     first: np.ndarray
     end_sheets: np.ndarray
+    curve_stops: np.ndarray
 
     def slices(self):
         """Each path's rows, as a slice."""
@@ -781,20 +820,25 @@ class StackWalk:
         """``IntegrationResult`` of each numerator (inner lists) over each
         path (outer list), in one pass over the stack.
 
-        Each numerator is evaluated once over all rows, at the rule columns
-        alone.  Each row is summed on its own, contiguous, so it sums
-        exactly as the 1-D sum of its panel would; each path's panel sums
-        are then added in path order by one ``cumsum`` down the rows, padded
-        with -0.0, which leaves every sum unchanged, so no sum runs across
-        paths and each path integrates as it does walked alone.
+        ``numerators`` holds one sequence of numerators per curve, the same
+        number for each; a stack of one curve takes its sequence alone as
+        well.  Each numerator is evaluated once over its curve's rows, at
+        the rule columns alone.  Each row is summed on its own, contiguous,
+        so it sums exactly as the 1-D sum of its panel would; each path's
+        panel sums are then added in path order by one ``cumsum`` down the
+        rows, padded with -0.0, which leaves every sum unchanged, so no sum
+        runs across paths and each path integrates as it does walked alone.
         """
+        if callable(numerators[0]):
+            numerators = [numerators]
         _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(self.quad_order)
         q, first = idx_hi.size, self.first
         cols = np.concatenate([idx_hi, idx_lo])
         z, wb = np.take(self.zs, cols, axis=1), np.take(self.base, cols, axis=1)
-        f = np.empty((len(numerators),) + z.shape, dtype=complex)  # (numerator, row, column)
-        for fb, b in zip(f, numerators):
-            np.multiply(b(z), wb, out=fb)
+        f = np.empty((len(numerators[0]),) + z.shape, dtype=complex)  # (numerator, row, column)
+        for bs, lo, hi in zip(numerators, [0, *self.curve_stops[:-1]], self.curve_stops):
+            for fb, b in zip(f, bs):
+                np.multiply(b(z[lo:hi]), wb[lo:hi], out=fb[lo:hi])
         sums = np.stack([np.sum(w_hi * f[..., :q], axis=-1),
                          np.sum(w_lo * f[..., q:], axis=-1)], axis=-1)
         rows = sums.shape[1]
@@ -836,6 +880,17 @@ def _singular_set(curve):
     return np.asarray(sing, dtype=complex)
 
 
+def _padded_sets(curves, counts):
+    """Each curve's ``_singular_set``, padded with inf to one length, as one
+    row per path (curve c's ``counts[c]`` paths after those of the curves
+    before it)."""
+    sets = [_singular_set(c) for c in curves]
+    padded = np.full((len(sets), max(s.size for s in sets)), complex(np.inf, 0.0))
+    for row, s in zip(padded, sets):
+        row[: s.size] = s
+    return np.repeat(padded, counts, axis=0)
+
+
 def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     """Subdivide the paths into panels and continue eta along each from its
     start sheet: a ``StackWalk``, over whose rows every integral over a path
@@ -848,6 +903,12 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     a failure raises the error that walking the paths one after another
     raises first.
 
+    ``curve`` may also be a sequence of curves, with ``paths`` holding one
+    sequence of paths per curve: one stack then carries the paths of all
+    of them, curve after curve.  Each row is probed against its own curve's
+    singular set, and each curve's P is evaluated once, on its own block of
+    rows, so every path still gets the rows it gets walked alone.
+
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
     same order (another curve, say a nearby iterate's), hands its grid on:
     when the grid ``holds`` against this curve's singular set, its panels,
@@ -856,9 +917,14 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     fresh walk.  A grid of other paths or another order raises
     ``ValueError``.
     """
-    P = curve.P
-    paths = tuple(paths)
-    sing = _singular_set(curve)
+    if isinstance(curve, HyperellipticCurve):
+        curves, groups = (curve,), (tuple(paths),)
+    else:
+        curves, groups = tuple(curve), tuple(map(tuple, paths))
+    Ps = tuple(c.P for c in curves)
+    paths = tuple(p for group in groups for p in group)
+    counts = [len(group) for group in groups]
+    sing = _singular_set(curves[0]) if len(curves) == 1 else _padded_sets(curves, counts)
     ts = _panel_grid(quad_order)[0]
     # (tuples compare their items by identity first, so the paths of one
     # frame compare at no cost)
@@ -872,8 +938,11 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
         zs.flags.writeable = velocity.flags.writeable = False
     error = panels.error
     first = np.flatnonzero(panels.heads())
+    # each curve's paths end before ``path_stops`` and its rows before
+    # ``stops``; a failed subdivision keeps the paths before the failing one
+    path_stops = np.minimum(np.cumsum(counts), first.size)
 
-    p0 = P(zs[first, 0])
+    p0 = _per_curve(Ps, path_stops, zs[first, 0])
     # P is real at zeta = +-1 (on the unit circle a real section is real up
     # to a phase); at -1 it is negative for even genus, i.e. on the cut of
     # the principal root, where the roundoff sign of the imaginary part would
@@ -886,19 +955,21 @@ def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
         error = GeometryError("path starts at a branch point")
         rows = slice(0, first[k])
         panels, zs, first, eta0 = panels.take(rows), zs[rows], first[:k], eta0[:k]
+        path_stops = np.minimum(path_stops, k)
+    stops = np.append(first, len(panels))[path_stops]
     if len(panels):
-        etas = _walk_eta(P, panels, ts, zs, eta0)
+        etas = _walk_eta(Ps, panels, ts, zs, eta0, stops)
     if error is not None:
         raise error
     # the end node as walked: at zeta = -1 the path's own end point may sit
     # on the other side of the principal root's cut
     last = np.append(first[1:], len(panels)) - 1
-    ref, eta = np.sqrt(P(zs[last, -1])), etas[last, -1]
+    ref, eta = np.sqrt(_per_curve(Ps, path_stops, zs[last, -1])), etas[last, -1]
     end_sheet = np.where(np.abs(eta - ref) <= np.abs(eta + ref), 1, -1)
     # the velocities may be a handed-on grid's, so they are not divided in
     # place
     base = velocity / (zs**2 * etas)
-    return StackWalk(paths, quad_order, panels, zs, velocity, etas, base, first, end_sheet)
+    return StackWalk(paths, quad_order, panels, zs, velocity, etas, base, first, end_sheet, stops)
 
 
 def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):

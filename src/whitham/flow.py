@@ -697,7 +697,11 @@ def trace(triple, config):
     """Iterate flow steps; emits the full sample sequence (first sample is
     the validated input) plus a status string.  Each point is classified
     once: the label of each sample builds the tower of the next step's
-    tangent."""
+    tangent.  A start whose Psi residual is outside ``CAPTURE_RADIUS`` is
+    off the lattice, where no projection converges: once its tangent is
+    built (a non-deformable start stops on that first), the flow stops at
+    step 0, before any step, and its status names the residual and the
+    radius."""
     cfg = config
     frame = PsiFrame.build(triple, quad_order=cfg.quad_order)
     vec = psi(triple, frame=frame)
@@ -719,6 +723,11 @@ def trace(triple, config):
         current = samples[-1]
         try:
             v = _rule_tangent(current.triple, current.label, cfg.params_rule, v_prev)
+            if k == 0 and current.psi_residual > CAPTURE_RADIUS:
+                raise ProjectionFailureError(
+                    f"start residual {current.psi_residual:.3e} outside the capture "
+                    f"radius {CAPTURE_RADIUS}"
+                )
             sample, taken = flow_step(current.triple, v, cfg.h, cfg, lattice)
         except WhithamError as exc:
             status = f"stopped at step {k}: {exc}"

@@ -342,3 +342,69 @@ def test_successive_calls_see_their_own_options(good_file, tmp_path, capsys, mon
     assert main(["classify", str(good_file)]) == 0
     assert json.loads(capsys.readouterr().out)["case"] == "a"
     assert len(built) <= 1
+
+
+def _alone_row(f, tmp_path, capsys):
+    """The batch row of file f as ``validate`` of f alone grades it, and its
+    exit code."""
+    out = tmp_path / "alone.json"
+    code = main(["validate", str(f), "--out", str(out)])
+    if code == 2:
+        message = capsys.readouterr().err
+        assert message.startswith("input error: ")
+        return {"file": f.name, "verdict": "input-error",
+                "failed": [message[len("input error: "):].rstrip("\n")]}, code
+    report = json.loads(out.read_text())
+    assert code == (0 if report["verdict"] == "pass" else 1)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    return {"file": f.name, "verdict": report["verdict"], "failed": failed}, code
+
+
+@pytest.mark.parametrize("budget", [None, 10**6])
+def test_mixed_directory_gets_the_rows_of_each_file_alone(
+    budget, g0_triple, g0_conformal, g1_triple, tmp_path, capsys, monkeypatch
+):
+    """``validate <dir>`` over admissible, perturbed, conformal, genus-2 and
+    genus-3 triples, a circle-root triple, a malformed file and a triple
+    whose walk raises (``MAX_SEGMENTS`` at 100 fails one path of the
+    case-(c) triple) writes, byte for byte, the rows that ``validate`` of
+    each file alone gives, in file order, and exits with the worst code."""
+    import whitham.curve as curve_mod
+    import whitham.spectral as spectral
+    from whitham.polyring import random_real_section
+    from whitham.spectral import product_form
+
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 100)
+    if budget is not None:
+        monkeypatch.setattr(spectral, "STACK_SEGMENTS", budget)
+    rng = np.random.default_rng(2018)
+    alphas = [0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j]
+    genus2, genus3 = (
+        SpectralTriple(g, product_form(alphas[: g + 1]), random_real_section(rng, g + 3),
+                       random_real_section(rng, g + 3))
+        for g in (2, 3)
+    )
+    kicked = SpectralTriple(1, g1_triple.P, g1_triple.b1,
+                            g1_triple.b2 + random_real_section(rng, 4, 1e-4))
+    F = product_form([0.35 + 0.1j])
+    c1, c2 = random_real_section(rng, 3), random_real_section(rng, 3)
+    case_c = SpectralTriple(2, F * product_form([0.5, -0.4]), F * c1, F * c2)
+    circle = SpectralTriple(1, Polynomial([-1j, 1]) * product_form([0.5]),
+                            random_real_section(rng, 4), random_real_section(rng, 4))
+    d = tmp_path / "batch"
+    d.mkdir()
+    triples = {"a_g0": g0_triple, "b_g1_perturbed": kicked, "c_conformal": g0_conformal,
+               "d_case_c": case_c, "e_genus2": genus2, "f_circle": circle, "h_genus3": genus3,
+               "i_g1": g1_triple}
+    for name, t in triples.items():
+        (d / f"{name}.json").write_text(json.dumps(t.to_json_dict()), encoding="utf-8")
+    (d / "g_garbled.json").write_text("{not json", encoding="utf-8")
+    alone = [_alone_row(f, tmp_path, capsys) for f in sorted(d.glob("*.json"))]
+    rows = [row for row, _ in alone]
+    assert [r["verdict"] for r in rows] == ["pass", "fail", "pass", "fail", "fail", "fail",
+                                            "input-error", "fail", "pass"]
+    assert "P6_P7_integrals" in rows[3]["failed"]
+    out = tmp_path / "batch.json"
+    code = main(["validate", str(d), "--out", str(out)])
+    assert code == max(c for _, c in alone) == 2
+    assert out.read_text(encoding="utf-8") == json.dumps({"results": rows}, indent=2) + "\n"

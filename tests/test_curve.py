@@ -504,3 +504,77 @@ def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
                 ref = reference_integrate(walk, numerators, order)
                 assert [(r.value, r.error, r.end_sheet) for r in results] == ref
                 assert [(r.value, r.error, r.end_sheet) for r in alone] == ref
+
+
+# -- several curves in one stack ------------------------------------------------
+
+
+def _stack_points(g1_b_linear, g2_b_quad):
+    """The five seed points, a fixed genus-3 triple and a well-separated
+    genus-2 triple, both with random real sections as numerators."""
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+    from whitham.spectral import SpectralTriple, product_form
+
+    assert not any(isinstance(t, str) for t in (g1_b_linear, g2_b_quad))
+    rng = np.random.default_rng(2018)
+    genus3 = SpectralTriple(3, product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j]),
+                            random_real_section(rng, 6), random_real_section(rng, 6))
+    genus2 = SpectralTriple(2, pair_poly(0.3 + 0.05j, 0.5j, -0.45 + 0.2j),
+                            random_real_section(rng, 5), random_real_section(rng, 5))
+    return [seed_genus0(), seed_conformal_genus0(1, 2), seed_genus1(), g1_b_linear,
+            g2_b_quad, genus3, genus2]
+
+
+def test_stack_of_several_curves_matches_each_curve_walked_alone(g1_b_linear, g2_b_quad):
+    """One stack of the Psi paths of seven curves (genus 0 to 3), in two
+    orders: every path's nodes, eta, base and end sheet, and every integral
+    of its own curve's numerators with its error, equal those of its curve's
+    walk alone, bit for bit, at orders 32 and 48."""
+    from whitham.spectral import PsiFrame, _psi_paths
+
+    points = _stack_points(g1_b_linear, g2_b_quad)
+    frames = [PsiFrame.build(t) for t in points]
+    for order in (32, 48):
+        alone = []
+        for t, frame in zip(points, frames):
+            walk = walk_paths(frame.row.curve, _psi_paths(frame), order)
+            alone.append((per_path(walk), walk.integrate([t.b1, t.b2])))
+        forward = list(range(len(points)))
+        for ks in (forward, forward[::-1]):
+            stack = walk_paths([frames[k].row.curve for k in ks],
+                               [_psi_paths(frames[k]) for k in ks], order)
+            rows = [sum(len(w.zs) for w in alone[k][0]) for k in ks]
+            assert list(stack.curve_stops) == list(np.cumsum(rows))
+            walks = per_path(stack)
+            results = stack.integrate([(points[k].b1, points[k].b2) for k in ks])
+            assert len(walks) == len(results) == sum(len(alone[k][0]) for k in ks)
+            at = 0
+            for k in ks:
+                own_walks, own_results = alone[k]
+                for w, ref in zip(walks[at:], own_walks):
+                    _assert_walks_equal(w, (ref.zs, ref.etas, ref.base, ref.end_sheet))
+                for got, ref in zip(results[at:], own_results):
+                    assert [(r.value, r.error, r.end_sheet) for r in got] == [
+                        (r.value, r.error, r.end_sheet) for r in ref]
+                at += len(own_walks)
+
+
+def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_b_quad):
+    """A curve whose path passes through a branch point fails a stack of
+    several curves with the class and message its own walk raises, and the
+    other curves' walks, stacked without it, equal their walks alone."""
+    from whitham.spectral import PsiFrame, _psi_paths
+
+    bad = build_curve(Polynomial.from_roots([0.5, 2.0]))
+    own_error = _walked(lambda: walk_paths(bad, [FAR, THROUGH], 32))
+    assert own_error == (GeometryError, "integration path passes through a singular point")
+    frames = [PsiFrame.build(t) for t in _stack_points(g1_b_linear, g2_b_quad)[:3]]
+    curves = [f.row.curve for f in frames]
+    paths = [_psi_paths(f) for f in frames]
+    for at in range(len(curves) + 1):
+        stacked = _walked(lambda: walk_paths(curves[:at] + [bad] + curves[at:],
+                                             paths[:at] + [[FAR, THROUGH]] + paths[at:], 32))
+        assert stacked == own_error
+    rest = per_path(walk_paths(curves, paths, 32))
+    own = [w for c, p in zip(curves, paths) for w in per_path(walk_paths(c, p, 32))]
+    _same_outcome(rest, own)

@@ -330,6 +330,38 @@ def test_trace_zero_steps(g0_triple):
     assert samples[0].case == "a"
 
 
+def test_trace_refuses_a_start_off_the_lattice(tmp_path, monkeypatch):
+    """A genus-3 case-(a) triple with random numerators has a Psi residual
+    of about 45, far outside the capture radius: the flow stops at step 0
+    with a status naming the residual and the radius, without taking a
+    step, and the CLI exits 3."""
+    import json
+
+    import whitham.flow as flow
+    from whitham.cli import main
+    from whitham.polyring import random_real_section
+    from whitham.spectral import product_form
+
+    rng = np.random.default_rng(2018)
+    P = product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j, 0.2 - 0.55j])
+    start = SpectralTriple(3, P, random_real_section(rng, 6), random_real_section(rng, 6))
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("flow_step called at a start off the lattice")
+
+    monkeypatch.setattr(flow, "flow_step", no_step)
+    samples, status = trace(start, FlowConfig(steps=3))
+    (sample,) = samples
+    assert sample.psi_residual > 10 * flow.CAPTURE_RADIUS
+    assert status == (f"stopped at step 0: start residual {sample.psi_residual:.3e} outside "
+                      f"the capture radius {flow.CAPTURE_RADIUS}")
+    f = tmp_path / "off.json"
+    f.write_text(json.dumps(start.to_json_dict()), encoding="utf-8")
+    out = tmp_path / "flow.jsonl"
+    assert main(["flow", str(f), "--steps", "3", "--out", str(out)]) == 3
+    assert json.loads(out.read_text().splitlines()[-1]) == {"status": status}
+
+
 def test_trace_short_flow(g0_triple):
     cfg = FlowConfig(h=1e-2, steps=5, params_rule="basis0", quad_order=32,
                      projection_tol=1e-10)

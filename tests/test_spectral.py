@@ -24,6 +24,7 @@ from whitham.spectral import (
     psi_walks,
     unpack_triple,
     validate,
+    validate_batch,
 )
 
 
@@ -351,6 +352,86 @@ def test_validate_roots_P_once(g1_triple, monkeypatch):
             monkeypatch.setattr(mod, "roots", counted)
     assert validate(g1_triple).verdict
     assert len(calls) == 1
+
+
+def _batch_triples(g1_b_linear, g2_b_quad):
+    """Admissible, perturbed, conformal, genus-2 and genus-3 triples, a
+    triple with a root of P on the unit circle and one whose P has no
+    roots."""
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+
+    seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
+    rng = np.random.default_rng(21)
+    g0 = seed_genus0()
+    kicked = SpectralTriple(0, g0.P, g0.b1 + random_real_section(rng, 3, 1e-4), g0.b2)
+    circle = SpectralTriple(1, P(-1j, 1) * pair_poly(0.5), random_real_section(rng, 4),
+                            random_real_section(rng, 4))
+    rootless = SpectralTriple(1, P(1.0), random_real_section(rng, 4), random_real_section(rng, 4))
+    return [seeds[0], kicked, seed_conformal_genus0(1, 2), circle, *synthetic, seed_genus1(),
+            rootless, *seeds[3:]]
+
+
+def _case_c():
+    """Genus 2 with a real quadratic F shared by P, b1 and b2: one of its
+    paths needs more panels and splits (105) than any path of
+    ``_batch_triples`` (at most 72)."""
+    rng = np.random.default_rng(2019)
+    F = product_form([0.35 + 0.1j])
+    c1, c2 = random_real_section(rng, 3), random_real_section(rng, 3)
+    return SpectralTriple(2, F * product_form([0.5, -0.4]), F * c1, F * c2)
+
+
+@pytest.mark.parametrize("budget", [0, None, 10**6])
+def test_validate_batch_equals_validate_of_each_triple(budget, g1_b_linear, g2_b_quad,
+                                                       monkeypatch):
+    """``validate_batch`` gives each triple the report ``validate`` gives it
+    alone, whether each frame is its own stack (budget 0), stacks hold a
+    few frames (the default ``STACK_SEGMENTS``) or all frames form one
+    stack; the default walks fewer stacks than frames."""
+    import whitham.spectral as spectral
+
+    triples = _batch_triples(g1_b_linear, g2_b_quad)
+    alone = [validate(t).to_json_dict() for t in triples]
+    if budget is not None:
+        monkeypatch.setattr(spectral, "STACK_SEGMENTS", budget)
+    walks, walk_paths = [], spectral.walk_paths
+
+    def counted(curve, paths, *args, **kwargs):
+        walks.append(len(curve))
+        return walk_paths(curve, paths, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "walk_paths", counted)
+    assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+    framed = len(triples) - 2  # the circle-root and rootless triples have no frame
+    assert sum(walks) == framed
+    if budget == 0:
+        assert len(walks) == framed
+    else:
+        assert len(walks) < framed
+    if budget == 10**6:
+        assert walks == [framed]
+
+
+def test_a_stack_that_raises_is_walked_frame_by_frame(g1_b_linear, g2_b_quad, monkeypatch):
+    """With ``MAX_SEGMENTS`` at 100, the case-(c) triple's walk raises; the
+    one stack of all frames that holds it raises too and is walked again
+    frame by frame, so that triple's report carries its own walk error and
+    every report equals the one ``validate`` gives alone."""
+    import whitham.curve as curve_mod
+    import whitham.spectral as spectral
+
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 100)
+    monkeypatch.setattr(spectral, "STACK_SEGMENTS", 10**6)
+    triples = _batch_triples(g1_b_linear, g2_b_quad)
+    triples.insert(3, _case_c())
+    alone = [validate(t).to_json_dict() for t in triples]
+    failed = [
+        [c["error"] for c in report["checks"] if c["name"] == "P6_P7_integrals"]
+        for report in alone
+    ]
+    assert failed[3] == ["segment subdivision did not terminate near a singularity"]
+    assert not any(failed[:3] + failed[4:])
+    assert [r.to_json_dict() for r in validate_batch(triples)] == alone
 
 
 # -- Psi on a handed-on quadrature grid ------------------------------------------
