@@ -7,10 +7,11 @@ conditions), ``classify`` (case label from the gcd tower), ``tangent``
 independent dense solves), ``plot`` (SVG of branch points and roots).
 Each subcommand takes only the options its handler reads; ``validate`` on
 a directory grades every ``*.json`` in it with one ``validate_batch``:
-the paths of several triples are walked as one stack of curves, a stack
-that raises is walked again triple by triple, and every row is the one
-that grading its file alone gives.  A file that fails to parse gets its
-own ``input-error`` row.
+the files are read and graded a stack at a time, the paths of a stack's
+triples walked as one stack of curves, a stack that raises is walked
+again triple by triple, and every row is the one that grading its file
+alone gives.  A file that fails to parse gets its own ``input-error``
+row.
 
 Exit codes: 0 success/pass, 1 validated-false (condition failures or a
 non-deformable case), 2 usage/parse error, 3 numerical failure.  Reports
@@ -126,12 +127,12 @@ def _batch_row(name, graded):
 
 
 def _validate_batch(path, args):
+    # each file is read as the batch takes it, so no more files are held
+    # than one stack of the batch
     files = sorted(path.glob("*.json"))
-    loaded = [_load_or_error(f) for f in files]
-    reports = iter(validate_batch([t for t in loaded if isinstance(t, SpectralTriple)],
-                                  tol=_tolerances(args), quad_order=args.quad_order))
-    rows = [_batch_row(f.name, t if isinstance(t, Exception) else next(reports))
-            for f, t in zip(files, loaded)]
+    graded = validate_batch(map(_load_or_error, files), tol=_tolerances(args),
+                            quad_order=args.quad_order)
+    rows = [_batch_row(f.name, g) for f, g in zip(files, graded)]
     _dump({"results": [{"file": n, "verdict": v, "failed": fl} for n, v, fl in rows]}, args)
     return max((_BATCH_EXIT[v] for _, v, _ in rows), default=EXIT_PASS)
 

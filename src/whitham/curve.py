@@ -23,23 +23,23 @@ comes too close; loops whose radii cannot clear the surrounding geometry
 raise ``PathConstructionError`` with a diagnostic.
 
 Paths are walked as one stack, a ``StackWalk`` (``walk_paths``; one path
-is a stack of one): they are split into quadrature panels together, level
-by level, probing the panels just split against the singular set at once;
-P is evaluated once over the panels x nodes grid of all paths; and the
-sheet signs of all panels chain in one ``cumprod`` that starts afresh at
-each path's first panel.  Only a panel with an ambiguous step is walked
-node by node, with bisection.  Each path gets the panels and eta it gets
+of one curve is a stack of one): they are split into quadrature panels
+together, level by level, probing the panels just split against the
+singular set at once; P is evaluated once over the panels x nodes grid of
+all paths; and the sheet signs of all panels chain in one ``cumprod`` that
+starts afresh at each path's first panel.  Only a panel with an ambiguous
+step is walked node by node, with bisection.  Each path gets the panels and eta it gets
 when walked alone, and a failing stack raises the error that walking its
 paths one after another raises first.  Every numerator is integrated over
 the whole stack in one pass (``StackWalk.integrate``).
 
-One stack may also carry the paths of several curves, curve after curve
-(``walk_paths`` of a sequence of curves): each row is probed against its
-own curve's singular set (the sets padded with inf to one length), each
-curve's P is evaluated once on its own block of rows, and each curve's
-numerators are integrated over its own rows, so every path still gets the
-rows, eta and integrals it gets when its curve is walked alone.  A batch
-``validate`` walks its triples this way, a few curves per stack.
+A stack carries the paths of one or more curves, curve after curve: each
+row is probed against its own curve's singular set (the sets padded with
+inf to one length), each curve's P is evaluated once on its own block of
+rows, and each curve's numerators are integrated over its own rows, so
+every path still gets the rows, eta and integrals it gets when its curve
+is walked alone.  A batch ``validate`` walks its triples this way, a few
+curves per stack; a single evaluation walks its one curve.
 
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
@@ -560,16 +560,15 @@ class Panels:
         center is cleared by its radius); and, of those, the rows that pass
         through a singular point.
 
-        ``sing`` is the singular set of every row, or one set per path
-        (row k of a 2-D ``sing``, padded with inf, for path k), each row
-        then probed against its own path's set alone: an inf point is at
-        infinite distance, so the padding changes no clearance."""
+        ``sing`` holds one singular set per path (row k for path k, padded
+        with inf, see ``_padded_sets``); each row is probed against its own
+        path's set alone: an inf point is at infinite distance, so the
+        padding changes no clearance."""
         half = 0.5 * np.where(
             self.arc, self.radius * np.abs(self.theta1 - self.theta0), np.abs(self.end - self.start)
         )
         probes = self.points(_PROBES)[0]
-        if sing.ndim == 2:
-            sing = sing[self.path]
+        sing = sing[self.path]
         dist = np.minimum.reduce(np.abs(probes[:, :, None] - sing[..., None, :]), axis=1,
                                  initial=np.inf)
         dist[self.arc[:, None] & (np.abs(sing - self.start[:, None]) < 1e-13)] = np.inf
@@ -583,8 +582,8 @@ def _subdivide(paths, sing):
     """Split the segments of each path (a list of segments per path) until
     each clears the singular set by its half-length, level by level, and
     return the ``Panels`` of all paths, path after path, each in path order.
-    ``sing`` is one singular set for all paths, or one per path padded with
-    inf (the paths of several curves, see ``Panels.too_close``).
+    ``sing`` holds one singular set per path, padded with inf (see
+    ``Panels.too_close``).
 
     Wide arcs are first halved into arcs of at most pi/4.  Then at each
     level the panels just split (at the first level, all of them) are probed
@@ -607,7 +606,6 @@ def _subdivide(paths, sing):
     no row through a singular point, each level splits the same rows, and
     the panels come out the same (see ``StackWalk.holds``).
     """
-    sing = np.asarray(sing, dtype=complex)
     panels = Panels.of(*paths)
     segments = np.bincount(panels.path, minlength=len(paths))
     # an arc wider than pi/4 splits whatever its clearance
@@ -671,23 +669,21 @@ class IntegrationResult:
 def _per_curve(Ps, stops, z):
     """Each curve's P at its own block of rows of z: ``Ps[c]`` at the rows
     from ``stops[c - 1]`` (0 for c = 0) up to ``stops[c]``.  One curve's P
-    is evaluated at all rows at once.  Horner runs elementwise, so each
+    is evaluated at all its rows at once.  Horner runs elementwise, so each
     block comes out as it does evaluated alone."""
-    if len(Ps) == 1:
-        return Ps[0](z)
     out = np.empty(z.shape, dtype=complex)
     for P, lo, hi in zip(Ps, [0, *stops[:-1]], stops):
         out[lo:hi] = P(z[lo:hi])
     return out
 
 
-def _walk_eta(P, panels, ts, zs, eta0, stops=None):
+def _walk_eta(Ps, panels, ts, zs, eta0, stops):
     """eta at the nodes ``zs`` of the panels (rows: each path's panels in
     path order, path after path, at the sorted parameters ts from 0 to 1),
     continued along each path from its start value ``eta0[k]`` (path k; one
-    number for one path) at its first node.  ``P`` is the curve polynomial
-    of every row or, with ``stops``, one polynomial per block of rows, as
-    ``_per_curve`` takes them (the paths of several curves).
+    number for one path) at its first node.  ``Ps`` holds one curve
+    polynomial per block of rows, the block of ``Ps[c]`` ending at
+    ``stops[c]``, as ``_per_curve`` takes them.
 
     Each step keeps or flips the sign of the principal root; inside a panel
     a step is clear when one choice is much closer than the other, and at a
@@ -696,7 +692,6 @@ def _walk_eta(P, panels, ts, zs, eta0, stops=None):
     each path's first row; only a row with an unclear step is walked node by
     node, with ``_continue_eta`` bisecting each unclear step.
     """
-    Ps, stops = ((P,), [len(panels)]) if stops is None else (P, stops)
     vals = np.sqrt(_per_curve(Ps, stops, zs))
     d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
     d_flip = np.abs(vals[:, 1:] + vals[:, :-1])
@@ -790,7 +785,7 @@ class StackWalk:
     b dzeta/(zeta^2 eta) over a panel is sum(w_hi * b(zs) * base) over the
     columns ``idx_hi`` of ``_panel_grid(quad_order)``; its half-order rule
     gives the error estimate.  Path k ends on sheet ``end_sheets[k]``.
-    The paths may be those of several curves, curve after curve; curve c's
+    The paths are those of one or more curves, curve after curve; curve c's
     rows end at ``curve_stops[c]``.
 
     The grid is the panels ``_subdivide`` gave the paths (with the rows it
@@ -821,16 +816,14 @@ class StackWalk:
         path (outer list), in one pass over the stack.
 
         ``numerators`` holds one sequence of numerators per curve, the same
-        number for each; a stack of one curve takes its sequence alone as
-        well.  Each numerator is evaluated once over its curve's rows, at
-        the rule columns alone.  Each row is summed on its own, contiguous,
-        so it sums exactly as the 1-D sum of its panel would; each path's
-        panel sums are then added in path order by one ``cumsum`` down the
-        rows, padded with -0.0, which leaves every sum unchanged, so no sum
-        runs across paths and each path integrates as it does walked alone.
+        number for each.  Each numerator is evaluated once over its curve's
+        rows, at the rule columns alone.  Each row is summed on its own,
+        contiguous, so it sums exactly as the 1-D sum of its panel would;
+        each path's panel sums are then added in path order by one
+        ``cumsum`` down the rows, padded with -0.0, which leaves every sum
+        unchanged, so no sum runs across paths and each path integrates as
+        it does walked alone.
         """
-        if callable(numerators[0]):
-            numerators = [numerators]
         _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(self.quad_order)
         q, first = idx_hi.size, self.first
         cols = np.concatenate([idx_hi, idx_lo])
@@ -862,10 +855,10 @@ class StackWalk:
         return Panels(*map(np.concatenate, columns)), np.concatenate([c for _, c in levels])
 
     def holds(self, sing):
-        """Whether ``_subdivide`` of these paths against the singular set
-        ``sing`` gives these panels: every row it probed keeps its verdict
-        and none passes through a singular point, all checked in one
-        ``too_close`` call."""
+        """Whether ``_subdivide`` of these paths against the singular sets
+        ``sing`` (one per path, see ``_padded_sets``) gives these panels:
+        every row it probed keeps its verdict and none passes through a
+        singular point, all checked in one ``too_close`` call."""
         rows, verdicts = self._probed
         close, through = rows.too_close(sing)
         return np.array_equal(close, verdicts) and not through.any()
@@ -891,40 +884,33 @@ def _padded_sets(curves, counts):
     return np.repeat(padded, counts, axis=0)
 
 
-def walk_paths(curve, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
+def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     """Subdivide the paths into panels and continue eta along each from its
     start sheet: a ``StackWalk``, over whose rows every integral over a path
     is a weighted sum.
 
-    The paths are walked as one stack: they are subdivided together (see
-    ``_subdivide``), P is evaluated once over the whole (panels x nodes)
-    grid and the sheet signs of all panels chain in one pass, see
+    ``paths`` holds one sequence of paths per curve of ``curves``, and one
+    stack carries them all, curve after curve: they are subdivided together
+    (see ``_subdivide``), each row against its own curve's singular set;
+    each curve's P is evaluated once over its own block of the (panels x
+    nodes) grid and the sheet signs of all panels chain in one pass, see
     ``_walk_eta``.  Each path gets the rows it gets when walked alone, and
     a failure raises the error that walking the paths one after another
     raises first.
 
-    ``curve`` may also be a sequence of curves, with ``paths`` holding one
-    sequence of paths per curve: one stack then carries the paths of all
-    of them, curve after curve.  Each row is probed against its own curve's
-    singular set, and each curve's P is evaluated once, on its own block of
-    rows, so every path still gets the rows it gets walked alone.
-
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
     same order (another curve, say a nearby iterate's), hands its grid on:
-    when the grid ``holds`` against this curve's singular set, its panels,
+    when the grid ``holds`` against these curves' singular sets, its panels,
     nodes and velocities are walked as they are, without subdividing; else
     the paths are subdivided afresh.  Either way the walks are those of a
     fresh walk.  A grid of other paths or another order raises
     ``ValueError``.
     """
-    if isinstance(curve, HyperellipticCurve):
-        curves, groups = (curve,), (tuple(paths),)
-    else:
-        curves, groups = tuple(curve), tuple(map(tuple, paths))
+    groups = tuple(map(tuple, paths))
     Ps = tuple(c.P for c in curves)
     paths = tuple(p for group in groups for p in group)
     counts = [len(group) for group in groups]
-    sing = _singular_set(curves[0]) if len(curves) == 1 else _padded_sets(curves, counts)
+    sing = _padded_sets(curves, counts)
     ts = _panel_grid(quad_order)[0]
     # (tuples compare their items by identity first, so the paths of one
     # frame compare at no cost)
@@ -981,7 +967,7 @@ def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
     the half-order rule on the same panels, so doubling ``quad_order`` moves
     the value by less than ``error``.
     """
-    return walk_paths(curve, [path], quad_order).integrate(numerators)[0]
+    return walk_paths([curve], [[path]], quad_order).integrate([numerators])[0]
 
 
 # ---------------------------------------------------------------------------

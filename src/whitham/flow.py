@@ -317,8 +317,8 @@ def seed_genus0(alpha=0.42 + 0.18j):
     basis = homology_basis(cur)
     # closings (gamma+, gamma-) of the numerators at y = 1 and y = i, from one
     # walk of both paths
-    walks = walk_paths(cur, [basis.gamma_plus, basis.gamma_minus], SEED_QUAD_ORDER)
-    closings = walks.integrate([differential_family_genus0(alpha, y) for y in (1.0, 1j)])
+    walks = walk_paths([cur], [[basis.gamma_plus, basis.gamma_minus]], SEED_QUAD_ORDER)
+    closings = walks.integrate([[differential_family_genus0(alpha, y) for y in (1.0, 1j)]])
     c1, ci = ([res[i].value for res in closings] for i in range(2))
     # the map y -> closings is R-linear; fit 2 real unknowns to 4 real targets
     M = np.array(

@@ -66,9 +66,10 @@ CONFORMAL_RTOL = 1e-9
 P8_TOL = 1e-10
 # a ``validate_batch`` stack takes the paths of consecutive frames while
 # their segments total at most this: two to five genus-0 to genus-2 frames.
-# A walk's memory grows with its panels; on the benchmark corpus a stack
-# then holds at most 1.25 times the panels of its largest frame, and peak
-# RSS rose by 0.5 MB (by 3 MB with a whole directory per stack)
+# A batch holds one stack at a time, and a walk's memory grows with its
+# panels; on the benchmark corpus a stack then holds at most 1.25 times the
+# panels of its largest frame, and peak RSS rose by under 1 MB (by 3 MB
+# with a whole directory per stack)
 STACK_SEGMENTS = 34
 
 
@@ -533,8 +534,9 @@ def psi_walks(triple, frame, like=None):
     ``ValueError``."""
     row = frame.row_of(triple.P)
     paths = _psi_paths(frame)
-    walks = walk_paths(row.curve, paths, frame.quad_order, like=None if like is None else like.walks)
-    vector = _psi_vector(triple, row, paths, walks.integrate((triple.b1, triple.b2)))
+    walks = walk_paths([row.curve], [paths], frame.quad_order,
+                       like=None if like is None else like.walks)
+    vector = _psi_vector(triple, row, paths, walks.integrate([(triple.b1, triple.b2)]))
     return PsiWalks(triple, frame, row, walks, vector)
 
 
@@ -710,31 +712,47 @@ def validate(triple, tol=None, quad_order=DEFAULT_QUAD_ORDER):
 
 
 def validate_batch(triples, tol=None, quad_order=DEFAULT_QUAD_ORDER):
-    """``validate`` of each triple: its ``ValidationReport``, or the
-    exception that ``validate`` of that triple alone raises.
+    """``validate`` of each triple, yielded in order: its
+    ``ValidationReport``, or the exception that ``validate`` of that triple
+    alone raises.  An exception in place of a triple (one that could not be
+    read, say) is passed on as its result.
 
-    Each triple's algebraic checks run and its frame is built first.  Then
-    the paths of the frames are walked and integrated as stacks of several
-    curves (``curve.walk_paths``), consecutive frames while their segments
-    total at most ``STACK_SEGMENTS``; a stack whose walk raises is walked
-    again frame by frame, so each triple gets the integrals, or the error,
-    that it gets alone.  Last, each triple's Psi vector and its lattice,
-    scaling and P8 checks are assembled as ``validate`` assembles them."""
+    The triples are graded a stack at a time.  Each triple's algebraic
+    checks run and its frame is built as it is taken, and consecutive
+    triples join one stack while their frames' paths total at most
+    ``STACK_SEGMENTS`` segments.  Then the stack's paths are walked and
+    integrated together, several curves in one ``curve.walk_paths``; a
+    stack whose walk raises is walked again frame by frame, so each triple
+    gets the integrals, or the error, that it gets alone.  Last, each
+    triple's Psi vector and its lattice, scaling and P8 checks are
+    assembled as ``validate`` assembles them, and its report is yielded
+    before the next stack is taken, so a batch holds one stack at a time
+    however many triples it grades."""
     tol = tol or ToleranceProfile()
-    graded = [_isolated(_start, triple, tol, quad_order) for triple in triples]
     stack, size = [], 0
-    for g in graded:
-        if not isinstance(g, _Grading) or g.frame is None:
-            continue
-        segments = sum(len(path.segments) for path in g.paths)
+    for triple in triples:
+        g = triple if isinstance(triple, Exception) else _isolated(_start, triple, tol, quad_order)
+        segments = sum(len(path.segments) for path in g.paths) if _framed(g) else 0
         if stack and size + segments > STACK_SEGMENTS:
-            _integrate_frames(stack, quad_order)
+            yield from _graded(stack, tol, quad_order)
             stack, size = [], 0
         stack.append(g)
         size += segments
-    if stack:
-        _integrate_frames(stack, quad_order)
-    return [_isolated(_finish, g, tol) if isinstance(g, _Grading) else g for g in graded]
+    yield from _graded(stack, tol, quad_order)
+
+
+def _framed(graded):
+    """Whether the triple has a frame whose paths are to be walked."""
+    return isinstance(graded, _Grading) and graded.paths is not None
+
+
+def _graded(stack, tol, quad_order):
+    """The results of a stack: its frames' paths walked and integrated
+    together, then each triple's report (or exception) assembled."""
+    framed = [g for g in stack if _framed(g)]
+    if framed:
+        _integrate_frames(framed, quad_order)
+    return [_isolated(_finish, g, tol) if isinstance(g, _Grading) else g for g in stack]
 
 
 def _isolated(stage, *args):
@@ -828,8 +846,8 @@ def _start(triple, tol, quad_order):
     grading = _Grading(triple, checks, curve)
     if curve is not None:
         try:
-            grading.frame = PsiFrame.build(triple, quad_order=quad_order, curve=curve)
-            grading.paths = _psi_paths(grading.frame)
+            frame = PsiFrame.build(triple, quad_order=quad_order, curve=curve)
+            grading.frame, grading.paths = frame, _psi_paths(frame)
         except WhithamError as exc:
             grading.error = exc
     return grading

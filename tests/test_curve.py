@@ -332,11 +332,11 @@ def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
         paths = _psi_paths(frame)
         cur = frame.row.curve
         for order in (16, 32, 48):
-            stack = per_path(walk_paths(cur, paths, order))
+            stack = per_path(walk_paths([cur], [paths], order))
             assert len(stack) == len(paths)
             for path, walk in zip(paths, stack):
                 ref = reference_walk(cur, path, order)
-                _assert_walks_equal(per_path(walk_paths(cur, [path], order))[0], ref)
+                _assert_walks_equal(per_path(walk_paths([cur], [[path]], order))[0], ref)
                 _assert_walks_equal(walk, ref)
 
 
@@ -349,7 +349,7 @@ def _walked(walk):
 
 
 def _walked_in_order(cur, paths):
-    return _walked(lambda: [per_path(walk_paths(cur, [path], 32))[0] for path in paths])
+    return _walked(lambda: [per_path(walk_paths([cur], [[path]], 32))[0] for path in paths])
 
 
 def _same_outcome(stacked, in_order):
@@ -378,7 +378,7 @@ def test_stack_raises_the_first_failing_path_error():
     for paths in ([FAR, THROUGH, NEAR], [NEAR, THROUGH, FAR, POLE]):
         in_order = _walked_in_order(cur, paths)
         assert in_order == (GeometryError, "integration path passes through a singular point")
-        assert _walked(lambda: per_path(walk_paths(cur, paths, 32))) == in_order
+        assert _walked(lambda: per_path(walk_paths([cur], [paths], 32))) == in_order
 
 
 def test_segment_guard_applies_per_path(monkeypatch):
@@ -392,7 +392,7 @@ def test_segment_guard_applies_per_path(monkeypatch):
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
     monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 171)
     paths = [NEAR, FAR, NEAR]
-    stack = per_path(walk_paths(cur, paths, 32))
+    stack = per_path(walk_paths([cur], [paths], 32))
     assert sum(len(w.zs) for w in stack) > curve_mod.MAX_SEGMENTS
     _same_outcome(stack, _walked_in_order(cur, paths))
     monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 170)
@@ -404,7 +404,7 @@ def test_segment_guard_applies_per_path(monkeypatch):
         in_order = _walked_in_order(cur, paths)
         if message is not None:
             assert in_order == (GeometryError, message)
-        _same_outcome(_walked(lambda: per_path(walk_paths(cur, paths, 32))), in_order)
+        _same_outcome(_walked(lambda: per_path(walk_paths([cur], [paths], 32))), in_order)
 
 
 def test_unclear_row_falls_back_to_bisection(monkeypatch):
@@ -434,7 +434,7 @@ def test_unclear_row_falls_back_to_bisection(monkeypatch):
         return _continue_eta(P, seg, *args, **kwargs)
 
     monkeypatch.setattr(curve_mod, "_continue_eta", counted)
-    etas = _walk_eta(Ppoly, panels, ts, zs, eta0)
+    etas = _walk_eta([Ppoly], panels, ts, zs, eta0, [len(panels)])
     assert bisected and set(bisected) == {segs[1]}
     ref, eta = [], eta0
     for seg in segs:
@@ -464,7 +464,7 @@ def test_stacked_rows_restart_at_each_path():
     eta0 = [s * complex(np.sqrt(Ppoly(p[0].point(0.0)))) for s, p in zip(sheets, paths)]
     panels = Panels.of(*paths)
     zs, _ = panels.nodes(ts)
-    etas = _walk_eta(Ppoly, panels, ts, zs, eta0)
+    etas = _walk_eta([Ppoly], panels, ts, zs, eta0, [len(panels)])
     ref = []
     for path, eta in zip(paths, eta0):
         for seg in path:
@@ -495,8 +495,8 @@ def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
         numerators = (t.b1, t.b2, random_real_section(rng, t.g + 3))
         paths = _psi_paths(frame)
         for order in (16, 32, 48):
-            stack = walk_paths(frame.row.curve, paths, order)
-            stacked = stack.integrate(numerators)
+            stack = walk_paths([frame.row.curve], [paths], order)
+            stacked = stack.integrate([numerators])
             walks = per_path(stack)
             assert len(stacked) == len(walks)
             for path, walk, results in zip(paths, walks, stacked):
@@ -537,8 +537,8 @@ def test_stack_of_several_curves_matches_each_curve_walked_alone(g1_b_linear, g2
     for order in (32, 48):
         alone = []
         for t, frame in zip(points, frames):
-            walk = walk_paths(frame.row.curve, _psi_paths(frame), order)
-            alone.append((per_path(walk), walk.integrate([t.b1, t.b2])))
+            walk = walk_paths([frame.row.curve], [_psi_paths(frame)], order)
+            alone.append((per_path(walk), walk.integrate([(t.b1, t.b2)])))
         forward = list(range(len(points)))
         for ks in (forward, forward[::-1]):
             stack = walk_paths([frames[k].row.curve for k in ks],
@@ -566,7 +566,7 @@ def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_
     from whitham.spectral import PsiFrame, _psi_paths
 
     bad = build_curve(Polynomial.from_roots([0.5, 2.0]))
-    own_error = _walked(lambda: walk_paths(bad, [FAR, THROUGH], 32))
+    own_error = _walked(lambda: walk_paths([bad], [[FAR, THROUGH]], 32))
     assert own_error == (GeometryError, "integration path passes through a singular point")
     frames = [PsiFrame.build(t) for t in _stack_points(g1_b_linear, g2_b_quad)[:3]]
     curves = [f.row.curve for f in frames]
@@ -576,5 +576,5 @@ def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_
                                              paths[:at] + [[FAR, THROUGH]] + paths[at:], 32))
         assert stacked == own_error
     rest = per_path(walk_paths(curves, paths, 32))
-    own = [w for c, p in zip(curves, paths) for w in per_path(walk_paths(c, p, 32))]
+    own = [w for c, p in zip(curves, paths) for w in per_path(walk_paths([c], [p], 32))]
     _same_outcome(rest, own)

@@ -75,9 +75,9 @@ def test_one_round_projection_builds_one_frame(g0_triple, monkeypatch):
         frames.append(build(*args, **kwargs))
         return frames[-1]
 
-    def counted_walk(curve, paths, *args, **kwargs):
-        walked.extend(curve.P for _ in paths)
-        return walk_paths(curve, paths, *args, **kwargs)
+    def counted_walk(curves, paths, *args, **kwargs):
+        walked.extend(curve.P for curve, group in zip(curves, paths) for _ in group)
+        return walk_paths(curves, paths, *args, **kwargs)
 
     monkeypatch.setattr(PsiFrame, "build", staticmethod(counted_build))
     monkeypatch.setattr(spectral, "walk_paths", counted_walk)
@@ -283,9 +283,9 @@ def test_seed_genus0_fits_its_closings_from_one_walk(monkeypatch):
     walked = []
     walk_paths = flow.walk_paths
 
-    def counted_walk(curve, paths, *args, **kwargs):
-        walked.append(len(paths))
-        return walk_paths(curve, paths, *args, **kwargs)
+    def counted_walk(curves, paths, *args, **kwargs):
+        walked.append(sum(map(len, paths)))
+        return walk_paths(curves, paths, *args, **kwargs)
 
     monkeypatch.setattr(flow, "walk_paths", counted_walk)
     flow.seed_genus0()

@@ -396,9 +396,9 @@ def test_validate_batch_equals_validate_of_each_triple(budget, g1_b_linear, g2_b
         monkeypatch.setattr(spectral, "STACK_SEGMENTS", budget)
     walks, walk_paths = [], spectral.walk_paths
 
-    def counted(curve, paths, *args, **kwargs):
-        walks.append(len(curve))
-        return walk_paths(curve, paths, *args, **kwargs)
+    def counted(curves, paths, *args, **kwargs):
+        walks.append(len(curves))
+        return walk_paths(curves, paths, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "walk_paths", counted)
     assert [r.to_json_dict() for r in validate_batch(triples)] == alone
@@ -432,6 +432,42 @@ def test_a_stack_that_raises_is_walked_frame_by_frame(g1_b_linear, g2_b_quad, mo
     assert failed[3] == ["segment subdivision did not terminate near a singularity"]
     assert not any(failed[:3] + failed[4:])
     assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+
+
+def test_validate_batch_takes_a_stack_at_a_time(g1_b_linear, g2_b_quad, monkeypatch):
+    """``validate_batch`` takes its triples only as far as the stack being
+    filled and yields that stack's reports before it takes more: with the
+    default budget its first report comes before its last triple is taken,
+    and with a budget of 0 (a stack per frame) it never holds more than a
+    frame, the frameless triples after it and the next triple.  An
+    exception in place of a triple is passed on as its result, in order."""
+    import whitham.spectral as spectral
+
+    triples = _batch_triples(g1_b_linear, g2_b_quad)
+    unreadable = ValueError("not a triple")
+    items = [*triples[:2], unreadable, *triples[2:]]
+    alone = [validate(t).to_json_dict() for t in triples]
+
+    def held_by(batch):
+        """How many items the batch had taken but not yet yielded as it
+        yielded each result."""
+        taken, held, results = [], [], []
+
+        def feed():
+            for item in items:
+                taken.append(item)
+                yield item
+
+        for result in batch(feed()):
+            held.append(len(taken) - len(results))
+            results.append(result)
+        assert results[2] is unreadable
+        assert [r.to_json_dict() for r in results[:2] + results[3:]] == alone
+        return held
+
+    assert held_by(validate_batch)[0] < len(items)
+    monkeypatch.setattr(spectral, "STACK_SEGMENTS", 0)
+    assert max(held_by(validate_batch)) <= 3
 
 
 # -- Psi on a handed-on quadrature grid ------------------------------------------
@@ -536,10 +572,10 @@ def test_walk_on_a_handed_on_grid_equals_a_fresh_walk(g1_b_linear, g2_b_quad, mo
 def _flipped(walks, triple):
     """How many rows probed for the grid of ``walks`` change their verdict
     against the singular set of ``triple``'s curve."""
-    from whitham.curve import _singular_set
+    from whitham.curve import _padded_sets
 
     rows, verdicts = walks.walks._probed
-    close, _ = rows.too_close(_singular_set(build_curve(triple.P)))
+    close, _ = rows.too_close(_padded_sets([build_curve(triple.P)], [len(walks.walks.paths)]))
     return int(np.count_nonzero(close != verdicts))
 
 
