@@ -222,15 +222,17 @@ def _conv_matrix(p, cols, rows):
     return M
 
 
-def _dense_bezout_x(A, B, C, d):
-    """Independent stacked-coefficient solve for the minimal X (oracle
-    route; deliberately not the Vandermonde path)."""
+def dense_bezout(A, B, C, d):
+    """Independent stacked-coefficient solve of AX - BY = C for the minimal
+    X, d = deg gcd(A, B) (oracle route; deliberately not the Vandermonde
+    path): X, Y and the residual relative to |C|."""
     x_len = max(B.degree - d, 1)
     y_len = max(max(A.degree + x_len - 1, C.degree) - B.degree + 1, 1)
     rows = max(A.degree + x_len - 1, B.degree + y_len - 1, C.degree) + 1
     M = np.hstack([_conv_matrix(A, x_len, rows), -_conv_matrix(B, y_len, rows)])
     sol, *_ = np.linalg.lstsq(M, C.padded(rows), rcond=None)
-    return Polynomial(sol[:x_len])
+    X, Y = Polynomial(sol[:x_len]), Polynomial(sol[x_len:])
+    return X, Y, (A * X - B * Y - C).norm() / max(C.norm(), 1e-300)
 
 
 def _oracle_bezout(rng, count):
@@ -246,7 +248,7 @@ def _oracle_bezout(rng, count):
         B = Polynomial(rng.standard_normal(5) + 1j * rng.standard_normal(5)) * D
         C = Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4)) * D
         sol = minimal_solution(A, B, C)
-        X_o = _dense_bezout_x(A, B, C, d_deg)
+        X_o = dense_bezout(A, B, C, d_deg)[0]
         worst = max(worst, (sol.X - X_o).norm() / max(1.0, X_o.norm()))
     return worst, 1e-8
 

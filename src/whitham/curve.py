@@ -28,10 +28,11 @@ together, level by level, probing the panels just split against the
 singular set at once; P is evaluated once over the panels x nodes grid of
 all paths; and the sheet signs of all panels chain in one ``cumprod`` that
 starts afresh at each path's first panel.  Only a panel with an ambiguous
-step is walked node by node, with bisection.  Each path gets the panels and eta it gets
-when walked alone, and a failing stack raises the error that walking its
-paths one after another raises first.  Every numerator is integrated over
-the whole stack in one pass (``StackWalk.integrate``).
+step is walked node by node, with bisection.  Each path gets the panels
+and eta it gets when walked alone; a stack that fails is walked again path
+by path, to raise the error of the first path that fails alone.  Every
+numerator is integrated over the whole stack in one pass
+(``StackWalk.integrate``).
 
 A stack carries the paths of one or more curves, curve after curve: each
 row is probed against its own curve's singular set (the sets padded with
@@ -63,6 +64,7 @@ from .errors import (
     NumericalFailureError,
     PathConstructionError,
     RealityViolationError,
+    WhithamError,
 )
 from .polyring import Polynomial, real_defect, roots
 
@@ -469,10 +471,8 @@ class Panels:
     serves both kinds, and each row computes exactly what its segment's
     ``point``, ``velocity``, ``length`` and ``split`` compute.
 
-    ``error`` and ``levels`` are set only by ``_subdivide``: the
-    ``GeometryError`` of the first path whose subdivision failed (the rows
-    stop before that path), and the rows probed at each level with their
-    ``too_close`` verdicts.
+    ``levels`` is set only by ``_subdivide``: the rows probed at each level
+    with their ``too_close`` verdicts.
     """
 
     arc: np.ndarray
@@ -482,7 +482,6 @@ class Panels:
     theta0: np.ndarray
     theta1: np.ndarray
     path: np.ndarray
-    error: Exception | None = None
     levels: tuple = ()
 
     @staticmethod
@@ -594,11 +593,11 @@ def _subdivide(paths, sing):
     order-8 panels at ~1e-11 accuracy.
 
     A row's verdict depends on that row and its own singular set alone, so
-    every path gets the panels it gets when subdivided by itself.  A path
-    that passes through a singular point, or whose panels plus splits exceed
-    ``MAX_SEGMENTS``, fails: its ``GeometryError`` goes to ``error`` and its rows and those of
-    every later path are dropped, since no later path's error can be the
-    first one raised.
+    every path gets the panels it gets when subdivided by itself.  Raises
+    ``GeometryError`` at the first level where a probed row passes through
+    a singular point or a path's panels plus splits exceed
+    ``MAX_SEGMENTS``, so a stack fails only where one of its paths fails
+    alone.
 
     The rows probed at each level and their verdicts go to ``levels``.  The
     panels depend on the singular set only through those verdicts: against
@@ -612,28 +611,22 @@ def _subdivide(paths, sing):
     while (wide := panels.arc & (np.abs(panels.theta1 - panels.theta0) > np.pi / 4 + 1e-12)).any():
         panels = panels.split(wide)
     splits = np.bincount(panels.path, minlength=len(paths)) - segments
-    error, levels = None, []
+    levels = []
     fresh = np.ones(len(panels), dtype=bool)
     while fresh.any():
         probed = panels.take(fresh)
         close, through = probed.too_close(sing)
+        if through.any():
+            raise GeometryError("integration path passes through a singular point")
         levels.append((probed, close))
         mask = np.zeros(len(panels), dtype=bool)
         mask[fresh] = close
         splits += np.bincount(panels.path[mask], minlength=splits.size)
-        over = splits + np.bincount(panels.path, minlength=splits.size) > MAX_SEGMENTS
-        hit = panels.path[fresh][through]
-        if over.any() or hit.size:
-            k = min(np.flatnonzero(over)[:1].tolist() + hit[:1].tolist())
-            error = GeometryError(
-                "integration path passes through a singular point" if k in hit
-                else "segment subdivision did not terminate near a singularity"
-            )
-            keep = panels.path < k
-            panels, mask, splits = panels.take(keep), mask[keep], splits[:k]
+        if (splits + np.bincount(panels.path, minlength=splits.size) > MAX_SEGMENTS).any():
+            raise GeometryError("segment subdivision did not terminate near a singularity")
         panels = panels.split(mask)
         fresh = np.repeat(mask, 1 + mask)
-    return replace(panels, error=error, levels=tuple(levels))
+    return replace(panels, levels=tuple(levels))
 
 
 def _continue_eta(Ppoly, seg, t0, eta0, t1, depth=0):
@@ -894,9 +887,9 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     (see ``_subdivide``), each row against its own curve's singular set;
     each curve's P is evaluated once over its own block of the (panels x
     nodes) grid and the sheet signs of all panels chain in one pass, see
-    ``_walk_eta``.  Each path gets the rows it gets when walked alone, and
-    a failure raises the error that walking the paths one after another
-    raises first.
+    ``_walk_eta``.  Each path gets the rows it gets when walked alone; a
+    stack that raises a ``WhithamError`` is walked again path by path, in
+    order, and raises the first error of those walks.
 
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
     same order (another curve, say a nearby iterate's), hands its grid on:
@@ -907,6 +900,18 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     ``ValueError``.
     """
     groups = tuple(map(tuple, paths))
+    try:
+        return _walk_stack(curves, groups, quad_order, like)
+    except WhithamError:
+        if sum(map(len, groups)) > 1:
+            for curve, group in zip(curves, groups):
+                for path in group:
+                    _walk_stack([curve], [[path]], quad_order, None)
+        raise
+
+
+def _walk_stack(curves, groups, quad_order, like):
+    """``walk_paths`` of one stack, raising the first failure it finds."""
     Ps = tuple(c.P for c in curves)
     paths = tuple(p for group in groups for p in group)
     counts = [len(group) for group in groups]
@@ -922,11 +927,9 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
         panels = _subdivide([path.segments for path in paths], sing)
         zs, velocity = panels.nodes(ts)
         zs.flags.writeable = velocity.flags.writeable = False
-    error = panels.error
     first = np.flatnonzero(panels.heads())
-    # each curve's paths end before ``path_stops`` and its rows before
-    # ``stops``; a failed subdivision keeps the paths before the failing one
-    path_stops = np.minimum(np.cumsum(counts), first.size)
+    # each curve's paths end before ``path_stops`` and its rows before ``stops``
+    path_stops = np.cumsum(counts)
 
     p0 = _per_curve(Ps, path_stops, zs[first, 0])
     # P is real at zeta = +-1 (on the unit circle a real section is real up
@@ -934,19 +937,11 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     # the principal root, where the roundoff sign of the imaginary part would
     # pick the sheet.  Take the upper side.
     p0 = np.where(np.abs(p0.imag) <= 1e-13 * np.abs(p0), p0.real.astype(complex), p0)
-    eta0 = np.array([path.start_sheet for path in paths[: first.size]]) * np.sqrt(p0)
+    eta0 = np.array([path.start_sheet for path in paths]) * np.sqrt(p0)
     if not eta0.all():
-        # walk the paths before the first one that starts at a branch point
-        k = int(np.argmin(eta0 != 0.0))
-        error = GeometryError("path starts at a branch point")
-        rows = slice(0, first[k])
-        panels, zs, first, eta0 = panels.take(rows), zs[rows], first[:k], eta0[:k]
-        path_stops = np.minimum(path_stops, k)
+        raise GeometryError("path starts at a branch point")
     stops = np.append(first, len(panels))[path_stops]
-    if len(panels):
-        etas = _walk_eta(Ps, panels, ts, zs, eta0, stops)
-    if error is not None:
-        raise error
+    etas = _walk_eta(Ps, panels, ts, zs, eta0, stops)
     # the end node as walked: at zeta = -1 the path's own end point may sit
     # on the other side of the principal root's cut
     last = np.append(first[1:], len(panels)) - 1

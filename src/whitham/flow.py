@@ -664,7 +664,9 @@ def _rule_tangent(triple, label, rule, v_prev):
 
 
 def flow_step(triple, v, h, config=None, lattice=None):
-    """Euler predictor along v, then projection with fixed lattice targets."""
+    """Euler predictor along v, then projection with fixed lattice targets:
+    a ``PathSample`` whose ``t`` is the step taken (h, halved until it
+    projects)."""
     cfg = config or FlowConfig()
     g = triple.g
     if lattice is None:
@@ -687,10 +689,7 @@ def flow_step(triple, v, h, config=None, lattice=None):
             if abs(step) < H_MIN:
                 raise StepSizeError(f"flow step collapsed below h_min = {H_MIN}")
     new = proj.triple
-    return (
-        PathSample(step, new, proj.residual, classify(new), conformal_type(new), lattice),
-        step,
-    )
+    return PathSample(step, new, proj.residual, classify(new), conformal_type(new), lattice)
 
 
 def trace(triple, config):
@@ -718,7 +717,6 @@ def trace(triple, config):
     ]
     status = "completed"
     v_prev = None
-    t_acc = 0.0
     for k in range(cfg.steps):
         current = samples[-1]
         try:
@@ -728,11 +726,10 @@ def trace(triple, config):
                     f"start residual {current.psi_residual:.3e} outside the capture "
                     f"radius {CAPTURE_RADIUS}"
                 )
-            sample, taken = flow_step(current.triple, v, cfg.h, cfg, lattice)
+            sample = flow_step(current.triple, v, cfg.h, cfg, lattice)
         except WhithamError as exc:
             status = f"stopped at step {k}: {exc}"
             break
-        t_acc += taken
-        samples.append(replace(sample, t=t_acc))
+        samples.append(replace(sample, t=current.t + sample.t))
         v_prev = v
     return samples, status

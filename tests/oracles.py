@@ -1,8 +1,9 @@
 """Independent brute-force oracles shared by the unit and acceptance tests.
 
-These deliberately avoid the library's solution paths: the Bezout oracle
-stacks raw coefficient convolutions into one dense least-squares solve, and
-instance generators build data from explicit factors.
+These deliberately avoid the library's solution paths, and instance
+generators build data from explicit factors.  The Bezout oracle, one dense
+least-squares solve over stacked coefficient convolutions, is
+``whitham.cli.dense_bezout``, which the ``oracle`` subcommand runs too.
 """
 
 from collections import namedtuple
@@ -33,36 +34,6 @@ def reference_coeffs(coeffs, bound=None):
     if bound is not None and degree > bound:
         raise DegreeBoundError(f"degree {degree} exceeds nominal bound {bound}")
     return c
-
-
-def conv_matrix(p, cols, rows):
-    """Matrix of the map (coefficients of X) -> coefficients of p*X."""
-    M = np.zeros((rows, cols), dtype=complex)
-    c = p.coeffs
-    for j in range(cols):
-        M[j : j + c.size, j] = c
-    return M
-
-
-def dense_bezout(A, B, C, d):
-    """Solve AX - BY = C for the minimal X by a stacked dense solve.
-
-    Unknowns: X of degree <= deg(B) - d - 1 and Y of the implied degree,
-    flattened into one complex least-squares problem over the coefficient
-    identity.  Returns (X, Y, residual).
-    """
-    a, b, c = A.degree, B.degree, C.degree
-    x_len = max(b - d, 1)
-    y_len = max(a + x_len - 1, c) - b + 1
-    y_len = max(y_len, 1)
-    rows = max(a + x_len - 1, b + y_len - 1, c) + 1
-    M = np.hstack([conv_matrix(A, x_len, rows), -conv_matrix(B, y_len, rows)])
-    rhs = C.padded(rows)
-    sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    X = Polynomial(sol[:x_len]) if x_len else Polynomial.zero()
-    Y = Polynomial(sol[x_len:])
-    res = (A * X - B * Y - C).norm() / max(C.norm(), 1e-300)
-    return X, Y, res
 
 
 def random_complex_poly(rng, deg):

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from whitham.bezout import minimal_solution, solution_space
+from whitham.cli import dense_bezout
 from whitham.curve import PathOnCurve, ArcSegment, build_curve, homology_basis, integrate_batch
 from whitham.deformation import (
     CaseAParams,
@@ -43,7 +44,7 @@ from whitham.spectral import (
     validate,
 )
 
-from oracles import dense_bezout, random_bezout_instance, random_real_bezout_instance
+from oracles import random_bezout_instance, random_real_bezout_instance
 
 
 def _report(num, ok, detail):
@@ -413,7 +414,7 @@ def test_criterion_10_flow(g0_triple):
     tau0 = conformal_type(g0_triple)
     errs = []
     for h in (2e-3, 1e-3):
-        sample, _ = flow_step(g0_triple, v, h, FlowConfig(quad_order=32, projection_tol=1e-11))
+        sample = flow_step(g0_triple, v, h, FlowConfig(quad_order=32, projection_tol=1e-11))
         errs.append(abs((conformal_type(sample.triple) - tau0) / h - rate))
     tau_ok = errs[1] < 0.75 * errs[0] + 1e-9 * abs(rate)
     elapsed = time.perf_counter() - t0

@@ -11,11 +11,11 @@ from whitham.bezout import (
     realify,
     solution_space,
 )
+from whitham.cli import dense_bezout
 from whitham.errors import NoSolutionError
 from whitham.polyring import Polynomial, approx_gcd, random_real_section, real_defect
 
 from oracles import (
-    dense_bezout,
     random_bezout_instance,
     random_complex_poly,
     random_real_bezout_instance,

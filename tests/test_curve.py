@@ -371,14 +371,47 @@ THROUGH = PathOnCurve((LineSegment(0.5 - 0.3j, 0.5 + 0.3j),), 1, "through")
 POLE = PathOnCurve((LineSegment(-0.2j, 0.2j),), 1, "pole")
 
 
-def test_stack_raises_the_first_failing_path_error():
+def test_stack_raises_the_first_failing_path_error(monkeypatch):
     """A middle path through a branch point fails the stack with the class
-    and message that walking the paths one after another raises."""
+    and message that walking the paths one after another raises.  So does
+    an earlier path that loses the sheet in the eta walk ahead of a later
+    path that fails to subdivide, and a stack of two curves that both fail
+    raises the first curve's error."""
+    import whitham.curve as curve_mod
+
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
     for paths in ([FAR, THROUGH, NEAR], [NEAR, THROUGH, FAR, POLE]):
         in_order = _walked_in_order(cur, paths)
         assert in_order == (GeometryError, "integration path passes through a singular point")
         assert _walked(lambda: per_path(walk_paths([cur], [paths], 32))) == in_order
+
+    # FAR's junctions fail in the eta walk; THROUGH fails on the first level
+    # of the subdivision, before any row is walked
+    lost = (GeometryError, "continuation lost the sheet at a segment junction")
+    far_start = np.sqrt(cur.P(FAR.segments[0].point(0.0)))
+    junction_sign = curve_mod._junction_sign
+
+    def lost_on_far(first, incoming):
+        if np.any(np.abs(first - far_start) < 1e-12):
+            raise GeometryError(lost[1])
+        return junction_sign(first, incoming)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(curve_mod, "_junction_sign", lost_on_far)
+        paths = [FAR, THROUGH]
+        assert _walked_in_order(cur, paths) == lost
+        assert _walked(lambda: per_path(walk_paths([cur], [paths], 32))) == lost
+
+    # NEAR exceeds the segment bound on a late level of ``cur``'s subdivision;
+    # POLE passes through the pole of ``other`` on the first level
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 170)
+    other = build_curve(Polynomial.from_roots([0.4, 2.5]))
+    over = (GeometryError, "segment subdivision did not terminate near a singularity")
+    through = (GeometryError, "integration path passes through a singular point")
+    for curves, paths, errors in (([cur, other], [[FAR, NEAR], [POLE]], [over, through]),
+                                  ([other, cur], [[POLE], [FAR, NEAR]], [through, over])):
+        assert [_walked(lambda: walk_paths([c], [p], 32)) for c, p in zip(curves, paths)] == errors
+        assert _walked(lambda: walk_paths(curves, paths, 32)) == errors[0]
 
 
 def test_segment_guard_applies_per_path(monkeypatch):

@@ -301,7 +301,7 @@ def test_seed_conformal_genus0_validates(g0_conformal):
 def test_flow_step_zero_stays(g0_triple):
     vecs, _ = tangent_basis(g0_triple)
     cfg = FlowConfig(quad_order=32, projection_tol=1e-10)
-    sample, taken = flow_step(g0_triple, vecs[0], 0.0, cfg)
+    sample = flow_step(g0_triple, vecs[0], 0.0, cfg)
     assert (pack_triple(sample.triple) - pack_triple(g0_triple)).max() < 1e-8
 
 
@@ -437,7 +437,7 @@ def test_tau_drift_matches_rate(g0_triple):
     for h in (2e-3, 1e-3):
         cfg = FlowConfig(h=h, steps=1, params_rule="basis0", quad_order=32,
                          projection_tol=1e-11)
-        sample, _ = flow_step(g0_triple, v, h, cfg)
+        sample = flow_step(g0_triple, v, h, cfg)
         fd = (conformal_type(sample.triple) - tau0) / h
         errs.append(abs(fd - rate))
     # first-order accurate: halving h roughly halves the defect

@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import whitham
@@ -41,7 +42,24 @@ def _unused_imports(path):
     return sorted(f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used)
 
 
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
 def test_no_unused_top_level_imports():
     root = Path(__file__).resolve().parent
-    files = sorted(Path(whitham.__file__).parent.glob("*.py")) + sorted(root.glob("*.py"))
+    files = [
+        *sorted(Path(whitham.__file__).parent.glob("*.py")),
+        *sorted(root.glob("*.py")),
+        *sorted(SCRIPTS.glob("*.py")),
+    ]
     assert [u for f in files for u in _unused_imports(f)] == []
+
+
+def test_scripts_import_without_running():
+    """Each script imports every name it uses from ``whitham`` at load time,
+    so a renamed library name fails here; loading it under its own module
+    name leaves ``main`` unrun."""
+    for path in sorted(SCRIPTS.glob("*.py")):
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
