@@ -8,14 +8,15 @@ systems, and a case-(c) triple, whose ``tangent`` reports the case-(c)
 indicator) and on every input given (a directory stands for the ``*.json``
 files in it), then ``validate`` on the directory of the seven fixed inputs
 (the seed points and the two fixed triples, graded as one batch of stacked
-walks) and ``oracle --seed 7 --count 25`` once, in-process, and hashes
-what each call writes to stdout and stderr.  At each seed point it
-also hashes the numbers behind those reports: the Psi vector with its
-integration error, the exact Jacobian of a fresh evaluation, Psi and the
-exact Jacobian at P scaled by 1 + 1e-9 in the same frame, handed the
-first evaluation's quadrature grid (``like=``), and the
-``integrate_batch`` values of both differentials over every path of the
-frame.  Two checkouts' outputs diff clean exactly when their reports, exit
+walks), ``validate`` alone on a fixed conformal genus-1 triple whose other
+branch point sorts before zeta = 0, and ``oracle --seed 7 --count 25``
+once, in-process, and hashes what each call writes to stdout and stderr.
+At each seed point it also hashes the numbers behind those reports: the
+Psi vector with its integration error, the exact Jacobian of a fresh
+evaluation, Psi and the exact Jacobian at P scaled by 1 + 1e-9 in the
+same frame, handed the first evaluation's quadrature grid (``like=``),
+and the ``integrate_batch`` values of both differentials over every path
+of the frame.  Two checkouts' outputs diff clean exactly when their reports, exit
 codes and those numbers are byte-identical:
 
     python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
@@ -82,6 +83,14 @@ def case_c():
     return SpectralTriple(2, F * product_form([0.5, -0.4]), F * c1, F * c2)
 
 
+def conformal_genus1():
+    """Genus 1, branched at zeta = 0, with the other in-disc branch point at
+    -0.5, so the pair at infinity is not the lexicographically first."""
+    rng = np.random.default_rng(2020)
+    b1, b2 = random_real_section(rng, 4), random_real_section(rng, 4)
+    return SpectralTriple(1, product_form([0.0, -0.5]), b1, b2)
+
+
 # fixed triples that only the CLI commands run on
 FIXED = {"genus3_case_a": genus3_case_a, "case_c": case_c}
 
@@ -137,6 +146,11 @@ def run(args):
         # the seven fixed inputs are the only files in the directory
         code, sha = digest(("validate", tmp))
         print(f"{sha} exit={code} validate fixed-inputs-directory", flush=True)
+        # written after the directory is graded, so it stays out of it
+        path = Path(tmp) / "conformal_genus1.json"
+        path.write_text(json.dumps(conformal_genus1().to_json_dict()), encoding="utf-8")
+        code, sha = digest(("validate", str(path)))
+        print(f"{sha} exit={code} validate conformal_genus1", flush=True)
     for cmd in STANDALONE:
         code, sha = digest(cmd)
         print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)

@@ -26,13 +26,13 @@ Paths are walked as one stack, a ``StackWalk`` (``walk_paths``; one path
 of one curve is a stack of one): they are split into quadrature panels
 together, level by level, probing the panels just split against the
 singular set at once; P is evaluated once over the panels x nodes grid of
-all paths; and the sheet signs of all panels chain in one ``cumprod`` that
-starts afresh at each path's first panel.  Only a panel with an ambiguous
-step is walked node by node, with bisection.  Each path gets the panels
-and eta it gets when walked alone; a stack that fails is walked again path
-by path, to raise the error of the first path that fails alone.  Every
-numerator is integrated over the whole stack in one pass
-(``StackWalk.integrate``).
+all paths; a panel with an ambiguous step is first walked node by node
+from its own principal root, with bisection; and then the sheet signs of
+all panels chain in one ``cumprod`` that starts afresh at each path's
+first panel.  Each path gets the panels and eta it gets when walked
+alone; a stack that fails is walked again path by path, to raise the
+error of the first path that fails alone.  Every numerator is integrated
+over the whole stack in one pass (``StackWalk.integrate``).
 
 A stack carries the paths of one or more curves, curve after curve: each
 row is probed against its own curve's singular set (the sets padded with
@@ -346,13 +346,16 @@ def homology_basis(curve, jitter=0.0, anchor=None):
 
     ``jitter`` deterministically rescales loop radii and offsets (used to
     check that lattice membership of periods does not depend on the
-    realization).  Cut 0 is the lexicographically first branch pair; its
-    in-disc endpoint anchors the B-cycles and the closing paths.
+    realization).  Cut 0 is the pair at infinity when there is one (a
+    branch point at zeta = 0), else the lexicographically first branch
+    pair; its in-disc endpoint anchors the B-cycles and the closing paths.
 
     ``anchor`` (a previous basis's in-disc branch points) reorders the
     pairs by nearest match instead, so that a basis rebuilt along a
     continuous family keeps the same cycle assignment even when the
-    lexicographic order of the moving branch points flips.
+    lexicographic order of the moving branch points flips; the pair at
+    infinity still comes first.  Loops and corridors clear the walk's own
+    singular set (``_singular_set``).
     """
     pairs = curve.branch_pairs
     if anchor is not None and len(anchor) == len(pairs):
@@ -362,17 +365,16 @@ def homology_basis(curve, jitter=0.0, anchor=None):
             best = min(range(len(remaining)), key=lambda i: abs(remaining[i][0] - a_old))
             ordered.append(remaining.pop(best))
         pairs = tuple(ordered)
-    branch = curve.finite_branch_points
+    # the pair at infinity, which cannot carry an A-cycle, is cut 0
+    pairs = tuple(sorted(pairs, key=lambda ap: ap[1] is not None))
+    sing = _singular_set(curve).tolist()
     base = pairs[0][0]
     jfac = 1.0 + 0.18 * np.sin(3.7 * jitter + 1.0) * (1.0 if jitter else 0.0)
 
     def singular(*exclude):
-        """Branch points and the pole at 0; the only points loops must clear.
-        (+1 and -1 are regular for the integrand.)"""
-        pts = [p for p in branch if all(abs(p - e) > 1e-12 for e in exclude)]
-        if all(abs(e) > 1e-12 for e in exclude):
-            pts.append(0.0 + 0.0j)
-        return pts
+        """The singular set but the excluded points; the only points loops
+        must clear.  (+1 and -1 are regular for the integrand.)"""
+        return [p for p in sing if all(abs(p - e) > 1e-12 for e in exclude)]
 
     def corridor_obstacles(*exclude):
         """Singular points plus the marked points +1/-1 (detoured per the
@@ -680,10 +682,14 @@ def _walk_eta(Ps, panels, ts, zs, eta0, stops):
 
     Each step keeps or flips the sign of the principal root; inside a panel
     a step is clear when one choice is much closer than the other, and at a
-    junction the next panel's first value must lie near the last one.  The
-    signs of all clear rows chain in one ``cumprod``, which starts afresh at
-    each path's first row; only a row with an unclear step is walked node by
-    node, with ``_continue_eta`` bisecting each unclear step.
+    junction the next panel's first value must lie near the last one.  A
+    row with an unclear step is first walked node by node from its own
+    principal root (``_walk_row``), which then stands in for the row's
+    roots with every step kept.  Then the junction and step signs of all
+    rows chain in one ``cumprod``, which starts afresh at each path's first
+    row.  The walk is odd in its start value, and a tie between the two
+    choices is never taken as clear, so the sign that the chain puts on a
+    walked row gives the walk from the eta the row continues.
     """
     vals = np.sqrt(_per_curve(Ps, stops, zs))
     d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
@@ -693,27 +699,22 @@ def _walk_eta(Ps, panels, ts, zs, eta0, stops):
     mag = np.maximum(np.abs(vals[:, 1:]), np.abs(vals[:, :-1]))
     clear = (lo <= 0.5 * hi) & (lo <= 0.8 * np.maximum(mag, 1e-300))
     steps = np.where(d_flip < d_keep, -1.0, 1.0)
+    for r in np.flatnonzero(~np.all(clear, axis=1)):
+        P_row = Ps[np.searchsorted(stops, r, side="right")]
+        vals[r] = _walk_row(P_row, panels.segment(r), ts, vals[r], clear[r])
+        steps[r] = 1.0
     heads = panels.heads()
     # the eta each row continues: its path's start value at a path's first
-    # row, else the previous row's last root value (the chain carries the sign)
+    # row, else the previous row's last value (the chain carries the sign)
     incoming = np.concatenate([[0.0], vals[:-1, -1]])
     incoming[heads] = np.atleast_1d(eta0)
-    etas = np.empty_like(vals)
-    start, n = 0, len(panels)
-    for stop in [*np.flatnonzero(~np.all(clear, axis=1)), n]:
-        if stop > start:
-            if not heads[start]:
-                incoming[start] = etas[start - 1, -1]  # the row after a walked row
-            rows = slice(start, stop)
-            etas[rows] = _chain_signs(vals[rows], steps[rows], incoming[rows], heads[rows])
-        if stop < n:
-            if not heads[stop]:
-                incoming[stop] = etas[stop - 1, -1]
-            P_row = Ps[np.searchsorted(stops, stop, side="right")]
-            etas[stop] = _walk_row(P_row, panels.segment(stop), ts, vals[stop], clear[stop],
-                                   incoming[stop])
-        start = stop + 1
-    return etas
+    signs = np.column_stack([_junction_sign(vals[:, 0], incoming), steps])
+    chain = np.cumprod(signs.ravel()).reshape(vals.shape)
+    # every sign is +-1, so multiplying a path's rows by the chain's value
+    # before its first row undoes that prefix exactly
+    before = np.concatenate([[1.0], chain[:-1, -1]])
+    chain *= before[np.maximum.accumulate(np.where(heads, np.arange(heads.size), 0))][:, None]
+    return chain * vals
 
 
 def _junction_sign(first, incoming):
@@ -725,25 +726,12 @@ def _junction_sign(first, incoming):
     return sign
 
 
-def _chain_signs(vals, steps, incoming, heads):
-    """eta over consecutive rows whose steps are all clear: each row's
-    junction sign against its incoming value, then every sign chained in
-    row order, the chain starting afresh at the first row and at each
-    ``heads`` row (the first row of a path)."""
-    signs = np.column_stack([_junction_sign(vals[:, 0], incoming), steps])
-    chain = np.cumprod(signs.ravel()).reshape(vals.shape)
-    if heads[1:].any():
-        # every sign is +-1, so multiplying a path's rows by the chain's value
-        # before its first row undoes that prefix exactly
-        before = np.concatenate([[1.0], chain[:-1, -1]])
-        chain *= before[np.maximum.accumulate(np.where(heads, np.arange(heads.size), 0))][:, None]
-    return chain * vals
-
-
-def _walk_row(P, seg, ts, vals, clear, eta0):
-    """eta along one panel with an unclear step, node by node."""
+def _walk_row(P, seg, ts, vals, clear):
+    """eta along one panel with an unclear step, node by node from the
+    principal root ``vals[0]``, with ``_continue_eta`` bisecting each
+    unclear step."""
     etas = np.empty_like(vals)
-    etas[0] = _junction_sign(vals[0], eta0) * vals[0]
+    etas[0] = vals[0]
     for k in range(1, ts.size):
         if clear[k - 1]:
             keep = abs(vals[k] - etas[k - 1]) <= abs(vals[k] + etas[k - 1])
@@ -858,8 +846,9 @@ class StackWalk:
 
 
 def _singular_set(curve):
-    """The points every panel must clear: the finite branch points, and
-    zeta = 0 (the double pole of the differentials) unless it is one."""
+    """The points every panel, loop and corridor must clear: the finite
+    branch points, and zeta = 0 (the double pole of the differentials)
+    unless it is one."""
     sing = list(curve.finite_branch_points)
     if all(abs(s) > 1e-12 for s in sing):
         sing.append(0.0 + 0.0j)

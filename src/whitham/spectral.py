@@ -338,14 +338,13 @@ class PsiFrame:
     continuous when branch points have moved (and possibly reordered): the
     in-disc ends of the old basis's cuts anchor the new one, and the old
     scaling index is kept.  The frame keeps the ``ScalingRow`` of the curve
-    it was built on (``row``, with the frame's index), which Psi reuses at
-    a triple with the same P.
+    it was built on (``row``; ``row.index`` is the frame's scaling index),
+    which Psi reuses at a triple with the same P.
     """
 
     basis: object
-    scaling_index: int
+    row: object = field(repr=False)
     quad_order: int = DEFAULT_QUAD_ORDER
-    row: object = field(default=None, compare=False, repr=False)
 
     @staticmethod
     def build(triple, quad_order=DEFAULT_QUAD_ORDER, jitter=0.0, like=None, curve=None):
@@ -359,15 +358,15 @@ class PsiFrame:
         row = ScalingRow.of(cur)
         row.value()  # checks P_m at the argmax index, before ``like`` sets it
         if like is not None:
-            row = replace(row, index=like.scaling_index)
-        return PsiFrame(basis, row.index, quad_order, row)
+            row = replace(row, index=like.row.index)
+        return PsiFrame(basis, row, quad_order)
 
     def row_of(self, P):
         """The ``ScalingRow`` of P at the frame's index: the frame's own when
         P is the one the frame was built at."""
-        if self.row is not None and self.row.P == P:
+        if self.row.P == P:
             return self.row
-        return ScalingRow.of(build_curve(P), self.scaling_index)
+        return ScalingRow.of(build_curve(P), self.row.index)
 
 
 @dataclass(frozen=True)
@@ -734,11 +733,11 @@ def validate_batch(triples, tol=None, quad_order=DEFAULT_QUAD_ORDER):
         g = triple if isinstance(triple, Exception) else _isolated(_start, triple, tol, quad_order)
         segments = sum(len(path.segments) for path in g.paths) if _framed(g) else 0
         if stack and size + segments > STACK_SEGMENTS:
-            yield from _graded(stack, tol, quad_order)
+            yield from _graded(stack, tol)
             stack, size = [], 0
         stack.append(g)
         size += segments
-    yield from _graded(stack, tol, quad_order)
+    yield from _graded(stack, tol)
 
 
 def _framed(graded):
@@ -746,12 +745,12 @@ def _framed(graded):
     return isinstance(graded, _Grading) and graded.paths is not None
 
 
-def _graded(stack, tol, quad_order):
+def _graded(stack, tol):
     """The results of a stack: its frames' paths walked and integrated
     together, then each triple's report (or exception) assembled."""
     framed = [g for g in stack if _framed(g)]
     if framed:
-        _integrate_frames(framed, quad_order)
+        _integrate_frames(framed)
     return [_isolated(_finish, g, tol) if isinstance(g, _Grading) else g for g in stack]
 
 
@@ -894,21 +893,22 @@ def _finish(grading, tol):
     return ValidationReport(tuple(checks), verdict)
 
 
-def _integrate_frames(gradings, quad_order):
-    """Walk the paths of the gradings' frames as one stack and integrate b1
-    and b2 of each triple over its own frame's paths; when that raises,
-    walk each frame alone, and keep the error of a frame that raises
-    alone."""
+def _integrate_frames(gradings):
+    """Walk the paths of the gradings' frames as one stack, at their
+    quadrature order (the batch builds every frame at its own), and
+    integrate b1 and b2 of each triple over its own frame's paths; when
+    that raises, walk each frame alone, and keep the error of a frame that
+    raises alone."""
     try:
         walks = walk_paths([g.frame.row.curve for g in gradings], [g.paths for g in gradings],
-                           quad_order)
+                           gradings[0].frame.quad_order)
         per_path = walks.integrate([(g.triple.b1, g.triple.b2) for g in gradings])
     except Exception as exc:
         if len(gradings) == 1:
             gradings[0].error = exc
             return
         for g in gradings:
-            _integrate_frames([g], quad_order)
+            _integrate_frames([g])
         return
     k = 0
     for g in gradings:

@@ -128,6 +128,24 @@ def test_homology_genus2_well_separated():
         assert res.end_sheet == 1
 
 
+def test_conformal_cut_zero_is_the_pair_at_infinity():
+    """On a conformal curve whose other in-disc branch points sort before
+    zeta = 0, the pair at infinity is still cut 0: the basis builds, a frame
+    rebuilt ``like`` the first keeps it, and ``validate`` integrates."""
+    from whitham.spectral import PsiFrame, SpectralTriple, product_form, validate
+
+    rng = np.random.default_rng(23)
+    for alphas in ([-0.5], [-0.3 + 0.2j], [-0.35j], [-0.4 + 0.1j, 0.3 + 0.45j]):
+        g = len(alphas)
+        P = product_form([0.0, *alphas])
+        assert build_curve(P).branch_pairs[0][1] is not None
+        assert homology_basis(build_curve(P)).cuts[0] == (0j, None)
+        t = SpectralTriple(g, P, random_real_section(rng, g + 3), random_real_section(rng, g + 3))
+        frame = PsiFrame.build(t)
+        assert PsiFrame.build(t, like=frame).basis.cuts[0] == (0j, None)
+        assert "P6_P7_integrals" not in [c.name for c in validate(t).checks]
+
+
 def test_homology_jitter_builds():
     cur = build_curve(pair_poly(0.3, 0.4j))
     basis = homology_basis(cur, jitter=1.0)

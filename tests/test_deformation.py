@@ -595,7 +595,7 @@ def test_frame_and_tower_take_the_same_scaling_index(
     assert not any(isinstance(t, str) for t in triples), triples
     triples += [seed_conformal_genus0(kp, km) for kp in (1, 2) for km in (1, 2)]
     for t in triples:
-        assert PsiFrame.build(t).scaling_index == build_tower(t).scaling_row.index
+        assert PsiFrame.build(t).row.index == build_tower(t).scaling_row.index
 
 
 def test_tower_scaling_row_matches_the_per_call_reference(
