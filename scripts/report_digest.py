@@ -12,7 +12,8 @@ walks), ``validate`` alone on a fixed conformal genus-1 triple whose other
 branch point sorts before zeta = 0, and ``oracle --seed 7 --count 25``
 once, in-process, and hashes what each call writes to stdout and stderr.
 At each seed point it also hashes the numbers behind those reports: the
-Psi vector with its integration error, the exact Jacobian of a fresh
+Psi vector with its integration error, the lattice integers and residuals
+that ``validate`` prints from it, the exact Jacobian of a fresh
 evaluation, Psi and the exact Jacobian at P scaled by 1 + 1e-9 in the
 same frame, handed the first evaluation's quadrature grid (``like=``),
 and the ``integrate_batch`` values of both differentials over every path
@@ -121,14 +122,16 @@ def numerics(triple):
     frame = PsiFrame.build(triple)
     fresh = psi_walks(triple, frame)
     yield "psi", [fresh.vector.flatten(), [fresh.vector.integration_error]]
+    # the lattice numbers ``validate`` prints from Psi
+    yield "lattice", [fresh.vector.lattice_integers(), fresh.vector.lattice_residuals()]
     yield "jacobian", [fresh.jacobian()]
     scaled = SpectralTriple(triple.g, triple.P * (1 + 1e-9), triple.b1, triple.b2)
     handed = psi_walks(scaled, frame, like=fresh)
     yield "jacobian-like", [handed.vector.flatten(), handed.jacobian()]
-    basis, cur = frame.basis, build_curve(triple.P)
+    cur = build_curve(triple.P)
     yield "integrate_batch", [
         [(r.value, r.error, r.end_sheet) for r in integrate_batch(cur, [triple.b1, triple.b2], path)]
-        for path in basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
+        for path in fresh.walks.paths
     ]
 
 

@@ -40,7 +40,7 @@ import numpy as np
 from whitham.errors import WhithamError
 from whitham.flow import HEALTH_FLOOR, confirm_case_b, numerator_space, solve_common_factor
 from whitham.polyring import Polynomial, real_section_scale, roots_flat
-from whitham.spectral import PsiFrame, SpectralTriple, product_form, unpack_section
+from whitham.spectral import PsiFrame, SpectralTriple, lattice_order, product_form, unpack_section
 
 GENUS = 1
 STARTS = 16
@@ -90,9 +90,10 @@ def nearest_integers(W, g):
             if best is None or dist < best[0]:
                 best = (dist, q, M.astype(int))
     _, q, M = best
-    zeros = [0] * g
-    ints = zeros + list(M[:g, 0]) + zeros + list(M[:g, 1]) + list(M[g:, 0]) + list(M[g:, 1])
-    return tuple(int(n) for n in ints), q
+    # rows: the paths A.., B.., gamma+, gamma-; columns: b1 and b2
+    per_path = np.vstack([np.zeros((g, 2), dtype=int), M])
+    differential, path = lattice_order(g).T
+    return tuple(int(n) for n in per_path[path, differential]), q
 
 
 def solve_from(alphas):

@@ -450,7 +450,6 @@ def _cut_clearance(a, p, obstacles):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
 def _gl_nodes(order):
     x, w = np.polynomial.legendre.leggauss(order)
     return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]

@@ -56,7 +56,9 @@ from .spectral import (
     TWO_PI,
     PsiFrame,
     SpectralTriple,
+    chart_blocks,
     conformal_type,
+    lattice_order,
     pack_section,
     pack_triple,
     product_form,
@@ -403,15 +405,16 @@ def numerator_space(P, g, frame):
     coordinates to Im/(2*pi) of the lattice values of one differential, in
     the order A_1.., B_1.., gamma+, gamma-.  The A-rows of L vanish
     identically (the A-cycles are invariant under the real structure)."""
-    k = g + 3
+    _, (k, b1_cols), _ = chart_blocks(g)
     one = Polynomial.one()
-    J = psi_walks(SpectralTriple(g, P, one, one), frame).jacobian()
-    # the lattice values and the residue are linear in b: their b1-columns,
-    # in the complex rows periods of b1 and of b2, closings of b1 and of b2,
-    # residues, scaling
-    cols = (J[0::2] + 1j * J[1::2])[:, 2 * g + 3 : 2 * g + 4 + k]
-    lattice = np.vstack([cols[: 2 * g], cols[4 * g : 4 * g + 2]])
-    residue = cols[4 * g + 4]
+    walks = psi_walks(SpectralTriple(g, P, one, one), frame)
+    J = walks.jacobian()
+    # the lattice values and the residue are linear in b: the b1-columns of
+    # the complex rows of b1's lattice components (in path order) and of its
+    # residue
+    cols = (J[0::2] + 1j * J[1::2])[:, b1_cols]
+    lattice = cols[np.flatnonzero(lattice_order(g)[:, 0] == 0)]
+    residue = cols[walks.vector.labels.index("res.T1")]
     cond = np.vstack([residue.real, residue.imag, lattice.real])
     _, s, vt = np.linalg.svd(cond)
     if s[k - 2] < 1e-8 * s[0]:
@@ -619,12 +622,9 @@ class PathSample:
 
 
 def _tangent_pack(v, g):
+    dots = (v.P_dot, v.b1_dot, v.b2_dot)
     return np.concatenate(
-        [
-            pack_section(symmetrize(v.P_dot, 2 * g + 2), 2 * g + 2),
-            pack_section(symmetrize(v.b1_dot, g + 3), g + 3),
-            pack_section(symmetrize(v.b2_dot, g + 3), g + 3),
-        ]
+        [pack_section(symmetrize(d, k), k) for d, (k, _) in zip(dots, chart_blocks(g))]
     )
 
 

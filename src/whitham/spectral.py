@@ -10,7 +10,12 @@ integrals on the 2*pi*i lattice, real-linearly independent principal
 parts, and the product-form scaling normalization of P.
 
 ``psi`` collects every one of those numerical conditions into one vector;
-``validate`` grades them against a tolerance profile.  The map is
+``validate`` grades them against a tolerance profile.  This module owns
+both layouts that the rest of the package indexes: ``lattice_order`` is the
+(differential, path) order of Psi's lattice components, which the
+residues and the scaling follow, and ``chart_blocks`` is where P, b1 and b2
+sit in the 4g+11 real coordinates of ``pack_triple``.  The tangent space is
+the two-dimensional kernel of Psi's Jacobian in that chart.  The map is
 deterministic given the deterministic homology basis; for derivative work
 (``d_psi``, Jacobians, Newton projection) the basis geometry and the
 scaling's reference coefficient index are frozen in a ``PsiFrame`` so
@@ -92,14 +97,10 @@ class SpectralTriple:
     b2: Polynomial
 
     def __post_init__(self):
-        if self.P.degree > 2 * self.g + 2:
-            raise DegreeBoundError("P exceeds weight 2g+2")
-        for b in (self.b1, self.b2):
-            if b.degree > self.g + 3:
-                raise DegreeBoundError("b exceeds weight g+3")
-
-    def weights(self):
-        return 2 * self.g + 2, self.g + 3, self.g + 3
+        sections = zip(("P", "b1", "b2"), (self.P, self.b1, self.b2), chart_blocks(self.g))
+        for name, poly, (k, _) in sections:
+            if poly.degree > k:
+                raise DegreeBoundError(f"{name} exceeds weight {k}")
 
     # -- serialization ----------------------------------------------------
 
@@ -123,7 +124,7 @@ class SpectralTriple:
         if isinstance(g, bool) or not isinstance(g, int) or g < 0:
             raise ValueError(f"genus must be a non-negative integer, not {g!r}")
         polys = []
-        for key, bound in (("P", 2 * g + 2), ("b1", g + 3), ("b2", g + 3)):
+        for key, (bound, _) in zip(("P", "b1", "b2"), chart_blocks(g)):
             pairs = d.get(key)
             if not isinstance(pairs, list) or not all(map(_is_number_pair, pairs)):
                 raise ValueError(f"{key} must be a list of [re, im] number pairs")
@@ -148,6 +149,17 @@ def _is_number_pair(p):
 # ---------------------------------------------------------------------------
 # Real coordinate chart
 # ---------------------------------------------------------------------------
+
+
+def chart_blocks(g):
+    """(weight, slice) of P, b1 and b2 in the real chart of genus g
+    (``pack_triple``): a weight-k section takes k+1 coordinates, so P takes
+    the first 2g+3 and each numerator the next g+4, 4g+11 in all."""
+    blocks, start = [], 0
+    for k in (2 * g + 2, g + 3, g + 3):
+        blocks.append((k, slice(start, start + k + 1)))
+        start += k + 1
+    return tuple(blocks)
 
 
 def pack_section(p, k):
@@ -179,26 +191,13 @@ def section_coeffs(x, k):
 
 
 def pack_triple(triple):
-    """The 4g+11 real coordinates (2g+3 for P, g+4 for each b)."""
-    kP, k1, k2 = triple.weights()
-    return np.concatenate(
-        [
-            pack_section(triple.P, kP),
-            pack_section(triple.b1, k1),
-            pack_section(triple.b2, k2),
-        ]
-    )
+    """The 4g+11 real coordinates of the triple, laid out by ``chart_blocks``."""
+    sections = zip((triple.P, triple.b1, triple.b2), chart_blocks(triple.g))
+    return np.concatenate([pack_section(p, k) for p, (k, _) in sections])
 
 
 def unpack_triple(x, g):
-    kP, kb = 2 * g + 2, g + 3
-    nP, nb = kP + 1, kb + 1
-    return SpectralTriple(
-        g,
-        unpack_section(x[:nP], kP),
-        unpack_section(x[nP : nP + nb], kb),
-        unpack_section(x[nP + nb :], kb),
-    )
+    return SpectralTriple(g, *(unpack_section(x[cols], k) for k, cols in chart_blocks(g)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,67 +368,86 @@ class PsiFrame:
         return ScalingRow.of(build_curve(P), self.row.index)
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=16)
+def lattice_order(g):
+    """The (differential, path) of each lattice component of Psi at genus g,
+    in order, as the rows of a read-only array: A_1..A_g, B_1..B_g of b1
+    (differential 0), the same of b2, then gamma+, gamma- of b1 and of b2.
+    Paths are indexed as in ``_psi_paths``."""
+    periods, closings = range(2 * g), range(2 * g, 2 * g + 2)
+    order = np.array([(i, p) for paths in (periods, closings) for i in (0, 1) for p in paths])
+    order.flags.writeable = False
+    return order
+
+
+def _psi_paths(basis):
+    """The paths of Psi's lattice components in a homology basis: the
+    period cycles, then gamma+ and gamma-."""
+    return basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
+
+
+@dataclass(frozen=True, eq=False)
 class PsiVector:
     """Structured value of the condition map.
 
-    ``periods``: 4g values (A_1..A_g, B_1..B_g for each differential),
-    ``closings``: the four closing integrals (gamma+/gamma- per
-    differential), ``residues``: both residue-condition values,
-    ``scaling``: the normalization ratio (target 1).  Lattice targets are
-    the nearest points of 2*pi*i*Z.  ``flatten`` gives the real components;
-    they are more than strictly necessary (real parts of periods vanish
-    automatically on real sections).
+    ``values`` holds every component, read-only, in the order of ``psi``;
+    ``labels`` names each one (``T1.A1``, ..., ``res.T1``, ``res.T2``,
+    ``scaling``).  ``periods`` (4g values), ``closings`` (four) and
+    ``residues`` (two) are views of ``values``, and ``scaling``, the
+    normalization ratio (target 1), is its last component.  Lattice targets
+    are the nearest points of 2*pi*i*Z.  ``flatten`` gives the real
+    components; they are more than strictly necessary (real parts of
+    periods vanish automatically on real sections).
     """
 
-    periods: tuple
-    closings: tuple
-    residues: tuple
-    scaling: complex
+    values: np.ndarray
     labels: tuple
-    integration_error: float = 0.0
+    integration_error: float
 
-    def lattice_values(self):
-        return tuple(self.periods) + tuple(self.closings)
+    def __post_init__(self):
+        self.values.flags.writeable = False
+
+    @property
+    def periods(self):
+        return self.values[:-7]
+
+    @property
+    def closings(self):
+        return self.values[-7:-3]
+
+    @property
+    def residues(self):
+        return self.values[-3:-1]
+
+    @property
+    def scaling(self):
+        return complex(self.values[-1])
 
     def lattice_integers(self):
-        return tuple(int(np.round(v.imag / TWO_PI)) for v in self.lattice_values())
+        return tuple(int(m) for m in np.round(self.values[:-3].imag / TWO_PI))
 
     def lattice_residuals(self):
-        return tuple(
-            abs(v - TWO_PI * 1j * m)
-            for v, m in zip(self.lattice_values(), self.lattice_integers())
-        )
+        # Python's complex abs per component: numpy's moves the last digit
+        return tuple(abs(d) for d in self.flatten().view(complex)[:-3].tolist())
 
     def flatten(self, integers=None):
-        """Real residual vector against lattice targets (default: nearest)."""
-        vals = self.lattice_values()
-        if integers is None:
-            integers = self.lattice_integers()
-        out = []
-        for v, m in zip(vals, integers):
-            d = v - TWO_PI * 1j * m
-            out.extend((d.real, d.imag))
-        for r in self.residues:
-            out.extend((r.real, r.imag))
-        d = self.scaling - 1.0
-        out.extend((d.real, d.imag))
-        return np.array(out)
-
-
-def _psi_paths(frame):
-    basis = frame.basis
-    return basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
+        """Real residual vector against lattice targets (default: nearest):
+        the real and imaginary parts of ``values`` less 2*pi*i*m at the
+        lattice components, 0 at the residues and 1 at the scaling."""
+        targets = np.zeros_like(self.values)
+        targets[:-3] = np.multiply(self.lattice_integers() if integers is None else integers,
+                                   TWO_PI * 1j)
+        targets[-1] = 1.0
+        return (self.values - targets).view(float)
 
 
 def psi(triple, frame=None, quad_order=DEFAULT_QUAD_ORDER):
     """Assemble all period/closing integrals, residue values and the scaling.
 
-    Component order: A_1..A_g, B_1..B_g of the first differential, the
-    same for the second, then gamma+/gamma- of the first and of the
-    second, both residue values, and the scaling ratio.  The frame sets the
-    quadrature order; ``quad_order`` is that of the frame built when none
-    is given.  This is the ``vector`` of ``psi_walks``.
+    Component order: the lattice values in ``lattice_order``, both residue
+    values, and the scaling ratio.  The frame sets the quadrature order;
+    ``quad_order`` is that of the frame built when none is given.  This is
+    the ``vector`` of ``psi_walks``.
     """
     if frame is None:
         frame = PsiFrame.build(triple, quad_order=quad_order)
@@ -466,7 +484,9 @@ class PsiWalks:
 
     def jacobian(self):
         """The exact Jacobian of the flattened Psi over the real chart
-        (``pack_triple``), in the frame of the walks.
+        (``pack_triple``, columns laid out by ``chart_blocks``), in the frame
+        of the walks; complex component k of ``vector`` gives rows 2k (real
+        part) and 2k+1 (imaginary part).
 
         With the paths frozen, a lattice value of b dzeta/(zeta^2 eta) is
         linear in b, and eta^2 = P gives its P-derivative
@@ -476,15 +496,14 @@ class PsiWalks:
         """
         triple = self.triple
         g = triple.g
-        kP, kb = 2 * g + 2, g + 3
-        P, bs = triple.P, (triple.b1, triple.b2)
+        (kP, P_cols), (kb, b1_cols), (_, b2_cols) = chart_blocks(g)
+        P, bs, b_cols = triple.P, (triple.b1, triple.b2), (b1_cols, b2_cols)
         EP, Eb = _section_basis(kP), _section_basis(kb)
-        nP, nb = kP + 1, kb + 1
-        b_cols = [slice(nP, nP + nb), slice(nP + nb, None)]
+        nP, nb, width = kP + 1, kb + 1, b2_cols.stop
         stack = self.walks
         _, idx_hi, w_hi, _, _ = _panel_grid(stack.quad_order)
         # d(integral of b_i over path p) in rows [i, p]
-        lattice = np.zeros((2, len(stack.paths), nP + 2 * nb), dtype=complex)
+        lattice = np.zeros((2, len(stack.paths), width), dtype=complex)
         for p, rows in enumerate(stack.slices()):
             zs = np.take(stack.zs[rows], idx_hi, axis=1).ravel()
             wb = (w_hi * np.take(stack.base[rows], idx_hi, axis=1)).ravel()
@@ -499,21 +518,18 @@ class PsiWalks:
                 moments[:, k] = f @ zk
                 zk *= zs
             for i in range(2):
-                lattice[i, p, :nP] = -0.5 * (moments[1 + i, :nP] @ EP)
+                lattice[i, p, P_cols] = -0.5 * (moments[1 + i, :nP] @ EP)
                 lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
         P_dots = [Polynomial(c) for c in EP.T]
-        residues = np.zeros((2, nP + 2 * nb), dtype=complex)
+        residues = np.zeros((2, width), dtype=complex)
         for i, b in enumerate(bs):
-            residues[i, :nP] = [residue_condition(dP, b) for dP in P_dots]
+            residues[i, P_cols] = [residue_condition(dP, b) for dP in P_dots]
             residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
         m = self.row.index
-        scaling = np.zeros((1, nP + 2 * nb), dtype=complex)
-        scaling[0, :nP] = [num / P.coeff(m) ** 2 for num in self.row.numerators(P_dots)]
-        n = len(stack.paths) - 2
-        # complex rows in the order of ``PsiVector.flatten``: periods of b1
-        # and of b2, closings of b1 and of b2, residues, scaling
-        Jc = np.vstack([lattice[0, :n], lattice[1, :n], lattice[0, n:], lattice[1, n:],
-                        residues, scaling])
+        scaling = np.zeros((1, width), dtype=complex)
+        scaling[0, P_cols] = [num / P.coeff(m) ** 2 for num in self.row.numerators(P_dots)]
+        # complex rows in the order of ``psi``
+        Jc = np.vstack([lattice[tuple(lattice_order(g).T)], residues, scaling])
         J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
         J[0::2], J[1::2] = Jc.real, Jc.imag
         return J
@@ -532,7 +548,7 @@ def psi_walks(triple, frame, like=None):
     The result is that of a fresh evaluation.  Walks in another frame raise
     ``ValueError``."""
     row = frame.row_of(triple.P)
-    paths = _psi_paths(frame)
+    paths = _psi_paths(frame.basis)
     walks = walk_paths([row.curve], [paths], frame.quad_order,
                        like=None if like is None else like.walks)
     vector = _psi_vector(triple, row, paths, walks.integrate([(triple.b1, triple.b2)]))
@@ -541,23 +557,19 @@ def psi_walks(triple, frame, like=None):
 
 def _psi_vector(triple, row, paths, per_path):
     """The ``PsiVector`` at the triple from the integrals of b1 and b2 over
-    each of the frame's paths (``per_path``, as ``StackWalk.integrate``
-    gives them) and the ``ScalingRow`` of its P."""
-    n = len(paths) - 2
-    periods, closings, labels = [], [], []
-    err = 0.0
-    for out, part in ((periods, slice(0, n)), (closings, slice(n, None))):
-        for i, tag in ((0, "T1"), (1, "T2")):
-            for path, res in zip(paths[part], per_path[part]):
-                out.append(res[i].value)
-                labels.append(f"{tag}.{path.label}")
-                err = max(err, res[i].error)
-    residues = (
+    each of the frame's paths (``_psi_paths``; ``per_path``, as
+    ``StackWalk.integrate`` gives them) and the ``ScalingRow`` of its P:
+    the integrals in ``lattice_order``, the residue values, the scaling."""
+    order = lattice_order(triple.g).tolist()
+    lattice = [per_path[p][i] for i, p in order]
+    values = [res.value for res in lattice] + [
         residue_condition(triple.P, triple.b1),
         residue_condition(triple.P, triple.b2),
-    )
-    labels.extend(("res.T1", "res.T2", "scaling"))
-    return PsiVector(tuple(periods), tuple(closings), residues, row.value(), tuple(labels), err)
+        row.value(),
+    ]
+    labels = [f"T{i + 1}.{paths[p].label}" for i, p in order] + ["res.T1", "res.T2", "scaling"]
+    err = max([0.0] + [res.error for res in lattice])
+    return PsiVector(np.array(values, dtype=complex), tuple(labels), err)
 
 
 # ---------------------------------------------------------------------------
@@ -590,12 +602,8 @@ def d_psi(triple, direction, h=1e-5, frame=None, quad_order=48):
         lo = psi(_perturbed(triple, direction, -h), frame=frame)
     except (CircleRootError, MultipleRootError, RealityViolationError) as exc:
         raise StepSizeError(f"step h={h} left the admissible set: {exc}") from exc
-    scale = 0.5 / h
     return PsiVector(
-        tuple((a - b) * scale for a, b in zip(hi.periods, lo.periods)),
-        tuple((a - b) * scale for a, b in zip(hi.closings, lo.closings)),
-        tuple((a - b) * scale for a, b in zip(hi.residues, lo.residues)),
-        (hi.scaling - lo.scaling) * scale,
+        (hi.values - lo.values) * (0.5 / h),
         hi.labels,
         max(hi.integration_error, lo.integration_error) / h,
     )
@@ -603,13 +611,7 @@ def d_psi(triple, direction, h=1e-5, frame=None, quad_order=48):
 
 def d_psi_norm(dvec):
     """Euclidean norm of the flattened derivative (targets at zero shift)."""
-    out = []
-    for v in dvec.lattice_values():
-        out.extend((v.real, v.imag))
-    for r in dvec.residues:
-        out.extend((r.real, r.imag))
-    out.extend((dvec.scaling.real, dvec.scaling.imag))
-    return float(np.linalg.norm(out))
+    return float(np.linalg.norm(dvec.values.view(float)))
 
 
 def psi_jacobian(triple, frame=None, h=1e-6, quad_order=48):
@@ -783,13 +785,8 @@ def _start(triple, tol, quad_order):
     """The algebraic checks (P1, U, P2, P3 or the curve's error, P4) and,
     at a curve, the frame."""
     checks = []
-    kP, kb, _ = triple.weights()
-
-    defect = max(
-        real_defect(triple.P, kP) / max(triple.P.norm(), 1e-300),
-        real_defect(triple.b1, kb) / max(triple.b1.norm(), 1e-300),
-        real_defect(triple.b2, kb) / max(triple.b2.norm(), 1e-300),
-    )
+    sections = zip((triple.P, triple.b1, triple.b2), chart_blocks(triple.g))
+    defect = max(real_defect(p, k) / max(p.norm(), 1e-300) for p, (k, _) in sections)
     checks.append(
         ConditionCheck("P1_real_sections", defect, tol.alg, defect <= tol.alg)
     )
@@ -846,7 +843,7 @@ def _start(triple, tol, quad_order):
     if curve is not None:
         try:
             frame = PsiFrame.build(triple, quad_order=quad_order, curve=curve)
-            grading.frame, grading.paths = frame, _psi_paths(frame)
+            grading.frame, grading.paths = frame, _psi_paths(frame.basis)
         except WhithamError as exc:
             grading.error = exc
     return grading

@@ -370,3 +370,53 @@ def reference_lattice_jacobian(evaluation):
     J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
     J[0::2], J[1::2] = Jc.real, Jc.imag
     return J
+
+
+def _lattice(vec):
+    """The lattice values of the ``PsiVector`` ``vec`` as Python complex
+    numbers: its periods, then its closings."""
+    return vec.periods.tolist() + vec.closings.tolist()
+
+
+def reference_lattice_integers(vec):
+    """``vec.lattice_integers()`` by the per-component rounding it replaced."""
+    from whitham.spectral import TWO_PI
+
+    return tuple(int(np.round(v.imag / TWO_PI)) for v in _lattice(vec))
+
+
+def reference_lattice_residuals(vec):
+    """``vec.lattice_residuals()`` by Python's complex ``abs`` of each
+    lattice value less its nearest target, one component at a time."""
+    from whitham.spectral import TWO_PI
+
+    return tuple(
+        abs(v - TWO_PI * 1j * m) for v, m in zip(_lattice(vec), reference_lattice_integers(vec))
+    )
+
+
+def reference_flatten(vec, integers=None):
+    """``vec.flatten(integers)`` by the per-component loop it replaced: real
+    and imaginary part of each lattice value less 2*pi*i times its integer
+    (default: the nearest), of each residue value, and of the scaling less 1."""
+    from whitham.spectral import TWO_PI
+
+    if integers is None:
+        integers = reference_lattice_integers(vec)
+    out = []
+    for v, m in zip(_lattice(vec), integers):
+        d = v - TWO_PI * 1j * m
+        out.extend((d.real, d.imag))
+    for r in vec.residues.tolist():
+        out.extend((r.real, r.imag))
+    d = vec.scaling - 1.0
+    out.extend((d.real, d.imag))
+    return np.array(out)
+
+
+def reference_d_psi_norm(dvec):
+    """``d_psi_norm(dvec)`` by the per-component list it replaced."""
+    out = []
+    for v in _lattice(dvec) + dvec.residues.tolist() + [dvec.scaling]:
+        out.extend((v.real, v.imag))
+    return float(np.linalg.norm(out))

@@ -35,6 +35,7 @@ from whitham.polyring import (
 from whitham.spectral import (
     PsiFrame,
     SpectralTriple,
+    _psi_paths,
     conformal_type,
     d_psi,
     d_psi_norm,
@@ -354,7 +355,7 @@ def test_criterion_9_periods(g0_triple, g1_triple):
         except Exception:
             continue
         b = random_real_section(rng, g + 3)
-        cycles = basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]
+        cycles = _psi_paths(basis)
         cyc = cycles[count % len(cycles)]
         v16 = integrate_batch(cur, [b], cyc, 16)[0].value
         v64 = integrate_batch(cur, [b], cyc, 64)[0].value

@@ -178,11 +178,13 @@ def test_one_cut_a_cycle_is_2pi_i():
 
 
 def test_self_convergence_orders():
+    from whitham.spectral import _psi_paths
+
     rng = np.random.default_rng(3)
     cur = build_curve(pair_poly(0.45, -0.3 + 0.25j))
     basis = homology_basis(cur)
     b = random_real_section(rng, cur.genus + 3)
-    for cyc in basis.period_cycles() + [basis.gamma_plus, basis.gamma_minus]:
+    for cyc in _psi_paths(basis):
         v16 = integrate_batch(cur, [b], cyc, 16)[0].value
         v64 = integrate_batch(cur, [b], cyc, 64)[0].value
         assert abs(v16 - v64) <= 1e-10 * max(1.0, abs(v64))
@@ -347,7 +349,7 @@ def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
     assert not any(isinstance(t, str) for t in points), points
     for t in points:
         frame = PsiFrame.build(t)
-        paths = _psi_paths(frame)
+        paths = _psi_paths(frame.basis)
         cur = frame.row.curve
         for order in (16, 32, 48):
             stack = per_path(walk_paths([cur], [paths], order))
@@ -544,7 +546,7 @@ def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
     for t in points:
         frame = PsiFrame.build(t)
         numerators = (t.b1, t.b2, random_real_section(rng, t.g + 3))
-        paths = _psi_paths(frame)
+        paths = _psi_paths(frame.basis)
         for order in (16, 32, 48):
             stack = walk_paths([frame.row.curve], [paths], order)
             stacked = stack.integrate([numerators])
@@ -588,12 +590,12 @@ def test_stack_of_several_curves_matches_each_curve_walked_alone(g1_b_linear, g2
     for order in (32, 48):
         alone = []
         for t, frame in zip(points, frames):
-            walk = walk_paths([frame.row.curve], [_psi_paths(frame)], order)
+            walk = walk_paths([frame.row.curve], [_psi_paths(frame.basis)], order)
             alone.append((per_path(walk), walk.integrate([(t.b1, t.b2)])))
         forward = list(range(len(points)))
         for ks in (forward, forward[::-1]):
             stack = walk_paths([frames[k].row.curve for k in ks],
-                               [_psi_paths(frames[k]) for k in ks], order)
+                               [_psi_paths(frames[k].basis) for k in ks], order)
             rows = [sum(len(w.zs) for w in alone[k][0]) for k in ks]
             assert list(stack.curve_stops) == list(np.cumsum(rows))
             walks = per_path(stack)
@@ -621,7 +623,7 @@ def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_
     assert own_error == (GeometryError, "integration path passes through a singular point")
     frames = [PsiFrame.build(t) for t in _stack_points(g1_b_linear, g2_b_quad)[:3]]
     curves = [f.row.curve for f in frames]
-    paths = [_psi_paths(f) for f in frames]
+    paths = [_psi_paths(f.basis) for f in frames]
     for at in range(len(curves) + 1):
         stacked = _walked(lambda: walk_paths(curves[:at] + [bad] + curves[at:],
                                              paths[:at] + [[FAR, THROUGH]] + paths[at:], 32))

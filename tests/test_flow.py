@@ -22,6 +22,7 @@ from whitham.spectral import (
     PsiFrame,
     SpectralTriple,
     conformal_type,
+    lattice_order,
     pack_triple,
     psi,
     unpack_triple,
@@ -87,7 +88,7 @@ def test_one_round_projection_builds_one_frame(g0_triple, monkeypatch):
     res = project_to_mg(noisy, tol=1e-10, quad_order=40)
     assert res.residual < 1e-10
     assert len(frames) == 1
-    assert sum(P == noisy.P for P in walked) == len(spectral._psi_paths(frames[0]))
+    assert sum(P == noisy.P for P in walked) == len(spectral._psi_paths(frames[0].basis))
 
 
 def test_crawling_round_ends_the_solve(monkeypatch):
@@ -448,10 +449,8 @@ def _split_integers(integers, g):
     """Per-differential lattice integers (A.., B.., gamma+, gamma-) from the
     order of ``psi``."""
     n = np.asarray(integers, dtype=float)
-    return (
-        np.concatenate([n[: 2 * g], n[4 * g : 4 * g + 2]]),
-        np.concatenate([n[2 * g : 4 * g], n[4 * g + 2 :]]),
-    )
+    differential = lattice_order(g)[:, 0]
+    return n[differential == 0], n[differential == 1]
 
 
 def test_numerator_space_holds_the_numerators(g1_triple):

@@ -11,10 +11,12 @@ from whitham.spectral import (
     ScalingRow,
     SpectralTriple,
     _psi_paths,
+    chart_blocks,
     conformal_type,
     d_psi,
     d_psi_norm,
     normalize,
+    pack_section,
     pack_triple,
     product_form,
     product_form_dot,
@@ -628,6 +630,44 @@ def test_exact_jacobian_equals_the_per_path_moment_loop(g1_b_linear, g2_b_quad):
                 assert np.array_equal(evaluation.jacobian()[: len(ref)], ref)
 
 
+def test_psi_layout_matches_the_per_component_formulas(g1_b_linear, g2_b_quad):
+    """``flatten`` (at the nearest integers and at shifted ones),
+    ``lattice_integers``, ``lattice_residuals`` and ``d_psi_norm`` equal the
+    per-component formulas they replaced bit for bit, at the five seeds and
+    at genus 2 and 3; ``pack_triple`` lays the sections out as
+    ``chart_blocks`` says; and the Jacobian rows of b1's lattice components
+    have zero b2-columns, those of b2's zero b1-columns."""
+    from oracles import (
+        reference_d_psi_norm,
+        reference_flatten,
+        reference_lattice_integers,
+        reference_lattice_residuals,
+    )
+
+    seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
+    for t in seeds + synthetic:
+        evaluation = psi_walks(t, PsiFrame.build(t))
+        vec = evaluation.vector
+        ints = vec.lattice_integers()
+        assert ints == reference_lattice_integers(vec)
+        assert vec.lattice_residuals() == reference_lattice_residuals(vec)
+        shifted = tuple(m + k % 3 - 1 for k, m in enumerate(ints))
+        for integers in (None, shifted):
+            assert vec.flatten(integers).tobytes() == reference_flatten(vec, integers).tobytes()
+        assert d_psi_norm(vec) == reference_d_psi_norm(vec)
+        blocks = chart_blocks(t.g)
+        x = pack_triple(t)
+        for p, (k, cols) in zip((t.P, t.b1, t.b2), blocks):
+            assert x[cols].tobytes() == pack_section(p, k).tobytes()
+        assert x.size == blocks[-1][1].stop == 4 * t.g + 11
+        J = evaluation.jacobian()
+        b_cols = {"T1": blocks[2][1], "T2": blocks[1][1]}  # the other differential's
+        for k, label in enumerate(vec.labels):
+            other = b_cols.get(label.split(".")[0])
+            if other is not None:
+                assert not J[2 * k : 2 * k + 2, other].any(), label
+
+
 def test_a_grid_of_another_frame_is_refused(g0_triple):
     """Walks of other paths, or of the same paths at another order, cannot
     hand their grid on."""
@@ -636,7 +676,7 @@ def test_a_grid_of_another_frame_is_refused(g0_triple):
     frame = PsiFrame.build(g0_triple)
     walks = psi_walks(g0_triple, frame)
     jittered = PsiFrame.build(g0_triple, jitter=1.0)
-    assert _psi_paths(jittered) != _psi_paths(frame)
+    assert _psi_paths(jittered.basis) != _psi_paths(frame.basis)
     for other in (jittered, replace(frame, quad_order=48)):
         with pytest.raises(ValueError, match="other paths"):
             psi_walks(g0_triple, other, like=walks)
