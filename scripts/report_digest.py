@@ -9,8 +9,11 @@ indicator) and on every input given (a directory stands for the ``*.json``
 files in it), then ``validate`` on the directory of the seven fixed inputs
 (the seed points and the two fixed triples, graded as one batch of stacked
 walks), ``validate`` alone on a fixed conformal genus-1 triple whose other
-branch point sorts before zeta = 0, and ``oracle --seed 7 --count 25``
-once, in-process, and hashes what each call writes to stdout and stderr.
+branch point sorts before zeta = 0, ``validate`` on a directory that
+repeats curves (each seed point and a perturbed copy with the same P, and
+two more conformal genus-0 points with P = zeta, so triples of one stack
+share their curve's walk), and ``oracle --seed 7 --count 25`` once,
+in-process, and hashes what each call writes to stdout and stderr.
 At each seed point it also hashes the numbers behind those reports: the
 Psi vector with its integration error, the lattice integers and residuals
 that ``validate`` prints from it, the exact Jacobian of a fresh
@@ -96,6 +99,21 @@ def conformal_genus1():
 FIXED = {"genus3_case_a": genus3_case_a, "case_c": case_c}
 
 
+def repeated_curves():
+    """(name, triple) of each seed point and a perturbed copy with the same
+    P (fixed kicks of relative size 1e-4 to b1 and b2), and of two more
+    conformal genus-0 points, whose P = zeta is that of
+    ``seed_conformal_genus0``."""
+    rng = np.random.default_rng(2021)
+    for name, make in SEEDS.items():
+        t = make()
+        yield name, t
+        b1, b2 = (b + random_real_section(rng, t.g + 3, 1e-4 * b.norm()) for b in (t.b1, t.b2))
+        yield f"{name}-perturbed", SpectralTriple(t.g, t.P, b1, b2)
+    for kp, km in ((1, 2), (3, 1)):
+        yield f"conformal-{kp}-{km}", seed_conformal_genus0(kp, km)
+
+
 def inputs(args, workdir):
     """(label, path) of the seed points and the fixed triples, written to
     ``workdir``, then of the given files."""
@@ -154,6 +172,13 @@ def run(args):
         path.write_text(json.dumps(conformal_genus1().to_json_dict()), encoding="utf-8")
         code, sha = digest(("validate", str(path)))
         print(f"{sha} exit={code} validate conformal_genus1", flush=True)
+        repeated = Path(tmp) / "repeated-curves"
+        repeated.mkdir()
+        for name, triple in repeated_curves():
+            (repeated / f"{name}.json").write_text(json.dumps(triple.to_json_dict()),
+                                                   encoding="utf-8")
+        code, sha = digest(("validate", str(repeated)))
+        print(f"{sha} exit={code} validate repeated-curves-directory", flush=True)
     for cmd in STANDALONE:
         code, sha = digest(cmd)
         print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)

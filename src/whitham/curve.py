@@ -40,7 +40,8 @@ inf to one length), each curve's P is evaluated once on its own block of
 rows, and each curve's numerators are integrated over its own rows, so
 every path still gets the rows, eta and integrals it gets when its curve
 is walked alone.  A batch ``validate`` walks its triples this way, a few
-curves per stack; a single evaluation walks its one curve.
+curves per stack, each curve once with the numerators of all its triples
+(any number per curve); a single evaluation walks its one curve.
 
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
@@ -795,34 +796,49 @@ class StackWalk:
         """``IntegrationResult`` of each numerator (inner lists) over each
         path (outer list), in one pass over the stack.
 
-        ``numerators`` holds one sequence of numerators per curve, the same
-        number for each.  Each numerator is evaluated once over its curve's
-        rows, at the rule columns alone.  Each row is summed on its own,
-        contiguous, so it sums exactly as the 1-D sum of its panel would;
-        each path's panel sums are then added in path order by one
-        ``cumsum`` down the rows, padded with -0.0, which leaves every sum
-        unchanged, so no sum runs across paths and each path integrates as
-        it does walked alone.
+        ``numerators`` holds one sequence of numerators per curve, any
+        number for each; a path gets the results of its curve's numerators,
+        in order.  Each numerator is evaluated once over its curve's rows,
+        at the rule columns alone, and each (numerator, row) pair is summed
+        on its own, contiguous, so it sums exactly as the 1-D sum of its
+        panel would.  Each path's panel sums of a numerator are then added
+        in path order by one ``cumsum`` down the rows, padded with -0.0,
+        which leaves every sum unchanged, so no sum runs across paths or
+        numerators and each path integrates as it does walked alone with
+        that numerator alone.
         """
         _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(self.quad_order)
-        q, first = idx_hi.size, self.first
+        q, first, stops = idx_hi.size, self.first, self.curve_stops
         cols = np.concatenate([idx_hi, idx_lo])
         z, wb = np.take(self.zs, cols, axis=1), np.take(self.base, cols, axis=1)
-        f = np.empty((len(numerators[0]),) + z.shape, dtype=complex)  # (numerator, row, column)
-        for bs, lo, hi in zip(numerators, [0, *self.curve_stops[:-1]], self.curve_stops):
-            for fb, b in zip(f, bs):
-                np.multiply(b(z[lo:hi]), wb[lo:hi], out=fb[lo:hi])
-        sums = np.stack([np.sum(w_hi * f[..., :q], axis=-1),
-                         np.sum(w_lo * f[..., q:], axis=-1)], axis=-1)
-        rows = sums.shape[1]
+        rows = z.shape[0]
+        blocks = list(zip(numerators, [0, *stops[:-1]], stops))
+        # one row per (numerator, panel) pair: each curve's numerators one
+        # after another over its rows, curve after curve
+        f = np.empty((sum(len(bs) * (hi - lo) for bs, lo, hi in blocks), cols.size), dtype=complex)
+        k = 0
+        for bs, lo, hi in blocks:
+            for b in bs:
+                np.multiply(b(z[lo:hi]), wb[lo:hi], out=f[k : k + hi - lo])
+                k += hi - lo
+        sums = np.stack([np.sum(w_hi * f[:, :q], axis=-1), np.sum(w_lo * f[:, q:], axis=-1)],
+                        axis=-1)
         path = np.repeat(np.arange(first.size), np.diff(first, append=rows))
         rank = np.arange(rows) - first[path]
-        padded = np.full((first.size, rank.max() + 1) + sums.shape[::2], complex(-0.0, -0.0))
-        padded[path, rank] = sums.swapaxes(0, 1)
+        padded = np.full((first.size, rank.max() + 1, max(map(len, numerators)), 2),
+                         complex(-0.0, -0.0))
+        k = 0
+        for bs, lo, hi in blocks:
+            n = len(bs)
+            block = sums[k : k + n * (hi - lo)].reshape(n, hi - lo, 2)
+            padded[path[lo:hi], rank[lo:hi], :n] = block.swapaxes(0, 1)
+            k += n * (hi - lo)
         totals = np.cumsum(padded, axis=1)[:, -1]  # (path, numerator, rule)
+        curve = np.searchsorted(stops, first, side="right")
         return [
-            [IntegrationResult(complex(hi), float(abs(hi - lo)), int(s)) for hi, lo in total]
-            for total, s in zip(totals, self.end_sheets)
+            [IntegrationResult(complex(hi), float(abs(hi - lo)), int(s))
+             for hi, lo in total[: len(numerators[c])]]
+            for total, c, s in zip(totals, curve, self.end_sheets)
         ]
 
     @cached_property
@@ -877,7 +893,11 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     nodes) grid and the sheet signs of all panels chain in one pass, see
     ``_walk_eta``.  Each path gets the rows it gets when walked alone; a
     stack that raises a ``WhithamError`` is walked again path by path, in
-    order, and raises the first error of those walks.
+    order, and raises the first error of those walks.  A curve is handed
+    once however many differentials are integrated over it: the walk does
+    not depend on the numerator, and ``StackWalk.integrate`` takes any
+    number of numerators per curve (``spectral.validate_batch`` walks each
+    distinct curve of a stack once for all its triples).
 
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
     same order (another curve, say a nearby iterate's), hands its grid on:

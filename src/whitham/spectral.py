@@ -70,7 +70,8 @@ CONFORMAL_RTOL = 1e-9
 # the principal parts are independent when their normalized margin clears this
 P8_TOL = 1e-10
 # a ``validate_batch`` stack takes the paths of consecutive frames while
-# their segments total at most this: two to five genus-0 to genus-2 frames.
+# their segments total at most this: two to five genus-0 to genus-2 frames
+# (a triple on a curve already in the stack adds none).
 # A batch holds one stack at a time, and a walk's memory grows with its
 # panels; on the benchmark corpus a stack then holds at most 1.25 times the
 # panels of its largest frame, and peak RSS rose by under 1 MB (by 3 MB
@@ -306,20 +307,6 @@ class ScalingRow:
             P_m * dPi.coeff(m) - dP.coeff(m) * Pi_m
             for dP, dPi in zip(P_dots, product_form_dot(self.motion, P_dots))
         ]
-
-
-def normalize(triple):
-    """Rescale (P, b1, b2) -> (P/lambda^2, b1/lambda, b2/lambda) so P takes
-    the product form; the differentials are unchanged as differentials."""
-    lam2 = 1.0 / ScalingRow.of(build_curve(triple.P)).value()
-    if abs(lam2.imag) > 1e-6 * abs(lam2) or lam2.real <= 0:
-        raise RealityViolationError(
-            f"scaling factor lambda^2 = {lam2:.6g} is not positive real"
-        )
-    lam = np.sqrt(lam2.real)
-    return SpectralTriple(
-        triple.g, triple.P / lam2.real, triple.b1 / lam, triple.b2 / lam
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -721,24 +708,37 @@ def validate_batch(triples, tol=None, quad_order=DEFAULT_QUAD_ORDER):
     The triples are graded a stack at a time.  Each triple's algebraic
     checks run and its frame is built as it is taken, and consecutive
     triples join one stack while their frames' paths total at most
-    ``STACK_SEGMENTS`` segments.  Then the stack's paths are walked and
-    integrated together, several curves in one ``curve.walk_paths``; a
-    stack whose walk raises is walked again frame by frame, so each triple
-    gets the integrals, or the error, that it gets alone.  Last, each
-    triple's Psi vector and its lattice, scaling and P8 checks are
-    assembled as ``validate`` assembles them, and its report is yielded
-    before the next stack is taken, so a batch holds one stack at a time
-    however many triples it grades."""
+    ``STACK_SEGMENTS`` segments.  The curve, its frame and their paths
+    depend on P alone, so a triple whose P has the coefficients, bit for
+    bit, of one already in the stack takes over that triple's roots, curve,
+    frame and paths (or the error building the frame raised) and adds no
+    segments.  Then the stack's distinct curves are walked together, each
+    once, in one ``curve.walk_paths``, and b1 and b2 of every triple are
+    integrated over its curve's walk; a stack whose walk raises is walked
+    again curve by curve, so each triple gets the integrals, or the error,
+    that it gets alone.  Last, each triple's Psi vector and its lattice,
+    scaling and P8 checks are assembled as ``validate`` assembles them, and
+    its report is yielded before the next stack is taken, so a batch holds
+    one stack at a time however many triples it grades."""
     tol = tol or ToleranceProfile()
-    stack, size = [], 0
+    # by_P: the first grading with a curve of each P in the stack, by the
+    # bytes of P's coefficients
+    stack, size, by_P = [], 0, {}
     for triple in triples:
-        g = triple if isinstance(triple, Exception) else _isolated(_start, triple, tol, quad_order)
-        segments = sum(len(path.segments) for path in g.paths) if _framed(g) else 0
+        if isinstance(triple, Exception):
+            g, like = triple, None
+        else:
+            like = by_P.get(triple.P.coeffs.tobytes())
+            g = _isolated(_start, triple, tol, quad_order, like)
+        new_paths = _framed(g) and like is None
+        segments = sum(len(path.segments) for path in g.paths) if new_paths else 0
         if stack and size + segments > STACK_SEGMENTS:
             yield from _graded(stack, tol)
-            stack, size = [], 0
+            stack, size, by_P = [], 0, {}
         stack.append(g)
         size += segments
+        if isinstance(g, _Grading) and g.curve is not None:
+            by_P.setdefault(g.triple.P.coeffs.tobytes(), g)
     yield from _graded(stack, tol)
 
 
@@ -748,7 +748,7 @@ def _framed(graded):
 
 
 def _graded(stack, tol):
-    """The results of a stack: its frames' paths walked and integrated
+    """The results of a stack: its curves' paths walked and integrated
     together, then each triple's report (or exception) assembled."""
     framed = [g for g in stack if _framed(g)]
     if framed:
@@ -768,22 +768,25 @@ def _isolated(stage, *args):
 @dataclass
 class _Grading:
     """One triple of ``validate_batch`` between its stages: the checks so
-    far, its curve, and its frame with the frame's paths, the integrals of
-    b1 and b2 over them once walked, and the error that building the frame
-    or walking its paths raised."""
+    far, the roots of P and its curve, and its frame with the frame's
+    paths, the integrals of b1 and b2 over them once walked, and the error
+    that building the frame or walking its paths raised.  Triples of one
+    stack with the same P hold the same roots, curve, frame and paths."""
 
     triple: SpectralTriple
     checks: list
-    curve: object
+    root_list: list = None
+    curve: object = None
     frame: PsiFrame = None
     paths: list = None
     per_path: list = None
     error: Exception = None
 
 
-def _start(triple, tol, quad_order):
+def _start(triple, tol, quad_order, like=None):
     """The algebraic checks (P1, U, P2, P3 or the curve's error, P4) and,
-    at a curve, the frame."""
+    at a curve, the frame.  ``like``, a grading with a curve at the same P,
+    hands over its roots, curve, frame and paths, and its frame's error."""
     checks = []
     sections = zip((triple.P, triple.b1, triple.b2), chart_blocks(triple.g))
     defect = max(real_defect(p, k) / max(p.norm(), 1e-300) for p, (k, _) in sections)
@@ -805,9 +808,10 @@ def _start(triple, tol, quad_order):
         )
     )
 
-    curve = None
+    grading = _Grading(triple, checks)
     try:
-        root_list = roots(triple.P)
+        root_list = roots(triple.P) if like is None else like.root_list
+        grading.root_list = root_list
         margins = [abs(abs(r) - 1.0) for r, _ in root_list]
         checks.append(
             _margin_check(
@@ -827,7 +831,7 @@ def _start(triple, tol, quad_order):
         checks.append(
             _margin_check("P3_simple_roots", sep_margin, tol.cluster, {})
         )
-        curve = _curve_from_roots(triple.P, root_list)
+        grading.curve = _curve_from_roots(triple.P, root_list) if like is None else like.curve
     except WhithamError as exc:
         checks.append(
             ConditionCheck("curve", 1.0, 0.5, False, {}, error=str(exc))
@@ -839,10 +843,11 @@ def _start(triple, tol, quad_order):
             ConditionCheck(f"P4_residue_T{i}", r, tol.alg, r <= tol.alg)
         )
 
-    grading = _Grading(triple, checks, curve)
-    if curve is not None:
+    if like is not None:
+        grading.frame, grading.paths, grading.error = like.frame, like.paths, like.error
+    elif grading.curve is not None:
         try:
-            frame = PsiFrame.build(triple, quad_order=quad_order, curve=curve)
+            frame = PsiFrame.build(triple, quad_order=quad_order, curve=grading.curve)
             grading.frame, grading.paths = frame, _psi_paths(frame.basis)
         except WhithamError as exc:
             grading.error = exc
@@ -891,25 +896,34 @@ def _finish(grading, tol):
 
 
 def _integrate_frames(gradings):
-    """Walk the paths of the gradings' frames as one stack, at their
-    quadrature order (the batch builds every frame at its own), and
-    integrate b1 and b2 of each triple over its own frame's paths; when
-    that raises, walk each frame alone, and keep the error of a frame that
-    raises alone."""
+    """Walk the paths of the gradings' distinct frames (one per curve) as
+    one stack, each frame once, at their quadrature order (the batch builds
+    every frame at its own), and integrate b1 and b2 of every triple on a
+    curve over that curve's walk; when that raises, walk each curve alone,
+    and give every triple on a curve that raises alone that curve's
+    error."""
+    on_curve = {}
+    for g in gradings:
+        on_curve.setdefault(id(g.frame), []).append(g)
+    groups = list(on_curve.values())
     try:
-        walks = walk_paths([g.frame.row.curve for g in gradings], [g.paths for g in gradings],
+        walks = walk_paths([gs[0].frame.row.curve for gs in groups], [gs[0].paths for gs in groups],
                            gradings[0].frame.quad_order)
-        per_path = walks.integrate([(g.triple.b1, g.triple.b2) for g in gradings])
+        per_path = walks.integrate([[b for g in gs for b in (g.triple.b1, g.triple.b2)]
+                                    for gs in groups])
     except Exception as exc:
-        if len(gradings) == 1:
-            gradings[0].error = exc
+        if len(groups) == 1:
+            for g in gradings:
+                g.error = exc
             return
-        for g in gradings:
-            _integrate_frames([g])
+        for gs in groups:
+            _integrate_frames(gs)
         return
     k = 0
-    for g in gradings:
-        g.per_path, k = per_path[k : k + len(g.paths)], k + len(g.paths)
+    for gs in groups:
+        rows, k = per_path[k : k + len(gs[0].paths)], k + len(gs[0].paths)
+        for j, g in enumerate(gs):
+            g.per_path = [row[2 * j : 2 * j + 2] for row in rows]
 
 
 def relative_residue(P, b):

@@ -192,6 +192,24 @@ def reference_scaling_shift(triple, P_dot):
     return float(t.real), float(abs(t.imag))
 
 
+def normalize(triple):
+    """Rescale (P, b1, b2) -> (P/lambda^2, b1/lambda, b2/lambda) so P takes
+    the product form; the differentials are unchanged as differentials."""
+    from whitham.curve import build_curve
+    from whitham.errors import RealityViolationError
+    from whitham.spectral import ScalingRow, SpectralTriple
+
+    lam2 = 1.0 / ScalingRow.of(build_curve(triple.P)).value()
+    if abs(lam2.imag) > 1e-6 * abs(lam2) or lam2.real <= 0:
+        raise RealityViolationError(
+            f"scaling factor lambda^2 = {lam2:.6g} is not positive real"
+        )
+    lam = np.sqrt(lam2.real)
+    return SpectralTriple(
+        triple.g, triple.P / lam2.real, triple.b1 / lam, triple.b2 / lam
+    )
+
+
 def reference_empdi_residual(triple, v, i):
     """``deformation._empdi_residual`` with chat, chat - zeta chat' and P'
     rebuilt from the tangent vector, as it was before it took them from

@@ -612,6 +612,27 @@ def test_stack_of_several_curves_matches_each_curve_walked_alone(g1_b_linear, g2
                 at += len(own_walks)
 
 
+def test_stack_integrates_any_number_of_numerators_per_curve(g1_b_linear, g2_b_quad):
+    """One stack of seven curves, each with its own number of numerators
+    (none to four): every path gets its own curve's integrals, in order,
+    equal bit for bit to the per-path reference of that path's rows."""
+    from oracles import reference_integrate
+    from whitham.spectral import PsiFrame, _psi_paths
+
+    points = _stack_points(g1_b_linear, g2_b_quad)
+    frames = [PsiFrame.build(t) for t in points]
+    rng = np.random.default_rng(25)
+    numerators = [[random_real_section(rng, t.g + 3) for _ in range(k % 5)]
+                  for k, t in enumerate(points)]
+    stack = walk_paths([f.row.curve for f in frames], [_psi_paths(f.basis) for f in frames], 32)
+    results = stack.integrate(numerators)
+    walks = per_path(stack)
+    own = [bs for f, bs in zip(frames, numerators) for _ in _psi_paths(f.basis)]
+    assert len(results) == len(walks) == len(own)
+    for got, walk, bs in zip(results, walks, own):
+        assert [(r.value, r.error, r.end_sheet) for r in got] == reference_integrate(walk, bs, 32)
+
+
 def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_b_quad):
     """A curve whose path passes through a branch point fails a stack of
     several curves with the class and message its own walk raises, and the

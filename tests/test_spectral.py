@@ -15,7 +15,6 @@ from whitham.spectral import (
     conformal_type,
     d_psi,
     d_psi_norm,
-    normalize,
     pack_section,
     pack_triple,
     product_form,
@@ -150,6 +149,8 @@ def test_json_roundtrip():
 
 
 def test_normalize_scales_down():
+    from oracles import normalize
+
     base = lemma_g0_triple(0.5, 1.0, 1j)
     doubled = SpectralTriple(0, base.P * 2.0, base.b1, base.b2)
     out = normalize(doubled)
@@ -160,12 +161,16 @@ def test_normalize_scales_down():
 
 
 def test_normalize_fixed_point():
+    from oracles import normalize
+
     t = lemma_g0_triple(0.4 + 0.1j, 1.0, 2j)
     out = normalize(t)
     assert (out.P - t.P).norm() < 1e-10 * t.P.norm()
 
 
 def test_normalize_conformal_keeps_zeta_factor():
+    from oracles import normalize
+
     t = conformal_g0_triple()
     scaled = SpectralTriple(0, t.P * 3.0, t.b1, t.b2)
     out = normalize(scaled)
@@ -176,6 +181,8 @@ def test_normalize_conformal_keeps_zeta_factor():
 
 
 def test_normalize_negative_scale_rejected():
+    from oracles import normalize
+
     t = lemma_g0_triple(0.5, 1.0, 1j)
     flipped = SpectralTriple(0, t.P * (-1.0), t.b1, t.b2)
     with pytest.raises(RealityViolationError):
@@ -389,7 +396,8 @@ def test_validate_batch_equals_validate_of_each_triple(budget, g1_b_linear, g2_b
     """``validate_batch`` gives each triple the report ``validate`` gives it
     alone, whether each frame is its own stack (budget 0), stacks hold a
     few frames (the default ``STACK_SEGMENTS``) or all frames form one
-    stack; the default walks fewer stacks than frames."""
+    stack; the default walks fewer stacks than frames, and each stack walks
+    each of its distinct curves once."""
     import whitham.spectral as spectral
 
     triples = _batch_triples(g1_b_linear, g2_b_quad)
@@ -399,19 +407,23 @@ def test_validate_batch_equals_validate_of_each_triple(budget, g1_b_linear, g2_b
     walks, walk_paths = [], spectral.walk_paths
 
     def counted(curves, paths, *args, **kwargs):
+        assert len({c.P.coeffs.tobytes() for c in curves}) == len(curves)
         walks.append(len(curves))
         return walk_paths(curves, paths, *args, **kwargs)
 
     monkeypatch.setattr(spectral, "walk_paths", counted)
     assert [r.to_json_dict() for r in validate_batch(triples)] == alone
     framed = len(triples) - 2  # the circle-root and rootless triples have no frame
-    assert sum(walks) == framed
+    # the perturbed copy shares the curve of the point before it, and so its
+    # walk, unless budget 0 gives it a stack of its own
+    curves = framed if budget == 0 else framed - 1
+    assert sum(walks) == curves
     if budget == 0:
         assert len(walks) == framed
     else:
         assert len(walks) < framed
     if budget == 10**6:
-        assert walks == [framed]
+        assert walks == [curves]
 
 
 def test_a_stack_that_raises_is_walked_frame_by_frame(g1_b_linear, g2_b_quad, monkeypatch):
@@ -434,6 +446,106 @@ def test_a_stack_that_raises_is_walked_frame_by_frame(g1_b_linear, g2_b_quad, mo
     assert failed[3] == ["segment subdivision did not terminate near a singularity"]
     assert not any(failed[:3] + failed[4:])
     assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+
+
+def test_triples_on_a_curve_that_raises_get_its_error(g1_b_linear, g2_b_quad, monkeypatch):
+    """With ``MAX_SEGMENTS`` at 100, two triples on the case-(c) P share a
+    curve whose walk raises; the one stack of all frames is walked again
+    curve by curve, both triples get the walk error each gets alone, and
+    every other report equals the one ``validate`` gives alone."""
+    import whitham.curve as curve_mod
+    import whitham.spectral as spectral
+
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 100)
+    monkeypatch.setattr(spectral, "STACK_SEGMENTS", 10**6)
+    triples = _batch_triples(g1_b_linear, g2_b_quad)
+    case_c = _case_c()
+    kick = random_real_section(np.random.default_rng(25), 5, 1e-4)
+    triples.insert(3, case_c)
+    triples.insert(7, SpectralTriple(2, case_c.P, case_c.b1 + kick, case_c.b2))
+    alone = [validate(t).to_json_dict() for t in triples]
+    failed = [
+        [c["error"] for c in report["checks"] if c["name"] == "P6_P7_integrals"]
+        for report in alone
+    ]
+    error = ["segment subdivision did not terminate near a singularity"]
+    assert failed[3] == failed[7] == error
+    assert not any(failed[:3] + failed[4:7] + failed[8:])
+    assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+
+
+@pytest.mark.parametrize("budget", [None, 10**6])
+def test_triples_on_one_curve_share_its_roots_frame_and_walk(budget, monkeypatch):
+    """Triples with one P (admissible points and their perturbed copies, two
+    conformal genus-0 points with P = zeta, three genus-2 triples, and a
+    pair with another curve between them) get the reports ``validate``
+    gives each alone, while each stack, at the default ``STACK_SEGMENTS``
+    or as one stack of all, roots each distinct P once, builds one frame
+    per distinct curve and hands each distinct curve to ``walk_paths``
+    once."""
+    import whitham.spectral as spectral
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+
+    rng = np.random.default_rng(25)
+
+    def kicked(t):
+        return SpectralTriple(t.g, t.P, t.b1 + random_real_section(rng, t.g + 3, 1e-4), t.b2)
+
+    g0, g1 = seed_genus0(), seed_genus1()
+    P2 = product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j])
+    genus2 = [SpectralTriple(2, P2, random_real_section(rng, 5), random_real_section(rng, 5))
+              for _ in range(3)]
+    triples = [g0, kicked(g0), seed_conformal_genus0(1, 2), g1, *genus2[:2],
+               seed_conformal_genus0(3, 1), kicked(g1), genus2[2]]
+    alone = [validate(t).to_json_dict() for t in triples]
+    if budget is not None:
+        monkeypatch.setattr(spectral, "STACK_SEGMENTS", budget)
+
+    # each call in order: ("start", triple), ("stack", its triples), or the
+    # kind and the P's of a call of roots, PsiFrame.build or walk_paths
+    events = []
+
+    def logged(kind, stage, what):
+        def wrapped(*args, **kwargs):
+            events.append((kind, what(*args)))
+            return stage(*args, **kwargs)
+
+        return wrapped
+
+    def key(P):
+        return P.coeffs.tobytes()
+
+    monkeypatch.setattr(spectral, "_start", logged("start", spectral._start, lambda t, *_: t))
+    monkeypatch.setattr(spectral, "_graded", logged(
+        "stack", spectral._graded, lambda stack, _: [g.triple for g in stack]))
+    monkeypatch.setattr(spectral, "roots", logged("roots", spectral.roots, lambda P: [key(P)]))
+    monkeypatch.setattr(spectral.PsiFrame, "build", staticmethod(logged(
+        "build", spectral.PsiFrame.build, lambda t: [key(t.P)])))
+    monkeypatch.setattr(spectral, "walk_paths", logged(
+        "walk", spectral.walk_paths, lambda curves, *_: [key(c.P) for c in curves]))
+    assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+
+    # a triple's roots and frame are found in its ``_start``; a stack is
+    # walked in its ``_graded``, after the next triple's ``_start``
+    calls, stacks, owner = {}, [], None
+    for kind, what in events:
+        if kind == "start":
+            owner = calls.setdefault(id(what), {"roots": [], "build": []})
+        elif kind == "stack":
+            stacks.append((what, []))
+        elif kind == "walk":
+            stacks[-1][1].extend(what)
+        else:
+            owner[kind].extend(what)
+    assert sum(len(stack) for stack, _ in stacks) == len(triples)
+    for stack, walked in stacks:
+        curves = sorted({key(t.P) for t in stack})
+        assert sorted(walked) == curves
+        for kind in ("roots", "build"):
+            assert sorted(k for t in stack for k in calls[id(t)][kind]) == curves
+    assert any(len(stack) > len({key(t.P) for t in stack}) for stack, _ in stacks)
+    if budget == 10**6:
+        assert len(stacks) == 1
 
 
 def test_validate_batch_takes_a_stack_at_a_time(g1_b_linear, g2_b_quad, monkeypatch):
