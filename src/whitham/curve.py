@@ -26,22 +26,25 @@ Paths are walked as one stack, a ``StackWalk`` (``walk_paths``; one path
 of one curve is a stack of one): they are split into quadrature panels
 together, level by level, probing the panels just split against the
 singular set at once; P is evaluated once over the panels x nodes grid of
-all paths; a panel with an ambiguous step is first walked node by node
-from its own principal root, with bisection; and then the sheet signs of
-all panels chain in one ``cumprod`` that starts afresh at each path's
-first panel.  Each path gets the panels and eta it gets when walked
+each curve's paths; a panel with an ambiguous step is first walked node by
+node from its own principal root, with bisection; and then the sheet signs
+of a curve's panels chain in one ``cumprod`` that starts afresh at each
+path's first panel.  Each path gets the panels and eta it gets when walked
 alone; a stack that fails is walked again path by path, to raise the
 error of the first path that fails alone.  Every numerator is integrated
-over the whole stack in one pass (``StackWalk.integrate``).
+over all its curve's paths in one pass (``StackWalk.integrate``).
 
 A stack carries the paths of one or more curves, curve after curve: each
 row is probed against its own curve's singular set (the sets padded with
 inf to one length), each curve's P is evaluated once on its own block of
 rows, and each curve's numerators are integrated over its own rows, so
 every path still gets the rows, eta and integrals it gets when its curve
-is walked alone.  A batch ``validate`` walks its triples this way, a few
-curves per stack, each curve once with the numerators of all its triples
-(any number per curve); a single evaluation walks its one curve.
+is walked alone.  The eta walk and the integrals take the stack one
+curve's block of rows at a time, so their temporaries are the size of
+the largest curve's block, not of the stack.  A batch ``validate`` walks
+its triples this way, several curves per stack, each curve once with the
+numerators of all its triples (any number per curve); a single
+evaluation walks its one curve.
 
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
@@ -685,36 +688,61 @@ def _walk_eta(Ps, panels, ts, zs, eta0, stops):
     junction the next panel's first value must lie near the last one.  A
     row with an unclear step is first walked node by node from its own
     principal root (``_walk_row``), which then stands in for the row's
-    roots with every step kept.  Then the junction and step signs of all
-    rows chain in one ``cumprod``, which starts afresh at each path's first
-    row.  The walk is odd in its start value, and a tie between the two
-    choices is never taken as clear, so the sign that the chain puts on a
-    walked row gives the walk from the eta the row continues.
+    roots with every step kept.  Then the junction and step signs of the
+    rows chain in one ``cumprod``, in place, which starts afresh at each
+    path's first row.  The walk is odd in its start value, and a tie
+    between the two choices is never taken as clear, so the sign that the
+    chain puts on a walked row gives the walk from the eta the row
+    continues.
+
+    No path runs across two curves, so all of this is done one curve's
+    block of rows at a time (``_walk_block``), into the returned array:
+    beside it, the walk holds arrays of (rows x nodes) of one block only,
+    and a stack of several curves needs little more memory than its
+    largest curve alone.  Every step is elementwise or per row, and every
+    sign is +-1, so each row comes out as it does in a walk of its curve
+    alone.
     """
-    vals = np.sqrt(_per_curve(Ps, stops, zs))
+    etas = np.empty(zs.shape, dtype=complex)
+    starts = np.zeros(len(panels), dtype=complex)
+    starts[panels.heads()] = np.atleast_1d(eta0)
+    for P, a, b in zip(Ps, [0, *stops[:-1]], stops):
+        rows = slice(a, b)
+        _walk_block(P, panels.take(rows), ts, zs[rows], starts[rows], etas[rows])
+    return etas
+
+
+def _walk_block(P, panels, ts, zs, starts, vals):
+    """``_walk_eta`` of one curve's block of rows, written to ``vals``;
+    ``starts`` holds each path's start value at its first row.  The block's
+    temporaries are freed on return, before the next block makes its
+    own."""
+    np.sqrt(P(zs), out=vals)
     d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
     d_flip = np.abs(vals[:, 1:] + vals[:, :-1])
+    # column 0 takes the junction signs, the others the step signs
+    signs = np.ones(vals.shape)
+    signs[:, 1:][d_flip < d_keep] = -1.0
     lo = np.minimum(d_keep, d_flip)
     hi = np.maximum(d_keep, d_flip)
     mag = np.maximum(np.abs(vals[:, 1:]), np.abs(vals[:, :-1]))
     clear = (lo <= 0.5 * hi) & (lo <= 0.8 * np.maximum(mag, 1e-300))
-    steps = np.where(d_flip < d_keep, -1.0, 1.0)
     for r in np.flatnonzero(~np.all(clear, axis=1)):
-        P_row = Ps[np.searchsorted(stops, r, side="right")]
-        vals[r] = _walk_row(P_row, panels.segment(r), ts, vals[r], clear[r])
-        steps[r] = 1.0
+        vals[r] = _walk_row(P, panels.segment(r), ts, vals[r], clear[r])
+        signs[r, 1:] = 1.0
     heads = panels.heads()
     # the eta each row continues: its path's start value at a path's first
     # row, else the previous row's last value (the chain carries the sign)
     incoming = np.concatenate([[0.0], vals[:-1, -1]])
-    incoming[heads] = np.atleast_1d(eta0)
-    signs = np.column_stack([_junction_sign(vals[:, 0], incoming), steps])
-    chain = np.cumprod(signs.ravel()).reshape(vals.shape)
+    incoming[heads] = starts[heads]
+    signs[:, 0] = _junction_sign(vals[:, 0], incoming)
+    chain = signs  # chained in place
+    np.cumprod(chain.ravel(), out=chain.ravel())
     # every sign is +-1, so multiplying a path's rows by the chain's value
     # before its first row undoes that prefix exactly
     before = np.concatenate([[1.0], chain[:-1, -1]])
     chain *= before[np.maximum.accumulate(np.where(heads, np.arange(heads.size), 0))][:, None]
-    return chain * vals
+    vals *= chain
 
 
 def _junction_sign(first, incoming):
@@ -761,13 +789,15 @@ class StackWalk:
 
     Row p holds panel p of the stack (each path's panels in path order,
     path after path; path k's rows start at ``first[k]``, and ``slices``
-    gives each path's rows): the nodes ``zs``, eta continued to them
-    (``etas``) and ``base`` = velocity / (zeta^2 eta).  The integral of
-    b dzeta/(zeta^2 eta) over a panel is sum(w_hi * b(zs) * base) over the
-    columns ``idx_hi`` of ``_panel_grid(quad_order)``; its half-order rule
-    gives the error estimate.  Path k ends on sheet ``end_sheets[k]``.
-    The paths are those of one or more curves, curve after curve; curve c's
-    rows end at ``curve_stops[c]``.
+    gives each path's rows): the nodes ``zs`` and eta continued to them
+    (``etas``).  The integral of b dzeta/(zeta^2 eta) over a panel is
+    sum(w_hi * b(zs) * base) over the columns ``idx_hi`` of
+    ``_panel_grid(quad_order)``, with ``base`` = velocity / (zeta^2 eta);
+    its half-order rule gives the error estimate.  ``integrate`` forms
+    ``base`` one curve at a time, and the whole-stack ``base`` is built
+    only when it is asked for (the Jacobian does).  Path k ends on sheet
+    ``end_sheets[k]``.  The paths are those of one or more curves, curve
+    after curve; curve c's rows end at ``curve_stops[c]``.
 
     The grid is the panels ``_subdivide`` gave the paths (with the rows it
     probed at each level and their verdicts, ``Panels.levels``) and their
@@ -783,7 +813,6 @@ class StackWalk:
     zs: np.ndarray
     velocity: np.ndarray
     etas: np.ndarray
-    base: np.ndarray
     first: np.ndarray
     end_sheets: np.ndarray
     curve_stops: np.ndarray
@@ -798,48 +827,37 @@ class StackWalk:
 
         ``numerators`` holds one sequence of numerators per curve, any
         number for each; a path gets the results of its curve's numerators,
-        in order.  Each numerator is evaluated once over its curve's rows,
-        at the rule columns alone, and each (numerator, row) pair is summed
-        on its own, contiguous, so it sums exactly as the 1-D sum of its
-        panel would.  Each path's panel sums of a numerator are then added
-        in path order by one ``cumsum`` down the rows, padded with -0.0,
-        which leaves every sum unchanged, so no sum runs across paths or
-        numerators and each path integrates as it does walked alone with
-        that numerator alone.
+        in order.  The stack is taken one curve's block of rows at a time
+        (``_path_sums``): the block's nodes and ``base`` at the rule columns
+        alone, then each numerator evaluated there, weighted and summed
+        before the next, so no temporary spans more than one block.  Each
+        (numerator, row) pair is summed on its own, contiguous, so it sums
+        exactly as the 1-D sum of its panel would.  Each path's panel sums
+        of a numerator are then added in path order by one ``cumsum`` down
+        the block's rows, padded with -0.0, which leaves every sum
+        unchanged, so no sum runs across paths or numerators and each path
+        integrates as it does walked alone with that numerator alone.
         """
-        _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(self.quad_order)
-        q, first, stops = idx_hi.size, self.first, self.curve_stops
-        cols = np.concatenate([idx_hi, idx_lo])
-        z, wb = np.take(self.zs, cols, axis=1), np.take(self.base, cols, axis=1)
-        rows = z.shape[0]
-        blocks = list(zip(numerators, [0, *stops[:-1]], stops))
-        # one row per (numerator, panel) pair: each curve's numerators one
-        # after another over its rows, curve after curve
-        f = np.empty((sum(len(bs) * (hi - lo) for bs, lo, hi in blocks), cols.size), dtype=complex)
-        k = 0
-        for bs, lo, hi in blocks:
-            for b in bs:
-                np.multiply(b(z[lo:hi]), wb[lo:hi], out=f[k : k + hi - lo])
-                k += hi - lo
-        sums = np.stack([np.sum(w_hi * f[:, :q], axis=-1), np.sum(w_lo * f[:, q:], axis=-1)],
-                        axis=-1)
-        path = np.repeat(np.arange(first.size), np.diff(first, append=rows))
-        rank = np.arange(rows) - first[path]
-        padded = np.full((first.size, rank.max() + 1, max(map(len, numerators)), 2),
-                         complex(-0.0, -0.0))
-        k = 0
-        for bs, lo, hi in blocks:
-            n = len(bs)
-            block = sums[k : k + n * (hi - lo)].reshape(n, hi - lo, 2)
-            padded[path[lo:hi], rank[lo:hi], :n] = block.swapaxes(0, 1)
-            k += n * (hi - lo)
-        totals = np.cumsum(padded, axis=1)[:, -1]  # (path, numerator, rule)
-        curve = np.searchsorted(stops, first, side="right")
-        return [
-            [IntegrationResult(complex(hi), float(abs(hi - lo)), int(s))
-             for hi, lo in total[: len(numerators[c])]]
-            for total, c, s in zip(totals, curve, self.end_sheets)
-        ]
+        first, stops = self.first, self.curve_stops
+        # curve c's paths are those from ``at[c]`` up to ``at[c + 1]``
+        at = np.searchsorted(first, [0, *stops])
+        results = []
+        for bs, a, b, k, n in zip(numerators, [0, *stops[:-1]], stops, at[:-1], at[1:]):
+            if k == n:
+                continue  # a curve with no paths
+            block = slice(a, b)
+            totals = _path_sums(bs, first[k:n] - a, self.zs[block], self.velocity[block],
+                                self.etas[block], self.quad_order)
+            results += [[IntegrationResult(complex(hi), float(abs(hi - lo)), int(s))
+                         for hi, lo in total]
+                        for total, s in zip(totals, self.end_sheets[k:n])]
+        return results
+
+    @cached_property
+    def base(self):
+        """velocity / (zeta^2 eta) at every node, built the first time it is
+        asked for (``integrate`` forms it one block at a time instead)."""
+        return self.velocity / (self.zs**2 * self.etas)
 
     @cached_property
     def _probed(self):
@@ -858,6 +876,31 @@ class StackWalk:
         rows, verdicts = self._probed
         close, through = rows.too_close(sing)
         return np.array_equal(close, verdicts) and not through.any()
+
+
+def _path_sums(numerators, first, zs, velocity, etas, quad_order):
+    """The integral of each numerator over each path of one curve's block of
+    rows, whose paths start at the rows ``first``, by the rule of
+    ``quad_order`` and by its half-order rule: (paths, numerators, 2).  The
+    block's temporaries are freed on return."""
+    _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
+    q, cols = idx_hi.size, np.concatenate([idx_hi, idx_lo])
+    lengths = np.diff(first, append=len(zs))
+    path = np.repeat(np.arange(first.size), lengths)
+    rank = np.arange(len(zs)) - first[path]
+    sums = np.full((first.size, lengths.max(), len(numerators), 2), complex(-0.0, -0.0))
+    # each (rows x rule columns) array is dropped as soon as it is used, so
+    # that at most four are alive at once
+    z = np.take(zs, cols, axis=1)
+    denominator = z**2 * np.take(etas, cols, axis=1)
+    wb = np.take(velocity, cols, axis=1) / denominator
+    del denominator
+    for j, b in enumerate(numerators):
+        f = b(z) * wb
+        sums[path, rank, j, 0] = np.sum(w_hi * f[:, :q], axis=-1)
+        sums[path, rank, j, 1] = np.sum(w_lo * f[:, q:], axis=-1)
+        del f
+    return np.cumsum(sums, axis=1)[:, -1]
 
 
 def _singular_set(curve):
@@ -889,11 +932,13 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     ``paths`` holds one sequence of paths per curve of ``curves``, and one
     stack carries them all, curve after curve: they are subdivided together
     (see ``_subdivide``), each row against its own curve's singular set;
-    each curve's P is evaluated once over its own block of the (panels x
-    nodes) grid and the sheet signs of all panels chain in one pass, see
-    ``_walk_eta``.  Each path gets the rows it gets when walked alone; a
-    stack that raises a ``WhithamError`` is walked again path by path, in
-    order, and raises the first error of those walks.  A curve is handed
+    then eta is walked one curve's block of the (panels x nodes) grid at a
+    time, P evaluated once over the block and the sheet signs of its panels
+    chained in one pass, see ``_walk_eta``, so the walk's temporaries are
+    the size of its largest curve's block.  Each path gets the rows it gets
+    when walked alone; a stack that raises a ``WhithamError`` is walked
+    again path by path, in order, and raises the first error of those
+    walks.  A curve is handed
     once however many differentials are integrated over it: the walk does
     not depend on the numerator, and ``StackWalk.integrate`` takes any
     number of numerators per curve (``spectral.validate_batch`` walks each
@@ -955,10 +1000,7 @@ def _walk_stack(curves, groups, quad_order, like):
     last = np.append(first[1:], len(panels)) - 1
     ref, eta = np.sqrt(_per_curve(Ps, path_stops, zs[last, -1])), etas[last, -1]
     end_sheet = np.where(np.abs(eta - ref) <= np.abs(eta + ref), 1, -1)
-    # the velocities may be a handed-on grid's, so they are not divided in
-    # place
-    base = velocity / (zs**2 * etas)
-    return StackWalk(paths, quad_order, panels, zs, velocity, etas, base, first, end_sheet, stops)
+    return StackWalk(paths, quad_order, panels, zs, velocity, etas, first, end_sheet, stops)
 
 
 def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):

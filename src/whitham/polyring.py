@@ -522,21 +522,21 @@ def _eigenvalue_start(coeffs):
 
 
 def _aberth(coeffs):
-    """All roots of a squarefree-ish polynomial: the eigenvalue start,
+    """All roots of a squarefree-ish polynomial of degree at least 1, with
+    p and p' at them (``_horner3``'s first two): the eigenvalue start,
     returned as soon as every point passes the backward-error test, and
     otherwise refined by Aberth-Ehrlich's simultaneous iteration."""
     n = coeffs.size - 1
-    if n == 0:
-        return np.empty(0, dtype=complex)
     if n == 1:
-        return np.array([-coeffs[0] / coeffs[1]])
+        z = np.array([-coeffs[0] / coeffs[1]])
+        return (z, *_horner3(coeffs, z)[:2])
     z = _eigenvalue_start(coeffs)
     for it in range(ABERTH_MAX_ITER + 1):
         p, dp, s = _horner3(coeffs, z)
         # |p(z)| measured against sum |a_i||z|^i (backward-error style)
         converged = np.abs(p) <= ABERTH_TARGET * np.maximum(s, 1e-300)
         if np.all(converged):
-            return z
+            return z, p, dp
         if it == ABERTH_MAX_ITER:
             raise NumericalFailureError("root iteration did not converge", best=z)
         if it == 0 and np.unique(z).size < n:
@@ -609,7 +609,8 @@ def roots(p, cluster_radius=MULTIPLICITY_RADIUS):
     eigenvalues of the companion matrix; a start that fails the Aberth
     backward-error test (|p(z)| <= ABERTH_TARGET * sum |a_i||z|^i at every
     root) is refined by Aberth-Ehrlich until it passes.  The roots are then
-    Newton-polished twice on the deflated polynomial and merged into
+    Newton-polished twice on the deflated polynomial, the first time with
+    the p and p' that the Aberth test computed at them, and merged into
     clusters of relative radius ``cluster_radius``.
     """
     p = _as_poly(p)
@@ -621,10 +622,12 @@ def roots(p, cluster_radius=MULTIPLICITY_RADIUS):
     while c.size > 1 and abs(c[0]) <= TRIM_REL * scale:
         c = c[1:]
         zero_mult += 1
-    found = _aberth(np.ascontiguousarray(c)) if c.size > 1 else np.empty(0, complex)
-    if found.size:
-        for _ in range(2):
-            pv, dv = _horner3(c, found)[:2]
+    found = np.empty(0, complex)
+    if c.size > 1:
+        found, pv, dv = _aberth(np.ascontiguousarray(c))
+        for polish in range(2):
+            if polish:
+                pv, dv = _horner3(c, found)[:2]
             # p' vanishes (and p with it) where a start hits a double root
             with np.errstate(divide="ignore", invalid="ignore"):
                 step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)

@@ -70,13 +70,16 @@ CONFORMAL_RTOL = 1e-9
 # the principal parts are independent when their normalized margin clears this
 P8_TOL = 1e-10
 # a ``validate_batch`` stack takes the paths of consecutive frames while
-# their segments total at most this: two to five genus-0 to genus-2 frames
-# (a triple on a curve already in the stack adds none).
-# A batch holds one stack at a time, and a walk's memory grows with its
-# panels; on the benchmark corpus a stack then holds at most 1.25 times the
-# panels of its largest frame, and peak RSS rose by under 1 MB (by 3 MB
-# with a whole directory per stack)
-STACK_SEGMENTS = 34
+# their segments total at most this: three genus-2 to eleven genus-0
+# frames (a triple on a curve already in the stack adds none); one stack
+# per shard of the benchmark corpus.
+# A batch holds one stack at a time.  The walk's own arrays grow with the
+# stack's panels, but its temporaries only with its largest curve's, as it
+# takes a stack one curve at a time; on the benchmark corpus a stack holds
+# up to 2.5 times the panels of its largest curve, and a pass peaks at
+# 1.58 MB under tracemalloc (1.46 MB at a budget of 34, and 3.21 MB at 68
+# when the temporaries spanned the stack)
+STACK_SEGMENTS = 68
 
 
 @dataclass(frozen=True)

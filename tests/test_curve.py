@@ -496,6 +496,42 @@ def test_unclear_row_falls_back_to_bisection(monkeypatch):
     assert np.array_equal(etas, np.array(ref))
 
 
+def test_unclear_row_in_a_later_curve_is_bisected_with_its_own_P(monkeypatch):
+    """A stack of two curves whose second curve has a panel 1e-3 from its
+    branch point 0.5: only that row is walked node by node, with the second
+    curve's P, and every row's eta equals the walk of its path alone."""
+    import whitham.curve as curve_mod
+    from whitham.curve import Panels, _continue_eta, _panel_grid, _walk_eta
+
+    P_first = Polynomial.from_roots([0.4, 2.5])
+    P_second = Polynomial.from_roots([0.5, 2.0])
+    clear = [LineSegment(-0.6 + 0.4j, -0.1 + 0.4j), LineSegment(-0.1 + 0.4j, -0.1 + 0.8j)]
+    near = [
+        LineSegment(0.1 + 0.3j, 0.2 + 0.001j),
+        LineSegment(0.2 + 0.001j, 0.9 + 0.001j),  # 1e-3 from 0.5: unclear steps
+        LineSegment(0.9 + 0.001j, 0.9 + 0.3j),
+    ]
+    walks = [(P_first, clear), (P_second, near[:2]), (P_second, near[1:])]
+    ts = _panel_grid(32)[0]
+    eta0 = [complex(np.sqrt(P(path[0].point(0.0)))) for P, path in walks]
+    bisected = []
+
+    def counted(P, seg, *args, **kwargs):
+        bisected.append((P, seg))
+        return _continue_eta(P, seg, *args, **kwargs)
+
+    monkeypatch.setattr(curve_mod, "_continue_eta", counted)
+    panels = Panels.of(*(path for _, path in walks))
+    etas = _walk_eta([P_first, P_second], panels, ts, panels.nodes(ts)[0], eta0, [2, 6])
+    assert bisected
+    assert all(P is P_second and seg == near[1] for P, seg in bisected)
+    alone = []
+    for (P, path), eta in zip(walks, eta0):
+        own = Panels.of(path)
+        alone.append(_walk_eta([P], own, ts, own.nodes(ts)[0], eta, [len(own)]))
+    assert np.array_equal(etas, np.concatenate(alone))
+
+
 def test_stacked_rows_restart_at_each_path():
     """Stacked paths whose unclear rows end one path, start the next and end
     the stack, one path on the other sheet: each path's rows continue from
@@ -631,6 +667,14 @@ def test_stack_integrates_any_number_of_numerators_per_curve(g1_b_linear, g2_b_q
     assert len(results) == len(walks) == len(own)
     for got, walk, bs in zip(results, walks, own):
         assert [(r.value, r.error, r.end_sheet) for r in got] == reference_integrate(walk, bs, 32)
+    # a curve with no paths between two others adds no rows and no results
+    ends = [frames[0], frames[-1]]
+    without = walk_paths([f.row.curve for f in ends], [_psi_paths(f.basis) for f in ends], 32)
+    gap = walk_paths([ends[0].row.curve, frames[1].row.curve, ends[1].row.curve],
+                     [_psi_paths(ends[0].basis), [], _psi_paths(ends[1].basis)], 32)
+    assert np.array_equal(gap.etas, without.etas)
+    assert gap.integrate([numerators[0], numerators[1], numerators[-1]]) == without.integrate(
+        [numerators[0], numerators[-1]])
 
 
 def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_b_quad):
@@ -652,3 +696,61 @@ def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_
     rest = per_path(walk_paths(curves, paths, 32))
     own = [w for c, p in zip(curves, paths) for w in per_path(walk_paths([c], [p], 32))]
     _same_outcome(rest, own)
+
+
+# -- memory of a stack of several curves ------------------------------------------
+
+
+def _transient_peak(call):
+    """What ``call()`` holds at its peak beyond what was held on entry, by
+    ``tracemalloc``, and what it returns; a first call, untraced, warms the
+    caches."""
+    import tracemalloc
+
+    call()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        entry = tracemalloc.get_traced_memory()[0]
+        out = call()
+        return tracemalloc.get_traced_memory()[1] - entry, out
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def test_stack_temporaries_scale_with_its_largest_curve(g1_b_linear):
+    """A stack of four genus-0 and genus-1 curves holds, beyond its own
+    arrays, at most 1.25 times the temporaries of its largest curve walked
+    alone: in ``StackWalk.integrate`` and in ``_walk_eta`` (beyond the eta
+    it returns), which take the stack one curve at a time."""
+    from whitham.curve import _panel_grid, _walk_eta
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+    from whitham.spectral import PsiFrame, _psi_paths
+
+    assert not isinstance(g1_b_linear, str), g1_b_linear
+    points = [seed_genus0(), seed_conformal_genus0(1, 2), seed_genus1(), g1_b_linear]
+    frames = [PsiFrame.build(t) for t in points]
+    assert len({f.row.curve.P.coeffs.tobytes() for f in frames}) == 4
+    ts = _panel_grid(32)[0]
+
+    def peaks(ks):
+        stack = walk_paths([frames[k].row.curve for k in ks],
+                           [_psi_paths(frames[k].basis) for k in ks], 32)
+        numerators = [(points[k].b1, points[k].b2) for k in ks]
+        integrate, _ = _transient_peak(lambda: stack.integrate(numerators))
+        Ps = [frames[k].row.curve.P for k in ks]
+        eta0 = stack.etas[stack.first, 0]
+        walk_eta, etas = _transient_peak(
+            lambda: _walk_eta(Ps, stack.panels, ts, stack.zs, eta0, stack.curve_stops))
+        assert np.array_equal(etas, stack.etas)
+        return len(stack.zs), integrate, walk_eta - etas.nbytes
+
+    alone = [peaks([k]) for k in range(4)]
+    rows, integrate, walk_eta = peaks(range(4))
+    largest = max(alone)
+    assert rows == sum(r for r, _, _ in alone) > 2 * largest[0]
+    assert integrate <= 1.25 * largest[1]
+    assert walk_eta <= 1.25 * largest[2]

@@ -471,7 +471,7 @@ def test_aberth_refines_a_start_that_fails_the_backward_test(monkeypatch):
     start = rs * (1 + 1e-3)
     assert not _backward_ok(c, start)
     monkeypatch.setattr(polyring, "_eigenvalue_start", lambda coeffs: start.copy())
-    z = polyring._aberth(c)
+    z = polyring._aberth(c)[0]
     assert _backward_ok(c, z)
     for r in rs:
         assert np.min(np.abs(z - r)) <= 1e-12 * max(1.0, abs(r))
@@ -501,7 +501,7 @@ def test_aberth_separates_a_start_whose_points_coincide(monkeypatch):
     rs = np.array([0.5, -1.0, 2.0j])
     c = Polynomial.from_roots(rs).coeffs
     monkeypatch.setattr(polyring, "_eigenvalue_start", lambda coeffs: np.full(3, 1.0 + 0j))
-    z = polyring._aberth(c)
+    z = polyring._aberth(c)[0]
     assert _backward_ok(c, z)
     assert sorted(z, key=lambda r: (r.real, r.imag)) == pytest.approx(
         sorted(rs, key=lambda r: (r.real, r.imag)), abs=1e-12
@@ -625,3 +625,26 @@ def test_jet_divide_matches_quotient_derivatives():
     h = 1e-5
     d1 = (f(beta + h) - f(beta - h)) / (2 * h)
     assert abs(q[1] - d1) < 1e-8
+
+
+def test_roots_polishes_first_with_the_values_aberth_computed(monkeypatch):
+    """``_aberth`` hands on p and p' at the roots it returns, exactly as
+    ``_horner3`` gives them there, so ``roots`` runs ``_horner3`` twice at
+    degree 2 and above (the Aberth test, the second polish) and still
+    twice at degree 1 (the two polishes)."""
+    rng = np.random.default_rng(26)
+    for degree in (1, 2, 5):
+        c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        z, p, dp = polyring._aberth(c)
+        want = polyring._horner3(c, z)[:2]
+        assert np.array_equal(p, want[0]) and np.array_equal(dp, want[1])
+        calls, horner3 = [], polyring._horner3
+
+        def counted(*args):
+            calls.append(args)
+            return horner3(*args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(polyring, "_horner3", counted)
+            roots(Polynomial(c))
+        assert len(calls) == 2

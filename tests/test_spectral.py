@@ -1,7 +1,11 @@
 import warnings
+from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitham.curve import build_curve
 from whitham.errors import RealityViolationError
@@ -546,6 +550,47 @@ def test_triples_on_one_curve_share_its_roots_frame_and_walk(budget, monkeypatch
     assert any(len(stack) > len({key(t.P) for t in stack}) for stack, _ in stacks)
     if budget == 10**6:
         assert len(stacks) == 1
+
+
+@lru_cache(maxsize=1)
+def _batch_pool():
+    """A fixed pool of triples and the report ``validate`` gives each alone:
+    the genus-0 and genus-1 seeds with perturbed copies (equal P), two
+    conformal genus-0 points (both P = zeta), two genus-2 triples on one P
+    and a triple with a root of P on the unit circle."""
+    from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
+
+    rng = np.random.default_rng(26)
+
+    def kicked(t):
+        return SpectralTriple(t.g, t.P, t.b1 + random_real_section(rng, t.g + 3, 1e-4), t.b2)
+
+    g0, g1 = seed_genus0(), seed_genus1()
+    P2 = product_form([0.3 + 0.05j, 0.5j, -0.45 + 0.2j])
+    genus2 = [SpectralTriple(2, P2, random_real_section(rng, 5), random_real_section(rng, 5))
+              for _ in range(2)]
+    circle = SpectralTriple(1, P(-1j, 1) * pair_poly(0.5), random_real_section(rng, 4),
+                            random_real_section(rng, 4))
+    pool = (g0, kicked(g0), seed_conformal_genus0(1, 2), seed_conformal_genus0(3, 1), g1,
+            kicked(g1), *genus2, circle)
+    return pool, tuple(validate(t).to_json_dict() for t in pool)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+# the pool's four curves total 52 segments: budgets up to 60 split it into
+# stacks, and larger ones make one stack
+@given(st.one_of(st.integers(0, 60), st.integers(0, 10**6)), st.permutations(range(9)))
+def test_validate_batch_at_any_budget_and_order_equals_validate(budget, order):
+    """For any stack budget and any order of a fixed pool of triples,
+    ``validate_batch`` gives each triple the report ``validate`` gives it
+    alone."""
+    import whitham.spectral as spectral
+
+    pool, alone = _batch_pool()
+    assert len(pool) == len(order)
+    with patch.object(spectral, "STACK_SEGMENTS", budget):
+        reports = [r.to_json_dict() for r in validate_batch([pool[k] for k in order])]
+    assert reports == [alone[k] for k in order]
 
 
 def test_validate_batch_takes_a_stack_at_a_time(g1_b_linear, g2_b_quad, monkeypatch):
