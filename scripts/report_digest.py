@@ -12,8 +12,12 @@ walks), ``validate`` alone on a fixed conformal genus-1 triple whose other
 branch point sorts before zeta = 0, ``validate`` on a directory that
 repeats curves (each seed point and a perturbed copy with the same P, and
 two more conformal genus-0 points with P = zeta, so triples of one stack
-share their curve's walk), and ``oracle --seed 7 --count 25`` once,
-in-process, and hashes what each call writes to stdout and stderr.
+share their curve's walk), ``validate`` on a directory whose stack has a
+failing walk (two seed points, the case-(c) triple and a copy of it with
+the same P, graded with ``whitham.curve.MAX_SEGMENTS`` lowered to 100, so
+the case-(c) curve's walk raises and the stack is recovered), and
+``oracle --seed 7 --count 25`` once, in-process, and hashes what each call
+writes to stdout and stderr.
 At each seed point it also hashes the numbers behind those reports: the
 Psi vector with its integration error, the lattice integers and residuals
 that ``validate`` prints from it, the exact Jacobian of a fresh
@@ -41,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
+import whitham.curve as curve_mod
 from whitham.cli import main
 from whitham.curve import build_curve, integrate_batch
 from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1
@@ -114,6 +119,24 @@ def repeated_curves():
         yield f"conformal-{kp}-{km}", seed_conformal_genus0(kp, km)
 
 
+def failing_walk():
+    """(name, triple) of two seed points, the case-(c) triple and a copy of
+    it with the same P (a fixed kick of relative size 1e-4 to b1)."""
+    rng = np.random.default_rng(2022)
+    c = case_c()
+    yield "seed_genus0", seed_genus0()
+    yield "seed_genus1", seed_genus1()
+    yield "case_c", c
+    kick = random_real_section(rng, c.g + 3, 1e-4 * c.b1.norm())
+    yield "case_c-perturbed", SpectralTriple(c.g, c.P, c.b1 + kick, c.b2)
+
+
+def write_directory(path, triples):
+    path.mkdir()
+    for name, triple in triples:
+        (path / f"{name}.json").write_text(json.dumps(triple.to_json_dict()), encoding="utf-8")
+
+
 def inputs(args, workdir):
     """(label, path) of the seed points and the fixed triples, written to
     ``workdir``, then of the given files."""
@@ -173,12 +196,17 @@ def run(args):
         code, sha = digest(("validate", str(path)))
         print(f"{sha} exit={code} validate conformal_genus1", flush=True)
         repeated = Path(tmp) / "repeated-curves"
-        repeated.mkdir()
-        for name, triple in repeated_curves():
-            (repeated / f"{name}.json").write_text(json.dumps(triple.to_json_dict()),
-                                                   encoding="utf-8")
+        write_directory(repeated, repeated_curves())
         code, sha = digest(("validate", str(repeated)))
         print(f"{sha} exit={code} validate repeated-curves-directory", flush=True)
+        failing = Path(tmp) / "failing-walk"
+        write_directory(failing, failing_walk())
+        max_segments, curve_mod.MAX_SEGMENTS = curve_mod.MAX_SEGMENTS, 100
+        try:
+            code, sha = digest(("validate", str(failing)))
+        finally:
+            curve_mod.MAX_SEGMENTS = max_segments
+        print(f"{sha} exit={code} validate failing-walk-directory", flush=True)
     for cmd in STANDALONE:
         code, sha = digest(cmd)
         print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)

@@ -30,9 +30,10 @@ each curve's paths; a panel with an ambiguous step is first walked node by
 node from its own principal root, with bisection; and then the sheet signs
 of a curve's panels chain in one ``cumprod`` that starts afresh at each
 path's first panel.  Each path gets the panels and eta it gets when walked
-alone; a stack that fails is walked again path by path, to raise the
-error of the first path that fails alone.  Every numerator is integrated
-over all its curve's paths in one pass (``StackWalk.integrate``).
+alone, and a stack fails only where one of its paths fails alone; it
+raises the first failure it finds, and ``spectral.psi_stack`` finds which
+path of which curve fails.  Every numerator is integrated over all its
+curve's paths in one pass (``StackWalk.integrate``).
 
 A stack carries the paths of one or more curves, curve after curve: each
 row is probed against its own curve's singular set (the sets padded with
@@ -42,9 +43,9 @@ every path still gets the rows, eta and integrals it gets when its curve
 is walked alone.  The eta walk and the integrals take the stack one
 curve's block of rows at a time, so their temporaries are the size of
 the largest curve's block, not of the stack.  A batch ``validate`` walks
-its triples this way, several curves per stack, each curve once with the
-numerators of all its triples (any number per curve); a single
-evaluation walks its one curve.
+its triples this way (``spectral.psi_stack``), several curves per stack,
+each curve once with the numerators of all its triples (any number per
+curve); a single evaluation is the stack of its one curve.
 
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
@@ -68,7 +69,6 @@ from .errors import (
     NumericalFailureError,
     PathConstructionError,
     RealityViolationError,
-    WhithamError,
 )
 from .polyring import Polynomial, real_defect, roots
 
@@ -151,9 +151,6 @@ class PathOnCurve:
     segments: tuple
     start_sheet: int = 1
     label: str = ""
-
-    def flipped(self):
-        return PathOnCurve(self.segments, -self.start_sheet, self.label)
 
 
 def _check_continuity(segments):
@@ -936,13 +933,12 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     time, P evaluated once over the block and the sheet signs of its panels
     chained in one pass, see ``_walk_eta``, so the walk's temporaries are
     the size of its largest curve's block.  Each path gets the rows it gets
-    when walked alone; a stack that raises a ``WhithamError`` is walked
-    again path by path, in order, and raises the first error of those
-    walks.  A curve is handed
-    once however many differentials are integrated over it: the walk does
-    not depend on the numerator, and ``StackWalk.integrate`` takes any
-    number of numerators per curve (``spectral.validate_batch`` walks each
-    distinct curve of a stack once for all its triples).
+    when walked alone.  A stack raises the first failure it finds, which
+    is a failure of one of its paths walked alone, though not necessarily
+    of the first such path: ``spectral.psi_stack`` finds which path and
+    curve fail.  A curve is handed once however many differentials are
+    integrated over it: the walk does not depend on the numerator, and
+    ``StackWalk.integrate`` takes any number of numerators per curve.
 
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
     same order (another curve, say a nearby iterate's), hands its grid on:
@@ -952,20 +948,8 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     fresh walk.  A grid of other paths or another order raises
     ``ValueError``.
     """
-    groups = tuple(map(tuple, paths))
-    try:
-        return _walk_stack(curves, groups, quad_order, like)
-    except WhithamError:
-        if sum(map(len, groups)) > 1:
-            for curve, group in zip(curves, groups):
-                for path in group:
-                    _walk_stack([curve], [[path]], quad_order, None)
-        raise
-
-
-def _walk_stack(curves, groups, quad_order, like):
-    """``walk_paths`` of one stack, raising the first failure it finds."""
     Ps = tuple(c.P for c in curves)
+    groups = tuple(map(tuple, paths))
     paths = tuple(p for group in groups for p in group)
     counts = [len(group) for group in groups]
     sing = _padded_sets(curves, counts)

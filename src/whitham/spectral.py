@@ -17,21 +17,23 @@ residues and the scaling follow, and ``chart_blocks`` is where P, b1 and b2
 sit in the 4g+11 real coordinates of ``pack_triple``.  The tangent space is
 the two-dimensional kernel of Psi's Jacobian in that chart.  The map is
 deterministic given the deterministic homology basis; for derivative work
-(``d_psi``, Jacobians, Newton projection) the basis geometry and the
-scaling's reference coefficient index are frozen in a ``PsiFrame`` so
-nearby triples are measured against identical paths.  The scaling
-normalization (the product form of the in-disc branch points and its
-reference index) is chosen in one place, ``ScalingRow.of``, for frames,
-Psi, its Jacobian and the tangent's scaling fix alike.
+(Jacobians, Newton projection) the basis geometry and the scaling's
+reference coefficient index are frozen in a ``PsiFrame`` so nearby
+triples are measured against identical paths.  The scaling normalization
+(the product form of the in-disc branch points and its reference index)
+is chosen in one place, ``ScalingRow.of``, for frames, Psi, its Jacobian
+and the tangent's scaling fix alike.
 
-Newton projection uses the exact Jacobian: in a frozen frame every column
-is a sum over the nodes of the same stacked walk (``curve.StackWalk``)
-that evaluates Psi.  ``psi_walks``
-keeps those walks and assembles the Jacobian only when asked; handed the
-walks of an earlier evaluation in the frame, it walks on their quadrature
-grid when the new branch points leave the subdivision unchanged.  The
-central-difference ``d_psi`` and ``psi_jacobian`` are kept as its
-independent oracle.
+Psi is evaluated in one place, ``psi_stack``, for one triple
+(``psi_walks``) or many (``validate_batch``): the distinct curves of the
+triples are walked as one stacked walk (``curve.StackWalk``), and a walk
+that fails is recovered there, once.  Newton projection uses the exact
+Jacobian: in a frozen frame every column is a sum over the nodes of the
+walk that evaluates Psi.  ``psi_walks`` keeps that walk and assembles the
+Jacobian only when asked; handed the walks of an earlier evaluation in the
+frame, it walks on their quadrature grid when the new branch points leave
+the subdivision unchanged.  The central-difference ``psi_jacobian`` is
+kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -54,11 +56,8 @@ from .curve import (
     walk_paths,
 )
 from .errors import (
-    CircleRootError,
     DegreeBoundError,
-    MultipleRootError,
     RealityViolationError,
-    StepSizeError,
     UndefinedConformalTypeError,
     WhithamError,
 )
@@ -461,16 +460,20 @@ class PsiWalks:
     """Psi at a triple from one walk per path of a frame (``psi_walks``),
     with the walks kept so that ``jacobian()`` can assemble the exact
     Jacobian from them when, and only when, it is called.  ``walks`` is the
-    ``curve.StackWalk`` of the frame's paths, which holds the quadrature
-    grid a later evaluation in the frame can take over (``psi_walks(...,
-    like=...)``); the grid is freed with the walks.  ``row`` is the
-    ``ScalingRow`` of the triple's P at the frame's index."""
+    ``curve.StackWalk`` that walked the frame's paths, and ``span`` the
+    slice of its paths that are the triple's (all of them unless the triple
+    was evaluated in a stack of several curves, ``psi_stack``).  A walk of
+    the frame's paths alone holds the quadrature grid a later evaluation in
+    the frame can take over (``psi_walks(..., like=...)``); the grid is
+    freed with the walks.  ``row`` is the ``ScalingRow`` of the triple's P
+    at the frame's index."""
 
     triple: SpectralTriple
     frame: PsiFrame
     row: ScalingRow
     walks: StackWalk
     vector: PsiVector
+    span: slice
 
     def jacobian(self):
         """The exact Jacobian of the flattened Psi over the real chart
@@ -480,9 +483,10 @@ class PsiWalks:
 
         With the paths frozen, a lattice value of b dzeta/(zeta^2 eta) is
         linear in b, and eta^2 = P gives its P-derivative
-        -1/2 b dP dzeta/(zeta^2 eta P); both are sums over the walk's nodes.
-        The residue rows are exact (the residue condition is bilinear), and
-        the scaling row follows the branch points through ``row``.
+        -1/2 b dP dzeta/(zeta^2 eta P); both are sums over the walk's nodes
+        of the triple's own paths.  The residue rows are exact (the residue
+        condition is bilinear), and the scaling row follows the branch
+        points through ``row``.
         """
         triple = self.triple
         g = triple.g
@@ -492,9 +496,10 @@ class PsiWalks:
         nP, nb, width = kP + 1, kb + 1, b2_cols.stop
         stack = self.walks
         _, idx_hi, w_hi, _, _ = _panel_grid(stack.quad_order)
+        path_rows = stack.slices()[self.span]
         # d(integral of b_i over path p) in rows [i, p]
-        lattice = np.zeros((2, len(stack.paths), width), dtype=complex)
-        for p, rows in enumerate(stack.slices()):
+        lattice = np.zeros((2, len(path_rows), width), dtype=complex)
+        for p, rows in enumerate(path_rows):
             zs = np.take(stack.zs[rows], idx_hi, axis=1).ravel()
             wb = (w_hi * np.take(stack.base[rows], idx_hi, axis=1)).ravel()
             inv_P = 1.0 / np.take(stack.etas[rows], idx_hi, axis=1).ravel() ** 2
@@ -528,8 +533,8 @@ class PsiWalks:
 def psi_walks(triple, frame, like=None):
     """Psi at the triple from one walk per path of the frame, shared by both
     differentials, as a ``PsiWalks`` whose Jacobian is assembled on
-    demand.  Both differentials are integrated over all paths in one pass
-    (``StackWalk.integrate``).
+    demand: ``psi_stack`` of the one pair, which raises its error (that of
+    the first path that fails walked alone).
 
     ``like``, the ``PsiWalks`` of an earlier evaluation in the same frame,
     hands its quadrature grid on: the paths are re-probed against the new
@@ -537,12 +542,76 @@ def psi_walks(triple, frame, like=None):
     on that grid without subdividing them again (``curve.walk_paths``).
     The result is that of a fresh evaluation.  Walks in another frame raise
     ``ValueError``."""
-    row = frame.row_of(triple.P)
-    paths = _psi_paths(frame.basis)
-    walks = walk_paths([row.curve], [paths], frame.quad_order,
-                       like=None if like is None else like.walks)
-    vector = _psi_vector(triple, row, paths, walks.integrate([(triple.b1, triple.b2)]))
-    return PsiWalks(triple, frame, row, walks, vector)
+    (walks,) = psi_stack([(triple, frame)], like)
+    if isinstance(walks, Exception):
+        raise walks
+    return walks
+
+
+def psi_stack(pairs, like=None):
+    """``psi_walks`` of each (triple, frame) pair, in order: its
+    ``PsiWalks``, or the ``WhithamError`` that walking its curve raised.
+    The frames share one quadrature order; ``like`` is as for
+    ``psi_walks``, for a stack of one curve.
+
+    Pairs with one frame and the same P, bit for bit, are on one curve,
+    which is walked once for all of them: the paths of the distinct curves
+    go through one ``curve.walk_paths``, one stack, and b1 and b2 of every
+    pair through one ``StackWalk.integrate``.  Every path, and so every
+    ``PsiWalks``, comes out as it does evaluated alone.
+
+    A stack whose walk raises a ``WhithamError`` is recovered once: each
+    curve's paths are walked alone, in order, up to the first that raises,
+    whose error is the curve's and that of every pair on it; the curves
+    without an error are then walked once more as one stack.  When no path
+    raises alone, the stack's error is raised."""
+    on_curve = {}
+    for k, (triple, frame) in enumerate(pairs):
+        on_curve.setdefault((id(frame), triple.P.coeffs.tobytes()), []).append(k)
+    groups = list(on_curve.values())
+    frames = [pairs[ks[0]][1] for ks in groups]
+    rows = [f.row_of(pairs[ks[0]][0].P) for f, ks in zip(frames, groups)]
+    paths = [_psi_paths(f.basis) for f in frames]
+    numerators = [[b for k in ks for b in (pairs[k][0].b1, pairs[k][0].b2)] for ks in groups]
+    order = frames[0].quad_order
+
+    def walked(cs, grid):
+        walks = walk_paths([rows[c].curve for c in cs], [paths[c] for c in cs], order, grid)
+        return walks, walks.integrate([numerators[c] for c in cs])
+
+    errors = [None] * len(groups)
+    try:
+        walks, per_path = walked(range(len(groups)), None if like is None else like.walks)
+    except WhithamError:
+        errors = [_first_failure(r.curve, ps, order) for r, ps in zip(rows, paths)]
+        if not any(errors):
+            raise
+        rest = [c for c, error in enumerate(errors) if error is None]
+        walks, per_path = walked(rest, None) if rest else (None, [])
+    out, at = [None] * len(pairs), 0
+    for c, ks in enumerate(groups):
+        if errors[c] is not None:
+            for k in ks:
+                out[k] = errors[c]
+            continue
+        span, at = slice(at, at + len(paths[c])), at + len(paths[c])
+        for j, k in enumerate(ks):
+            triple, frame = pairs[k]
+            own = [r[2 * j : 2 * j + 2] for r in per_path[span]]  # b1 and b2 of pair k
+            vector = _psi_vector(triple, rows[c], paths[c], own)
+            out[k] = PsiWalks(triple, frame, rows[c], walks, vector, span)
+    return out
+
+
+def _first_failure(curve, paths, quad_order):
+    """The error of the first of the curve's paths that raises walked alone,
+    or None."""
+    for path in paths:
+        try:
+            walk_paths([curve], [[path]], quad_order)
+        except WhithamError as exc:
+            return exc
+    return None
 
 
 def _psi_vector(triple, row, paths, per_path):
@@ -563,45 +632,9 @@ def _psi_vector(triple, row, paths, per_path):
 
 
 # ---------------------------------------------------------------------------
-# Directional derivative and Jacobian by central differences in a frame: the
-# independent oracle of the exact Jacobian
+# Jacobian by central differences in a frame: the independent oracle of the
+# exact Jacobian
 # ---------------------------------------------------------------------------
-
-
-def _perturbed(triple, direction, h):
-    return SpectralTriple(
-        triple.g,
-        triple.P + h * direction.P_dot,
-        triple.b1 + h * direction.b1_dot,
-        triple.b2 + h * direction.b2_dot,
-    )
-
-
-def d_psi(triple, direction, h=1e-5, frame=None, quad_order=48):
-    """Central-difference directional derivative of Psi in a frame
-    (``quad_order`` is that of the frame built when none is given).
-
-    Lattice components are differenced raw (their integer targets are
-    locally constant).  Raises ``StepSizeError`` when the stepped triples
-    leave the admissible set.
-    """
-    if frame is None:
-        frame = PsiFrame.build(triple, quad_order=quad_order)
-    try:
-        hi = psi(_perturbed(triple, direction, h), frame=frame)
-        lo = psi(_perturbed(triple, direction, -h), frame=frame)
-    except (CircleRootError, MultipleRootError, RealityViolationError) as exc:
-        raise StepSizeError(f"step h={h} left the admissible set: {exc}") from exc
-    return PsiVector(
-        (hi.values - lo.values) * (0.5 / h),
-        hi.labels,
-        max(hi.integration_error, lo.integration_error) / h,
-    )
-
-
-def d_psi_norm(dvec):
-    """Euclidean norm of the flattened derivative (targets at zero shift)."""
-    return float(np.linalg.norm(dvec.values.view(float)))
 
 
 def psi_jacobian(triple, frame=None, h=1e-6, quad_order=48):
@@ -715,14 +748,14 @@ def validate_batch(triples, tol=None, quad_order=DEFAULT_QUAD_ORDER):
     depend on P alone, so a triple whose P has the coefficients, bit for
     bit, of one already in the stack takes over that triple's roots, curve,
     frame and paths (or the error building the frame raised) and adds no
-    segments.  Then the stack's distinct curves are walked together, each
-    once, in one ``curve.walk_paths``, and b1 and b2 of every triple are
-    integrated over its curve's walk; a stack whose walk raises is walked
-    again curve by curve, so each triple gets the integrals, or the error,
-    that it gets alone.  Last, each triple's Psi vector and its lattice,
-    scaling and P8 checks are assembled as ``validate`` assembles them, and
-    its report is yielded before the next stack is taken, so a batch holds
-    one stack at a time however many triples it grades."""
+    segments.  Then Psi is evaluated at every triple of the stack by one
+    ``psi_stack``, which walks the stack's distinct curves together, each
+    once, and gives each triple the Psi vector, or the error, that it gets
+    alone (a triple on a curve whose walk fails gets that curve's error).
+    Last, each triple's lattice, scaling and P8 checks are assembled as
+    ``validate`` assembles them, and its report is yielded before the next
+    stack is taken, so a batch holds one stack at a time however many
+    triples it grades."""
     tol = tol or ToleranceProfile()
     # by_P: the first grading with a curve of each P in the stack, by the
     # bytes of P's coefficients
@@ -734,7 +767,7 @@ def validate_batch(triples, tol=None, quad_order=DEFAULT_QUAD_ORDER):
             like = by_P.get(triple.P.coeffs.tobytes())
             g = _isolated(_start, triple, tol, quad_order, like)
         new_paths = _framed(g) and like is None
-        segments = sum(len(path.segments) for path in g.paths) if new_paths else 0
+        segments = sum(len(p.segments) for p in _psi_paths(g.frame.basis)) if new_paths else 0
         if stack and size + segments > STACK_SEGMENTS:
             yield from _graded(stack, tol)
             stack, size, by_P = [], 0, {}
@@ -747,15 +780,20 @@ def validate_batch(triples, tol=None, quad_order=DEFAULT_QUAD_ORDER):
 
 def _framed(graded):
     """Whether the triple has a frame whose paths are to be walked."""
-    return isinstance(graded, _Grading) and graded.paths is not None
+    return isinstance(graded, _Grading) and isinstance(graded.frame, PsiFrame)
 
 
 def _graded(stack, tol):
-    """The results of a stack: its curves' paths walked and integrated
-    together, then each triple's report (or exception) assembled."""
+    """The results of a stack: Psi evaluated at its framed triples together,
+    then each triple's report (or exception) assembled."""
     framed = [g for g in stack if _framed(g)]
     if framed:
-        _integrate_frames(framed)
+        try:
+            evaluations = psi_stack([(g.triple, g.frame) for g in framed])
+        except Exception as exc:
+            evaluations = [exc] * len(framed)
+        for g, evaluation in zip(framed, evaluations):
+            g.vector = evaluation if isinstance(evaluation, Exception) else evaluation.vector
     return [_isolated(_finish, g, tol) if isinstance(g, _Grading) else g for g in stack]
 
 
@@ -771,25 +809,23 @@ def _isolated(stage, *args):
 @dataclass
 class _Grading:
     """One triple of ``validate_batch`` between its stages: the checks so
-    far, the roots of P and its curve, and its frame with the frame's
-    paths, the integrals of b1 and b2 over them once walked, and the error
-    that building the frame or walking its paths raised.  Triples of one
-    stack with the same P hold the same roots, curve, frame and paths."""
+    far, the roots of P and its curve, its frame (or the error building it
+    raised) and, once its stack is evaluated, its Psi vector (or the error
+    evaluating Psi raised).  Triples of one stack with the same P hold the
+    same roots, curve and frame."""
 
     triple: SpectralTriple
     checks: list
     root_list: list = None
     curve: object = None
-    frame: PsiFrame = None
-    paths: list = None
-    per_path: list = None
-    error: Exception = None
+    frame: object = None
+    vector: object = None
 
 
 def _start(triple, tol, quad_order, like=None):
     """The algebraic checks (P1, U, P2, P3 or the curve's error, P4) and,
     at a curve, the frame.  ``like``, a grading with a curve at the same P,
-    hands over its roots, curve, frame and paths, and its frame's error."""
+    hands over its roots, curve and frame (or its frame's error)."""
     checks = []
     sections = zip((triple.P, triple.b1, triple.b2), chart_blocks(triple.g))
     defect = max(real_defect(p, k) / max(p.norm(), 1e-300) for p, (k, _) in sections)
@@ -847,26 +883,26 @@ def _start(triple, tol, quad_order, like=None):
         )
 
     if like is not None:
-        grading.frame, grading.paths, grading.error = like.frame, like.paths, like.error
+        grading.frame = like.frame
     elif grading.curve is not None:
         try:
-            frame = PsiFrame.build(triple, quad_order=quad_order, curve=grading.curve)
-            grading.frame, grading.paths = frame, _psi_paths(frame.basis)
+            grading.frame = PsiFrame.build(triple, quad_order=quad_order, curve=grading.curve)
         except WhithamError as exc:
-            grading.error = exc
+            grading.frame = exc
     return grading
 
 
 def _finish(grading, tol):
     """The report: the checks so far and, at a curve, the lattice and
     scaling checks of the Psi vector (or the error that building the frame
-    or walking its paths raised) and P8."""
+    or evaluating Psi raised) and P8."""
     triple, checks = grading.triple, grading.checks
     if grading.curve is not None:
         try:
-            if grading.error is not None:
-                raise grading.error
-            vec = _psi_vector(triple, grading.frame.row, grading.paths, grading.per_path)
+            for outcome in (grading.frame, grading.vector):
+                if isinstance(outcome, Exception):
+                    raise outcome
+            vec = grading.vector
             rows = zip(vec.labels, vec.lattice_integers(), vec.lattice_residuals())
             # a lattice residual is only as good as the quadrature behind it
             resolved = vec.integration_error <= tol.integral
@@ -896,37 +932,6 @@ def _finish(grading, tol):
 
     verdict = all(c.passed for c in checks)
     return ValidationReport(tuple(checks), verdict)
-
-
-def _integrate_frames(gradings):
-    """Walk the paths of the gradings' distinct frames (one per curve) as
-    one stack, each frame once, at their quadrature order (the batch builds
-    every frame at its own), and integrate b1 and b2 of every triple on a
-    curve over that curve's walk; when that raises, walk each curve alone,
-    and give every triple on a curve that raises alone that curve's
-    error."""
-    on_curve = {}
-    for g in gradings:
-        on_curve.setdefault(id(g.frame), []).append(g)
-    groups = list(on_curve.values())
-    try:
-        walks = walk_paths([gs[0].frame.row.curve for gs in groups], [gs[0].paths for gs in groups],
-                           gradings[0].frame.quad_order)
-        per_path = walks.integrate([[b for g in gs for b in (g.triple.b1, g.triple.b2)]
-                                    for gs in groups])
-    except Exception as exc:
-        if len(groups) == 1:
-            for g in gradings:
-                g.error = exc
-            return
-        for gs in groups:
-            _integrate_frames(gs)
-        return
-    k = 0
-    for gs in groups:
-        rows, k = per_path[k : k + len(gs[0].paths)], k + len(gs[0].paths)
-        for j, g in enumerate(gs):
-            g.per_path = [row[2 * j : 2 * j + 2] for row in rows]
 
 
 def relative_residue(P, b):

@@ -10,7 +10,13 @@ from collections import namedtuple
 
 import numpy as np
 
-from whitham.errors import DegreeBoundError
+from whitham.errors import (
+    CircleRootError,
+    DegreeBoundError,
+    MultipleRootError,
+    RealityViolationError,
+    StepSizeError,
+)
 from whitham.polyring import TRIM_REL, Polynomial, random_real_section, real_section_scale
 
 
@@ -432,9 +438,42 @@ def reference_flatten(vec, integers=None):
     return np.array(out)
 
 
-def reference_d_psi_norm(dvec):
-    """``d_psi_norm(dvec)`` by the per-component list it replaced."""
-    out = []
-    for v in _lattice(dvec) + dvec.residues.tolist() + [dvec.scaling]:
-        out.extend((v.real, v.imag))
-    return float(np.linalg.norm(out))
+def _perturbed(triple, direction, h):
+    from whitham.spectral import SpectralTriple
+
+    return SpectralTriple(
+        triple.g,
+        triple.P + h * direction.P_dot,
+        triple.b1 + h * direction.b1_dot,
+        triple.b2 + h * direction.b2_dot,
+    )
+
+
+def d_psi(triple, direction, h=1e-5, frame=None, quad_order=48):
+    """Central-difference directional derivative of Psi in a frame
+    (``quad_order`` is that of the frame built when none is given): the
+    finite-difference oracle of the exact Jacobian along a tangent vector.
+
+    Lattice components are differenced raw (their integer targets are
+    locally constant).  Raises ``StepSizeError`` when the stepped triples
+    leave the admissible set.
+    """
+    from whitham.spectral import PsiFrame, PsiVector, psi
+
+    if frame is None:
+        frame = PsiFrame.build(triple, quad_order=quad_order)
+    try:
+        hi = psi(_perturbed(triple, direction, h), frame=frame)
+        lo = psi(_perturbed(triple, direction, -h), frame=frame)
+    except (CircleRootError, MultipleRootError, RealityViolationError) as exc:
+        raise StepSizeError(f"step h={h} left the admissible set: {exc}") from exc
+    return PsiVector(
+        (hi.values - lo.values) * (0.5 / h),
+        hi.labels,
+        max(hi.integration_error, lo.integration_error) / h,
+    )
+
+
+def d_psi_norm(dvec):
+    """Euclidean norm of the flattened derivative (targets at zero shift)."""
+    return float(np.linalg.norm(dvec.values.view(float)))

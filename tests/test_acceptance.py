@@ -37,15 +37,13 @@ from whitham.spectral import (
     SpectralTriple,
     _psi_paths,
     conformal_type,
-    d_psi,
-    d_psi_norm,
     pack_triple,
     psi,
     psi_jacobian,
     validate,
 )
 
-from oracles import random_bezout_instance, random_real_bezout_instance
+from oracles import d_psi, d_psi_norm, random_bezout_instance, random_real_bezout_instance
 
 
 def _report(num, ok, detail):

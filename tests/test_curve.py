@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -215,7 +217,8 @@ def test_sigma_antisymmetry():
     b = random_real_section(np.random.default_rng(9), cur.genus + 3)
     path = homology_basis(cur).gamma_plus
     v = integrate_batch(cur, [b], path, 32)[0].value
-    w = integrate_batch(cur, [b], path.flipped(), 32)[0].value
+    flipped = dataclasses.replace(path, start_sheet=-path.start_sheet)
+    w = integrate_batch(cur, [b], flipped, 32)[0].value
     assert abs(v + w) < 1e-10 * max(1.0, abs(v))
 
 
@@ -391,19 +394,46 @@ THROUGH = PathOnCurve((LineSegment(0.5 - 0.3j, 0.5 + 0.3j),), 1, "through")
 POLE = PathOnCurve((LineSegment(-0.2j, 0.2j),), 1, "pole")
 
 
+def _psi_over(curves, paths):
+    """``spectral.psi_stack`` (``psi_walks`` for one curve) at a genus-0
+    triple on each curve, in a frame whose Psi paths are that curve's
+    ``paths``: each triple's walks per path, or the class and message of
+    its error."""
+    from unittest.mock import patch
+
+    import whitham.spectral as spectral
+
+    rng = np.random.default_rng(27)
+    pairs = [
+        (spectral.SpectralTriple(0, cur.P, random_real_section(rng, 3),
+                                 random_real_section(rng, 3)),
+         spectral.PsiFrame(tuple(ps), spectral.ScalingRow.of(cur)))
+        for cur, ps in zip(curves, paths)
+    ]
+    with patch.object(spectral, "_psi_paths", list):  # a frame's basis is its paths
+        if len(pairs) == 1:
+            return [_walked(lambda: _own_walks(spectral.psi_walks(*pairs[0])))]
+        return [(type(e), str(e)) if isinstance(e, Exception) else _own_walks(e)
+                for e in spectral.psi_stack(pairs)]
+
+
+def _own_walks(evaluation):
+    return per_path(evaluation.walks)[evaluation.span]
+
+
 def test_stack_raises_the_first_failing_path_error(monkeypatch):
-    """A middle path through a branch point fails the stack with the class
-    and message that walking the paths one after another raises.  So does
-    an earlier path that loses the sheet in the eta walk ahead of a later
-    path that fails to subdivide, and a stack of two curves that both fail
-    raises the first curve's error."""
+    """A middle path through a branch point fails the evaluation of Psi
+    with the class and message that walking the paths one after another
+    raises.  So does an earlier path that loses the sheet in the eta walk
+    ahead of a later path that fails to subdivide; and in a stack of two
+    curves that both fail, each triple gets its own curve's error."""
     import whitham.curve as curve_mod
 
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
     for paths in ([FAR, THROUGH, NEAR], [NEAR, THROUGH, FAR, POLE]):
         in_order = _walked_in_order(cur, paths)
         assert in_order == (GeometryError, "integration path passes through a singular point")
-        assert _walked(lambda: per_path(walk_paths([cur], [paths], 32))) == in_order
+        assert _psi_over([cur], [paths]) == [in_order]
 
     # FAR's junctions fail in the eta walk; THROUGH fails on the first level
     # of the subdivision, before any row is walked
@@ -420,7 +450,7 @@ def test_stack_raises_the_first_failing_path_error(monkeypatch):
         patch.setattr(curve_mod, "_junction_sign", lost_on_far)
         paths = [FAR, THROUGH]
         assert _walked_in_order(cur, paths) == lost
-        assert _walked(lambda: per_path(walk_paths([cur], [paths], 32))) == lost
+        assert _psi_over([cur], [paths]) == [lost]
 
     # NEAR exceeds the segment bound on a late level of ``cur``'s subdivision;
     # POLE passes through the pole of ``other`` on the first level
@@ -431,15 +461,16 @@ def test_stack_raises_the_first_failing_path_error(monkeypatch):
     for curves, paths, errors in (([cur, other], [[FAR, NEAR], [POLE]], [over, through]),
                                   ([other, cur], [[POLE], [FAR, NEAR]], [through, over])):
         assert [_walked(lambda: walk_paths([c], [p], 32)) for c, p in zip(curves, paths)] == errors
-        assert _walked(lambda: walk_paths(curves, paths, 32)) == errors[0]
+        assert [_psi_over([c], [p])[0] for c, p in zip(curves, paths)] == errors
+        assert _psi_over(curves, paths) == errors
 
 
 def test_segment_guard_applies_per_path(monkeypatch):
     """``MAX_SEGMENTS`` bounds each path's panels and splits, not the
     stack's: a stack of paths that each fit walks as they walk alone,
     however many panels it holds, and a path beyond the bound fails the
-    stack with its own error even when a later path fails on an earlier
-    level."""
+    evaluation of Psi with its own error even when a later path fails on an
+    earlier level."""
     import whitham.curve as curve_mod
 
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
@@ -457,7 +488,8 @@ def test_segment_guard_applies_per_path(monkeypatch):
         in_order = _walked_in_order(cur, paths)
         if message is not None:
             assert in_order == (GeometryError, message)
-        _same_outcome(_walked(lambda: per_path(walk_paths([cur], [paths], 32))), in_order)
+        (evaluated,) = _psi_over([cur], [paths])
+        _same_outcome(evaluated, in_order)
 
 
 def test_unclear_row_falls_back_to_bisection(monkeypatch):

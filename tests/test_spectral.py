@@ -17,8 +17,6 @@ from whitham.spectral import (
     _psi_paths,
     chart_blocks,
     conformal_type,
-    d_psi,
-    d_psi_norm,
     pack_section,
     pack_triple,
     product_form,
@@ -227,6 +225,7 @@ def test_psi_scale_invariance_except_scaling():
 
 
 def test_d_psi_zero_direction():
+    from oracles import d_psi, d_psi_norm
     from whitham.deformation import TangentVector  # light reuse of the container
 
     t = conformal_g0_triple()
@@ -239,6 +238,7 @@ def test_d_psi_zero_direction():
 
 
 def test_d_psi_coordinate_direction_nonzero():
+    from oracles import d_psi, d_psi_norm
     from whitham.deformation import TangentVector
 
     t = lemma_g0_triple(0.45, 1.2 + 0.3j, -0.7j)
@@ -432,9 +432,9 @@ def test_validate_batch_equals_validate_of_each_triple(budget, g1_b_linear, g2_b
 
 def test_a_stack_that_raises_is_walked_frame_by_frame(g1_b_linear, g2_b_quad, monkeypatch):
     """With ``MAX_SEGMENTS`` at 100, the case-(c) triple's walk raises; the
-    one stack of all frames that holds it raises too and is walked again
-    frame by frame, so that triple's report carries its own walk error and
-    every report equals the one ``validate`` gives alone."""
+    one stack of all frames that holds it raises too and is recovered, so
+    that triple's report carries its own walk error and every report equals
+    the one ``validate`` gives alone."""
     import whitham.curve as curve_mod
     import whitham.spectral as spectral
 
@@ -454,9 +454,9 @@ def test_a_stack_that_raises_is_walked_frame_by_frame(g1_b_linear, g2_b_quad, mo
 
 def test_triples_on_a_curve_that_raises_get_its_error(g1_b_linear, g2_b_quad, monkeypatch):
     """With ``MAX_SEGMENTS`` at 100, two triples on the case-(c) P share a
-    curve whose walk raises; the one stack of all frames is walked again
-    curve by curve, both triples get the walk error each gets alone, and
-    every other report equals the one ``validate`` gives alone."""
+    curve whose walk raises; the one stack of all frames is recovered, both
+    triples get the walk error each gets alone, and every other report
+    equals the one ``validate`` gives alone."""
     import whitham.curve as curve_mod
     import whitham.spectral as spectral
 
@@ -476,6 +476,41 @@ def test_triples_on_a_curve_that_raises_get_its_error(g1_b_linear, g2_b_quad, mo
     assert failed[3] == failed[7] == error
     assert not any(failed[:3] + failed[4:7] + failed[8:])
     assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+
+
+def test_a_failing_stack_walks_each_path_alone_at_most_once(g1_b_linear, g2_b_quad,
+                                                           monkeypatch):
+    """With ``MAX_SEGMENTS`` at 100, a stack of every frame of the batch
+    triples and the case-(c) triple raises, and is recovered by one walk of
+    each path alone, up to its curve's first failure, and one more walk of
+    the curves without an error: ``walk_paths`` runs at most 1 + (paths) +
+    1 times, no path is subdivided alone twice, and every report equals
+    the one ``validate`` gives alone."""
+    import whitham.curve as curve_mod
+    import whitham.spectral as spectral
+
+    monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 100)
+    monkeypatch.setattr(spectral, "STACK_SEGMENTS", 10**6)
+    triples = _batch_triples(g1_b_linear, g2_b_quad)
+    triples.insert(3, _case_c())
+    alone = [validate(t).to_json_dict() for t in triples]
+    walks, lone, walk_paths, subdivide = [], [], spectral.walk_paths, curve_mod._subdivide
+
+    def counted_walk(curves, paths, *args, **kwargs):
+        walks.append(sum(map(len, paths)))
+        return walk_paths(curves, paths, *args, **kwargs)
+
+    def counted_subdivide(segments, *args):
+        if len(segments) == 1:
+            lone.append(segments[0])  # held, so that no two ids coincide
+        return subdivide(segments, *args)
+
+    monkeypatch.setattr(spectral, "walk_paths", counted_walk)
+    monkeypatch.setattr(curve_mod, "_subdivide", counted_subdivide)
+    assert [r.to_json_dict() for r in validate_batch(triples)] == alone
+    assert len(walks) > 2 and lone
+    assert len(walks) <= 1 + walks[0] + 1
+    assert len({id(segments) for segments in lone}) == len(lone)
 
 
 @pytest.mark.parametrize("budget", [None, 10**6])
@@ -554,10 +589,12 @@ def test_triples_on_one_curve_share_its_roots_frame_and_walk(budget, monkeypatch
 
 @lru_cache(maxsize=1)
 def _batch_pool():
-    """A fixed pool of triples and the report ``validate`` gives each alone:
-    the genus-0 and genus-1 seeds with perturbed copies (equal P), two
-    conformal genus-0 points (both P = zeta), two genus-2 triples on one P
-    and a triple with a root of P on the unit circle."""
+    """A fixed pool of triples and the report ``validate`` gives each alone
+    with ``MAX_SEGMENTS`` at 100: the genus-0 and genus-1 seeds with
+    perturbed copies (equal P), two conformal genus-0 points (both
+    P = zeta), two genus-2 triples on one P, a triple with a root of P on
+    the unit circle and the case-(c) triple, whose walk raises."""
+    import whitham.curve as curve_mod
     from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
 
     rng = np.random.default_rng(26)
@@ -572,23 +609,26 @@ def _batch_pool():
     circle = SpectralTriple(1, P(-1j, 1) * pair_poly(0.5), random_real_section(rng, 4),
                             random_real_section(rng, 4))
     pool = (g0, kicked(g0), seed_conformal_genus0(1, 2), seed_conformal_genus0(3, 1), g1,
-            kicked(g1), *genus2, circle)
-    return pool, tuple(validate(t).to_json_dict() for t in pool)
+            kicked(g1), *genus2, circle, _case_c())
+    with patch.object(curve_mod, "MAX_SEGMENTS", 100):
+        return pool, tuple(validate(t).to_json_dict() for t in pool)
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
-# the pool's four curves total 52 segments: budgets up to 60 split it into
+# the pool's five curves total 86 segments: budgets up to 90 split it into
 # stacks, and larger ones make one stack
-@given(st.one_of(st.integers(0, 60), st.integers(0, 10**6)), st.permutations(range(9)))
+@given(st.one_of(st.integers(0, 90), st.integers(0, 10**6)), st.permutations(range(10)))
 def test_validate_batch_at_any_budget_and_order_equals_validate(budget, order):
-    """For any stack budget and any order of a fixed pool of triples,
-    ``validate_batch`` gives each triple the report ``validate`` gives it
-    alone."""
+    """For any stack budget and any order of a fixed pool of triples, one of
+    whose walks raises, ``validate_batch`` gives each triple the report
+    ``validate`` gives it alone."""
+    import whitham.curve as curve_mod
     import whitham.spectral as spectral
 
     pool, alone = _batch_pool()
     assert len(pool) == len(order)
-    with patch.object(spectral, "STACK_SEGMENTS", budget):
+    with patch.object(spectral, "STACK_SEGMENTS", budget), \
+            patch.object(curve_mod, "MAX_SEGMENTS", 100):
         reports = [r.to_json_dict() for r in validate_batch([pool[k] for k in order])]
     assert reports == [alone[k] for k in order]
 
@@ -644,15 +684,15 @@ def _evaluated(make):
 
 
 def _assert_same_evaluation(a, b):
-    """Two Psi evaluations are the same bit for bit: every walk's nodes, eta,
-    base and end sheet, the Psi vector, its integration error and the exact
-    Jacobian (or the same error raised)."""
+    """Two Psi evaluations are the same bit for bit: the nodes, eta, base and
+    end sheet of each of their own paths' walks, the Psi vector, its
+    integration error and the exact Jacobian (or the same error raised)."""
     if isinstance(b, tuple):
         assert a == b
         return
     from oracles import per_path
 
-    walks_a, walks_b = per_path(a.walks), per_path(b.walks)
+    walks_a, walks_b = per_path(a.walks)[a.span], per_path(b.walks)[b.span]
     assert len(walks_a) == len(walks_b)
     for wa, wb in zip(walks_a, walks_b):
         for name in ("zs", "etas", "base"):
@@ -678,6 +718,31 @@ def _grid_points(g1_b_linear, g2_b_quad):
         for g in (2, 3)
     ]
     return seeds, synthetic
+
+
+def test_psi_stack_gives_each_triple_its_evaluation_alone(g1_b_linear, g2_b_quad):
+    """``psi_stack`` of the five seed points, a genus-2 and a genus-3 point,
+    a perturbed copy of a seed in its frame (same P: one walk of their
+    curve) and another seed's P scaled by 1 + 1e-9 in that seed's frame (a
+    curve of its own) walks one stack, and gives each triple the evaluation
+    ``psi_walks`` gives it alone, bit for bit: its own paths' walks, the Psi
+    vector and the exact Jacobian."""
+    from whitham.spectral import psi_stack
+
+    seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
+    pairs = [(t, PsiFrame.build(t)) for t in seeds + synthetic]
+    t, frame = pairs[2]
+    kick = random_real_section(np.random.default_rng(27), t.g + 3, 1e-4)
+    pairs.insert(1, (SpectralTriple(t.g, t.P, t.b1 + kick, t.b2), frame))
+    t, frame = pairs[0]
+    pairs.append((SpectralTriple(t.g, t.P * (1 + 1e-9), t.b1, t.b2), frame))
+    stacked = psi_stack(pairs)
+    assert len({id(e.walks) for e in stacked}) == 1
+    curves = {(id(f), t.P.coeffs.tobytes()): len(_psi_paths(f.basis)) for t, f in pairs}
+    assert len(curves) == len(pairs) - 1
+    assert len(stacked[0].walks.paths) == sum(curves.values())
+    for (t, frame), evaluation in zip(pairs, stacked):
+        _assert_same_evaluation(evaluation, psi_walks(t, frame))
 
 
 def _counted_subdivide(monkeypatch):
@@ -789,13 +854,12 @@ def test_exact_jacobian_equals_the_per_path_moment_loop(g1_b_linear, g2_b_quad):
 
 def test_psi_layout_matches_the_per_component_formulas(g1_b_linear, g2_b_quad):
     """``flatten`` (at the nearest integers and at shifted ones),
-    ``lattice_integers``, ``lattice_residuals`` and ``d_psi_norm`` equal the
-    per-component formulas they replaced bit for bit, at the five seeds and
+    ``lattice_integers`` and ``lattice_residuals`` equal the per-component
+    formulas they replaced bit for bit, at the five seeds and
     at genus 2 and 3; ``pack_triple`` lays the sections out as
     ``chart_blocks`` says; and the Jacobian rows of b1's lattice components
     have zero b2-columns, those of b2's zero b1-columns."""
     from oracles import (
-        reference_d_psi_norm,
         reference_flatten,
         reference_lattice_integers,
         reference_lattice_residuals,
@@ -811,7 +875,6 @@ def test_psi_layout_matches_the_per_component_formulas(g1_b_linear, g2_b_quad):
         shifted = tuple(m + k % 3 - 1 for k, m in enumerate(ints))
         for integers in (None, shifted):
             assert vec.flatten(integers).tobytes() == reference_flatten(vec, integers).tobytes()
-        assert d_psi_norm(vec) == reference_d_psi_norm(vec)
         blocks = chart_blocks(t.g)
         x = pack_triple(t)
         for p, (k, cols) in zip((t.P, t.b1, t.b2), blocks):
