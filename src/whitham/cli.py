@@ -8,10 +8,12 @@ independent dense solves), ``plot`` (SVG of branch points and roots).
 Each subcommand takes only the options its handler reads; ``validate`` on
 a directory grades every ``*.json`` in it with one ``validate_batch``:
 the files are read and graded a stack at a time, the paths of a stack's
-triples walked as one stack of curves, a stack that raises is walked
-again triple by triple, and every row is the one that grading its file
-alone gives.  A file that fails to parse gets its own ``input-error``
-row.
+triples walked as one stack of curves, and every row is the one that
+grading its file alone gives.  A stack whose walk raises is recovered
+once: each curve's paths are walked alone up to the first that raises,
+whose error goes to every triple on that curve, and the other curves are
+walked again as one stack.  A file that fails to parse gets its own
+``input-error`` row.
 
 Exit codes: 0 success/pass, 1 validated-false (condition failures or a
 non-deformable case), 2 usage/parse error, 3 numerical failure.  Reports

@@ -52,7 +52,9 @@ and every row the subdivision probed with its verdict.  A later walk of
 the same paths on a nearby curve is handed that walk (``like=``); it
 re-probes the recorded rows against its own branch points in one pass
 and, when no verdict changes, walks on the grid as it is instead of
-subdividing again.  The grid is freed with the walks that hold it.
+subdividing again.  One curve's paths of a stack hand their grid on as
+their walk alone would (``StackWalk.member``).  The grid is freed with the
+walks that hold it.
 """
 
 from __future__ import annotations
@@ -800,8 +802,9 @@ class StackWalk:
     probed at each level and their verdicts, ``Panels.levels``) and their
     nodes ``zs`` and ``velocity``, both read-only.  A later walk of the
     same paths takes it over when ``holds`` says the subdivision would come
-    out the same (``walk_paths(..., like=...)``); it lives as long as this
-    walk.
+    out the same (``walk_paths(..., like=...)``), and so does a later walk
+    of one curve's paths of the stack, from their ``member``; it lives as
+    long as this walk.
     """
 
     paths: tuple
@@ -874,6 +877,29 @@ class StackWalk:
         close, through = rows.too_close(sing)
         return np.array_equal(close, verdicts) and not through.any()
 
+    def member(self, span):
+        """The walk of the paths ``span`` (a slice of the paths of one
+        curve) as the walk of those paths alone: their rows, nodes and eta,
+        with only the rows their own subdivision probed at each level and
+        those rows' verdicts, path indices counted from the first of them.
+        A verdict depends only on its row and its path's singular set, so
+        the member ``holds`` exactly when the grid of a walk of those paths
+        alone would, and hands its grid on as that walk would.  Its arrays
+        are views of the stack's; the whole stack is its own member."""
+        k, n, _ = span.indices(len(self.paths))
+        if (k, n) == (0, len(self.paths)):
+            return self
+        a, b = np.append(self.first, len(self.zs))[[k, n]]
+        rows, levels = slice(a, b), []
+        for probed, close in self.panels.levels:
+            mine = (probed.path >= k) & (probed.path < n)
+            levels.append((replace(probed.take(mine), path=probed.path[mine] - k), close[mine]))
+        panels = replace(self.panels.take(rows), path=self.panels.path[rows] - k,
+                         levels=tuple(levels))
+        return StackWalk(self.paths[k:n], self.quad_order, panels, self.zs[rows],
+                         self.velocity[rows], self.etas[rows], self.first[k:n] - a,
+                         self.end_sheets[k:n], np.array([b - a]))
+
 
 def _path_sums(numerators, first, zs, velocity, etas, quad_order):
     """The integral of each numerator over each path of one curve's block of
@@ -941,7 +967,8 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     ``StackWalk.integrate`` takes any number of numerators per curve.
 
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
-    same order (another curve, say a nearby iterate's), hands its grid on:
+    same order (another curve, say a nearby iterate's), or the ``member``
+    of a stack that walked them beside other curves, hands its grid on:
     when the grid ``holds`` against these curves' singular sets, its panels,
     nodes and velocities are walked as they are, without subdividing; else
     the paths are subdivided afresh.  Either way the walks are those of a

@@ -26,11 +26,13 @@ Euler predictor along a constructed tangent vector followed by projection
 with the lattice integers held fixed.  A step does no work it throws away:
 each point is classified once (its sample's label builds the next step's
 tower), the step builds the one tangent vector its rule uses, the guess is
-walked once (that walk is Gauss-Newton's first residual), a round in a kept
-frame starts from the walk that ended the round before, every trial walk
-takes over the quadrature grid of its round's first walk when its branch
-points allow (so the paths of a frame are usually subdivided once), and a
-Jacobian is assembled only where Gauss-Newton takes a step.
+walked once (that walk is Gauss-Newton's first residual; the guess of step
+0 is walked in one stack with the start), a round in a kept frame starts
+from the walk that ended the round before, every trial walk takes over the
+quadrature grid of its round's first walk when its branch points allow (so
+the paths of a frame are usually subdivided once, and those of the start
+and the first guess once together), and a Jacobian is assembled only where
+Gauss-Newton takes a step.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import DEFAULT_QUAD_ORDER, build_curve, homology_basis, walk_paths
+from .curve import DEFAULT_QUAD_ORDER, _curve_from_roots, build_curve, homology_basis, walk_paths
 from .deformation import (
     PARAMS_CASE,
     CaseAParams,
@@ -63,6 +65,7 @@ from .spectral import (
     pack_triple,
     product_form,
     psi,
+    psi_stack,
     psi_walks,
     unpack_section,
     unpack_triple,
@@ -261,18 +264,22 @@ def _chart_solve(chart, integers, frame, start, tol):
     return ProjectionResult(make_triple(x), norm, trace)
 
 
-def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=DEFAULT_QUAD_ORDER):
+def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=DEFAULT_QUAD_ORDER,
+                  start=None):
     """Gauss-Newton projection of a candidate triple onto the moduli set.
 
     Lattice targets default to the nearest 2*pi*i multiples of the initial
     evaluation; the cycle geometry is rebuilt whenever the iterate has
-    moved, but each Jacobian is taken inside one frozen frame.
+    moved, but each Jacobian is taken inside one frozen frame.  ``start``,
+    the ``psi_walks`` of the guess in a frame built at it, is that initial
+    evaluation when the caller has already walked it (``trace`` walks its
+    first predictor beside its start).
     """
     g = guess.g
     x0 = pack_triple(guess)
-    frame = PsiFrame.build(guess, quad_order=quad_order)
-    # the one walk of the guess, on the chart as Gauss-Newton starts from it
-    start = psi_walks(unpack_triple(x0, g), frame)
+    if start is None:
+        # the one walk of the guess, on the chart as Gauss-Newton starts from it
+        start = psi_walks(unpack_triple(x0, g), PsiFrame.build(guess, quad_order=quad_order))
     vec = start.vector
     integers = tuple(lattice_targets) if lattice_targets is not None else vec.lattice_integers()
     r0 = float(np.linalg.norm(vec.flatten(integers)))
@@ -282,7 +289,7 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=DEFAULT_QUA
             trace=[r0],
         )
     chart = (x0, lambda x: unpack_triple(x, g), None)
-    return _chart_solve(chart, integers, frame, start, tol)
+    return _chart_solve(chart, integers, start.frame, start, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +670,14 @@ def _rule_tangent(triple, label, rule, v_prev):
     return v
 
 
-def flow_step(triple, v, h, config=None, lattice=None):
+def flow_step(triple, v, h, config=None, lattice=None, first=None):
     """Euler predictor along v, then projection with fixed lattice targets:
     a ``PathSample`` whose ``t`` is the step taken (h, halved until it
-    projects)."""
+    projects).  ``first`` is the ``psi_walks`` of the predictor at h in a
+    frame built at it, or the error that building the frame or walking it
+    raised, when the caller has already tried (``trace`` does at step 0);
+    the first try then projects from that walk, or fails with that
+    error."""
     cfg = config or FlowConfig()
     g = triple.g
     if lattice is None:
@@ -677,11 +688,15 @@ def flow_step(triple, v, h, config=None, lattice=None):
     while True:
         try:
             predictor = unpack_triple(x0 + step * dv, g)
+            walks, first = first, None
+            if isinstance(walks, Exception):
+                raise walks
             proj = project_to_mg(
                 predictor,
                 lattice_targets=lattice,
                 tol=cfg.projection_tol,
                 quad_order=cfg.quad_order,
+                start=walks,
             )
             break
         except WhithamError:
@@ -696,21 +711,55 @@ def trace(triple, config):
     """Iterate flow steps; emits the full sample sequence (first sample is
     the validated input) plus a status string.  Each point is classified
     once: the label of each sample builds the tower of the next step's
-    tangent.  A start whose Psi residual is outside ``CAPTURE_RADIUS`` is
-    off the lattice, where no projection converges: once its tangent is
-    built (a non-deformable start stops on that first), the flow stops at
-    step 0, before any step, and its status names the residual and the
-    radius."""
+    tangent, and the start's root list builds the curve of its frame.  A
+    start whose Psi residual is outside ``CAPTURE_RADIUS`` is off the
+    lattice, where no projection converges: once its tangent is built (a
+    non-deformable start stops on that first), the flow stops at step 0,
+    before any step, and its status names the residual and the radius.
+
+    The start and the first step's Euler predictor, each in a frame built
+    at it, are walked as one stack (``psi_stack``), and the predictor's
+    walk, or the error building its frame or walking it raised, is the
+    first try of step 0 (``flow_step(..., first=...)``).  A start whose
+    frame or walk raises raises that error, before one that classifying
+    it raises."""
     cfg = config
-    frame = PsiFrame.build(triple, quad_order=cfg.quad_order)
-    vec = psi(triple, frame=frame)
-    lattice = vec.lattice_integers()
+    try:
+        label = classify(triple)
+    except Exception:
+        # the error of the start's frame or walk, if it has one, comes first
+        psi_walks(triple, PsiFrame.build(triple, quad_order=cfg.quad_order))
+        raise
+    curve = _curve_from_roots(triple.P, label.factors.P_roots)
+    pairs = [(triple, PsiFrame.build(triple, quad_order=cfg.quad_order, curve=curve))]
+    # step 0's tangent, or the error building it raised, which the loop
+    # raises where later steps build theirs; and the predictor's frame, or
+    # the error building it raised, which fails the first try
+    v = first = None
+    if cfg.steps:
+        try:
+            v = _rule_tangent(triple, label, cfg.params_rule, None)
+        except Exception as exc:
+            v = exc
+        else:
+            predictor = unpack_triple(pack_triple(triple) + cfg.h * _tangent_pack(v, triple.g),
+                                      triple.g)
+            try:
+                pairs.append((predictor, PsiFrame.build(predictor, quad_order=cfg.quad_order)))
+            except Exception as exc:
+                first = exc
+    start, *predicted = psi_stack(pairs)
+    if isinstance(start, Exception):
+        raise start
+    if predicted:
+        (first,) = predicted
+    lattice = start.vector.lattice_integers()
     samples = [
         PathSample(
             0.0,
             triple,
-            float(np.linalg.norm(vec.flatten(lattice))),
-            classify(triple),
+            float(np.linalg.norm(start.vector.flatten(lattice))),
+            label,
             conformal_type(triple),
             lattice,
         )
@@ -720,16 +769,19 @@ def trace(triple, config):
     for k in range(cfg.steps):
         current = samples[-1]
         try:
-            v = _rule_tangent(current.triple, current.label, cfg.params_rule, v_prev)
+            if k:
+                v = _rule_tangent(current.triple, current.label, cfg.params_rule, v_prev)
+            elif isinstance(v, Exception):
+                raise v
             if k == 0 and current.psi_residual > CAPTURE_RADIUS:
                 raise ProjectionFailureError(
                     f"start residual {current.psi_residual:.3e} outside the capture "
                     f"radius {CAPTURE_RADIUS}"
                 )
-            sample = flow_step(current.triple, v, cfg.h, cfg, lattice)
+            sample = flow_step(current.triple, v, cfg.h, cfg, lattice, first)
         except WhithamError as exc:
             status = f"stopped at step {k}: {exc}"
             break
         samples.append(replace(sample, t=current.t + sample.t))
-        v_prev = v
+        v_prev, first = v, None
     return samples, status

@@ -3,8 +3,8 @@
 Everything downstream is carried by polynomials in the variable zeta with
 complex coefficients: the curve polynomial P, the differential numerators
 b^i, the deformation data c^i, Q and the gcd tower between them.  A section
-of weight k is "real" when its coefficients satisfy q_i = conj(q_{k-i});
-these are the fixed points of the pullback ``real_pullback(-, k)``.
+of weight k is "real" when its coefficients satisfy q_i = conj(q_{k-i}),
+that is when the real involution q_i -> conj(q_{k-i}) fixes it.
 
 Coefficients are stored dense and low-to-high (coeffs[i] multiplies
 zeta**i).  Degrees in play stay below ~25, so no sparse or FFT machinery.
@@ -430,16 +430,9 @@ _ZETA = Polynomial([0.0, 1.0])
 # ---------------------------------------------------------------------------
 
 
-def real_pullback(p, k):
-    """Action of the real involution on a weight-k section: q_i -> conj(q_{k-i}).
-
-    Applying it twice is the identity up to rounding.
-    """
-    return Polynomial(_pullback(_as_poly(p).coeffs, k))
-
-
 def _pullback(c, k):
-    """``real_pullback`` on the coefficients c, untrimmed."""
+    """The real involution q_i -> conj(q_{k-i}) of the weight-k section with
+    coefficients c, untrimmed."""
     degree = _degree(c)
     if degree > k:
         raise DegreeBoundError(f"degree {degree} exceeds weight {k}")

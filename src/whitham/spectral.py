@@ -455,6 +455,12 @@ def _section_basis(k):
     return np.column_stack([unpack_section(e, k).padded(k + 1) for e in np.eye(k + 1)])
 
 
+@lru_cache(maxsize=16)
+def _section_polys(k):
+    """The ``Polynomial`` of each column of ``_section_basis(k)``."""
+    return tuple(Polynomial(c) for c in _section_basis(k).T)
+
+
 @dataclass(frozen=True)
 class PsiWalks:
     """Psi at a triple from one walk per path of a frame (``psi_walks``),
@@ -462,11 +468,14 @@ class PsiWalks:
     Jacobian from them when, and only when, it is called.  ``walks`` is the
     ``curve.StackWalk`` that walked the frame's paths, and ``span`` the
     slice of its paths that are the triple's (all of them unless the triple
-    was evaluated in a stack of several curves, ``psi_stack``).  A walk of
-    the frame's paths alone holds the quadrature grid a later evaluation in
-    the frame can take over (``psi_walks(..., like=...)``); the grid is
-    freed with the walks.  ``row`` is the ``ScalingRow`` of the triple's P
-    at the frame's index."""
+    was evaluated in a stack of several curves, ``psi_stack``).  ``grid``
+    is the walk of the triple's own paths, as walked alone: the stack's
+    member, built the first time it is asked for and then kept, or the
+    walk itself.  It holds the quadrature grid a later evaluation in the
+    frame can take over (``psi_walks(..., like=...)``), whether or not the
+    triple was walked beside other curves; the grid is freed with the
+    walks.  ``row`` is the ``ScalingRow`` of the triple's P at the frame's
+    index."""
 
     triple: SpectralTriple
     frame: PsiFrame
@@ -474,6 +483,10 @@ class PsiWalks:
     walks: StackWalk
     vector: PsiVector
     span: slice
+
+    @cached_property
+    def grid(self):
+        return self.walks.member(self.span)
 
     def jacobian(self):
         """The exact Jacobian of the flattened Psi over the real chart
@@ -494,9 +507,9 @@ class PsiWalks:
         P, bs, b_cols = triple.P, (triple.b1, triple.b2), (b1_cols, b2_cols)
         EP, Eb = _section_basis(kP), _section_basis(kb)
         nP, nb, width = kP + 1, kb + 1, b2_cols.stop
-        stack = self.walks
+        stack = self.grid
         _, idx_hi, w_hi, _, _ = _panel_grid(stack.quad_order)
-        path_rows = stack.slices()[self.span]
+        path_rows = stack.slices()
         # d(integral of b_i over path p) in rows [i, p]
         lattice = np.zeros((2, len(path_rows), width), dtype=complex)
         for p, rows in enumerate(path_rows):
@@ -515,11 +528,11 @@ class PsiWalks:
             for i in range(2):
                 lattice[i, p, P_cols] = -0.5 * (moments[1 + i, :nP] @ EP)
                 lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
-        P_dots = [Polynomial(c) for c in EP.T]
+        P_dots = _section_polys(kP)
         residues = np.zeros((2, width), dtype=complex)
         for i, b in enumerate(bs):
             residues[i, P_cols] = [residue_condition(dP, b) for dP in P_dots]
-            residues[i, b_cols[i]] = [residue_condition(P, Polynomial(c)) for c in Eb.T]
+            residues[i, b_cols[i]] = [residue_condition(P, db) for db in _section_polys(kb)]
         m = self.row.index
         scaling = np.zeros((1, width), dtype=complex)
         scaling[0, P_cols] = [num / P.coeff(m) ** 2 for num in self.row.numerators(P_dots)]
@@ -537,11 +550,12 @@ def psi_walks(triple, frame, like=None):
     the first path that fails walked alone).
 
     ``like``, the ``PsiWalks`` of an earlier evaluation in the same frame,
-    hands its quadrature grid on: the paths are re-probed against the new
-    branch points in one pass and, when every verdict is unchanged, walked
-    on that grid without subdividing them again (``curve.walk_paths``).
-    The result is that of a fresh evaluation.  Walks in another frame raise
-    ``ValueError``."""
+    hands its quadrature grid on (its ``grid``, so also when it was
+    evaluated in a stack beside other curves): the paths are re-probed
+    against the new branch points in one pass and, when every verdict is
+    unchanged, walked on that grid without subdividing them again
+    (``curve.walk_paths``).  The result is that of a fresh evaluation.
+    Walks in another frame raise ``ValueError``."""
     (walks,) = psi_stack([(triple, frame)], like)
     if isinstance(walks, Exception):
         raise walks
@@ -552,7 +566,8 @@ def psi_stack(pairs, like=None):
     """``psi_walks`` of each (triple, frame) pair, in order: its
     ``PsiWalks``, or the ``WhithamError`` that walking its curve raised.
     The frames share one quadrature order; ``like`` is as for
-    ``psi_walks``, for a stack of one curve.
+    ``psi_walks``, for a stack of one curve: any ``PsiWalks`` of that
+    curve's frame, walked alone or as a member of another stack.
 
     Pairs with one frame and the same P, bit for bit, are on one curve,
     which is walked once for all of them: the paths of the distinct curves
@@ -581,7 +596,7 @@ def psi_stack(pairs, like=None):
 
     errors = [None] * len(groups)
     try:
-        walks, per_path = walked(range(len(groups)), None if like is None else like.walks)
+        walks, per_path = walked(range(len(groups)), None if like is None else like.grid)
     except WhithamError:
         errors = [_first_failure(r.curve, ps, order) for r, ps in zip(rows, paths)]
         if not any(errors):

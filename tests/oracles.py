@@ -42,6 +42,16 @@ def reference_coeffs(coeffs, bound=None):
     return c
 
 
+def real_pullback(p, k):
+    """Action of the real involution on a weight-k section: q_i ->
+    conj(q_{k-i}), by reversing the conjugated coefficients.  Applying it
+    twice is the identity up to rounding; a section beyond weight k raises
+    ``DegreeBoundError``."""
+    if p.degree > k:
+        raise DegreeBoundError(f"degree {p.degree} exceeds weight {k}")
+    return Polynomial(np.conj(p.padded(k + 1))[::-1])
+
+
 def random_complex_poly(rng, deg):
     c = rng.standard_normal(deg + 1) + 1j * rng.standard_normal(deg + 1)
     c[-1] += 2.0 * np.sign(c[-1].real or 1.0)  # keep the degree honest

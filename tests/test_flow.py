@@ -351,7 +351,10 @@ def test_trace_refuses_a_start_off_the_lattice(tmp_path, monkeypatch):
         raise AssertionError("flow_step called at a start off the lattice")
 
     monkeypatch.setattr(flow, "flow_step", no_step)
+    stacks = _counted_stacks(monkeypatch)
     samples, status = trace(start, FlowConfig(steps=3))
+    # the predictor walked beside the start is discarded
+    assert [len(pairs) for pairs in stacks] == [2]
     (sample,) = samples
     assert sample.psi_residual > 10 * flow.CAPTURE_RADIUS
     assert status == (f"stopped at step 0: start residual {sample.psi_residual:.3e} outside "
@@ -361,6 +364,115 @@ def test_trace_refuses_a_start_off_the_lattice(tmp_path, monkeypatch):
     out = tmp_path / "flow.jsonl"
     assert main(["flow", str(f), "--steps", "3", "--out", str(out)]) == 3
     assert json.loads(out.read_text().splitlines()[-1]) == {"status": status}
+
+
+def _counted_stacks(monkeypatch):
+    """The pairs of every ``psi_stack`` call that ``trace`` makes."""
+    import whitham.flow as flow
+
+    stacks, psi_stack = [], flow.psi_stack
+
+    def counted(pairs, *args, **kwargs):
+        stacks.append(list(pairs))
+        return psi_stack(pairs, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "psi_stack", counted)
+    return stacks
+
+
+def test_step_0_walks_the_start_and_its_predictor_as_one_stack(g0_triple, monkeypatch):
+    """At step 0 the start and the first predictor are walked in one
+    ``psi_stack``, and the step equals ``flow_step`` walking its predictor
+    itself, bit for bit."""
+    from whitham.flow import _rule_tangent
+
+    stacks = _counted_stacks(monkeypatch)
+    cfg = FlowConfig(h=1e-2, steps=1)
+    samples, status = trace(g0_triple, cfg)
+    assert status == "completed" and len(stacks) == 1
+    (start, _), (predictor, _) = stacks[0]
+    assert start is g0_triple and predictor.P != g0_triple.P
+    v = _rule_tangent(g0_triple, samples[0].label, cfg.params_rule, None)
+    alone = flow_step(g0_triple, v, cfg.h, cfg, samples[0].lattice_integers)
+    assert pack_triple(alone.triple).tobytes() == pack_triple(samples[1].triple).tobytes()
+    assert (alone.t, alone.psi_residual) == (samples[1].t, samples[1].psi_residual)
+
+
+@pytest.mark.parametrize("walk_fails, classify_fails", [(True, False), (True, True), (False, True)])
+def test_a_start_that_fails_raises_its_walk_error_first(g0_triple, walk_fails, classify_fails,
+                                                        monkeypatch):
+    """A start whose walk raises makes ``trace`` raise the error, class and
+    message, that walking it alone raises, also when classifying it raises
+    too; a start whose walk passes raises its classification's error."""
+    import whitham.curve as curve_mod
+    import whitham.flow as flow
+    from whitham.errors import GeometryError, InternalInconsistencyError, WhithamError
+    from whitham.spectral import psi_walks
+
+    if walk_fails:
+        # every subdivision against the start's singular set fails, as at a
+        # start whose paths pass through a branch point
+        alpha = curve_mod.build_curve(g0_triple.P).branch_pairs[0][0]
+        subdivide = curve_mod._subdivide
+
+        def failing(paths, sing):
+            if np.any(sing == alpha):
+                raise GeometryError("integration path passes through a singular point")
+            return subdivide(paths, sing)
+
+        monkeypatch.setattr(curve_mod, "_subdivide", failing)
+    if classify_fails:
+        def no_label(triple):
+            raise InternalInconsistencyError("no label")
+
+        monkeypatch.setattr(flow, "classify", no_label)
+    with pytest.raises(WhithamError) as alone:
+        psi_walks(g0_triple, PsiFrame.build(g0_triple))
+        flow.classify(g0_triple)
+    with pytest.raises(type(alone.value)) as raised:
+        trace(g0_triple, FlowConfig(steps=1))
+    assert str(raised.value) == str(alone.value)
+
+
+def test_a_non_deformable_start_stops_at_step_0(monkeypatch):
+    """A case-(c) start gives one sample, its Psi residual from a walk of
+    the start alone, and the status of its tower's error."""
+    from whitham.deformation import build_tower
+    from whitham.errors import NotDeformableError
+    from whitham.polyring import random_real_section
+    from whitham.spectral import product_form
+
+    rng = np.random.default_rng(3)
+    F = product_form([0.35 + 0.1j])
+    start = SpectralTriple(2, F * product_form([0.5, -0.4]), F * random_real_section(rng, 3),
+                           F * random_real_section(rng, 3))
+    with pytest.raises(NotDeformableError) as refused:
+        build_tower(start)
+    stacks = _counted_stacks(monkeypatch)
+    samples, status = trace(start, FlowConfig(steps=2))
+    (sample,) = samples
+    assert sample.case == "c" and status == f"stopped at step 0: {refused.value}"
+    assert [len(pairs) for pairs in stacks] == [1]
+    vec = psi(start, frame=PsiFrame.build(start))
+    assert sample.psi_residual == float(np.linalg.norm(vec.flatten()))
+
+
+def test_a_first_predictor_without_a_frame_halves_the_step(g0_triple, monkeypatch):
+    """When the frame of step 0's first predictor cannot be built, the step
+    halves, as for any failed try."""
+    from whitham.errors import PathConstructionError
+
+    built, build = [], PsiFrame.build
+
+    def second_fails(*args, **kwargs):
+        built.append(1)
+        if len(built) == 2:
+            raise PathConstructionError("no frame at the first predictor")
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(PsiFrame, "build", staticmethod(second_fails))
+    samples, status = trace(g0_triple, FlowConfig(h=1e-2, steps=1))
+    assert status == "completed" and samples[1].t == 0.5e-2
 
 
 def test_trace_short_flow(g0_triple):
@@ -583,10 +695,11 @@ def test_a_kept_frame_starts_the_next_round_from_the_last_accepted_walk(g0_tripl
 
 
 @pytest.mark.parametrize("seed", ["g0_triple", "g1_triple"])
-def test_one_step_flow_subdivides_once_per_frame(seed, request, monkeypatch):
-    """In a one-step flow every walk after a frame's first takes that
-    walk's quadrature grid over: the paths are subdivided once per frame
-    built."""
+def test_one_step_flow_builds_two_frames_and_subdivides_once(seed, request, monkeypatch):
+    """A one-step flow builds two frames, the start's and the predictor's,
+    and subdivides once: the start and the predictor are walked as one
+    stack, and every later walk in the predictor's frame takes over the
+    predictor's quadrature grid from its member of that stack."""
     import whitham.curve as curve_mod
 
     frames, subdivided = [], []
@@ -604,4 +717,4 @@ def test_one_step_flow_subdivides_once_per_frame(seed, request, monkeypatch):
     monkeypatch.setattr(curve_mod, "_subdivide", counted_subdivide)
     samples, status = trace(request.getfixturevalue(seed), FlowConfig(steps=1))
     assert status == "completed" and len(samples) == 2
-    assert len(subdivided) == len(frames) >= 2
+    assert len(frames) == 2 and len(subdivided) == 1

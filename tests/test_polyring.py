@@ -33,7 +33,6 @@ from whitham.polyring import (
     poly_jet,
     random_real_section,
     real_defect,
-    real_pullback,
     real_section_scale,
     roots,
     roots_flat,
@@ -41,7 +40,7 @@ from whitham.polyring import (
     trim,
 )
 
-from oracles import reference_coeffs
+from oracles import real_pullback, reference_coeffs
 
 RNG = np.random.default_rng(20260808)
 

@@ -798,9 +798,21 @@ def _flipped(walks, triple):
     against the singular set of ``triple``'s curve."""
     from whitham.curve import _padded_sets
 
-    rows, verdicts = walks.walks._probed
-    close, _ = rows.too_close(_padded_sets([build_curve(triple.P)], [len(walks.walks.paths)]))
+    rows, verdicts = walks.grid._probed
+    close, _ = rows.too_close(_padded_sets([build_curve(triple.P)], [len(walks.grid.paths)]))
     return int(np.count_nonzero(close != verdicts))
+
+
+def _first_flip(walks, moved):
+    """(lo, hi): steps just short of and just past the first move
+    ``moved(h)`` that flips a verdict of the grid of ``walks``, bisected on
+    a log scale between 1e-12 and 1e-2."""
+    lo, hi = 1e-12, 1e-2
+    assert _flipped(walks, moved(lo)) == 0 < _flipped(walks, moved(hi))
+    for _ in range(60):
+        mid = np.sqrt(lo * hi)
+        lo, hi = (mid, hi) if _flipped(walks, moved(mid)) == 0 else (lo, mid)
+    return lo, hi
 
 
 def test_a_flipped_verdict_falls_back_to_subdividing(g1_triple, monkeypatch):
@@ -819,11 +831,7 @@ def test_a_flipped_verdict_falls_back_to_subdividing(g1_triple, monkeypatch):
     def moved(h):
         return unpack_triple(x + h * d, 1)
 
-    lo, hi = 1e-12, 1e-2
-    assert _flipped(earlier, moved(lo)) == 0 < _flipped(earlier, moved(hi))
-    for _ in range(60):  # bisect on a log scale for the first flip
-        mid = np.sqrt(lo * hi)
-        lo, hi = (mid, hi) if _flipped(earlier, moved(mid)) == 0 else (lo, mid)
+    lo, hi = _first_flip(earlier, moved)
     assert 0 < _flipped(earlier, moved(hi)) <= 2
     for h, subdivided in ((lo, []), (hi, [1])):
         fresh = psi_walks(moved(h), frame)
@@ -831,6 +839,44 @@ def test_a_flipped_verdict_falls_back_to_subdividing(g1_triple, monkeypatch):
         handed = psi_walks(moved(h), frame, like=earlier)
         assert calls == subdivided
         _assert_same_evaluation(handed, fresh)
+
+
+def test_a_stack_member_hands_its_grid_on(g0_triple, g1_triple, monkeypatch):
+    """Each member of one ``psi_stack`` of the genus-0 and genus-1 seeds,
+    handed to ``psi_walks`` at its triple moved by 1e-9, takes its grid over
+    without subdividing; a move of the genus-1 triple that flips one of its
+    member's verdicts subdivides afresh.  Either way the vector, the
+    Jacobian and the walk rows equal a fresh evaluation bit for bit.  Each
+    member's grid is that of its walk alone, built once and kept."""
+    from whitham.spectral import psi_stack
+
+    calls = _counted_subdivide(monkeypatch)
+    pairs = [(t, PsiFrame.build(t)) for t in (g0_triple, g1_triple)]
+    members = psi_stack(pairs)
+    assert members[0].walks is members[1].walks
+    d = np.random.default_rng(1).standard_normal(pack_triple(g1_triple).size)
+    d /= np.linalg.norm(d)
+    for (t, frame), member in zip(pairs, members):
+        x = pack_triple(t)
+
+        def moved(h):
+            return unpack_triple(x + h * d[: x.size], t.g)
+
+        alone = psi_walks(t, frame).walks
+        assert member.grid is member.grid
+        (rows, verdicts), (want_rows, want_verdicts) = member.grid._probed, alone._probed
+        assert np.array_equal(verdicts, want_verdicts)
+        for got, want in zip(rows._columns(), want_rows._columns()):
+            assert got.tobytes() == want.tobytes()
+        moves = [(1e-9, [])]
+        if t.g == 1:
+            moves.append((_first_flip(member, moved)[1], [1]))
+        for h, subdivided in moves:
+            fresh = psi_walks(moved(h), frame)
+            del calls[:]
+            handed = psi_walks(moved(h), frame, like=member)
+            assert calls == subdivided
+            _assert_same_evaluation(handed, fresh)
 
 
 def test_exact_jacobian_equals_the_per_path_moment_loop(g1_b_linear, g2_b_quad):
