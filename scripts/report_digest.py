@@ -17,7 +17,11 @@ failing walk (two seed points, the case-(c) triple and a copy of it with
 the same P, graded with ``whitham.curve.MAX_SEGMENTS`` lowered to 100, so
 the case-(c) curve's walk raises and the stack is recovered), and
 ``oracle --seed 7 --count 25`` once, in-process, and hashes what each call
-writes to stdout and stderr.
+writes to stdout and stderr.  Last, one line per seed point scaled so that
+a square leaves the float range (the conformal genus-0 seed with b1
+multiplied by 1e-160, and the linear case-(b) seed with P, b1 and b2
+multiplied by about 5e193, 4e248 and 2e241) gives the exit code and the
+hash of what ``tangent`` and ``flow --steps 1`` write to stderr.
 At each seed point it also hashes the numbers behind those reports: the
 Psi vector with its integration error, the lattice integers and residuals
 that ``validate`` prints from it, the exact Jacobian of a fresh
@@ -104,6 +108,19 @@ def conformal_genus1():
 FIXED = {"genus3_case_a": genus3_case_a, "case_c": case_c}
 
 
+def scaled(t, p, b1, b2):
+    return SpectralTriple(t.g, t.P * p, t.b1 * b1, t.b2 * b2)
+
+
+# seed points at which a square leaves the float range: a tangent vector's
+# norm, and the exact Jacobian's scaling row
+OVERFLOWING = {
+    "tiny-b1": lambda: scaled(seed_conformal_genus0(), 1.0, 1e-160, 1.0),
+    "huge-scaling": lambda: scaled(seed_common_factor("linear"), 10**193.66381858313736,
+                                   10**248.54647189169782, 10**241.38933742690062),
+}
+
+
 def repeated_curves():
     """(name, triple) of each seed point and a perturbed copy with the same
     P (fixed kicks of relative size 1e-4 to b1 and b2), and of two more
@@ -150,11 +167,14 @@ def inputs(args, workdir):
             yield str(f), f
 
 
-def digest(argv):
+def digest(argv, stdout=True):
+    """The exit code and the sha1 of what the call writes to stdout (unless
+    ``stdout`` is false) and stderr."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return code, hashlib.sha1((out.getvalue() + err.getvalue()).encode()).hexdigest()
+    text = (out.getvalue() if stdout else "") + err.getvalue()
+    return code, hashlib.sha1(text.encode()).hexdigest()
 
 
 def numerics(triple):
@@ -210,6 +230,15 @@ def run(args):
     for cmd in STANDALONE:
         code, sha = digest(cmd)
         print(f"{sha} exit={code} {' '.join(cmd)}", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, make in OVERFLOWING.items():
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(json.dumps(make().to_json_dict()), encoding="utf-8")
+            line = []
+            for cmd in (("tangent",), ("flow", "--steps", "1")):
+                code, sha = digest((cmd[0], str(path)) + cmd[1:], stdout=False)
+                line.append(f"{sha} exit={code} {' '.join(cmd)}")
+            print(f"{' '.join(line)} stderr {label}", flush=True)
 
 
 if __name__ == "__main__":

@@ -22,39 +22,34 @@ Corridors detour around any branch point or marked point (0, +1, -1) that
 comes too close; loops whose radii cannot clear the surrounding geometry
 raise ``PathConstructionError`` with a diagnostic.
 
-Paths are walked as one stack, a ``StackWalk`` (``walk_paths``; one path
-of one curve is a stack of one): they are split into quadrature panels
-together, level by level, probing the panels just split against the
-singular set at once; P is evaluated once over the panels x nodes grid of
-each curve's paths; a panel with an ambiguous step is first walked node by
-node from its own principal root, with bisection; and then the sheet signs
-of a curve's panels chain in one ``cumprod`` that starts afresh at each
-path's first panel.  Each path gets the panels and eta it gets when walked
-alone, and a stack fails only where one of its paths fails alone; it
-raises the first failure it finds, and ``spectral.psi_stack`` finds which
-path of which curve fails.  Every numerator is integrated over all its
-curve's paths in one pass (``StackWalk.integrate``).
-
-A stack carries the paths of one or more curves, curve after curve: each
-row is probed against its own curve's singular set (the sets padded with
-inf to one length), each curve's P is evaluated once on its own block of
-rows, and each curve's numerators are integrated over its own rows, so
-every path still gets the rows, eta and integrals it gets when its curve
-is walked alone.  The eta walk and the integrals take the stack one
-curve's block of rows at a time, so their temporaries are the size of
-the largest curve's block, not of the stack.  A batch ``validate`` walks
-its triples this way (``spectral.psi_stack``), several curves per stack,
-each curve once with the numerators of all its triples (any number per
-curve); a single evaluation is the stack of its one curve.
+Paths are walked as one stack (``walk_paths``; one path of one curve is a
+stack of one), which gives one walk, a ``StackWalk``, per curve.  The paths
+of every curve are split into quadrature panels together, level by level,
+each row probed against its own curve's singular set (the sets padded with
+inf to one length), so that every path gets the panels it gets alone.  Then
+each curve is walked on its own rows: P is evaluated once over its panels x
+nodes grid; a panel with an ambiguous step is first walked node by node
+from its own principal root, with bisection; and the sheet signs of its
+panels chain in one ``cumprod`` that starts afresh at each path's first
+panel.  A curve's walk is exactly the walk of its paths alone, its arrays
+views of the stack's, and the walk's temporaries are the size of the
+largest curve's rows, not of the stack.  A stack fails only where one of
+its paths fails alone; it raises the first failure it finds, and
+``spectral.psi_stack`` finds which path of which curve fails.  Every
+numerator is integrated over all its curve's paths in one pass
+(``StackWalk.integrate``).  A batch ``validate`` walks its triples this way
+(``spectral.psi_stack``), several curves per stack, each curve once with
+the numerators of all its triples; a single evaluation is the stack of its
+one curve.
 
 A walk keeps its quadrature grid: the panels, their nodes and velocities,
 and every row the subdivision probed with its verdict.  A later walk of
 the same paths on a nearby curve is handed that walk (``like=``); it
 re-probes the recorded rows against its own branch points in one pass
 and, when no verdict changes, walks on the grid as it is instead of
-subdividing again.  One curve's paths of a stack hand their grid on as
-their walk alone would (``StackWalk.member``).  The grid is freed with the
-walks that hold it.
+subdividing again.  A curve's walk hands its grid on as the walk of its
+paths alone would, whether or not other curves were walked beside it.
+The grid is freed with the walks that hold it.
 """
 
 from __future__ import annotations
@@ -475,8 +470,8 @@ class Panels:
     serves both kinds, and each row computes exactly what its segment's
     ``point``, ``velocity``, ``length`` and ``split`` compute.
 
-    ``levels`` is set only by ``_subdivide``: the rows probed at each level
-    with their ``too_close`` verdicts.
+    ``levels`` is set by ``_subdivide`` and kept by ``take``: the rows of
+    every path probed at each level, with their ``too_close`` verdicts.
     """
 
     arc: np.ndarray
@@ -499,9 +494,9 @@ class Panels:
             for segments in paths
             for s in segments
         ]
-        arc, start, end, radius, theta0, theta1 = zip(*rows)
+        arc, start, end, radius, theta0, theta1 = zip(*rows) if rows else [()] * 6
         return Panels(
-            np.array(arc), np.array(start, dtype=complex), np.array(end, dtype=complex),
+            np.array(arc, dtype=bool), np.array(start, dtype=complex), np.array(end, dtype=complex),
             *(np.array(c, dtype=float) for c in (radius, theta0, theta1)),
             np.repeat(np.arange(len(paths)), [len(segments) for segments in paths]),
         )
@@ -513,8 +508,9 @@ class Panels:
         return (self.arc, self.start, self.end, self.radius, self.theta0, self.theta1, self.path)
 
     def take(self, rows):
-        """The rows selected by an index, slice or mask."""
-        return Panels(*(a[rows] for a in self._columns()))
+        """The rows selected by an index, slice or mask, with the same
+        ``levels``."""
+        return Panels(*(a[rows] for a in self._columns()), self.levels)
 
     def heads(self):
         """Mask of the rows that start a path."""
@@ -663,24 +659,11 @@ class IntegrationResult:
     end_sheet: int
 
 
-def _per_curve(Ps, stops, z):
-    """Each curve's P at its own block of rows of z: ``Ps[c]`` at the rows
-    from ``stops[c - 1]`` (0 for c = 0) up to ``stops[c]``.  One curve's P
-    is evaluated at all its rows at once.  Horner runs elementwise, so each
-    block comes out as it does evaluated alone."""
-    out = np.empty(z.shape, dtype=complex)
-    for P, lo, hi in zip(Ps, [0, *stops[:-1]], stops):
-        out[lo:hi] = P(z[lo:hi])
-    return out
-
-
-def _walk_eta(Ps, panels, ts, zs, eta0, stops):
-    """eta at the nodes ``zs`` of the panels (rows: each path's panels in
-    path order, path after path, at the sorted parameters ts from 0 to 1),
-    continued along each path from its start value ``eta0[k]`` (path k; one
-    number for one path) at its first node.  ``Ps`` holds one curve
-    polynomial per block of rows, the block of ``Ps[c]`` ending at
-    ``stops[c]``, as ``_per_curve`` takes them.
+def _walk_eta(P, panels, ts, zs, eta0):
+    """eta at the nodes ``zs`` of the panels of one curve's paths (rows: each
+    path's panels in path order, path after path, at the sorted parameters
+    ts from 0 to 1), continued along each path from its start value
+    ``eta0[k]`` (path k; one number for one path) at its first node.
 
     Each step keeps or flips the sign of the principal root; inside a panel
     a step is clear when one choice is much closer than the other, and at a
@@ -692,31 +675,11 @@ def _walk_eta(Ps, panels, ts, zs, eta0, stops):
     path's first row.  The walk is odd in its start value, and a tie
     between the two choices is never taken as clear, so the sign that the
     chain puts on a walked row gives the walk from the eta the row
-    continues.
-
-    No path runs across two curves, so all of this is done one curve's
-    block of rows at a time (``_walk_block``), into the returned array:
-    beside it, the walk holds arrays of (rows x nodes) of one block only,
-    and a stack of several curves needs little more memory than its
-    largest curve alone.  Every step is elementwise or per row, and every
-    sign is +-1, so each row comes out as it does in a walk of its curve
-    alone.
+    continues.  Every step is elementwise or per row, and every sign is
+    +-1, so each path comes out as it does walked alone.
     """
-    etas = np.empty(zs.shape, dtype=complex)
-    starts = np.zeros(len(panels), dtype=complex)
-    starts[panels.heads()] = np.atleast_1d(eta0)
-    for P, a, b in zip(Ps, [0, *stops[:-1]], stops):
-        rows = slice(a, b)
-        _walk_block(P, panels.take(rows), ts, zs[rows], starts[rows], etas[rows])
-    return etas
-
-
-def _walk_block(P, panels, ts, zs, starts, vals):
-    """``_walk_eta`` of one curve's block of rows, written to ``vals``;
-    ``starts`` holds each path's start value at its first row.  The block's
-    temporaries are freed on return, before the next block makes its
-    own."""
-    np.sqrt(P(zs), out=vals)
+    vals = P(zs)
+    np.sqrt(vals, out=vals)
     d_keep = np.abs(vals[:, 1:] - vals[:, :-1])
     d_flip = np.abs(vals[:, 1:] + vals[:, :-1])
     # column 0 takes the junction signs, the others the step signs
@@ -732,8 +695,8 @@ def _walk_block(P, panels, ts, zs, starts, vals):
     heads = panels.heads()
     # the eta each row continues: its path's start value at a path's first
     # row, else the previous row's last value (the chain carries the sign)
-    incoming = np.concatenate([[0.0], vals[:-1, -1]])
-    incoming[heads] = starts[heads]
+    incoming = np.roll(vals[:, -1], 1)
+    incoming[heads] = eta0
     signs[:, 0] = _junction_sign(vals[:, 0], incoming)
     chain = signs  # chained in place
     np.cumprod(chain.ravel(), out=chain.ravel())
@@ -742,6 +705,7 @@ def _walk_block(P, panels, ts, zs, starts, vals):
     before = np.concatenate([[1.0], chain[:-1, -1]])
     chain *= before[np.maximum.accumulate(np.where(heads, np.arange(heads.size), 0))][:, None]
     vals *= chain
+    return vals
 
 
 def _junction_sign(first, incoming):
@@ -783,27 +747,28 @@ def _panel_grid(quad_order):
 
 @dataclass(frozen=True, eq=False)
 class StackWalk:
-    """The sheet-tracked walk of a stack of paths (``walk_paths``), as
-    quadrature data, and the quadrature grid it was walked on.
+    """The sheet-tracked walk of one curve's paths, as quadrature data, and
+    the quadrature grid it was walked on: ``walk_paths`` gives one for each
+    curve of a stack, equal to the walk of that curve's paths alone.
 
-    Row p holds panel p of the stack (each path's panels in path order,
+    Row p holds panel p of the paths (each path's panels in path order,
     path after path; path k's rows start at ``first[k]``, and ``slices``
     gives each path's rows): the nodes ``zs`` and eta continued to them
     (``etas``).  The integral of b dzeta/(zeta^2 eta) over a panel is
     sum(w_hi * b(zs) * base) over the columns ``idx_hi`` of
     ``_panel_grid(quad_order)``, with ``base`` = velocity / (zeta^2 eta);
     its half-order rule gives the error estimate.  ``integrate`` forms
-    ``base`` one curve at a time, and the whole-stack ``base`` is built
+    ``base`` at the rule columns alone, and the whole ``base`` is built
     only when it is asked for (the Jacobian does).  Path k ends on sheet
-    ``end_sheets[k]``.  The paths are those of one or more curves, curve
-    after curve; curve c's rows end at ``curve_stops[c]``.
+    ``end_sheets[k]``.
 
-    The grid is the panels ``_subdivide`` gave the paths (with the rows it
-    probed at each level and their verdicts, ``Panels.levels``) and their
-    nodes ``zs`` and ``velocity``, both read-only.  A later walk of the
-    same paths takes it over when ``holds`` says the subdivision would come
-    out the same (``walk_paths(..., like=...)``), and so does a later walk
-    of one curve's paths of the stack, from their ``member``; it lives as
+    The grid is the panels ``_subdivide`` gave the paths and their nodes
+    ``zs`` and ``velocity``, both read-only, all views of the stack's.  The
+    panels keep the stack's path indices and share the rows it probed at
+    each level, with their verdicts (``Panels.levels``); the walk takes out
+    its own paths' rows only when its grid is handed on.  A later walk of
+    the same paths takes the grid over when ``holds`` says the subdivision
+    would come out the same (``walk_paths(..., like=...)``); it lives as
     long as this walk.
     """
 
@@ -815,7 +780,6 @@ class StackWalk:
     etas: np.ndarray
     first: np.ndarray
     end_sheets: np.ndarray
-    curve_stops: np.ndarray
 
     def slices(self):
         """Each path's rows, as a slice."""
@@ -823,107 +787,70 @@ class StackWalk:
 
     def integrate(self, numerators):
         """``IntegrationResult`` of each numerator (inner lists) over each
-        path (outer list), in one pass over the stack.
+        path (outer list), in one pass over the rows.
 
-        ``numerators`` holds one sequence of numerators per curve, any
-        number for each; a path gets the results of its curve's numerators,
-        in order.  The stack is taken one curve's block of rows at a time
-        (``_path_sums``): the block's nodes and ``base`` at the rule columns
-        alone, then each numerator evaluated there, weighted and summed
-        before the next, so no temporary spans more than one block.  Each
-        (numerator, row) pair is summed on its own, contiguous, so it sums
-        exactly as the 1-D sum of its panel would.  Each path's panel sums
-        of a numerator are then added in path order by one ``cumsum`` down
-        the block's rows, padded with -0.0, which leaves every sum
-        unchanged, so no sum runs across paths or numerators and each path
-        integrates as it does walked alone with that numerator alone.
+        The rows' nodes and ``base`` are taken at the rule columns alone,
+        then each numerator is evaluated there, weighted and summed before
+        the next, so at most four (rows x rule columns) temporaries are
+        alive at once.  Each (numerator, row) pair is summed on its own,
+        contiguous, so it sums exactly as the 1-D sum of its panel would.
+        Each path's panel sums of a numerator are then added in path order
+        by one ``cumsum`` down the rows, padded with -0.0, which leaves
+        every sum unchanged, so no sum runs across paths or numerators and
+        each path integrates as it does walked alone with that numerator
+        alone.  A walk of no paths gives no results.
         """
-        first, stops = self.first, self.curve_stops
-        # curve c's paths are those from ``at[c]`` up to ``at[c + 1]``
-        at = np.searchsorted(first, [0, *stops])
-        results = []
-        for bs, a, b, k, n in zip(numerators, [0, *stops[:-1]], stops, at[:-1], at[1:]):
-            if k == n:
-                continue  # a curve with no paths
-            block = slice(a, b)
-            totals = _path_sums(bs, first[k:n] - a, self.zs[block], self.velocity[block],
-                                self.etas[block], self.quad_order)
-            results += [[IntegrationResult(complex(hi), float(abs(hi - lo)), int(s))
-                         for hi, lo in total]
-                        for total, s in zip(totals, self.end_sheets[k:n])]
-        return results
+        _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(self.quad_order)
+        first, zs = self.first, self.zs
+        q, cols = idx_hi.size, np.concatenate([idx_hi, idx_lo])
+        lengths = np.diff(first, append=len(zs))
+        path = np.repeat(np.arange(first.size), lengths)
+        rank = np.arange(len(zs)) - first[path]
+        sums = np.full((first.size, lengths.max(initial=1), len(numerators), 2),
+                       complex(-0.0, -0.0))
+        z = np.take(zs, cols, axis=1)
+        denominator = z**2 * np.take(self.etas, cols, axis=1)
+        wb = np.take(self.velocity, cols, axis=1) / denominator
+        del denominator
+        for j, b in enumerate(numerators):
+            f = b(z) * wb
+            sums[path, rank, j, 0] = np.sum(w_hi * f[:, :q], axis=-1)
+            sums[path, rank, j, 1] = np.sum(w_lo * f[:, q:], axis=-1)
+            del f
+        return [[IntegrationResult(complex(hi), float(abs(hi - lo)), int(s)) for hi, lo in total]
+                for total, s in zip(np.cumsum(sums, axis=1)[:, -1], self.end_sheets)]
 
     @cached_property
     def base(self):
         """velocity / (zeta^2 eta) at every node, built the first time it is
-        asked for (``integrate`` forms it one block at a time instead)."""
+        asked for (``integrate`` forms it at the rule columns instead)."""
         return self.velocity / (self.zs**2 * self.etas)
 
     @cached_property
     def _probed(self):
-        # every probed row, level after level, and its verdict; built the
-        # first time the grid is handed on, so a walk that is never handed
-        # on pays nothing for it
-        levels = self.panels.levels
-        columns = zip(*(rows._columns() for rows, _ in levels))
-        return Panels(*map(np.concatenate, columns)), np.concatenate([c for _, c in levels])
+        # the rows probed for the walk's own paths, level after level, with
+        # path indices counted from its first path (the stack's index of its
+        # first row), and their verdicts; built the first time the grid is
+        # handed on, so a walk that is never handed on pays nothing for it
+        k, n = self.panels.path[0], len(self.paths)
+        levels = [(rows.take(mine), close[mine]) for rows, close in self.panels.levels
+                  for mine in [(rows.path >= k) & (rows.path < k + n)]]
+        rows = Panels(*map(np.concatenate, zip(*(rows._columns() for rows, _ in levels))))
+        return replace(rows, path=rows.path - k), np.concatenate([c for _, c in levels])
 
     def holds(self, sing):
         """Whether ``_subdivide`` of these paths against the singular sets
         ``sing`` (one per path, see ``_padded_sets``) gives these panels:
         every row it probed keeps its verdict and none passes through a
-        singular point, all checked in one ``too_close`` call."""
+        singular point, all checked in one ``too_close`` call.  A verdict
+        depends only on its row and its path's singular set, so this is
+        the answer for the walk's paths alone, whatever was walked beside
+        them.  A walk of no paths always holds."""
+        if not self.paths:
+            return True
         rows, verdicts = self._probed
         close, through = rows.too_close(sing)
         return np.array_equal(close, verdicts) and not through.any()
-
-    def member(self, span):
-        """The walk of the paths ``span`` (a slice of the paths of one
-        curve) as the walk of those paths alone: their rows, nodes and eta,
-        with only the rows their own subdivision probed at each level and
-        those rows' verdicts, path indices counted from the first of them.
-        A verdict depends only on its row and its path's singular set, so
-        the member ``holds`` exactly when the grid of a walk of those paths
-        alone would, and hands its grid on as that walk would.  Its arrays
-        are views of the stack's; the whole stack is its own member."""
-        k, n, _ = span.indices(len(self.paths))
-        if (k, n) == (0, len(self.paths)):
-            return self
-        a, b = np.append(self.first, len(self.zs))[[k, n]]
-        rows, levels = slice(a, b), []
-        for probed, close in self.panels.levels:
-            mine = (probed.path >= k) & (probed.path < n)
-            levels.append((replace(probed.take(mine), path=probed.path[mine] - k), close[mine]))
-        panels = replace(self.panels.take(rows), path=self.panels.path[rows] - k,
-                         levels=tuple(levels))
-        return StackWalk(self.paths[k:n], self.quad_order, panels, self.zs[rows],
-                         self.velocity[rows], self.etas[rows], self.first[k:n] - a,
-                         self.end_sheets[k:n], np.array([b - a]))
-
-
-def _path_sums(numerators, first, zs, velocity, etas, quad_order):
-    """The integral of each numerator over each path of one curve's block of
-    rows, whose paths start at the rows ``first``, by the rule of
-    ``quad_order`` and by its half-order rule: (paths, numerators, 2).  The
-    block's temporaries are freed on return."""
-    _, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(quad_order)
-    q, cols = idx_hi.size, np.concatenate([idx_hi, idx_lo])
-    lengths = np.diff(first, append=len(zs))
-    path = np.repeat(np.arange(first.size), lengths)
-    rank = np.arange(len(zs)) - first[path]
-    sums = np.full((first.size, lengths.max(), len(numerators), 2), complex(-0.0, -0.0))
-    # each (rows x rule columns) array is dropped as soon as it is used, so
-    # that at most four are alive at once
-    z = np.take(zs, cols, axis=1)
-    denominator = z**2 * np.take(etas, cols, axis=1)
-    wb = np.take(velocity, cols, axis=1) / denominator
-    del denominator
-    for j, b in enumerate(numerators):
-        f = b(z) * wb
-        sums[path, rank, j, 0] = np.sum(w_hi * f[:, :q], axis=-1)
-        sums[path, rank, j, 1] = np.sum(w_lo * f[:, q:], axis=-1)
-        del f
-    return np.cumsum(sums, axis=1)[:, -1]
 
 
 def _singular_set(curve):
@@ -941,7 +868,7 @@ def _padded_sets(curves, counts):
     row per path (curve c's ``counts[c]`` paths after those of the curves
     before it)."""
     sets = [_singular_set(c) for c in curves]
-    padded = np.full((len(sets), max(s.size for s in sets)), complex(np.inf, 0.0))
+    padded = np.full((len(sets), max((s.size for s in sets), default=0)), complex(np.inf, 0.0))
     for row, s in zip(padded, sets):
         row[: s.size] = s
     return np.repeat(padded, counts, axis=0)
@@ -949,37 +876,37 @@ def _padded_sets(curves, counts):
 
 def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     """Subdivide the paths into panels and continue eta along each from its
-    start sheet: a ``StackWalk``, over whose rows every integral over a path
-    is a weighted sum.
+    start sheet: one ``StackWalk`` per curve of ``curves``, in order, over
+    whose rows every integral over a path of that curve is a weighted sum.
 
-    ``paths`` holds one sequence of paths per curve of ``curves``, and one
-    stack carries them all, curve after curve: they are subdivided together
-    (see ``_subdivide``), each row against its own curve's singular set;
-    then eta is walked one curve's block of the (panels x nodes) grid at a
-    time, P evaluated once over the block and the sheet signs of its panels
-    chained in one pass, see ``_walk_eta``, so the walk's temporaries are
-    the size of its largest curve's block.  Each path gets the rows it gets
-    when walked alone.  A stack raises the first failure it finds, which
-    is a failure of one of its paths walked alone, though not necessarily
-    of the first such path: ``spectral.psi_stack`` finds which path and
-    curve fail.  A curve is handed once however many differentials are
-    integrated over it: the walk does not depend on the numerator, and
-    ``StackWalk.integrate`` takes any number of numerators per curve.
+    ``paths`` holds one sequence of paths per curve, and one stack carries
+    them all, curve after curve: they are subdivided together (see
+    ``_subdivide``), each row against its own curve's singular set, and
+    their nodes are placed in one pass.  Every path is checked to start
+    off a branch point before any eta is walked; then eta is walked one
+    curve at a time (``_walk_eta``), so the walk's temporaries are the size
+    of its largest curve's rows.  Each curve's walk is the walk of its
+    paths alone, with views of the stack's panels and nodes; a curve with
+    no paths gets a walk of no rows.  A stack raises the first failure it
+    finds, which is a failure of one of its paths walked alone, though not
+    necessarily of the first such path: ``spectral.psi_stack`` finds which
+    path and curve fail.  A curve is handed once however many
+    differentials are integrated over it: the walk does not depend on the
+    numerator, and ``StackWalk.integrate`` takes any number of numerators.
 
     ``like``, the ``StackWalk`` of an earlier walk of the same paths at the
-    same order (another curve, say a nearby iterate's), or the ``member``
-    of a stack that walked them beside other curves, hands its grid on:
-    when the grid ``holds`` against these curves' singular sets, its panels,
-    nodes and velocities are walked as they are, without subdividing; else
-    the paths are subdivided afresh.  Either way the walks are those of a
-    fresh walk.  A grid of other paths or another order raises
-    ``ValueError``.
+    same order (another curve, say a nearby iterate's, walked alone or
+    beside other curves), hands its grid on: when the grid ``holds``
+    against these curves' singular sets, its panels, nodes and velocities
+    are walked as they are, without subdividing; else the paths are
+    subdivided afresh.  Either way the walks are those of a fresh walk.  A
+    grid of other paths or another order raises ``ValueError``.
     """
-    Ps = tuple(c.P for c in curves)
-    groups = tuple(map(tuple, paths))
+    groups = [tuple(group) for group in paths]
     paths = tuple(p for group in groups for p in group)
-    counts = [len(group) for group in groups]
-    sing = _padded_sets(curves, counts)
+    # curve c's paths are those from ``at[c]`` up to ``at[c + 1]``
+    at = np.cumsum([0, *map(len, groups)])
+    sing = _padded_sets(curves, np.diff(at))
     ts = _panel_grid(quad_order)[0]
     # (tuples compare their items by identity first, so the paths of one
     # frame compare at no cost)
@@ -991,11 +918,11 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
         panels = _subdivide([path.segments for path in paths], sing)
         zs, velocity = panels.nodes(ts)
         zs.flags.writeable = velocity.flags.writeable = False
-    first = np.flatnonzero(panels.heads())
-    # each curve's paths end before ``path_stops`` and its rows before ``stops``
-    path_stops = np.cumsum(counts)
-
-    p0 = _per_curve(Ps, path_stops, zs[first, 0])
+    # path k's rows are those from ``bounds[k]`` up to ``bounds[k + 1]``
+    bounds = np.append(np.flatnonzero(panels.heads()), len(panels))
+    p0 = np.empty(len(paths), dtype=complex)
+    for curve, a, b in zip(curves, at, at[1:]):
+        p0[a:b] = curve.P(zs[bounds[a:b], 0])
     # P is real at zeta = +-1 (on the unit circle a real section is real up
     # to a phase); at -1 it is negative for even genus, i.e. on the cut of
     # the principal root, where the roundoff sign of the imaginary part would
@@ -1004,14 +931,19 @@ def walk_paths(curves, paths, quad_order=DEFAULT_QUAD_ORDER, like=None):
     eta0 = np.array([path.start_sheet for path in paths]) * np.sqrt(p0)
     if not eta0.all():
         raise GeometryError("path starts at a branch point")
-    stops = np.append(first, len(panels))[path_stops]
-    etas = _walk_eta(Ps, panels, ts, zs, eta0, stops)
-    # the end node as walked: at zeta = -1 the path's own end point may sit
-    # on the other side of the principal root's cut
-    last = np.append(first[1:], len(panels)) - 1
-    ref, eta = np.sqrt(_per_curve(Ps, path_stops, zs[last, -1])), etas[last, -1]
-    end_sheet = np.where(np.abs(eta - ref) <= np.abs(eta + ref), 1, -1)
-    return StackWalk(paths, quad_order, panels, zs, velocity, etas, first, end_sheet, stops)
+    walks = []
+    for curve, a, b in zip(curves, at, at[1:]):
+        rows = slice(bounds[a], bounds[b])
+        own = panels.take(rows)
+        etas = _walk_eta(curve.P, own, ts, zs[rows], eta0[a:b])
+        # the end node as walked: at zeta = -1 the path's own end point may
+        # sit on the other side of the principal root's cut
+        last = bounds[a + 1 : b + 1] - 1
+        ref, eta = np.sqrt(curve.P(zs[last, -1])), etas[last - bounds[a], -1]
+        end_sheets = np.where(np.abs(eta - ref) <= np.abs(eta + ref), 1, -1)
+        walks.append(StackWalk(paths[a:b], quad_order, own, zs[rows], velocity[rows], etas,
+                               bounds[a:b] - bounds[a], end_sheets))
+    return walks
 
 
 def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
@@ -1023,7 +955,7 @@ def integrate_batch(curve, numerators, path, quad_order=DEFAULT_QUAD_ORDER):
     the half-order rule on the same panels, so doubling ``quad_order`` moves
     the value by less than ``error``.
     """
-    return walk_paths([curve], [[path]], quad_order).integrate([numerators])[0]
+    return walk_paths([curve], [[path]], quad_order)[0].integrate(numerators)[0]
 
 
 # ---------------------------------------------------------------------------

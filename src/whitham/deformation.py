@@ -52,6 +52,8 @@ points, the residue-derivative condition that pins s_0).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -166,13 +168,15 @@ class TangentVector:
     warnings: tuple = ()
 
     def norm(self):
-        return float(
-            np.sqrt(
-                self.P_dot.norm() ** 2
-                + self.b1_dot.norm() ** 2
-                + self.b2_dot.norm() ** 2
-            )
-        )
+        """The Euclidean norm of (P_dot, b1_dot, b2_dot): the root of the sum
+        of their norms' squares while that is finite, else their ``hypot``,
+        capped at the largest float."""
+        norms = [p.norm() for p in (self.P_dot, self.b1_dot, self.b2_dot)]
+        try:
+            plain = float(np.sqrt(norms[0] ** 2 + norms[1] ** 2 + norms[2] ** 2))
+        except OverflowError:  # a square beyond the largest float
+            plain = math.inf
+        return plain if plain < math.inf else min(math.hypot(*norms), sys.float_info.max)
 
     def scaled(self, t):
         return TangentVector(
@@ -645,7 +649,11 @@ def solve_empdi(tw, c1, c2, Q, params=None):
         # pin s_0 from the first differential's residue-derivative condition
         P1c = triple.P.coeff(1)
         b11 = triple.b1.coeff(1)
-        s0 = (P1c * complex(b1_dot[0]) - 2.0 * complex(P_dot[0]) * b11) / (3.0 * P1c * b11)
+        b1d0, Pd0 = complex(b1_dot[0]), complex(P_dot[0])
+        try:
+            s0 = (P1c * b1d0 - 2.0 * Pd0 * b11) / (3.0 * P1c * b11)
+        except ZeroDivisionError:  # P_1 b1_1 below the smallest float: term by term
+            s0 = b1d0 / (3.0 * b11) - 2.0 * Pd0 / (3.0 * P1c)
         u_e = trim(np.array([s0, 0.0, np.conj(s0)], dtype=complex))
         P_over_zeta = c_mul(c_mul(tw.F1.coeffs, tw.F2.coeffs), tw.P_tilde.coeffs)
         P_dot = c_add(P_dot, c_scale(c_mul(u_e, P_over_zeta), 2.0))
@@ -725,7 +733,7 @@ def gram_determinant(vectors):
         x = np.concatenate(
             [v.P_dot.padded(40), v.b1_dot.padded(40), v.b2_dot.padded(40)]
         )
-        n = np.linalg.norm(x)
+        n = c_norm(x)
         flats.append(x / max(n, 1e-300))
     G = np.zeros((len(flats), len(flats)))
     for i, a in enumerate(flats):

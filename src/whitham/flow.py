@@ -207,22 +207,22 @@ class ProjectionResult:
     trace: list
 
 
-def _chart_solve(chart, integers, frame, start, tol):
+def _chart_solve(chart, integers, start, tol):
     """Drive the condition map to the lattice ``integers`` (in the order of
     ``psi``) on ``chart = (x0, make_triple, chart_derivative)``: the start,
     the map to triples, and x -> the derivative of ``pack_triple`` of the
-    triple (``None``: the identity), from ``frame`` built at the start and
-    ``start``, the ``psi_walks`` of ``make_triple(x0)`` in it.  Each round
-    is one ``gauss_newton`` call in one frame, refreshed at the iterate
-    before every round but the first.  A round's first residual is a walk
-    already taken at the iterate in its frame: the start's, the refreshed
-    frame's, or, when the old frame is kept, the previous round's last
-    accepted walk.  Every trial walk of a round is handed that first walk,
-    so it takes over its quadrature grid when its branch points leave the
-    subdivision unchanged (``psi_walks(..., like=...)``).  Returns a
-    ``ProjectionResult``; raises ``ProjectionFailureError`` if a round
-    lowers the residual by less than 0.1% (stalled or crawling) or the
-    residual ends above 10 * ``tol``."""
+    triple (``None``: the identity), from ``start``, the ``psi_walks`` of
+    ``make_triple(x0)`` in a frame built at it.  Each round is one
+    ``gauss_newton`` call in the frame of the round's first residual,
+    refreshed at the iterate before every round but the first.  That first
+    residual is a walk already taken at the iterate in its frame: the
+    start's, the refreshed frame's, or, when the old frame is kept, the
+    previous round's last accepted walk.  Every trial walk of a round is
+    handed that first walk, so it takes over its quadrature grid when its
+    branch points leave the subdivision unchanged (``psi_walks(...,
+    like=...)``).  Returns a ``ProjectionResult``; raises
+    ``ProjectionFailureError`` if a round lowers the residual by less than
+    0.1% (stalled or crawling) or the residual ends above 10 * ``tol``."""
     x0, make_triple, chart_derivative = chart
 
     def evaluated(walks, xv):
@@ -238,12 +238,12 @@ def _chart_solve(chart, integers, frame, start, tol):
         if trace[-1] <= tol:
             break
         if k:
-            frame, walks = _refreshed_frame(frame, make_triple(x), integers, trace[-1])
+            _, walks = _refreshed_frame(first[2].frame, make_triple(x), integers, trace[-1])
             if walks is not None:
                 first = evaluated(walks, x)
 
-        def residual(xv, frame=frame, like=first[2]):
-            return evaluated(psi_walks(make_triple(xv), frame, like=like), xv)
+        def residual(xv, like=first[2]):
+            return evaluated(psi_walks(make_triple(xv), like.frame, like=like), xv)
 
         res = gauss_newton(residual, x, first, tol)
         x, norm, first = res.x, res.norm, res.last
@@ -289,7 +289,7 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=DEFAULT_QUA
             trace=[r0],
         )
     chart = (x0, lambda x: unpack_triple(x, g), None)
-    return _chart_solve(chart, integers, start.frame, start, tol)
+    return _chart_solve(chart, integers, start, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +326,8 @@ def seed_genus0(alpha=0.42 + 0.18j):
     basis = homology_basis(cur)
     # closings (gamma+, gamma-) of the numerators at y = 1 and y = i, from one
     # walk of both paths
-    walks = walk_paths([cur], [[basis.gamma_plus, basis.gamma_minus]], SEED_QUAD_ORDER)
-    closings = walks.integrate([[differential_family_genus0(alpha, y) for y in (1.0, 1j)]])
+    (walks,) = walk_paths([cur], [[basis.gamma_plus, basis.gamma_minus]], SEED_QUAD_ORDER)
+    closings = walks.integrate([differential_family_genus0(alpha, y) for y in (1.0, 1j)])
     c1, ci = ([res[i].value for res in closings] for i in range(2))
     # the map y -> closings is R-linear; fit 2 real unknowns to 4 real targets
     M = np.array(
@@ -504,7 +504,7 @@ def solve_common_factor(alphas, G, integers):
     frame = PsiFrame.build(start, quad_order=SEED_QUAD_ORDER)
     chart = _common_factor_chart(start, G)
     x0, make_triple, _ = chart
-    return _chart_solve(chart, integers, frame, psi_walks(make_triple(x0), frame), SEED_TOL).triple
+    return _chart_solve(chart, integers, psi_walks(make_triple(x0), frame), SEED_TOL).triple
 
 
 def confirm_case_b(triple, d_G):

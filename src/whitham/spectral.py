@@ -26,14 +26,15 @@ and the tangent's scaling fix alike.
 
 Psi is evaluated in one place, ``psi_stack``, for one triple
 (``psi_walks``) or many (``validate_batch``): the distinct curves of the
-triples are walked as one stacked walk (``curve.StackWalk``), and a walk
-that fails is recovered there, once.  Newton projection uses the exact
-Jacobian: in a frozen frame every column is a sum over the nodes of the
-walk that evaluates Psi.  ``psi_walks`` keeps that walk and assembles the
-Jacobian only when asked; handed the walks of an earlier evaluation in the
-frame, it walks on their quadrature grid when the new branch points leave
-the subdivision unchanged.  The central-difference ``psi_jacobian`` is
-kept as its independent oracle.
+triples are walked as one stack (``curve.walk_paths``), which gives each
+curve its own walk (``curve.StackWalk``), and a stack that fails is
+recovered there, once.  Newton projection uses the exact Jacobian: in a
+frozen frame every column is a sum over the nodes of the walk that
+evaluates Psi.  ``psi_walks`` keeps that walk and assembles the Jacobian
+only when asked; handed the walks of an earlier evaluation in the frame,
+alone or beside other curves, it walks on their quadrature grid when the
+new branch points leave the subdivision unchanged.  The central-difference
+``psi_jacobian`` is kept as its independent oracle.
 """
 
 from __future__ import annotations
@@ -466,27 +467,18 @@ class PsiWalks:
     """Psi at a triple from one walk per path of a frame (``psi_walks``),
     with the walks kept so that ``jacobian()`` can assemble the exact
     Jacobian from them when, and only when, it is called.  ``walks`` is the
-    ``curve.StackWalk`` that walked the frame's paths, and ``span`` the
-    slice of its paths that are the triple's (all of them unless the triple
-    was evaluated in a stack of several curves, ``psi_stack``).  ``grid``
-    is the walk of the triple's own paths, as walked alone: the stack's
-    member, built the first time it is asked for and then kept, or the
-    walk itself.  It holds the quadrature grid a later evaluation in the
-    frame can take over (``psi_walks(..., like=...)``), whether or not the
-    triple was walked beside other curves; the grid is freed with the
-    walks.  ``row`` is the ``ScalingRow`` of the triple's P at the frame's
-    index."""
+    ``curve.StackWalk`` of the frame's paths on the triple's curve, the
+    walk of those paths alone whether or not the triple was evaluated in a
+    stack beside other curves (``psi_stack``).  It holds the quadrature
+    grid that a later evaluation in the frame can take over
+    (``psi_walks(..., like=...)``); the grid is freed with the walks.
+    ``row`` is the ``ScalingRow`` of the triple's P at the frame's index."""
 
     triple: SpectralTriple
     frame: PsiFrame
     row: ScalingRow
     walks: StackWalk
     vector: PsiVector
-    span: slice
-
-    @cached_property
-    def grid(self):
-        return self.walks.member(self.span)
 
     def jacobian(self):
         """The exact Jacobian of the flattened Psi over the real chart
@@ -507,15 +499,15 @@ class PsiWalks:
         P, bs, b_cols = triple.P, (triple.b1, triple.b2), (b1_cols, b2_cols)
         EP, Eb = _section_basis(kP), _section_basis(kb)
         nP, nb, width = kP + 1, kb + 1, b2_cols.stop
-        stack = self.grid
-        _, idx_hi, w_hi, _, _ = _panel_grid(stack.quad_order)
-        path_rows = stack.slices()
+        walks = self.walks
+        _, idx_hi, w_hi, _, _ = _panel_grid(walks.quad_order)
+        path_rows = walks.slices()
         # d(integral of b_i over path p) in rows [i, p]
         lattice = np.zeros((2, len(path_rows), width), dtype=complex)
         for p, rows in enumerate(path_rows):
-            zs = np.take(stack.zs[rows], idx_hi, axis=1).ravel()
-            wb = (w_hi * np.take(stack.base[rows], idx_hi, axis=1)).ravel()
-            inv_P = 1.0 / np.take(stack.etas[rows], idx_hi, axis=1).ravel() ** 2
+            zs = np.take(walks.zs[rows], idx_hi, axis=1).ravel()
+            wb = (w_hi * np.take(walks.base[rows], idx_hi, axis=1)).ravel()
+            inv_P = 1.0 / np.take(walks.etas[rows], idx_hi, axis=1).ravel() ** 2
             # node weights whose moments sum(f zeta^k) are the b-columns (row
             # 0) and the P-columns of b1 and b2 (rows 1, 2) in the monomial
             # basis
@@ -535,12 +527,21 @@ class PsiWalks:
             residues[i, b_cols[i]] = [residue_condition(P, db) for db in _section_polys(kb)]
         m = self.row.index
         scaling = np.zeros((1, width), dtype=complex)
-        scaling[0, P_cols] = [num / P.coeff(m) ** 2 for num in self.row.numerators(P_dots)]
+        scaling[0, P_cols] = [_over_square(num, P.coeff(m))
+                              for num in self.row.numerators(P_dots)]
         # complex rows in the order of ``psi``
         Jc = np.vstack([lattice[tuple(lattice_order(g).T)], residues, scaling])
         J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
         J[0::2], J[1::2] = Jc.real, Jc.imag
         return J
+
+
+def _over_square(x, d):
+    """x / d**2, or x / d / d where d**2 leaves the float range."""
+    try:
+        return x / d**2
+    except (OverflowError, ZeroDivisionError):
+        return x / d / d
 
 
 def psi_walks(triple, frame, like=None):
@@ -549,13 +550,12 @@ def psi_walks(triple, frame, like=None):
     demand: ``psi_stack`` of the one pair, which raises its error (that of
     the first path that fails walked alone).
 
-    ``like``, the ``PsiWalks`` of an earlier evaluation in the same frame,
-    hands its quadrature grid on (its ``grid``, so also when it was
-    evaluated in a stack beside other curves): the paths are re-probed
-    against the new branch points in one pass and, when every verdict is
-    unchanged, walked on that grid without subdividing them again
-    (``curve.walk_paths``).  The result is that of a fresh evaluation.
-    Walks in another frame raise ``ValueError``."""
+    ``like``, the ``PsiWalks`` of an earlier evaluation in the same frame
+    (alone or in a stack beside other curves), hands its walks' quadrature
+    grid on: the paths are re-probed against the new branch points in one
+    pass and, when every verdict is unchanged, walked on that grid without
+    subdividing them again (``curve.walk_paths``).  The result is that of
+    a fresh evaluation.  Walks in another frame raise ``ValueError``."""
     (walks,) = psi_stack([(triple, frame)], like)
     if isinstance(walks, Exception):
         raise walks
@@ -566,14 +566,14 @@ def psi_stack(pairs, like=None):
     """``psi_walks`` of each (triple, frame) pair, in order: its
     ``PsiWalks``, or the ``WhithamError`` that walking its curve raised.
     The frames share one quadrature order; ``like`` is as for
-    ``psi_walks``, for a stack of one curve: any ``PsiWalks`` of that
-    curve's frame, walked alone or as a member of another stack.
+    ``psi_walks``, for a stack of one curve.
 
     Pairs with one frame and the same P, bit for bit, are on one curve,
     which is walked once for all of them: the paths of the distinct curves
-    go through one ``curve.walk_paths``, one stack, and b1 and b2 of every
-    pair through one ``StackWalk.integrate``.  Every path, and so every
-    ``PsiWalks``, comes out as it does evaluated alone.
+    go through one ``curve.walk_paths``, one stack, whose walk of each
+    curve integrates b1 and b2 of every pair on it in one pass and is
+    paired with that curve.  Every path, and so every ``PsiWalks``, comes
+    out as it does evaluated alone.
 
     A stack whose walk raises a ``WhithamError`` is recovered once: each
     curve's paths are walked alone, in order, up to the first that raises,
@@ -591,30 +591,27 @@ def psi_stack(pairs, like=None):
     order = frames[0].quad_order
 
     def walked(cs, grid):
+        # curve c's walk and its integrals, by c
         walks = walk_paths([rows[c].curve for c in cs], [paths[c] for c in cs], order, grid)
-        return walks, walks.integrate([numerators[c] for c in cs])
+        return {c: (w, w.integrate(numerators[c])) for c, w in zip(cs, walks)}
 
     errors = [None] * len(groups)
     try:
-        walks, per_path = walked(range(len(groups)), None if like is None else like.grid)
+        walks = walked(range(len(groups)), None if like is None else like.walks)
     except WhithamError:
         errors = [_first_failure(r.curve, ps, order) for r, ps in zip(rows, paths)]
         if not any(errors):
             raise
-        rest = [c for c, error in enumerate(errors) if error is None]
-        walks, per_path = walked(rest, None) if rest else (None, [])
-    out, at = [None] * len(pairs), 0
+        walks = walked([c for c, error in enumerate(errors) if error is None], None)
+    out = [None] * len(pairs)
     for c, ks in enumerate(groups):
-        if errors[c] is not None:
-            for k in ks:
-                out[k] = errors[c]
-            continue
-        span, at = slice(at, at + len(paths[c])), at + len(paths[c])
         for j, k in enumerate(ks):
-            triple, frame = pairs[k]
-            own = [r[2 * j : 2 * j + 2] for r in per_path[span]]  # b1 and b2 of pair k
-            vector = _psi_vector(triple, rows[c], paths[c], own)
-            out[k] = PsiWalks(triple, frame, rows[c], walks, vector, span)
+            out[k] = errors[c]
+            if errors[c] is None:
+                (triple, frame), (walk, per_path) = pairs[k], walks[c]
+                own = [r[2 * j : 2 * j + 2] for r in per_path]  # b1 and b2 of pair k
+                vector = _psi_vector(triple, rows[c], paths[c], own)
+                out[k] = PsiWalks(triple, frame, rows[c], walk, vector)
     return out
 
 

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitham.cli import main
 from whitham.polyring import Polynomial
@@ -108,6 +113,62 @@ def test_rootless_P_is_a_failed_curve(tmp_path):
     assert main(["tangent", str(f)]) == 3
     assert main(["flow", str(f)]) == 3
     assert main(["classify", str(f)]) in (0, 1, 2, 3)
+
+
+def _scaled(t, p, b1, b2):
+    """The triple with P, b1 and b2 multiplied by p, b1 and b2."""
+    return SpectralTriple(t.g, t.P * p, t.b1 * b1, t.b2 * b2)
+
+
+@pytest.mark.parametrize("seed, factors", [
+    # b1 shrunk until a tangent vector's norm squared passes the largest float
+    ("g0_conformal", (1.0, 1e-160, 1.0)),
+    # the exact Jacobian's scaling row divides by P_m squared, beyond the
+    # largest float
+    ("g1_b_linear", (10**193.66381858313736, 10**248.54647189169782, 10**241.38933742690062)),
+])
+def test_overflowing_squares_end_in_an_exit_code(seed, factors, request, tmp_path):
+    """``tangent`` and ``flow --steps 1`` at a seed point scaled so that a
+    square leaves the float range exit with a contract code, and no
+    exception escapes ``main``."""
+    t = request.getfixturevalue(seed)
+    assert not isinstance(t, str), t
+    f = tmp_path / "scaled.json"
+    f.write_text(json.dumps(_scaled(t, *factors).to_json_dict()), encoding="utf-8")
+    assert main(["tangent", str(f)]) == 0
+    assert main(["flow", str(f), "--steps", "1"]) in (1, 2, 3)
+
+
+FUZZ_COMMANDS = (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "2"), ("plot",))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 4), st.tuples(*[st.floats(-250, 250)] * 3),
+       st.sampled_from(["scaled", "cut short", "zeroed"]))
+def test_scaled_seed_points_never_raise(tmp_path_factory, g0_triple, g0_conformal, g1_triple,
+                                        g1_b_linear, g2_b_quad, seed, exponents, shape):
+    """At a seed point (drawn from the five) with P, b1 and b2 multiplied by
+    10**u for u in [-250, 250], also with each coefficient list cut short
+    by one pair or with every coefficient zeroed, every command exits with
+    a contract code and no exception escapes ``main``."""
+    t = (g0_triple, g0_conformal, g1_triple, g1_b_linear, g2_b_quad)[seed]
+    assert not isinstance(t, str), t
+    d = _scaled(t, *(10.0**u for u in exponents)).to_json_dict()
+    for key in ("P", "b1", "b2"):
+        if shape == "cut short":
+            d[key] = d[key][:-1]
+        elif shape == "zeroed":
+            d[key] = [[0.0, 0.0] for _ in d[key]]
+    f = tmp_path_factory.getbasetemp() / "scaled_seed.json"
+    f.write_text(json.dumps(d), encoding="utf-8")
+    for cmd in FUZZ_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()), \
+                warnings.catch_warnings():
+            # numpy's overflow warnings, which the command line prints, are not
+            # raised here as the suite's warning filter would raise them
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([cmd[0], str(f), *cmd[1:]])
+        assert code in (0, 1, 2, 3), (cmd, code)
 
 
 def test_usage_error_exit2():

@@ -1,7 +1,11 @@
 import dataclasses
+from functools import lru_cache
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whitham.curve import (
     ArcSegment,
@@ -355,11 +359,11 @@ def test_stacked_walk_matches_per_panel_reference(g1_b_linear, g2_b_quad):
         paths = _psi_paths(frame.basis)
         cur = frame.row.curve
         for order in (16, 32, 48):
-            stack = per_path(walk_paths([cur], [paths], order))
+            stack = per_path(walk_paths([cur], [paths], order)[0])
             assert len(stack) == len(paths)
             for path, walk in zip(paths, stack):
                 ref = reference_walk(cur, path, order)
-                _assert_walks_equal(per_path(walk_paths([cur], [[path]], order))[0], ref)
+                _assert_walks_equal(per_path(walk_paths([cur], [[path]], order)[0])[0], ref)
                 _assert_walks_equal(walk, ref)
 
 
@@ -372,7 +376,7 @@ def _walked(walk):
 
 
 def _walked_in_order(cur, paths):
-    return _walked(lambda: [per_path(walk_paths([cur], [[path]], 32))[0] for path in paths])
+    return _walked(lambda: [per_path(walk_paths([cur], [[path]], 32)[0])[0] for path in paths])
 
 
 def _same_outcome(stacked, in_order):
@@ -418,7 +422,7 @@ def _psi_over(curves, paths):
 
 
 def _own_walks(evaluation):
-    return per_path(evaluation.walks)[evaluation.span]
+    return per_path(evaluation.walks)
 
 
 def test_stack_raises_the_first_failing_path_error(monkeypatch):
@@ -476,7 +480,7 @@ def test_segment_guard_applies_per_path(monkeypatch):
     cur = build_curve(Polynomial.from_roots([0.5, 2.0]))
     monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 171)
     paths = [NEAR, FAR, NEAR]
-    stack = per_path(walk_paths([cur], [paths], 32))
+    stack = per_path(walk_paths([cur], [paths], 32)[0])
     assert sum(len(w.zs) for w in stack) > curve_mod.MAX_SEGMENTS
     _same_outcome(stack, _walked_in_order(cur, paths))
     monkeypatch.setattr(curve_mod, "MAX_SEGMENTS", 170)
@@ -519,7 +523,7 @@ def test_unclear_row_falls_back_to_bisection(monkeypatch):
         return _continue_eta(P, seg, *args, **kwargs)
 
     monkeypatch.setattr(curve_mod, "_continue_eta", counted)
-    etas = _walk_eta([Ppoly], panels, ts, zs, eta0, [len(panels)])
+    etas = _walk_eta(Ppoly, panels, ts, zs, eta0)
     assert bisected and set(bisected) == {segs[1]}
     ref, eta = [], eta0
     for seg in segs:
@@ -530,22 +534,21 @@ def test_unclear_row_falls_back_to_bisection(monkeypatch):
 
 def test_unclear_row_in_a_later_curve_is_bisected_with_its_own_P(monkeypatch):
     """A stack of two curves whose second curve has a panel 1e-3 from its
-    branch point 0.5: only that row is walked node by node, with the second
-    curve's P, and every row's eta equals the walk of its path alone."""
+    branch point 0.5 (the paths left unsubdivided): only that row is walked
+    node by node, with the second curve's P, and every row's eta equals the
+    walk of its path alone."""
     import whitham.curve as curve_mod
-    from whitham.curve import Panels, _continue_eta, _panel_grid, _walk_eta
+    from whitham.curve import Panels, _continue_eta
 
-    P_first = Polynomial.from_roots([0.4, 2.5])
-    P_second = Polynomial.from_roots([0.5, 2.0])
+    first = build_curve(Polynomial.from_roots([0.4, 2.5]))
+    second = build_curve(Polynomial.from_roots([0.5, 2.0]))
     clear = [LineSegment(-0.6 + 0.4j, -0.1 + 0.4j), LineSegment(-0.1 + 0.4j, -0.1 + 0.8j)]
     near = [
         LineSegment(0.1 + 0.3j, 0.2 + 0.001j),
         LineSegment(0.2 + 0.001j, 0.9 + 0.001j),  # 1e-3 from 0.5: unclear steps
         LineSegment(0.9 + 0.001j, 0.9 + 0.3j),
     ]
-    walks = [(P_first, clear), (P_second, near[:2]), (P_second, near[1:])]
-    ts = _panel_grid(32)[0]
-    eta0 = [complex(np.sqrt(P(path[0].point(0.0)))) for P, path in walks]
+    walks = [(first, clear), (second, near[:2]), (second, near[1:])]
     bisected = []
 
     def counted(P, seg, *args, **kwargs):
@@ -553,15 +556,13 @@ def test_unclear_row_in_a_later_curve_is_bisected_with_its_own_P(monkeypatch):
         return _continue_eta(P, seg, *args, **kwargs)
 
     monkeypatch.setattr(curve_mod, "_continue_eta", counted)
-    panels = Panels.of(*(path for _, path in walks))
-    etas = _walk_eta([P_first, P_second], panels, ts, panels.nodes(ts)[0], eta0, [2, 6])
+    monkeypatch.setattr(curve_mod, "_subdivide", lambda paths, sing: Panels.of(*paths))
+    stack = walk_paths([first, second], [[PathOnCurve(tuple(clear))],
+                                         [PathOnCurve(tuple(p)) for _, p in walks[1:]]], 32)
     assert bisected
-    assert all(P is P_second and seg == near[1] for P, seg in bisected)
-    alone = []
-    for (P, path), eta in zip(walks, eta0):
-        own = Panels.of(path)
-        alone.append(_walk_eta([P], own, ts, own.nodes(ts)[0], eta, [len(own)]))
-    assert np.array_equal(etas, np.concatenate(alone))
+    assert all(P is second.P and seg == near[1] for P, seg in bisected)
+    alone = [walk_paths([c], [[PathOnCurve(tuple(p))]], 32)[0].etas for c, p in walks]
+    assert np.array_equal(np.concatenate([w.etas for w in stack]), np.concatenate(alone))
 
 
 def test_stacked_rows_restart_at_each_path():
@@ -585,7 +586,7 @@ def test_stacked_rows_restart_at_each_path():
     eta0 = [s * complex(np.sqrt(Ppoly(p[0].point(0.0)))) for s, p in zip(sheets, paths)]
     panels = Panels.of(*paths)
     zs, _ = panels.nodes(ts)
-    etas = _walk_eta([Ppoly], panels, ts, zs, eta0, [len(panels)])
+    etas = _walk_eta(Ppoly, panels, ts, zs, eta0)
     ref = []
     for path, eta in zip(paths, eta0):
         for seg in path:
@@ -616,8 +617,8 @@ def test_stacked_integral_equals_each_path_integral(g1_b_linear, g2_b_quad):
         numerators = (t.b1, t.b2, random_real_section(rng, t.g + 3))
         paths = _psi_paths(frame.basis)
         for order in (16, 32, 48):
-            stack = walk_paths([frame.row.curve], [paths], order)
-            stacked = stack.integrate([numerators])
+            (stack,) = walk_paths([frame.row.curve], [paths], order)
+            stacked = stack.integrate(numerators)
             walks = per_path(stack)
             assert len(stacked) == len(walks)
             for path, walk, results in zip(paths, walks, stacked):
@@ -648,9 +649,10 @@ def _stack_points(g1_b_linear, g2_b_quad):
 
 def test_stack_of_several_curves_matches_each_curve_walked_alone(g1_b_linear, g2_b_quad):
     """One stack of the Psi paths of seven curves (genus 0 to 3), in two
-    orders: every path's nodes, eta, base and end sheet, and every integral
-    of its own curve's numerators with its error, equal those of its curve's
-    walk alone, bit for bit, at orders 32 and 48."""
+    orders, gives one walk per curve, views of one stack: every path's
+    nodes, eta, base and end sheet, and every integral of its own curve's
+    numerators with its error, equal those of its curve's walk alone, bit
+    for bit, at orders 32 and 48."""
     from whitham.spectral import PsiFrame, _psi_paths
 
     points = _stack_points(g1_b_linear, g2_b_quad)
@@ -658,26 +660,24 @@ def test_stack_of_several_curves_matches_each_curve_walked_alone(g1_b_linear, g2
     for order in (32, 48):
         alone = []
         for t, frame in zip(points, frames):
-            walk = walk_paths([frame.row.curve], [_psi_paths(frame.basis)], order)
-            alone.append((per_path(walk), walk.integrate([(t.b1, t.b2)])))
+            (walk,) = walk_paths([frame.row.curve], [_psi_paths(frame.basis)], order)
+            alone.append((per_path(walk), walk.integrate((t.b1, t.b2))))
         forward = list(range(len(points)))
         for ks in (forward, forward[::-1]):
             stack = walk_paths([frames[k].row.curve for k in ks],
                                [_psi_paths(frames[k].basis) for k in ks], order)
-            rows = [sum(len(w.zs) for w in alone[k][0]) for k in ks]
-            assert list(stack.curve_stops) == list(np.cumsum(rows))
-            walks = per_path(stack)
-            results = stack.integrate([(points[k].b1, points[k].b2) for k in ks])
-            assert len(walks) == len(results) == sum(len(alone[k][0]) for k in ks)
-            at = 0
-            for k in ks:
+            assert len(stack) == len(ks)
+            assert [len(w.zs) for w in stack] == [sum(len(w.zs) for w in alone[k][0]) for k in ks]
+            assert all(w.zs.base is stack[0].zs.base is not None for w in stack)
+            for k, walk in zip(ks, stack):
                 own_walks, own_results = alone[k]
-                for w, ref in zip(walks[at:], own_walks):
+                walks, results = per_path(walk), walk.integrate((points[k].b1, points[k].b2))
+                assert len(walks) == len(results) == len(own_walks)
+                for w, ref in zip(walks, own_walks):
                     _assert_walks_equal(w, (ref.zs, ref.etas, ref.base, ref.end_sheet))
-                for got, ref in zip(results[at:], own_results):
+                for got, ref in zip(results, own_results):
                     assert [(r.value, r.error, r.end_sheet) for r in got] == [
                         (r.value, r.error, r.end_sheet) for r in ref]
-                at += len(own_walks)
 
 
 def test_stack_integrates_any_number_of_numerators_per_curve(g1_b_linear, g2_b_quad):
@@ -693,20 +693,22 @@ def test_stack_integrates_any_number_of_numerators_per_curve(g1_b_linear, g2_b_q
     numerators = [[random_real_section(rng, t.g + 3) for _ in range(k % 5)]
                   for k, t in enumerate(points)]
     stack = walk_paths([f.row.curve for f in frames], [_psi_paths(f.basis) for f in frames], 32)
-    results = stack.integrate(numerators)
-    walks = per_path(stack)
+    results = [r for walk, bs in zip(stack, numerators) for r in walk.integrate(bs)]
+    walks = [w for walk in stack for w in per_path(walk)]
     own = [bs for f, bs in zip(frames, numerators) for _ in _psi_paths(f.basis)]
     assert len(results) == len(walks) == len(own)
     for got, walk, bs in zip(results, walks, own):
         assert [(r.value, r.error, r.end_sheet) for r in got] == reference_integrate(walk, bs, 32)
-    # a curve with no paths between two others adds no rows and no results
+    # a curve with no paths between two others gets a walk of no rows and no
+    # results, and the others' walks are as without it
     ends = [frames[0], frames[-1]]
     without = walk_paths([f.row.curve for f in ends], [_psi_paths(f.basis) for f in ends], 32)
     gap = walk_paths([ends[0].row.curve, frames[1].row.curve, ends[1].row.curve],
                      [_psi_paths(ends[0].basis), [], _psi_paths(ends[1].basis)], 32)
-    assert np.array_equal(gap.etas, without.etas)
-    assert gap.integrate([numerators[0], numerators[1], numerators[-1]]) == without.integrate(
-        [numerators[0], numerators[-1]])
+    assert len(gap[1].zs) == len(gap[1].paths) == 0
+    assert [np.array_equal(w.etas, ref.etas) for w, ref in zip(gap[::2], without)] == [True] * 2
+    assert [w.integrate(bs) for w, bs in zip(gap, [numerators[0], numerators[1], numerators[-1]])] \
+        == [without[0].integrate(numerators[0]), [], without[1].integrate(numerators[-1])]
 
 
 def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_b_quad):
@@ -725,9 +727,97 @@ def test_stack_of_several_curves_raises_the_failing_curve_error(g1_b_linear, g2_
         stacked = _walked(lambda: walk_paths(curves[:at] + [bad] + curves[at:],
                                              paths[:at] + [[FAR, THROUGH]] + paths[at:], 32))
         assert stacked == own_error
-    rest = per_path(walk_paths(curves, paths, 32))
-    own = [w for c, p in zip(curves, paths) for w in per_path(walk_paths([c], [p], 32))]
+    rest = [w for walk in walk_paths(curves, paths, 32) for w in per_path(walk)]
+    own = [w for c, p in zip(curves, paths) for w in per_path(walk_paths([c], [p], 32)[0])]
     _same_outcome(rest, own)
+
+
+@lru_cache(maxsize=1)
+def _partition_pool(g1_b_linear, g2_b_quad):
+    """(curve, paths, numerators, walk alone, moved curve, its fresh walk) of
+    each curve of a pool: the curve of each seed point's frame with that
+    frame's Psi paths and b1 and b2, a copy of each with P kicked by 1e-6
+    (the same paths and numerators), and a curve with no paths.  A curve is
+    moved by a kick of 1e-9 to P, and both walks are at order 32."""
+    from whitham.spectral import PsiFrame, _psi_paths
+
+    rng = np.random.default_rng(29)
+
+    def kicked(cur, size):
+        return build_curve(cur.P + random_real_section(rng, 2 * cur.genus + 2,
+                                                        size * cur.P.norm()))
+
+    entries = []
+    for t in _stack_points(g1_b_linear, g2_b_quad)[:5]:
+        frame = PsiFrame.build(t)
+        paths, cur = _psi_paths(frame.basis), frame.row.curve
+        entries += [(cur, paths, (t.b1, t.b2)), (kicked(cur, 1e-6), paths, (t.b1, t.b2))]
+    entries.append((build_curve(Polynomial.from_roots([0.5, 2.0])), [], ()))
+    pool = []
+    for cur, paths, numerators in entries:
+        moved = kicked(cur, 1e-9)
+        pool.append((cur, paths, numerators, walk_paths([cur], [paths], 32)[0], moved,
+                     walk_paths([moved], [paths], 32)[0]))
+    return tuple(pool)
+
+
+def _assert_same_walk(walk, alone):
+    """Two walks are the same bit for bit: the panels (path indices counted
+    from the walk's first path), the nodes, velocities and eta, each path's
+    first row and end sheet, and, for a walk of some paths, the rows its
+    subdivision probed with their verdicts."""
+    assert walk.paths == alone.paths and walk.quad_order == alone.quad_order
+    offset = walk.panels.path[0] if len(walk.panels) else 0
+    columns = zip(walk.panels._columns(), alone.panels._columns())
+    for got, want in [*columns][:-1] + [(walk.panels.path - offset, alone.panels.path)]:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for name in ("zs", "velocity", "etas", "first", "end_sheets"):
+        got, want = getattr(walk, name), getattr(alone, name)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+    if walk.paths:
+        (rows, verdicts), (want_rows, want_verdicts) = walk._probed, alone._probed
+        assert verdicts.tobytes() == want_verdicts.tobytes()
+        for got, want in zip(rows._columns(), want_rows._columns()):
+            assert got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(st.permutations(range(11)), st.lists(st.booleans(), min_size=10, max_size=10))
+def test_any_partition_of_curves_walks_each_curve_as_alone(g1_b_linear, g2_b_quad, order,
+                                                           cuts):
+    """Any partition and order of a pool of eleven curves (the seed points'
+    frames, perturbed copies and a curve with no paths), each part walked
+    by one ``walk_paths`` call: each curve's walk equals the walk of its
+    paths alone bit for bit, integrals of b1 and b2 included, and, handed
+    as ``like`` to its curve moved by 1e-9, gives that curve's fresh walk
+    without subdividing."""
+    import whitham.curve as curve_mod
+
+    assert not any(isinstance(t, str) for t in (g1_b_linear, g2_b_quad))
+    pool = _partition_pool(g1_b_linear, g2_b_quad)
+    parts, part = [], []
+    for k, cut in zip(order, [*cuts, True]):
+        part.append(pool[k])
+        if cut:
+            parts, part = parts + [part], []
+    subdivide, calls = curve_mod._subdivide, []
+
+    def counted(*args):
+        calls.append(1)
+        return subdivide(*args)
+
+    for part in parts:
+        walks = walk_paths([c for c, *_ in part], [paths for _, paths, *_ in part], 32)
+        assert len(walks) == len(part)
+        for walk, (_, paths, numerators, alone, moved, fresh) in zip(walks, part):
+            _assert_same_walk(walk, alone)
+            assert [[(r.value, r.error, r.end_sheet) for r in rs]
+                    for rs in walk.integrate(numerators)] == [
+                [(r.value, r.error, r.end_sheet) for r in rs] for rs in alone.integrate(numerators)]
+            with patch.object(curve_mod, "_subdivide", counted):
+                (handed,) = walk_paths([moved], [paths], 32, like=walk)
+            assert calls == []
+            _assert_same_walk(handed, fresh)
 
 
 # -- memory of a stack of several curves ------------------------------------------
@@ -756,8 +846,9 @@ def _transient_peak(call):
 def test_stack_temporaries_scale_with_its_largest_curve(g1_b_linear):
     """A stack of four genus-0 and genus-1 curves holds, beyond its own
     arrays, at most 1.25 times the temporaries of its largest curve walked
-    alone: in ``StackWalk.integrate`` and in ``_walk_eta`` (beyond the eta
-    it returns), which take the stack one curve at a time."""
+    alone: in ``StackWalk.integrate`` of each curve's walk in turn and in
+    the eta walk of each curve in turn (``_walk_eta``, beyond the eta it
+    returns), as ``walk_paths`` takes them."""
     from whitham.curve import _panel_grid, _walk_eta
     from whitham.flow import seed_conformal_genus0, seed_genus0, seed_genus1
     from whitham.spectral import PsiFrame, _psi_paths
@@ -769,16 +860,15 @@ def test_stack_temporaries_scale_with_its_largest_curve(g1_b_linear):
     ts = _panel_grid(32)[0]
 
     def peaks(ks):
-        stack = walk_paths([frames[k].row.curve for k in ks],
-                           [_psi_paths(frames[k].basis) for k in ks], 32)
+        curves = [frames[k].row.curve for k in ks]
+        stack = walk_paths(curves, [_psi_paths(frames[k].basis) for k in ks], 32)
         numerators = [(points[k].b1, points[k].b2) for k in ks]
-        integrate, _ = _transient_peak(lambda: stack.integrate(numerators))
-        Ps = [frames[k].row.curve.P for k in ks]
-        eta0 = stack.etas[stack.first, 0]
-        walk_eta, etas = _transient_peak(
-            lambda: _walk_eta(Ps, stack.panels, ts, stack.zs, eta0, stack.curve_stops))
-        assert np.array_equal(etas, stack.etas)
-        return len(stack.zs), integrate, walk_eta - etas.nbytes
+        integrate, _ = _transient_peak(
+            lambda: [w.integrate(bs) for w, bs in zip(stack, numerators)])
+        walk_eta, etas = _transient_peak(lambda: [
+            _walk_eta(c.P, w.panels, ts, w.zs, w.etas[w.first, 0]) for c, w in zip(curves, stack)])
+        assert [np.array_equal(e, w.etas) for e, w in zip(etas, stack)] == [True] * len(ks)
+        return sum(len(w.zs) for w in stack), integrate, walk_eta - sum(e.nbytes for e in etas)
 
     alone = [peaks([k]) for k in range(4)]
     rows, integrate, walk_eta = peaks(range(4))

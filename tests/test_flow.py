@@ -113,7 +113,7 @@ def test_crawling_round_ends_the_solve(monkeypatch):
     start = SimpleNamespace(vector=SimpleNamespace(flatten=lambda integers: np.ones(1)),
                             jacobian=None)
     with pytest.raises(ProjectionFailureError, match="stalled"):
-        flow._chart_solve(chart, (), None, start, 1e-10)
+        flow._chart_solve(chart, (), start, 1e-10)
     assert len(rounds) == 1
 
 
@@ -699,7 +699,7 @@ def test_one_step_flow_builds_two_frames_and_subdivides_once(seed, request, monk
     """A one-step flow builds two frames, the start's and the predictor's,
     and subdivides once: the start and the predictor are walked as one
     stack, and every later walk in the predictor's frame takes over the
-    predictor's quadrature grid from its member of that stack."""
+    predictor's quadrature grid from its walk in that stack."""
     import whitham.curve as curve_mod
 
     frames, subdivided = [], []

@@ -692,7 +692,7 @@ def _assert_same_evaluation(a, b):
         return
     from oracles import per_path
 
-    walks_a, walks_b = per_path(a.walks)[a.span], per_path(b.walks)[b.span]
+    walks_a, walks_b = per_path(a.walks), per_path(b.walks)
     assert len(walks_a) == len(walks_b)
     for wa, wb in zip(walks_a, walks_b):
         for name in ("zs", "etas", "base"):
@@ -720,13 +720,15 @@ def _grid_points(g1_b_linear, g2_b_quad):
     return seeds, synthetic
 
 
-def test_psi_stack_gives_each_triple_its_evaluation_alone(g1_b_linear, g2_b_quad):
+def test_psi_stack_gives_each_triple_its_evaluation_alone(g1_b_linear, g2_b_quad,
+                                                          monkeypatch):
     """``psi_stack`` of the five seed points, a genus-2 and a genus-3 point,
     a perturbed copy of a seed in its frame (same P: one walk of their
     curve) and another seed's P scaled by 1 + 1e-9 in that seed's frame (a
-    curve of its own) walks one stack, and gives each triple the evaluation
-    ``psi_walks`` gives it alone, bit for bit: its own paths' walks, the Psi
-    vector and the exact Jacobian."""
+    curve of its own) walks one stack (one ``walk_paths`` call), and gives
+    each triple the evaluation ``psi_walks`` gives it alone, bit for bit:
+    its own paths' walks, the Psi vector and the exact Jacobian."""
+    import whitham.spectral as spectral
     from whitham.spectral import psi_stack
 
     seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
@@ -736,11 +738,20 @@ def test_psi_stack_gives_each_triple_its_evaluation_alone(g1_b_linear, g2_b_quad
     pairs.insert(1, (SpectralTriple(t.g, t.P, t.b1 + kick, t.b2), frame))
     t, frame = pairs[0]
     pairs.append((SpectralTriple(t.g, t.P * (1 + 1e-9), t.b1, t.b2), frame))
-    stacked = psi_stack(pairs)
-    assert len({id(e.walks) for e in stacked}) == 1
+    walked, walk_paths = [], spectral.walk_paths
+
+    def counted(curves, paths, *args, **kwargs):
+        walked.append(sum(map(len, paths)))
+        return walk_paths(curves, paths, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "walk_paths", counted)
+        stacked = psi_stack(pairs)
     curves = {(id(f), t.P.coeffs.tobytes()): len(_psi_paths(f.basis)) for t, f in pairs}
     assert len(curves) == len(pairs) - 1
-    assert len(stacked[0].walks.paths) == sum(curves.values())
+    assert walked == [sum(curves.values())]
+    assert len({id(e.walks) for e in stacked}) == len(curves)
+    assert stacked[1].walks is stacked[3].walks  # the seed and its perturbed copy
     for (t, frame), evaluation in zip(pairs, stacked):
         _assert_same_evaluation(evaluation, psi_walks(t, frame))
 
@@ -798,8 +809,8 @@ def _flipped(walks, triple):
     against the singular set of ``triple``'s curve."""
     from whitham.curve import _padded_sets
 
-    rows, verdicts = walks.grid._probed
-    close, _ = rows.too_close(_padded_sets([build_curve(triple.P)], [len(walks.grid.paths)]))
+    rows, verdicts = walks.walks._probed
+    close, _ = rows.too_close(_padded_sets([build_curve(triple.P)], [len(walks.walks.paths)]))
     return int(np.count_nonzero(close != verdicts))
 
 
@@ -846,14 +857,16 @@ def test_a_stack_member_hands_its_grid_on(g0_triple, g1_triple, monkeypatch):
     handed to ``psi_walks`` at its triple moved by 1e-9, takes its grid over
     without subdividing; a move of the genus-1 triple that flips one of its
     member's verdicts subdivides afresh.  Either way the vector, the
-    Jacobian and the walk rows equal a fresh evaluation bit for bit.  Each
-    member's grid is that of its walk alone, built once and kept."""
+    Jacobian and the walk rows equal a fresh evaluation bit for bit.  The
+    members' walks are views of one stack, subdivided once, and the rows
+    each hands on are those of its walk alone, built once and kept."""
     from whitham.spectral import psi_stack
 
     calls = _counted_subdivide(monkeypatch)
     pairs = [(t, PsiFrame.build(t)) for t in (g0_triple, g1_triple)]
     members = psi_stack(pairs)
-    assert members[0].walks is members[1].walks
+    assert calls == [1]
+    assert members[0].walks.zs.base is members[1].walks.zs.base is not None
     d = np.random.default_rng(1).standard_normal(pack_triple(g1_triple).size)
     d /= np.linalg.norm(d)
     for (t, frame), member in zip(pairs, members):
@@ -863,8 +876,8 @@ def test_a_stack_member_hands_its_grid_on(g0_triple, g1_triple, monkeypatch):
             return unpack_triple(x + h * d[: x.size], t.g)
 
         alone = psi_walks(t, frame).walks
-        assert member.grid is member.grid
-        (rows, verdicts), (want_rows, want_verdicts) = member.grid._probed, alone._probed
+        assert member.walks._probed is member.walks._probed
+        (rows, verdicts), (want_rows, want_verdicts) = member.walks._probed, alone._probed
         assert np.array_equal(verdicts, want_verdicts)
         for got, want in zip(rows._columns(), want_rows._columns()):
             assert got.tobytes() == want.tobytes()
