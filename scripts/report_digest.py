@@ -34,13 +34,23 @@ codes and those numbers are byte-identical:
     python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
 
 The library is imported from the ``src`` directory of the checkout that
-holds the script.
+holds the script.  With ``--against REF`` the script checks REF (any git
+revision) out into a temporary ``git worktree``, which it removes
+afterwards, runs REF's digest there and this checkout's digest, both on
+the inputs given, and prints each line whose hashes or exit codes differ
+with both sides' values, then the lines found on one side only; it exits
+1 on any difference:
+
+    python scripts/report_digest.py --against main [FILE_OR_DIR ...]
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -241,5 +251,66 @@ def run(args):
             print(f"{' '.join(line)} stderr {label}", flush=True)
 
 
+# a line's outcomes: its sha1 hashes and exit codes; the rest names the line
+OUTCOME = re.compile(r"[0-9a-f]{40}|exit=-?\d+")
+
+
+def _digest_lines(script, inputs):
+    """The lines the digest script ``script`` prints for ``inputs``."""
+    done = subprocess.run([sys.executable, str(script), *inputs], check=True,
+                          stdout=subprocess.PIPE, text=True)
+    return done.stdout.splitlines()
+
+
+def _by_name(lines):
+    """{name: outcomes} of digest lines, in order."""
+    out = {}
+    for line in lines:
+        tokens = line.split()
+        name = " ".join(t for t in tokens if not OUTCOME.fullmatch(t))
+        out[name] = " ".join(t for t in tokens if OUTCOME.fullmatch(t))
+    return out
+
+
+def compare(ref, inputs):
+    """Print how REF's digest and this checkout's differ; 1 if they do."""
+    script = Path(__file__).resolve()
+    repo = script.parent.parent
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "ref"
+        subprocess.run(["git", "-C", str(repo), "worktree", "add", "--detach", str(tree), ref],
+                       check=True, capture_output=True)
+        try:
+            theirs = _by_name(_digest_lines(tree / "scripts" / "report_digest.py", inputs))
+        finally:
+            subprocess.run(["git", "-C", str(repo), "worktree", "remove", "--force", str(tree)],
+                           check=True, capture_output=True)
+    ours = _by_name(_digest_lines(script, inputs))
+    differing = [name for name in ours if name in theirs and ours[name] != theirs[name]]
+    for name in differing:
+        print(f"differs: {name}\n  {ref}: {theirs[name]}\n  here: {ours[name]}")
+    only_ref = [name for name in theirs if name not in ours]
+    only_here = [name for name in ours if name not in theirs]
+    for name in only_ref:
+        print(f"only in {ref}: {theirs[name]} {name}")
+    for name in only_here:
+        print(f"only here: {ours[name]} {name}")
+    print(f"{len(differing)} lines differ, {len(only_ref)} only in {ref}, "
+          f"{len(only_here)} only here, of {len(ours)} lines here")
+    return 1 if differing or only_ref or only_here else 0
+
+
+def command_line(argv):
+    parser = argparse.ArgumentParser(description="Hash the CLI reports of a checkout.")
+    parser.add_argument("inputs", nargs="*", metavar="FILE_OR_DIR")
+    parser.add_argument("--against", metavar="REF",
+                        help="compare with the digest of this git revision")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        run(args.inputs)
+        return 0
+    return compare(args.against, args.inputs)
+
+
 if __name__ == "__main__":
-    run(sys.argv[1:])
+    sys.exit(command_line(sys.argv[1:]))

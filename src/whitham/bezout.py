@@ -15,15 +15,25 @@ and every later solve reuses both.  A caller that solves several systems
 against one B (the gcd tower of ``deformation``) roots B once and passes
 its ``RootSpec`` in, so the system is built once per divisor.
 
+``minimal_solution`` solves one system (A, B) for a sequence of
+right-hand sides: the gcd, the deflations, the spec, the jets of A/D at
+the roots and the conditioning warning are done once per call, and one
+``np.linalg.solve`` takes one column per right-hand side.  Each column is
+then trimmed, checked and refined on its own, so its solution is, bit for
+bit, the one a call with that right-hand side alone gives; a column that
+leaves the float range raises ``NumericalFailureError``.  ``realify``
+takes the solutions of one system likewise and checks A and B once.
+
 Solvability requires gcd(A, B) | C; that precondition is checked
 numerically and its failure is an error, never a silent least-squares fit.
 
-``minimal_solution`` and ``realify`` take and return ``Polynomial``s but
-form every intermediate on coefficient arrays (``polyring.c_*``): the
-product A X is formed once per solve and feeds both Y = (A X - C) / B and
-the relative residual (``_residual``), and only X and Y become
-``Polynomial``s.  The results are those of the ``Polynomial`` operators,
-bit for bit.
+``minimal_solution`` and ``realify`` take ``Polynomial``s but form every
+intermediate on coefficient arrays (``polyring.c_*``): the product A X is
+formed once per column and feeds both Y = (A X - C) / B and the relative
+residual (``_residual``).  A solution keeps the coefficients of X and Y
+and builds their ``Polynomial``s only when read, and a ``realify``
+solution forms its residual only when read.  The results are those of
+the ``Polynomial`` operators, bit for bit.
 """
 
 from __future__ import annotations
@@ -33,11 +43,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import NoSolutionError, RealityViolationError
+from .errors import NoSolutionError, NumericalFailureError, RealityViolationError
 from .polyring import (
     Polynomial,
     approx_gcd,
     c_add,
+    c_deflate,
     c_divmod,
     c_mul,
     c_norm,
@@ -141,19 +152,18 @@ def _check_square(spec, n):
         raise ValueError(f"root multiplicities sum to {spec.total}, expected {n + 1}")
 
 
-def _rhs_vector(spec, Cd, Ad):
+def _rhs_vector(spec, Cd, jets):
     """h(B/D, C/A): derivatives of (C/D)/(A/D) at each root, jet-computed
-    from the coefficients Cd of C/D and Ad of A/D.
+    from the coefficients Cd of C/D and the Taylor jets of A/D at each root
+    of ``spec`` (``poly_jet`` to the root's multiplicity).
 
     Evaluated on the deflated pair so roots of D inside B do not poison the
     denominator.
     """
     h = np.zeros(spec.total, dtype=complex)
     row = 0
-    for beta, r in spec.entries:
-        jn = poly_jet(Cd, beta, r)
-        jd = poly_jet(Ad, beta, r)
-        q = jet_divide(jn, jd)
+    for (beta, r), jd in zip(spec.entries, jets):
+        q = jet_divide(poly_jet(Cd, beta, r), jd)
         fact = 1.0
         for m in range(r):
             h[row] = q[m] * fact
@@ -162,10 +172,27 @@ def _rhs_vector(spec, Cd, Ad):
     return h
 
 
+class _Pair:
+    """X and Y of a solution, each built as a ``Polynomial`` from the
+    coefficient arrays ``x`` and ``y`` when first read."""
+
+    @cached_property
+    def X(self):
+        return Polynomial(self.x)
+
+    @cached_property
+    def Y(self):
+        return Polynomial(self.y)
+
+
 @dataclass(frozen=True)
-class BezoutSolution:
-    X: Polynomial
-    Y: Polynomial
+class BezoutSolution(_Pair):
+    """A solution (X, Y) of AX - BY = C: ``x`` and ``y`` are the trimmed
+    coefficients of X and Y (``X`` and ``Y`` are their ``Polynomial``s),
+    ``x_raw`` the solve's untrimmed X."""
+
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
     residual: float
     condition: float = 0.0
     warnings: tuple = ()
@@ -173,8 +200,27 @@ class BezoutSolution:
 
 
 @dataclass(frozen=True)
+class RealSolution(_Pair):
+    """``realify``'s average of a solution of AX - BY = C, with the
+    condition, warnings and ``x_raw`` of the solution averaged; ``system``
+    is (A, B, C), from which the relative residual is formed when first
+    read."""
+
+    x: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    condition: float
+    warnings: tuple
+    x_raw: np.ndarray = field(repr=False)
+    system: tuple = field(repr=False)
+
+    @cached_property
+    def residual(self):
+        return _relative_residual(*self.system, self.X, self.Y)
+
+
+@dataclass(frozen=True)
 class SolutionSpace:
-    base: BezoutSolution
+    base: RealSolution
     hom_X: Polynomial  # B/D
     hom_Y: Polynomial  # A/D
     param_degree: int
@@ -197,40 +243,58 @@ def _residual(a, b, c, c_n, ax, y):
     return c_norm(c_sub(c_sub(ax, by), c)) / scale
 
 
-def minimal_solution(A, B, C, known_gcd=None, spec=None):
-    """Unique solution of AX - BY = C with deg X <= deg(B/D) - 1.
+def _quotient_by_gcd(c, c_n, D):
+    """The coefficients of C/D, or ``NoSolutionError`` when D fails to
+    divide C (|C| = c_n)."""
+    cd, rem = c_divmod(c, D.coeffs)
+    if c_norm(rem) > DIVISIBILITY_RTOL * max(c_n, 1e-300):
+        raise NoSolutionError(
+            f"gcd(A,B) of degree {D.degree} does not divide C "
+            f"(remainder {c_norm(rem) / max(c_n, 1e-300):.2e})"
+        )
+    return cd
 
-    ``known_gcd`` overrides the numerical gcd when coprimality (or a
-    specific common factor) is known a priori.  ``spec`` is the
-    ``RootSpec.of(B/D)`` when the caller has it already (the gcd tower
-    keeps the specs of the divisors it solves against, so each builds its
-    system once); otherwise B/D is rooted here.  A conditioning warning is
-    attached when the Vandermonde condition number exceeds the cap; a
-    ``NoSolutionError`` is raised when gcd(A, B) fails to divide C.
+
+def minimal_solution(A, B, Cs, known_gcd=None, spec=None):
+    """Unique solutions of AX - BY = C with deg X <= deg(B/D) - 1, one for
+    each right-hand side C of the non-empty sequence ``Cs``, in order.
+
+    What the system (A, B) shares is done once per call: the gcd D
+    (``known_gcd`` overrides the numerical gcd when coprimality, or a
+    specific common factor, is known a priori), the deflations by D, the
+    spec (``spec`` is the ``RootSpec.of(B/D)`` when the caller has it
+    already: the gcd tower keeps the specs of the divisors it solves
+    against, so each builds its system once; otherwise B/D is rooted here),
+    the jets of A/D at its roots and the conditioning warning, attached
+    when the Vandermonde condition number exceeds the cap.  One
+    ``np.linalg.solve`` then takes one column per right-hand side, and each
+    column is trimmed, checked and refined alone, so every solution equals,
+    bit for bit, the one a call with its C alone gives.  A
+    ``NoSolutionError`` is raised when gcd(A, B) fails to divide a C, and a
+    ``NumericalFailureError`` when a solution leaves the float range.
     """
     D = known_gcd if known_gcd is not None else approx_gcd(A, B)
-    a, b, c = A.coeffs, B.coeffs, C.coeffs
-    c_n = C.norm()
+    a, b = A.coeffs, B.coeffs
+    rhs = [(C.coeffs, C.norm()) for C in Cs]
     if D.degree > 0:
-        cd, rem = c_divmod(c, D.coeffs)
-        if c_norm(rem) > DIVISIBILITY_RTOL * max(c_n, 1e-300):
-            raise NoSolutionError(
-                f"gcd(A,B) of degree {D.degree} does not divide C "
-                f"(remainder {c_norm(rem) / max(c_n, 1e-300):.2e})"
-            )
-        ad = A.deflate(D).coeffs
+        cds = [_quotient_by_gcd(c, c_n, D) for c, c_n in rhs]
+        ad = c_deflate(a, D.coeffs)
         Bd = B.deflate(D)
     else:
-        cd, ad, Bd = c, a, B
-    warnings = []
+        cds, ad, Bd = [c for c, _ in rhs], a, B
 
     if Bd.degree <= 0:
         # B is (a scalar multiple of) the gcd: X is forced to zero
         X = Polynomial.zero()
-        Y = (A * X - C).deflate(B)
-        res = _relative_residual(A, B, C, X, Y)
-        return BezoutSolution(X, Y, res, 0.0, (), np.zeros(0, dtype=complex))
+        sols = []
+        for C in Cs:
+            Y = (A * X - C).deflate(B)
+            res = _relative_residual(A, B, C, X, Y)
+            sols.append(BezoutSolution(X.coeffs, Y.coeffs, res, 0.0, (),
+                                       np.zeros(0, dtype=complex)))
+        return sols
 
+    warnings = []
     if spec is None:
         spec = RootSpec.of(Bd)
     n = Bd.degree - 1
@@ -241,22 +305,39 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
         warnings.append("root multiplicity adjusted to match degree")
     _check_square(spec, n)
     V = spec.matrix
-    h = _rhs_vector(spec, cd, ad)
-    x = np.linalg.solve(V, h)
+    # the jets of A/D at the roots, which every right-hand side shares
+    jets = [poly_jet(ad, beta, r) for beta, r in spec.entries]
+    H = np.column_stack([_rhs_vector(spec, cd, jets) for cd in cds])
+    xs = np.linalg.solve(V, H).T.copy()
     cond = spec.condition
     if cond > CONDITION_CAP:
         warnings.append(f"ill-conditioned Vandermonde system (cond ~ {cond:.2e})")
+    warnings = tuple(warnings)
+    sols = []
+    for (c, c_n), x in zip(rhs, xs):
+        try:
+            xc, y, res, x = _refined(a, b, c, c_n, x, D, V, spec, jets)
+        except ValueError as exc:  # ``trim`` refuses a coefficient past the float range
+            raise NumericalFailureError(f"Bezout solution is not finite ({exc})") from None
+        sols.append(BezoutSolution(xc, y, res, cond, warnings, x))
+    return sols
+
+
+def _refined(a, b, c, c_n, x, D, V, spec, jets):
+    """One column of ``minimal_solution``: from the solve's X (``x``), the
+    trimmed X, Y = (A X - C) / B, the relative residual and the untrimmed
+    X, after one pass of polynomial-level iterative refinement when the
+    residual exceeds 1e-12 and the pass lowers it."""
     # A X feeds both Y = (A X - C) / B and the residual
     xc = trim(x)
     ax = c_mul(a, xc)
     y = c_divmod(c_sub(ax, c), b)[0]
     res = _residual(a, b, c, c_n, ax, y)
-    # one pass of polynomial-level iterative refinement when warranted
     if res > 1e-12:
         defect = c_sub(c, c_sub(ax, c_mul(b, y)))
         if c_norm(defect) > 0:
             dd = c_divmod(defect, D.coeffs)[0] if D.degree > 0 else defect
-            x2 = np.linalg.solve(V, _rhs_vector(spec, dd, ad))
+            x2 = np.linalg.solve(V, _rhs_vector(spec, dd, jets))
             xc2 = c_add(xc, trim(x2))
             ax2 = c_mul(a, xc2)
             y2 = c_divmod(c_sub(ax2, c), b)[0]
@@ -264,26 +345,34 @@ def minimal_solution(A, B, C, known_gcd=None, spec=None):
             if res2 < res:
                 xc, y, res = xc2, y2, res2
                 x = x + x2
-    return BezoutSolution(Polynomial(xc), Polynomial(y), res, cond, tuple(warnings), x)
+    return xc, y, res, x
 
 
-def realify(A, B, C, a, b, c, sol):
-    """Average a solution with its involution image (weights a, b, c).
+def realify(A, B, Cs, a, b, c, sols):
+    """Average each solution of AX - BY = C (one per C of ``Cs``) with its
+    involution image (weights a, b, c); A and B are checked once.
 
     For real-section inputs this yields a solution whose components are
     real sections of weights (c-a, c-b); when the minimal solution is
-    already real the averaging is the identity up to rounding.
+    already real the averaging is the identity up to rounding.  The
+    residual of a ``RealSolution`` is formed only when read.
     """
-    for p, k, name in ((A, a, "A"), (B, b, "B"), (C, c, "C")):
-        # a polynomial over its weight is refused whatever its coefficients
-        if p.degree > k or real_defect(p, k) > 1e-8 * max(1.0, p.norm()):
-            raise RealityViolationError(f"{name} is not a weight-{k} real section")
-    x = c_symmetrize(sol.X.coeffs, c - a)
-    y = c_symmetrize(sol.Y.coeffs, c - b)
-    res = _residual(A.coeffs, B.coeffs, C.coeffs, C.norm(), c_mul(A.coeffs, x), y)
-    return BezoutSolution(
-        Polynomial(x), Polynomial(y), res, sol.condition, sol.warnings, sol.x_raw
-    )
+    _check_real(A, a, "A")
+    _check_real(B, b, "B")
+    out = []
+    for C, sol in zip(Cs, sols):
+        _check_real(C, c, "C")
+        x = c_symmetrize(sol.x, c - a)
+        y = c_symmetrize(sol.y, c - b)
+        out.append(RealSolution(x, y, sol.condition, sol.warnings, sol.x_raw, (A, B, C)))
+    return out
+
+
+def _check_real(p, k, name):
+    """``RealityViolationError`` unless p is a weight-k real section."""
+    # a polynomial over its weight is refused whatever its coefficients
+    if p.degree > k or real_defect(p, k) > 1e-8 * max(1.0, p.norm()):
+        raise RealityViolationError(f"{name} is not a weight-{k} real section")
 
 
 def solution_space(A, B, C, a, b, c):
@@ -296,8 +385,8 @@ def solution_space(A, B, C, a, b, c):
     d = D.degree
     if c < a + b - d:
         raise ValueError(f"solution space requires c >= a+b-d ({c} < {a + b - d})")
-    base = minimal_solution(A, B, C, known_gcd=D)
-    base = realify(A, B, C, a, b, c, base)
+    base = minimal_solution(A, B, [C], known_gcd=D)
+    (base,) = realify(A, B, [C], a, b, c, base)
     hom_X = B.deflate(D) if d > 0 else B
     hom_Y = A.deflate(D) if d > 0 else A
     return SolutionSpace(base, hom_X, hom_Y, c - a - b + d)

@@ -249,7 +249,7 @@ def _oracle_bezout(rng, count):
         A = Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4)) * D
         B = Polynomial(rng.standard_normal(5) + 1j * rng.standard_normal(5)) * D
         C = Polynomial(rng.standard_normal(4) + 1j * rng.standard_normal(4)) * D
-        sol = minimal_solution(A, B, C)
+        sol = minimal_solution(A, B, [C])[0]
         X_o = dense_bezout(A, B, C, d_deg)[0]
         worst = max(worst, (sol.X - X_o).norm() / max(1.0, X_o.norm()))
     return worst, 1e-8

@@ -41,9 +41,17 @@ between towers.  The construction works on coefficient arrays
 (``polyring.c_*``) and builds a ``Polynomial`` only for the Bezout data and
 the parts of the tangent vector it returns.
 
-Construction pipeline: solve the reduced Q-equation for (c1, c2) at the
-case's parameter choice, feed them into the two reduced identities, solve
-each by the confluent-Vandermonde machinery, reconcile the two P-dot
+Each Bezout system is solved once for all the right-hand sides a step
+has for it (``bezout.minimal_solution`` takes a sequence): R's row on the
+three basis quadratics is one solve, the re-check of both kernel vectors
+another, and each deformation identity one solve for every vector built
+at the tower (``make_tangents``; ``tangent_basis`` builds its two vectors
+there, a flow step its one).  So a case-(a) tangent basis makes four
+solves.
+
+Construction pipeline: solve the reduced Q-equation for (c1, c2) at each
+parameter choice, feed them into the two reduced identities, solve each
+by the confluent-Vandermonde machinery, reconcile each vector's two P-dot
 families on the common-solution line, and finally fix the rescaling
 freedom (P-dot, b-dot) -> (P-dot + 2sP, b-dot + s b) by requiring the
 derivative of the scaling normalization to vanish (plus, at conformal
@@ -368,13 +376,16 @@ def r_value(tw, Q):
     """Leading (degree g+2-d2) coefficient of the minimal interpolant of the
     reduced Q-equation of the tower ``tw``; linear in Q.  Vanishing of R
     makes the solution degree drop to the deformation degree."""
-    return _r_last_coefficient(tw.b1_tilde, tw.b2_tilde, Q * tw.P_tilde, tw.b2_spec)
+    return _r_last_coefficients(tw.b1_tilde, tw.b2_tilde, [Q * tw.P_tilde], tw.b2_spec)[0]
 
 
-def _r_last_coefficient(A, B, C, spec):
+def _r_last_coefficients(A, B, Cs, spec):
+    """R read off the minimal solution of AX - BY = C at each C of ``Cs``,
+    all from one solve."""
     if B.degree < 1:
         raise DegenerateKernelError("b2-tilde is degenerate (degree < 1); R undefined")
-    return _r_of(minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec))
+    sols = minimal_solution(A, B, Cs, known_gcd=Polynomial.one(), spec=spec)
+    return [_r_of(sol) for sol in sols]
 
 
 def _r_of(sol):
@@ -391,11 +402,10 @@ def r_kernel(tw):
     rank of R on the quadratics to be at most 1; a numerical rank other
     than 1 yields a degeneracy error, never a fabricated basis.
     """
-    M = np.zeros((2, 3))
-    for j, e in enumerate(np.eye(3)):
-        val = r_value(tw, unpack_section(e, 2))
-        M[0, j] = val.real
-        M[1, j] = val.imag
+    # R is linear in Q: its row on the basis quadratics, from one solve
+    Cs = [unpack_section(e, 2) * tw.P_tilde for e in np.eye(3)]
+    vals = _r_last_coefficients(tw.b1_tilde, tw.b2_tilde, Cs, tw.b2_spec)
+    M = np.array([[v.real for v in vals], [v.imag for v in vals]])
     U, s, Vt = np.linalg.svd(M)
     scale = max(s[0], 1e-300)
     rank = int(np.sum(s > 1e-10 * scale)) if s[0] > 1e-14 else 0
@@ -414,9 +424,9 @@ def r_kernel(tw):
     u1 = np.eye(3)[k] - n[k] * n
     u1 /= np.linalg.norm(u1)
     out = [unpack_section(u, 2) for u in (u1, np.cross(n, u1))]
-    for Q in out:
-        # the tower keeps this solve for solve_q_equation at Q
-        if abs(_r_of(_q_solution(tw, Q * tw.P_tilde))) > 1e-8 * scale * max(1.0, Q.norm()):
+    # the tower keeps these solves for solve_q_equation at each Q
+    for Q, sol in zip(out, _q_solutions(tw, [Q * tw.P_tilde for Q in out])):
+        if abs(_r_of(sol)) > 1e-8 * scale * max(1.0, Q.norm()):
             raise DegenerateKernelError("kernel candidate fails R(Q) = 0 re-evaluation")
     return tuple(out)
 
@@ -431,16 +441,17 @@ PARAMS_CASE = {CaseAParams: ("a", 0), CaseBLinearParams: ("b", 1),
                CaseBQuadParams: ("b", 2), CaseEParams: ("e", 0)}
 
 
-def _q_solution(tw, C):
-    """Minimal solution of the reduced Q-equation b1-tilde X - b2-tilde Y = C,
-    made once per right-hand side on the tower ``tw`` (``Tower.q_solves``)."""
-    key = C.coeffs.tobytes()
-    sol = tw.q_solves.get(key)
-    if sol is None:
-        sol = tw.q_solves[key] = minimal_solution(
-            tw.b1_tilde, tw.b2_tilde, C, known_gcd=Polynomial.one(), spec=tw.b2_spec
-        )
-    return sol
+def _q_solutions(tw, Cs):
+    """Minimal solutions of the reduced Q-equation b1-tilde X - b2-tilde Y = C,
+    one per right-hand side of ``Cs``: those the tower ``tw`` has not made
+    yet are made in one solve and kept (``Tower.q_solves``)."""
+    keys = [C.coeffs.tobytes() for C in Cs]
+    new = {k: C for k, C in zip(keys, Cs) if k not in tw.q_solves}
+    if new:
+        sols = minimal_solution(tw.b1_tilde, tw.b2_tilde, list(new.values()),
+                                known_gcd=Polynomial.one(), spec=tw.b2_spec)
+        tw.q_solves.update(zip(new, sols))
+    return [tw.q_solves[k] for k in keys]
 
 
 def solve_q_equation(tw, params):
@@ -471,9 +482,10 @@ def solve_q_equation(tw, params):
         if real_defect(Q, 2) > 1e-8 * max(1.0, Q.norm()):
             raise RealityViolationError("Q is not a real quadratic section")
         C = Q * tw.P_tilde
-        x = _q_solution(tw, C).x_raw
+        (sol,) = _q_solutions(tw, [C])
+        x = sol.x_raw
         top = abs(x[-1]) if x.size else 0.0
-        scale = max(1.0, float(np.linalg.norm(x)) if x.size else 0.0)
+        scale = max(1.0, c_norm(x) if x.size else 0.0)
         if top > 1e-8 * scale:
             raise RealityViolationError(
                 f"R(Q) = {x[-1]:.3e} does not vanish; Q is outside the kernel"
@@ -486,8 +498,8 @@ def solve_q_equation(tw, params):
         if real_defect(Qt, 1) > 1e-8 * max(1.0, Qt.norm()):
             raise RealityViolationError("Q-tilde is not a weight-1 real section")
         C = Qt * tw.P_tilde
-        sol = _q_solution(tw, C)
-        c2t, c1t = sol.X.coeffs, sol.Y.coeffs
+        (sol,) = _q_solutions(tw, [C])
+        c2t, c1t = sol.x, sol.y
         Q_full = tw.G * Qt
     else:
         # one real number times G (case b) or zeta (case e), plus r along
@@ -502,10 +514,10 @@ def solve_q_equation(tw, params):
             Q_full = Polynomial([0.0, q])
         a_w, b_w = g + 1 - d1, g + 1 - d2
         c_w = 2 * g + 2 - d1 - d2
-        sol = realify(tw.b1_tilde, tw.b2_tilde, C, a_w, b_w, c_w, _q_solution(tw, C))
+        (sol,) = realify(tw.b1_tilde, tw.b2_tilde, [C], a_w, b_w, c_w, _q_solutions(tw, [C]))
         r = float(params.r)
-        c2t = c_add(sol.X.coeffs, c_scale(b2t, r))
-        c1t = c_add(sol.Y.coeffs, c_scale(b1t, r))
+        c2t = c_add(sol.x, c_scale(b2t, r))
+        c1t = c_add(sol.y, c_scale(b1t, r))
     c1 = Polynomial(c_mul(tw.F1.coeffs, c1t))
     c2 = Polynomial(c_mul(tw.F2.coeffs, c2t))
 
@@ -573,12 +585,15 @@ def _scaling_shift(tw, P_dot):
     return float(t.real), float(abs(t.imag))
 
 
-def solve_empdi(tw, c1, c2, Q, params=None):
+def solve_empdi(tw, qs):
     """Solve both deformation identities for a common (P-dot, b1-dot, b2-dot)
-    at the triple of the tower ``tw``.
+    at the triple of the tower ``tw``, for each (c1, c2, Q, params) of
+    ``qs``; returns one tangent vector per entry, in order.
 
-    The two reduced Bezout problems are solved independently, their P-dot
-    solution families reconciled by a dense least-squares over the small
+    Each identity's reduced Bezout system is solved once for every entry
+    (one right-hand side each), and the terms that depend on the tower
+    alone are formed once.  Per vector, the P-dot solution families of the
+    two identities are reconciled by a dense least-squares over the small
     real parameter polynomials (r, s), and the leftover rescaling freedom
     fixed by the scaling-derivative condition (at conformal points the
     residue-derivative condition first pins the constant part s_0, after
@@ -586,12 +601,11 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     """
     triple = tw.triple
     g = triple.g
-    warnings = []
 
     # the intermediate parts are coefficient arrays (``polyring.c_*``);
-    # Polynomials are built for the Bezout data and the returned vector
-    chat = tuple(c_mul(_ZETA2M1, c.coeffs) for c in (c1, c2))
-    twists = tuple(_twist(ch) for ch in chat)
+    # Polynomials are built for the Bezout data and the returned vectors
+    chats = [tuple(c_mul(_ZETA2M1, c.coeffs) for c in (c1, c2)) for c1, c2, _, _ in qs]
+    twists = [tuple(_twist(ch) for ch in chat) for chat in chats]
     dP = c_derivative(triple.P.coeffs)
     twoP = c_scale(triple.P.coeffs, 2.0)
     # at a conformal point the tower's zeta split absorbs the zeta of the
@@ -599,22 +613,23 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     Z, shift = (_ONE, 2) if tw.conformal else (_ZETA, 0)
     ZdP = c_mul(c_mul(Z, _ZETA2M1), dP)
 
+    # per identity i, the solution of every entry (sols[i][k]) and the
+    # X-generator, Y-generator and parameter weight (hom[i])
     sols = []
     hom = []
-    parts = zip(tw.divisors, twists, (c1, c2), (tw.F1, tw.F2), (tw.b1_tilde, tw.b2_tilde))
-    for (B, spec), tch, c, Fi, bt in parts:
-        ct = c_deflate(c.coeffs, c_mul(tw.F.coeffs, Fi.coeffs))
+    for i, ((B, spec), Fi, bt) in enumerate(zip(tw.divisors, (tw.F1, tw.F2),
+                                                (tw.b1_tilde, tw.b2_tilde))):
+        FFi = c_mul(tw.F.coeffs, Fi.coeffs)
         A = tw.G * bt
-        C = Polynomial(c_add(c_mul(B.coeffs, tch), c_mul(ZdP, ct)))
+        Cs = [Polynomial(c_add(c_mul(B.coeffs, tch[i]),
+                               c_mul(ZdP, c_deflate(q[i].coeffs, FFi))))
+              for tch, q in zip(twists, qs)]
         dF = tw.F.degree + Fi.degree
         a_w = g + 3 - dF - shift
         c_w = 3 * g + 5 - dF - shift
         b_w = c_w - (g + 3)
-        sol = minimal_solution(A, B, C, known_gcd=Polynomial.one(), spec=spec)
-        sol = realify(A, B, C, a_w, b_w, c_w, sol)
-        warnings.extend(sol.warnings)
-        sols.append(sol)
-        # X-generator, Y-generator, param weight
+        found = minimal_solution(A, B, Cs, known_gcd=Polynomial.one(), spec=spec)
+        sols.append(realify(A, B, Cs, a_w, b_w, c_w, found))
         hom.append((B.coeffs, A.coeffs, c_w - a_w - b_w))
 
     # reconcile: P1dot + u1*B1 = P2dot + u2*B2 over real-section (u1, u2)
@@ -627,11 +642,28 @@ def solve_empdi(tw, c1, c2, Q, params=None):
             col = c_padded(c_scale(c_mul(e, Bgen), sgn), n_rows)
             cols.append(np.concatenate([col.real, col.imag]))
     M = np.column_stack(cols)
-    rhs_poly = c_padded(c_sub(sols[1].X.coeffs, sols[0].X.coeffs), n_rows)
+    dPz = c_mul(dP, _ZETA)
+    return [_empdi_vector(tw, M, hom, twoP, dPz, pair, q, chat, twist)
+            for pair, q, chat, twist in zip(zip(*sols), qs, chats, twists)]
+
+
+def _empdi_vector(tw, M, hom, twoP, dPz, sols, q, chat, twist):
+    """The tangent vector of one entry q = (c1, c2, Q, params) of
+    ``solve_empdi``, from the tower's reconciliation matrix ``M``,
+    generators ``hom``, 2P and P' zeta, the entry's solution of each
+    identity (``sols``), its chat pair and their twists."""
+    triple = tw.triple
+    g = triple.g
+    c1, c2, Q, params = q
+    delta1, delta2 = hom[0][2], hom[1][2]
+    warnings = [w for sol in sols for w in sol.warnings]
+    # the per-vector solve stays one lstsq: a multi-column lstsq is not
+    # bit-identical per column
+    rhs_poly = c_padded(c_sub(sols[1].x, sols[0].x), 2 * g + 3)
     rhs = np.concatenate([rhs_poly.real, rhs_poly.imag])
     u, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    recon_res = float(np.linalg.norm(M @ u - rhs))
-    scale = max(sols[0].X.norm(), sols[1].X.norm(), triple.P.norm(), 1.0)
+    recon_res = c_norm(M @ u - rhs)
+    scale = max(c_norm(sols[0].x), c_norm(sols[1].x), triple.P.norm(), 1.0)
     if recon_res > 1e-6 * scale:
         raise InternalInconsistencyError(
             f"P-dot reconciliation residual {recon_res / scale:.3e}; "
@@ -639,11 +671,11 @@ def solve_empdi(tw, c1, c2, Q, params=None):
         )
     u1 = trim(section_coeffs(u[: delta1 + 1], delta1))
     u2 = trim(section_coeffs(u[delta1 + 1 :], delta2))
-    P1_dot = c_add(sols[0].X.coeffs, c_mul(u1, hom[0][0]))
-    P2_dot = c_add(sols[1].X.coeffs, c_mul(u2, hom[1][0]))
+    P1_dot = c_add(sols[0].x, c_mul(u1, hom[0][0]))
+    P2_dot = c_add(sols[1].x, c_mul(u2, hom[1][0]))
     P_dot = c_scale(c_add(P1_dot, P2_dot), 0.5)
-    b1_dot = c_add(sols[0].Y.coeffs, c_mul(u1, hom[0][1]))
-    b2_dot = c_add(sols[1].Y.coeffs, c_mul(u2, hom[1][1]))
+    b1_dot = c_add(sols[0].y, c_mul(u1, hom[0][1]))
+    b2_dot = c_add(sols[1].y, c_mul(u2, hom[1][1]))
 
     if tw.conformal:
         # pin s_0 from the first differential's residue-derivative condition
@@ -669,10 +701,9 @@ def solve_empdi(tw, c1, c2, Q, params=None):
 
     v = TangentVector(P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings))
     t_after, _ = _scaling_shift(tw, P_dot)
-    dPz = c_mul(dP, _ZETA)
     v.residuals.update({
-        "empd1": _empdi_residual(triple, v, 1, twoP, dPz, chat[0], twists[0]),
-        "empd2": _empdi_residual(triple, v, 2, twoP, dPz, chat[1], twists[1]),
+        "empd1": _empdi_residual(triple, v, 1, twoP, dPz, chat[0], twist[0]),
+        "empd2": _empdi_residual(triple, v, 2, twoP, dPz, chat[1], twist[1]),
         "residue_tangent_1": _residue_tangent_residual(triple, v, 1),
         "residue_tangent_2": _residue_tangent_residual(triple, v, 2),
         "reconciliation": recon_res / scale,
@@ -687,12 +718,19 @@ def solve_empdi(tw, c1, c2, Q, params=None):
     return v
 
 
+def make_tangents(tw, params):
+    """solve_q_equation at each parameter choice of ``params``, then
+    solve_empdi for all of them at once, on the tower ``tw``."""
+    solved = [solve_q_equation(tw, p) for p in params]
+    vectors = solve_empdi(tw, [(c1, c2, Q, p) for (c1, c2, Q, _), p in zip(solved, params)])
+    for v, (*_, info) in zip(vectors, solved):
+        v.residuals["q_identity"] = info["q_identity"]
+    return vectors
+
+
 def make_tangent(tw, params):
-    """solve_q_equation followed by solve_empdi, on the tower ``tw``."""
-    c1, c2, Q, info = solve_q_equation(tw, params)
-    v = solve_empdi(tw, c1, c2, Q, params=params)
-    v.residuals["q_identity"] = info["q_identity"]
-    return v
+    """The tangent vector of one parameter choice (``make_tangents``)."""
+    return make_tangents(tw, [params])[0]
 
 
 def tangent_params(tw):
@@ -721,7 +759,7 @@ def tangent_basis(triple):
     """Two independent tangent vectors spanning the deformation parameters
     (those of ``tangent_params``), and their Gram determinant."""
     tw = build_tower(triple)
-    vectors = tuple(make_tangent(tw, p) for p in tangent_params(tw))
+    vectors = tuple(make_tangents(tw, tangent_params(tw)))
     return vectors, gram_determinant(vectors)
 
 

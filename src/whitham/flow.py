@@ -120,7 +120,8 @@ def gauss_newton(residual, x0, first, tol):
     accepted iterates that have not yet converged, never on a rejected
     trial, so a residual that assembles its Jacobian on demand
     (``spectral.psi_walks``) pays for it only there.  ``residual`` may raise
-    ``WhithamError`` for inadmissible points (treated as a rejected trial).
+    ``WhithamError`` for inadmissible points (treated as a rejected trial,
+    as is a trial point with a coordinate past the float range).
     The rank truncation makes the two-dimensional tangent kernel of the
     condition map harmless; the trust radius handles the stiff, strongly
     nonlinear lattice components (a full Newton step can wrap integrals
@@ -146,6 +147,10 @@ def gauss_newton(residual, x0, first, tol):
         accepted = False
         for _ in range(26):
             step = gn_full if full_len <= delta else gn_full * (delta / full_len)
+            if not np.isfinite(x + step).all():
+                # a trial point past the float range is a rejected trial
+                delta *= 0.3
+                continue
             try:
                 trial = residual(x + step)
             except WhithamError:

@@ -399,7 +399,11 @@ def c_divmod(p, q):
 def c_deflate(p, f):
     """Coefficients of ``p.deflate(f)``: the quotient, or
     ``NumericalFailureError`` when the remainder exceeds ``DEFLATE_RTOL``
-    times |p|."""
+    times |p|.  By the exact constant 1 it is p / 1, with no long division
+    and no remainder check: the quotient keeps every value, and takes each
+    zero's sign from the complex division, as the long division does."""
+    if f.size == 1 and f[0] == 1:
+        return p / f[0]
     q, r = c_divmod(p, f)
     scale = max(c_norm(p), 1e-300)
     if c_norm(r) > DEFLATE_RTOL * scale:

@@ -39,6 +39,7 @@ new branch points leave the subdivision unchanged.  The central-difference
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -961,7 +962,10 @@ def _principal_part_margin(triple):
     Over zeta = 0 the principal part of each differential is carried by
     b_m / sqrt(P-data) with m = 0 (unbranched) or m = 1 (branched); the
     pair is independent over R iff Im(conj(b1_m) b2_m) != 0.  The same
-    number shows up at infinity by reality; both ends are checked.
+    number shows up at infinity by reality; both ends are checked.  While
+    |b1_m| |b2_m| is finite and normal the margin is formed from the
+    coefficients as they are; otherwise each is divided by its modulus
+    first, so no product leaves the float range.
     """
     m = 1 if is_conformal(triple) else 0
     k = triple.g + 3
@@ -969,7 +973,12 @@ def _principal_part_margin(triple):
     for i, j in ((m, m), (k - m, k - m)):
         z1, z2 = triple.b1.coeff(i), triple.b2.coeff(j)
         denom = abs(z1) * abs(z2)
-        margins.append(abs(np.imag(np.conj(z1) * z2)) / denom if denom > 0 else 0.0)
+        if sys.float_info.min <= denom < math.inf:
+            margins.append(abs(np.imag(np.conj(z1) * z2)) / denom)
+        elif z1 and z2:
+            margins.append(abs(np.imag(np.conj(z1 / abs(z1)) * (z2 / abs(z2)))))
+        else:
+            margins.append(0.0)
     return min(margins)
 
 

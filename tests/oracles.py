@@ -118,11 +118,13 @@ def _relative_residual(A, B, C, X, Y):
 
 
 def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
-    """``bezout.minimal_solution`` with its system built at every call: a
-    fresh ``confluent_vandermonde`` before the solve and a fresh
-    ``np.linalg.cond`` after it, where the library reads the ones the spec
-    carries; and with every intermediate a ``Polynomial``, where the library
-    works on coefficient arrays."""
+    """``bezout.minimal_solution`` of the one right-hand side C, with its
+    system built at every call: a fresh ``confluent_vandermonde`` before the
+    solve and a fresh ``np.linalg.cond`` after it, where the library reads
+    the ones the spec carries; with a solve of the one column, where the
+    library solves every right-hand side of a call together; and with
+    every intermediate a ``Polynomial``, where the library works on
+    coefficient arrays."""
     from whitham.bezout import (
         CONDITION_CAP,
         DIVISIBILITY_RTOL,
@@ -132,7 +134,7 @@ def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
         confluent_vandermonde,
     )
     from whitham.errors import NoSolutionError
-    from whitham.polyring import approx_gcd, roots
+    from whitham.polyring import approx_gcd, poly_jet, roots
 
     D = known_gcd if known_gcd is not None else approx_gcd(A, B)
     if D.degree > 0:
@@ -146,7 +148,7 @@ def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
     if Bd.degree <= 0:
         X = Polynomial.zero()
         Y = (A * X - C).deflate(B)
-        return BezoutSolution(X, Y, _relative_residual(A, B, C, X, Y), 0.0, (),
+        return BezoutSolution(X.coeffs, Y.coeffs, _relative_residual(A, B, C, X, Y), 0.0, (),
                               np.zeros(0, dtype=complex))
     if spec is None:
         spec = RootSpec.of(Bd)
@@ -155,7 +157,8 @@ def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
         spec = RootSpec.ordered(roots(Bd, 1e-13))
         warnings.append("root multiplicity adjusted to match degree")
     V = confluent_vandermonde(spec, n)
-    x = np.linalg.solve(V, _rhs_vector(spec, Cd, Ad))
+    jets = [poly_jet(Ad, beta, r) for beta, r in spec.entries]
+    x = np.linalg.solve(V, _rhs_vector(spec, Cd, jets))
     cond = float(np.linalg.cond(V))
     if cond > CONDITION_CAP:
         warnings.append(f"ill-conditioned Vandermonde system (cond ~ {cond:.2e})")
@@ -166,14 +169,14 @@ def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
         defect = C - (A * X - B * Y)
         if defect.norm() > 0:
             Dd, _ = defect.divmod(D) if D.degree > 0 else (defect, None)
-            x2 = np.linalg.solve(V, _rhs_vector(spec, Dd, Ad))
+            x2 = np.linalg.solve(V, _rhs_vector(spec, Dd, jets))
             X2 = X + Polynomial(x2)
             Y2, _ = (A * X2 - C).divmod(B)
             if _relative_residual(A, B, C, X2, Y2) < res:
                 X, Y = X2, Y2
                 x = x + x2
                 res = _relative_residual(A, B, C, X, Y)
-    return BezoutSolution(X, Y, res, cond, tuple(warnings), x)
+    return BezoutSolution(X.coeffs, Y.coeffs, res, cond, tuple(warnings), x)
 
 
 def reference_scaling_shift(triple, P_dot):

@@ -70,7 +70,7 @@ def test_criterion_1_bezout_oracle():
     worst = 0.0
     for k in range(500):
         A, B, C, D = random_bezout_instance(rng, max_deg=8, d_deg=k % 3)
-        sol = minimal_solution(A, B, C)
+        sol = minimal_solution(A, B, [C])[0]
         X_o, _, res_o = dense_bezout(A, B, C, D.degree)
         assert res_o < 1e-8
         worst = max(worst, (sol.X - X_o).norm() / max(1.0, X_o.norm()))
@@ -94,7 +94,7 @@ def test_criterion_2_reality():
         if c >= a + b - D.degree:
             continue
         n += 1
-        sol = minimal_solution(A, B, C)
+        sol = minimal_solution(A, B, [C])[0]
         defect = real_defect(sol.X, c - a) / max(1.0, sol.X.norm())
         worst = max(worst, defect)
     _report(2, worst <= 1e-9, f"200 instances, max real-section defect {worst:.2e} (tol 1e-9)")

@@ -130,13 +130,35 @@ def _scaled(t, p, b1, b2):
 def test_overflowing_squares_end_in_an_exit_code(seed, factors, request, tmp_path):
     """``tangent`` and ``flow --steps 1`` at a seed point scaled so that a
     square leaves the float range exit with a contract code, and no
-    exception escapes ``main``."""
+    exception escapes ``main``; a Gauss-Newton trial that overflows is a
+    rejected trial, never an input error."""
     t = request.getfixturevalue(seed)
     assert not isinstance(t, str), t
     f = tmp_path / "scaled.json"
     f.write_text(json.dumps(_scaled(t, *factors).to_json_dict()), encoding="utf-8")
     assert main(["tangent", str(f)]) == 0
-    assert main(["flow", str(f), "--steps", "1"]) in (1, 2, 3)
+    assert main(["flow", str(f), "--steps", "1"]) in (0, 3)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed, exponents", [
+    # R's row: a Bezout solution of the reduced Q-equation overflows
+    ("g0_triple", (228.13, -107.9, 74.27)),
+    # the Q-equation's solve at the first tangent parameter overflows
+    ("g0_conformal", (98.11, -103.64, -249.25)),
+])
+def test_an_overflowing_bezout_solution_is_a_numerical_failure(seed, exponents, request,
+                                                               tmp_path, capsys):
+    """``tangent`` at a seed point with P, b1 and b2 multiplied by 10**u, where
+    a Bezout solution leaves the float range, exits 3 with a numerical
+    failure, not 2 with an input error (numpy's overflow warnings on the
+    way are not raised here)."""
+    t = request.getfixturevalue(seed)
+    f = tmp_path / "scaled.json"
+    f.write_text(json.dumps(_scaled(t, *(10.0**u for u in exponents)).to_json_dict()),
+                 encoding="utf-8")
+    assert main(["tangent", str(f)]) == 3
+    assert "numerical failure: Bezout solution is not finite" in capsys.readouterr().err
 
 
 FUZZ_COMMANDS = (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "2"), ("plot",))
@@ -150,7 +172,9 @@ def test_scaled_seed_points_never_raise(tmp_path_factory, g0_triple, g0_conforma
     """At a seed point (drawn from the five) with P, b1 and b2 multiplied by
     10**u for u in [-250, 250], also with each coefficient list cut short
     by one pair or with every coefficient zeroed, every command exits with
-    a contract code and no exception escapes ``main``."""
+    a contract code and no exception escapes ``main``; a scaled point is
+    well-formed input, so ``tangent`` and ``flow`` never call it an input
+    error."""
     t = (g0_triple, g0_conformal, g1_triple, g1_b_linear, g2_b_quad)[seed]
     assert not isinstance(t, str), t
     d = _scaled(t, *(10.0**u for u in exponents)).to_json_dict()
@@ -169,6 +193,8 @@ def test_scaled_seed_points_never_raise(tmp_path_factory, g0_triple, g0_conforma
             warnings.simplefilter("ignore", RuntimeWarning)
             code = main([cmd[0], str(f), *cmd[1:]])
         assert code in (0, 1, 2, 3), (cmd, code)
+        if shape == "scaled" and cmd[0] in ("tangent", "flow"):
+            assert code != 2, (cmd, exponents)
 
 
 def test_usage_error_exit2():

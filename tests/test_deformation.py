@@ -8,7 +8,7 @@ from whitham.deformation import (
     CaseBLinearParams,
     CaseEParams,
     TangentVector,
-    _r_last_coefficient,
+    _r_last_coefficients,
     _real_tower,
     _residue_tangent_residual,
     _scaling_shift,
@@ -115,7 +115,8 @@ def test_classify_case_c_and_indicator():
 def test_case_c_gate_classifies_once(monkeypatch):
     """On a case-(c) triple, ``tangent_basis`` classifies the triple once:
     the gate in ``build_tower`` computes the indicator from the same real
-    tower, without classifying again."""
+    tower, without classifying again, in one Bezout solve of one
+    right-hand side."""
     import whitham.deformation as deformation
 
     g = 2
@@ -133,11 +134,16 @@ def test_case_c_gate_classifies_once(monkeypatch):
         calls.append(args)
         return classify(*args, **kwargs)
 
+    solves = []
+    real = deformation.minimal_solution
+    monkeypatch.setattr(deformation, "minimal_solution",
+                        lambda A, B, Cs, **k: solves.append(len(Cs)) or real(A, B, Cs, **k))
     monkeypatch.setattr(deformation, "classify", counted)
     with pytest.raises(NotDeformableError) as err:
         tangent_basis(t)
     assert err.value.case == "c"
     assert len(calls) == 1
+    assert solves == [1]
     assert err.value.indicator == r_value(_real_tower(t, classify(t)), Polynomial.one())
 
 
@@ -218,13 +224,13 @@ def test_r_shape_lagrange_oracle():
     # interpolating f(zeta) = zeta at roots {2, 3}: interpolant is zeta,
     # leading (degree-1) coefficient 1
     B = Polynomial.from_roots([2.0, 3.0])
-    val = _r_last_coefficient(Polynomial.one(), B, Polynomial.zeta(), RootSpec.of(B))
+    (val,) = _r_last_coefficients(Polynomial.one(), B, [Polynomial.zeta()], RootSpec.of(B))
     assert abs(val - 1.0) < 1e-12
 
 
 def test_r_constant_function_vanishes():
     B = Polynomial.from_roots([2.0, 3.0])
-    val = _r_last_coefficient(Polynomial.one(), B, P(5.0), RootSpec.of(B))
+    (val,) = _r_last_coefficients(Polynomial.one(), B, [P(5.0)], RootSpec.of(B))
     assert abs(val) < 1e-12
 
 
@@ -344,10 +350,11 @@ def test_solve_q_rejects_nonkernel_Q():
 def test_kernel_vectors_reuse_the_solve_of_their_r_check(g1_triple, monkeypatch):
     """The Q-equation solve ``r_kernel`` makes to re-check a kernel vector
     is the one ``solve_q_equation`` reads for it: a case-(a)
-    ``tangent_basis`` makes 9 Bezout solves (11 when each solved again), and
-    the tangent of a ``basis0`` flow step 7 (8).  A fixed ``CaseAParams``
-    rule, projected onto the kernel, has a Q of its own and makes its own
-    solve.  The vectors equal those made on a tower that kept no solve."""
+    ``tangent_basis`` solves 9 right-hand sides in 4 Bezout calls (11 in 6
+    when each was solved again), and the tangent of a ``basis0`` flow step
+    7 in 4 (8 in 5).  A fixed ``CaseAParams`` rule, projected onto the
+    kernel, has a Q of its own and makes its own solve: 8 in 5.  The
+    vectors equal those made on a tower that kept no solve."""
     from whitham import deformation
     from whitham.deformation import tangent_params
     from whitham.flow import _rule_tangent
@@ -355,19 +362,19 @@ def test_kernel_vectors_reuse_the_solve_of_their_r_check(g1_triple, monkeypatch)
     solves = []
     real = deformation.minimal_solution
     monkeypatch.setattr(deformation, "minimal_solution",
-                        lambda *a, **k: solves.append(1) or real(*a, **k))
+                        lambda A, B, Cs, **k: solves.append(len(Cs)) or real(A, B, Cs, **k))
 
     def count(fn, *args):
         solves.clear()
         out = fn(*args)
-        return len(solves), out
+        return (sum(solves), len(solves)), out
 
     n, (vectors, _) = count(tangent_basis, g1_triple)
-    assert n == 9
+    assert n == (9, 4)
     label = classify(g1_triple)
-    assert count(_rule_tangent, g1_triple, label, "basis0", None)[0] == 7
+    assert count(_rule_tangent, g1_triple, label, "basis0", None)[0] == (7, 4)
     fixed = CaseAParams(Polynomial([1.0, 0.3, 1.0]))
-    assert count(_rule_tangent, g1_triple, label, fixed, None)[0] == 8
+    assert count(_rule_tangent, g1_triple, label, fixed, None)[0] == (8, 5)
     tw = build_tower(g1_triple)
     for params, v in zip(tangent_params(tw), vectors):
         tw.q_solves.clear()
@@ -376,7 +383,8 @@ def test_kernel_vectors_reuse_the_solve_of_their_r_check(g1_triple, monkeypatch)
 
 def test_solve_empdi_zero_is_zero():
     t = random_case_a_triple(np.random.default_rng(37))
-    v = solve_empdi(build_tower(t), Polynomial.zero(), Polynomial.zero(), Polynomial.zero())
+    zero = Polynomial.zero()
+    (v,) = solve_empdi(build_tower(t), [(zero, zero, zero, None)])
     assert v.norm() < 1e-14
 
 
@@ -654,6 +662,59 @@ def test_tangent_basis_builds_each_system_once(g1_triple, monkeypatch):
                                                                g1_triple.b2))
 
 
+@pytest.mark.parametrize("seed", ["g0_triple", "g1_triple"])
+def test_tangent_basis_solves_each_system_once(seed, request, monkeypatch):
+    """One ``tangent_basis`` at the genus-0 and genus-1 seeds makes 4
+    ``np.linalg.solve`` calls (9 when each right-hand side was solved
+    alone): one for R on the three basis quadratics, one re-checking both
+    kernel vectors, and one per deformation identity for both vectors.  It
+    reality-checks the A and B of each identity once, and each of its two
+    right-hand sides once."""
+    import whitham.bezout as bezout
+
+    columns = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda V, H: columns.append(H.shape[1] if H.ndim == 2 else 1)
+                        or solve(V, H))
+    checked = []
+    check = bezout._check_real
+    monkeypatch.setattr(bezout, "_check_real",
+                        lambda p, k, name: checked.append(name) or check(p, k, name))
+    tangent_basis(request.getfixturevalue(seed))
+    assert columns == [3, 2, 2, 2]
+    assert checked == ["A", "B", "C", "C"] * 2
+
+
+@pytest.mark.parametrize("seed, exponents", [
+    # the Q-equation's solution norm
+    ("g1_triple", (-10.47, -170.13, 117.29)),
+    # the reconciliation residual's norm
+    ("g0_triple", (-65.36, -207.55, -153.24)),
+])
+def test_tangent_norms_at_extreme_scales_raise_no_warning(seed, exponents, request):
+    """At a seed point with P, b1 and b2 multiplied by 10**u, where a plain
+    sum of squares leaves the float range, ``tangent_basis`` takes its
+    norms by ``polyring``'s rule: no RuntimeWarning but those of
+    ``polyring``'s divisions, and a result or a ``WhithamError``."""
+    import warnings
+
+    from whitham.errors import WhithamError
+
+    t = request.getfixturevalue(seed)
+    p, b1, b2 = (10.0**u for u in exponents)
+    scaled = SpectralTriple(t.g, t.P * p, t.b1 * b1, t.b2 * b2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            vectors, _ = tangent_basis(scaled)
+            assert len(vectors) == 2
+        except WhithamError:
+            pass
+    assert [(w.filename, str(w.message)) for w in caught
+            if not w.filename.endswith("polyring.py")] == []
+
+
 def test_first_divisor_of_a_trivial_tower_takes_the_roots_of_P(g0_triple, g1_triple):
     """With F F1 F2 = 1 at a nonconformal point, B_1 = 2P; its spec, taken
     from roots(P), equals the spec of rooting 2P, root for root."""
@@ -667,8 +728,8 @@ def test_first_divisor_of_a_trivial_tower_takes_the_roots_of_P(g0_triple, g1_tri
 def test_scaling_row_is_built_at_the_first_scaling_fix(g1_triple, monkeypatch):
     """The tower builds its scaling row when a scaling fix first needs it:
     a P whose curve fails raises that failure from ``solve_empdi``, after
-    ``r_kernel`` and ``solve_q_equation``, and a case-(c) tower, which makes
-    no tangent vector, never builds it."""
+    ``r_kernel`` and both vectors' ``solve_q_equation``, and a case-(c)
+    tower, which makes no tangent vector, never builds it."""
     import traceback
 
     import whitham.deformation as deformation
@@ -689,7 +750,9 @@ def test_scaling_row_is_built_at_the_first_scaling_fix(g1_triple, monkeypatch):
     with pytest.raises(CircleRootError) as err:
         tangent_basis(g1_triple)
     assert err.value is failure
-    assert events == ["r_kernel", "solve_q_equation", "curve"]
+    # both vectors' Q-equations are solved before their identities, which
+    # are solved together
+    assert events == ["r_kernel", "solve_q_equation", "solve_q_equation", "curve"]
     assert "solve_empdi" in [f.name for f in traceback.extract_tb(err.tb)]
 
     events.clear()

@@ -959,3 +959,18 @@ def test_a_grid_of_another_frame_is_refused(g0_triple):
     for other in (jittered, replace(frame, quad_order=48)):
         with pytest.raises(ValueError, match="other paths"):
             psi_walks(g0_triple, other, like=walks)
+
+
+def test_principal_part_margin_holds_beyond_the_squares_range(g0_triple, g1_triple, g0_conformal):
+    """P8's margin at b1 and b2 multiplied by 1e160 or 1e-160, where
+    |b1_m| |b2_m| overflows or is subnormal, equals its value at scale 1
+    within 1e-12, with no RuntimeWarning."""
+    from whitham.spectral import _principal_part_margin
+
+    for t in (g0_triple, g1_triple, g0_conformal):
+        base = _principal_part_margin(t)
+        for f in (1e160, 1e-160):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                margin = _principal_part_margin(SpectralTriple(t.g, t.P, t.b1 * f, t.b2 * f))
+            assert abs(margin - base) <= 1e-12, (t.g, f, margin, base)
