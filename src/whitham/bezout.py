@@ -354,18 +354,34 @@ def realify(A, B, Cs, a, b, c, sols):
 
     For real-section inputs this yields a solution whose components are
     real sections of weights (c-a, c-b); when the minimal solution is
-    already real the averaging is the identity up to rounding.  The
-    residual of a ``RealSolution`` is formed only when read.
+    already real the averaging is the identity up to rounding.  A roundoff
+    tail of X or Y beyond its weight is dropped first (``_within_weight``).
+    The residual of a ``RealSolution`` is formed only when read.
     """
     _check_real(A, a, "A")
     _check_real(B, b, "B")
     out = []
     for C, sol in zip(Cs, sols):
         _check_real(C, c, "C")
-        x = c_symmetrize(sol.x, c - a)
-        y = c_symmetrize(sol.y, c - b)
+        x = c_symmetrize(_within_weight(sol.x, c - a, "X"), c - a)
+        y = c_symmetrize(_within_weight(sol.y, c - b, "Y"), c - b)
         out.append(RealSolution(x, y, sol.condition, sol.warnings, sol.x_raw, (A, B, C)))
     return out
+
+
+def _within_weight(p, k, name):
+    """The coefficients p of a solution component cut to its weight k.  A
+    tail beyond the weight within the bound of ``_check_real``,
+    1e-8 * max(1, |p|), is roundoff of the solve and is dropped; a larger
+    one raises ``RealityViolationError``.  Coefficients that fit the
+    weight (or a negative weight, which symmetrizing refuses) are returned
+    as they are."""
+    if k < 0 or p.size <= k + 1:
+        return p
+    tail = max(np.abs(p[k + 1 :]).tolist())
+    if tail > 1e-8 * max(1.0, c_norm(p)):
+        raise RealityViolationError(f"{name} exceeds weight {k} by {tail:.3e}")
+    return trim(p[: k + 1])
 
 
 def _check_real(p, k, name):

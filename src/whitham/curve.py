@@ -75,6 +75,9 @@ DEFAULT_QUAD_ORDER = 32
 CIRCLE_TOL = 1e-8
 # a cut passing closer than this to {0, +1, -1} or another cut gets a detour
 DETOUR_TRIGGER = 1e-2
+# an obstacle this close to a corridor's line, relative to max(1, its
+# distance from the start), lies on the line up to rounding: a tie
+ROUTE_TIE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +267,10 @@ def _route(z0, z1, obstacles, r_det):
 
     Each obstacle closer than r_det to the open segment is bypassed along
     the circle of radius r_det around it, bulging away from the side the
-    obstacle already favors (ties bulge counterclockwise).
+    obstacle already favors.  Ties bulge counterclockwise; an obstacle
+    within ``ROUTE_TIE`` of the line (a real branch point, or zeta = 0, on a
+    run along the real axis) is a tie, so that the last bits of a root do
+    not choose the side, and with it the homotopy class of the path.
     """
     u = z1 - z0
     L = abs(u)
@@ -299,7 +305,8 @@ def _route(z0, z1, obstacles, r_det):
             segs.append(LineSegment(cur, p_in))
         th_in = float(np.angle(p_in - o))
         th_out = float(np.angle(p_out - o))
-        if delta > 0:  # obstacle on the left: bulge right (clockwise)
+        # obstacle on the left: bulge right (clockwise)
+        if delta > ROUTE_TIE * max(1.0, abs(o - z0)):
             while th_out > th_in:
                 th_out -= 2 * np.pi
         else:

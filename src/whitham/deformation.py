@@ -73,6 +73,7 @@ from .errors import (
     DegenerateKernelError,
     InternalInconsistencyError,
     NotDeformableError,
+    NumericalFailureError,
     RealityViolationError,
     SingularOperatorError,
     UndefinedConformalTypeError,
@@ -518,12 +519,15 @@ def solve_q_equation(tw, params):
         r = float(params.r)
         c2t = c_add(sol.x, c_scale(b2t, r))
         c1t = c_add(sol.y, c_scale(b1t, r))
-    c1 = Polynomial(c_mul(tw.F1.coeffs, c1t))
-    c2 = Polynomial(c_mul(tw.F2.coeffs, c2t))
-
-    QP = c_mul(Q_full.coeffs, triple.P.coeffs)
-    b1c2 = c_mul(triple.b1.coeffs, c2.coeffs)
-    identity = c_sub(c_sub(b1c2, c_mul(triple.b2.coeffs, c1.coeffs)), QP)
+    try:
+        c1 = Polynomial(c_mul(tw.F1.coeffs, c1t))
+        c2 = Polynomial(c_mul(tw.F2.coeffs, c2t))
+        QP = c_mul(Q_full.coeffs, triple.P.coeffs)
+        b1c2 = c_mul(triple.b1.coeffs, c2.coeffs)
+        identity = c_sub(c_sub(b1c2, c_mul(triple.b2.coeffs, c1.coeffs)), QP)
+    except ValueError as exc:
+        # finite inputs: a product left the float range
+        raise NumericalFailureError(f"Q-equation solution: {exc}") from exc
     q_res = c_norm(identity) / max(
         c_norm(QP), triple.b1.norm() * max(c2.norm(), 1e-300), 1e-300
     )
@@ -621,9 +625,13 @@ def solve_empdi(tw, qs):
                                                 (tw.b1_tilde, tw.b2_tilde))):
         FFi = c_mul(tw.F.coeffs, Fi.coeffs)
         A = tw.G * bt
-        Cs = [Polynomial(c_add(c_mul(B.coeffs, tch[i]),
-                               c_mul(ZdP, c_deflate(q[i].coeffs, FFi))))
-              for tch, q in zip(twists, qs)]
+        try:
+            Cs = [Polynomial(c_add(c_mul(B.coeffs, tch[i]),
+                                   c_mul(ZdP, c_deflate(q[i].coeffs, FFi))))
+                  for tch, q in zip(twists, qs)]
+        except ValueError as exc:
+            # finite inputs: a product left the float range
+            raise NumericalFailureError(f"deformation identity right-hand side: {exc}") from exc
         dF = tw.F.degree + Fi.degree
         a_w = g + 3 - dF - shift
         c_w = 3 * g + 5 - dF - shift
@@ -686,11 +694,15 @@ def _empdi_vector(tw, M, hom, twoP, dPz, sols, q, chat, twist):
             s0 = (P1c * b1d0 - 2.0 * Pd0 * b11) / (3.0 * P1c * b11)
         except ZeroDivisionError:  # P_1 b1_1 below the smallest float: term by term
             s0 = b1d0 / (3.0 * b11) - 2.0 * Pd0 / (3.0 * P1c)
-        u_e = trim(np.array([s0, 0.0, np.conj(s0)], dtype=complex))
-        P_over_zeta = c_mul(c_mul(tw.F1.coeffs, tw.F2.coeffs), tw.P_tilde.coeffs)
-        P_dot = c_add(P_dot, c_scale(c_mul(u_e, P_over_zeta), 2.0))
-        b1_dot = c_add(b1_dot, c_mul(u_e, c_mul(tw.F1.coeffs, tw.b1_tilde.coeffs)))
-        b2_dot = c_add(b2_dot, c_mul(u_e, c_mul(tw.F2.coeffs, tw.b2_tilde.coeffs)))
+        try:
+            u_e = trim(np.array([s0, 0.0, np.conj(s0)], dtype=complex))
+            P_over_zeta = c_mul(c_mul(tw.F1.coeffs, tw.F2.coeffs), tw.P_tilde.coeffs)
+            P_dot = c_add(P_dot, c_scale(c_mul(u_e, P_over_zeta), 2.0))
+            b1_dot = c_add(b1_dot, c_mul(u_e, c_mul(tw.F1.coeffs, tw.b1_tilde.coeffs)))
+            b2_dot = c_add(b2_dot, c_mul(u_e, c_mul(tw.F2.coeffs, tw.b2_tilde.coeffs)))
+        except ValueError as exc:
+            # finite inputs: a product left the float range
+            raise NumericalFailureError(f"conformal residue pin: {exc}") from exc
 
     t, t_imag = _scaling_shift(tw, Polynomial(P_dot))
     if t_imag > 1e-6 * max(1.0, abs(t)):

@@ -59,6 +59,7 @@ from .curve import (
 )
 from .errors import (
     DegreeBoundError,
+    NumericalFailureError,
     RealityViolationError,
     UndefinedConformalTypeError,
     WhithamError,
@@ -259,7 +260,11 @@ def product_form_dot(motion, P_dots):
             a_dot = -P_dot_a / dP_a
             dpair = _sum(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
             terms = _sum(terms, np.convolve(dpair, rest))
-        out.append(Polynomial(terms))
+        try:
+            out.append(Polynomial(terms))
+        except ValueError as exc:
+            # finite inputs: the branch points' motion left the float range
+            raise NumericalFailureError(f"product form derivative: {exc}") from exc
     return out
 
 
@@ -415,7 +420,10 @@ class PsiVector:
         return complex(self.values[-1])
 
     def lattice_integers(self):
-        return tuple(int(m) for m in np.round(self.values[:-3].imag / TWO_PI))
+        nearest = np.round(self.values[:-3].imag / TWO_PI)
+        if not np.all(np.isfinite(nearest)):
+            raise NumericalFailureError("Psi is not finite: no nearest lattice integers")
+        return tuple(int(m) for m in nearest)
 
     def lattice_residuals(self):
         # Python's complex abs per component: numpy's moves the last digit

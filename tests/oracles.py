@@ -17,7 +17,13 @@ from whitham.errors import (
     RealityViolationError,
     StepSizeError,
 )
-from whitham.polyring import TRIM_REL, Polynomial, random_real_section, real_section_scale
+from whitham.polyring import (
+    MULTIPLICITY_RADIUS,
+    TRIM_REL,
+    Polynomial,
+    random_real_section,
+    real_section_scale,
+)
 
 
 def reference_coeffs(coeffs, bound=None):
@@ -177,6 +183,91 @@ def reference_minimal_solution(A, B, C, known_gcd=None, spec=None):
                 x = x + x2
                 res = _relative_residual(A, B, C, X, Y)
     return BezoutSolution(X.coeffs, Y.coeffs, res, cond, tuple(warnings), x)
+
+
+def reference_roots(p, cluster_radius=MULTIPLICITY_RADIUS):
+    """``polyring.roots`` with its Aberth test, Aberth step and Newton
+    polishes on numpy arrays, as the library computed them before they moved
+    to Python complex values: the same eigenvalue start, constants,
+    clustering and order of the output."""
+    from whitham.errors import ZeroPolynomialError
+    from whitham.polyring import _as_poly, _cluster
+
+    p = _as_poly(p)
+    if p.is_zero:
+        raise ZeroPolynomialError("roots of zero polynomial")
+    c = p.coeffs
+    zero_mult = 0
+    scale = np.max(np.abs(c))
+    while c.size > 1 and abs(c[0]) <= TRIM_REL * scale:
+        c = c[1:]
+        zero_mult += 1
+    found = np.empty(0, complex)
+    if c.size > 1:
+        found, pv, dv = _reference_aberth(np.ascontiguousarray(c))
+        for polish in range(2):
+            if polish:
+                pv, dv = _reference_horner3(c, found)[:2]
+            # p' vanishes (and p with it) where a start hits a double root
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(np.abs(dv) > 1e-300, pv / dv, 0.0)
+            mask = np.abs(step) < 1e-3 * np.maximum(1.0, np.abs(found))
+            found = found - np.where(mask, step, 0.0)
+    out = []
+    if zero_mult:
+        out.append((0.0 + 0.0j, zero_mult))
+    out.extend(_cluster(found, cluster_radius))
+    out.sort(key=lambda rm: (rm[0].real, rm[0].imag))
+    return out
+
+
+def _reference_aberth(coeffs):
+    """``reference_roots``' Aberth-Ehrlich refinement of the eigenvalue
+    start, on arrays."""
+    from whitham.errors import NumericalFailureError
+    from whitham.polyring import ABERTH_MAX_ITER, ABERTH_TARGET, _eigenvalue_start
+
+    n = coeffs.size - 1
+    if n == 1:
+        z = np.array([-coeffs[0] / coeffs[1]])
+        return (z, *_reference_horner3(coeffs, z)[:2])
+    z = _eigenvalue_start(coeffs)
+    for it in range(ABERTH_MAX_ITER + 1):
+        p, dp, s = _reference_horner3(coeffs, z)
+        # |p(z)| measured against sum |a_i||z|^i (backward-error style)
+        converged = np.abs(p) <= ABERTH_TARGET * np.maximum(s, 1e-300)
+        if np.all(converged):
+            return z, p, dp
+        if it == ABERTH_MAX_ITER:
+            raise NumericalFailureError("root iteration did not converge", best=z)
+        if it == 0 and np.unique(z).size < n:
+            # Aberth's repulsion is undefined between coincident points,
+            # which would then converge to one root together: spread them
+            z = z + 1e-3 * np.maximum(1.0, np.abs(z)) * np.exp(2j * np.pi * np.arange(n) / n)
+            continue
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = np.where(dp != 0, p / dp, 0.1 + 0.1j)
+            diff = z[:, None] - z[None, :]
+            np.fill_diagonal(diff, 1.0)
+            sums = np.sum(1.0 / diff, axis=1) - 1.0 / np.diag(diff)
+            denom = 1.0 - newton * sums
+            step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
+        step[converged] = 0.0
+        z = z - step
+
+
+def _reference_horner3(coeffs, z):
+    """p(z), p'(z) and sum |a_i||z|^i at the array z, in one Horner pass
+    over the coefficients (low to high)."""
+    az = np.abs(z)
+    p = np.full(z.shape, coeffs[-1], dtype=complex)
+    dp = np.zeros(z.shape, dtype=complex)
+    s = np.full(z.shape, abs(coeffs[-1]))
+    for a in coeffs[-2::-1]:
+        dp = dp * z + p
+        p = p * z + a
+        s = s * az + abs(a)
+    return p, dp, s
 
 
 def reference_scaling_shift(triple, P_dot):

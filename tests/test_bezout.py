@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from whitham.bezout import (
     solution_space,
 )
 from whitham.cli import dense_bezout
-from whitham.errors import NoSolutionError, NumericalFailureError
+from whitham.errors import NoSolutionError, NumericalFailureError, RealityViolationError
 from whitham.polyring import Polynomial, approx_gcd, random_real_section, real_defect
 
 from oracles import (
@@ -187,7 +189,8 @@ def test_array_solve_matches_the_polynomial_oracle_bit_for_bit(monkeypatch):
             continue  # no weight for Y: both forms refuse
         sol = minimal_solution(A, B, [C])[0]
         real = realify(A, B, [C], a, b, c, [sol])[0]
-        X, Y = symmetrize(sol.X, c - a), symmetrize(sol.Y, c - b)
+        X = symmetrize(Polynomial(bezout._within_weight(sol.x, c - a, "X")), c - a)
+        Y = symmetrize(Polynomial(bezout._within_weight(sol.y, c - b, "Y")), c - b)
         assert real.X.coeffs.tobytes() == X.coeffs.tobytes()
         assert real.Y.coeffs.tobytes() == Y.coeffs.tobytes()
         assert real.residual == polynomial_residual(A, B, C, X, Y)
@@ -396,6 +399,28 @@ def test_realify_kills_imaginary_candidate():
     sol = BezoutSolution(P(1j).coeffs, P(1j).coeffs, 0.0)
     out = realify(P(1), P(1), [P(0)], 0, 0, 0, [sol])[0]
     assert out.X.is_zero and out.Y.is_zero
+
+
+@pytest.mark.parametrize("rel", [1e-12, 1e-6])
+def test_realify_drops_a_roundoff_tail_beyond_the_weight(rel):
+    """A coefficient of X one degree above its weight c - a, within
+    1e-8 * max(1, |X|), is roundoff of the solve: the solution realifies to
+    the bytes it gives without it.  A larger one is no real solution."""
+    rng = np.random.default_rng(13)
+    A, B, C, _, (a, b, c), _ = random_real_bezout_instance(rng, strict=True)
+    sol = minimal_solution(A, B, [C])[0]
+    tailed = np.zeros(c - a + 2, dtype=complex)
+    tailed[: sol.x.size] = sol.x
+    tailed[-1] = rel * sol.X.norm()
+    tailed = dataclasses.replace(sol, x=tailed)
+    if rel > 1e-8:
+        with pytest.raises(RealityViolationError):
+            realify(A, B, [C], a, b, c, [tailed])
+        return
+    want = realify(A, B, [C], a, b, c, [sol])[0]
+    got = realify(A, B, [C], a, b, c, [tailed])[0]
+    assert got.X.coeffs.tobytes() == want.X.coeffs.tobytes()
+    assert got.Y.coeffs.tobytes() == want.Y.coeffs.tobytes()
 
 
 def test_realify_property_random():

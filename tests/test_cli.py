@@ -161,6 +161,38 @@ def test_an_overflowing_bezout_solution_is_a_numerical_failure(seed, exponents, 
     assert "numerical failure: Bezout solution is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("seed, exponents, command, message", [
+    # the right-hand sides of the deformation identities (solve_empdi)
+    ("g1_triple", (148.53, -16.03, -98.48), "tangent", "deformation identity right-hand side"),
+    # the products of solve_q_equation
+    ("g2_b_quad", (-188.55, 233.57, 78.88), "tangent", "Q-equation solution"),
+    # the scaling fix's product_form_dot
+    ("g2_b_quad", (-44.52, -130.26, -230.97), "tangent", "product form derivative"),
+    # the conformal pin of s_0 (solve_empdi, per vector)
+    ("g0_conformal", (55.52, -20.48, -182.57), "tangent", "conformal residue pin"),
+    # the lattice integers of a NaN start residual (flow.trace)
+    ("g0_triple", (-201.65, 233.91, -142.5), "flow", "Psi is not finite"),
+])
+def test_an_overflow_outside_the_bezout_solve_is_a_numerical_failure(seed, exponents, command,
+                                                                     message, request, tmp_path,
+                                                                     capsys):
+    """At a seed point with P, b1 and b2 multiplied by 10**u, where a
+    product of the tangent construction leaves the float range, or Psi at
+    the start of a flow is not finite, ``tangent`` and ``flow --steps 1``
+    exit 3 with a numerical failure, not 2 with an input error."""
+    t = request.getfixturevalue(seed)
+    assert not isinstance(t, str), t
+    f = tmp_path / "scaled.json"
+    f.write_text(json.dumps(_scaled(t, *(10.0**u for u in exponents)).to_json_dict()),
+                 encoding="utf-8")
+    for cmd in (("tangent",), ("flow", "--steps", "1")):
+        capsys.readouterr()
+        assert main([cmd[0], str(f), *cmd[1:]]) == 3, cmd
+        if cmd[0] == command:
+            assert f"numerical failure: {message}" in capsys.readouterr().err
+
+
 FUZZ_COMMANDS = (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "2"), ("plot",))
 
 

@@ -152,6 +152,23 @@ def test_conformal_cut_zero_is_the_pair_at_infinity():
         assert "P6_P7_integrals" not in [c.name for c in validate(t).checks]
 
 
+@pytest.mark.parametrize("tilt", [-1e-17, 0.0, 1e-17])
+def test_a_detour_round_an_obstacle_on_the_line_ignores_its_rounding(tilt):
+    """A closing path at real in-disc branch points runs from +1 along the
+    real axis through zeta = 0; the side the last bits of a root put zeta = 0
+    on must not choose the detour, and with it the path's homotopy class:
+    within ``ROUTE_TIE`` of the line the detour bulges counterclockwise.
+    An obstacle clearly on the left of the run bulges clockwise."""
+    from whitham.curve import _route
+
+    (arc,) = [s for s in _route(1.0 + 0j, complex(-0.22, tilt), [0j], 0.03)
+              if isinstance(s, ArcSegment)]
+    assert arc.theta1 > arc.theta0
+    (arc,) = [s for s in _route(1.0 + 0j, complex(-0.22, tilt), [-0.01j], 0.03)
+              if isinstance(s, ArcSegment)]
+    assert arc.theta1 < arc.theta0
+
+
 def test_homology_jitter_builds():
     cur = build_curve(pair_poly(0.3, 0.4j))
     basis = homology_basis(cur, jitter=1.0)

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -40,7 +41,7 @@ from whitham.polyring import (
     trim,
 )
 
-from oracles import real_pullback, reference_coeffs
+from oracles import real_pullback, reference_coeffs, reference_roots
 
 RNG = np.random.default_rng(20260808)
 
@@ -459,6 +460,85 @@ def test_separated_roots_agree_with_numpy():
         checked += 1
 
 
+def _draw_roots_case(kind, degree, seed):
+    """A polynomial of the given degree: random coefficients, the product
+    form of in-disc branch points (with zeta = 0 at odd degree), or simple
+    roots of moduli 0.1..10 at least 0.05 apart with the first planted
+    twice (degree 2 at least)."""
+    from whitham.spectral import product_form
+
+    rng = np.random.default_rng(seed)
+    if kind == "coefficients":
+        return Polynomial(rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+    if kind == "product form":
+        k = degree // 2
+        alphas = rng.uniform(0.05, 0.95, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        return product_form(list(alphas) + [0.0] * (degree % 2))
+    n = max(degree, 2)
+    while True:
+        mod = np.exp(rng.uniform(np.log(0.1), np.log(10.0), n - 1))
+        rs = mod * np.exp(2j * np.pi * rng.uniform(size=n - 1))
+        if (np.abs(rs[:, None] - rs[None, :]) + np.eye(n - 1)).min() >= 0.05:
+            scale = complex(*rng.standard_normal(2))
+            return Polynomial.from_roots(np.concatenate([rs[:1], rs])) * scale
+
+
+def _start(kind, seed):
+    """A start for ``_eigenvalue_start`` to return: the eigenvalues, the
+    eigenvalues moved by 1e-3 of their modulus (which fails the Aberth
+    test, so Aberth-Ehrlich steps run), or one point repeated (which is
+    spread first)."""
+    eigenvalue_start = polyring._eigenvalue_start
+    if kind == "eigenvalues":
+        return eigenvalue_start
+
+    def start(coeffs):
+        z = eigenvalue_start(coeffs)
+        if kind == "coincident":
+            return np.full(z.size, 1.0 + 0.5j)
+        phase = np.random.default_rng(seed).uniform(size=z.size)
+        return z * (1.0 + 1e-3 * np.exp(2j * np.pi * phase))
+
+    return start
+
+
+# (polynomial, start) pairs.  A planted double root gets the eigenvalue
+# start only: Aberth's test passes a double root split by up to
+# sqrt(ABERTH_TARGET), beyond MULTIPLICITY_RADIUS, so from a moved start
+# both implementations may stop at two simple roots whose digits differ.
+ROOTS_CASES = st.one_of(
+    st.tuples(st.sampled_from(["coefficients", "product form"]),
+              st.sampled_from(["eigenvalues", "perturbed", "coincident"])),
+    st.tuples(st.just("planted double"), st.just("eigenvalues")),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(ROOTS_CASES, st.integers(1, 14), st.integers(0, 2**32 - 1))
+def test_roots_agree_with_the_array_implementation(case, degree, seed):
+    """The roots on Python complex values against the array implementation
+    they replace (``reference_roots``), from the eigenvalue start and from
+    starts that take Aberth-Ehrlich steps: the same roots with the same
+    multiplicities, a simple root within 1e-10 * max(1, |z|) and the centre
+    of a cluster within 1e-7 * max(1, |z|), or a ``NumericalFailureError``
+    from both."""
+    kind, start = case
+    p = _draw_roots_case(kind, degree, seed)
+    with unittest.mock.patch.object(polyring, "_eigenvalue_start", _start(start, seed)):
+        try:
+            want = reference_roots(p)
+        except NumericalFailureError:
+            with pytest.raises(NumericalFailureError):
+                roots(p)
+            return
+        got = roots(p)
+    assert sorted(m for _, m in got) == sorted(m for _, m in want)
+    for z, m in want:
+        near, k = min(got, key=lambda rm: abs(rm[0] - z))
+        assert k == m
+        assert abs(near - z) <= (1e-10 if m == 1 else 1e-7) * max(1.0, abs(z))
+
+
 def _backward_ok(c, z):
     p, _, s = polyring._horner3(c, z)
     return bool(np.all(np.abs(p) <= polyring.ABERTH_TARGET * s))
@@ -628,22 +708,27 @@ def test_jet_divide_matches_quotient_derivatives():
 
 def test_roots_polishes_first_with_the_values_aberth_computed(monkeypatch):
     """``_aberth`` hands on p and p' at the roots it returns, exactly as
-    ``_horner3`` gives them there, so ``roots`` runs ``_horner3`` twice at
-    degree 2 and above (the Aberth test, the second polish) and still
-    twice at degree 1 (the two polishes)."""
+    ``_horner3`` gives them there, so ``roots`` evaluates the polynomial
+    twice at each root: at degree 2 and above once by ``_horner3`` (the
+    Aberth test) and once by ``_horner2`` (the second polish), and at
+    degree 1 twice by ``_horner2`` (the two polishes)."""
     rng = np.random.default_rng(26)
     for degree in (1, 2, 5):
         c = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
         z, p, dp = polyring._aberth(c)
-        want = polyring._horner3(c, z)[:2]
-        assert np.array_equal(p, want[0]) and np.array_equal(dp, want[1])
-        calls, horner3 = [], polyring._horner3
+        want = [polyring._horner3(c.tolist(), zi)[:2] for zi in z.tolist()]
+        assert list(zip(p, dp)) == want
+        calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return horner3(*args)
+        def counted(helper):
+            def spy(*args):
+                calls.append(args)
+                return helper(*args)
+
+            return spy
 
         with monkeypatch.context() as patch:
-            patch.setattr(polyring, "_horner3", counted)
+            for name in ("_horner3", "_horner2"):
+                patch.setattr(polyring, name, counted(getattr(polyring, name)))
             roots(Polynomial(c))
-        assert len(calls) == 2
+        assert len(calls) == 2 * degree
