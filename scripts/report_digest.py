@@ -28,7 +28,11 @@ that ``validate`` prints from it, the exact Jacobian of a fresh
 evaluation, Psi and the exact Jacobian at P scaled by 1 + 1e-9 in the
 same frame, handed the first evaluation's quadrature grid (``like=``),
 and the ``integrate_batch`` values of both differentials over every path
-of the frame.  Two checkouts' outputs diff clean exactly when their reports, exit
+of the frame.  Three lines hash the quadrature rule itself, the nodes,
+weights and columns of ``curve._panel_grid`` at the default order (32),
+at the seed points' order (40, ``flow.SEED_QUAD_ORDER``) and at 48, so
+that two numpy builds can be seen to build the Gauss-Kronrod rule bit for
+bit.  Two checkouts' outputs diff clean exactly when their reports, exit
 codes and those numbers are byte-identical:
 
     python scripts/report_digest.py [FILE_OR_DIR ...] > digests.txt
@@ -61,8 +65,14 @@ import numpy as np
 
 import whitham.curve as curve_mod
 from whitham.cli import main
-from whitham.curve import build_curve, integrate_batch
-from whitham.flow import seed_common_factor, seed_conformal_genus0, seed_genus0, seed_genus1
+from whitham.curve import DEFAULT_QUAD_ORDER, _panel_grid, build_curve, integrate_batch
+from whitham.flow import (
+    SEED_QUAD_ORDER,
+    seed_common_factor,
+    seed_conformal_genus0,
+    seed_genus0,
+    seed_genus1,
+)
 from whitham.polyring import random_real_section
 from whitham.spectral import PsiFrame, SpectralTriple, product_form, psi_walks
 
@@ -249,6 +259,9 @@ def run(args):
                 code, sha = digest((cmd[0], str(path)) + cmd[1:], stdout=False)
                 line.append(f"{sha} exit={code} {' '.join(cmd)}")
             print(f"{' '.join(line)} stderr {label}", flush=True)
+    for order in (DEFAULT_QUAD_ORDER, SEED_QUAD_ORDER, 48):
+        data = b"".join(np.asarray(a, dtype=float).tobytes() for a in _panel_grid(order))
+        print(f"{hashlib.sha1(data).hexdigest()} numerics panel-grid order-{order}", flush=True)
 
 
 # a line's outcomes: its sha1 hashes and exit codes; the rest names the line

@@ -255,6 +255,7 @@ def _quotient_by_gcd(c, c_n, D):
     return cd
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range: not finite
 def minimal_solution(A, B, Cs, known_gcd=None, spec=None):
     """Unique solutions of AX - BY = C with deg X <= deg(B/D) - 1, one for
     each right-hand side C of the non-empty sequence ``Cs``, in order.

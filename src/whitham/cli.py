@@ -378,6 +378,7 @@ def _in_domain(kind, ok, domain):
 
 
 _QUAD_ORDER = _in_domain(int, lambda n: n >= 3, "an integer >= 3")
+QUAD_HELP = "q selects G_n/K_{2n+1}, n = q // 2: Kronrod value, Gauss error (default %(default)s)"
 _POSITIVE = _in_domain(float, lambda x: 0.0 < x < math.inf, "a finite number > 0")
 _COUNT = _in_domain(int, lambda n: n >= 1, "an integer >= 1")
 _NONZERO = _in_domain(float, lambda x: x != 0.0 and math.isfinite(x), "a finite nonzero number")
@@ -402,7 +403,7 @@ def build_parser():
     sp.add_argument("--tol-alg", type=_POSITIVE, default=ToleranceProfile.alg)
     sp.add_argument("--tol-int", type=_POSITIVE, default=ToleranceProfile.integral)
     sp.add_argument("--cluster-radius", type=_POSITIVE, default=ToleranceProfile.cluster)
-    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=DEFAULT_QUAD_ORDER)
+    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=DEFAULT_QUAD_ORDER, help=QUAD_HELP)
 
     sp = command("classify", cmd_classify, "case label (a)-(f) from the gcd tower")
     sp.add_argument("--cluster-radius", type=_POSITIVE, default=GCD_CLUSTER_RADIUS)
@@ -411,7 +412,7 @@ def build_parser():
 
     sp = command("flow", cmd_flow, "trace a deformation path")
     sp.add_argument("--tol-int", type=_POSITIVE, default=FlowConfig.projection_tol)
-    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=DEFAULT_QUAD_ORDER)
+    sp.add_argument("--quad-order", type=_QUAD_ORDER, default=DEFAULT_QUAD_ORDER, help=QUAD_HELP)
     sp.add_argument("--format", default="json", choices=("json", "csv"))
     sp.add_argument("--steps", type=_COUNT, default=10)
     # a negative step is a backward flow

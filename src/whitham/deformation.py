@@ -589,6 +589,7 @@ def _scaling_shift(tw, P_dot):
     return float(t.real), float(abs(t.imag))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range, refused
 def solve_empdi(tw, qs):
     """Solve both deformation identities for a common (P-dot, b1-dot, b2-dot)
     at the triple of the tower ``tw``, for each (c1, c2, Q, params) of
@@ -608,8 +609,11 @@ def solve_empdi(tw, qs):
 
     # the intermediate parts are coefficient arrays (``polyring.c_*``);
     # Polynomials are built for the Bezout data and the returned vectors
-    chats = [tuple(c_mul(_ZETA2M1, c.coeffs) for c in (c1, c2)) for c1, c2, _, _ in qs]
-    twists = [tuple(_twist(ch) for ch in chat) for chat in chats]
+    try:
+        chats = [tuple(c_mul(_ZETA2M1, c.coeffs) for c in (c1, c2)) for c1, c2, _, _ in qs]
+        twists = [tuple(_twist(ch) for ch in chat) for chat in chats]
+    except ValueError as exc:  # finite inputs: a term left the float range
+        raise NumericalFailureError(f"deformation identity term: {exc}") from exc
     dP = c_derivative(triple.P.coeffs)
     twoP = c_scale(triple.P.coeffs, 2.0)
     # at a conformal point the tower's zeta split absorbs the zeta of the
@@ -670,6 +674,8 @@ def _empdi_vector(tw, M, hom, twoP, dPz, sols, q, chat, twist):
     rhs_poly = c_padded(c_sub(sols[1].x, sols[0].x), 2 * g + 3)
     rhs = np.concatenate([rhs_poly.real, rhs_poly.imag])
     u, *_ = np.linalg.lstsq(M, rhs, rcond=None)
+    if not np.isfinite(u).all():
+        raise NumericalFailureError("P-dot reconciliation is not finite")
     recon_res = c_norm(M @ u - rhs)
     scale = max(c_norm(sols[0].x), c_norm(sols[1].x), triple.P.norm(), 1.0)
     if recon_res > 1e-6 * scale:

@@ -52,7 +52,7 @@ from .deformation import (
     r_kernel,
     tangent_params,
 )
-from .errors import ProjectionFailureError, StepSizeError, WhithamError
+from .errors import NumericalFailureError, ProjectionFailureError, StepSizeError, WhithamError
 from .polyring import Polynomial, real_section_scale, symmetrize
 from .spectral import (
     TWO_PI,
@@ -196,7 +196,7 @@ def _refreshed_frame(old, triple, integers, current_norm):
         walks = psi_walks(triple, cand)
     except WhithamError:
         return old, None
-    r_cand = float(np.linalg.norm(walks.vector.flatten(integers)))
+    r_cand = walks.vector.residual(integers)
     if r_cand <= max(1.2 * current_norm, current_norm + 0.05):
         return cand, walks
     return old, None
@@ -262,7 +262,7 @@ def _chart_solve(chart, integers, start, tol):
             raise ProjectionFailureError(
                 f"projection stalled at residual {trace[-1]:.3e}", trace=trace
             )
-    if norm > 10 * tol:
+    if not norm <= 10 * tol:  # nan too
         raise ProjectionFailureError(
             f"projection finished at residual {norm:.3e} > {10 * tol:.1e}", trace=trace
         )
@@ -287,8 +287,8 @@ def project_to_mg(guess, lattice_targets=None, tol=1e-10, quad_order=DEFAULT_QUA
         start = psi_walks(unpack_triple(x0, g), PsiFrame.build(guess, quad_order=quad_order))
     vec = start.vector
     integers = tuple(lattice_targets) if lattice_targets is not None else vec.lattice_integers()
-    r0 = float(np.linalg.norm(vec.flatten(integers)))
-    if r0 > CAPTURE_RADIUS:
+    r0 = vec.residual(integers)
+    if not r0 <= CAPTURE_RADIUS:  # nan too
         raise ProjectionFailureError(
             f"initial residual {r0:.3e} outside the capture radius {CAPTURE_RADIUS}",
             trace=[r0],
@@ -670,7 +670,11 @@ def _rule_tangent(triple, label, rule, v_prev):
     v = make_tangent(tw, params)
     if v_prev is not None:
         g = triple.g
-        if float(np.dot(_tangent_pack(v, g), _tangent_pack(v_prev, g))) < 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            turn = float(np.dot(_tangent_pack(v, g), _tangent_pack(v_prev, g)))
+        if not np.isfinite(turn):
+            raise NumericalFailureError("tangent orientation is not finite")
+        if turn < 0.0:
             v = v.scaled(-1.0)
     return v
 
@@ -763,7 +767,7 @@ def trace(triple, config):
         PathSample(
             0.0,
             triple,
-            float(np.linalg.norm(start.vector.flatten(lattice))),
+            start.vector.residual(lattice),
             label,
             conformal_type(triple),
             lattice,
@@ -778,7 +782,7 @@ def trace(triple, config):
                 v = _rule_tangent(current.triple, current.label, cfg.params_rule, v_prev)
             elif isinstance(v, Exception):
                 raise v
-            if k == 0 and current.psi_residual > CAPTURE_RADIUS:
+            if k == 0 and not current.psi_residual <= CAPTURE_RADIUS:  # nan too
                 raise ProjectionFailureError(
                     f"start residual {current.psi_residual:.3e} outside the capture "
                     f"radius {CAPTURE_RADIUS}"

@@ -27,9 +27,9 @@ The Bezout solves and the deformation identities work on them and build a
 Roots start as the eigenvalues of the monic companion matrix.  They are
 accepted by the Aberth backward-error test, |p(z)| <= ABERTH_TARGET *
 sum |a_i||z|^i at every root; a start that fails it is refined by
-Aberth-Ehrlich iteration until it passes (``NumericalFailureError`` after
-``ABERTH_MAX_ITER`` iterations).  A double root then splits by about
-sqrt(eps), well inside ``MULTIPLICITY_RADIUS``.
+Aberth-Ehrlich iteration until it passes and its steps stop shrinking
+(``NumericalFailureError`` after ``ABERTH_MAX_ITER`` iterations), so that a
+double root splits by about sqrt(eps), well inside ``MULTIPLICITY_RADIUS``.
 
 Everything after the start runs on Python complex values over the
 coefficient list: the Horner passes, the test, the Aberth-Ehrlich step and
@@ -540,8 +540,8 @@ def _aberth(coeffs):
     array, with p and p' at them (``_horner3``'s first two) as lists: the
     eigenvalue start, returned as soon as every point passes the
     backward-error test, and otherwise refined by Aberth-Ehrlich's
-    simultaneous iteration.  The test and the step run on Python complex
-    values over the coefficient list."""
+    simultaneous iteration until every point passes and stops shrinking its
+    step.  The test and the step run on Python complex values."""
     n = coeffs.size - 1
     a = coeffs.tolist()
     if n == 1:
@@ -549,11 +549,12 @@ def _aberth(coeffs):
         p, dp = _horner2(a, z)
         return np.array([z]), [p], [dp]
     z = _eigenvalue_start(coeffs).tolist()
+    last = [math.inf] * n  # each point's last correction (0: it has stopped)
     for it in range(ABERTH_MAX_ITER + 1):
         vals = [_horner3(a, zi) for zi in z]
         # |p(z)| measured against sum |a_i||z|^i (backward-error style)
         converged = [abs(p) <= ABERTH_TARGET * max(s, 1e-300) for p, _, s in vals]
-        if all(converged):
+        if all(converged) and it in (0, ABERTH_MAX_ITER):
             return np.array(z), [v[0] for v in vals], [v[1] for v in vals]
         if it == ABERTH_MAX_ITER:
             raise NumericalFailureError("root iteration did not converge", best=np.array(z))
@@ -564,10 +565,14 @@ def _aberth(coeffs):
             z = z + 1e-3 * np.maximum(1.0, np.abs(z)) * np.exp(2j * np.pi * np.arange(n) / n)
             z = z.tolist()
             continue
-        z = [
-            zi if ok else zi - _aberth_step(z, i, p, dp)
-            for i, (zi, ok, (p, dp, _)) in enumerate(zip(z, converged, vals))
-        ]
+        steps = [_aberth_step(z, i, p, dp) for i, (p, dp, _) in enumerate(vals)]
+        # passing, a point steps on while its correction shrinks: a double
+        # root's two points, which close in only linearly, pass 1e-6 apart
+        go = [not ok or abs(d) < abs(m) for ok, d, m in zip(converged, steps, last)]
+        if not any(go):
+            return np.array(z), [v[0] for v in vals], [v[1] for v in vals]
+        last = [d if g else 0.0 for g, d in zip(go, steps)]
+        z = [zi - d if g else zi for zi, g, d in zip(z, go, steps)]
 
 
 def _aberth_step(z, i, p, dp):

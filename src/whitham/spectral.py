@@ -241,6 +241,7 @@ def product_form_motion(alphas, P):
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range, refused below
 def product_form_dot(motion, P_dots):
     """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot, for each
     P_dot of ``P_dots``, where ``motion`` is ``product_form_motion(alphas,
@@ -438,6 +439,11 @@ class PsiVector:
                                    TWO_PI * 1j)
         targets[-1] = 1.0
         return (self.values - targets).view(float)
+
+    @np.errstate(over="ignore")
+    def residual(self, integers=None):
+        """The norm of ``flatten(integers)``, inf past the float range."""
+        return float(np.linalg.norm(self.flatten(integers)))
 
 
 def psi(triple, frame=None, quad_order=DEFAULT_QUAD_ORDER):

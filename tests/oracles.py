@@ -378,6 +378,26 @@ def reference_walk(curve, path, quad_order):
     return zs, etas, base, end_sheet
 
 
+def reference_panel_grid(quad_order):
+    """The panel grid of the Gauss-Legendre pair that ``curve._panel_grid``
+    built before the Gauss-Kronrod pair replaced it: the q-point rule for
+    the value, the q // 2-point rule for the error estimate and a coarse
+    grid of step 1/8, as (ts, idx_hi, w_hi, idx_lo, w_lo).  Its error rule's
+    nodes are not among its value rule's, so a walk patched onto this grid
+    gives the right values and meaningless error estimates."""
+    q_hi = max(int(quad_order), 2)
+    q_lo = max(q_hi // 2, 2)
+    t_hi, w_hi = _gl_nodes(q_hi)
+    t_lo, w_lo = _gl_nodes(q_lo)
+    ts = np.unique(np.concatenate([[0.0, 1.0], t_hi, t_lo, np.linspace(0.0, 1.0, 9)]))
+    return ts, np.searchsorted(ts, t_hi), w_hi, np.searchsorted(ts, t_lo), w_lo
+
+
+def _gl_nodes(order):
+    x, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (x + 1.0), 0.5 * w  # mapped to [0, 1]
+
+
 def reference_subdivide(segments, sing):
     """Depth-first split of one segment at a time, by the rule of
     ``curve._subdivide``."""

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -140,7 +141,6 @@ def test_overflowing_squares_end_in_an_exit_code(seed, factors, request, tmp_pat
     assert main(["flow", str(f), "--steps", "1"]) in (0, 3)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed, exponents", [
     # R's row: a Bezout solution of the reduced Q-equation overflows
     ("g0_triple", (228.13, -107.9, 74.27)),
@@ -151,8 +151,8 @@ def test_an_overflowing_bezout_solution_is_a_numerical_failure(seed, exponents, 
                                                                tmp_path, capsys):
     """``tangent`` at a seed point with P, b1 and b2 multiplied by 10**u, where
     a Bezout solution leaves the float range, exits 3 with a numerical
-    failure, not 2 with an input error (numpy's overflow warnings on the
-    way are not raised here)."""
+    failure, not 2 with an input error, and without a numpy overflow
+    warning on the way."""
     t = request.getfixturevalue(seed)
     f = tmp_path / "scaled.json"
     f.write_text(json.dumps(_scaled(t, *(10.0**u for u in exponents)).to_json_dict()),
@@ -161,7 +161,6 @@ def test_an_overflowing_bezout_solution_is_a_numerical_failure(seed, exponents, 
     assert "numerical failure: Bezout solution is not finite" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("seed, exponents, command, message", [
     # the right-hand sides of the deformation identities (solve_empdi)
     ("g1_triple", (148.53, -16.03, -98.48), "tangent", "deformation identity right-hand side"),
@@ -191,6 +190,33 @@ def test_an_overflow_outside_the_bezout_solve_is_a_numerical_failure(seed, expon
         assert main([cmd[0], str(f), *cmd[1:]]) == 3, cmd
         if cmd[0] == command:
             assert f"numerical failure: {message}" in capsys.readouterr().err
+
+
+def test_scaled_seed_points_exit_without_runtime_warnings(g0_triple, g0_conformal, g1_triple,
+                                                          g1_b_linear, g2_b_quad, tmp_path):
+    """At 60 seed points with P, b1 and b2 each multiplied by 10**u, u
+    uniform in [-250, 250] (numpy seed 7), ``validate``, ``classify``,
+    ``tangent`` and ``flow --steps 2`` exit 0, 1 or 3 under the suite's
+    ``error::RuntimeWarning`` filter: no numpy overflow warning, which the
+    command line would print, and no exception escapes ``main``.  A flow
+    whose start residual is not finite stops at step 0 (exit 3) rather than
+    report a completed path with a NaN residual at every sample."""
+    seeds = (g0_triple, g0_conformal, g1_triple, g1_b_linear, g2_b_quad)
+    assert not any(isinstance(t, str) for t in seeds)
+    rng = np.random.default_rng(7)
+    f = tmp_path / "scaled.json"
+    for _ in range(60):
+        t = seeds[rng.integers(len(seeds))]
+        u = rng.uniform(-250, 250, 3)
+        f.write_text(json.dumps(_scaled(t, *(10.0**u)).to_json_dict()), encoding="utf-8")
+        for cmd in (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "2")):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main([cmd[0], str(f), *cmd[1:]])
+            assert code in (0, 1, 3), (cmd, u, code)
+            if cmd[0] == "flow" and code == 0:
+                assert all(math.isfinite(json.loads(line)["psi_residual"])
+                           for line in out.getvalue().splitlines()[:-1]), u
 
 
 FUZZ_COMMANDS = (("validate",), ("classify",), ("tangent",), ("flow", "--steps", "2"), ("plot",))

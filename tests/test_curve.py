@@ -222,6 +222,71 @@ def test_error_estimate_bounds_doubling():
     assert abs(v32 - r16.value) <= max(r16.error, 1e-14)
 
 
+@pytest.mark.parametrize("n", range(2, 25))
+def test_kronrod_extension_of_the_gauss_rule(n):
+    """The (2n+1)-point Kronrod rule on [0, 1]: ascending nodes inside the
+    interval, positive weights summing to 1, exact for zeta^k up to k =
+    3n+1, and the n Gauss-Legendre nodes at its odd positions."""
+    from whitham.curve import _kronrod
+
+    t, w = _kronrod(n)
+    assert t.shape == w.shape == (2 * n + 1,)
+    assert 0.0 < t[0] and t[-1] < 1.0 and np.all(np.diff(t) > 0)
+    assert np.all(w > 0) and abs(w.sum() - 1.0) <= 1e-14
+    for k in range(3 * n + 2):
+        assert abs(w @ t**k - 1.0 / (k + 1)) <= 1e-14, k
+    x = np.polynomial.legendre.leggauss(n)[0]
+    assert np.max(np.abs(t[1::2] - 0.5 * (x + 1.0))) <= 1e-15
+
+
+def test_panel_grid_walks_the_kronrod_nodes():
+    """At the default order the walked parameters are 0, 1 and the 33
+    Kronrod nodes; the 16-point Gauss rule's columns are every second value
+    column, with the Gauss-Legendre weights.  At every order the sign walk
+    steps by at most 1/8, and q and q + 1 give one rule for even q."""
+    from whitham.curve import DEFAULT_QUAD_ORDER, _panel_grid
+
+    ts, idx_hi, w_hi, idx_lo, w_lo = _panel_grid(DEFAULT_QUAD_ORDER)
+    assert ts.size == 35 and ts[0] == 0.0 and ts[-1] == 1.0
+    assert idx_hi.size == 33 and np.array_equal(idx_hi, np.arange(1, 34))
+    assert idx_lo.size == 16 and np.array_equal(idx_lo, idx_hi[1::2])
+    assert np.array_equal(w_lo, 0.5 * np.polynomial.legendre.leggauss(16)[1])
+    for q in range(3, 65):
+        grid = _panel_grid(q)
+        assert np.max(np.diff(grid[0])) <= 0.125, q
+        assert np.array_equal(grid[1][1::2], grid[3]), q
+        if q % 2 == 0:
+            assert all(np.array_equal(a, b) for a, b in zip(grid, _panel_grid(q + 1))), q
+
+
+def test_psi_agrees_with_an_order_96_gauss_legendre_walk(g0_triple, g0_conformal, g1_triple,
+                                                         g1_b_linear, g2_b_quad, monkeypatch):
+    """At the five seed points, Psi from the default Gauss-Kronrod rule is
+    within 2e-13 of Psi from a 96-point Gauss-Legendre walk in the same
+    frame (``reference_panel_grid``, whose values alone are read); where it
+    differs by more than 1e-12 the reported integration error bounds the
+    difference.  Neither walk falls back to the node-by-node walk."""
+    import whitham.curve as curve
+    from whitham.spectral import PsiFrame, psi_walks
+
+    from oracles import reference_panel_grid
+
+    fallbacks = []
+    walk_row = curve._walk_row
+    monkeypatch.setattr(curve, "_walk_row", lambda *a: fallbacks.append(a) or walk_row(*a))
+    for t in (g0_triple, g0_conformal, g1_triple, g1_b_linear, g2_b_quad):
+        assert not isinstance(t, str), t
+        frame = PsiFrame.build(t)
+        vec = psi_walks(t, frame).vector
+        with monkeypatch.context() as patch:
+            patch.setattr(curve, "_panel_grid", reference_panel_grid)
+            ref = psi_walks(t, dataclasses.replace(frame, quad_order=96)).vector
+        diff = np.abs(vec.values - ref.values)
+        assert diff.max() <= 2e-13, diff.max()
+        assert np.all((diff <= 1e-12) | (diff <= vec.integration_error))
+    assert not fallbacks
+
+
 def test_sheet_parity():
     cur = build_curve(pair_poly(0.5, -0.4))
     b = random_real_section(np.random.default_rng(7), cur.genus + 3)
