@@ -785,15 +785,13 @@ class StackWalk:
     curve of a stack, equal to the walk of that curve's paths alone.
 
     Row p holds panel p of the paths (each path's panels in path order,
-    path after path; path k's rows start at ``first[k]``, and ``slices``
-    gives each path's rows): the nodes ``zs`` and eta continued to them
-    (``etas``).  The integral of b dzeta/(zeta^2 eta) over a panel is
-    sum(w_hi * b(zs) * base) over the Kronrod columns ``idx_hi`` of
-    ``_panel_grid(quad_order)``, with ``base`` = velocity / (zeta^2 eta);
-    the Gauss rule on every second one gives the error estimate.
-    ``integrate`` forms ``base`` there alone, and the whole ``base`` is
-    built only when it is asked for (the Jacobian does).  Path k ends on
-    sheet ``end_sheets[k]``.
+    path after path; path k's rows start at ``first[k]``): the nodes ``zs``
+    and eta continued to them (``etas``).  The integral of
+    b dzeta/(zeta^2 eta) over a panel is sum(w_hi * b(zs) * base) over the
+    Kronrod columns ``idx_hi`` of ``_panel_grid(quad_order)``, with
+    ``base`` = velocity / (zeta^2 eta) formed there alone; the Gauss rule
+    on every second one gives the error estimate.  Path k ends on sheet
+    ``end_sheets[k]``.
 
     The grid is the panels ``_subdivide`` gave the paths and their nodes
     ``zs`` and ``velocity``, both read-only, all views of the stack's.  The
@@ -813,10 +811,6 @@ class StackWalk:
     etas: np.ndarray
     first: np.ndarray
     end_sheets: np.ndarray
-
-    def slices(self):
-        """Each path's rows, as a slice."""
-        return [slice(a, b) for a, b in zip(self.first, np.append(self.first[1:], len(self.zs)))]
 
     @np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range
     def integrate(self, numerators):
@@ -853,12 +847,6 @@ class StackWalk:
             del f
         return [[IntegrationResult(complex(hi), float(abs(hi - lo)), int(s)) for hi, lo in total]
                 for total, s in zip(np.cumsum(sums, axis=1)[:, -1], self.end_sheets)]
-
-    @cached_property
-    def base(self):
-        """velocity / (zeta^2 eta) at every node, built the first time it is
-        asked for (``integrate`` forms it at the Kronrod columns instead)."""
-        return self.velocity / (self.zs**2 * self.etas)
 
     @cached_property
     def _probed(self):

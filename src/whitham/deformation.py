@@ -97,7 +97,7 @@ from .polyring import (
     real_section_scale,
     trim,
 )
-from .spectral import ScalingRow, is_conformal, section_coeffs, unpack_section
+from .spectral import ScalingRow, curve_of, is_conformal, section_coeffs, unpack_section
 
 # coefficients of 1, zeta and zeta^2 - 1
 _ONE = Polynomial.one().coeffs
@@ -302,9 +302,10 @@ class Tower:
     @cached_property
     def scaling_row(self):
         """``ScalingRow.of`` the curve of P from ``P_roots``, so with the
-        reference index a frame at the triple takes.  A P with no curve
-        raises the curve's error here, at the first scaling fix."""
-        return ScalingRow.of(_curve_from_roots(self.triple.P, self.P_roots))
+        reference index a frame at the triple takes.  A P with no curve, or
+        with a curve of another genus than the triple's, raises the curve's
+        error here, at the first scaling fix."""
+        return ScalingRow.of(curve_of(self.triple, _curve_from_roots(self.triple.P, self.P_roots)))
 
 
 def _real_factor(p):
@@ -576,16 +577,16 @@ def _residue_tangent_residual(triple, v, i):
 
 def _scaling_shift(tw, P_dot):
     """The real rescale parameter t killing the scaling-normalization
-    derivative along (P_dot + 2tP, ...) at the tower's triple.
-
-    Uses the numerator of d/dt (Pi_m / P_m) that the scaling row of the
-    exact Jacobian also uses (``ScalingRow.numerators``), on the tower's
-    ``scaling_row``: alpha_k moves by -P_dot(alpha_k)/P'(alpha_k).
+    derivative along (P_dot + 2tP, ...) at the tower's triple, from the
+    numerator of d/dt (Pi_m / P_m) that the exact Jacobian's scaling row
+    also takes (``ScalingRow.numerators`` of the tower's ``scaling_row``).
     """
     row = tw.scaling_row
     m = row.index
-    (num,) = row.numerators([P_dot])
+    num = complex(row.numerators(P_dot.padded(2 * tw.triple.g + 3)))
     t = num / (2.0 * row.P.coeff(m) * row.product.coeff(m))
+    if not np.isfinite(t):  # past the float range
+        raise NumericalFailureError("product form derivative: the scaling shift is not finite")
     return float(t.real), float(abs(t.imag))
 
 
@@ -713,9 +714,13 @@ def _empdi_vector(tw, M, hom, twoP, dPz, sols, q, chat, twist):
     t, t_imag = _scaling_shift(tw, Polynomial(P_dot))
     if t_imag > 1e-6 * max(1.0, abs(t)):
         warnings.append(f"scaling shift has imaginary part {t_imag:.2e}")
-    P_dot = Polynomial(c_add(P_dot, c_scale(triple.P.coeffs, 2.0 * t)))
-    b1_dot = Polynomial(c_add(b1_dot, c_scale(triple.b1.coeffs, t)))
-    b2_dot = Polynomial(c_add(b2_dot, c_scale(triple.b2.coeffs, t)))
+    try:
+        P_dot = Polynomial(c_add(P_dot, c_scale(triple.P.coeffs, 2.0 * t)))
+        b1_dot = Polynomial(c_add(b1_dot, c_scale(triple.b1.coeffs, t)))
+        b2_dot = Polynomial(c_add(b2_dot, c_scale(triple.b2.coeffs, t)))
+    except ValueError as exc:
+        # a finite shift: its multiple of the triple left the float range
+        raise NumericalFailureError(f"scaling fix: {exc}") from exc
 
     v = TangentVector(P_dot, b1_dot, b2_dot, params, c1, c2, Q, {}, tuple(warnings))
     t_after, _ = _scaling_shift(tw, P_dot)

@@ -21,20 +21,21 @@ deterministic given the deterministic homology basis; for derivative work
 reference coefficient index are frozen in a ``PsiFrame`` so nearby
 triples are measured against identical paths.  The scaling normalization
 (the product form of the in-disc branch points and its reference index)
-is chosen in one place, ``ScalingRow.of``, for frames, Psi, its Jacobian
-and the tangent's scaling fix alike.
+is chosen in one place, ``ScalingRow.of``; its derivative along P is one
+linear functional of P-dot and its conjugate (``ScalingRow.numerators``),
+which the Jacobian and the tangent's scaling fix share.
 
 Psi is evaluated in one place, ``psi_stack``, for one triple
 (``psi_walks``) or many (``validate_batch``): the distinct curves of the
 triples are walked as one stack (``curve.walk_paths``), which gives each
 curve its own walk (``curve.StackWalk``), and a stack that fails is
 recovered there, once.  Newton projection uses the exact Jacobian: in a
-frozen frame every column is a sum over the nodes of the walk that
-evaluates Psi.  ``psi_walks`` keeps that walk and assembles the Jacobian
-only when asked; handed the walks of an earlier evaluation in the frame,
-alone or beside other curves, it walks on their quadrature grid when the
-new branch points leave the subdivision unchanged.  The central-difference
-``psi_jacobian`` is kept as its independent oracle.
+frozen frame its lattice rows are moments over the nodes of the walk that
+evaluates Psi, formed for all rows at once and summed per path.
+``psi_walks`` keeps that walk and assembles the Jacobian only when asked;
+handed the walks of an earlier evaluation in the frame, it walks on their
+grid when the new branch points leave the subdivision unchanged.  The
+central-difference ``psi_jacobian`` is its independent oracle.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from .errors import (
     UndefinedConformalTypeError,
     WhithamError,
 )
-from .polyring import Polynomial, _sum, real_defect, roots
+from .polyring import Polynomial, real_defect, roots
 
 TWO_PI = 2.0 * np.pi
 # P is conformal (branched over zeta = 0) when |P_0| is below this times |P|
@@ -224,59 +225,13 @@ def product_form(alphas):
     return out
 
 
-def product_form_motion(alphas, P):
-    """The per-point part of ``product_form_dot`` at the in-disc branch
-    points ``alphas`` of P: the points as one array and, for each root
-    alpha, P'(alpha), the coefficients of the product form of the other
-    roots, and those of (1 - conj(alpha) zeta) and (zeta - alpha).  Built
-    once per point and shared by every direction; P' is evaluated at all
-    points in one array call."""
-    alphas = list(alphas)
-    points = np.array(alphas, dtype=complex)
-    dP_at = P.derivative()(points).tolist()
-    return points, tuple(
-        (a, dP_a, product_form(alphas[:k] + alphas[k + 1 :]).coeffs,
-         Polynomial([1.0, -np.conj(a)]).coeffs, np.array([-a, 1.0], dtype=complex))
-        for k, (a, dP_a) in enumerate(zip(alphas, dP_at))
-    )
-
-
-@np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range, refused below
-def product_form_dot(motion, P_dots):
-    """d/dt of ``product_form(alphas)`` as P moves to P + t P_dot, for each
-    P_dot of ``P_dots``, where ``motion`` is ``product_form_motion(alphas,
-    P)``: each in-disc branch point moves by alpha_dot =
-    -P_dot(alpha)/P'(alpha), with P_dot evaluated at all of them in one
-    array call.
-
-    Each direction's terms are summed on coefficient arrays, by the
-    ``np.convolve`` calls that the ``Polynomial`` products of
-    d/dt (zeta - alpha)(1 - conj(alpha) zeta) times the other roots' product
-    form make, and become one ``Polynomial`` at the end."""
-    points, per_root = motion
-    out = []
-    for P_dot in P_dots:
-        terms = np.zeros(1, dtype=complex)
-        for (a, dP_a, rest, right, left), P_dot_a in zip(per_root, P_dot(points).tolist()):
-            a_dot = -P_dot_a / dP_a
-            dpair = _sum(np.convolve([-a_dot], right), np.convolve(left, [0.0, -np.conj(a_dot)]))
-            terms = _sum(terms, np.convolve(dpair, rest))
-        try:
-            out.append(Polynomial(terms))
-        except ValueError as exc:
-            # finite inputs: the branch points' motion left the float range
-            raise NumericalFailureError(f"product form derivative: {exc}") from exc
-    return out
-
-
 @dataclass(frozen=True)
 class ScalingRow:
     """The scaling component of Psi at the curve of P, Pi_m / P_m, with
     what its derivative along P needs: the product form Pi of the curve's
     in-disc branch points, the reference index m and, built on first use,
-    the branch points' ``product_form_motion``.  ``of`` is the one place
-    that picks Pi and m; ``numerators`` then costs one loop per
-    direction."""
+    the ``weights`` of its derivative.  ``of`` is the one place that picks
+    Pi and m; ``numerators`` then costs two dot products per direction."""
 
     curve: object
     product: Polynomial
@@ -304,19 +259,51 @@ class ScalingRow:
         return complex(self.product.coeff(self.index) / pm)
 
     @cached_property
-    def motion(self):
-        return product_form_motion([a for a, _ in self.curve.branch_pairs], self.P)
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range
+    def weights(self):
+        """The rows (A, B), over the coefficients p of a section of P's
+        weight, of ``numerators`` = A.p + B.conj(p) - p_m Pi_m.  Each
+        in-disc branch point alpha moves by -P_dot(alpha)/P'(alpha), and
+        its pair (zeta - alpha)(1 - conj(alpha) zeta) gives Pi_m the
+        partials r_{m-1} conj(alpha) - r_m in alpha and r_{m-1} alpha -
+        r_{m-2} in conj(alpha), r the product form of the other points
+        (the factor zeta of a = 0 is the pair's limit)."""
+        alphas = [a for a, _ in self.curve.branch_pairs]
+        m, P_m = self.index, self.P.coeff(self.index)
+        points = np.array(alphas, dtype=complex)
+        rests = [product_form(alphas[:k] + alphas[k + 1 :]) for k in range(len(alphas))]
+        r0, r1, r2 = np.array([[r.coeff(m - j) for r in rests] for j in range(3)])
+        dP_at = self.P.derivative()(points)
+        powers = np.vander(points, 2 * len(alphas) + 1, increasing=True)
+        A = (-P_m / dP_at * (np.conj(points) * r1 - r0)) @ powers
+        B = (-P_m / np.conj(dP_at) * (points * r1 - r2)) @ np.conj(powers)
+        return A, B
 
+    @np.errstate(over="ignore", invalid="ignore")  # inf or nan past the float range
     def numerators(self, P_dots):
-        """P_m dPi_m - dP_m Pi_m for each P_dot of ``P_dots``: the numerator
-        of d/dt (Pi_m / P_m) as P moves to P + t P_dot, where dPi is the
-        ``product_form_dot`` of the row's motion."""
+        """P_m dPi_m - dP_m Pi_m, the numerator of d/dt (Pi_m / P_m) along
+        P + t P_dot, for the coefficients ``P_dots`` of P_dot, a section of
+        P's weight (one direction, or one per column), by ``weights``; the
+        callers refuse a derivative past the float range.  Columns go one
+        at a time, each as a direction alone, so each column's numerator is
+        bit for bit that of the column alone (a matrix product may sum a
+        column in an order that depends on the others)."""
+        P_dots = np.asarray(P_dots)
+        if P_dots.ndim == 2:
+            return np.array([self.numerators(c) for c in np.ascontiguousarray(P_dots.T)])
+        A, B = self.weights
         m = self.index
-        P_m, Pi_m = self.P.coeff(m), self.product.coeff(m)
-        return [
-            P_m * dPi.coeff(m) - dP.coeff(m) * Pi_m
-            for dP, dPi in zip(P_dots, product_form_dot(self.motion, P_dots))
-        ]
+        return A @ P_dots + B @ np.conj(P_dots) - P_dots[m] * self.product.coeff(m)
+
+
+def curve_of(triple, curve):
+    """``curve``, the curve of ``triple.P``, refused when its genus is not
+    the triple's: its paths would not be those Psi's components count."""
+    if curve.genus != triple.g:
+        raise RealityViolationError(
+            f"P has a curve of genus {curve.genus}, not the triple's genus {triple.g}"
+        )
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +333,10 @@ class PsiFrame:
     def build(triple, quad_order=DEFAULT_QUAD_ORDER, jitter=0.0, like=None, curve=None):
         """Frame at the triple; ``curve`` is the curve of ``triple.P`` when
         the caller has already built it.  Raises ``RealityViolationError``
+        when that curve's genus is not the triple's (``curve_of``), and
         when P_m vanishes at the argmax index m, even when ``like`` sets
         the index."""
-        cur = curve if curve is not None else build_curve(triple.P)
+        cur = curve_of(triple, curve if curve is not None else build_curve(triple.P))
         anchor = None if like is None else [a for a, _ in like.basis.cuts]
         basis = homology_basis(cur, jitter=jitter, anchor=anchor)
         row = ScalingRow.of(cur)
@@ -471,12 +459,6 @@ def _section_basis(k):
     return np.column_stack([unpack_section(e, k).padded(k + 1) for e in np.eye(k + 1)])
 
 
-@lru_cache(maxsize=16)
-def _section_polys(k):
-    """The ``Polynomial`` of each column of ``_section_basis(k)``."""
-    return tuple(Polynomial(c) for c in _section_basis(k).T)
-
-
 @dataclass(frozen=True)
 class PsiWalks:
     """Psi at a triple from one walk per path of a frame (``psi_walks``),
@@ -503,60 +485,50 @@ class PsiWalks:
 
         With the paths frozen, a lattice value of b dzeta/(zeta^2 eta) is
         linear in b, and eta^2 = P gives its P-derivative
-        -1/2 b dP dzeta/(zeta^2 eta P); both are sums over the walk's nodes
-        of the triple's own paths.  The residue rows are exact (the residue
-        condition is bilinear), and the scaling row follows the branch
-        points through ``row``.
+        -1/2 b dP dzeta/(zeta^2 eta P): moments sum(f zeta^k) over the
+        walk's Kronrod nodes, formed for every row at once by running
+        powers and summed over each path's own rows.  The residue rows are
+        exact (the condition is bilinear: a column's derivative is the
+        condition of its section); the scaling row is ``row``'s functional.
         """
         triple = self.triple
-        g = triple.g
-        (kP, P_cols), (kb, b1_cols), (_, b2_cols) = chart_blocks(g)
+        (kP, P_cols), (kb, b1_cols), (_, b2_cols) = chart_blocks(triple.g)
         P, bs, b_cols = triple.P, (triple.b1, triple.b2), (b1_cols, b2_cols)
         EP, Eb = _section_basis(kP), _section_basis(kb)
         nP, nb, width = kP + 1, kb + 1, b2_cols.stop
         walks = self.walks
-        _, idx_hi, w_hi, _, _ = _panel_grid(walks.quad_order)
-        path_rows = walks.slices()
-        # d(integral of b_i over path p) in rows [i, p]
-        lattice = np.zeros((2, len(path_rows), width), dtype=complex)
-        for p, rows in enumerate(path_rows):
-            zs = np.take(walks.zs[rows], idx_hi, axis=1).ravel()
-            wb = (w_hi * np.take(walks.base[rows], idx_hi, axis=1)).ravel()
-            inv_P = 1.0 / np.take(walks.etas[rows], idx_hi, axis=1).ravel() ** 2
-            # node weights whose moments sum(f zeta^k) are the b-columns (row
-            # 0) and the P-columns of b1 and b2 (rows 1, 2) in the monomial
-            # basis
-            f = np.stack([wb] + [wb * b(zs) * inv_P for b in bs])
-            moments = np.empty((3, max(nP, nb)), dtype=complex)
-            zk = np.ones_like(zs)
-            for k in range(moments.shape[1]):
-                moments[:, k] = f @ zk
-                zk *= zs
-            for i in range(2):
-                lattice[i, p, P_cols] = -0.5 * (moments[1 + i, :nP] @ EP)
-                lattice[i, p, b_cols[i]] = moments[0, :nb] @ Eb
-        P_dots = _section_polys(kP)
-        residues = np.zeros((2, width), dtype=complex)
+        _, cols, w_hi, _, _ = _panel_grid(walks.quad_order)
+        zs, etas = np.take(walks.zs, cols, axis=1), np.take(walks.etas, cols, axis=1)
+        wb = w_hi * (np.take(walks.velocity, cols, axis=1) / (zs**2 * etas))
+        inv_P = 1.0 / etas**2
+        # node weights whose moments are the b-columns (0) and the P-columns
+        # of b1 and b2 (1, 2) in the monomial basis
+        f = np.stack([wb] + [wb * b(zs) * inv_P for b in bs])
+        moments = np.empty((len(zs), 3, max(nP, nb)), dtype=complex)
+        zk = np.ones_like(zs)
+        for k in range(moments.shape[2]):
+            moments[:, :, k] = np.sum(f * zk, axis=-1).T
+            zk *= zs
+        moments = np.add.reduceat(moments, walks.first, axis=0)  # by path
+        # d(integral of b_i over path p) in rows [i, p]; both residues, then
+        # the scaling, in ``last``
+        lattice = np.zeros((2, len(moments), width), dtype=complex)
+        last = np.zeros((3, width), dtype=complex)
         for i, b in enumerate(bs):
-            residues[i, P_cols] = [residue_condition(dP, b) for dP in P_dots]
-            residues[i, b_cols[i]] = [residue_condition(P, db) for db in _section_polys(kb)]
-        m = self.row.index
-        scaling = np.zeros((1, width), dtype=complex)
-        scaling[0, P_cols] = [_over_square(num, P.coeff(m))
-                              for num in self.row.numerators(P_dots)]
+            lattice[i, :, P_cols] = -0.5 * (moments[:, 1 + i, :nP] @ EP)
+            lattice[i, :, b_cols[i]] = moments[:, 0, :nb] @ Eb
+            last[i, P_cols] = EP[1] * b.coeff(0) - 2.0 * EP[0] * b.coeff(1)
+            last[i, b_cols[i]] = P.coeff(1) * Eb[0] - 2.0 * P.coeff(0) * Eb[1]
+        P_m = P.coeff(self.row.index)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            last[2, P_cols] = self.row.numerators(EP) / P_m / P_m
+        if not np.isfinite(last[2]).all():  # the derivative left the float range
+            raise NumericalFailureError("product form derivative is not finite")
         # complex rows in the order of ``psi``
-        Jc = np.vstack([lattice[tuple(lattice_order(g).T)], residues, scaling])
+        Jc = np.vstack([lattice[tuple(lattice_order(triple.g).T)], last])
         J = np.empty((2 * Jc.shape[0], Jc.shape[1]))
         J[0::2], J[1::2] = Jc.real, Jc.imag
         return J
-
-
-def _over_square(x, d):
-    """x / d**2, or x / d / d where d**2 leaves the float range."""
-    try:
-        return x / d**2
-    except (OverflowError, ZeroDivisionError):
-        return x / d / d
 
 
 def psi_walks(triple, frame, like=None):
@@ -897,7 +869,8 @@ def _start(triple, tol, quad_order, like=None):
         checks.append(
             _margin_check("P3_simple_roots", sep_margin, tol.cluster, {})
         )
-        grading.curve = _curve_from_roots(triple.P, root_list) if like is None else like.curve
+        curve = _curve_from_roots(triple.P, root_list) if like is None else like.curve
+        grading.curve = curve_of(triple, curve)
     except WhithamError as exc:
         checks.append(
             ConditionCheck("curve", 1.0, 0.5, False, {}, error=str(exc))
@@ -909,11 +882,10 @@ def _start(triple, tol, quad_order, like=None):
             ConditionCheck(f"P4_residue_T{i}", r, tol.alg, r <= tol.alg)
         )
 
-    if like is not None:
-        grading.frame = like.frame
-    elif grading.curve is not None:
+    if grading.curve is not None:
         try:
-            grading.frame = PsiFrame.build(triple, quad_order=quad_order, curve=grading.curve)
+            grading.frame = like.frame if like is not None else PsiFrame.build(
+                triple, quad_order=quad_order, curve=grading.curve)
         except WhithamError as exc:
             grading.frame = exc
     return grading

@@ -341,10 +341,12 @@ PathRows = namedtuple("PathRows", "zs etas base end_sheet")
 
 def per_path(stack):
     """Each path's ``PathRows`` of a ``curve.StackWalk``: the rows from its
-    ``first`` row up to the next path's."""
+    ``first`` row up to the next path's, with ``base`` = velocity /
+    (zeta^2 eta) at every node."""
     bounds = [*stack.first, len(stack.zs)]
+    base = stack.velocity / (stack.zs**2 * stack.etas)
     return [
-        PathRows(stack.zs[a:b], stack.etas[a:b], stack.base[a:b], int(s))
+        PathRows(stack.zs[a:b], stack.etas[a:b], base[a:b], int(s))
         for a, b, s in zip(bounds[:-1], bounds[1:], stack.end_sheets)
     ]
 

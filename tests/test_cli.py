@@ -116,6 +116,50 @@ def test_rootless_P_is_a_failed_curve(tmp_path):
     assert main(["classify", str(f)]) in (0, 1, 2, 3)
 
 
+def test_a_P_of_another_genus_is_a_failed_curve(good_file, tmp_path, capsys):
+    """A genus-1 triple whose P has a curve of genus 0 fails the curve check
+    in ``validate``, which names both genera, and is a numerical failure
+    for ``tangent`` and ``flow``; ``classify`` and ``plot`` report on it.
+    In a directory every file keeps the row it gets alone: the seed, a
+    genus-0 triple on the same P that the mismatched one shares a stack
+    with, and the mismatched one."""
+    P = [[-0.3, -0.1], [1.1, 0.0], [-0.3, 0.1]]
+    mismatch = {"genus": 1, "P": P, "b1": [[0, 0], [0, 0], [1, 0]],
+                "b2": [[0, 0], [1, 0], [0, 0], [0, 0], [1, 0]]}
+    same_P = {"genus": 0, "P": P, "b1": [[0.5, 0.2], [1.0, 0.3], [1.0, -0.3], [0.5, -0.2]],
+              "b2": [[0.1, -0.4], [0.7, 0.0], [0.7, 0.0], [0.1, 0.4]]}
+    d = tmp_path / "batch"
+    d.mkdir()
+    (d / "a_seed.json").write_text(good_file.read_text(), encoding="utf-8")
+    (d / "b_same_P.json").write_text(json.dumps(same_P), encoding="utf-8")
+    f = d / "c_mismatch.json"
+    f.write_text(json.dumps(mismatch), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["validate", str(f), "--out", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert not checks["curve"]["passed"]
+    assert "genus 0, not the triple's genus 1" in checks["curve"]["error"]
+    capsys.readouterr()
+    assert main(["tangent", str(f)]) == 3
+    assert main(["flow", str(f), "--steps", "1"]) == 3
+    assert "genus 0, not the triple's genus 1" in capsys.readouterr().err
+    assert main(["classify", str(f), "--out", str(out)]) == 0
+    assert main(["plot", str(f), "--out", str(tmp_path / "plot.svg")]) == 0
+    alone = []
+    for g in sorted(d.glob("*.json")):
+        code = main(["validate", str(g), "--out", str(out)])
+        report = json.loads(out.read_text())
+        failed = [c["name"] for c in report["checks"] if not c["passed"]]
+        alone.append((g.name, report["verdict"], failed, code))
+    assert main(["validate", str(d), "--out", str(out)]) == 1
+    rows = [(r["file"], r["verdict"], r["failed"]) for r in json.loads(out.read_text())["results"]]
+    assert rows == [row[:3] for row in alone]
+    assert [row[1] for row in alone] == ["pass", "fail", "fail"]
+    # the genus-0 triple on the same P is walked: its closings are graded
+    assert any(name.startswith("P7_closing") for name in alone[1][2]), alone[1]
+    assert "curve" not in alone[1][2] and "curve" in alone[2][2]
+
+
 def _scaled(t, p, b1, b2):
     """The triple with P, b1 and b2 multiplied by p, b1 and b2."""
     return SpectralTriple(t.g, t.P * p, t.b1 * b1, t.b2 * b2)
@@ -166,12 +210,14 @@ def test_an_overflowing_bezout_solution_is_a_numerical_failure(seed, exponents, 
     ("g1_triple", (148.53, -16.03, -98.48), "tangent", "deformation identity right-hand side"),
     # the products of solve_q_equation
     ("g2_b_quad", (-188.55, 233.57, 78.88), "tangent", "Q-equation solution"),
-    # the scaling fix's product_form_dot
+    # the scaling fix's shift, from the product form derivative
     ("g2_b_quad", (-44.52, -130.26, -230.97), "tangent", "product form derivative"),
     # the conformal pin of s_0 (solve_empdi, per vector)
     ("g0_conformal", (55.52, -20.48, -182.57), "tangent", "conformal residue pin"),
     # the lattice integers of a NaN start residual (flow.trace)
     ("g0_triple", (-201.65, 233.91, -142.5), "flow", "Psi is not finite"),
+    # a finite scaling shift times P (the scaling fix, solve_empdi per vector)
+    ("g1_b_linear", (-138.33, -242.45, -204.33), "tangent", "scaling fix"),
 ])
 def test_an_overflow_outside_the_bezout_solve_is_a_numerical_failure(seed, exponents, command,
                                                                      message, request, tmp_path,

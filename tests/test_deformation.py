@@ -576,18 +576,27 @@ def _inline_scaling_shift(triple, P_dot):
     return float(t.real), float(abs(t.imag))
 
 
-def test_scaling_shift_is_bit_identical_to_inline_root_motion(
-    g0_triple, g0_conformal, g1_triple
-):
-    """``_scaling_shift`` through the shared ``product_form_dot`` gives the
-    same t, bit for bit, as the formula with the root motion inline."""
+def _assert_same_shift(got, want):
+    """Two (t, |Im t|) pairs of ``_scaling_shift`` agree within 1e-13 of
+    max(1, |t|): the scaling row's linear functional sums the root motion in
+    another order than the product-form derivative, which moved t by at
+    most 5.4e-15 of that scale at the seeds."""
+    scale = max(1.0, abs(want[0]))
+    assert abs(got[0] - want[0]) <= 1e-13 * scale, (got, want)
+    assert abs(got[1] - want[1]) <= 1e-13 * scale, (got, want)
+
+
+def test_scaling_shift_matches_inline_root_motion(g0_triple, g0_conformal, g1_triple):
+    """``_scaling_shift`` through the scaling row's linear functional gives
+    the t of the formula with the root motion inline."""
     rng = np.random.default_rng(3)
     for t in (g0_triple, g0_conformal, g1_triple):
         k = 2 * t.g + 2
         P_dots = [random_real_section(rng, k) for _ in range(3)]
         P_dots += [v.P_dot for v in tangent_basis(t)[0]]
         for P_dot in P_dots:
-            assert _scaling_shift(build_tower(t), P_dot) == _inline_scaling_shift(t, P_dot)
+            _assert_same_shift(_scaling_shift(build_tower(t), P_dot),
+                               _inline_scaling_shift(t, P_dot))
 
 
 def test_frame_and_tower_take_the_same_scaling_index(
@@ -609,10 +618,11 @@ def test_frame_and_tower_take_the_same_scaling_index(
 def test_tower_scaling_row_matches_the_per_call_reference(
     g0_triple, g1_triple, g0_conformal, g1_b_linear, g2_b_quad
 ):
-    """``_scaling_shift`` from the tower's one scaling row gives, bit for
-    bit, the shift recomputed from the curve of P at every call, and the
-    deformation-identity residuals equal those rebuilt from the vector; at
-    the five seeds and at every conformal seed with k+, k- in 1..3."""
+    """``_scaling_shift`` from the tower's one scaling row gives the shift
+    recomputed from the curve of P at every call (``_assert_same_shift``),
+    and the deformation-identity residuals equal those rebuilt from the
+    vector; at the five seeds and at every conformal seed with k+, k- in
+    1..3."""
     from whitham.flow import seed_conformal_genus0
 
     assert not isinstance(g1_b_linear, str), g1_b_linear
@@ -626,7 +636,7 @@ def test_tower_scaling_row_matches_the_per_call_reference(
         P_dots = [random_real_section(rng, 2 * t.g + 2) for _ in range(3)]
         P_dots += [v.P_dot for v in vectors]
         for P_dot in P_dots:
-            assert _scaling_shift(tw, P_dot) == reference_scaling_shift(t, P_dot)
+            _assert_same_shift(_scaling_shift(tw, P_dot), reference_scaling_shift(t, P_dot))
         row = tw.scaling_row
         assert tw.scaling_row is row and row.P is t.P
         for v in vectors:

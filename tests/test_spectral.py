@@ -20,8 +20,6 @@ from whitham.spectral import (
     pack_section,
     pack_triple,
     product_form,
-    product_form_dot,
-    product_form_motion,
     psi,
     psi_jacobian,
     psi_walks,
@@ -91,33 +89,44 @@ def test_product_form_of_curve_is_the_normalized_P(alphas):
 
 @pytest.mark.parametrize("alphas", PRODUCT_FORM_CASES.values(), ids=PRODUCT_FORM_CASES)
 def test_product_form_dot_follows_the_branch_points(alphas):
-    """The root-motion derivative against a central difference of the
-    product form of the moved curve's branch points."""
+    """d/ds of the scaling Pi_m / P_m along P + s P_dot, as
+    ``ScalingRow.numerators`` gives it over P_m^2, against a central
+    difference of ``ScalingRow.value`` at the moved curve's branch points:
+    for one direction and for five as the columns of one call."""
     P0 = pair_poly(*alphas)
-    P_dot = random_real_section(np.random.default_rng(7), P0.degree + P0.degree % 2)
+    k = P0.degree + P0.degree % 2
+    rng = np.random.default_rng(7)
+    P_dots = [random_real_section(rng, k) for _ in range(5)]
+    row = ScalingRow.of(build_curve(P0))
+    m, P_m = row.index, P0.coeff(row.index)
     h = 1e-6
 
-    def moved(s):
-        cur = build_curve(P0 + s * P_dot)
-        return product_form(a for a, _ in cur.branch_pairs)
+    def value(P_dot, s):
+        return ScalingRow.of(build_curve(P0 + s * P_dot), m).value()
 
-    fd = (moved(h) - moved(-h)) / (2 * h)
-    (dot,) = product_form_dot(product_form_motion(alphas, P0), [P_dot])
-    assert (dot - fd).norm() <= 1e-7 * max(1.0, fd.norm())
+    columns = row.numerators(np.column_stack([d.padded(k + 1) for d in P_dots]))
+    assert columns.shape == (len(P_dots),)
+    for j, P_dot in enumerate(P_dots):
+        fd = (value(P_dot, h) - value(P_dot, -h)) / (2 * h)
+        alone = row.numerators(P_dot.padded(k + 1))
+        for num in (alone, columns[j]):
+            assert abs(num / P_m**2 - fd) <= 1e-7 * max(1.0, abs(fd))
 
 
 @pytest.mark.parametrize("alphas", PRODUCT_FORM_CASES.values(), ids=PRODUCT_FORM_CASES)
 def test_product_form_dot_over_many_directions_is_bit_identical(alphas):
-    """One call over several directions gives, coefficient for coefficient,
-    the result of one call per direction."""
+    """One ``ScalingRow.numerators`` call over several directions, as the
+    columns of one array, gives bit for bit the result of one call per
+    direction."""
     P0 = pair_poly(*alphas)
+    k = P0.degree + P0.degree % 2
     rng = np.random.default_rng(11)
-    P_dots = [random_real_section(rng, P0.degree + P0.degree % 2) for _ in range(5)]
-    many = product_form_dot(product_form_motion(alphas, P0), P_dots)
-    assert len(many) == len(P_dots)
-    for P_dot, dot in zip(P_dots, many):
-        (alone,) = product_form_dot(product_form_motion(alphas, P0), [P_dot])
-        assert np.array_equal(dot.coeffs, alone.coeffs)
+    P_dots = [random_real_section(rng, k) for _ in range(5)]
+    row = ScalingRow.of(build_curve(P0))
+    many = row.numerators(np.column_stack([d.padded(k + 1) for d in P_dots]))
+    assert many.shape == (len(P_dots),)
+    for P_dot, num in zip(P_dots, many):
+        assert num == row.numerators(P_dot.padded(k + 1))
 
 
 # -- chart ---------------------------------------------------------------------
@@ -324,6 +333,67 @@ def test_genus1_point_on_lattice(g1_triple):
     assert max(vec.lattice_residuals()) < 1e-9
     assert abs(vec.scaling - 1.0) < 1e-10
     assert validate(g1_triple, quad_order=48).verdict
+
+
+def _residue_free(P, b):
+    """b with its coefficients 1 and k - 1 moved so that the differential
+    b dzeta/(zeta^2 eta) has no residue over zeta = 0 (P_1 b_0 = 2 P_0 b_1),
+    nor, by reality, over infinity; still a real section."""
+    c = b.coeffs.copy()
+    c[1] = P.coeff(1) * c[0] / (2.0 * P.coeff(0))
+    c[-2] = np.conj(c[1])
+    return Polynomial(c)
+
+
+def _laurent_c0_c2(P, b):
+    """The coefficients of zeta^-2 and zeta^0 of b / (zeta^2 sqrt(P)) at
+    zeta = 0, on the sheet of the principal root of P_0 (P_0 != 0)."""
+    p0, p1, p2 = P[:3]
+    s0 = 1.0 / np.sqrt(p0)
+    s1 = -0.5 * p1 / p0 * s0
+    s2 = (-0.5 * p2 / p0 + 0.375 * (p1 / p0) ** 2) * s0
+    return b[0] * s0, b[0] * s2 + b[1] * s1 + b[2] * s0
+
+
+@pytest.mark.parametrize("point", ["g1_triple", "g1_b_linear"])
+def test_periods_satisfy_riemanns_bilinear_relation(point, request):
+    """Riemann's bilinear relations check Psi's periods with no reference
+    walk (Farkas & Kra, Riemann Surfaces, ch. III).  The cycles meet with
+    A.B = -1: tau = B/A of the holomorphic dzeta/eta (numerator zeta^2)
+    lies in the lower half plane.  So for residue-free numerators
+    integrated on the seed's own walk, with p = (A, B) the periods of each,
+    p1^T [[0, -1], [1, 0]] p2 equals -4 pi i times the sum over zeta = 0
+    and infinity of (c0 c2' - c2 c0'), the Laurent coefficients of
+    zeta^-2 and zeta^0 in the local coordinate (zeta at 0, 1/zeta at
+    infinity, where the coefficients come reversed).  The sheet drops out,
+    as each term takes one coefficient of each differential.  It holds
+    within 1e-11 of the scale of its sides, for random pairs 0.01 and 0.3
+    away from the seed's numerators."""
+    t = request.getfixturevalue(point)
+    assert not isinstance(t, str), t
+    assert t.g == 1 and abs(t.P.coeff(0)) > 1e-3
+    evaluation = psi_walks(t, PsiFrame.build(t))
+    assert [p.label for p in _psi_paths(evaluation.frame.basis)][:2] == ["A1", "B1"]
+    kP, kb = 2 * t.g + 2, t.g + 3
+    (A,), (B,) = evaluation.walks.integrate([P(0.0, 0.0, 1.0)])[:2]
+    assert (B.value / A.value).imag < -0.5
+    rng = np.random.default_rng(31)
+    P_ends = [t.P.padded(kP + 1), t.P.padded(kP + 1)[::-1]]
+    for eps in (0.01, 0.3):
+        pair = [_residue_free(t.P, b + random_real_section(rng, kb, eps * b.norm()))
+                for b in (t.b1, t.b2)]
+        (a1, a2), (b1, b2) = [[r.value for r in per_path]
+                              for per_path in evaluation.walks.integrate(pair)[:2]]
+        lhs = b1 * a2 - a1 * b2
+        rhs = 0.0
+        for Pc in P_ends:
+            ends = [b.padded(kb + 1) for b in pair]
+            if Pc is P_ends[1]:
+                ends = [c[::-1] for c in ends]
+            (c0, c2), (d0, d2) = (_laurent_c0_c2(Pc, c) for c in ends)
+            rhs += -4j * np.pi * (c0 * d2 - c2 * d0)
+        scale = max(abs(a1 * b2), abs(b1 * a2), abs(rhs))
+        assert abs(lhs - rhs) <= 1e-11 * scale, (eps, lhs, rhs)
 
 
 @pytest.mark.parametrize(
@@ -893,11 +963,13 @@ def test_a_stack_member_hands_its_grid_on(g0_triple, g1_triple, monkeypatch):
 
 
 def test_exact_jacobian_equals_the_per_path_moment_loop(g1_b_linear, g2_b_quad):
-    """The lattice rows of the exact Jacobian, whose moment loop runs over
-    each path's rows of the stacked walk, equal the loop over each path's
-    own arrays bit for bit: at the five seeds and at genus 2 and 3, at
-    orders 32 and 48, fresh and at P scaled by 1 + 1e-9 in the same frame,
-    handed the fresh evaluation's grid."""
+    """The lattice rows of the exact Jacobian, whose moments are formed
+    row by row over the whole walk and then summed per path, equal the
+    moment loop over each path's own arrays within 1e-13 of each complex
+    row's largest entry: at the five seeds and at genus 2 and 3, at orders
+    32 and 48, fresh and at P scaled by 1 + 1e-9 in the same frame, handed
+    the fresh evaluation's grid.  The two sum each path's nodes in another
+    order; they differed by at most 5.2e-15 of that scale."""
     from oracles import reference_lattice_jacobian
 
     seeds, synthetic = _grid_points(g1_b_linear, g2_b_quad)
@@ -908,7 +980,11 @@ def test_exact_jacobian_equals_the_per_path_moment_loop(g1_b_linear, g2_b_quad):
             fresh = psi_walks(t, frame)
             for evaluation in (fresh, psi_walks(scaled, frame, like=fresh)):
                 ref = reference_lattice_jacobian(evaluation)
-                assert np.array_equal(evaluation.jacobian()[: len(ref)], ref)
+                got = evaluation.jacobian()[: len(ref)]
+                # rows 2k and 2k + 1 are complex component k
+                gap, scale = (np.abs(a).reshape(-1, 2 * a.shape[1]).max(axis=1)
+                              for a in (got - ref, ref))
+                assert np.all(gap <= 1e-13 * scale), (t.g, order, (gap / scale).max())
 
 
 def test_psi_layout_matches_the_per_component_formulas(g1_b_linear, g2_b_quad):
